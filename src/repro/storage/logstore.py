@@ -209,6 +209,14 @@ class LogLocation:
     seq: int             # record sequence number
 
 
+def _cp_row(page: PageId, loc: LogLocation) -> str:
+    """One durable imap entry as the checkpoint's canonical JSON row."""
+    return "[%d,%d,%d,%d,%d,%d,%d]" % (
+        page.segment, page.number, loc.segment, loc.offset, loc.nbytes,
+        loc.crc32, loc.seq,
+    )
+
+
 @dataclass
 class LogStoreCounters:
     """Traffic and space accounting (part of the RunResult digest)."""
@@ -278,11 +286,12 @@ class _PendingEntry:
     ``garbage`` is the size of the durable record this entry displaces
     (supersedes or tombstones); it is *counted* only when this entry
     commits to the log, so a crash-and-redo between staging and append
-    can never double-count the displaced bytes.
+    can never double-count the displaced bytes.  ``crc32`` (of the
+    payload) and ``size`` (of the whole record) are computed here, once.
     """
 
     __slots__ = ("kind", "page_id", "payload", "seq", "cleaner",
-                 "garbage")
+                 "garbage", "crc32", "size")
 
     def __init__(self, kind: int, page_id: PageId, payload: bytes,
                  seq: int, cleaner: bool = False, garbage: int = 0):
@@ -292,10 +301,8 @@ class _PendingEntry:
         self.seq = seq
         self.cleaner = cleaner
         self.garbage = garbage
-
-    @property
-    def size(self) -> int:
-        return _REC_HEADER.size + len(self.payload)
+        self.crc32 = zlib.crc32(payload)
+        self.size = _REC_HEADER.size + len(payload)
 
 
 class LogStructuredStore:
@@ -380,6 +387,11 @@ class LogStructuredStore:
 
     def _init_volatile(self) -> None:
         self._imap: Dict[PageId, LogLocation] = {}
+        # Checkpoint-image row of every *durable* imap entry, rendered
+        # at commit, and those pages in image order — plus any a discard
+        # left behind (it pays a dict delete; the checkpoint prunes).
+        self._cp_rows: Dict[PageId, str] = {}
+        self._cp_keys: List[PageId] = []
         self._allocated: Dict[int, int] = {}     # segment -> segment seq
         self._written: Dict[int, int] = {}       # segment -> record bytes
         # segment -> segment-free-record bytes.  Control records are
@@ -485,30 +497,30 @@ class LogStructuredStore:
     # -- checkpoint serialization --------------------------------------
 
     def _pack_checkpoint(self, seq: int) -> bytes:
-        head = (
-            None if self._head_seg is None
-            else [self._head_seg, self._head_off]
-        )
-        doc = {
-            "seq": seq,
-            "gc_generation": self.gc_generation,
-            "record_seq": self._next_rec_seq,
-            "segment_seq": self._next_seg_seq,
-            "head": head,
-            "allocated": sorted(
-                [seg, sseq, self._written.get(seg, 0),
-                 self._control.get(seg, 0)]
-                for seg, sseq in self._allocated.items()
-            ),
-            "imap": [
-                [p.segment, p.number, loc.segment, loc.offset,
-                 loc.nbytes, loc.crc32, loc.seq]
-                for p, loc in sorted(self._imap.items())
-                if loc.segment >= 0
-            ],
-        }
-        blob = json.dumps(doc, sort_keys=True,
-                          separators=(",", ":")).encode()
+        """The slot image: canonical JSON, sorted keys, no spaces.
+
+        Frozen bytes — the length is charged I/O, so it feeds every
+        digest.  The imap (nearly all of it) is a join of cached rows.
+        """
+        rows, keys = self._cp_rows, self._cp_keys
+        if len(keys) != len(rows):
+            keys[:] = [page for page in keys if page in rows]
+        written, control = self._written.get, self._control.get
+        blob = (
+            '{"allocated":[%s],"gc_generation":%d,"head":%s,"imap":[%s],'
+            '"record_seq":%d,"segment_seq":%d,"seq":%d}' % (
+                ",".join(
+                    "[%d,%d,%d,%d]" % (seg, sseq, written(seg, 0),
+                                       control(seg, 0))
+                    for seg, sseq in sorted(self._allocated.items())
+                ),
+                self.gc_generation,
+                "null" if self._head_seg is None
+                else "[%d,%d]" % (self._head_seg, self._head_off),
+                ",".join(map(rows.__getitem__, keys)),
+                self._next_rec_seq, self._next_seg_seq, seq,
+            )
+        ).encode()
         return _CP_HEADER.pack(
             _CP_MAGIC, seq, len(blob), zlib.crc32(blob)
         ) + blob
@@ -527,9 +539,28 @@ class LogStructuredStore:
             doc = json.loads(blob.decode())
         except (UnicodeDecodeError, json.JSONDecodeError):
             return None
-        if doc.get("seq") != seq:
+
+        # The CRC vouches for the bytes, not for who framed them: only
+        # an image of exactly the shape _recover unpacks may leave here.
+        if not isinstance(doc, dict) or doc.get("seq") != seq:
             return None
-        return doc
+
+        def int_rows(rows: object, arity: int) -> bool:
+            want = [int] * arity       # bool is not int here
+            return isinstance(rows, list) and all(
+                isinstance(row, list) and list(map(type, row)) == want
+                for row in rows
+            )
+
+        head = doc.get("head", ())
+        counters = [doc.get(name) for name in (
+            "seq", "gc_generation", "record_seq", "segment_seq")]
+        if (int_rows([counters], 4)
+                and int_rows([] if head is None else [head], 2)
+                and int_rows(doc.get("allocated"), 4)
+                and int_rows(doc.get("imap"), 7)):
+            return doc
+        return None
 
     def _write_checkpoint(self) -> None:
         """Write the next checkpoint slot (kill site ``checkpoint``).
@@ -636,12 +667,16 @@ class LogStructuredStore:
                 scan.append((sseq, seg, _SEG_HEADER.size))
         scan.sort()
 
-        # Live bytes from the checkpoint imap (replay adjusts below).
-        for loc in self._imap.values():
+        # Live bytes from the checkpoint imap, and segment -> pages
+        # mapped into it (replay keeps both exact), so a segment-free
+        # record costs its victim's pages, not a scan of the imap.
+        pages_in: Dict[int, set] = {}
+        for page, loc in self._imap.items():
             self._live[loc.segment] = (
                 self._live.get(loc.segment, 0)
                 + _REC_HEADER.size + loc.nbytes
             )
+            pages_in.setdefault(loc.segment, set()).add(page)
 
         last_seen_seq = -1
         base_seg_seq = self._next_seg_seq
@@ -658,7 +693,7 @@ class LogStructuredStore:
             self._next_seg_seq = max(self._next_seg_seq, sseq + 1)
             recovery.scanned_segments += 1
             stop, max_seq, count = self._replay_segment(
-                seg, sseq, start, last_seen_seq
+                seg, sseq, start, last_seen_seq, pages_in
             )
             last_seen_seq = max(last_seen_seq, max_seq)
             stops.append(stop)
@@ -704,12 +739,14 @@ class LogStructuredStore:
         self._opens_since_cp = sum(
             1 for sseq in self._allocated.values() if sseq > cp_head_seq
         )
-        # Rebuild the per-segment read index.
+        # Rebuild the read index and the checkpoint rows (everything
+        # in a recovered imap is durable).
         self._seg_offsets = {}
         self._seg_page_at = {}
-        for page, loc in self._imap.items():
-            if loc.segment < 0:
-                continue
+        self._cp_keys = sorted(self._imap)
+        for page in self._cp_keys:
+            loc = self._imap[page]
+            self._cp_rows[page] = _cp_row(page, loc)
             insort(self._seg_offsets.setdefault(loc.segment, []),
                    loc.offset)
             self._seg_page_at.setdefault(loc.segment, {})[loc.offset] = (
@@ -717,7 +754,8 @@ class LogStructuredStore:
             )
 
     def _replay_segment(
-        self, seg: int, sseq: int, start: int, last_seen_seq: int
+        self, seg: int, sseq: int, start: int, last_seen_seq: int,
+        pages_in: Dict[int, set],
     ) -> Tuple[int, int, int]:
         """Scan one segment; returns (stop offset, max seq, records)."""
         data = self._disk.get(seg)
@@ -778,10 +816,8 @@ class LogStructuredStore:
                     # cleaned away.  Keeping them would resurrect
                     # acknowledged frees and corrupt the segment's
                     # next-life live accounting on later supersedes.
-                    stale = [p for p, loc in self._imap.items()
-                             if loc.segment == pseg]
-                    for p in stale:
-                        del self._imap[p]
+                    for stale in pages_in.pop(pseg, ()):
+                        del self._imap[stale]
             else:
                 page = PageId(pseg, pnum)
                 old = self._imap.get(page)
@@ -790,10 +826,12 @@ class LogStructuredStore:
                         self._live.get(old.segment, 0)
                         - _REC_HEADER.size - old.nbytes
                     )
+                    pages_in[old.segment].discard(page)
                 if kind == _KIND_DATA:
                     self._imap[page] = LogLocation(
                         seg, off, nbytes, payload_crc, rseq
                     )
+                    pages_in.setdefault(seg, set()).add(page)
                     self._live[seg] = (
                         self._live.get(seg, 0) + record_size
                     )
@@ -932,6 +970,7 @@ class LogStructuredStore:
             entry.kind = _KIND_DROPPED
             self._pending_bytes -= size
             return entry.garbage
+        del self._cp_rows[page_id]
         self._live_delta(old.segment, -size)
         offsets = self._seg_offsets.get(old.segment)
         if offsets is not None:
@@ -950,7 +989,7 @@ class LogStructuredStore:
         self._pending_bytes += entry.size
         if kind == _KIND_DATA:
             self._imap[page_id] = LogLocation(
-                -1, index, len(payload), zlib.crc32(payload), seq
+                -1, index, len(payload), entry.crc32, seq
             )
 
     def _live_delta(self, seg: int, delta: int) -> None:
@@ -1072,16 +1111,19 @@ class LogStructuredStore:
                 self._pending_bytes -= size
                 self._written[seg] = self._written.get(seg, 0) + size
                 if entry.kind == _KIND_DATA:
-                    self._imap[entry.page_id] = LogLocation(
-                        seg, rec_off, len(entry.payload),
-                        zlib.crc32(entry.payload), entry.seq
+                    page = entry.page_id
+                    loc = self._imap[page] = LogLocation(
+                        seg, rec_off, len(entry.payload), entry.crc32,
+                        entry.seq
                     )
+                    self._cp_rows[page] = _cp_row(page, loc)
+                    at = bisect_left(self._cp_keys, page)
+                    if self._cp_keys[at:at + 1] != [page]:
+                        self._cp_keys.insert(at, page)
                     self._live_delta(seg, size)
                     insort(self._seg_offsets.setdefault(seg, []),
                            rec_off)
-                    self._seg_page_at.setdefault(seg, {})[rec_off] = (
-                        entry.page_id
-                    )
+                    self._seg_page_at.setdefault(seg, {})[rec_off] = page
                 else:
                     # A tombstone or segment-free record is garbage the
                     # moment it lands.
@@ -1116,7 +1158,7 @@ class LogStructuredStore:
         head = _REC_HEADER.pack(
             _REC_MAGIC, entry.kind, 0, entry.seq, sseq,
             entry.page_id.segment, entry.page_id.number,
-            len(entry.payload), zlib.crc32(entry.payload), 0
+            len(entry.payload), entry.crc32, 0
         )[:-4]
         return (
             head + struct.pack("<I", zlib.crc32(head)) + entry.payload
