@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from . import vectorized
 from .base import CompressionResult, Compressor, CorruptDataError, register
 
 _LINE = 64
@@ -98,13 +99,14 @@ class BdiCompressor(Compressor):
     """Base-delta-immediate page compressor (Pekhimenko-style).
 
     Args:
-        fast: accepted for configuration compatibility with the
-            vectorized kernels; BDI's per-line integer arithmetic runs
-            as a single scalar pass either way.
+        fast: tri-state vectorization flag (see
+            :mod:`repro.compression.vectorized`); both paths produce
+            bit-identical payloads.
     """
 
     def __init__(self, fast: Optional[bool] = None):
         self.fast = fast
+        self._use_fast = vectorized.enabled(fast)
 
     def result_cache_key(self):
         # Stateless and parameter-free: one canonical payload per page,
@@ -124,16 +126,20 @@ class BdiCompressor(Compressor):
         nlines, tail_len = divmod(n, _LINE)
         if nlines == 0:
             return CompressionResult(bytes(data), n, stored_raw=True)
-        out = bytearray([_PAGE_LINES])
-        for i in range(0, nlines * _LINE, _LINE):
-            enc, payload = _encode_line(data[i : i + _LINE])
-            out.append(enc)
-            out += payload
+        if self._use_fast:
+            out = vectorized.bdi_compress_lines(data, nlines)
+        else:
+            stream = bytearray([_PAGE_LINES])
+            for i in range(0, nlines * _LINE, _LINE):
+                enc, payload = _encode_line(data[i : i + _LINE])
+                stream.append(enc)
+                stream += payload
+            out = bytes(stream)
         if tail_len:
             out += data[nlines * _LINE :]
         if len(out) >= n:
             return CompressionResult(bytes(data), n, stored_raw=True)
-        return CompressionResult(bytes(out), n)
+        return CompressionResult(out, n)
 
     def decompress(self, result: CompressionResult) -> bytes:
         if result.stored_raw:

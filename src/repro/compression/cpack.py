@@ -29,6 +29,7 @@ from __future__ import annotations
 import struct
 from typing import Optional
 
+from . import vectorized
 from .base import CompressionResult, Compressor, CorruptDataError, register
 from .wk import _BitReader, _BitWriter
 
@@ -43,6 +44,10 @@ _C_EXT = 0b11
 _X_HIGH16 = 0b00  # mmxx: top half matches, low 16 bits raw
 _X_LOWBYTE = 0b01  # zzzx: zero except the low byte
 _X_HIGH24 = 0b10  # mmmx: top three bytes match, low byte raw
+#: The extension codes as the low four bits of an encoder field.
+_F_HIGH16 = _C_EXT | _X_HIGH16 << 2
+_F_LOWBYTE = _C_EXT | _X_LOWBYTE << 2
+_F_HIGH24 = _C_EXT | _X_HIGH24 << 2
 
 
 @register("cpack")
@@ -50,17 +55,20 @@ class CpackCompressor(Compressor):
     """Small-dictionary pattern matcher in the C-Pack family.
 
     Args:
-        fast: accepted for configuration compatibility with the
-            vectorized kernels; C-Pack's FIFO matching is inherently
-            sequential and runs as one scalar pass.
+        fast: tri-state vectorization flag (see
+            :mod:`repro.compression.vectorized`).  The FIFO walk is
+            sequential either way; the flag selects the numpy field
+            packer over ``_BitWriter`` for the bit stream it produces,
+            with bit-identical payloads.
     """
 
     def __init__(self, fast: Optional[bool] = None):
         self.fast = fast
+        self._use_fast = vectorized.enabled(fast)
 
     def result_cache_key(self):
-        # Stateless and parameter-free: one canonical payload per page,
-        # so results are safe to share process-wide.
+        # No output-affecting parameters; the fast path is pinned
+        # bit-identical, so results may be shared process-wide.
         return ("cpack",)
 
     def compress(self, data: bytes) -> CompressionResult:
@@ -71,57 +79,68 @@ class CpackCompressor(Compressor):
         words = struct.unpack(f"<{nwords}I", data[: nwords * 4])
         tail = data[nwords * 4 :]
 
-        stream = _BitWriter()
-        write = stream.write
+        # One bit-stream field per word: code, index and raw bits combined
+        # LSB-first, so the stream is packed once at the end.
+        values = []
+        widths = bytearray()
+        emit = values.append
+        emit_width = widths.append
         dictionary = [0] * _DICT_SIZE
         fill = 0  # next FIFO slot to replace
+        # The scan the hardware does in parallel, as three lookups: where
+        # each resident word sits (no word is resident twice: a pushed
+        # word had no exact match), and every resident's top three and
+        # top two bytes by FIFO slot, where ``index`` finds the first
+        # partial match the 16-entry walk would.  The all-zero initial
+        # entries are residents (a top-three of zero never gets here:
+        # that word is a low byte).
+        position = {}
+        top3s = [0] * _DICT_SIZE
+        top2s = [0] * _DICT_SIZE
         for word in words:
             if word == 0:
-                write(_C_ZERO, 2)
+                emit(_C_ZERO)
+                emit_width(2)
                 continue
-            if word & 0xFFFFFF00 == 0:
-                write(_C_EXT, 2)
-                write(_X_LOWBYTE, 2)
-                write(word, 8)
+            if word < 0x100:
+                emit(_F_LOWBYTE | word << 4)
+                emit_width(12)
                 continue
-            best_pos = 0
-            best_bytes = 0
-            for pos in range(_DICT_SIZE):
-                entry = dictionary[pos]
-                if entry == word:
-                    best_pos = pos
-                    best_bytes = 4
-                    break
-                if best_bytes < 3:
-                    if entry ^ word < 0x100:
-                        best_pos = pos
-                        best_bytes = 3
-                    elif best_bytes < 2 and entry ^ word < 0x10000:
-                        best_pos = pos
-                        best_bytes = 2
-            if best_bytes == 4:
-                write(_C_EXACT, 2)
-                write(best_pos, _INDEX_BITS)
+            pos = position.get(word)
+            if pos is not None:
+                emit(_C_EXACT | pos << 2)
+                emit_width(6)
                 continue
-            if best_bytes == 3:
-                write(_C_EXT, 2)
-                write(_X_HIGH24, 2)
-                write(best_pos, _INDEX_BITS)
-                write(word, 8)
-            elif best_bytes == 2:
-                write(_C_EXT, 2)
-                write(_X_HIGH16, 2)
-                write(best_pos, _INDEX_BITS)
-                write(word, 16)
+            top3 = word >> 8
+            top2 = word >> 16
+            if top2 not in top2s:
+                emit(_C_MISS | word << 2)
+                emit_width(34)
+            elif top3 in top3s:
+                emit(_F_HIGH24 | top3s.index(top3) << 4 | (word & 0xFF) << 8)
+                emit_width(16)
             else:
-                write(_C_MISS, 2)
-                write(word, 32)
+                emit(_F_HIGH16 | top2s.index(top2) << 4 | (word & 0xFFFF) << 8)
+                emit_width(24)
             # Partial matches and misses push the word, replacing the
             # oldest entry; the decoder mirrors this exactly.
+            old = dictionary[fill]
+            if old:
+                del position[old]
             dictionary[fill] = word
+            position[word] = fill
+            top3s[fill] = top3
+            top2s[fill] = top2
             fill = (fill + 1) % _DICT_SIZE
 
-        out = struct.pack("<I", nwords) + stream.flush() + tail
+        if self._use_fast:
+            stream = vectorized.pack_fields(values, widths)
+        else:
+            writer = _BitWriter()
+            for field, width in zip(values, widths):
+                writer.write(field, width)
+            stream = writer.flush()
+        out = struct.pack("<I", nwords) + stream + tail
         if len(out) >= n:
             return CompressionResult(bytes(data), n, stored_raw=True)
         return CompressionResult(out, n)
@@ -138,7 +157,7 @@ class CpackCompressor(Compressor):
         if tail_len < 0 or 4 + tail_len > len(payload):
             raise CorruptDataError("cpack: word count inconsistent with size")
         tail = payload[len(payload) - tail_len :] if tail_len else b""
-        stream = _BitReader(payload[4 : len(payload) - tail_len])
+        stream = _BitReader(payload[4 : len(payload) - tail_len], "cpack")
         read = stream.read
 
         dictionary = [0] * _DICT_SIZE

@@ -30,6 +30,7 @@ from __future__ import annotations
 import struct
 from typing import Optional
 
+from . import vectorized
 from .base import CompressionResult, Compressor, CorruptDataError, register
 from .wk import _BitReader, _BitWriter
 
@@ -59,12 +60,14 @@ class FpcCompressor(Compressor):
     """Frequent-pattern prefix/mask coder for 32-bit words.
 
     Args:
-        fast: accepted for configuration compatibility with the
-            vectorized kernels; FPC is a single scalar pass either way.
+        fast: tri-state vectorization flag (see
+            :mod:`repro.compression.vectorized`); both paths produce
+            bit-identical payloads.
     """
 
     def __init__(self, fast: Optional[bool] = None):
         self.fast = fast
+        self._use_fast = vectorized.enabled(fast)
 
     def result_cache_key(self):
         # Stateless and parameter-free: one canonical payload per page,
@@ -72,6 +75,8 @@ class FpcCompressor(Compressor):
         return ("fpc",)
 
     def compress(self, data: bytes) -> CompressionResult:
+        if self._use_fast:
+            return vectorized.fpc_compress(data)
         n = len(data)
         nwords, tail_len = divmod(n, 4)
         if nwords == 0:
@@ -138,7 +143,7 @@ class FpcCompressor(Compressor):
         if tail_len < 0 or 4 + tail_len > len(payload):
             raise CorruptDataError("fpc: word count inconsistent with size")
         tail = payload[len(payload) - tail_len :] if tail_len else b""
-        stream = _BitReader(payload[4 : len(payload) - tail_len])
+        stream = _BitReader(payload[4 : len(payload) - tail_len], "fpc")
         read = stream.read
 
         words = []

@@ -1,12 +1,14 @@
 """Numpy-vectorized fast paths for the byte/word kernels.
 
-The scalar kernels in :mod:`repro.compression.rle`, :mod:`~.wk` and
-:mod:`~.delta` walk their input one byte or word at a time in the
-interpreter, which caps them around a few MB/s.  This module holds
-drop-in replacements that move the data-parallel part of each algorithm
-— run-boundary detection, word extraction, slot hashing, bit packing —
-into numpy, while keeping the *stored format bit-identical* to the
-scalar encoders.  That identity is load-bearing: the golden RunResult
+The scalar kernels in :mod:`repro.compression.rle`, :mod:`~.wk`,
+:mod:`~.delta`, :mod:`~.fpc` and :mod:`~.bdi` walk their input one
+byte, word or line at a time in the interpreter, which caps them around
+a few MB/s.  This module holds drop-in replacements that move the
+data-parallel part of each algorithm — run-boundary detection, word
+and line classification, slot hashing, bit packing — into numpy, while
+keeping the *stored format bit-identical* to the scalar encoders.
+(:mod:`~.cpack` keeps its one sequential loop and takes only the field
+packer from here.)  That identity is load-bearing: the golden RunResult
 digests, the shared kernel-result cache, and every ratio the figures
 report assume one canonical payload per (algorithm, page).
 ``tests/compression/test_vectorized.py`` diffs every payload against the
@@ -54,7 +56,8 @@ def capability() -> str:
         )
     return (
         f"fast kernels: numpy {_np.__version__} "
-        "(rle/wk/varint-delta vectorized, lzrw1 hash precompute)"
+        "(rle/wk/varint-delta/fpc/bdi vectorized, cpack bit packing, "
+        "lzrw1/lzss hash precompute)"
     )
 
 
@@ -114,6 +117,40 @@ def rle_compress(data: bytes) -> CompressionResult:
 
 
 # --------------------------------------------------------------------------
+# The shared bit packer of the prefix-coded kernels (fpc, cpack).
+
+
+def pack_fields(values, widths) -> bytes:
+    """LSB-first variable-width packing, identical to ``wk._BitWriter``.
+
+    ``values[i]`` occupies ``widths[i]`` bits (1..64, value already
+    masked to its width) starting where field ``i - 1`` ended.  Fields
+    are laid into 64-bit little-endian words: cumulative bit offsets
+    name each field's word and shift, the fields starting in one word
+    are OR-ed together with ``reduceat`` (offsets ascend, so a word's
+    fields are contiguous), and the one field per word that crosses its
+    upper edge spills its high bits into the next.
+    """
+    if len(values) == 0:
+        return b""
+    values = _np.asarray(values, _np.uint64)
+    widths = _np.asarray(widths)
+    ends = _np.cumsum(widths, dtype=_np.int64)
+    total = int(ends[-1])
+    offsets = ends - widths
+    word = offsets >> 6
+    shift = (offsets & 63).astype(_np.uint64)
+    out = _np.zeros((total + 63) >> 6, "<u8")
+    first = _np.flatnonzero(word[1:] != word[:-1]) + 1
+    out[: int(word[-1]) + 1] = _np.bitwise_or.reduceat(
+        values << shift, _np.concatenate(([0], first))
+    )
+    spill = _np.flatnonzero(ends > ((word + 1) << 6))
+    out[word[spill] + 1] |= values[spill] >> (_np.uint64(64) - shift[spill])
+    return out.tobytes()[: (total + 7) >> 3]
+
+
+# --------------------------------------------------------------------------
 # WK — vectorized word extraction, slot hashing and stream packing.
 
 _WK_DICT_SIZE = 16
@@ -122,7 +159,11 @@ _WK_LOW_MASK = (1 << _WK_LOW_BITS) - 1
 
 
 def _pack_bits(values: Sequence[int], width: int) -> bytes:
-    """LSB-first fixed-width packing, identical to ``wk._BitWriter``."""
+    """LSB-first fixed-width packing, identical to ``wk._BitWriter``.
+
+    Kept beside :func:`pack_fields` because it is faster for one
+    narrow width (a bit-matrix ``packbits``, no offset arithmetic).
+    """
     if not values:
         return b""
     v = _np.asarray(values, _np.uint16)
@@ -295,3 +336,143 @@ def delta_compress(data: bytes) -> CompressionResult:
     if len(out) >= n:
         return CompressionResult(bytes(data), n, stored_raw=True)
     return CompressionResult(bytes(out), n)
+
+
+# --------------------------------------------------------------------------
+# FPC — every word classified at once (see fpc.py for the pattern table).
+
+_FPC_MAX_ZRUN = 8
+# Data bits that follow each 3-bit prefix, indexed by prefix.
+_FPC_DATA_BITS = (3, 4, 8, 16, 16, 16, 8, 32)
+
+
+def fpc_compress(data: bytes) -> CompressionResult:
+    """Bit-identical fast path for ``FpcCompressor.compress``.
+
+    The seven word patterns are independent per-word tests, written here
+    as wrapping unsigned compares (``w + 8 < 16`` is ``-8 <= signed < 8``)
+    and applied lowest priority first so the highest-priority match is
+    the one left standing.  A zero run is cut into tokens of at most 8
+    from its start, so a zero word opens a token exactly when its
+    distance from the run start is a multiple of 8; the token's length
+    is the distance to the run end, capped.  Each surviving position
+    then contributes one ``prefix | data << 3`` field.
+    """
+    n = len(data)
+    nwords = n // 4
+    if nwords == 0:
+        return CompressionResult(bytes(data), n, stored_raw=True)
+    words = _np.frombuffer(data, "<u4", count=nwords)
+    u32 = _np.uint32
+
+    # The data field defaults to the word itself, masked to the
+    # pattern's width at the end; only prefixes 0, 4 and 5 differ.
+    prefix = _np.full(nwords, 7, _np.uint8)  # uncompressible
+    value = words.astype(_np.uint64)
+    low = words & u32(0xFF)
+    prefix[words == low * u32(0x01010101)] = 6  # repeated byte
+    halves = words.view("<u2").reshape(nwords, 2)
+    two = ((halves + _np.uint16(0x80)) < 0x100).all(axis=1)
+    prefix[two] = 5  # two sign-extended halfwords: their low bytes
+    value[two] = (low | ((words >> u32(8)) & u32(0xFF00)))[two]
+    high = (words & u32(0xFFFF)) == 0
+    prefix[high] = 4  # zero low half: the high half
+    value[high] = words[high] >> u32(16)
+    prefix[(words + u32(0x8000)) < 0x10000] = 3  # 16-bit sign-extended
+    prefix[(words + u32(0x80)) < 0x100] = 2  # 8-bit
+    prefix[(words + u32(8)) < 16] = 1  # 4-bit
+
+    zero = words == 0
+    if zero.any():
+        index = _np.arange(nwords)
+        # Run start: one past the last non-zero word at or before here.
+        run_start = _np.maximum.accumulate(_np.where(zero, 0, index + 1))
+        # Run end: the next non-zero word at or after here.
+        run_end = _np.minimum.accumulate(
+            _np.where(zero, nwords, index)[::-1]
+        )[::-1]
+        head = zero & ((index - run_start) % _FPC_MAX_ZRUN == 0)
+        prefix[head] = 0
+        value[head] = _np.minimum(run_end - index, _FPC_MAX_ZRUN)[head] - 1
+        keep = head | ~zero
+        prefix = prefix[keep]
+        value = value[keep]
+
+    bits = _np.array(_FPC_DATA_BITS, _np.int64)[prefix]
+    value &= (_np.uint64(1) << bits.astype(_np.uint64)) - _np.uint64(1)
+    stream = pack_fields(
+        prefix.astype(_np.uint64) | (value << _np.uint64(3)), bits + 3
+    )
+    out = struct.pack("<I", nwords) + stream + data[nwords * 4 :]
+    if len(out) >= n:
+        return CompressionResult(bytes(data), n, stored_raw=True)
+    return CompressionResult(out, n)
+
+
+# --------------------------------------------------------------------------
+# BDI — every line's encoding menu evaluated at once (see bdi.py).
+
+_BDI_LINE = 64
+_BDI_PAGE_LINES = 2
+_BDI_ENC_REPEAT8 = 1
+_BDI_ENC_RAW = 8
+# base width k -> ((encoding, delta width d), ...).  Encodings are
+# numbered in the order the scalar menu tries them, so the first fit is
+# the smallest fitting code.
+_BDI_MENU = {8: ((2, 1), (4, 2), (7, 4)), 4: ((3, 1), (6, 2)), 2: ((5, 1),)}
+# Stored size of a line under each encoding, header byte included.
+_BDI_SIZES = (1, 9, 17, 21, 25, 35, 37, 41, 65)
+
+
+def bdi_compress_lines(data: bytes, nlines: int) -> bytes:
+    """The per-line stream of ``BdiCompressor.compress``, bit-identical.
+
+    ``data`` holds at least ``nlines`` whole 64-byte lines; the caller
+    keeps the page-level shortcuts, the tail and the raw fallback.  The
+    page is viewed as ``(lines, 64 / k)`` little-endian integers for each
+    base width ``k``; a delta fits ``d`` bytes when the ``k``-byte
+    wrapped difference, read as signed, lies in ``[-half, half)`` *and*
+    has the sign of the true difference (a distance past half the
+    ``k``-byte range wraps back into reach, which the scalar encoder's
+    unbounded integers never do).  Headers, bases and deltas are then
+    scattered into one output array at each line's cumulative offset.
+    """
+    body = _np.frombuffer(data, _np.uint8, count=nlines * _BDI_LINE)
+    lines = body.reshape(nlines, _BDI_LINE)
+    enc = _np.full(nlines, _BDI_ENC_RAW, _np.uint8)
+    packed = {}
+    for k, menu in _BDI_MENU.items():
+        values = body.view(f"<u{k}").reshape(nlines, _BDI_LINE // k)
+        base = values[:, :1]
+        delta = values - base
+        signed = delta.view(f"<i{k}")
+        unwrapped = (signed >= 0) == (values >= base)
+        if k == 8:
+            same = ~delta.any(axis=1)
+            enc[same] = _BDI_ENC_REPEAT8
+            enc[same & (base[:, 0] == 0)] = 0
+        for code, d in menu:
+            half = 1 << (8 * d - 1)
+            fits = (signed >= -half) & (signed < half) & unwrapped
+            enc[fits.all(axis=1) & (enc > code)] = code
+            packed[code] = (k, delta, f"<u{d}")
+
+    sizes = _np.array(_BDI_SIZES, _np.int64)[enc]
+    ends = _np.cumsum(sizes)
+    starts = ends - sizes
+    out = _np.empty(1 + int(ends[-1]), _np.uint8)
+    out[0] = _BDI_PAGE_LINES
+    out[1 + starts] = enc
+    for code in _np.flatnonzero(_np.bincount(enc)).tolist():
+        rows = _np.flatnonzero(enc == code)
+        at = 2 + starts[rows][:, None]
+        if code == _BDI_ENC_RAW:
+            out[at + _np.arange(_BDI_LINE)] = lines[rows]
+        elif code == _BDI_ENC_REPEAT8:
+            out[at + _np.arange(8)] = lines[rows, :8]
+        elif code:
+            k, delta, dtype = packed[code]
+            out[at + _np.arange(k)] = lines[rows, :k]
+            low = delta[rows].astype(dtype).view(_np.uint8)
+            out[at + k + _np.arange(low.shape[1])] = low
+    return out.tobytes()

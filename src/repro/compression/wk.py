@@ -69,10 +69,14 @@ class _BitWriter:
 
 
 class _BitReader:
-    """Reads fixed-width LSB-first fields written by :class:`_BitWriter`."""
+    """Reads fixed-width LSB-first fields written by :class:`_BitWriter`.
 
-    def __init__(self, data: bytes) -> None:
+    ``owner`` names the kernel whose payload this is, for error text.
+    """
+
+    def __init__(self, data: bytes, owner: str) -> None:
         self._data = data
+        self._owner = owner
         self._pos = 0
         self._acc = 0
         self._nbits = 0
@@ -80,7 +84,7 @@ class _BitReader:
     def read(self, width: int) -> int:
         while self._nbits < width:
             if self._pos >= len(self._data):
-                raise CorruptDataError("wk: bit stream exhausted")
+                raise CorruptDataError(f"{self._owner}: bit stream exhausted")
             self._acc |= self._data[self._pos] << self._nbits
             self._pos += 1
             self._nbits += 8
@@ -165,11 +169,11 @@ class WkCompressor(Compressor):
             "<IHHH", payload[:10]
         )
         pos = 10
-        tags = _BitReader(payload[pos : pos + tag_len])
+        tags = _BitReader(payload[pos : pos + tag_len], "wk")
         pos += tag_len
-        indices = _BitReader(payload[pos : pos + index_len])
+        indices = _BitReader(payload[pos : pos + index_len], "wk")
         pos += index_len
-        lows = _BitReader(payload[pos : pos + low_len])
+        lows = _BitReader(payload[pos : pos + low_len], "wk")
         pos += low_len
         rest = payload[pos:]
 

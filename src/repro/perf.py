@@ -148,8 +148,11 @@ def bench_compression(pages_per_kind: int = 16, reps: int = 5,
 
 
 #: Kernels with a numpy-vectorized variant (see compression/vectorized.py);
-#: lzrw1/lzss vectorize only their hash precompute stage.
-FAST_KERNELS = ("rle", "wk", "varint-delta", "lzrw1", "lzss")
+#: lzrw1/lzss vectorize only their hash precompute stage, cpack only the
+#: packing of its bit stream.
+FAST_KERNELS = (
+    "rle", "wk", "varint-delta", "lzrw1", "lzss", "fpc", "bdi", "cpack",
+)
 
 
 def bench_fast_kernels(pages_per_kind: int = 16, reps: int = 5,

@@ -46,6 +46,7 @@ from .latency import LatencyRecorder, merge_all
 from .ledger import ledger_digest
 from .protocol import OP_DELETE, OP_GET, OP_PUT, STATUS_NAMES
 from .server import CacheService
+from .shard import sum_selection
 
 #: First backoff after a retryable rejection, and the cap the
 #: exponential doubling saturates at.  The cap keeps a persistently
@@ -217,6 +218,9 @@ async def replay_traffic(
         await service.stop()
     latency = merge_all(recorders)
     total_batches = sum(batches_sent) or 1
+    selectors = [
+        shard["selector"] for shard in stats["shards"] if "selector" in shard
+    ]
     per_shard = []
     for shard in stats["shards"]:
         per_shard.append({
@@ -248,6 +252,7 @@ async def replay_traffic(
         "per_shard": per_shard,
         "ledgers": stats["ledgers"],
         "ledger_digest": ledger_digest(stats["ledgers"]),
+        "selector": sum_selection(selectors) if selectors else None,
     }
 
 

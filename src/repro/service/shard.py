@@ -23,7 +23,8 @@ import json
 import multiprocessing as mp
 import threading
 import time
-from typing import Callable, Dict, Optional
+from collections import Counter
+from typing import Callable, Dict, Iterable, Mapping, Optional
 
 from .config import ServiceConfig
 from .ledger import merge_ledgers
@@ -113,6 +114,28 @@ def shard_main(config: ServiceConfig, shard_id: int,
     requests.close()
 
 
+#: The additive :meth:`AdaptiveCompressor.selection_snapshot` counters.
+_SELECTOR_COUNTERS = (
+    "pages", "result_hits", "memo_hits", "trials", "raw_fallbacks",
+)
+
+
+def sum_selection(snapshots: Iterable[Mapping[str, object]]) -> Dict:
+    """Sum selector counters over slots (or over shards' sums).
+
+    Each slot owns its compressor and sees its operations in stream
+    order, so the sum is the same at every shard count.
+    """
+    total: Dict = {name: 0 for name in _SELECTOR_COUNTERS}
+    chosen: Counter = Counter()
+    for snapshot in snapshots:
+        for name in _SELECTOR_COUNTERS:
+            total[name] += snapshot[name]
+        chosen.update(snapshot["chosen"])
+    total["chosen"] = dict(sorted(chosen.items()))
+    return total
+
+
 def _stats_blob(config: ServiceConfig, shard_id: int,
                 slots: Dict[int, VslotStore], ops: int, batches: int,
                 busy_s: float) -> bytes:
@@ -137,6 +160,15 @@ def _stats_blob(config: ServiceConfig, shard_id: int,
         "kernel_cache_entries": shared_results_size(),
         "ledgers": ledgers,
     }
+    # Trials per pass from the live service; only a selecting
+    # compressor ("adaptive") keeps these counters.
+    selections = [
+        store.compressor.selection_snapshot()
+        for store in slots.values()
+        if hasattr(store.compressor, "selection_snapshot")
+    ]
+    if selections:
+        payload["selector"] = sum_selection(selections)
     return json.dumps(payload, sort_keys=True).encode("utf-8")
 
 

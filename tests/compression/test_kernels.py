@@ -151,6 +151,23 @@ def test_truncated_payload_raises(kernel_cls):
     assert compressed >= 2, "kernel compressed too few probe pages"
 
 
+@pytest.mark.parametrize("name", ["fpc", "cpack"])
+def test_exhausted_bit_stream_names_its_kernel(name):
+    """The shared bit reader reports the kernel whose payload ran dry,
+    directly and behind an ``adaptive`` tag byte."""
+    from repro.compression import CompressionResult
+    from repro.compression.adaptive import KERNEL_TAGS
+
+    result = create(name).compress(small_int_page())
+    assert not result.stored_raw
+    cut = result.payload[: result.compressed_size // 2]
+    with pytest.raises(CorruptDataError, match=f"^{name}: bit stream"):
+        create(name).decompress(CompressionResult(cut, PAGE))
+    tagged = CompressionResult(bytes([KERNEL_TAGS[name]]) + cut, PAGE)
+    with pytest.raises(CorruptDataError, match=f"^{name}: bit stream"):
+        create("adaptive").decompress(tagged)
+
+
 @pytest.mark.parametrize("kernel_cls", KERNELS)
 def test_empty_payload_raises(kernel_cls):
     from repro.compression import CompressionResult

@@ -12,25 +12,39 @@ silently.  Same two-layer protection as ``test_golden_kernels.py``:
 * an aggregate SHA-256 over all scalar payloads is pinned, so a
   coordinated edit of both paths is caught.
 
+* fpc, bdi and cpack additionally face a Hypothesis strategy built from
+  named boundary segments (zero-run lengths around the 8-word token,
+  sign-extension edges, delta-width edges that wrap, FIFO wrap-around).
+  C-Pack has one encoder loop whose bit stream goes through the numpy
+  packer or ``_BitWriter``; its oracle is the 16-entry scan it replaced,
+  kept below as ``reference_cpack``.
+
 Without numpy the ``fast=True`` constructors silently fall back to the
 scalar loop, so these tests still pass — they then assert scalar ==
-scalar, and ``test_fast_flag_resolution`` checks the fallback wiring.
+scalar (for cpack: the one loop through ``_BitWriter`` against the
+reference scan), and ``test_fast_flag_resolution`` checks the fallback
+wiring.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+import struct
 from typing import List
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.compression import vectorized
+from repro.compression.bdi import _DELTA_ENCODINGS, BdiCompressor
+from repro.compression.cpack import CpackCompressor
 from repro.compression.delta import VarintDeltaCompressor
+from repro.compression.fpc import FpcCompressor
 from repro.compression.lzrw1 import Lzrw1
 from repro.compression.lzss import Lzss
 from repro.compression.rle import Rle
-from repro.compression.wk import WkCompressor
+from repro.compression.wk import WkCompressor, _BitWriter
 from repro.workloads import contentgen
 
 #: Aggregate SHA-256 of (payload + raw-flag byte) over the whole corpus,
@@ -41,6 +55,11 @@ GOLDEN_DIGESTS = {
     "wk": "86d02efb79ceff07a0830059a05bd1ce6ba70c9f2fc44dd400c8055b6c40fef0",
     "varint-delta": (
         "47444306da064992768dab4ef79c84bb68634f54a3c8e32d6e65223d95693d21"
+    ),
+    "fpc": "66c18b3f9ba7a11ad092a790dd00a323359420edd27d2feef685924ac7d82c93",
+    "bdi": "7d6510002a98bbc2fda7dd7fbf72d7a0bba4a14420e8aa87363fdc8960341b8a",
+    "cpack": (
+        "e6207bf6d87c3dadb464d8ec490145ef72154491f364065f98f9a5d8b5179332"
     ),
 }
 
@@ -94,6 +113,18 @@ PAIRS = {
     "varint-delta": (
         lambda: VarintDeltaCompressor(fast=True),
         lambda: VarintDeltaCompressor(fast=False),
+    ),
+    "fpc": (
+        lambda: FpcCompressor(fast=True),
+        lambda: FpcCompressor(fast=False),
+    ),
+    "bdi": (
+        lambda: BdiCompressor(fast=True),
+        lambda: BdiCompressor(fast=False),
+    ),
+    "cpack": (
+        lambda: CpackCompressor(fast=True),
+        lambda: CpackCompressor(fast=False),
     ),
 }
 
@@ -151,3 +182,158 @@ def test_mixed_mode_shared_results_are_safe():
         key = fast.result_cache_key()
         assert key is not None
         assert key == scalar.result_cache_key()
+
+
+# --------------------------------------------------------------------------
+# fpc / bdi / cpack under structured boundary input.
+
+
+def reference_cpack(data: bytes) -> bytes:
+    """C-Pack's stream as the replaced encoder wrote it: a 16-entry scan
+    per word, one ``_BitWriter.write`` per code, index and raw field."""
+    nwords = len(data) // 4
+    stream = _BitWriter()
+    write = stream.write
+    dictionary = [0] * 16
+    fill = 0
+    for (word,) in struct.iter_unpack("<I", data[: nwords * 4]):
+        if word == 0:
+            write(0b00, 2)
+            continue
+        if word & 0xFFFFFF00 == 0:
+            write(0b11, 2)
+            write(0b01, 2)
+            write(word, 8)
+            continue
+        best_pos = best_bytes = 0
+        for pos, entry in enumerate(dictionary):
+            if entry == word:
+                best_pos, best_bytes = pos, 4
+                break
+            if best_bytes < 3 and entry ^ word < 0x100:
+                best_pos, best_bytes = pos, 3
+            elif best_bytes < 2 and entry ^ word < 0x10000:
+                best_pos, best_bytes = pos, 2
+        if best_bytes == 4:
+            write(0b10, 2)
+            write(best_pos, 4)
+            continue
+        if best_bytes == 3:
+            write(0b11, 2)
+            write(0b10, 2)
+            write(best_pos, 4)
+            write(word, 8)
+        elif best_bytes == 2:
+            write(0b11, 2)
+            write(0b00, 2)
+            write(best_pos, 4)
+            write(word, 16)
+        else:
+            write(0b01, 2)
+            write(word, 32)
+        dictionary[fill] = word
+        fill = (fill + 1) % 16
+    return struct.pack("<I", nwords) + stream.flush() + data[nwords * 4 :]
+
+
+def _words(*values: int) -> bytes:
+    return struct.pack(f"<{len(values)}I", *(v & 0xFFFFFFFF for v in values))
+
+
+def _bdi_edge_line(args) -> bytes:
+    """One 64-byte line of ``k``-byte values whose distances from the
+    first sit on the ``d``-byte delta boundary, wrapping modulo the
+    ``k``-byte range (a wrapped distance must not pass for a near one)."""
+    (_enc, k, d), base, picks = args
+    half = 1 << (8 * d - 1)
+    edges = (0, 1, -1, half - 1, half, -half, -half - 1)
+    values = [base] + [base + edges[p] for p in picks[: 64 // k - 1]]
+    return b"".join((v % (1 << 8 * k)).to_bytes(k, "little") for v in values)
+
+
+_word = st.integers(0, 0xFFFFFFFF)
+
+#: Named boundary segments; a page is a concatenation of draws.
+SEGMENTS = {
+    # FPC: a run is cut into tokens of at most 8 zero words.
+    "fpc-zero-run": st.sampled_from([1, 7, 8, 9, 16, 17]).map(
+        lambda n: bytes(4 * n)
+    ),
+    "fpc-sign-edge": st.sampled_from(
+        [7, 8, -8, -9, 127, 128, -128, -129, 32767, 32768, -32768, -32769]
+    ).map(_words),
+    "fpc-two-halves": st.sampled_from(
+        [0xFF80FF85, 0x007F007F, 0x007FFF80, 0x0080007F, 0xFF7FFF80]
+    ).map(_words),
+    "fpc-high-half": st.integers(1, 0xFFFF).map(lambda h: _words(h << 16)),
+    "fpc-repeated-byte": st.integers(0, 255).map(lambda b: bytes([b]) * 4),
+    # BDI: deltas at +-half and one past it for every (k, d).
+    "bdi-delta-edge": st.tuples(
+        st.sampled_from(_DELTA_ENCODINGS),
+        st.integers(0, 2**64 - 1),
+        st.lists(st.integers(0, 6), min_size=31, max_size=31),
+    ).map(_bdi_edge_line),
+    # Base-8 values further apart than 2**63: the wrapped difference is
+    # small, the true one is not.
+    "bdi-far-base8": st.lists(
+        st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1]),
+        min_size=8, max_size=8,
+    ).map(lambda vs: b"".join(v.to_bytes(8, "little") for v in vs)),
+    # A repeat-8 line also fits base-8/delta-1; repeat-8 comes first.
+    "bdi-repeat8": st.integers(0, 2**64 - 1).map(
+        lambda v: v.to_bytes(8, "little") * 8
+    ),
+    # C-Pack: a zero high half partially matches the initial all-zero
+    # dictionary.
+    "cpack-zero-high-half": st.integers(0x100, 0xFFFF).map(_words),
+    # A 2-byte partner pushed before a 3-byte partner: the later,
+    # longer match must win.
+    "cpack-3-after-2": _word.map(
+        lambda w: _words(w ^ 0x1200, w ^ 0x34, w, w ^ 0x56)
+    ),
+    # More than 16 pushes wrap the FIFO; the first word, replaced, is a
+    # miss again when re-seen.
+    "cpack-fifo-wrap": st.tuples(_word, st.integers(16, 20)).map(
+        lambda t: _words(
+            t[0], *(t[0] + (i << 16) for i in range(1, t[1] + 1)), t[0]
+        )
+    ),
+    "cpack-reseen": _word.map(lambda w: _words(w, w ^ 0xABCD0000, w, w ^ 1)),
+    "random": st.binary(min_size=1, max_size=64),
+}
+
+
+@st.composite
+def structured_pages(draw) -> bytes:
+    """0-4,099 bytes of boundary segments, any 0-3 byte tail included."""
+    unit = b"".join(
+        draw(st.lists(st.one_of(*SEGMENTS.values()), max_size=24))
+    )
+    repeat = draw(st.integers(1, 64))
+    size = draw(st.integers(0, 4099))
+    return (unit * repeat)[:size]
+
+
+@settings(max_examples=300, deadline=None)
+@given(page=structured_pages())
+# A zero run of 17 ending the page; a base-4 line whose second value is
+# 2**32 - 1 from the base (wraps to -1).
+@example(page=_words(5) + bytes(4 * 17))
+@example(page=_words(0, 0xFFFFFFFF) * 8)
+def test_structured_boundaries_bit_identical(page):
+    oracles = {
+        "fpc": FpcCompressor(fast=False).compress(page).payload,
+        "bdi": BdiCompressor(fast=False).compress(page).payload,
+        "cpack": reference_cpack(page),
+    }
+    for name, want in oracles.items():
+        fast_factory, scalar_factory = PAIRS[name]
+        scalar = scalar_factory()
+        for kernel in (fast_factory(), scalar):
+            got = kernel.compress(page)
+            assert got.original_size == len(page)
+            if got.stored_raw:
+                assert got.payload == page and len(want) >= len(page), name
+            else:
+                assert got.payload == want, name
+            assert scalar.decompress(got) == page

@@ -86,6 +86,8 @@ class TestRoundTrip:
                 stats = await service.stats()
                 per_shard_ops = [s["ops"] for s in stats["shards"]]
                 assert all(ops > 0 for ops in per_shard_ops)
+                # "null" selects nothing, so there is nothing to report.
+                assert all("selector" not in s for s in stats["shards"])
                 ledger = stats["ledgers"]["default"]
                 assert ledger["stores"] == 40
                 assert ledger["hits"] + ledger["cold_hits"] == 40
@@ -113,34 +115,57 @@ class TestRoundTrip:
 
 
 class TestShardCountInvariance:
-    def test_ledgers_identical_at_1_and_4_shards(self):
-        """The headline determinism contract, digest-pinned.
-
-        Same seeded traffic (Zipf mix, two tenants, one quota-bound,
-        adaptive compressor) against 1 and 4 shard processes must yield
-        byte-identical merged ledgers — and therefore equal digests and
-        per-status counts.
-        """
+    @pytest.fixture(scope="class")
+    def runs(self):
+        """One seeded stream (Zipf mix, two tenants, one quota-bound,
+        adaptive compressor) replayed at 1, 2 and 4 shard processes."""
         tenants = [
             {"name": "alpha", "weight": 3.0, "keys": 3000,
              "quota_bytes": None},
             {"name": "beta", "weight": 1.0, "keys": 60,
              "quota_bytes": 192 << 10},
         ]
-        runs = [
-            run_service_point(service_spec(shards, ops=600, clients=4,
-                                           tenants=tenants))
-            for shards in (1, 4)
-        ]
-        assert runs[0]["ledger_digest"] == runs[1]["ledger_digest"]
-        assert runs[0]["ledgers"] == runs[1]["ledgers"]
-        assert runs[0]["statuses"] == runs[1]["statuses"]
+        return {
+            shards: run_service_point(service_spec(
+                shards, ops=600, clients=4, tenants=tenants))
+            for shards in (1, 2, 4)
+        }
+
+    def test_ledgers_identical_at_1_and_4_shards(self, runs):
+        """The headline determinism contract, digest-pinned.
+
+        The same traffic against 1 and 4 shard processes must yield
+        byte-identical merged ledgers — and therefore equal digests and
+        per-status counts.
+        """
+        assert runs[1]["ledger_digest"] == runs[4]["ledger_digest"]
+        assert runs[1]["ledgers"] == runs[4]["ledgers"]
+        assert runs[1]["statuses"] == runs[4]["statuses"]
         # The traffic actually exercised the machinery (hits, stores,
         # quota denials; slot-level eviction paths are pinned by
         # test_store.py).
-        beta = runs[0]["ledgers"]["beta"]
+        beta = runs[1]["ledgers"]["beta"]
         assert beta["quota_denials"] > 0 and beta["stores"] > 0
-        assert runs[0]["statuses"].get("hit", 0) > 0
+        assert runs[1]["statuses"].get("hit", 0) > 0
+
+    def test_selector_sum_identical_at_1_2_and_4_shards(self, runs):
+        """Slots own their compressors, so the selector counters summed
+        over a shard's slots, then over shards, do not depend on the
+        shard count — and reporting them moves no ledger."""
+        selector = runs[1]["selector"]
+        for shards in (2, 4):
+            assert runs[shards]["selector"] == selector
+            assert runs[shards]["ledger_digest"] == runs[1]["ledger_digest"]
+        # Recorded before the stats blob carried the selector.
+        assert runs[1]["ledger_digest"] == (
+            "9b8dd28c9643b11192e1bbb83d15b47d"
+            "a28382ae672157631a182b6b22e26260"
+        )
+        assert selector["trials"] > 0
+        assert (selector["result_hits"] + selector["memo_hits"]
+                + selector["trials"]) == selector["pages"]
+        assert (sum(selector["chosen"].values())
+                + selector["raw_fallbacks"]) == selector["pages"]
 
 
 class TestFlowControl:

@@ -6,8 +6,10 @@ and the regression-check logic CI relies on.
 """
 
 import json
+from pathlib import Path
 
 from repro.perf import (
+    FAST_KERNELS,
     SIM_CHECK_TOLERANCE,
     _subsystem_of,
     bench_micro,
@@ -125,6 +127,22 @@ class TestBaselineCheck:
         path = _write_baseline(tmp_path)
         failures = check_against_baseline(_compression(speedup=1.0), path)
         assert failures and "lzrw1" in failures[0]
+
+    def test_every_fast_kernel_has_a_committed_floor(self, tmp_path):
+        """perf-smoke gates a ``fast`` row only through its floor."""
+        committed = json.loads(
+            (Path(__file__).parent.parent / "benchmarks"
+             / "perf_baseline.json").read_text()
+        )["fast_kernel_speedup"]
+        assert set(committed) == set(FAST_KERNELS)
+        path = _write_baseline(tmp_path, fast_kernel_speedup=committed)
+        measured = _compression()
+        measured["fast"] = {"aggregate": {
+            name: {"speedup": floor * (0.5 if name == "fpc" else 1.0)}
+            for name, floor in committed.items()
+        }}
+        failures = check_against_baseline(measured, path)
+        assert len(failures) == 1 and failures[0].startswith("fpc:")
 
 
 class TestSimLatency:
