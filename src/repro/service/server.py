@@ -2,11 +2,14 @@
 
 :class:`CacheService` is the in-process server.  One dispatcher
 coroutine per shard drains that shard's FIFO queue, coalescing up to
-``batch_ops`` operations into a single request frame per dispatch; a
-dedicated reader thread per shard blocks in ``recv_bytes`` and completes
-futures on the loop via ``call_soon_threadsafe``.  Request and response
-frames match one-to-one in FIFO order, so completion is a deque pop —
-no sequence numbers on the wire.
+``batch_ops`` operations into a single request frame per dispatch.
+Every shard's socket is registered with the same event loop
+(:class:`~repro.service.shard.ShardHandle`): request frames are written
+without blocking it, response frames are reassembled on it and complete
+their futures there, and a shard's death is noticed there.  The service
+starts no threads.  Request and response frames match one-to-one in
+FIFO order, so completion is a deque pop — no sequence numbers on the
+wire.
 
 Flow control is two-layered:
 
@@ -33,8 +36,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from .config import ServiceConfig
@@ -60,6 +64,8 @@ from .protocol import (
     parse_responses,
 )
 from .shard import ShardHandle
+
+log = logging.getLogger("repro.service")
 
 #: queue item: (op, tenant, vslot, key, payload, future)
 _Item = Tuple[int, int, int, int, Optional[object], "asyncio.Future"]
@@ -88,7 +94,6 @@ class CacheService:
         self._pending: List[asyncio.Semaphore] = []
         self._tenant_gates: Dict[int, asyncio.Semaphore] = {}
         self._dispatchers: List["asyncio.Task"] = []
-        self._send_pool: Optional[ThreadPoolExecutor] = None
         self._started = False
         self._stopping = False
         #: batches dispatched per shard (front-end view, for stats()).
@@ -97,50 +102,38 @@ class CacheService:
     # -- lifecycle ----------------------------------------------------
 
     async def start(self) -> None:
-        """Spawn shard workers, reader threads, and dispatchers."""
+        """Spawn shard workers and their dispatchers."""
         if self._started:
             raise RuntimeError("service already started")
         config = self.config
-        self._loop = asyncio.get_running_loop()
-        self._send_pool = ThreadPoolExecutor(
-            max_workers=config.shards,
-            thread_name_prefix="ccache-send",
-        )
+        loop = self._loop = asyncio.get_running_loop()
         if config.tenant_inflight is not None:
             self._tenant_gates = {
                 i: asyncio.Semaphore(config.tenant_inflight)
                 for i in range(len(config.tenants))
             }
         for shard_id in range(config.shards):
-            handle = ShardHandle(config, shard_id)
-            self._shards.append(handle)
             self._queues.append(asyncio.Queue())
             self._inflight.append(deque())
             self._pending.append(asyncio.Semaphore(config.max_pending))
             self.batches_sent.append(0)
-            handle.start_reader(
-                on_frame=self._threadsafe(self._on_frame, shard_id),
-                on_death=self._threadsafe(self._on_death, shard_id),
+            handle = ShardHandle(
+                config, shard_id, loop,
+                on_frame=partial(self._on_frame, shard_id),
+                on_death=partial(self._on_death, shard_id),
+            )
+            self._shards.append(handle)
+            log.info(
+                "shard %d started: pid %d, %d vslots", shard_id,
+                handle.process.pid, len(config.slots_of_shard(shard_id)),
             )
             self._dispatchers.append(
-                self._loop.create_task(self._dispatch(shard_id))
+                loop.create_task(self._dispatch(shard_id))
             )
         self._started = True
 
-    def _threadsafe(self, fn, shard_id: int):
-        """Wrap a completion handler for reader-thread invocation."""
-        loop = self._loop
-
-        def _call(*args) -> None:
-            try:
-                loop.call_soon_threadsafe(fn, shard_id, *args)
-            except RuntimeError:
-                pass  # loop already closed during teardown
-
-        return _call
-
     async def stop(self) -> None:
-        """Graceful shutdown: drain shards, reap workers, join threads."""
+        """Graceful shutdown: drain shards, reap workers."""
         if not self._started or self._stopping:
             return
         self._stopping = True
@@ -151,16 +144,19 @@ class CacheService:
                         shard_id, OP_SHUTDOWN, 0,
                         self._control_vslot(shard_id), 0, None, wait=True,
                     )
-                except ShardDeadError:
-                    pass  # already gone; reaped below
+                except (ShardDeadError, ProtocolError):
+                    continue  # already gone; reaped below
+                log.info(
+                    "shard %d stopped: pid %d, %d vslots", shard_id,
+                    handle.process.pid,
+                    len(self.config.slots_of_shard(shard_id)),
+                )
         for queue in self._queues:
             queue.put_nowait(None)
         for task in self._dispatchers:
             await task
         for handle in self._shards:
             handle.close()
-        if self._send_pool is not None:
-            self._send_pool.shutdown(wait=True)
         self._started = False
 
     # -- public data-plane API ----------------------------------------
@@ -310,13 +306,12 @@ class CacheService:
 
     async def _dispatch(self, shard_id: int) -> None:
         """Drain the shard queue, coalescing up to ``batch_ops`` per
-        frame.  The single awaited send per iteration serializes frame
-        order with in-flight deque order — the FIFO matching invariant.
+        frame.  Frames leave in the order their batches join the
+        in-flight deque — the FIFO matching invariant.
         """
         queue = self._queues[shard_id]
         handle = self._shards[shard_id]
         batch_ops = self.config.batch_ops
-        loop = self._loop
         while True:
             item = await queue.get()
             if item is None:
@@ -336,53 +331,60 @@ class CacheService:
             for op, tenant, vslot, key, payload, future in items:
                 batch.add(op, tenant, vslot, key, payload)
                 futures.append(future)
-            frame = bytes(batch.finish())
             if handle.dead:
-                self._fail_futures(futures, shard_id)
+                self._fail_futures(
+                    futures, ShardDeadError(f"shard {shard_id} died")
+                )
                 continue
             self._inflight[shard_id].append(futures)
             self.batches_sent[shard_id] += 1
-            try:
-                await loop.run_in_executor(
-                    self._send_pool, handle.send, frame
-                )
-            except (BrokenPipeError, OSError):
-                # The reader thread notices the death too, but races
-                # us: remove the batch ourselves if it is still queued.
-                try:
-                    self._inflight[shard_id].remove(futures)
-                except ValueError:
-                    pass
-                self._on_death(shard_id)
-                self._fail_futures(futures, shard_id)
+            # Never blocks; a write error fails the batch via _on_death.
+            handle.send(batch.finish())
 
-    def _on_frame(self, shard_id: int, frame: bytes) -> None:
-        """Loop-side completion of one response frame (FIFO match)."""
-        futures = self._inflight[shard_id].popleft()
-        records = parse_responses(memoryview(frame))
-        if len(records) != len(futures):
-            raise ProtocolError(
-                f"shard {shard_id}: {len(records)} responses for "
-                f"{len(futures)} requests"
-            )
+    def _on_frame(self, shard_id: int, frame: bytearray) -> None:
+        """Completion of one response frame (FIFO match)."""
+        inflight = self._inflight[shard_id]
+        futures = inflight[0] if inflight else ()
+        try:
+            records = parse_responses(memoryview(frame))
+            if not inflight or len(records) != len(futures):
+                raise ProtocolError(
+                    f"shard {shard_id}: {len(records)} responses for "
+                    f"{len(futures)} requests"
+                )
+        except ProtocolError as exc:
+            # Nothing after a frame we cannot account for can be
+            # matched to its requests: the shard is lost.
+            self._on_death(shard_id, exc)
+            return
+        inflight.popleft()
         for future, (status, payload) in zip(futures, records):
             if not future.done():
                 future.set_result(
                     (status, payload if payload.nbytes else None)
                 )
 
-    def _on_death(self, shard_id: int) -> None:
-        """Fail everything touching a dead shard; never deadlock."""
+    def _on_death(self, shard_id: int, cause: Exception) -> None:
+        """Fail everything touching a lost shard; never deadlock.
+
+        ``cause`` is the EOF or I/O error on the shard's socket, or the
+        :class:`ProtocolError` of a response frame that cannot be
+        matched — which is then what the failed operations raise.
+        """
         handle = self._shards[shard_id]
         if handle.dead:
             return
         handle.dead = True
-        if self._stopping:
-            # Clean shutdown: EOF after ST_BYE is the expected epilogue.
-            return
+        handle.detach()
+        exc = (cause if isinstance(cause, ProtocolError)
+               else ShardDeadError(f"shard {shard_id} died"))
         inflight = self._inflight[shard_id]
+        batches = len(inflight)
+        ops = 0
         while inflight:
-            self._fail_futures(inflight.popleft(), shard_id)
+            futures = inflight.popleft()
+            ops += len(futures)
+            self._fail_futures(futures, exc)
         # Queued-but-undispatched items die too (the dispatcher would
         # only fail them at its next wakeup; do it now).
         queue = self._queues[shard_id]
@@ -395,13 +397,21 @@ class CacheService:
             if item is None:
                 requeue.append(None)
                 continue
-            self._fail_futures([item[5]], shard_id)
+            ops += 1
+            self._fail_futures([item[5]], exc)
         for sentinel in requeue:
             queue.put_nowait(sentinel)
+        # EOF after ST_BYE, nothing outstanding, is the clean epilogue.
+        if ops or not self._stopping:
+            # A worker that lost track of its frames may still be up.
+            handle.process.terminate()
+            log.warning(
+                "shard %d died (%s): failed %d in-flight batches, %d ops",
+                shard_id, cause, batches, ops,
+            )
 
     @staticmethod
-    def _fail_futures(futures, shard_id: int) -> None:
-        exc = ShardDeadError(f"shard {shard_id} died")
+    def _fail_futures(futures, exc: Exception) -> None:
         for future in futures:
             if not future.done():
                 future.set_exception(exc)
@@ -439,7 +449,7 @@ async def serve_tcp(
                               message: str) -> None:
         reply = ResponseBatch()
         reply.add(ST_PROTOCOL_ERROR, message.encode("utf-8"))
-        out = bytes(reply.finish())
+        out = reply.finish()
         writer.write(len(out).to_bytes(4, "little") + out)
         try:
             await writer.drain()
@@ -500,7 +510,7 @@ async def serve_tcp(
                     # error alone and drop the connection.
                     await _protocol_error(writer, str(exc))
                     return
-                out = bytes(reply.finish())
+                out = reply.finish()
                 writer.write(len(out).to_bytes(4, "little") + out)
                 await writer.drain()
                 if shutdown:

@@ -8,20 +8,25 @@ Because slots are disjoint across shards and each frame is applied
 sequentially, the per-slot operation order equals the front-end's
 per-slot submission order — the other half of the determinism contract.
 
-The parent side (:class:`ShardHandle`) owns the two pipes and a reader
-thread.  The reader thread blocks in ``recv_bytes`` so the asyncio loop
-never does; completed frames are handed to the loop with
-``call_soon_threadsafe``.  A worker death surfaces as ``EOFError`` in
-the reader, which the server translates into
-:class:`~repro.service.errors.ShardDeadError` for every in-flight and
-future request — requests fail fast, they never hang.
+Parent and worker talk over one ``socketpair``; both ends speak
+:class:`FrameSocket`, a ``u32`` length prefix (little-endian, the one
+``serve_tcp`` uses) ahead of every frame.  The worker's end blocks.  The
+parent's end (:class:`ShardHandle`) never does: it is registered with
+the service's event loop, which reassembles response frames from
+non-blocking reads and parks whatever part of a request frame the
+socket will not take behind a writer callback.  There are no threads.
+A worker death surfaces on the loop as EOF or a write error, which the
+server translates into :class:`~repro.service.errors.ShardDeadError`
+for every in-flight and future request — requests fail fast, they never
+hang.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import multiprocessing as mp
-import threading
+import socket
 import time
 from collections import Counter
 from typing import Callable, Dict, Iterable, Mapping, Optional
@@ -48,16 +53,90 @@ from .protocol import (
 from .store import VslotStore
 
 
+class FrameSocket:
+    """Length-prefixed frames over one end of a stream ``socketpair``.
+
+    Works on a blocking socket (the worker) and a non-blocking one (the
+    front end): a call does what the socket allows and keeps what is
+    left — a half-received frame, the unsent tail of a written one —
+    for the next call.
+    """
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self._header = bytearray(4)
+        #: body of the frame being received (``None``: in its header).
+        self._body: Optional[bytearray] = None
+        self._got = 0
+        #: bytes accepted by :meth:`send_frame` the socket has not taken.
+        self.unsent = bytearray()
+
+    def recv_frame(self) -> Optional[bytearray]:
+        """The next whole frame, read straight into its own buffer.
+
+        ``None`` when a non-blocking socket has no more to give yet;
+        raises :class:`EOFError` once the peer has closed.
+        """
+        try:
+            while True:
+                target = self._header if self._body is None else self._body
+                while self._got < len(target):
+                    got = self.sock.recv_into(memoryview(target)[self._got:])
+                    if not got:
+                        raise EOFError("peer closed the shard socket")
+                    self._got += got
+                self._got = 0
+                if self._body is not None:
+                    frame, self._body = self._body, None
+                    return frame
+                self._body = bytearray(
+                    int.from_bytes(self._header, "little"))
+        except BlockingIOError:
+            return None
+
+    def send_frame(self, frame) -> bool:
+        """Write ``frame`` behind its prefix; ``True`` if all of it left.
+
+        On ``False`` the rest is parked, and so is every later frame
+        until :meth:`flush` returns ``True`` — frames never interleave
+        and leave in the order they were given.
+        """
+        header = len(frame).to_bytes(4, "little")
+        unsent = self.unsent
+        sent = 0
+        if not unsent:
+            try:
+                sent = self.sock.sendmsg((header, frame))
+            except BlockingIOError:
+                pass
+            if sent == len(header) + len(frame):
+                return True
+        unsent += header
+        unsent += frame
+        del unsent[:sent]
+        return False
+
+    def flush(self) -> bool:
+        """Write parked bytes; ``True`` once none are left."""
+        unsent = self.unsent
+        try:
+            sent = self.sock.send(unsent)
+        except BlockingIOError:
+            return False
+        del unsent[:sent]
+        return not unsent
+
+
 def shard_main(config: ServiceConfig, shard_id: int,
-               requests, responses) -> None:
+               sock: socket.socket) -> None:
     """Worker-process entry point (module-level: spawn-safe).
 
     Args:
         config: the full service geometry (slots are derived from it).
         shard_id: this worker's index in ``range(config.shards)``.
-        requests: read end of the request pipe.
-        responses: write end of the response pipe.
+        sock: this worker's (blocking) end of the shard socketpair.
     """
+    conn = FrameSocket(sock)
     slots: Dict[int, VslotStore] = {
         vslot: VslotStore(config, vslot)
         for vslot in config.slots_of_shard(shard_id)
@@ -70,7 +149,7 @@ def shard_main(config: ServiceConfig, shard_id: int,
     running = True
     while running:
         try:
-            frame = requests.recv_bytes()
+            frame = conn.recv_frame()
         except (EOFError, OSError):
             break  # front-end went away; nothing left to serve
         t0 = perf_counter()
@@ -107,11 +186,12 @@ def shard_main(config: ServiceConfig, shard_id: int,
         busy_s += perf_counter() - t0
         batches += 1
         try:
-            responses.send_bytes(bytes(reply.finish()))
-        except (BrokenPipeError, OSError):
+            sent = conn.send_frame(reply.finish())
+            while not sent:
+                sent = conn.flush()
+        except OSError:
             break
-    responses.close()
-    requests.close()
+    sock.close()
 
 
 #: The additive :meth:`AdaptiveCompressor.selection_snapshot` counters.
@@ -175,72 +255,88 @@ def _stats_blob(config: ServiceConfig, shard_id: int,
 class ShardHandle:
     """Parent-side endpoint of one shard worker.
 
-    Owns the request/response pipes, the worker :class:`mp.Process`,
-    and the blocking reader thread.  The server supplies ``on_frame``
-    and ``on_death`` callbacks that are invoked *on the reader thread* —
-    the server wraps them in ``call_soon_threadsafe``.
+    Owns the worker :class:`mp.Process` and the non-blocking end of its
+    socketpair, registered with the service's event loop: ``on_frame``
+    runs on the loop for every response frame and ``on_death`` once,
+    with the EOF or I/O error that ended it.  Nothing here blocks the
+    loop and nothing runs off it.
     """
 
-    def __init__(self, config: ServiceConfig, shard_id: int):
+    def __init__(
+        self,
+        config: ServiceConfig,
+        shard_id: int,
+        loop: asyncio.AbstractEventLoop,
+        on_frame: Callable[[bytearray], None],
+        on_death: Callable[[Exception], None],
+    ):
         ctx = mp.get_context()
-        req_r, req_w = ctx.Pipe(duplex=False)
-        resp_r, resp_w = ctx.Pipe(duplex=False)
+        ours, theirs = socket.socketpair()
         self.shard_id = shard_id
         self.process = ctx.Process(
             target=shard_main,
-            args=(config, shard_id, req_r, resp_w),
+            args=(config, shard_id, theirs),
             name=f"ccache-shard-{shard_id}",
             daemon=True,
         )
-        self.process.start()
-        # Close the child's ends in the parent so EOF propagates when
-        # the child exits.
-        req_r.close()
-        resp_w.close()
-        self._requests = req_w
-        self._responses = resp_r
-        self._reader: Optional[threading.Thread] = None
+        try:
+            self.process.start()
+        finally:
+            # Close the child's end in the parent so EOF propagates
+            # when the child exits.
+            theirs.close()
+        ours.setblocking(False)
+        self._conn = FrameSocket(ours)
+        self._loop = loop
+        self._on_frame = on_frame
+        self._on_death = on_death
         self.dead = False
+        loop.add_reader(ours, self._readable)
 
-    def start_reader(
-        self,
-        on_frame: Callable[[bytes], None],
-        on_death: Callable[[], None],
-    ) -> None:
-        """Spawn the blocking reader thread (daemon)."""
+    def _readable(self) -> None:
+        # One frame per wakeup: the loop calls again while more wait.
+        try:
+            frame = self._conn.recv_frame()
+        except (EOFError, OSError) as exc:
+            self._on_death(exc)
+            return
+        if frame is not None:
+            self._on_frame(frame)
 
-        def _read_loop() -> None:
-            responses = self._responses
-            while True:
-                try:
-                    frame = responses.recv_bytes()
-                except (EOFError, OSError):
-                    on_death()
-                    return
-                on_frame(frame)
+    def send(self, frame) -> None:
+        """Write one request frame without ever blocking the loop."""
+        armed = bool(self._conn.unsent)  # the writer drains what is parked
+        try:
+            if self._conn.send_frame(frame) or armed:
+                return
+        except OSError as exc:
+            self._on_death(exc)
+            return
+        self._loop.add_writer(self._conn.sock, self._writable)
 
-        self._reader = threading.Thread(
-            target=_read_loop,
-            name=f"ccache-shard-{self.shard_id}-reader",
-            daemon=True,
-        )
-        self._reader.start()
+    def _writable(self) -> None:
+        try:
+            if not self._conn.flush():
+                return
+        except OSError as exc:
+            self._on_death(exc)
+            return
+        self._loop.remove_writer(self._conn.sock)
 
-    def send(self, frame: bytes) -> None:
-        """Blocking frame write (run it in an executor thread)."""
-        self._requests.send_bytes(frame)
+    def detach(self) -> None:
+        """Leave the loop and close the socket (idempotent)."""
+        sock = self._conn.sock
+        if sock.fileno() >= 0:
+            self._loop.remove_reader(sock)
+            self._loop.remove_writer(sock)
+            sock.close()
 
     def close(self, join_timeout: float = 5.0) -> None:
-        """Close pipes and reap the worker."""
-        for conn in (self._requests, self._responses):
-            try:
-                conn.close()
-            except OSError:
-                pass
+        """Close the socket and reap the worker."""
+        self.detach()
         if self.process.is_alive():
             self.process.join(timeout=join_timeout)
             if self.process.is_alive():
                 self.process.terminate()
                 self.process.join(timeout=join_timeout)
-        if self._reader is not None and self._reader.is_alive():
-            self._reader.join(timeout=join_timeout)
+        self.process.close()  # its sentinel descriptor

@@ -7,9 +7,17 @@ processes) per test.
 """
 
 import asyncio
+import gc
+import logging
+import multiprocessing as mp
+import os
+import threading
+import warnings
+from itertools import islice
 
 import pytest
 
+from repro.service import shard as shard_module
 from repro.service import (
     BackpressureError,
     CacheService,
@@ -18,18 +26,23 @@ from repro.service import (
     TenantSpec,
 )
 from repro.service.bench import run_service_point, service_spec
+from repro.service.errors import ProtocolError
 from repro.service.protocol import (
     OP_GET,
     OP_PUT,
     OP_SHUTDOWN,
     ST_BYE,
     ST_HIT,
+    ST_MISS,
     ST_PROTOCOL_ERROR,
     ST_STORED,
+    ResponseBatch,
+    iter_requests,
     iter_responses,
     pack_requests,
 )
 from repro.service.server import serve_tcp
+from repro.service.shard import FrameSocket
 
 PAGE = 1024
 
@@ -47,8 +60,28 @@ def make_config(**overrides):
     return ServiceConfig(**defaults)
 
 
+def keys_on_shard(config, shard, count):
+    keys = (k for k in range(100000) if config.shard_of(k) == shard)
+    return list(islice(keys, count))
+
+
 def key_on_shard(config, shard):
-    return next(k for k in range(10000) if config.shard_of(k) == shard)
+    return keys_on_shard(config, shard, 1)[0]
+
+
+def short_worker(config, shard_id, sock):
+    """A shard that answers every request frame one record short."""
+    conn = FrameSocket(sock)
+    while True:
+        try:
+            frame = conn.recv_frame()
+        except EOFError:
+            break
+        reply = ResponseBatch()
+        for _ in list(iter_requests(memoryview(frame)))[1:]:
+            reply.add(ST_MISS)
+        conn.send_frame(reply.finish())
+    sock.close()
 
 
 class TestRoundTrip:
@@ -289,6 +322,222 @@ class TestShardDeath:
                 await asyncio.wait_for(service.stop(), timeout=10)
 
         asyncio.run(scenario())
+
+    def test_short_response_fails_the_shard_not_hangs(self, monkeypatch):
+        """A response frame that cannot be matched to its requests
+        fails its batch and everything behind it, and loses the shard."""
+        monkeypatch.setattr(shard_module, "shard_main", short_worker)
+
+        async def scenario():
+            config = make_config(shards=1, batch_ops=2)
+            service = CacheService(config)
+            await service.start()
+            try:
+                # Three gets in one loop turn: a frame of two (answered
+                # with one record) and a frame of one queued behind it.
+                results = await asyncio.wait_for(
+                    asyncio.gather(
+                        *(service.get("default", key) for key in range(3)),
+                        return_exceptions=True,
+                    ),
+                    timeout=10,
+                )
+                assert [type(r) for r in results] == [ProtocolError] * 3
+                assert "1 responses for 2 requests" in str(results[0])
+                assert service.live_shards() == 0
+                with pytest.raises(ShardDeadError):
+                    await service.get("default", 1)
+            finally:
+                await asyncio.wait_for(service.stop(), timeout=10)
+
+        asyncio.run(scenario())
+
+    def test_killed_mid_write_fails_every_op(self):
+        """A shard killed while a request frame is half written: the
+        parked remainder must not wedge the loop, the ops or stop()."""
+
+        async def scenario():
+            page = 16 << 10
+            config = make_config(
+                page_size=page, tier_bytes=(4 << 20,), batch_ops=32,
+                debug_op_delay_s=0.3,
+            )
+            service = CacheService(config)
+            await service.start()
+            try:
+                keys = keys_on_shard(config, 0, 65)
+                other = key_on_shard(config, 1)
+                # The worker sleeps inside the first op while two
+                # 512 KB frames queue up behind it: more than its
+                # socket takes.
+                doomed = [asyncio.ensure_future(
+                    service.put("default", keys[0], b"a" * page))]
+                await asyncio.sleep(0.05)
+                doomed += [
+                    asyncio.ensure_future(
+                        service.put("default", key, b"b" * page))
+                    for key in keys[1:]
+                ]
+                await asyncio.sleep(0.05)
+                assert service._shards[0]._conn.unsent  # half written
+                service._shards[0].process.kill()
+                results = await asyncio.wait_for(
+                    asyncio.gather(*doomed, return_exceptions=True),
+                    timeout=10,
+                )
+                assert [type(r) for r in results] \
+                    == [ShardDeadError] * len(doomed)
+                assert service.live_shards() == 1
+                assert await service.put("default", other, b"y" * page)
+                assert bytes(await service.get("default", other)) \
+                    == b"y" * page
+            finally:
+                await asyncio.wait_for(service.stop(), timeout=10)
+
+        asyncio.run(scenario())
+
+
+class TestLoopSideIO:
+    """The front end's shard I/O lives on the event loop: it never
+    blocks there, and it leaves nothing behind."""
+
+    def test_bursts_larger_than_the_socket_both_ways(self):
+        """512 x 4 KB in flight each way — requests, responses, then
+        both at once — is several times what the kernel buffers.  A
+        send that blocked the loop would deadlock against a worker
+        blocked writing hits nobody is reading."""
+
+        async def scenario():
+            page = 4096
+            config = make_config(
+                shards=1, batch_ops=32, page_size=page,
+                tier_bytes=(8 << 20,),
+            )
+            service = CacheService(config)
+            await service.start()
+            try:
+                def body(key, fill):
+                    return key.to_bytes(2, "little") * 8 + fill * (page - 16)
+
+                stored = await asyncio.wait_for(asyncio.gather(*(
+                    service.put("default", key, body(key, b"p"))
+                    for key in range(512)
+                )), timeout=60)
+                assert all(stored)
+                pages = await asyncio.wait_for(asyncio.gather(*(
+                    service.get("default", key) for key in range(512)
+                )), timeout=60)
+                assert all(
+                    got == body(key, b"p") for key, got in enumerate(pages)
+                )
+                # Full request frames against full response frames.
+                mixed = await asyncio.wait_for(asyncio.gather(*(
+                    service.put("default", 512 + i // 2, body(i, b"q"))
+                    if i % 2 else service.get("default", i // 2)
+                    for i in range(1024)
+                )), timeout=60)
+                assert all(mixed[1::2])
+                assert all(
+                    got == body(key, b"p")
+                    for key, got in enumerate(mixed[0::2])
+                )
+                batches = service.batches_sent[0]
+                assert batches == 16 + 16 + 32  # coalescing kept
+            finally:
+                await asyncio.wait_for(service.stop(), timeout=10)
+
+        asyncio.run(scenario())
+
+    def test_no_threads_and_nothing_left_on_the_loop(self):
+        """Two services, one after the other in one loop: the thread
+        count never moves, and when each has stopped the loop watches
+        the descriptors it watched before and the process holds the
+        ones it held before."""
+
+        def open_fds():
+            return sorted(os.listdir("/proc/self/fd"))
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            threads = threading.active_count()
+            watched = len(loop._selector.get_map())
+            fds = open_fds()
+            for _ in range(2):
+                service = CacheService(make_config())
+                await service.start()
+                try:
+                    assert await service.put("default", 5, b"t" * PAGE)
+                    assert bytes(await service.get("default", 5)) \
+                        == b"t" * PAGE
+                    assert threading.active_count() == threads
+                    assert len(loop._selector.get_map()) == watched + 2
+                finally:
+                    await service.stop()
+                assert threading.active_count() == threads
+                assert len(loop._selector.get_map()) == watched
+                assert open_fds() == fds
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            asyncio.run(scenario())
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+
+    def test_worker_arguments_survive_spawn(self, monkeypatch):
+        """``shard_main``'s arguments (config, id, socket) pickle into
+        a spawned interpreter, not only a forked one."""
+        spawn = mp.get_context("spawn")
+        monkeypatch.setattr(shard_module.mp, "get_context", lambda: spawn)
+
+        async def scenario():
+            service = CacheService(make_config(shards=1))
+            await service.start()
+            try:
+                assert await service.put("default", 9, b"s" * PAGE)
+                assert bytes(await service.get("default", 9)) \
+                    == b"s" * PAGE
+            finally:
+                await asyncio.wait_for(service.stop(), timeout=10)
+
+        asyncio.run(scenario())
+
+    def test_lifecycle_is_logged_not_requests(self, caplog):
+        """INFO for a shard's start and clean stop, WARNING for its
+        death with what that failed; nothing per request."""
+
+        async def scenario():
+            config = make_config(debug_op_delay_s=0.3)
+            service = CacheService(config)
+            await service.start()
+            try:
+                key0 = key_on_shard(config, 0)
+                pid0 = service._shards[0].process.pid
+                pid1 = service._shards[1].process.pid
+                doomed = asyncio.ensure_future(
+                    service.put("default", key0, b"a" * PAGE))
+                await asyncio.sleep(0.05)
+                service._shards[0].process.kill()
+                with pytest.raises(ShardDeadError):
+                    await asyncio.wait_for(doomed, timeout=10)
+                assert await service.put(
+                    "default", key_on_shard(config, 1), b"b" * PAGE)
+            finally:
+                await asyncio.wait_for(service.stop(), timeout=10)
+            return pid0, pid1
+
+        with caplog.at_level(logging.INFO, logger="repro.service"):
+            pid0, pid1 = asyncio.run(scenario())
+        lines = [(r.levelno, r.getMessage()) for r in caplog.records
+                 if r.name == "repro.service"]
+        assert lines == [
+            (logging.INFO, f"shard 0 started: pid {pid0}, 4 vslots"),
+            (logging.INFO, f"shard 1 started: pid {pid1}, 4 vslots"),
+            (logging.WARNING,
+             "shard 0 died (peer closed the shard socket): "
+             "failed 1 in-flight batches, 1 ops"),
+            (logging.INFO, f"shard 1 stopped: pid {pid1}, 4 vslots"),
+        ]
 
 
 class TestTcpFrontEnd:
