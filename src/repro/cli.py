@@ -427,7 +427,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from .perf import check_service_baseline
+    from .perf import check_baseline
     from .service.bench import bench_service
 
     try:
@@ -470,17 +470,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     out_path.write_text(json.dumps(bench, indent=2) + "\n")
     print(f"wrote {out_path}")
     if args.check:
-        baseline = Path(args.check)
-        if not baseline.is_file():
-            print(f"error: baseline file not found: {baseline}",
-                  file=sys.stderr)
-            return 2
-        failures = check_service_baseline(bench, baseline)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}")
-            return 1
-        print(f"service measurements within tolerance of {baseline}: ok")
+        return check_baseline({"service": bench}, Path(args.check))
     return 0
 
 

@@ -8,7 +8,7 @@ those seed implementations verbatim (minus registry decoration) so
 
 * the golden-output tests (``tests/compression/test_golden_kernels.py``)
   can diff the optimized encoders against the originals on a corpus, and
-* the perf harness (``benchmarks/perf_harness.py``) can measure the seed
+* the perf harness (``python -m repro.cli perf``) can measure the seed
   kernels on the same machine and record the speedup trajectory in
   ``BENCH_compression.json``.
 

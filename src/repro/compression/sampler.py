@@ -74,13 +74,13 @@ def shared_compress(
 ) -> CompressionResult:
     """Compress through the process-wide content-addressed cache.
 
-    The standalone counterpart of :meth:`CompressionSampler._compute`,
-    for callers that drive a kernel directly rather than through a
-    sampler — the adaptive selector's trial compressions in particular,
-    which probe several kernels per page and would otherwise re-run
-    every kernel on content some earlier trial (or run) already paid
-    for.  Kernels that opt out of sharing (``result_cache_key() is
-    None``) are simply invoked.
+    What a sampler's memo miss runs, and what callers that drive a
+    kernel directly use — the adaptive selector's trial compressions in
+    particular, which probe several kernels per page and would otherwise
+    re-run every kernel on content some earlier trial (or run) already
+    paid for.  Kernels that opt out of sharing (``result_cache_key() is
+    None``, the default for algorithms that don't declare a config
+    identity) are simply invoked.
     """
     ckey = compressor.result_cache_key()
     if ckey is None:
@@ -128,10 +128,6 @@ class CompressionSampler:
         self._payload_cache: "OrderedDict[object, CompressionResult]" = (
             OrderedDict()
         )
-        # None opts out of the process-wide result cache (the default for
-        # algorithms that don't declare a config identity).  Exact mode
-        # never shares: its purpose is to run the real kernel every time.
-        self._shared_key = None if exact else compressor.result_cache_key()
         self.hits = 0
         self.misses = 0
 
@@ -204,35 +200,22 @@ class CompressionSampler:
                  fingerprint: Optional[bytes] = None) -> CompressionResult:
         """Run the kernel — or replay a shared, content-addressed result.
 
-        Reached only on a per-instance memo miss; the caller has already
-        done the hit/miss accounting, so replaying from
-        :data:`_SHARED_RESULTS` changes nothing but the wall clock.
+        Reached only on a per-instance memo miss (never in exact mode,
+        whose purpose is to run the real kernel every time); the caller
+        has already done the hit/miss accounting, so replaying through
+        :func:`shared_compress` changes nothing but the wall clock.
 
         The shared entry is always addressed by the fingerprint of the
         *actual bytes* — never by a workload ``stable_key`` string, whose
         mapping to bytes is per-run and would leak one run's measurement
-        into another's.  When the memo key is a stable key the digest is
-        computed here instead: a memo miss is about to pay for a full
-        kernel run, so hashing the page first is noise.
+        into another's.  When the memo key is a stable key and no digest
+        was passed, :func:`shared_compress` hashes the page itself: a
+        memo miss is about to pay for a full kernel run, so that is
+        noise.
         """
-        ckey = self._shared_key
-        if ckey is None:
-            return self.compressor.compress(data)
-        if type(key) is bytes:
-            fp = key
-        elif fingerprint is not None:
-            fp = fingerprint
-        else:
-            fp = _blake2b(data, digest_size=16).digest()
-        skey = (ckey, fp)
-        shared = _SHARED_RESULTS.get(skey)
-        if shared is not None and shared.original_size == len(data):
-            return shared
-        result = self.compressor.compress(data)
-        _SHARED_RESULTS[skey] = result
-        while len(_SHARED_RESULTS) > _SHARED_MAX_ENTRIES:
-            _SHARED_RESULTS.popitem(last=False)
-        return result
+        return shared_compress(
+            self.compressor, data, key if type(key) is bytes else fingerprint
+        )
 
     def compress_many(self, pages: Iterable[bytes]) -> List[CompressionResult]:
         """Batch variant of :meth:`compress` (one memo probe per page)."""

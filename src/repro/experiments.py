@@ -1495,8 +1495,9 @@ class Experiment:
             rest).
         render: optional table renderer over completed cells by key;
             ``None`` leaves the raw per-point JSON lines as the only
-            output (figure3/table1/ablations have their own dedicated
-            subcommands for rendered tables).
+            output (figure3 and table1 render from typed results, not
+            cells by key, through their own ``figure3``/``table1``
+            subcommands).
     """
 
     name: str
@@ -1527,8 +1528,10 @@ EXPERIMENTS: Dict[str, Experiment] = {
     for exp in (
         Experiment("figure3", _figure3_experiment_points),
         Experiment("table1", lambda scale, _opts: table1_points(scale=scale)),
-        Experiment("ablations", lambda scale, _opts: ablation_points(scale)),
-        Experiment("tiers", lambda scale, _opts: tiers_points(scale)),
+        Experiment("ablations", lambda scale, _opts: ablation_points(scale),
+                   render=render_ablations),
+        Experiment("tiers", lambda scale, _opts: tiers_points(scale),
+                   render=render_tiers),
         Experiment("kernels", lambda scale, _opts: kernels_points(scale),
                    render=render_kernels),
         Experiment("lfs", lambda scale, _opts: lfs_points(scale),

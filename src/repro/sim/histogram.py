@@ -32,10 +32,6 @@ class LatencyHistogram:
         self.samples = 0
         self.total = 0.0
         self.max_value = 0.0
-        # Samples are sums of a handful of cost-model constants, so the
-        # distinct values number in the dozens; memoizing value -> bucket
-        # replaces a math.log per sample with a dict probe.
-        self._bucket_memo: Dict[float, int] = {}
 
     def record(self, seconds: float) -> None:
         """Add one sample."""
@@ -45,10 +41,7 @@ class LatencyHistogram:
         self.total += seconds
         if seconds > self.max_value:
             self.max_value = seconds
-        index = self._bucket_memo.get(seconds)
-        if index is None:
-            index = self._bucket_memo[seconds] = self._bucket(seconds)
-        self._counts[index] += 1
+        self._counts[self._bucket(seconds)] += 1
 
     def _bucket(self, seconds: float) -> int:
         if seconds < self.smallest:

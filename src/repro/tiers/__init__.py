@@ -16,9 +16,9 @@ This package provides that generalization:
 * :class:`~repro.tiers.compressed.CompressedTier` — a compression cache
   configured as one tier, with a :class:`~repro.tiers.compressed.
   DemotionSink` recompressing write-outs into the next-colder tier;
-* :class:`~repro.tiers.uncompressed.UncompressedTier` and
-  :class:`~repro.tiers.store.StoreTier` — the warm and cold ends of the
-  chain (resident pages; fragment store + raw swap);
+* :class:`~repro.tiers.store.StoreTier` — the cold end of the chain
+  (fragment store + raw swap); the warm end is the VM's own resident
+  set, which needs no adapter;
 * :class:`~repro.tiers.chain.TierChain` — the ordered chain the VM and
   the external pager drive.
 
@@ -33,7 +33,6 @@ from .compressed import CompressedTier, DemotionSink
 from .protocol import MemoryTier, TierStats
 from .spec import TierSpec, parse_tier_specs, two_tier_specs
 from .store import StoreTier
-from .uncompressed import UncompressedTier
 
 __all__ = [
     "CompressedTier",
@@ -43,7 +42,6 @@ __all__ = [
     "TierChain",
     "TierSpec",
     "TierStats",
-    "UncompressedTier",
     "parse_tier_specs",
     "two_tier_specs",
 ]

@@ -10,10 +10,10 @@ Five verbs cover the life of a page in any tier:
 * ``stats`` — a JSON-native snapshot for reports.
 
 :class:`~repro.tiers.compressed.CompressedTier` implements all five;
-:class:`~repro.tiers.uncompressed.UncompressedTier` and
-:class:`~repro.tiers.store.StoreTier` sit at the ends of the chain and
-implement the subset that makes sense for them (the VM itself admits and
-faults resident pages; the store never shrinks).
+:class:`~repro.tiers.store.StoreTier` sits at the cold end of the chain
+and implements the subset that makes sense for it (the store never
+shrinks).  The warm end is the VM itself, which admits and faults its
+resident pages directly.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class TierStats:
     """Uniform per-tier accounting, serialized into run results."""
 
     name: str
-    kind: str                      # "uncompressed" | "compressed" | "store"
+    kind: str                      # "compressed" | "store"
     frames: int                    # physical frames currently held
     pages: int                     # pages (or fragments' pages) held
     counters: Dict[str, object]    # tier-kind-specific counters

@@ -76,6 +76,24 @@ class TestHistogram:
         buckets = histogram.nonzero_buckets()
         assert sum(count for _, count in buckets) == 3
 
+    def test_memory_does_not_grow_with_distinct_samples(self):
+        """O(#buckets) as documented: no per-value state (a value->bucket
+        memo here once grew by an entry every 3-4 faults, forever)."""
+        import sys
+
+        def footprint(histogram):
+            return {name: (len(value) if hasattr(value, "__len__")
+                           else sys.getsizeof(value))
+                    for name, value in vars(histogram).items()}
+
+        histogram = LatencyHistogram()
+        histogram.record(1e-3)
+        before = footprint(histogram)
+        for n in range(50_000):
+            histogram.record(1e-6 + n * 1.7e-7)
+        assert histogram.samples == 50_001
+        assert footprint(histogram) == before
+
 
 class TestFaultLatencyIntegration:
     def test_cache_collapses_median_fault_latency(self):

@@ -128,4 +128,7 @@ class TestExperimentRegistry:
     def test_renderers_are_wired_where_output_exists(self):
         rendered = {n for n, e in EXPERIMENTS.items()
                     if e.render is not None}
-        assert rendered == {"kernels", "lfs", "control"}
+        # Every renderer that takes the completed cells by key; table1
+        # and figure3 render typed results through their own subcommands.
+        assert rendered == {"ablations", "tiers", "kernels", "lfs",
+                            "control"}

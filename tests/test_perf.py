@@ -1,24 +1,114 @@
-"""Perf harness plumbing: micro-benchmarks, profiling, baseline checks.
+"""Perf harness plumbing: the timing primitive, the gate table, reports.
 
 The actual throughput numbers are host-dependent and not asserted here;
-these tests cover the machinery — report shapes, attribution bucketing,
-and the regression-check logic CI relies on.
+these tests cover the machinery — how a number is taken (``ab_compare``
+under a fake clock), report shapes, attribution bucketing, and the one
+gate table CI relies on (every row can fail; no row is skipped
+silently).
 """
 
 import json
 from pathlib import Path
 
+import pytest
+
+import repro.perf as perf
 from repro.perf import (
     FAST_KERNELS,
+    GATES,
     SIM_CHECK_TOLERANCE,
     _subsystem_of,
+    ab_compare,
     bench_micro,
+    bench_overhead,
     bench_sim,
-    check_against_baseline,
-    check_service_baseline,
+    check_baseline,
+    evaluate_gates,
     profile_sim,
 )
 from repro.sweep import spec_digest
+
+REPO_ROOT = Path(__file__).parent.parent
+
+
+class FakeClock:
+    """A clock only the arms advance, by scripted per-sample walls."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.order = []
+
+    def __call__(self):
+        return self.now
+
+    def arm(self, name, walls):
+        """An arm whose samples (warm-up first) take ``walls`` seconds."""
+        walls = iter(walls)
+
+        def prepare():
+            self.order.append(name)
+            self.now += 100.0   # set-up is never charged to the arm
+
+            def body():
+                self.now += next(walls)
+                return name.upper()
+            return body
+        return prepare
+
+
+def _compare(a_rounds, b_rounds):
+    clock = FakeClock()
+    return ab_compare(
+        {"a": clock.arm("a", [9.0] + a_rounds),
+         "b": clock.arm("b", [9.0] + b_rounds)},
+        reps=len(a_rounds), clock=clock,
+    )
+
+
+class TestAbCompare:
+    def test_order_alternates_and_min_is_per_arm(self):
+        clock = FakeClock()
+        result = ab_compare(
+            {"a": clock.arm("a", [9.0, 1.00, 1.10, 1.02, 1.20]),
+             "b": clock.arm("b", [9.0, 1.05, 1.03, 1.50, 1.04])},
+            reps=4, clock=clock,
+        )
+        assert clock.order == [
+            "a", "b",               # warm-up of every arm, never counted
+            "a", "b", "b", "a", "a", "b", "b", "a",
+        ]
+        assert result.best == pytest.approx({"a": 1.00, "b": 1.03})
+        assert result.ratio == pytest.approx({"a": 1.0, "b": 1.03})
+        assert result.values == {"a": "A", "b": "B"}
+
+    def test_band_is_median_over_min_of_the_noisiest_arm(self):
+        result = _compare([1.00, 1.10, 1.02, 1.20],
+                          [1.05, 1.03, 1.50, 1.04])
+        # a: median 1.06 over min 1.00 -> 0.06
+        # b: median 1.045 over min 1.03 -> 0.0146; the band is the larger.
+        assert result.band == pytest.approx(0.06)
+
+    def test_inside_the_band_is_unresolved(self):
+        result = _compare([1.00, 1.10], [1.03, 1.04])
+        assert result.band == pytest.approx(0.05)
+        assert result.ratio["b"] == pytest.approx(1.03)
+        assert result.verdict("b") == "unresolved"
+
+    def test_outside_the_band_is_the_signed_change(self):
+        result = _compare([1.00, 1.02], [1.03, 1.04])
+        assert result.band == pytest.approx(0.01)
+        assert result.verdict("b") == "+3.0%"
+
+    def test_negative_overhead_is_reported_negative(self):
+        result = _compare([1.00, 1.01], [0.90, 0.91])
+        assert result.ratio["b"] - 1.0 == pytest.approx(-0.10)
+        assert result.verdict("b") == "-10.0%"
+
+    def test_one_round_cannot_show_its_noise(self):
+        clock = FakeClock()
+        with pytest.raises(ValueError):
+            ab_compare({"a": clock.arm("a", [1.0, 1.0])}, reps=1,
+                       clock=clock)
 
 
 class TestSubsystemAttribution:
@@ -38,7 +128,7 @@ class TestSubsystemAttribution:
 
 class TestBenchMicro:
     def test_reports_positive_rates(self):
-        result = bench_micro(reps=1)
+        result = bench_micro(reps=2)
         for key in (
             "lru_touch_evict_ops_s",
             "fragstore_put_get_gc_ops_s",
@@ -55,12 +145,14 @@ class TestProfileSim:
         assert "by cumulative time" in report
 
 
-def _write_baseline(tmp_path, **extra):
+def _failures(payloads, baseline):
+    return evaluate_gates(payloads, baseline).failures
+
+
+def _baseline(**extra):
     baseline = {"aggregate_speedup": {"lzrw1": 2.0}}
     baseline.update(extra)
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps(baseline))
-    return path
+    return baseline
 
 
 def _compression(speedup=2.0):
@@ -75,89 +167,117 @@ def _sim(scale=0.05, pps=1000.0):
 
 
 class TestBaselineCheck:
-    def test_sim_within_tolerance_passes(self, tmp_path):
-        path = _write_baseline(
-            tmp_path, sim_scale=0.05,
-            sim_pages_per_second={"thrasher": 1000.0},
-        )
+    FLOORS = dict(sim_scale=0.05,
+                  sim_pages_per_second={"thrasher": 1000.0})
+
+    def test_sim_within_tolerance_passes(self):
         ok_pps = 1000.0 * (1.0 - SIM_CHECK_TOLERANCE) + 1
-        assert check_against_baseline(
-            _compression(), path, sim=_sim(pps=ok_pps)
+        assert _failures(
+            {"compression": _compression(), "sim": _sim(pps=ok_pps)},
+            _baseline(**self.FLOORS),
         ) == []
 
-    def test_sim_regression_fails(self, tmp_path):
-        path = _write_baseline(
-            tmp_path, sim_scale=0.05,
-            sim_pages_per_second={"thrasher": 1000.0},
-        )
+    def test_sim_regression_fails(self):
         bad_pps = 1000.0 * (1.0 - SIM_CHECK_TOLERANCE) - 1
-        failures = check_against_baseline(
-            _compression(), path, sim=_sim(pps=bad_pps)
+        failures = _failures(
+            {"compression": _compression(), "sim": _sim(pps=bad_pps)},
+            _baseline(**self.FLOORS),
         )
         assert len(failures) == 1
-        assert "thrasher" in failures[0]
+        assert failures[0].startswith("sim-floor thrasher:")
 
-    def test_scale_mismatch_skips_sim_check(self, tmp_path):
-        path = _write_baseline(
-            tmp_path, sim_scale=0.05,
-            sim_pages_per_second={"thrasher": 1000.0},
+    def test_scale_mismatch_skips_sim_check(self):
+        report = evaluate_gates(
+            {"compression": _compression(),
+             "sim": _sim(scale=0.12, pps=1.0)},
+            _baseline(**self.FLOORS),
         )
-        assert check_against_baseline(
-            _compression(), path, sim=_sim(scale=0.12, pps=1.0)
-        ) == []
+        assert report.failures == []
+        assert any(line.startswith("sim-floor: measured at scale 0.12")
+                   for line in report.skipped)
 
-    def test_missing_workload_fails(self, tmp_path):
-        path = _write_baseline(
-            tmp_path, sim_scale=0.05,
-            sim_pages_per_second={"compare": 1000.0},
-        )
-        failures = check_against_baseline(
-            _compression(), path, sim=_sim()
+    def test_missing_workload_fails(self):
+        failures = _failures(
+            {"compression": _compression(), "sim": _sim()},
+            _baseline(sim_scale=0.05,
+                      sim_pages_per_second={"compare": 1000.0}),
         )
         assert failures and "compare" in failures[0]
+        assert "not measured" in failures[0]
 
-    def test_no_sim_skips_sim_check(self, tmp_path):
-        path = _write_baseline(
-            tmp_path, sim_scale=0.05,
-            sim_pages_per_second={"thrasher": 1000.0},
+    def test_no_sim_skips_sim_check(self):
+        report = evaluate_gates(
+            {"compression": _compression(), "sim": None},
+            _baseline(**self.FLOORS),
         )
-        assert check_against_baseline(_compression(), path, sim=None) == []
+        assert report.failures == []
+        assert "sim-floor: no sim payload in this run" in report.skipped
 
-    def test_kernel_speedup_regression_still_fails(self, tmp_path):
-        path = _write_baseline(tmp_path)
-        failures = check_against_baseline(_compression(speedup=1.0), path)
+    def test_kernel_speedup_regression_still_fails(self):
+        failures = _failures({"compression": _compression(speedup=1.0)},
+                             _baseline())
         assert failures and "lzrw1" in failures[0]
 
-    def test_every_fast_kernel_has_a_committed_floor(self, tmp_path):
+    def test_every_fast_kernel_has_a_committed_floor(self):
         """perf-smoke gates a ``fast`` row only through its floor."""
         committed = json.loads(
-            (Path(__file__).parent.parent / "benchmarks"
-             / "perf_baseline.json").read_text()
+            (REPO_ROOT / "benchmarks" / "perf_baseline.json").read_text()
         )["fast_kernel_speedup"]
         assert set(committed) == set(FAST_KERNELS)
-        path = _write_baseline(tmp_path, fast_kernel_speedup=committed)
         measured = _compression()
         measured["fast"] = {"aggregate": {
             name: {"speedup": floor * (0.5 if name == "fpc" else 1.0)}
             for name, floor in committed.items()
         }}
-        failures = check_against_baseline(measured, path)
-        assert len(failures) == 1 and failures[0].startswith("fpc:")
+        failures = _failures({"compression": measured},
+                             _baseline(fast_kernel_speedup=committed))
+        assert len(failures) == 1
+        assert failures[0].startswith("fast-kernel-speedup fpc:")
+
+    def test_no_numpy_names_the_skipped_row(self):
+        measured = _compression()
+        measured["fast"] = None
+        report = evaluate_gates(
+            {"compression": measured},
+            _baseline(fast_kernel_speedup={"rle": 4.0}),
+        )
+        assert report.failures == []
+        assert any(line.startswith("fast-kernel-speedup: numpy absent")
+                   for line in report.skipped)
 
 
 class TestSimLatency:
     def test_bench_sim_reports_percentiles(self):
-        result = bench_sim(scale=0.02, workloads=["thrasher"], reps=1)
+        result = bench_sim(scale=0.02, workloads=["thrasher"], reps=2)
         row = result["workloads"]["thrasher"]
         latency = row["latency_us"]
         assert latency["count"] == row["references"]
         assert 0 < latency["p50"] <= latency["p95"] <= latency["p99"]
+        assert row["noise_band"] >= 0.0
+
+
+class TestBenchOverhead:
+    def test_rows_carry_what_the_gate_reads(self, monkeypatch):
+        monkeypatch.setattr(perf, "_RUNS_PER_SAMPLE", 1)
+        rows = bench_overhead(scale=0.02, reps=2)
+        ceilings = json.loads(
+            (REPO_ROOT / "benchmarks" / "perf_baseline.json").read_text()
+        )["overhead_ceiling_percent"]
+        assert set(rows) == set(ceilings)
+        for row in rows.values():
+            assert row["lower_bound_percent"] == pytest.approx(
+                row["overhead_percent"] - row["band_percent"], abs=0.011
+            )
+            assert row["verdict"] == "unresolved" or (
+                row["verdict"].endswith("%")
+                and abs(row["overhead_percent"]) > row["band_percent"]
+            )
 
 
 def _service_bench(digest="d" * 64, ops_s=1000.0, speedup=1.0,
                    p99=5000, cpus=1, spec=None):
     spec = spec if spec is not None else {"ops": 100, "seed": 1}
-    return {
+    return {"service": {
         "cpu_count": cpus,
         "spec": spec,
         "runs": {"4": {"latency_us": {"p99": p99}}},
@@ -168,88 +288,164 @@ def _service_bench(digest="d" * 64, ops_s=1000.0, speedup=1.0,
             "best_shards": 4,
             "speedup": speedup,
         },
-    }
-
-
-def _write_service_baseline(tmp_path, **service):
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps({"service": service}))
-    return path
+    }}
 
 
 class TestServiceBaselineCheck:
     SPEC = {"ops": 100, "seed": 1}
 
-    def test_all_gates_pass(self, tmp_path):
-        path = _write_service_baseline(
-            tmp_path,
+    def test_all_gates_pass(self):
+        baseline = {"service": dict(
             ledger_digest="d" * 64,
             spec_digest=spec_digest(self.SPEC),
             min_ops_per_second=1000.0,
             min_speedup=3.0,
             min_speedup_cpus=4,
             max_p99_us=10000,
-        )
+        )}
         bench = _service_bench(ops_s=900.0)  # within tolerance
-        assert check_service_baseline(bench, path) == []
+        assert _failures(bench, baseline) == []
 
-    def test_digest_mismatch_is_a_failure(self, tmp_path):
-        path = _write_service_baseline(
-            tmp_path,
+    def test_digest_mismatch_is_a_failure(self):
+        baseline = {"service": dict(
             ledger_digest="d" * 64,
             spec_digest=spec_digest(self.SPEC),
-        )
-        failures = check_service_baseline(
-            _service_bench(digest="e" * 64), path
-        )
-        assert failures and "determinism" in failures[0]
+        )}
+        failures = _failures(_service_bench(digest="e" * 64), baseline)
+        assert failures and failures[0].startswith("service-ledger-digest:")
 
-    def test_digest_skipped_for_different_spec(self, tmp_path):
-        path = _write_service_baseline(
-            tmp_path,
+    def test_digest_skipped_for_different_spec(self):
+        baseline = {"service": dict(
             ledger_digest="d" * 64,
             spec_digest=spec_digest(self.SPEC),
-        )
+        )}
         bench = _service_bench(digest="e" * 64, spec={"ops": 999})
-        assert check_service_baseline(bench, path) == []
+        report = evaluate_gates(bench, baseline)
+        assert report.failures == []
+        assert any(line.startswith("service-ledger-digest: bench ran a "
+                                   "different spec")
+                   for line in report.skipped)
 
-    def test_throughput_floor(self, tmp_path):
-        path = _write_service_baseline(
-            tmp_path, min_ops_per_second=1000.0
-        )
+    def test_throughput_floor(self):
+        baseline = {"service": dict(min_ops_per_second=1000.0)}
         bad = 1000.0 * 0.69  # below the 30% tolerance band
-        failures = check_service_baseline(
-            _service_bench(ops_s=bad), path
-        )
+        failures = _failures(_service_bench(ops_s=bad), baseline)
         assert failures and "throughput" in failures[0]
 
-    def test_scaling_gate_needs_enough_cpus(self, tmp_path):
-        path = _write_service_baseline(
-            tmp_path, min_speedup=3.0, min_speedup_cpus=4
-        )
-        # 1-CPU host: the scaling gate must not fire.
-        assert check_service_baseline(
-            _service_bench(speedup=1.0, cpus=1), path
-        ) == []
+    def test_scaling_gate_needs_enough_cpus(self):
+        baseline = {"service": dict(min_speedup=3.0, min_speedup_cpus=4)}
+        # 1-CPU host: the scaling gate must not fire — and says why.
+        report = evaluate_gates(_service_bench(speedup=1.0, cpus=1),
+                                baseline)
+        assert report.failures == []
+        assert any(line.startswith("service-scaling: 1 CPU(s) visible")
+                   for line in report.skipped)
         # 4-CPU host: it must.
-        failures = check_service_baseline(
-            _service_bench(speedup=1.0, cpus=4), path
-        )
+        failures = _failures(_service_bench(speedup=1.0, cpus=4), baseline)
         assert failures and "scaling" in failures[0]
         # And a genuine 3x pass clears it.
-        assert check_service_baseline(
-            _service_bench(speedup=3.2, cpus=4), path
-        ) == []
+        assert _failures(_service_bench(speedup=3.2, cpus=4),
+                         baseline) == []
 
-    def test_p99_ceiling(self, tmp_path):
-        path = _write_service_baseline(tmp_path, max_p99_us=1000)
-        failures = check_service_baseline(
-            _service_bench(p99=2000), path
-        )
+    def test_p99_ceiling(self):
+        baseline = {"service": dict(max_p99_us=1000)}
+        failures = _failures(_service_bench(p99=2000), baseline)
         assert failures and "p99" in failures[0]
 
-    def test_missing_service_section(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({}))
-        failures = check_service_baseline(_service_bench(), path)
+    def test_missing_service_section(self):
+        failures = _failures(_service_bench(), {})
         assert failures and "service" in failures[0]
+
+
+def _plant(tree, path, value):
+    """Set ``value`` at a dotted ``path``, creating the dicts on the way."""
+    *parents, leaf = path.split(".")
+    for key in parents:
+        tree = tree.setdefault(key, {})
+    tree[leaf] = value
+
+
+def _synthetic(gate, got):
+    """A payload/baseline pair that makes ``gate`` judge exactly ``got``
+    against a committed 100.0 (or "abc" for an equality row)."""
+    committed = "abc" if gate.compare == "==" else 100.0
+    is_family = "*" in gate.measured
+    baseline = {}
+    _plant(baseline, gate.threshold,
+           {"k": committed} if is_family else committed)
+    payload = {"cpu_count": 8, "scaling": {"best_shards": 4}}
+    _plant(payload,
+           gate.measured.replace("*", "k")
+           .replace("{scaling.best_shards}", "4"),
+           got)
+    return {gate.payload: payload}, baseline
+
+
+class TestGateTable:
+    @pytest.mark.parametrize("gate", GATES, ids=lambda gate: gate.name)
+    def test_every_gate_can_fail(self, gate):
+        """Each row holds just inside its threshold and fails just
+        outside it: a row that cannot be made to fail is not a gate."""
+        if gate.compare == "==":
+            inside, outside = "abc", "abd"
+        else:
+            limit = 100.0 * gate.tolerance
+            nudge = -1e-6 if gate.compare == ">=" else 1e-6
+            inside, outside = limit, limit * (1.0 + nudge)
+        label = gate.name + (" k" if "*" in gate.measured else "")
+
+        report = evaluate_gates(*_synthetic(gate, inside))
+        assert report.failures == []
+        assert report.passed == [label]
+
+        report = evaluate_gates(*_synthetic(gate, outside))
+        assert len(report.failures) == 1
+        assert report.failures[0].startswith(label + ":")
+        assert report.passed == []
+
+    def test_committed_record_is_judged_row_by_row(self):
+        """The committed BENCH_*.json against the committed baseline:
+        every row is either evaluated or named as skipped, with the
+        reason — and the record passes its own gates."""
+        payloads = {
+            name: json.loads(
+                (REPO_ROOT / f"BENCH_{name}.json").read_text()
+            )
+            for name in ("compression", "sim", "service")
+        }
+        baseline = json.loads(
+            (REPO_ROOT / "benchmarks" / "perf_baseline.json").read_text()
+        )
+        report = evaluate_gates(payloads, baseline)
+        assert report.failures == []
+        for gate in GATES:
+            judged = [line for line in report.passed
+                      if line == gate.name
+                      or line.startswith(gate.name + " ")]
+            skipped = [line for line in report.skipped
+                       if line.startswith(gate.name + ": ")]
+            assert bool(judged) != bool(skipped), gate.name
+            for line in skipped:
+                assert len(line) > len(gate.name) + 2   # has a reason
+
+    def test_a_baseline_that_gates_nothing_is_not_a_pass(self):
+        failures = _failures({"compression": _compression()}, {})
+        assert failures == [
+            "compression: the baseline commits no threshold for this "
+            "payload"
+        ]
+
+
+class TestCheckBaseline:
+    def test_exit_codes(self, tmp_path):
+        lines = []
+        path = tmp_path / "baseline.json"
+        assert check_baseline({"compression": _compression()}, path,
+                              lines.append) == 2
+        path.write_text(json.dumps(_baseline()))
+        assert check_baseline({"compression": _compression()}, path,
+                              lines.append) == 0
+        assert any(line.startswith("skipped: sim-floor:") for line in lines)
+        assert check_baseline({"compression": _compression(speedup=1.0)},
+                              path, lines.append) == 1
+        assert lines[-1].startswith("REGRESSION: kernel-speedup lzrw1:")
