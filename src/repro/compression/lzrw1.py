@@ -79,6 +79,21 @@ _VECTOR_THRESHOLD = 256
 _BITS = [1 << k for k in range(_GROUP + 1)]
 
 
+def _hash_array(data: bytes, mask: int):
+    """Hash of every 3-byte window of ``data`` as a uint32 numpy array."""
+    d = _np.frombuffer(data, _np.uint8)
+    k = d[:-2].astype(_np.uint32)
+    k <<= 4
+    k ^= d[1:-1]
+    k <<= 4
+    k ^= d[2:]
+    k &= 0xFFFF
+    k *= _HASH_MULTIPLIER
+    k >>= 4
+    k &= mask
+    return k
+
+
 def _make_hashes(
     data: bytes, n: int, mask: int, use_numpy: bool = True
 ) -> List[int]:
@@ -89,23 +104,78 @@ def _make_hashes(
     pure functions of (data, mask) — ``use_numpy`` only selects speed.
     """
     if use_numpy and _np is not None and n >= _VECTOR_THRESHOLD:
-        d = _np.frombuffer(data, _np.uint8)
-        k = d[:-2].astype(_np.uint32)
-        k <<= 4
-        k ^= d[1:-1]
-        k <<= 4
-        k ^= d[2:]
-        k &= 0xFFFF
-        k *= _HASH_MULTIPLIER
-        k >>= 4
-        k &= mask
-        return k.tolist()
+        return _hash_array(data, mask).tolist()
     mult = _HASH_MULTIPLIER
     return [
         ((mult * (((data[j] << 8) ^ (data[j + 1] << 4) ^ data[j + 2])
                   & 0xFFFF)) >> 4) & mask
         for j in range(n - 2)
     ]
+
+
+def decode_items(payload: bytes, original_size: int, name: str) -> bytes:
+    """Decode the copy/literal item stream ``lzrw1`` and ``lzss`` share.
+
+    ``name`` prefixes the :class:`CorruptDataError` messages.  The loop
+    reads one control bit per item; only an all-literal group is copied
+    as a slice (a decoder restructured around literal runs measured
+    0.82x: stored pages are match-heavy).
+    """
+    want = original_size
+    out = bytearray()
+    i = 0
+    end = len(payload)
+    olen = 0
+    while i < end and olen < want:
+        if i + 2 > end:
+            raise CorruptDataError(f"{name}: truncated control word")
+        control = payload[i] | (payload[i + 1] << 8)
+        i += 2
+        if control == 0:
+            # All sixteen items are literals: one slice copy.
+            take = _GROUP
+            if take > end - i:
+                take = end - i
+            if take > want - olen:
+                take = want - olen
+            out += payload[i:i + take]
+            i += take
+            olen += take
+            continue
+        for bit in range(_GROUP):
+            if i >= end or olen >= want:
+                break
+            if (control >> bit) & 1:
+                if i + 2 > end:
+                    raise CorruptDataError(f"{name}: truncated copy item")
+                b0 = payload[i]
+                b1 = payload[i + 1]
+                i += 2
+                length = (b0 >> 4) + _MIN_MATCH
+                offset = ((b0 & 0x0F) << 8) | b1
+                if offset == 0 or offset > olen:
+                    raise CorruptDataError(
+                        f"{name}: bad copy offset {offset} at output "
+                        f"position {olen}"
+                    )
+                start = olen - offset
+                if offset >= length:
+                    out += out[start:start + length]
+                elif offset == 1:
+                    out += out[start:] * length
+                else:
+                    for k in range(length):  # self-overlapping copy
+                        out.append(out[start + k])
+                olen += length
+            else:
+                out.append(payload[i])
+                i += 1
+                olen += 1
+    if olen != want:
+        raise CorruptDataError(
+            f"{name}: decoded {olen} bytes, expected {want}"
+        )
+    return bytes(out)
 
 
 @register("lzrw1")
@@ -274,59 +344,4 @@ class Lzrw1(Compressor):
     def decompress(self, result: CompressionResult) -> bytes:
         if result.stored_raw:
             return result.payload
-        payload = result.payload
-        want = result.original_size
-        out = bytearray()
-        i = 0
-        end = len(payload)
-        olen = 0
-        while i < end and olen < want:
-            if i + 2 > end:
-                raise CorruptDataError("lzrw1: truncated control word")
-            control = payload[i] | (payload[i + 1] << 8)
-            i += 2
-            if control == 0:
-                # All sixteen items are literals: one slice copy.
-                take = _GROUP
-                if take > end - i:
-                    take = end - i
-                if take > want - olen:
-                    take = want - olen
-                out += payload[i:i + take]
-                i += take
-                olen += take
-                continue
-            for bit in range(_GROUP):
-                if i >= end or olen >= want:
-                    break
-                if (control >> bit) & 1:
-                    if i + 2 > end:
-                        raise CorruptDataError("lzrw1: truncated copy item")
-                    b0 = payload[i]
-                    b1 = payload[i + 1]
-                    i += 2
-                    length = (b0 >> 4) + _MIN_MATCH
-                    offset = ((b0 & 0x0F) << 8) | b1
-                    if offset == 0 or offset > olen:
-                        raise CorruptDataError(
-                            f"lzrw1: bad copy offset {offset} at output "
-                            f"position {olen}"
-                        )
-                    start = olen - offset
-                    if offset >= length:
-                        out += out[start:start + length]
-                    elif offset == 1:
-                        out += out[start:] * length
-                    else:
-                        for k in range(length):  # self-overlapping copy
-                            out.append(out[start + k])
-                    olen += length
-                else:
-                    out.append(payload[i])
-                    i += 1
-                    olen += 1
-        if olen != want:
-            raise CorruptDataError(
-                f"lzrw1: decoded {olen} bytes, expected {want}"
-            )
-        return bytes(out)
+        return decode_items(result.payload, result.original_size, "lzrw1")

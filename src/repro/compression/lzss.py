@@ -4,7 +4,7 @@ Section 5.2 of the paper observes that with "other compression algorithms"
 (slower than LZRW1) the pages of the ``compare`` workload "should compress
 even better".  This module provides such an algorithm: the stored format is
 byte-compatible with a copy/literal scheme like LZRW1's, but the encoder
-spends far more effort finding matches — it keeps a chain of previous
+spends far more effort finding matches — it walks a chain of previous
 positions per hash bucket and defers a match by one byte when the next
 position offers a longer one (lazy matching, as in gzip).
 
@@ -13,34 +13,126 @@ smaller-or-equal output on virtually all inputs at several times the CPU
 cost, which is exactly the trade-off the paper's asymmetric/off-line
 discussion (Taunton, Atkinson et al.) is about.
 
-Like LZRW1, the encoder is a CPython-optimized rewrite of the seed
-implementation (frozen in :mod:`repro.compression._seed_reference`) with
-**bit-identical output**, enforced by
-``tests/compression/test_golden_kernels.py``.  The search and insert
-helpers are inlined into :meth:`Lzss.compress` with every hot name bound
-to a local; three-byte hashes are precomputed in one vectorized pass; the
-head table persists across calls behind an epoch stamp; and candidate
-extension uses one C-level slice comparison plus an XOR trick to locate
-the first differing byte.  The candidate-selection semantics (chain
-order, depth budget, strict-improvement updates, early break on a
-full-length match, one-byte lazy deferral) are exactly the seed's: the
-per-candidate first-byte guard only skips extensions that provably
-cannot beat the current best, so the chosen (length, offset) never
-changes.
+The output is **bit-identical** to the seed implementation (frozen in
+:mod:`repro.compression._seed_reference`), enforced by
+``tests/compression/test_golden_kernels.py`` and
+``tests/compression/test_lzss.py``, but there is no hash table.  The
+seed inserts every position that has a trigram into its bucket's chain
+exactly once, in increasing order, before any later position is searched
+(its literal, match-interior and lazy paths all insert).  So the chain
+seen from ``p`` is ``prev[p], prev[prev[p]], ...`` with ``prev[p]`` the
+previous position with the same 12-bit hash: a function of the bytes
+alone, whatever the parse did.  :func:`_chain_tables` builds ``prev`` for
+the whole page up front, and with it the positions at which a match can
+exist at all; every other position is a literal whenever the parse
+reaches it, so :meth:`Lzss.compress` emits those runs as slices and runs
+the seed's candidate loop (:func:`_search`: same chain order, depth
+budget, strict-improvement updates, early break on a full-length match)
+only where it can succeed.  The per-candidate first-byte guard only skips
+extensions that provably cannot beat the current best, so the chosen
+(length, offset) never changes.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple, Union
 
-from .base import CompressionResult, Compressor, CorruptDataError, register
-from .lzrw1 import _make_hashes
+from .base import CompressionResult, Compressor, register
+from .lzrw1 import (    # the item stream, its limits and its hash are shared
+    _GROUP,
+    _MAX_MATCH,
+    _MAX_OFFSET,
+    _MIN_MATCH,
+    _VECTOR_THRESHOLD,
+    _hash_array,
+    _make_hashes,
+    _np,
+    decode_items,
+)
 
-_MAX_OFFSET = 4095
-_MIN_MATCH = 3
-_MAX_MATCH = 18
-_GROUP = 16
-_HASH_MULTIPLIER = 40543
+
+def _chain_tables(
+    data: bytes, n: int, chain_depth: int, use_numpy: bool
+) -> Tuple[List[int], Union[bytes, bytearray]]:
+    """The two parse-independent tables :meth:`Lzss.compress` walks.
+
+    ``prev[p]`` is the previous position whose trigram has ``p``'s hash
+    (-1 for none); ``can_match[p]`` is 1 where a search may find a match
+    and 0 where it cannot (``n`` entries).  The numpy pass marks exactly
+    the positions the search succeeds at — one of the first
+    ``chain_depth`` chain entries lies within ``_MAX_OFFSET`` and starts
+    with the same three bytes; the scalar pass marks every position that
+    has a predecessor, a superset the search then narrows.  Either way
+    the encoder emits the same bytes.
+    """
+    if use_numpy and _np is not None and n >= _VECTOR_THRESHOLD:
+        hashes = _hash_array(data, 0xFFF).astype(_np.uint16)
+        order = hashes.argsort(kind="stable")   # by (hash, position)
+        d = _np.frombuffer(data, _np.uint8)
+        trigram = d[:-2].astype(_np.uint32)
+        trigram <<= 8
+        trigram |= d[1:-1]
+        trigram <<= 8
+        trigram |= d[2:]
+        trigram = trigram[order]
+        hashes = hashes[order]
+        prev = _np.empty(n - 2, _np.intp)
+        prev[order[0]] = -1
+        prev[order[1:]] = _np.where(hashes[1:] == hashes[:-1],
+                                    order[:-1], -1)
+        # In sorted order the k-th chain entry of a position sits k rows
+        # up (equal trigrams imply equal hashes, hence the same bucket).
+        hit = _np.zeros(n - 2, _np.bool_)
+        capped = n - _MIN_MATCH > _MAX_OFFSET
+        for k in range(1, min(chain_depth, n - 3) + 1):
+            same = trigram[k:] == trigram[:-k]
+            if capped:
+                same &= order[k:] - order[:-k] <= _MAX_OFFSET
+            hit[k:] |= same
+        can_match = _np.zeros(n, _np.bool_)
+        can_match[order] = hit
+        return prev.tolist(), can_match.tobytes()
+    heads = [-1] * 4096
+    prev = []
+    can_match = bytearray(n)
+    for p, h in enumerate(_make_hashes(data, n, 0xFFF, False)):
+        cand = heads[h]
+        if cand >= 0:
+            can_match[p] = 1
+        prev.append(cand)
+        heads[h] = p
+    return prev, can_match
+
+
+def _search(
+    data: bytes, n: int, prev: List[int], i: int, depth: int
+) -> Tuple[int, int]:
+    """Best ``(length, offset)`` among the first ``depth`` chain entries
+    of ``i`` within ``_MAX_OFFSET``; ``(0, 0)`` when none reaches
+    ``_MIN_MATCH`` bytes."""
+    max_len = _MAX_MATCH if n - i > _MAX_MATCH else n - i
+    b = data[i:i + max_len]
+    length = 0
+    offset = 0
+    nearest = i - _MAX_OFFSET if i > _MAX_OFFSET else 0
+    cand = prev[i]
+    while cand >= nearest:
+        if data[cand + length] == b[length]:
+            a = data[cand:cand + max_len]
+            if a == b:
+                return max_len, i - cand
+            x = int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
+            cl = ((x & -x).bit_length() - 1) >> 3
+            if cl > length:
+                length = cl
+                offset = i - cand
+        depth -= 1
+        if not depth:
+            break
+        cand = prev[cand]
+    if length < _MIN_MATCH:
+        return 0, 0
+    return length, offset
 
 
 @register("lzss")
@@ -52,9 +144,9 @@ class Lzss(Compressor):
             hash bucket.  Higher values improve the ratio and slow the
             encoder; 16 is a good balance for 4-KByte pages.
         lazy: enable one-byte lazy match deferral.
-        fast: tri-state flag for the numpy hash precompute (as in
+        fast: tri-state flag for the numpy table pass (as in
             :class:`~repro.compression.lzrw1.Lzrw1`); ``False`` forces
-            the scalar hash loop.  Output is identical either way.
+            the scalar pre-pass.  Output is identical either way.
     """
 
     def __init__(
@@ -68,216 +160,74 @@ class Lzss(Compressor):
         self.chain_depth = chain_depth
         self.lazy = lazy
         self.fast = fast
-        self._use_numpy_hashes = fast is not False
-        # Reused across calls: 12-bit hash heads behind an epoch stamp
-        # (never re-initialized) and a per-position chain buffer grown on
-        # demand (entries are only read after being written in the same
-        # call, so it needs no clearing either).
-        self._heads = [0] * 4096
-        self._stamp = [0] * 4096
-        self._chains = [0] * 4096
-        self._epoch = 0
 
     def result_cache_key(self):
         # Both knobs steer the match search and change the emitted stream.
         return ("lzss", self.chain_depth, self.lazy)
-
-    @staticmethod
-    def _hash(b0: int, b1: int, b2: int) -> int:
-        """The 3-byte hash (reference form; compress() precomputes it)."""
-        key = ((b0 << 8) ^ (b1 << 4) ^ b2) & 0xFFFF
-        return ((_HASH_MULTIPLIER * key) >> 4) & 0xFFF
-
-    def _best_match(self, data, i, hashes, heads, chains, stamp, epoch):
-        """Reference-shaped search used only by the slow paths/tests.
-
-        The hot loop in :meth:`compress` inlines this logic; keep the two
-        in sync.  Returns ``(length, offset)``, ``(0, 0)`` when no match
-        of at least ``_MIN_MATCH`` bytes exists.
-        """
-        n = len(data)
-        if i + _MIN_MATCH > n:
-            return 0, 0
-        h = hashes[i]
-        cand = heads[h] if stamp[h] == epoch else -1
-        best_len = 0
-        best_off = 0
-        depth = self.chain_depth
-        max_len = _MAX_MATCH if n - i > _MAX_MATCH else n - i
-        b = data[i:i + max_len]
-        from_bytes = int.from_bytes
-        while cand >= 0 and depth > 0:
-            off = i - cand
-            if off > _MAX_OFFSET:
-                break
-            if off > 0 and data[cand + best_len] == data[i + best_len]:
-                a = data[cand:cand + max_len]
-                if a == b:
-                    length = max_len
-                else:
-                    x = from_bytes(a, "little") ^ from_bytes(b, "little")
-                    length = ((x & -x).bit_length() - 1) >> 3
-                if length > best_len:
-                    best_len = length
-                    best_off = off
-                    if length == max_len:
-                        break
-            cand = chains[cand]
-            depth -= 1
-        if best_len < _MIN_MATCH:
-            return 0, 0
-        return best_len, best_off
 
     def compress(self, data: bytes) -> CompressionResult:
         n = len(data)
         if n < _MIN_MATCH + 1:
             return CompressionResult(bytes(data), n, stored_raw=True)
 
-        self._epoch = epoch = self._epoch + 1
-        heads = self._heads
-        stamp = self._stamp
-        if len(self._chains) < n:
-            self._chains = [0] * n
-        chains = self._chains
-        hashes = _make_hashes(data, n, 0xFFF, self._use_numpy_hashes)
-        from_bytes = int.from_bytes
+        depth = self.chain_depth
         lazy = self.lazy
-        chain_depth = self.chain_depth
+        prev, can_match = _chain_tables(
+            data, n, depth, self.fast is not False
+        )
+        next_match = can_match.find
 
         out = bytearray()
         items = bytearray()
         items_append = items.append
         out_append = out.append
         control = 0
-        nitems = 0
+        nitems = 0      # _GROUP once a match fills a group: flushed below
         i = 0
-        limit = n - _MIN_MATCH   # last position with a full trigram
 
         while i < n:
-            # --- find the best match at i (inlined _best_match) ---
+            # data[i:j] are literals whatever the parse; then the item at j.
+            j = next_match(1, i)
             length = 0
-            offset = 0
-            if i <= limit:
-                h = hashes[i]
-                cand = heads[h] if stamp[h] == epoch else -1
-                if cand >= 0:
-                    depth = chain_depth
-                    max_len = _MAX_MATCH if n - i > _MAX_MATCH else n - i
-                    b = data[i:i + max_len]
-                    while True:
-                        off = i - cand
-                        if off > _MAX_OFFSET:
-                            break
-                        if off > 0 and data[cand + length] == data[i + length]:
-                            a = data[cand:cand + max_len]
-                            if a == b:
-                                length = max_len
-                                offset = off
-                                break
-                            x = from_bytes(a, "little") ^ from_bytes(b, "little")
-                            cl = ((x & -x).bit_length() - 1) >> 3
-                            if cl > length:
-                                length = cl
-                                offset = off
-                        cand = chains[cand]
-                        depth -= 1
-                        if cand < 0 or depth == 0:
-                            break
-                if length < _MIN_MATCH:
-                    length = 0
-                    offset = 0
-
-            if lazy and _MIN_MATCH <= length < _MAX_MATCH and i + 1 < n:
-                # Peek one byte ahead; if the next position matches longer,
-                # emit a literal now and take the longer match next round.
-                h = hashes[i]
-                if stamp[h] == epoch:
-                    chains[i] = heads[h]
-                else:
-                    chains[i] = -1
-                    stamp[h] = epoch
-                heads[h] = i
-                # --- probe match at i + 1 (length only) ---
-                nlength = 0
-                j = i + 1
-                if j <= limit:
-                    h = hashes[j]
-                    cand = heads[h] if stamp[h] == epoch else -1
-                    if cand >= 0:
-                        depth = chain_depth
-                        max_len = _MAX_MATCH if n - j > _MAX_MATCH else n - j
-                        b = data[j:j + max_len]
-                        while True:
-                            off = j - cand
-                            if off > _MAX_OFFSET:
-                                break
-                            if off > 0 and data[cand + nlength] == data[j + nlength]:
-                                a = data[cand:cand + max_len]
-                                if a == b:
-                                    nlength = max_len
-                                    break
-                                x = from_bytes(a, "little") ^ from_bytes(b, "little")
-                                cl = ((x & -x).bit_length() - 1) >> 3
-                                if cl > nlength:
-                                    nlength = cl
-                            cand = chains[cand]
-                            depth -= 1
-                            if cand < 0 or depth == 0:
-                                break
-                if nlength > length:
-                    items_append(data[i])
-                    i += 1
-                    nitems += 1
-                    if nitems == _GROUP:
-                        out_append(control & 0xFF)
-                        out_append(control >> 8)
-                        out += items
-                        del items[:]
-                        control = 0
-                        nitems = 0
-                    continue
-                inserted = True
+            if j < 0:
+                j = n
             else:
-                inserted = False
+                length, offset = _search(data, n, prev, j, depth)
+                if lazy:
+                    # One-byte deferral: while the next position matches
+                    # longer, this one becomes a literal.  The chains do not
+                    # depend on the parse, so the probe's result is the
+                    # search the next round would repeat.
+                    while (_MIN_MATCH <= length < _MAX_MATCH
+                           and can_match[j + 1]):
+                        probe = _search(data, n, prev, j + 1, depth)
+                        if probe[0] <= length:
+                            break
+                        j += 1
+                        length, offset = probe
+                if not length:
+                    j += 1
 
-            if length:
-                items_append(((length - _MIN_MATCH) << 4) | (offset >> 8))
-                items_append(offset & 0xFF)
-                control |= 1 << nitems
-                start = i if inserted else i - 1
-                # Insert i (unless the lazy probe already did) and every
-                # interior position of the match that still has a trigram.
-                stop = i + length
-                if stop > limit + 1:
-                    stop = limit + 1
-                for j in range(start + 1, stop):
-                    h = hashes[j]
-                    if stamp[h] == epoch:
-                        chains[j] = heads[h]
-                    else:
-                        chains[j] = -1
-                        stamp[h] = epoch
-                    heads[h] = j
-                i += length
-            else:
-                if not inserted and i <= limit:
-                    h = hashes[i]
-                    if stamp[h] == epoch:
-                        chains[i] = heads[h]
-                    else:
-                        chains[i] = -1
-                        stamp[h] = epoch
-                    heads[h] = i
-                items_append(data[i])
-                i += 1
-            nitems += 1
-            if nitems == _GROUP:
+            take = _GROUP - nitems
+            while j - i >= take:        # the run fills the open group
+                items += data[i:i + take]
+                i += take
                 out_append(control & 0xFF)
                 out_append(control >> 8)
                 out += items
                 del items[:]
                 control = 0
-                nitems = 0
+                take = _GROUP
+            items += data[i:j]
+            nitems = _GROUP - take + j - i
+            i = j
+
+            if length:
+                items_append(((length - _MIN_MATCH) << 4) | (offset >> 8))
+                items_append(offset & 0xFF)
+                control |= 1 << nitems
+                nitems += 1
+                i += length
 
         if nitems:
             out_append(control & 0xFF)
@@ -291,58 +241,4 @@ class Lzss(Compressor):
     def decompress(self, result: CompressionResult) -> bytes:
         if result.stored_raw:
             return result.payload
-        payload = result.payload
-        want = result.original_size
-        out = bytearray()
-        i = 0
-        end = len(payload)
-        olen = 0
-        while i < end and olen < want:
-            if i + 2 > end:
-                raise CorruptDataError("lzss: truncated control word")
-            control = payload[i] | (payload[i + 1] << 8)
-            i += 2
-            if control == 0:
-                # All sixteen items are literals: one slice copy.
-                take = _GROUP
-                if take > end - i:
-                    take = end - i
-                if take > want - olen:
-                    take = want - olen
-                out += payload[i:i + take]
-                i += take
-                olen += take
-                continue
-            for bit in range(_GROUP):
-                if i >= end or olen >= want:
-                    break
-                if (control >> bit) & 1:
-                    if i + 2 > end:
-                        raise CorruptDataError("lzss: truncated copy item")
-                    b0 = payload[i]
-                    b1 = payload[i + 1]
-                    i += 2
-                    length = (b0 >> 4) + _MIN_MATCH
-                    offset = ((b0 & 0x0F) << 8) | b1
-                    if offset == 0 or offset > olen:
-                        raise CorruptDataError(
-                            f"lzss: bad copy offset {offset}"
-                        )
-                    start = olen - offset
-                    if offset >= length:
-                        out += out[start:start + length]
-                    elif offset == 1:
-                        out += out[start:] * length
-                    else:
-                        for k in range(length):  # self-overlapping copy
-                            out.append(out[start + k])
-                    olen += length
-                else:
-                    out.append(payload[i])
-                    i += 1
-                    olen += 1
-        if olen != want:
-            raise CorruptDataError(
-                f"lzss: decoded {olen} bytes, expected {want}"
-            )
-        return bytes(out)
+        return decode_items(result.payload, result.original_size, "lzss")

@@ -57,7 +57,7 @@ def capability() -> str:
     return (
         f"fast kernels: numpy {_np.__version__} "
         "(rle/wk/varint-delta/fpc/bdi vectorized, cpack bit packing, "
-        "lzrw1/lzss hash precompute)"
+        "lzrw1 hash precompute, lzss chain and match-position tables)"
     )
 
 

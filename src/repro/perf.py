@@ -195,8 +195,8 @@ def _bench_pairs(pairs: Mapping[str, Tuple[object, object]],
 
 
 #: Kernels with a numpy-vectorized variant (see compression/vectorized.py);
-#: lzrw1/lzss vectorize only their hash precompute stage, cpack only the
-#: packing of its bit stream.
+#: lzrw1 vectorizes only its hash precompute stage, lzss its chain and
+#: match-position tables, cpack only the packing of its bit stream.
 FAST_KERNELS = (
     "rle", "wk", "varint-delta", "lzrw1", "lzss", "fpc", "bdi", "cpack",
 )

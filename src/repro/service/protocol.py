@@ -2,8 +2,10 @@
 
 One *frame* carries a whole batch — the front-end coalesces up to
 ``batch_ops`` operations per dispatch, so a frame is one
-``Connection.send_bytes`` syscall regardless of batch size.  Layout
-(little-endian throughout)::
+:meth:`~repro.service.shard.FrameSocket.send_frame` (a single
+``sendmsg`` of length prefix and frame over the shard's ``socketpair``,
+unless the socket takes only part of it) regardless of batch size.
+Layout (little-endian throughout)::
 
     frame    := u32 count, record*
     request  := u8 op, u16 tenant, u16 vslot, u64 key, u32 len, len bytes

@@ -1,0 +1,131 @@
+"""Foreign bytes into the LZ decoder (ROADMAP robustness item c, LZ slice).
+
+``lzrw1`` and ``lzss`` payloads share one item stream and one decoder,
+``lzrw1.decode_items``.  A stored payload is bytes the decoder did not
+write by the time it reads them back (the log store, the service's
+tiers, the wire), so valid payloads are mutated, truncated, extended and
+mis-sized here and sent in the way the system sends them: tag byte
+first, through ``AdaptiveCompressor.decompress``.  The contract is
+*exactly ``original_size`` bytes, or ``CorruptDataError``* — never
+another exception, and never more than one item (18 bytes) decoded past
+``original_size`` before the decoder gives up.
+"""
+
+from __future__ import annotations
+
+import random
+import tracemalloc
+
+import pytest
+
+from repro.compression import create
+from repro.compression.adaptive import KERNEL_TAGS, AdaptiveCompressor
+from repro.compression.base import CompressionResult, CorruptDataError
+from repro.workloads import contentgen
+
+LZ_KERNELS = ("lzrw1", "lzss")
+MUTATIONS_PER_PAGE = 1000
+
+
+def _pages():
+    dictionary = contentgen.make_dictionary()
+    return [
+        contentgen.text_page_random(1, dictionary),
+        contentgen.text_page_clustered(2, dictionary),
+        contentgen.cache_table_page(3),
+        contentgen.repeating_pattern(4),
+        bytes(4096),
+        (b"abcabcabc!" * 60)[:517],
+    ]
+
+
+def _mutate(rng: random.Random, tagged: bytes, size: int):
+    """One damaged ``(payload, original_size)``; the tag byte stays an
+    LZ tag (another kernel's decoder is another test's subject)."""
+    body = bytearray(tagged[1:])
+    kind = rng.randrange(6)
+    if kind == 0:                       # overwrite a few bytes
+        for _ in range(rng.randrange(1, 5)):
+            body[rng.randrange(len(body))] = rng.randrange(256)
+    elif kind == 1:                     # truncate
+        del body[rng.randrange(len(body)):]
+    elif kind == 2:                     # extend
+        body += bytes(rng.choices(range(256), k=rng.randrange(1, 64)))
+    elif kind == 3:                     # drop a slice from the middle
+        start = rng.randrange(len(body))
+        del body[start:start + rng.randrange(1, 32)]
+    elif kind == 4:                     # insert a slice in the middle
+        start = rng.randrange(len(body))
+        body[start:start] = bytes(
+            rng.choices(range(256), k=rng.randrange(1, 32)))
+    else:                               # lie about the size
+        size = max(0, size + rng.choice((-1, 1)) * rng.randrange(1, 40))
+    tag = KERNEL_TAGS[rng.choice(LZ_KERNELS)]
+    return bytes([tag]) + bytes(body), size
+
+
+def _rejected(adaptive, payload: bytes, size: int) -> bool:
+    """Whether the decoder refused the payload; what it accepts must
+    come out exactly ``size`` bytes long."""
+    try:
+        out = adaptive.decompress(CompressionResult(payload, size))
+    except CorruptDataError:
+        return True
+    assert len(out) == size
+    return False
+
+
+@pytest.mark.parametrize("name", LZ_KERNELS)
+def test_damaged_payloads_decode_to_size_or_corrupt(name):
+    rng = random.Random(f"robust-{name}")
+    adaptive = AdaptiveCompressor()
+    kernel = create(name)
+    rejected = 0
+    for page in _pages():
+        result = kernel.compress(page)
+        assert not result.stored_raw
+        tagged = bytes([KERNEL_TAGS[name]]) + result.payload
+        # The stream is common property: either tag decodes it.
+        for tag in (KERNEL_TAGS[other] for other in LZ_KERNELS):
+            assert adaptive.decompress(CompressionResult(
+                bytes([tag]) + result.payload, len(page))) == page
+        for _ in range(MUTATIONS_PER_PAGE):
+            rejected += _rejected(adaptive, *_mutate(rng, tagged, len(page)))
+    # Most damage is detected (what is not decodes to the right length).
+    assert rejected > MUTATIONS_PER_PAGE
+
+
+def test_unknown_tag_and_empty_payload_are_corrupt():
+    adaptive = AdaptiveCompressor()
+    for payload in (b"", bytes([max(KERNEL_TAGS.values()) + 1, 0, 0])):
+        with pytest.raises(CorruptDataError):
+            adaptive.decompress(CompressionResult(payload, 4096))
+
+
+def test_decoder_never_runs_far_past_the_size():
+    """Worst case by construction — a group of maximal self-overlapping
+    copies with ``original_size`` one byte short of the first — and 60
+    random mutations: beyond the adaptive layer's one copy of the payload
+    (it strips the tag) and the raised exception, peak allocation stays
+    within a small multiple of ``original_size + 18``."""
+    copy = bytes([0xF0, 0x01])          # length 18, offset 1
+    runaway = bytes([KERNEL_TAGS["lzss"]]) + (
+        b"\x00\x00" + b"A" * 16 + (b"\xff\xff" + copy * 16) * 400)
+    rng = random.Random("overshoot")
+    adaptive = AdaptiveCompressor()
+    page = _pages()[0]
+    tagged = (bytes([KERNEL_TAGS["lzss"]])
+              + create("lzss").compress(page).payload)
+    cases = [(runaway, 16 + 17), (runaway, 4096)]
+    cases += [_mutate(rng, tagged, len(page)) for _ in range(60)]
+    tracemalloc.start()
+    try:
+        for payload, size in cases:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _rejected(adaptive, payload, size)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            budget = len(payload) + 4 * (size + 18) + 4096
+            assert peak <= budget, (size, peak)
+    finally:
+        tracemalloc.stop()

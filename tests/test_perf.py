@@ -428,6 +428,24 @@ class TestGateTable:
             for line in skipped:
                 assert len(line) > len(gate.name) + 2   # has a reason
 
+    @pytest.mark.parametrize("speedup, fails", [(1.51, True), (2.3, False)])
+    def test_committed_lzss_fast_floor_can_fail(self, speedup, fails):
+        """The committed ``fast_kernel_speedup.lzss`` floor sits between
+        what the hash-table encoder recorded against its scalar path
+        (1.51, numpy precomputing hashes only) and what the encoder that
+        walks precomputed chain tables was expected to (2.3)."""
+        committed = json.loads(
+            (REPO_ROOT / "benchmarks" / "perf_baseline.json").read_text()
+        )["fast_kernel_speedup"]["lzss"]
+        failures = _failures(
+            {"compression":
+             {"fast": {"aggregate": {"lzss": {"speedup": speedup}}}}},
+            {"fast_kernel_speedup": {"lzss": committed}},
+        )
+        assert [line.split(":")[0] for line in failures] == (
+            ["fast-kernel-speedup lzss"] if fails else []
+        )
+
     def test_a_baseline_that_gates_nothing_is_not_a_pass(self):
         failures = _failures({"compression": _compression()}, {})
         assert failures == [
