@@ -381,16 +381,7 @@ class CompressionCache:
         This is the kernel cleaner thread's work: it turns dirty slots
         clean so they are "ready for reclamation".  Time is charged to
         the CLEANER category.  Returns pages written.
-
-        When the backing object can pre-decompress demotion groups (a
-        :class:`~repro.tiers.compressed.DemotionSink`), the round's
-        candidates are batched through ``prepare_group`` first.  The
-        preparation is *speculative* pure content work: the write loop
-        below stays byte-for-byte identical (per-page charges, staleness
-        checks, fault re-queues), so a candidate that goes stale mid-round
-        merely wastes its prepared decompression.
         """
-        self._prepare_clean_group(max_pages)
         written = 0
         hot_filter = self.hot_filter
         skips_left = self.hot_skip_budget if hot_filter is not None else 0
@@ -402,8 +393,7 @@ class CompressionCache:
             if skips_left and hot_filter(page_id):
                 # Hotness-aware demotion: a page still in active use is
                 # sent to the back of the queue so a cold page sinks in
-                # its place.  (A deferred page may waste its speculative
-                # prepare_group decompression — pure content work.)
+                # its place.
                 self._dirty_fifo.append(page_id)
                 skips_left -= 1
                 continue
@@ -429,29 +419,6 @@ class CompressionCache:
         self.counters.cleaned_pages += written
         return written
 
-    def _prepare_clean_group(self, max_pages: int) -> None:
-        """Hand the cleaner round's likely candidates to the backing
-        object for batched decompression (no-op for the terminal tier,
-        whose fragment store receives already-compressed payloads)."""
-        prepare = getattr(self.fragstore, "prepare_group", None)
-        if prepare is None or not self._dirty_fifo:
-            return
-        entries = self._entries
-        group = []
-        seen = set()
-        for page_id in self._dirty_fifo:
-            if len(group) >= max_pages:
-                break
-            if page_id in seen:
-                continue
-            entry = entries.get(page_id)
-            if entry is None or not entry.header.dirty:
-                continue
-            seen.add(page_id)
-            group.append((page_id, entry.payload))
-        if group:
-            prepare(group)
-
     def shrink_one(self) -> Optional[float]:
         """Release one mapped frame back to the pool.
 
@@ -468,19 +435,6 @@ class CompressionCache:
         self._in_shrink = True
         try:
             slot = self._frames[victim]
-            prepare = getattr(self.fragstore, "prepare_group", None)
-            if prepare is not None:
-                # The victim frame's dirty pages form a natural demotion
-                # group; pre-decompress them in one batch (speculative
-                # pure work, same contract as the cleaner's).
-                group = [
-                    (page_id, entry.payload)
-                    for page_id in slot.pages
-                    if (entry := self._entries.get(page_id)) is not None
-                    and entry.header.dirty
-                ]
-                if group:
-                    prepare(group)
             # Registration order is ascending offset (the tail only
             # grows), so a snapshot of the ordered dict replaces the
             # per-slot sort.

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, Tuple
 
 
 class CompressionError(Exception):
@@ -106,30 +106,6 @@ class Compressor(ABC):
         for anything stateful, randomized, or not known to need it.
         """
         return None
-
-    def compress_many(self, pages: Iterable[bytes]) -> List[CompressionResult]:
-        """Compress a batch of buffers in one call.
-
-        The default implementation simply loops; kernels with reusable
-        scratch state (LZRW1's hash table, LZSS's chains) amortize their
-        setup across the batch automatically because the scratch lives on
-        the instance.  Samplers and sweeps should prefer this entry point
-        for bulk measurement.
-        """
-        compress = self.compress
-        return [compress(page) for page in pages]
-
-    def decompress_many(
-        self, results: Iterable[CompressionResult]
-    ) -> List[bytes]:
-        """Decompress a batch of results in one call.
-
-        The inverse of :meth:`compress_many`: one python call boundary
-        for a whole demotion group, with the method lookup amortized
-        across the batch.  Pure content work — safe to run speculatively.
-        """
-        decompress = self.decompress
-        return [decompress(result) for result in results]
 
     def compress_verified(self, data: bytes) -> CompressionResult:
         """Compress and immediately verify the round trip.

@@ -53,7 +53,7 @@ and produces **bit-identical output**, enforced by
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from .base import CompressionResult, Compressor, CorruptDataError, register
 
@@ -216,11 +216,6 @@ class Lzrw1(Compressor):
         """Memory footprint of the hash table (4-byte entries, as in Sprite)."""
         return 4 * self._table_size
 
-    def _hash(self, b0: int, b1: int, b2: int) -> int:
-        """The 3-byte hash (reference form; the hot loop precomputes it)."""
-        key = ((b0 << 8) ^ (b1 << 4) ^ b2) & 0xFFFF
-        return ((_HASH_MULTIPLIER * key) >> 4) & (self._table_size - 1)
-
     def compress(self, data: bytes) -> CompressionResult:
         n = len(data)
         if n < _MIN_MATCH + 1:
@@ -335,11 +330,6 @@ class Lzrw1(Compressor):
         if len(out) >= n:
             return CompressionResult(bytes(data), n, stored_raw=True)
         return CompressionResult(bytes(out), n)
-
-    def compress_many(self, pages: Iterable[bytes]) -> List[CompressionResult]:
-        # The hash table and stamps persist on the instance, so the batch
-        # loop amortizes all scratch setup; present for call-site clarity.
-        return super().compress_many(pages)
 
     def decompress(self, result: CompressionResult) -> bytes:
         if result.stored_raw:

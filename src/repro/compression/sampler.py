@@ -22,6 +22,10 @@ sight of a page as a miss, but skips the kernel when any earlier run in
 the process already compressed those exact bytes with an identically
 configured algorithm.  Sweeps and benchmark reps, which rebuild the
 machine per point over largely repeating content, are the beneficiaries.
+The same holds in the other direction (:data:`_SHARED_DECODED`,
+:func:`shared_decompress`): a payload is really decoded once per process,
+which is what keeps tier demotion from re-running a decoder on the same
+few payloads for every page it moves.
 
 Call sites that only need the stored *size* (ratio bookkeeping, threshold
 checks, reports) should use :meth:`CompressionSampler.compressed_size` —
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Iterable, List, Optional
+from typing import Optional
 
 from .base import CompressionResult, Compressor
 
@@ -56,10 +60,25 @@ _blake2b = hashlib.blake2b
 _SHARED_RESULTS: "OrderedDict[tuple, CompressionResult]" = OrderedDict()
 _SHARED_MAX_ENTRIES = 16384
 
+#: The inverse, for :func:`shared_decompress`: ``(compressor key,
+#: original size, payload) -> decoded bytes``.  Decompression is as pure
+#: as compression, and the key is the payload itself — never the page
+#: it belongs to, whose current contents a ``stable_key`` payload need
+#: not match — so a hit is exactly what the kernel would return.  FIFO,
+#: bounded by the decoded bytes it holds (4,096 4-KByte pages; the keys
+#: are payloads the tier caches and sampler memos hold anyway).
+_SHARED_DECODED: "OrderedDict[tuple, bytes]" = OrderedDict()
+_SHARED_DECODED_MAX_BYTES = 16 * 1024 * 1024
+_shared_decoded_bytes = 0
+
 
 def clear_shared_results() -> None:
-    """Drop the process-wide result cache (test isolation hook)."""
+    """Drop both process-wide kernel caches (test isolation hook; what
+    makes a benchmark's cold run cold)."""
+    global _shared_decoded_bytes
     _SHARED_RESULTS.clear()
+    _SHARED_DECODED.clear()
+    _shared_decoded_bytes = 0
 
 
 def shared_results_size() -> int:
@@ -97,6 +116,40 @@ def shared_compress(
     while len(_SHARED_RESULTS) > _SHARED_MAX_ENTRIES:
         _SHARED_RESULTS.popitem(last=False)
     return result
+
+
+def shared_decompress(
+    compressor: Compressor, result: CompressionResult
+) -> bytes:
+    """Decompress through the process-wide content-addressed cache.
+
+    The inverse of :func:`shared_compress`, for callers that recover
+    bytes the process has very likely decoded before — tier demotion,
+    which re-decodes the same few payloads run after run.  Every
+    distinct payload is decoded (and checked: a corrupt one raises
+    :class:`~repro.compression.base.CorruptDataError` and is never
+    stored) once; only a byte-equal payload of the same declared size
+    under an identically configured kernel is a hit.  Kernels that opt
+    out of sharing, raw-stored results (nothing to decode) and payloads
+    that are not ``bytes`` (not hashable, or not immutable) are simply
+    invoked.
+    """
+    global _shared_decoded_bytes
+    ckey = compressor.result_cache_key()
+    payload = result.payload
+    if ckey is None or result.stored_raw or type(payload) is not bytes:
+        return compressor.decompress(result)
+    skey = (ckey, result.original_size, payload)
+    data = _SHARED_DECODED.get(skey)
+    if data is None:
+        data = compressor.decompress(result)
+        _SHARED_DECODED[skey] = data
+        _shared_decoded_bytes += len(data)
+        while _shared_decoded_bytes > _SHARED_DECODED_MAX_BYTES:
+            _shared_decoded_bytes -= len(
+                _SHARED_DECODED.popitem(last=False)[1]
+            )
+    return data
 
 
 class CompressionSampler:
@@ -216,10 +269,6 @@ class CompressionSampler:
         return shared_compress(
             self.compressor, data, key if type(key) is bytes else fingerprint
         )
-
-    def compress_many(self, pages: Iterable[bytes]) -> List[CompressionResult]:
-        """Batch variant of :meth:`compress` (one memo probe per page)."""
-        return [self.compress(page) for page in pages]
 
     def _remember(self, key, result: CompressionResult) -> None:
         self._size_cache[key] = result.compressed_size

@@ -42,6 +42,7 @@ from .faults.plan import FaultPlan
 from .mem.page import DEFAULT_PAGE_SIZE, mbytes
 from .sim.engine import SimulationEngine
 from .sim.machine import Machine, MachineConfig
+from .tiers.spec import two_tier_specs
 from .workloads import contentgen
 
 _perf_counter = time.perf_counter
@@ -496,8 +497,9 @@ def bench_stream_replay(references: int = 10_000_000,
 #: always a superset of the baseline's work (selector trials and memo
 #: probes on top of lzrw1; retry wrappers, injector probes and
 #: degradation bookkeeping that engage but never fire; hotness tracking,
-#: telemetry and the evaluation tick), so each row bounds what turning
-#: the subsystem on costs.  Nothing here measures a *disabled* subsystem
+#: telemetry and the evaluation tick; a capped L1 demoting into a second
+#: compressed tier), so each row bounds what turning the subsystem on
+#: costs.  Nothing here measures a *disabled* subsystem
 #: against the code before it existed — there is no such code to run in
 #: this process; the end-to-end benchmark's parent/change pairs on
 #: ``sim-warm``/``sim-cold`` are what catch a slower default path.
@@ -507,6 +509,7 @@ OVERHEADS: Tuple[Tuple[str, Dict, Dict, Tuple[str, ...]], ...] = (
     ("inert_fault_plan", {}, {"fault_plan": FaultPlan.from_dict({})},
      ("thrasher",)),
     ("control_enabled", {}, {"control": ControlConfig()}, ("thrasher",)),
+    ("two_tier", {}, {"tiers": two_tier_specs()}, ("thrasher", "compare")),
 )
 
 #: One simulated run is ~20 ms — far too short for a stable A/B — so

@@ -13,9 +13,12 @@ pages through a fragment-store-shaped object (``put``/``contains``/
 points at a sink that *recompresses the page into the next-colder tier*
 instead: decompress with the source kernel, compress with the target
 kernel, insert dirty.  The recompression CPU time is charged to the
-``DEMOTE`` ledger category; no I/O happens until the terminal tier's
-write-outs reach the store, which is the only point where the VM's
-``written_callback`` may fire.
+``DEMOTE`` ledger category on every demotion, while the host really
+decodes a payload once per distinct payload per process
+(:func:`~repro.compression.sampler.shared_decompress`, the inverse of
+the kernel-result cache the compressions already go through); no I/O
+happens until the terminal tier's write-outs reach the store, which is
+the only point where the VM's ``written_callback`` may fire.
 
 Demotion reliability: compressor fault injection applies at the VM/pager
 eviction boundary, not inside the sink — a demotion that loses data has
@@ -27,13 +30,13 @@ resilience layer models are I/O faults, which demotion does not perform).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..ccache.circular import CompressionCache
 from ..ccache.cleaner import CleanerPolicy
 from ..ccache.threshold import AdaptiveCompressionGate
 from ..compression.base import CompressionResult
-from ..compression.sampler import CompressionSampler
+from ..compression.sampler import CompressionSampler, shared_decompress
 from ..mem.frames import OutOfFramesError
 from ..mem.page import PageId
 from ..sim.costs import CostModel
@@ -66,57 +69,14 @@ class DemotionSink:
         # ask to demote the same page again before the first insert
         # lands; the nested call must be a no-op.
         self._in_flight: set = set()
-        # Speculatively pre-decompressed source payloads, keyed by page
-        # and by the exact payload object (see :meth:`prepare_group`).
-        self._prepared: Dict[PageId, Tuple[bytes, bytes]] = {}
-
-    def prepare_group(
-        self, items: Iterable[Tuple[PageId, bytes]]
-    ) -> None:
-        """Batch-decompress a demotion group's source payloads up front.
-
-        Pure content work — no ledger charges, no sampler counters — so
-        callers (the cleaner, the shrink path) may *speculate*: preparing
-        a page that is then never demoted, or demoted with a different
-        payload, costs only the wasted decompression and cannot move a
-        single simulation bit.  :meth:`put` consumes a prepared page only
-        when the payload object is the very one prepared.
-        """
-        source = self.source
-        prepared = self._prepared
-        prepared.clear()
-        pairs = [
-            (page_id, payload)
-            for page_id, payload in items
-            if page_id not in self._in_flight
-        ]
-        if not pairs:
-            return
-        page_size = self.page_size
-        datas = source.sampler.compressor.decompress_many(
-            CompressionResult(payload, page_size) for _, payload in pairs
-        )
-        for (page_id, payload), data in zip(pairs, datas):
-            prepared[page_id] = (payload, data)
 
     def put_many(
         self, items: Sequence[Tuple[PageId, bytes]]
     ) -> float:
-        """Demote a group of pages a level colder in one call.
-
-        The source-kernel decompressions run as one batch
-        (:meth:`prepare_group`); every page then goes through exactly
-        the same charge → recompress → insert sequence as a lone
-        :meth:`put`, so ledger ordering, sampler counters, and
-        re-entrancy behaviour are bit-identical to N single-page calls.
-        Batching here is a constant-factor interpreter win, never a
-        semantic change.
-        """
-        self.prepare_group(items)
-        total = 0.0
-        for page_id, payload in items:
-            total += self.put(page_id, payload)
-        return total
+        """Demote a group of pages a level colder: N :meth:`put` calls."""
+        return sum(
+            (self.put(page_id, payload) for page_id, payload in items), 0.0
+        )
 
     def put(self, page_id: PageId, payload: bytes) -> float:
         """Move one page a level colder; returns 0.0 (no I/O seconds).
@@ -133,13 +93,16 @@ class DemotionSink:
         # The source entry is still registered while its cache writes it
         # out, so the content version rides along to the colder copy.
         version = source.cache.entry_version(page_id)
-        hit = self._prepared.pop(page_id, None)
-        if hit is not None and hit[0] is payload:
-            data = hit[1]
+        # Recover the bytes the source payload encodes: decoded once per
+        # distinct payload per process, unless the tier runs the real
+        # kernel every time.  (Not ``pte.content``: under a workload
+        # ``stable_key`` the payload is the page's first-measured bytes.)
+        sampler = source.sampler
+        encoded = CompressionResult(payload, self.page_size)
+        if sampler.exact:
+            data = sampler.compressor.decompress(encoded)
         else:
-            data = source.sampler.compressor.decompress(
-                CompressionResult(payload, self.page_size)
-            )
+            data = shared_decompress(sampler.compressor, encoded)
         self.ledger.charge(
             TimeCategory.DEMOTE,
             self.costs.decompress_seconds(self.page_size)

@@ -1,14 +1,17 @@
-"""Foreign bytes into the LZ decoder (ROADMAP robustness item c, LZ slice).
+"""Foreign bytes into the kernel decoders (ROADMAP robustness item c,
+kernel slice).
 
-``lzrw1`` and ``lzss`` payloads share one item stream and one decoder,
-``lzrw1.decode_items``.  A stored payload is bytes the decoder did not
-write by the time it reads them back (the log store, the service's
-tiers, the wire), so valid payloads are mutated, truncated, extended and
-mis-sized here and sent in the way the system sends them: tag byte
-first, through ``AdaptiveCompressor.decompress``.  The contract is
-*exactly ``original_size`` bytes, or ``CorruptDataError``* — never
-another exception, and never more than one item (18 bytes) decoded past
-``original_size`` before the decoder gives up.
+A stored payload is bytes the decoder did not write by the time it reads
+them back (the log store, the service's tiers, the wire) — and a decoded
+page is reused process-wide (``shared_decompress``), so what a decoder
+accepts matters beyond the one call.  Valid payloads of every tagged
+kernel are mutated, truncated, extended and mis-sized here and sent in
+the way the system sends them: tag byte first, through
+``AdaptiveCompressor.decompress``.  The contract is *exactly
+``original_size`` bytes, or ``CorruptDataError``* — never another
+exception.  ``lzrw1`` and ``lzss`` payloads share one item stream and
+one decoder, ``lzrw1.decode_items``, which in addition never decodes
+more than one item (18 bytes) past ``original_size`` before it gives up.
 """
 
 from __future__ import annotations
@@ -24,7 +27,15 @@ from repro.compression.base import CompressionResult, CorruptDataError
 from repro.workloads import contentgen
 
 LZ_KERNELS = ("lzrw1", "lzss")
+WORD_KERNELS = ("rle", "wk", "varint-delta", "bdi", "fpc", "cpack")
 MUTATIONS_PER_PAGE = 1000
+
+
+def _tags(name: str):
+    """The tags ``name``'s stream decodes under: the LZ pair's stream is
+    common property, every other kernel's is its own."""
+    names = LZ_KERNELS if name in LZ_KERNELS else (name,)
+    return [KERNEL_TAGS[other] for other in names]
 
 
 def _pages():
@@ -36,12 +47,15 @@ def _pages():
         contentgen.repeating_pattern(4),
         bytes(4096),
         (b"abcabcabc!" * 60)[:517],
+        contentgen.dp_band_values(5),
+        contentgen.index_page(6),
     ]
 
 
-def _mutate(rng: random.Random, tagged: bytes, size: int):
-    """One damaged ``(payload, original_size)``; the tag byte stays an
-    LZ tag (another kernel's decoder is another test's subject)."""
+def _mutate(rng: random.Random, tagged: bytes, size: int, tags):
+    """One damaged ``(payload, original_size)``; the tag byte stays one
+    of ``tags`` (an undamaged stream under the wrong decoder is not the
+    subject)."""
     body = bytearray(tagged[1:])
     kind = rng.randrange(6)
     if kind == 0:                       # overwrite a few bytes
@@ -60,8 +74,7 @@ def _mutate(rng: random.Random, tagged: bytes, size: int):
             rng.choices(range(256), k=rng.randrange(1, 32)))
     else:                               # lie about the size
         size = max(0, size + rng.choice((-1, 1)) * rng.randrange(1, 40))
-    tag = KERNEL_TAGS[rng.choice(LZ_KERNELS)]
-    return bytes([tag]) + bytes(body), size
+    return bytes([rng.choice(tags)]) + bytes(body), size
 
 
 def _rejected(adaptive, payload: bytes, size: int) -> bool:
@@ -75,23 +88,29 @@ def _rejected(adaptive, payload: bytes, size: int) -> bool:
     return False
 
 
-@pytest.mark.parametrize("name", LZ_KERNELS)
+@pytest.mark.parametrize("name", LZ_KERNELS + WORD_KERNELS)
 def test_damaged_payloads_decode_to_size_or_corrupt(name):
     rng = random.Random(f"robust-{name}")
     adaptive = AdaptiveCompressor()
     kernel = create(name)
-    rejected = 0
+    tags = _tags(name)
+    rejected = damaged_pages = 0
     for page in _pages():
         result = kernel.compress(page)
-        assert not result.stored_raw
+        if result.stored_raw:
+            continue  # nothing of this kernel's to decode
+        damaged_pages += 1
         tagged = bytes([KERNEL_TAGS[name]]) + result.payload
-        # The stream is common property: either tag decodes it.
-        for tag in (KERNEL_TAGS[other] for other in LZ_KERNELS):
+        for tag in tags:
             assert adaptive.decompress(CompressionResult(
                 bytes([tag]) + result.payload, len(page))) == page
         for _ in range(MUTATIONS_PER_PAGE):
-            rejected += _rejected(adaptive, *_mutate(rng, tagged, len(page)))
-    # Most damage is detected (what is not decodes to the right length).
+            rejected += _rejected(
+                adaptive, *_mutate(rng, tagged, len(page), tags))
+    # Every kernel compresses at least three of the pages (the LZ pair
+    # all eight), and most damage is detected (what is not decodes to
+    # the right length).
+    assert damaged_pages >= (8 if name in LZ_KERNELS else 3)
     assert rejected > MUTATIONS_PER_PAGE
 
 
@@ -117,7 +136,8 @@ def test_decoder_never_runs_far_past_the_size():
     tagged = (bytes([KERNEL_TAGS["lzss"]])
               + create("lzss").compress(page).payload)
     cases = [(runaway, 16 + 17), (runaway, 4096)]
-    cases += [_mutate(rng, tagged, len(page)) for _ in range(60)]
+    cases += [_mutate(rng, tagged, len(page), _tags("lzss"))
+              for _ in range(60)]
     tracemalloc.start()
     try:
         for payload, size in cases:

@@ -12,16 +12,28 @@ began.
 Cleaners are disabled throughout: the cleaner *deliberately* writes
 dirty pages ahead of pressure (that is its job, and the copies stay in
 the warm tier), so the invariant is about the shrink path only.
+
+The second subject is what a demotion decodes: the sink recovers a
+payload's bytes through the process-wide decode memo
+(``shared_decompress``), which must change no simulation bit and must
+stand aside for a tier that runs ``exact``.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ccache.cleaner import CleanerPolicy
+from repro.cli import WORKLOAD_FACTORIES
+from repro.compression import sampler as sampler_mod
+from repro.compression.lzrw1 import Lzrw1
+from repro.compression.sampler import clear_shared_results
 from repro.mem.page import PageId, mbytes
 from repro.mem.segment import AddressSpace
+from repro.sim.engine import SimulationEngine
 from repro.sim.machine import Machine, MachineConfig
-from repro.tiers.spec import TierSpec
+from repro.tiers import compressed
+from repro.tiers.spec import TierSpec, two_tier_specs
 
 NPAGES = 200
 
@@ -29,9 +41,10 @@ NPAGES = 200
 NO_CLEAN = CleanerPolicy(target_clean_fraction=0.0)
 
 
-def build_machine():
+def build_machine(**config):
     config = MachineConfig(
         memory_bytes=mbytes(0.5),
+        **config,
         tiers=(
             TierSpec(name="l1", compressor="lzrw1", max_frames=6,
                      cleaner=NO_CLEAN),
@@ -94,44 +107,67 @@ def test_demotion_only_without_reclaimable_warm_space(pages):
     )
 
 
-def test_batched_demotion_is_bit_identical_to_single_page_puts():
-    """The cleaner's prepare_group batch path changes no simulation bit.
+def _run_two_tier(name):
+    """One ``two_tier_specs()`` run of a named workload."""
+    workload = WORKLOAD_FACTORIES[name](0.05)
+    config = MachineConfig(memory_bytes=mbytes(6 * 0.05),
+                           tiers=two_tier_specs())
+    machine = Machine(config, workload.build())
+    result = SimulationEngine(machine).run(workload.references())
+    return machine, result.as_dict()
 
-    Two identical machines run the same sweep; one then demotes through
-    the batched path (group pre-decompression), the other with batching
-    disabled (every put decompresses on its own, the pre-batch
-    behaviour).  Cleaned counts, ledger totals, and the colder tier's
-    payloads must be identical — batching is wall-clock only.
-    """
-    machine_a, seg_a = build_machine()
-    machine_b, seg_b = build_machine()
-    run_touches(machine_a, seg_a, list(range(NPAGES)))
-    run_touches(machine_b, seg_b, list(range(NPAGES)))
 
-    sink_a = machine_a.chain.warmest.sink
-    prepared_hits = []
-    orig_put = sink_a.put
-
-    def spying_put(page_id, payload):
-        hit = sink_a._prepared.get(page_id)
-        prepared_hits.append(hit is not None and hit[0] is payload)
-        return orig_put(page_id, payload)
-
-    sink_a.put = spying_put
-    machine_b.chain.warmest.sink.prepare_group = lambda items: None
-
-    cleaned_a = machine_a.chain.warmest.demote(8)
-    cleaned_b = machine_b.chain.warmest.demote(8)
-    assert cleaned_a == cleaned_b
-    assert prepared_hits and any(prepared_hits), (
-        "the batch path never consumed a prepared decompression"
+@pytest.mark.parametrize("name", ["thrasher", "multiprogram"])
+def test_memoised_demotion_decode_changes_no_simulation_bit(
+        name, monkeypatch):
+    """Decoding each distinct payload once per process is wall-clock
+    only: cold (both process-wide caches empty) and warm, the complete
+    result, the ledger and the colder tier's contents equal those of a
+    run whose every demotion runs the decoder."""
+    clear_shared_results()
+    cold_machine, cold = _run_two_tier(name)
+    assert cold_machine.chain.demoted_pages() > 0
+    assert 0 < len(sampler_mod._SHARED_DECODED) \
+        < cold_machine.chain.demoted_pages()
+    _, warm = _run_two_tier(name)
+    monkeypatch.setattr(
+        compressed, "shared_decompress",
+        lambda compressor, result: compressor.decompress(result),
     )
-    assert machine_a.ledger.breakdown() == machine_b.ledger.breakdown()
-    l2_a = machine_a.chain.tiers[1].cache
-    l2_b = machine_b.chain.tiers[1].cache
-    entries_a = {h.page_id: h.compressed_size for h in l2_a.iter_entries()}
-    entries_b = {h.page_id: h.compressed_size for h in l2_b.iter_entries()}
-    assert entries_a == entries_b
+    decoding_machine, decoding = _run_two_tier(name)
+    assert cold == warm == decoding
+    assert (cold_machine.ledger.breakdown()
+            == decoding_machine.ledger.breakdown())
+    l2_sizes = [
+        {h.page_id: h.compressed_size
+         for h in machine.chain.tiers[1].cache.iter_entries()}
+        for machine in (cold_machine, decoding_machine)
+    ]
+    assert l2_sizes[0] == l2_sizes[1]
+
+
+def test_exact_tier_decodes_on_every_demotion(monkeypatch):
+    """Exact mode means the real kernel every time, both directions."""
+    decodes = []
+    real = Lzrw1.decompress
+    monkeypatch.setattr(
+        Lzrw1, "decompress",
+        lambda self, result: decodes.append(1) or real(self, result),
+    )
+
+    def sweep(**config):
+        clear_shared_results()
+        del decodes[:]
+        machine, segment = build_machine(**config)
+        run_touches(machine, segment, list(range(NPAGES)) * 2)
+        sink = machine.chain.warmest.sink
+        return sink.demoted_pages + sink.spilled_pages
+
+    demotions = sweep(exact_compression=True)
+    assert len(decodes) == demotions > 0
+    assert not sampler_mod._SHARED_DECODED
+    assert sweep() == demotions
+    assert len(decodes) == len(sampler_mod._SHARED_DECODED) < demotions
 
 
 def test_put_many_equals_sequential_puts():
