@@ -33,7 +33,7 @@ from ..faults.errors import PagingFaultError
 from ..mem.frames import FrameOwner, FramePool
 from ..mem.page import PageId
 from ..sim.ledger import Ledger, TimeCategory
-from ..storage.fragstore import FragmentStore
+from ..storage.backing import WriteOutTarget
 from .header import CompressedPageHeader, SlotState
 
 #: Called when the cache needs a physical frame and the pool is empty;
@@ -99,7 +99,8 @@ class CompressionCache:
 
     Args:
         frames: the machine's shared physical frame pool.
-        fragstore: compressed backing store for dirty write-out.
+        fragstore: where dirty pages are written out — the backing
+            store, or a demotion sink into the next-colder tier.
         ledger: where write-out I/O time is charged.
         page_size: physical frame size in bytes.
         frame_provider: allocator callback used when the pool is empty.
@@ -117,7 +118,7 @@ class CompressionCache:
     def __init__(
         self,
         frames: FramePool,
-        fragstore: FragmentStore,
+        fragstore: WriteOutTarget,
         ledger: Ledger,
         page_size: int = 4096,
         frame_provider: Optional[FrameProvider] = None,

@@ -12,26 +12,23 @@ the protection boundary), but the cache policy becomes a replaceable
 user-level component.
 
 Like the in-kernel VM, the pager drives a
-:class:`~repro.tiers.chain.TierChain`: pageouts compress into the
-warmest tier, each tier's cleaner demotes cold-ward, and pageins are
-served from the warmest tier holding the page.  A one-tier chain is the
-paper's configuration.
+:class:`~repro.tiers.chain.TierChain` through its verbs — the admission
+decision, the fault lookup, cleaner pacing and the drain are the chain's,
+shared with :class:`repro.vm.compressed.CompressedVM`.  What is the
+pager's own: it holds the only copy of its pages, so it numbers their
+versions itself, really decodes what it hands back, and reports an
+unrecoverable read or write as a :class:`PagerError` where the kernel VM
+would fall back to the backstop.
 """
 
 from __future__ import annotations
 
-from ..compression.base import CompressionError, CompressionResult
+from ..compression.base import CompressionResult
 from ..compression.stats import CompressionStats
-from ..faults.errors import (
-    IORetriesExhausted,
-    MissingFragmentError,
-    PagingFaultError,
-)
-from ..mem.frames import FramePool
+from ..faults.errors import IORetriesExhausted, MissingFragmentError
 from ..mem.page import PageId
-from ..sim.costs import CostModel
 from ..sim.ledger import Ledger, TimeCategory
-from ..tiers.chain import TierChain
+from ..tiers.chain import Rejected, TierChain
 from ..tiers.compressed import CompressedTier
 from .interface import MemoryObjectPager, PagerError
 
@@ -43,31 +40,15 @@ class CompressionPager(MemoryObjectPager):
         self,
         chain: TierChain,
         ledger: Ledger,
-        costs: CostModel,
-        page_size: int = 4096,
-        frames: FramePool | None = None,
-        resilience=None,
-        injector=None,
+        page_size: int,
         retry=None,
-        degradation=None,
     ):
         self.chain = chain
-        self.tiers = chain.tiers
-        warmest = chain.warmest
-        self.ccache = warmest.cache
-        self.sampler = warmest.sampler
-        self.gate = warmest.gate
-        self.cleaner = warmest.cleaner
         self.fragstore = chain.fragstore
         self.swap = chain.swap
         self.ledger = ledger
-        self.costs = costs
         self.page_size = page_size
-        self.frames = frames
-        self.resilience = resilience
-        self.injector = injector
         self.retry = retry
-        self.degradation = degradation
         self.stats = CompressionStats()
         # Version counter per page: a new pageout supersedes store copies.
         self._versions: dict = {}
@@ -82,45 +63,21 @@ class CompressionPager(MemoryObjectPager):
             raise PagerError(
                 f"pageout of {len(data)} bytes; expected {self.page_size}"
             )
-        if not dirty and self._holds_current(page_id):
+        if not dirty and self.holds(page_id):
             # The kernel's copy matched what we already hold: if it is
             # still compressed in memory or on a store, nothing to do.
             return
-        for tier in self.tiers:
+        for tier in self.chain.tiers:
             if page_id in tier.cache:
                 tier.cache.drop(page_id)  # superseded contents
         version = self._versions.get(page_id, 0) + 1
         self._versions[page_id] = version
         self._raw_on_swap.discard(page_id)
 
-        bypass_degraded = (
-            self.degradation is not None and self.degradation.degraded
-        )
-        if self.gate.open and not bypass_degraded:
-            self.ledger.charge(
-                TimeCategory.COMPRESS,
-                self.costs.compress_seconds(self.page_size)
-                * self.chain.warmest.spec.compress_scale,
-            )
-            result = self._compress_for_pageout(data)
-            if result is not None:
-                kept = self.stats.record(
-                    self.page_size, result.compressed_size
-                )
-                self.gate.record(kept)
-                if kept:
-                    self.ccache.insert(
-                        page_id,
-                        result.payload,
-                        dirty=True,
-                        now=self.ledger.now,
-                        content_version=version,
-                    )
-                    return
-        else:
-            if bypass_degraded:
-                self.degradation.note_bypassed_eviction()
-            self.gate.note_bypass()
+        outcome = self.chain.compress_evicted(data, self.stats)
+        if not isinstance(outcome, Rejected):
+            self.chain.admit(page_id, outcome, version)
+            return
         if self.retry is None:
             seconds = self.swap.write_page(page_id, data)
         else:
@@ -139,42 +96,10 @@ class CompressionPager(MemoryObjectPager):
         self.fragstore.free(page_id)  # any compressed store copy is stale
         self._raw_on_swap.add(page_id)
 
-    def _compress_for_pageout(self, data: bytes):
-        """Compress a paged-out page, applying injected compressor faults.
-
-        Returns ``None`` on an injected or genuine compressor crash (the
-        caller routes the page to raw swap); an injected pathological
-        expansion returns an oversized result that fails the 4:3
-        threshold naturally.
-        """
-        if self.injector is not None:
-            fault = self.injector.compressor_fault()
-            if fault == "crash":
-                if self.degradation is not None:
-                    self.degradation.record(False)
-                return None
-            if fault == "expand":
-                if self.degradation is not None:
-                    self.degradation.record(False)
-                return CompressionResult(bytes(data) + b"\0" * 64, len(data))
-        try:
-            result = self.sampler.compress(data)
-        except CompressionError:
-            if self.degradation is not None:
-                self.degradation.record(False)
-            return None
-        if self.degradation is not None:
-            self.degradation.record(True)
-        return result
-
     def pagein(self, page_id: PageId) -> bytes:
-        tier = self.chain.find(page_id)
-        if tier is not None:
-            cache = tier.cache
-            remove = cache.is_dirty(page_id)
-            payload, _ = cache.fetch(
-                page_id, remove=remove, now=self.ledger.now
-            )
+        hit = self.chain.fetch(page_id)
+        if hit is not None:
+            tier, payload = hit
             return self._decompress(payload, tier)
         if self.fragstore.contains(page_id):
             payload, seconds, _ = self._get_fragment(page_id)
@@ -200,11 +125,7 @@ class CompressionPager(MemoryObjectPager):
 
     def _decompress(self, payload: bytes, tier: CompressedTier) -> bytes:
         """Charge and perform decompression with the tier's kernel."""
-        self.ledger.charge(
-            TimeCategory.DECOMPRESS,
-            self.costs.decompress_seconds(self.page_size)
-            * tier.spec.compress_scale,
-        )
+        self.chain.charge_decompress(tier)
         return tier.sampler.compressor.decompress(
             CompressionResult(payload, self.page_size)
         )
@@ -234,54 +155,15 @@ class CompressionPager(MemoryObjectPager):
             ) from exc
 
     def holds(self, page_id: PageId) -> bool:
-        return self._holds_current(page_id)
-
-    def tick(self) -> None:
-        """Run the cleaners, as the in-kernel version does after faults."""
-        free = self.frames.free_frames if self.frames is not None else 0
-        for tier in self.tiers:
-            cache = tier.cache
-            goal = tier.cleaner.pages_to_clean(
-                free_frames=free,
-                reclaimable_frames=cache.reclaimable_frames(),
-                cache_frames=cache.nframes,
-            )
-            if goal > 0:
-                cache.clean_pages(goal)
-        gc_seconds = self.fragstore.maybe_collect()
-        if gc_seconds:
-            self.ledger.charge(TimeCategory.GC, gc_seconds)
-
-    def flush(self) -> None:
-        # Tiers drain warm to cold: a warm tier's clean pass demotes its
-        # dirty pages into the next tier, whose own pass pushes them
-        # further until the terminal tier's write-outs reach the store.
-        # Under fault injection a clean pass can stall on a write error
-        # and re-queue the page; keep going while progress is possible.
-        # Without a plan each loop runs exactly once.
-        for tier in self.tiers:
-            cache = tier.cache
-            attempts = 0
-            while cache.dirty_pages() and attempts < 1000:
-                cache.clean_pages(cache.dirty_pages())
-                attempts += 1
-        try:
-            seconds = self.fragstore.flush()
-        except PagingFaultError as exc:
-            self.ledger.charge(TimeCategory.IO_WRITE, exc.seconds)
-            seconds = 0.0
-            if self.retry is not None:
-                seconds = self.retry.try_call(
-                    self.fragstore.flush, TimeCategory.IO_WRITE
-                ) or 0.0
-        if seconds:
-            self.ledger.charge(TimeCategory.IO_WRITE, seconds)
-
-    # ------------------------------------------------------------------
-
-    def _holds_current(self, page_id: PageId) -> bool:
         return (
             self.chain.holds(page_id)
             or self.fragstore.contains(page_id)
             or page_id in self._raw_on_swap
         )
+
+    def tick(self) -> None:
+        """Run the cleaners, as the in-kernel version does after faults."""
+        self.chain.run_cleaners()
+
+    def flush(self) -> None:
+        self.chain.drain()

@@ -35,6 +35,7 @@ from ..mem.frames import FrameOwner, FramePool
 from ..mem.page import mbytes
 from ..mem.pagetable import page_table_overhead_bytes
 from ..mem.segment import AddressSpace
+from ..storage.backing import BackingStore
 from ..storage.blockfs import BlockFileSystem, PartialWritePolicy
 from ..storage.buffercache import BufferCache
 from ..storage.device import BackingDevice
@@ -250,9 +251,9 @@ class Machine:
         )
         self.allocator.register(FrameOwner.FILE_CACHE, self.buffer_cache)
 
-        #: The compressed-page backing store (FragmentStore or
-        #: LogStructuredStore — same duck-typed surface).
-        self.fragstore = None
+        #: The compressed-page backing store: a FragmentStore, or a
+        #: LogStructuredStore under ``store="lfs"``.
+        self.fragstore: Optional[BackingStore] = None
         self.ccache: Optional[CompressionCache] = None
         self.sampler: Optional[CompressionSampler] = None
         self.gate: Optional[AdaptiveCompressionGate] = None
@@ -368,7 +369,13 @@ class Machine:
                     sink.target = next_tier
                 tiers[i] = tier
                 next_tier = tier
-            self.chain = TierChain(tuple(tiers), self.fragstore, self.swap)
+            self.chain = TierChain(
+                tuple(tiers), self.fragstore, self.swap,
+                self.ledger, config.costs, config.page_size,
+                injector=self.injector,
+                retry=self.retry,
+                degradation=self.degradation,
+            )
             warmest = self.chain.warmest
             self.ccache = warmest.cache
             self.sampler = warmest.sampler
@@ -391,13 +398,8 @@ class Machine:
                 self.pager = CompressionPager(
                     chain=self.chain,
                     ledger=self.ledger,
-                    costs=config.costs,
                     page_size=config.page_size,
-                    frames=self.frames,
-                    resilience=self.resilience,
-                    injector=self.injector,
                     retry=self.retry,
-                    degradation=self.degradation,
                 )
                 self.vm: BaseVM = ExternalPagerVM(
                     address_space=address_space,
@@ -425,7 +427,6 @@ class Machine:
                     prefetch_colocated=config.prefetch_colocated,
                     paranoid=config.paranoid,
                     resilience=self.resilience,
-                    injector=self.injector,
                     retry=self.retry,
                     degradation=self.degradation,
                 )

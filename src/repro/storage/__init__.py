@@ -1,5 +1,6 @@
 """Backing-store substrate: device models, block FS, swap layers, cache."""
 
+from .backing import BackingStore, WriteOutTarget
 from .blockfs import BlockFile, BlockFileSystem, FsCounters, PartialWritePolicy
 from .buffercache import BufferCache, BufferCacheCounters
 from .compressed_buffercache import (
@@ -22,6 +23,7 @@ from .swap import StandardSwap, SwapCounters
 
 __all__ = [
     "BackingDevice",
+    "BackingStore",
     "BlockFile",
     "BlockFileSystem",
     "BufferCache",
@@ -45,4 +47,5 @@ __all__ = [
     "PartialWritePolicy",
     "StandardSwap",
     "SwapCounters",
+    "WriteOutTarget",
 ]

@@ -308,10 +308,9 @@ class _PendingEntry:
 class LogStructuredStore:
     """Append-only segmented backing store with crash recovery.
 
-    Duck-type compatible with :class:`~repro.storage.fragstore.
-    FragmentStore` (put/get/peek/free/flush/contains/maybe_collect/
-    counters/live_pages/gc_generation), so it slots in behind
-    ``StoreTier`` and both VM architectures unchanged.
+    A :class:`~repro.storage.backing.BackingStore`, as
+    :class:`~repro.storage.fragstore.FragmentStore` is, so it slots in
+    under the tier chain and both VM architectures unchanged.
 
     Args:
         device: backing device charged for every transfer.  Appends are

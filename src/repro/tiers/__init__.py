@@ -11,16 +11,17 @@ This package provides that generalization:
 
 * :class:`~repro.tiers.spec.TierSpec` — declarative per-tier
   configuration (compressor, capacity, trading terms, cleaner);
-* :class:`~repro.tiers.protocol.MemoryTier` — the protocol every tier
-  implementation satisfies (admit / fault / demote / shrink / stats);
 * :class:`~repro.tiers.compressed.CompressedTier` — a compression cache
-  configured as one tier, with a :class:`~repro.tiers.compressed.
-  DemotionSink` recompressing write-outs into the next-colder tier;
-* :class:`~repro.tiers.store.StoreTier` — the cold end of the chain
-  (fragment store + raw swap); the warm end is the VM's own resident
-  set, which needs no adapter;
-* :class:`~repro.tiers.chain.TierChain` — the ordered chain the VM and
-  the external pager drive.
+  configured as one tier (cache, kernel sampler, gate, cleaner), with a
+  :class:`~repro.tiers.compressed.DemotionSink` recompressing write-outs
+  into the next-colder tier;
+* :class:`~repro.tiers.chain.TierChain` — the ordered chain over the
+  backing store, and the one interface both paging architectures call:
+  ``compress_evicted``/``admit`` on eviction, ``fetch``/
+  ``charge_decompress`` on a fault, ``run_cleaners`` after one, and
+  ``drain`` at the end.  The warm end is the VM's own resident set and
+  the cold end the fragment store and raw swap; neither needs an
+  adapter.
 
 The default machine configuration builds a one-element chain that is
 byte-identical to the historical single compression cache; see
@@ -28,20 +29,16 @@ byte-identical to the historical single compression cache; see
 example.
 """
 
-from .chain import TierChain
+from .chain import Rejected, TierChain
 from .compressed import CompressedTier, DemotionSink
-from .protocol import MemoryTier, TierStats
 from .spec import TierSpec, parse_tier_specs, two_tier_specs
-from .store import StoreTier
 
 __all__ = [
     "CompressedTier",
     "DemotionSink",
-    "MemoryTier",
-    "StoreTier",
+    "Rejected",
     "TierChain",
     "TierSpec",
-    "TierStats",
     "parse_tier_specs",
     "two_tier_specs",
 ]

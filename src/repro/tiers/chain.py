@@ -1,33 +1,63 @@
 """The ordered tier chain the VM and pager drive.
 
-A :class:`TierChain` holds the compressed tiers warmest-first plus the
-terminal :class:`~repro.tiers.store.StoreTier`.  The paging layers ask
-it page-location questions ("which tier holds this page?"), route
-admissions (evictions enter the warmest tier, store readmissions the
-coldest), and run each tier's cleaner.  With one compressed tier the
-chain degenerates to the paper's design: every operation touches the
-single cache exactly the way the pre-chain code did.
+A :class:`TierChain` holds the compressed tiers warmest-first over the
+backing store, and is the one place that knows how a page enters, leaves
+and drains them.  The in-kernel :class:`~repro.vm.compressed.CompressedVM`
+and the user-level :class:`~repro.pager.compression.CompressionPager`
+call the same verbs — :meth:`~TierChain.compress_evicted` and
+:meth:`~TierChain.admit` on eviction, :meth:`~TierChain.fetch` and
+:meth:`~TierChain.charge_decompress` on a fault,
+:meth:`~TierChain.run_cleaners` after one, :meth:`~TierChain.drain` at
+the end — and keep only what differs between them: who owns the page's
+frame and version, what a failed raw write means, and how a page comes
+back from the store (``docs/tiers.md`` has the table).  With one
+compressed tier the chain degenerates to the paper's design.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from enum import Enum
+from typing import List, Optional, Tuple, Union
 
+from ..compression.base import CompressionError, CompressionResult
+from ..compression.stats import CompressionStats
+from ..faults.errors import PagingFaultError
 from ..mem.page import PageId
-from ..storage.fragstore import FragmentStore
+from ..sim.costs import CostModel
+from ..sim.ledger import Ledger, TimeCategory
+from ..storage.backing import BackingStore
 from ..storage.swap import StandardSwap
 from .compressed import CompressedTier
-from .store import StoreTier
+
+
+class Rejected(Enum):
+    """Why :meth:`TierChain.compress_evicted` kept no result; either way
+    the caller writes the page raw."""
+
+    #: Compressed (and charged), but failed the 4:3 rule or crashed.
+    UNCOMPRESSIBLE = "uncompressible"
+    #: Not attempted: the gate is closed or the substrate is degraded.
+    BYPASSED = "bypassed"
 
 
 class TierChain:
-    """Ordered compressed tiers (warmest first) over a backing store."""
+    """Ordered compressed tiers (warmest first) over a backing store.
+
+    ``injector``, ``retry`` and ``degradation`` are the fault layer's
+    hooks; all three are ``None`` unless the machine has a fault plan.
+    """
 
     def __init__(
         self,
         tiers: Tuple[CompressedTier, ...],
-        fragstore: FragmentStore,
+        fragstore: BackingStore,
         swap: StandardSwap,
+        ledger: Ledger,
+        costs: CostModel,
+        page_size: int,
+        injector=None,
+        retry=None,
+        degradation=None,
     ):
         if not tiers:
             raise ValueError("a tier chain needs at least one tier")
@@ -35,15 +65,14 @@ class TierChain:
         if len(set(names)) != len(names):
             raise ValueError(f"tier names must be unique, got {names}")
         self.tiers: Tuple[CompressedTier, ...] = tuple(tiers)
-        self.store = StoreTier(fragstore, swap)
         self.fragstore = fragstore
         self.swap = swap
-
-    def __iter__(self) -> Iterator[CompressedTier]:
-        return iter(self.tiers)
-
-    def __len__(self) -> int:
-        return len(self.tiers)
+        self.ledger = ledger
+        self.costs = costs
+        self.page_size = page_size
+        self.injector = injector
+        self.retry = retry
+        self.degradation = degradation
 
     @property
     def warmest(self) -> CompressedTier:
@@ -54,6 +83,78 @@ class TierChain:
     def coldest(self) -> CompressedTier:
         """The tier backed by the real store (readmissions land here)."""
         return self.tiers[-1]
+
+    # ------------------------------------------------------------------
+    # Admission
+    # ------------------------------------------------------------------
+
+    def compress_evicted(
+        self,
+        data: bytes,
+        stats: CompressionStats,
+        stable_key: Optional[str] = None,
+        fingerprint: Optional[bytes] = None,
+    ) -> Union[CompressionResult, Rejected]:
+        """Decide whether an evicted page enters the chain compressed.
+
+        Returns the result to :meth:`admit` when the page compressed
+        past ``stats``' threshold, else why not.  A compression that was
+        attempted is charged whatever its outcome — "wasted effort", as
+        the paper has it; a bypass charges nothing.
+        """
+        warmest = self.tiers[0]
+        gate = warmest.gate
+        degradation = self.degradation
+        degraded = degradation is not None and degradation.degraded
+        if degraded or not gate.open:
+            if degraded:
+                degradation.note_bypassed_eviction()
+            gate.note_bypass()
+            return Rejected.BYPASSED
+        self.ledger.charge(
+            TimeCategory.COMPRESS,
+            self.costs.compress_seconds(self.page_size)
+            * warmest.spec.compress_scale,
+        )
+        # Faults are injected here — above the sampler — so a crash or
+        # pathological expansion never poisons the sampler's memo or the
+        # shared kernel-result cache with bogus entries.
+        injector = self.injector
+        fault = injector.compressor_fault() if injector is not None else None
+        result = None  # what a crash, injected or genuine, leaves
+        if fault == "expand":
+            # Bigger than the input: fails the 4:3 rule below on its own.
+            result = CompressionResult(bytes(data) + b"\0" * 64, len(data))
+        elif fault is None:
+            try:
+                result = warmest.sampler.compress(
+                    data, stable_key=stable_key, fingerprint=fingerprint
+                )
+            except CompressionError:
+                pass
+        if degradation is not None:
+            degradation.record(fault is None and result is not None)
+        if result is None:
+            return Rejected.UNCOMPRESSIBLE
+        kept = stats.record(self.page_size, result.compressed_size)
+        gate.record(kept)
+        return result if kept else Rejected.UNCOMPRESSIBLE
+
+    def admit(
+        self, page_id: PageId, result: CompressionResult, version: int
+    ) -> None:
+        """Insert a kept result into the warmest tier, dirty."""
+        self.tiers[0].cache.insert(
+            page_id,
+            result.payload,
+            dirty=True,
+            now=self.ledger.now,
+            content_version=version,
+        )
+
+    # ------------------------------------------------------------------
+    # Fault
+    # ------------------------------------------------------------------
 
     def find(self, page_id: PageId) -> Optional[CompressedTier]:
         """The warmest compressed tier holding the page, or ``None``."""
@@ -68,6 +169,92 @@ class TierChain:
             if page_id in tier.cache:
                 return True
         return False
+
+    def fetch(
+        self, page_id: PageId
+    ) -> Optional[Tuple[CompressedTier, bytes]]:
+        """``(tier, payload)`` from the warmest tier holding the page.
+
+        A dirty entry's data moves to the uncompressed page; a clean
+        entry stays cached — "the compressed copy in memory can be freed
+        at any time, since there is already a copy on backing store" —
+        making a later unmodified eviction a free drop.
+        """
+        tier = self.find(page_id)
+        if tier is None:
+            return None
+        cache = tier.cache
+        payload, _ = cache.fetch(
+            page_id, remove=cache.is_dirty(page_id), now=self.ledger.now
+        )
+        return tier, payload
+
+    def charge_decompress(self, tier: CompressedTier) -> None:
+        """Charge decompressing one full page with ``tier``'s kernel."""
+        self.ledger.charge(
+            TimeCategory.DECOMPRESS,
+            self.costs.decompress_seconds(self.page_size)
+            * tier.spec.compress_scale,
+        )
+
+    # ------------------------------------------------------------------
+    # Background work
+    # ------------------------------------------------------------------
+
+    def run_cleaners(self) -> int:
+        """Pace every tier's cleaner, then let the store collect.
+
+        Returns how many tiers cleaned.  Each tier is paced on the free
+        count of the pool its cache draws from, read when its turn
+        comes: a warmer tier's clean pass can move it first.
+        """
+        invocations = 0
+        for tier in self.tiers:
+            cache = tier.cache
+            goal = tier.cleaner.pages_to_clean(
+                free_frames=cache.frames.free_frames,
+                reclaimable_frames=cache.reclaimable_frames(),
+                cache_frames=cache.nframes,
+            )
+            if goal > 0:
+                invocations += 1
+                cache.clean_pages(goal)
+        gc_seconds = self.fragstore.maybe_collect()
+        if gc_seconds:
+            self.ledger.charge(TimeCategory.GC, gc_seconds)
+        return invocations
+
+    def drain(self) -> None:
+        """Push every dirty compressed page to the store and flush it.
+
+        Tiers drain warm to cold: a warm tier's clean pass demotes its
+        dirty pages into the next tier, whose own pass then pushes them
+        further, until the terminal tier's write-outs reach the store.
+        """
+        for tier in self.tiers:
+            cache = tier.cache
+            # Under fault injection a clean pass can stall on a write
+            # error and re-queue the page; keep going while progress is
+            # possible.  Without a plan this loop runs exactly once.
+            attempts = 0
+            while cache.dirty_pages() and attempts < 1000:
+                cache.clean_pages(cache.dirty_pages())
+                attempts += 1
+        try:
+            seconds = self.fragstore.flush()
+        except PagingFaultError as exc:
+            self.ledger.charge(TimeCategory.IO_WRITE, exc.seconds)
+            seconds = 0.0
+            if self.retry is not None:
+                seconds = self.retry.try_call(
+                    self.fragstore.flush, TimeCategory.IO_WRITE
+                ) or 0.0
+        if seconds:
+            self.ledger.charge(TimeCategory.IO_WRITE, seconds)
+
+    # ------------------------------------------------------------------
+    # Reporting
+    # ------------------------------------------------------------------
 
     def compressed_pages(self) -> int:
         """Pages held compressed in memory across all tiers."""
@@ -86,7 +273,18 @@ class TierChain:
         )
 
     def snapshot(self) -> List[dict]:
-        """JSON-native per-tier stats, warmest first, store last."""
-        stats = [tier.stats().as_dict() for tier in self.tiers]
-        stats.append(self.store.stats().as_dict())
-        return stats
+        """JSON-native per-tier stats, warmest first, store last.
+
+        The store row covers the fragment store and the raw swap; it
+        holds no physical frames.
+        """
+        rows = [tier.stats() for tier in self.tiers]
+        rows.append({
+            "name": "store",
+            "kind": "store",
+            "frames": 0,
+            "pages": self.fragstore.live_pages,
+            "fragstore": self.fragstore.counters.snapshot(),
+            "swap": self.swap.counters.snapshot(),
+        })
+        return rows

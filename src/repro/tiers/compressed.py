@@ -2,8 +2,8 @@
 
 :class:`CompressedTier` bundles what the machine used to wire ad hoc for
 its single cache — the circular buffer, a per-tier (per-kernel) sampler,
-the adaptive gate, and the cleaner policy — behind the
-:class:`~repro.tiers.protocol.MemoryTier` verbs.
+the adaptive gate, and the cleaner policy — as one level for
+:class:`~repro.tiers.chain.TierChain` to drive.
 
 :class:`DemotionSink` is the piece that chains tiers together.  A
 :class:`~repro.ccache.circular.CompressionCache` "writes out" dirty
@@ -41,7 +41,6 @@ from ..mem.frames import OutOfFramesError
 from ..mem.page import PageId
 from ..sim.costs import CostModel
 from ..sim.ledger import Ledger, TimeCategory
-from .protocol import TierStats
 from .spec import TierSpec
 
 
@@ -168,9 +167,10 @@ class DemotionSink:
         return seconds
 
     def contains(self, page_id: PageId) -> bool:
-        """Whether the demoted copy is still reachable below the source."""
-        target = self.target
-        return page_id in target.cache or target.backing_contains(page_id)
+        """Whether the demoted copy is still reachable below the source
+        (recursing down a chain of sinks to the real store)."""
+        cache = self.target.cache
+        return page_id in cache or cache.fragstore.contains(page_id)
 
     def flush(self) -> float:
         """Nothing staged here; demotions land in memory immediately."""
@@ -199,39 +199,14 @@ class CompressedTier:
     def name(self) -> str:
         return self.spec.name
 
-    # -- MemoryTier -----------------------------------------------------
-
-    def admit(
-        self,
-        page_id: PageId,
-        payload: bytes,
-        dirty: bool,
-        now: float,
-        content_version: int = -1,
-        on_backing_store: bool = False,
-    ) -> None:
-        self.cache.insert(
-            page_id,
-            payload,
-            dirty=dirty,
-            now=now,
-            on_backing_store=on_backing_store,
-            content_version=content_version,
-        )
-
-    def fault(
-        self, page_id: PageId, now: float, remove: bool = True
-    ) -> Tuple[bytes, bool]:
-        return self.cache.fetch(page_id, remove=remove, now=now)
-
-    def demote(self, max_pages: int) -> int:
-        return self.cache.clean_pages(max_pages)
-
-    def shrink(self) -> Optional[float]:
-        return self.cache.shrink_one()
-
-    def stats(self) -> TierStats:
-        counters = {
+    def stats(self) -> dict:
+        """JSON-native snapshot, one row of :meth:`TierChain.snapshot`."""
+        sink = self.sink
+        return {
+            "name": self.spec.name,
+            "kind": "compressed",
+            "frames": self.cache.nframes,
+            "pages": self.cache.compressed_pages,
             "compressor": self.spec.compressor,
             "compressed_pages": self.cache.compressed_pages,
             "live_bytes": self.cache.live_bytes,
@@ -241,31 +216,6 @@ class CompressedTier:
                 "hits": self.sampler.hits,
                 "misses": self.sampler.misses,
             },
-            "demoted_out": (
-                self.sink.demoted_pages if self.sink is not None else 0
-            ),
-            "spilled_out": (
-                self.sink.spilled_pages if self.sink is not None else 0
-            ),
+            "demoted_out": sink.demoted_pages if sink is not None else 0,
+            "spilled_out": sink.spilled_pages if sink is not None else 0,
         }
-        return TierStats(
-            name=self.spec.name,
-            kind="compressed",
-            frames=self.cache.nframes,
-            pages=self.cache.compressed_pages,
-            counters=counters,
-        )
-
-    def contains(self, page_id: PageId) -> bool:
-        return page_id in self.cache
-
-    def coldest_age(self, now: float) -> Optional[float]:
-        return self.cache.coldest_age(now)
-
-    # -- chain plumbing -------------------------------------------------
-
-    def backing_contains(self, page_id: PageId) -> bool:
-        """Whether the level below this tier holds the page (recursing
-        down a chain of sinks to the real store)."""
-        backing = self.cache.fragstore  # the sink, or the real store
-        return backing.contains(page_id)

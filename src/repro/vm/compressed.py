@@ -29,24 +29,16 @@ with the colder tier's kernel), the terminal tier's write-outs reach the
 fragment store, and faults are served from the warmest tier holding the
 page.  A one-tier chain — the default configuration — follows exactly
 the call sequence of the original single-cache implementation.
-
-The adaptive gate (:class:`AdaptiveCompressionGate`) implements the
-paper's "it should be possible to disable compression completely when
-poor compression is obtained" follow-on; it ships disabled-by-default to
-match the measured system.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..ccache.allocator import ThreeWayAllocator
-from ..compression.base import CompressionError, CompressionResult
+from ..compression.base import CompressionResult
 from ..faults.errors import (
     FragmentChecksumError,
     IORetriesExhausted,
     MissingFragmentError,
-    PagingFaultError,
 )
 from ..mem.frames import FramePool
 from ..mem.page import PageId, PageState
@@ -55,7 +47,7 @@ from ..mem.segment import AddressSpace
 from ..sim.costs import CostModel
 from ..sim.ledger import Ledger, TimeCategory
 from ..storage.swap import StandardSwap
-from ..tiers.chain import TierChain
+from ..tiers.chain import Rejected, TierChain
 from ..tiers.compressed import CompressedTier
 from .faults import FaultSource
 from .system import BaseVM
@@ -77,12 +69,11 @@ class CompressedVM(BaseVM):
         max_prefetch_pages: bound per-fault prefetch admissions.
         paranoid: verify every decompression round trip (slow).
         resilience: fault-layer counters (``None`` = no fault plan).
-        injector: :class:`~repro.faults.injectors.FaultInjector` driving
-            compressor crash/expansion faults in the eviction path.
         retry: :class:`~repro.faults.retry.ResilientIO` wrapping the
             pager I/O; ``None`` keeps the stock fail-fast path.
         degradation: :class:`~repro.faults.degrade.DegradationController`
-            bypassing compression while the substrate misbehaves.
+            told about fragments whose checksum never verified (the
+            chain consults it to bypass compression).
     """
 
     def __init__(
@@ -99,7 +90,6 @@ class CompressedVM(BaseVM):
         max_prefetch_pages: int = 16,
         paranoid: bool = False,
         resilience=None,
-        injector=None,
         retry=None,
         degradation=None,
     ):
@@ -109,21 +99,12 @@ class CompressedVM(BaseVM):
         )
         self.chain = chain
         self.tiers = chain.tiers
-        # The warmest tier's components keep their historical names: the
-        # eviction path compresses into this tier, its gate is the only
-        # one that can close, and single-tier tests address the cache as
-        # ``vm.ccache``.
-        warmest = chain.warmest
-        self.ccache = warmest.cache
-        self.gate = warmest.gate
-        self.cleaner = warmest.cleaner
         self.swap = swap
         self.fragstore = chain.fragstore
         self.prefetch_colocated = prefetch_colocated
         self.max_prefetch_pages = max_prefetch_pages
         self.paranoid = paranoid
         self.resilience = resilience
-        self.injector = injector
         self.retry = retry
         self.degradation = degradation
         self._cleaner_check_pending = False
@@ -155,17 +136,9 @@ class CompressedVM(BaseVM):
         page_size = self.address_space.page_size
         self._cleaner_check_pending = True
 
-        tier = self.chain.find(page_id)
-        if tier is not None:
-            # A dirty entry's data moves to the uncompressed page; a clean
-            # entry stays cached — "the compressed copy in memory can be
-            # freed at any time, since there is already a copy on backing
-            # store" — making a later unmodified eviction a free drop.
-            cache = tier.cache
-            remove = cache.is_dirty(page_id)
-            payload, _ = cache.fetch(
-                page_id, remove=remove, now=self.ledger.now
-            )
+        hit = self.chain.fetch(page_id)
+        if hit is not None:
+            tier, payload = hit
             frame = self._obtain_frame()
             self._charge_decompress(pte, payload, tier)
             telemetry = self.telemetry
@@ -286,15 +259,11 @@ class CompressedVM(BaseVM):
     ) -> None:
         """Charge decompression of a full page with the tier's kernel;
         verify when paranoid."""
-        page_size = self.address_space.page_size
-        self.ledger.charge(
-            TimeCategory.DECOMPRESS,
-            self.costs.decompress_seconds(page_size)
-            * tier.spec.compress_scale,
-        )
+        self.chain.charge_decompress(tier)
         if self.paranoid:
-            result = CompressionResult(payload, page_size)
-            restored = tier.sampler.compressor.decompress(result)
+            restored = tier.sampler.compressor.decompress(
+                CompressionResult(payload, self.address_space.page_size)
+            )
             if restored != pte.content.materialize():
                 raise AssertionError(
                     f"decompressed data mismatch for {pte.page_id}"
@@ -349,7 +318,6 @@ class CompressedVM(BaseVM):
     def _evict(self, pte: PageTableEntry) -> None:
         self.metrics.evictions.total += 1
         page_id = pte.page_id
-        page_size = self.address_space.page_size
         self._cleaner_check_pending = True
 
         # Fast drop: some tier still holds this exact version compressed.
@@ -382,50 +350,34 @@ class CompressedVM(BaseVM):
             self.metrics.evictions.clean_drops += 1
             return
 
-        bypass_degraded = (
-            self.degradation is not None and self.degradation.degraded
+        content = pte.content
+        data = content.materialize()
+        outcome = self.chain.compress_evicted(
+            data,
+            self.metrics.compression,
+            stable_key=content.stable_key,
+            # Reuse the page's cached digest so repeat evictions of an
+            # unmodified page skip the full-page hash in the memo probe.
+            fingerprint=(
+                None if content.stable_key is not None
+                else content.fingerprint()
+            ),
         )
-        if self.gate.open and not bypass_degraded:
-            content = pte.content
-            data = content.materialize()
-            self.ledger.charge(
-                TimeCategory.COMPRESS,
-                self.costs.compress_seconds(page_size)
-                * self.chain.warmest.spec.compress_scale,
-            )
-            result = self._compress_for_eviction(content, data)
-            if result is not None:
-                kept = self.metrics.compression.record(
-                    page_size, result.compressed_size
-                )
-                self.gate.record(kept)
-                if kept:
-                    # Free the victim's frame *before* inserting so the
-                    # cache can grow into it without recursing through the
-                    # allocator.
-                    self._release_resident_frame(pte, PageState.COMPRESSED)
-                    self.ccache.insert(
-                        page_id,
-                        result.payload,
-                        dirty=True,
-                        now=self.ledger.now,
-                        content_version=pte.content.version,
-                    )
-                    self.metrics.evictions.compressed_kept += 1
-                    return
-                self.metrics.evictions.uncompressible += 1
-            else:
-                # Compressor crashed: the compression time was wasted and
-                # the page takes the raw path below.
-                self.metrics.evictions.uncompressible += 1
-        else:
-            if bypass_degraded:
-                self.degradation.note_bypassed_eviction()
-            self.gate.note_bypass()
+        if not isinstance(outcome, Rejected):
+            # Free the victim's frame *before* inserting so the cache
+            # can grow into it without recursing through the allocator.
+            self._release_resident_frame(pte, PageState.COMPRESSED)
+            self.chain.admit(page_id, outcome, version)
+            self.metrics.evictions.compressed_kept += 1
+            return
+        if outcome is Rejected.BYPASSED:
             self.metrics.evictions.bypassed_gate += 1
+        else:
+            # Compression time was spent and wasted (4:3 rule failed or
+            # the compressor crashed).
+            self.metrics.evictions.uncompressible += 1
 
         # Raw path: full-page write to the ordinary swap.
-        data = pte.content.materialize()
         if self.retry is None:
             seconds = self.swap.write_page(page_id, data)
         else:
@@ -446,47 +398,6 @@ class CompressedVM(BaseVM):
         self.metrics.evictions.raw_writes += 1
         self._release_resident_frame(pte, PageState.BACKING_STORE)
 
-    def _compress_for_eviction(
-        self, content, data: bytes
-    ) -> Optional[CompressionResult]:
-        """Compress an eviction victim, applying injected compressor faults.
-
-        Faults are injected here — above the sampler — so a crash or
-        pathological expansion never poisons the sampler's memo or the
-        shared kernel-result cache with bogus entries.  Returns ``None``
-        on a crash (caller routes the page to raw swap).
-        """
-        if self.injector is not None:
-            fault = self.injector.compressor_fault()
-            if fault == "crash":
-                if self.degradation is not None:
-                    self.degradation.record(False)
-                return None
-            if fault == "expand":
-                if self.degradation is not None:
-                    self.degradation.record(False)
-                # Pathological expansion: an output bigger than the input
-                # fails the 4:3 threshold naturally in the caller.
-                return CompressionResult(bytes(data) + b"\0" * 64, len(data))
-        try:
-            result = self.sampler.compress(
-                data,
-                stable_key=content.stable_key,
-                # Reuse the page's cached digest so repeat evictions of an
-                # unmodified page skip the full-page hash in the memo probe.
-                fingerprint=(
-                    None if content.stable_key is not None
-                    else content.fingerprint()
-                ),
-            )
-        except CompressionError:
-            if self.degradation is not None:
-                self.degradation.record(False)
-            return None
-        if self.degradation is not None:
-            self.degradation.record(True)
-        return result
-
     def _release_resident_frame(
         self, pte: PageTableEntry, new_state: PageState
     ) -> None:
@@ -503,19 +414,7 @@ class CompressedVM(BaseVM):
         if not self._cleaner_check_pending:
             return
         self._cleaner_check_pending = False
-        for tier in self.tiers:
-            cache = tier.cache
-            goal = tier.cleaner.pages_to_clean(
-                free_frames=self.frames.free_frames,
-                reclaimable_frames=cache.reclaimable_frames(),
-                cache_frames=cache.nframes,
-            )
-            if goal > 0:
-                self.metrics.cleaner_invocations += 1
-                cache.clean_pages(goal)
-        gc_seconds = self.fragstore.maybe_collect()
-        if gc_seconds:
-            self.ledger.charge(TimeCategory.GC, gc_seconds)
+        self.metrics.cleaner_invocations += self.chain.run_cleaners()
 
     # ------------------------------------------------------------------
     # Store-version bookkeeping
@@ -542,36 +441,6 @@ class CompressedVM(BaseVM):
         )
 
     def drain(self) -> None:
-        """Evict all resident pages and flush pending compressed writes.
-
-        Tiers drain warm to cold: a warm tier's clean pass demotes its
-        dirty pages into the next tier, whose own pass then pushes them
-        further, until the terminal tier's write-outs reach the store.
-        """
+        """Evict all resident pages and flush pending compressed writes."""
         super().drain()
-        for tier in self.tiers:
-            cache = tier.cache
-            # Under fault injection a clean pass can stall on a write
-            # error and re-queue the page; keep going while progress is
-            # possible.  Without a plan this loop runs exactly once.
-            attempts = 0
-            while cache.dirty_pages() and attempts < 1000:
-                cache.clean_pages(cache.dirty_pages())
-                attempts += 1
-        seconds = self._final_flush()
-        if seconds:
-            self.ledger.charge(TimeCategory.IO_WRITE, seconds)
-
-    def _final_flush(self) -> float:
-        """Flush staged fragments, retrying under a fault plan."""
-        try:
-            return self.fragstore.flush()
-        except PagingFaultError as exc:
-            self.ledger.charge(TimeCategory.IO_WRITE, exc.seconds)
-            if self.retry is not None:
-                seconds = self.retry.try_call(
-                    self.fragstore.flush, TimeCategory.IO_WRITE
-                )
-                if seconds is not None:
-                    return seconds
-            return 0.0
+        self.chain.drain()

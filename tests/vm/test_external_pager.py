@@ -1,13 +1,89 @@
-"""The Mach-style external-pager architecture."""
+"""The Mach-style external-pager architecture.
+
+The pinned digests at the bottom play the role of
+tests/sim/test_golden_digests.py and ``GOLDEN_TWO_TIER`` for this
+architecture: they freeze the complete ``RunResult.as_dict()`` of drained
+external-pager runs, so the pager's pageout/pagein/tick/flush cannot
+drift from the in-kernel VM's use of the same tier chain unnoticed.  A
+mismatch means behaviour moved; fix the change, do not refresh the
+digest (unless the PR's point is a deliberate semantics change).
+"""
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
+from repro.faults.plan import FaultPlan
 from repro.mem.page import PageId, mbytes
 from repro.pager.interface import PagerError
 from repro.sim.engine import SimulationEngine
 from repro.sim.machine import Machine, MachineConfig
+from repro.tiers.spec import parse_tier_specs
 from repro.vm.faults import VmConfigurationError
 from repro.workloads import SyntheticWorkload, Thrasher
+
+PLAN_DIR = Path(__file__).parents[2] / "experiments" / "fault_plans"
+
+#: SHA-256 of canonical JSON of RunResult.as_dict() for drained
+#: (``drain=True``, so ``flush`` runs) external-pager runs, captured
+#: immediately before the pager moved onto the tier chain's verbs.
+#: Key: (workload, scale, MachineConfig overrides, fault plan).
+GOLDEN_EXTERNAL = {
+    ("thrasher", 0.12, "", None):
+        "2c2eb9fba65e34a0d9bb53be969985f109b93fcfc956cc23379954ec9d00eb40",
+    ("gold-warm", 0.12, "", None):
+        "f79f46ca49d4a9bb3bbf79353cc91864f90638905af4c073aacdcaf82b2ed047",
+    ("compare", 0.12, "", None):
+        "fb64250c45db0508aeb7fe75ba3d452b72210c794bd681d42862629fcda3b837",
+    ("sort-random", 0.12, "", None):
+        "bb6067c163233f4808b52bbbcaaef13da2b96ec6b1bab9c0d8bb4bf46f65ede2",
+    ("thrasher", 0.12, "two-tier", None):
+        "2d921dd3e30c6fa759d107cb64f4bbf290d94b9adb0beda779ce14fe51927209",
+    ("compare", 0.12, "adaptive", None):
+        "b56e1635df853a7335b79bf5ce3eb626b5239da31646b3acd5c2d4dd9bba61c8",
+    ("sort-random", 0.12, "gate", None):
+        "7953c745252fe57ebe7a000d21f4d11223fc296ca0013408745bcb51c87072c7",
+    ("thrasher", 0.12, "lfs", None):
+        "0a4a4d0cbd09ec4ecf50f9dec47a9ee44cb8ebb1f8fe800d9a62b2ede494f54d",
+    ("thrasher", 0.06, "", "compressor-crash"):
+        "57cd2bf36a09da0f7d80bd9905a9305d9a5faa3dd1af63164e66d4b7da826412",
+    ("compare", 0.06, "", "compressor-crash"):
+        "6f7d88b185c6e698a1efbf8377146292075282de6e95326f1f04196da0c51cae",
+    ("thrasher", 0.06, "", "corrupt-fragments"):
+        "0426d2bc43938a738bf0a369a3a97c62bc9443ff4c44a94e18f49cc275f9a441",
+    ("thrasher", 0.06, "", "disk-flaky"):
+        "4bfcdb8f7313bffd2e1b7e0352b391e32063eec2b9d327ff8f7c0e31e7e20708",
+    ("compare", 0.06, "", "disk-flaky"):
+        "ee586d26468afa8ffb33a58a8be449fcc2ea8eeac91ede79c98c210a086fe5c8",
+}
+
+_OVERRIDES = {
+    "": {},
+    "two-tier": {"tiers": parse_tier_specs("two-tier")},
+    "adaptive": {"compressor": "adaptive"},
+    "gate": {"adaptive_gate": True},
+    "lfs": {"store": "lfs"},
+}
+
+
+def run_external(name, scale, variant="", plan=None):
+    """One drained external-pager run at the bench_sim geometry."""
+    from repro.cli import WORKLOAD_FACTORIES
+
+    workload = WORKLOAD_FACTORIES[name](scale)
+    config = MachineConfig(
+        memory_bytes=mbytes(6 * scale),
+        vm_architecture="external-pager",
+        fault_plan=(
+            None if plan is None
+            else FaultPlan.from_json(PLAN_DIR / f"{plan}.json")
+        ),
+        **_OVERRIDES[variant],
+    )
+    machine = Machine(config, workload.build())
+    return SimulationEngine(machine).run(workload.references(), drain=True)
 
 
 def make_machine(compression_cache, memory_mb=0.5, space_mb=1.2,
@@ -156,6 +232,17 @@ class TestConfiguration:
         )
         assert machine.pager is None
 
+    def test_compression_pager_cannot_be_built_without_a_frame_pool(self):
+        """``CompressionPager(frames=None)`` once paced every cleaner as
+        if no frame were free; the chain now reads the pool its caches
+        draw from, so there is no such argument to leave out."""
+        from repro.pager.compression import CompressionPager
+
+        _, machine = make_machine(True)
+        with pytest.raises(TypeError, match="frames"):
+            CompressionPager(machine.chain, machine.ledger, 4096,
+                             frames=None)
+
 
 class TestPagerFaultContext:
     def test_missing_fragment_surfaces_with_gc_context(self):
@@ -194,3 +281,26 @@ class TestPagerFaultContext:
         result = SimulationEngine(machine).run(workload.references())
         assert result.fault_counters is not None
         assert result.fault_counters["injected_faults"] > 0
+
+
+class TestExternalPagerGoldenDigests:
+    @pytest.mark.parametrize(
+        "case", sorted(GOLDEN_EXTERNAL, key=repr),
+        ids=lambda case: "-".join(str(part) for part in case if part),
+    )
+    def test_external_pager_digest_pinned(self, case):
+        blob = json.dumps(
+            run_external(*case).as_dict(),
+            sort_keys=True, separators=(",", ":"),
+        ).encode()
+        assert hashlib.sha256(blob).hexdigest() == GOLDEN_EXTERNAL[case], (
+            f"{case}: external-pager simulation output diverged from the "
+            "pinned behaviour"
+        )
+
+    def test_unrecoverable_fragment_is_a_pager_error(self):
+        """The pager holds the only copy of its pages, so a fragment the
+        retries cannot recover is a hard fault by design (the in-kernel
+        VM falls back to the backstop instead)."""
+        with pytest.raises(PagerError, match="failed after retries"):
+            run_external("compare", 0.06, plan="corrupt-fragments")
