@@ -28,7 +28,7 @@ back to its scalar loop — same output, just slower.  The per-kernel
 from __future__ import annotations
 
 import struct
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from .base import CompressionResult
 
@@ -158,15 +158,16 @@ _WK_LOW_BITS = 10
 _WK_LOW_MASK = (1 << _WK_LOW_BITS) - 1
 
 
-def _pack_bits(values: Sequence[int], width: int) -> bytes:
+def _pack_bits(values, width: int) -> bytes:
     """LSB-first fixed-width packing, identical to ``wk._BitWriter``.
 
-    Kept beside :func:`pack_fields` because it is faster for one
-    narrow width (a bit-matrix ``packbits``, no offset arithmetic).
+    ``values`` is an integer array.  Kept beside :func:`pack_fields`
+    because it is faster for one narrow width (a bit-matrix
+    ``packbits``, no offset arithmetic).
     """
-    if not values:
+    if len(values) == 0:
         return b""
-    v = _np.asarray(values, _np.uint16)
+    v = values.astype(_np.uint16)
     bits = (v[:, None] >> _np.arange(width, dtype=_np.uint16)) & 1
     return _np.packbits(
         bits.astype(_np.uint8).reshape(-1), bitorder="little"
@@ -176,12 +177,17 @@ def _pack_bits(values: Sequence[int], width: int) -> bytes:
 def wk_compress(data: bytes) -> CompressionResult:
     """Bit-identical fast path for ``WkCompressor.compress``.
 
-    The direct-mapped dictionary walk is inherently sequential, but
-    everything around it vectorizes: word extraction, the
-    multiplicative slot hash (computed in uint64 so the 54-bit product
-    matches python's arbitrary-precision arithmetic), the 2-bit tag /
-    4-bit index / 10-bit low-bits stream packing, and an all-zero-page
-    short circuit for the most common page in the corpus.
+    The direct-mapped dictionary looks sequential but does not depend
+    on what matched: after any non-zero word its slot holds that word
+    (an exact match found it there; a partial match and a miss both
+    store it) and zero words never touch it.  So the entry a word is
+    compared with is the previous non-zero word of the same slot — or
+    the initial 0 — which one stable ``argsort`` by slot gives for the
+    whole page.  The rest is elementwise: the multiplicative slot hash
+    (computed in uint64 so the 54-bit product matches python's
+    arbitrary-precision arithmetic), the three-way classification, the
+    2-bit tag / 4-bit index / 10-bit low-bits stream packing, and an
+    all-zero-page short circuit for the most common page in the corpus.
     """
     n = len(data)
     nwords = n // 4
@@ -201,39 +207,35 @@ def wk_compress(data: bytes) -> CompressionResult:
             return CompressionResult(bytes(data), n, stored_raw=True)
         return CompressionResult(out, n)
 
-    slots_arr = (
-        ((words_arr.astype(_np.uint64) >> _WK_LOW_BITS) * 0x9E3779B1) >> 22
-    ) & (_WK_DICT_SIZE - 1)
+    nonzero = _np.flatnonzero(words_arr)
+    words = words_arr[nonzero]
+    high = words >> _WK_LOW_BITS
+    slots = ((high.astype(_np.uint64) * 0x9E3779B1) >> 22) & (
+        _WK_DICT_SIZE - 1
+    )
+    # Group by slot, page order kept within a slot: each word's entry is
+    # its predecessor in the group.  A group's first word should meet
+    # the empty entry, 0, and meets the last word of the slot before
+    # instead — which classifies the same: another slot means another
+    # prefix, so both are misses, and prefix 0 (which 0 would partially
+    # match) lives in slot 0, the one group whose first word meets 0.
+    order = _np.argsort(slots, kind="stable")
+    grouped = words[order]
+    previous = _np.empty_like(grouped)
+    previous[0] = 0
+    previous[1:] = grouped[:-1]
+    entries = _np.empty_like(words)
+    entries[order] = previous
 
-    dictionary = [0] * _WK_DICT_SIZE
-    tags: List[int] = []
-    indices: List[int] = []
-    lows: List[int] = []
-    misses = bytearray()
-    tag_append = tags.append
-    index_append = indices.append
-    low_append = lows.append
-    for word, slot in zip(words_arr.tolist(), slots_arr.tolist()):
-        if word == 0:
-            tag_append(0)
-            continue
-        entry = dictionary[slot]
-        if entry == word:
-            tag_append(1)
-            index_append(slot)
-        elif (entry >> _WK_LOW_BITS) == (word >> _WK_LOW_BITS):
-            tag_append(2)
-            index_append(slot)
-            low_append(word & _WK_LOW_MASK)
-            dictionary[slot] = word
-        else:
-            tag_append(3)
-            misses += word.to_bytes(4, "little")
-            dictionary[slot] = word
+    exact = entries == words
+    miss = (entries >> _WK_LOW_BITS) != high  # exact implies equal highs
+    partial = ~(exact | miss)
+    tags = _np.zeros(nwords, _np.uint8)  # 0 zero word
+    tags[nonzero] = 3 - 2 * exact - partial  # 1 exact, 2 partial, 3 miss
 
     tag_bytes = _pack_bits(tags, 2)
-    index_bytes = _pack_bits(indices, 4)
-    low_bytes = _pack_bits(lows, _WK_LOW_BITS)
+    index_bytes = _pack_bits(slots[~miss], 4)
+    low_bytes = _pack_bits(words[partial] & _WK_LOW_MASK, _WK_LOW_BITS)
     out = (
         struct.pack(
             "<IHHH", nwords, len(tag_bytes), len(index_bytes), len(low_bytes)
@@ -241,7 +243,7 @@ def wk_compress(data: bytes) -> CompressionResult:
         + tag_bytes
         + index_bytes
         + low_bytes
-        + bytes(misses)
+        + words[miss].tobytes()
         + tail
     )
     if len(out) >= n:

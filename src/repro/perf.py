@@ -14,6 +14,9 @@ The repo's simulated results never depend on host wall-clock, but the
   (VM, pager, compression cache, sampler) engaged.
 * **same-process overheads** — what an optional subsystem costs against
   the machine without it (:data:`OVERHEADS`).
+* **page generation** — ms per page of each :mod:`~.workloads.contentgen`
+  generator with its memo emptied: what every run pays before its first
+  reference.
 
 Every in-process wall-clock figure is taken by :func:`ab_compare`.
 Results are written as ``BENCH_compression.json`` and ``BENCH_sim.json``
@@ -25,6 +28,7 @@ committed in ``benchmarks/perf_baseline.json``.
 from __future__ import annotations
 
 import json
+import random
 import re
 import time
 from functools import partial
@@ -113,12 +117,11 @@ def ab_compare(arms: Mapping[str, Arm], reps: int,
     return Comparison(best, ratio, band, values)
 
 
-def _corpus_kinds(pages_per_kind: int,
-                  page_size: int = DEFAULT_PAGE_SIZE
-                  ) -> Dict[str, List[bytes]]:
-    """Representative pages per content kind (see contentgen docstrings)."""
+def _generators() -> Dict[str, Callable[..., bytes]]:
+    """contentgen's page generators by content kind, each callable as
+    ``make(page_number, page_size=...)``."""
     dictionary = contentgen.make_dictionary()
-    generators = {
+    return {
         "tiled": contentgen.repeating_pattern,
         "dp": contentgen.dp_band_values,
         "random": contentgen.incompressible,
@@ -127,8 +130,15 @@ def _corpus_kinds(pages_per_kind: int,
         "text": partial(contentgen.text_page_random, dictionary=dictionary),
         "textc": partial(contentgen.text_page_clustered,
                          dictionary=dictionary),
-        "zeros": lambda i, page_size: bytes(page_size),
     }
+
+
+def _corpus_kinds(pages_per_kind: int,
+                  page_size: int = DEFAULT_PAGE_SIZE
+                  ) -> Dict[str, List[bytes]]:
+    """Representative pages per content kind (see contentgen docstrings)."""
+    generators = dict(_generators(),
+                      zeros=lambda i, page_size: bytes(page_size))
     return {kind: [make(i, page_size=page_size)
                    for i in range(pages_per_kind)]
             for kind, make in generators.items()}
@@ -225,6 +235,58 @@ def bench_compression(pages_per_kind: int = 16, reps: int = 5) -> Dict:
         ("fast", "scalar"), pages_per_kind, reps,
     ) if vectorized.HAVE_NUMPY else None
     return result
+
+
+def bench_contentgen(pages: int = 32, reps: int = 5) -> Dict:
+    """What generating a page costs: ``BENCH_sim.json``'s ``contentgen``.
+
+    One :func:`ab_compare` over the generators, every arm's untimed
+    set-up emptying the memos so that each of its ``pages`` pages is
+    generated, none recalled.  ``pages_per_second`` — all generators'
+    pages over their summed best times — is the figure the gate holds.
+    ``bulk_draw`` times the two paths of contentgen's bulk draw on the
+    outputs one page of byte draws consumes (half of the 9-bit draws
+    fall below 256); ``numpy_ms`` is ``None`` without numpy.
+    """
+    def generate(make: Callable[..., bytes]) -> Arm:
+        def prepare() -> Callable[[], object]:
+            contentgen.clear_caches()
+            return lambda: [make(number) for number in range(pages)]
+        return prepare
+
+    generators = _generators()
+    cmp = ab_compare({kind: generate(make)
+                      for kind, make in generators.items()}, reps)
+
+    outputs = 2 * DEFAULT_PAGE_SIZE
+    paths = {"python": contentgen._accepted_python}
+    if vectorized.HAVE_NUMPY:
+        paths["numpy"] = contentgen._accepted_numpy
+    draw = ab_compare({
+        name: (lambda accepted=accepted: lambda: [
+            accepted(random.Random(number), 256, outputs)
+            for number in range(pages)
+        ]) for name, accepted in paths.items()
+    }, reps)
+    draw_ms = {name: round(draw.best[name] / pages * 1e3, 4)
+               for name in paths}
+    return {
+        "page_size": DEFAULT_PAGE_SIZE,
+        "pages": pages,
+        "reps": reps,
+        "ms_per_page": {kind: round(cmp.best[kind] / pages * 1e3, 4)
+                        for kind in generators},
+        "noise_band": round(cmp.band, 4),
+        "pages_per_second": round(
+            len(generators) * pages / sum(cmp.best.values()), 1
+        ),
+        "bulk_draw": {
+            "outputs": outputs,
+            "python_ms": draw_ms["python"],
+            "numpy_ms": draw_ms.get("numpy"),
+            "noise_band": round(draw.band, 4),
+        },
+    }
 
 
 def bench_micro(reps: int = 5) -> Dict:
@@ -756,6 +818,8 @@ GATES: Tuple[Gate, ...] = (
     # run's own noise band (lower bound = overhead - band).
     Gate("overhead", "sim", "overhead.*.lower_bound_percent",
          "<=", "overhead_ceiling_percent"),
+    Gate("contentgen-floor", "sim", "contentgen.pages_per_second",
+         ">=", "contentgen_pages_per_second", _FLOOR),
     # A digest mismatch on the same spec is a determinism regression,
     # the one failure with no tolerance.
     Gate("service-ledger-digest", "service", "determinism.ledger_digest",
@@ -927,6 +991,16 @@ def run_harness(
                  f"(noise band {row['band_percent']:.1f}%, at least "
                  f"{row['lower_bound_percent']:+.1f}%)"
                  + (": unresolved" if unresolved else ""))
+        echo("page generation, memos emptied ...")
+        sim["contentgen"] = bench_contentgen(reps=3 if quick else 5)
+        for kind, ms in sim["contentgen"]["ms_per_page"].items():
+            echo(f"  {kind}: {ms:.3f} ms/page")
+        draw = sim["contentgen"]["bulk_draw"]
+        numpy_ms = ("absent" if draw["numpy_ms"] is None
+                    else f"{draw['numpy_ms']:.3f} ms")
+        echo(f"  all: {sim['contentgen']['pages_per_second']:,.0f} pages/s; "
+             f"bulk draw of {draw['outputs']} outputs: numpy {numpy_ms}, "
+             f"python {draw['python_ms']:.3f} ms")
         sim_path = out_dir / "BENCH_sim.json"
         sim_path.write_text(json.dumps(sim, indent=2) + "\n")
         echo(f"wrote {sim_path}")

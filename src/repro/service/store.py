@@ -26,7 +26,7 @@ the order operations arrive — no locks, no clocks, no randomness.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..compression import CompressionResult, create
 from ..compression.sampler import shared_compress
@@ -85,12 +85,13 @@ class SlotTier:
         self.used_bytes -= entry.stored_size
         return key, entry
 
-    def lru_keys_of_tenant(self, tenant: int) -> List[int]:
-        """Keys owned by a tenant, least recent first."""
-        return [
-            key for key, entry in self.entries.items()
-            if entry.tenant == tenant
-        ]
+    def lru_key_of_tenant(self, tenant: int) -> Optional[int]:
+        """The tenant's least recently used key, or ``None``; the scan
+        stops at the first entry the tenant owns."""
+        for key, entry in self.entries.items():
+            if entry.tenant == tenant:
+                return key
+        return None
 
 
 class VslotStore:
@@ -225,18 +226,13 @@ class VslotStore:
         """Evict the tenant's own entries, coldest tier first, LRU
         first, until the incoming entry fits under the quota."""
         while self._tenant_bytes.get(tenant, 0) + incoming > quota:
-            victim_key = None
-            victim_tier = None
             for tier in reversed(self.tiers):
-                owned = tier.lru_keys_of_tenant(tenant)
-                if owned:
-                    victim_key = owned[0]
-                    victim_tier = tier
+                victim_key = tier.lru_key_of_tenant(tenant)
+                if victim_key is not None:
                     break
-            if victim_key is None:  # nothing left to evict
+            else:  # nothing left to evict
                 break
-            entry = victim_tier.remove(victim_key)
-            self._account_remove(entry)
+            self._account_remove(tier.remove(victim_key))
             self.ledger(tenant).bump("quota_evictions")
 
     # -- reporting ----------------------------------------------------

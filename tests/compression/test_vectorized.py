@@ -44,7 +44,7 @@ from repro.compression.fpc import FpcCompressor
 from repro.compression.lzrw1 import Lzrw1
 from repro.compression.lzss import Lzss
 from repro.compression.rle import Rle
-from repro.compression.wk import WkCompressor, _BitWriter
+from repro.compression.wk import WkCompressor, _BitWriter, _dict_slot
 from repro.workloads import contentgen
 
 #: Aggregate SHA-256 of (payload + raw-flag byte) over the whole corpus,
@@ -251,6 +251,17 @@ def _bdi_edge_line(args) -> bytes:
     return b"".join((v % (1 << 8 * k)).to_bytes(k, "little") for v in values)
 
 
+def _wk_slot_mates(high: int) -> bytes:
+    """Two 22-bit prefixes sharing a WK dictionary slot, alternating:
+    each evicts the other, so a re-seen word is a miss, not an exact
+    match — with a zero word (which must not touch the slot) between."""
+    mate = (high + 1) & 0x3FFFFF
+    while _dict_slot(mate << 10) != _dict_slot(high << 10):
+        mate = (mate + 1) & 0x3FFFFF
+    a, b = high << 10 | 1, mate << 10 | 2
+    return _words(a, b, a, 0, a, b | 5, b, b | 5, a)
+
+
 _word = st.integers(0, 0xFFFFFFFF)
 
 #: Named boundary segments; a page is a concatenation of draws.
@@ -299,6 +310,16 @@ SEGMENTS = {
         )
     ),
     "cpack-reseen": _word.map(lambda w: _words(w, w ^ 0xABCD0000, w, w ^ 1)),
+    # WK: a non-zero word under 1024 partially matches the empty
+    # dictionary's 0; same-prefix words chain partial matches, each
+    # against the one before, with exact repeats between.
+    "wk-low-word": st.integers(1, 1023).map(_words),
+    "wk-partial-chain": st.tuples(
+        st.integers(0, 0x3FFFFF),
+        st.lists(st.sampled_from([0, 1, 1, 2, 1023]), min_size=2,
+                 max_size=8),
+    ).map(lambda t: _words(*(t[0] << 10 | low for low in t[1]))),
+    "wk-slot-mates": st.integers(0, 0x3FFFFF).map(_wk_slot_mates),
     "random": st.binary(min_size=1, max_size=64),
 }
 
@@ -322,6 +343,7 @@ def structured_pages(draw) -> bytes:
 @example(page=_words(0, 0xFFFFFFFF) * 8)
 def test_structured_boundaries_bit_identical(page):
     oracles = {
+        "wk": WkCompressor(fast=False).compress(page).payload,
         "fpc": FpcCompressor(fast=False).compress(page).payload,
         "bdi": BdiCompressor(fast=False).compress(page).payload,
         "cpack": reference_cpack(page),

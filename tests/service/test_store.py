@@ -5,6 +5,8 @@ single-vslot geometry, so every capacity decision is arithmetic the test
 can predict: warm tier holds exactly 3 pages, cold tier exactly 2.
 """
 
+from collections import OrderedDict
+
 from repro.service.config import ServiceConfig, TenantSpec
 from repro.service.store import VslotStore
 
@@ -141,6 +143,33 @@ class TestQuota:
         assert store.put(0, key=1, page=page(2))
         assert store.ledger(0).as_dict()["quota_evictions"] == 0
         assert store.get(0, key=1) == page(2)
+
+    def test_quota_victim_search_stops_at_the_first_owned_entry(self):
+        """The tenant owns the 1st and the 900th of 1,000 entries: the
+        1st goes, found by visiting one entry, not by listing all 1,000."""
+
+        class CountingEntries(OrderedDict):
+            visited = 0
+
+            def items(self):
+                for item in super().items():
+                    self.visited += 1
+                    yield item
+
+        store = make_store(
+            tenants=(TenantSpec("a", quota_bytes=2 * PAGE), TenantSpec("b")),
+            tiers=(1000,),
+        )
+        for key in range(1000):
+            store.put(0 if key in (0, 899) else 1, key, page(key))
+        (tier,) = store.tiers
+        tier.entries = CountingEntries(tier.entries)
+        assert store.put(0, key=5000, page=page(7))
+        assert tier.entries.visited == 1
+        assert store.ledger(0).as_dict()["quota_evictions"] == 1
+        assert store.get(0, key=0) is None
+        assert store.get(0, key=899) == page(899)
+        assert store.resident_entries() == 1000
 
 
 class TestReporting:

@@ -19,6 +19,7 @@ from repro.perf import (
     SIM_CHECK_TOLERANCE,
     _subsystem_of,
     ab_compare,
+    bench_contentgen,
     bench_micro,
     bench_overhead,
     bench_sim,
@@ -135,6 +136,23 @@ class TestBenchMicro:
             "sampler_hit_miss_ops_s",
         ):
             assert result[key] > 0, key
+
+
+class TestBenchContentgen:
+    def test_section_carries_what_the_gate_reads(self):
+        from repro.workloads import contentgen
+
+        contentgen.incompressible(99)
+        result = bench_contentgen(pages=2, reps=2)
+        # Set-up emptied the memos (page 99 is gone): the timed pages
+        # were generated, not recalled.
+        assert contentgen.incompressible.cache_info().currsize <= 2
+        assert len(result["ms_per_page"]) == 7
+        assert all(ms > 0 for ms in result["ms_per_page"].values())
+        assert result["pages_per_second"] > 0
+        draw = result["bulk_draw"]
+        assert draw["python_ms"] > 0
+        assert (draw["numpy_ms"] is None) == (contentgen._np is None)
 
 
 class TestProfileSim:
@@ -444,6 +462,22 @@ class TestGateTable:
         )
         assert [line.split(":")[0] for line in failures] == (
             ["fast-kernel-speedup lzss"] if fails else []
+        )
+
+    @pytest.mark.parametrize("pages_s, fails", [(2100, True), (4400, False)])
+    def test_committed_contentgen_floor_can_fail(self, pages_s, fails):
+        """The committed floor sits between what the generators measured
+        drawing one ``randrange`` per byte (2,100 pages/s at best) and
+        the slowest run of the ones that draw in bulk (4,400)."""
+        committed = json.loads(
+            (REPO_ROOT / "benchmarks" / "perf_baseline.json").read_text()
+        )["contentgen_pages_per_second"]
+        failures = _failures(
+            {"sim": {"contentgen": {"pages_per_second": pages_s}}},
+            {"contentgen_pages_per_second": committed},
+        )
+        assert [line.split(":")[0] for line in failures] == (
+            ["contentgen-floor"] if fails else []
         )
 
     def test_a_baseline_that_gates_nothing_is_not_a_pass(self):

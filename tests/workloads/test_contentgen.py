@@ -1,13 +1,21 @@
-"""Content generators: determinism and measured compressibility bands.
+"""Content generators: determinism, frozen bytes and measured
+compressibility bands.
 
 Table 1's compressibility columns depend on these generators producing
 pages whose *real* LZRW1 ratios land where the paper's applications did;
-each band below pins that calibration.
+each band below pins that calibration, and the bytes themselves are
+pinned three ways: a frozen digest per generator, the generators as first
+written (kept verbatim below as the oracle) on Hypothesis input, and the
+bulk draw helper against the ``randrange`` calls it stands for.
 """
 
+import random
 import statistics
+import struct
+from hashlib import sha256
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.compression import create
 from repro.workloads import contentgen as cg
@@ -118,3 +126,329 @@ class TestDictionary:
             cg.repeating_pattern(0, unique_bytes=0)
         with pytest.raises(ValueError):
             cg.repeating_pattern(0, unique_bytes=PAGE + 1)
+
+
+# --------------------------------------------------------------------------
+# Frozen bytes.
+
+_SEEDS = (0, 1, 7)
+#: Sixteen page numbers; the last is the shape ``traffic.page_payload``
+#: makes (a content version folded in above bit 40).
+_PAGE_NUMBERS = tuple(range(14)) + ((1 << 20) + 5, (3 << 40) ^ 0x1234567)
+_PAGE_SIZES = (1024, 4096)
+
+
+def _corpus_generators(module):
+    """name -> ``f(page_number, seed, page_size)`` over ``module``'s
+    generators (``cg``, or the oracle below)."""
+    words = module.make_dictionary(128)
+    return {
+        "repeating_pattern": lambda number, seed, size: b"".join(
+            module.repeating_pattern(number, seed, unique, size)
+            for unique in (1, 640, size)
+        ),
+        "incompressible": module.incompressible,
+        "dp_band_values": module.dp_band_values,
+        "text_page_random": lambda number, seed, size:
+            module.text_page_random(number, words, seed, size),
+        "text_page_clustered": lambda number, seed, size:
+            module.text_page_clustered(number, words, seed, page_size=size),
+        "index_page": module.index_page,
+        "cache_table_page": module.cache_table_page,
+    }
+
+
+def _corpus_digest(generate) -> str:
+    digest = sha256()
+    for seed in _SEEDS:
+        for number in _PAGE_NUMBERS:
+            for size in _PAGE_SIZES:
+                digest.update(generate(number, seed, size))
+    return digest.hexdigest()
+
+
+#: SHA-256 over seeds x page numbers x page sizes of each generator's
+#: pages, and of the space-joined dictionaries, captured on the tree
+#: whose generators called ``rng.randrange`` / ``rng.choice`` once per
+#: draw.
+GOLDEN_CONTENT = {
+    "repeating_pattern":
+        "fbbf6704bd932af1364771a32a2ad8a036bb4820d71243d02d74f25119e5f39c",
+    "incompressible":
+        "f0fcf6cf212f1b71acdfd469d0d7faac546b7856fb9e61d6375bf97a91e4213f",
+    "dp_band_values":
+        "c482123bfcbcbdcb750956bb14a05e184f0be298989439682541f68b24225be7",
+    "text_page_random":
+        "0e72ccbd91a73e73a9f06cd201391b294b2058b20472a39c66a9727bed3d1e5c",
+    "text_page_clustered":
+        "b97f33defc4928d15b1318e1a99da04953e5848d0b59c8cb9e8d25d2946d1c0d",
+    "index_page":
+        "967890c620e3f1fdd698e13327479a960a1ed9893b0ad2871271e56b4f5c81fa",
+    "cache_table_page":
+        "9ff598be39a6c4e37b257067cbfc5d4410fafaa0182df759b3e5121600c15ade",
+}
+GOLDEN_DICTIONARIES = {
+    (128,):
+        "4f769661e6cb03b90026ee43f9a0b29d095d1be2539caca4e0185ae74cf7935a",
+    ():  # the 4,096 words the sort workloads and the bands above use
+        "8f1514819f834270a1229a0d6660b100c5326dfe5933a2e3a3d20b5b1371c82b",
+}
+
+
+class TestFrozenBytes:
+    """Every simulator golden digest, kernel corpus digest and ratio in
+    the figures sits on these bytes.  A mismatch means a change to how a
+    generator draws moved its output; fix the change, do not refresh the
+    digest.  (Refreshing is only legitimate in a PR whose point is to
+    change what the workloads' pages contain.)"""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONTENT))
+    def test_generator_corpus(self, name):
+        generate = _corpus_generators(cg)[name]
+        assert _corpus_digest(generate) == GOLDEN_CONTENT[name]
+
+    @pytest.mark.parametrize("args", sorted(GOLDEN_DICTIONARIES))
+    def test_dictionary(self, args):
+        words = cg.make_dictionary(*args)
+        assert sha256(b" ".join(words)).hexdigest() == \
+            GOLDEN_DICTIONARIES[args]
+
+
+# --------------------------------------------------------------------------
+# The generators as first written — one ``randrange`` / ``choice`` /
+# ``expovariate`` call per draw — kept verbatim (minus the memo) as the
+# oracle.  Do not tidy them: their draw order is the contract.
+
+
+class _Oracle:
+    @staticmethod
+    def repeating_pattern(page_number, seed=0, unique_bytes=640,
+                          page_size=PAGE):
+        rng = random.Random((seed << 32) ^ page_number ^ 0x5EED)
+        prefix = bytes(rng.randrange(256) for _ in range(unique_bytes))
+        reps = -(-page_size // unique_bytes)
+        return (prefix * reps)[:page_size]
+
+    @staticmethod
+    def incompressible(page_number, seed=0, page_size=PAGE):
+        rng = random.Random((seed << 32) ^ page_number ^ 0xBADC0DE)
+        return bytes(rng.randrange(256) for _ in range(page_size))
+
+    @staticmethod
+    def dp_band_values(page_number, seed=0, page_size=PAGE,
+                       plateau_mean=3.0):
+        rng = random.Random((seed << 32) ^ page_number ^ 0xD1A60)
+        nwords = page_size // 4
+        words = []
+        value = rng.randrange(0, 1 << 16)
+        while len(words) < nwords:
+            run = max(1, int(rng.expovariate(1.0 / plateau_mean)))
+            words.extend([value] * min(run, nwords - len(words)))
+            value = (value + rng.choice((-1, 0, 1, 1, 2))) & 0xFFFFFFFF
+        return struct.pack(f"<{nwords}I", *words)
+
+    @staticmethod
+    def make_dictionary(nwords=4096, seed=7, min_len=5, max_len=12):
+        rng = random.Random(seed)
+        seen = set()
+        words = []
+        while len(words) < nwords:
+            length = rng.randrange(min_len, max_len + 1)
+            word = "".join(rng.choice(cg._WORD_ALPHABET)
+                           for _ in range(length))
+            if word not in seen:
+                seen.add(word)
+                words.append(word.encode("ascii"))
+        return words
+
+    @staticmethod
+    def text_page_random(page_number, dictionary, seed=0, page_size=PAGE):
+        rng = random.Random((seed << 32) ^ page_number ^ 0x7E47)
+        buf = bytearray()
+        while len(buf) < page_size:
+            buf += rng.choice(dictionary)
+            buf += b" "
+        return bytes(buf[:page_size])
+
+    @staticmethod
+    def text_page_clustered(page_number, dictionary, seed=0,
+                            cluster_words=30, page_size=PAGE):
+        rng = random.Random((seed << 32) ^ page_number ^ 0xC1E4)
+        cluster = [rng.choice(dictionary) for _ in range(cluster_words)]
+        buf = bytearray()
+        while len(buf) < page_size:
+            buf += rng.choice(cluster)
+            buf += b" "
+        return bytes(buf[:page_size])
+
+    @staticmethod
+    def index_page(page_number, seed=0, page_size=PAGE,
+                   structured_fraction=0.5, jitter=0.12):
+        rng = random.Random((seed << 32) ^ page_number ^ 0x601D)
+        fraction = min(0.95, max(0.05,
+                                 rng.gauss(structured_fraction, jitter)))
+        structured_bytes = int(page_size * fraction) // 8 * 8
+        base = rng.randrange(0, 1 << 24) << 6
+        buf = bytearray()
+        for i in range(structured_bytes // 8):
+            if i % 6 == 0:  # occupied bucket slot: pointer + length
+                buf += struct.pack(
+                    "<II", (base + i * 64) & 0xFFFFFFFF,
+                    rng.randrange(1, 16)
+                )
+            else:  # empty slot
+                buf += bytes(8)
+        while len(buf) < page_size:
+            buf.append(rng.randrange(256))
+        return bytes(buf[:page_size])
+
+    @staticmethod
+    def cache_table_page(page_number, seed=0, page_size=PAGE):
+        rng = random.Random((seed << 32) ^ page_number ^ 0x15CA)
+        buf = bytearray()
+        base_tag = rng.randrange(0, 1 << 20) << 8
+        index = 0
+        while len(buf) < page_size:
+            tag = base_tag | (index & 0xF)  # sequential ways within a set
+            index += 1
+            state = 0 if rng.random() < 0.85 else rng.choice((1, 1, 2, 3))
+            counter = 0 if rng.random() < 0.95 else rng.randrange(1, 8)
+            buf += struct.pack("<IBBH", tag & 0xFFFFFFFF, state, counter, 0)
+            if rng.random() < 0.01:
+                base_tag = rng.randrange(0, 1 << 20) << 8
+        return bytes(buf[:page_size])
+
+
+def test_oracle_is_the_frozen_generators():
+    """The differential's oracle is itself held to the digests."""
+    for name, generate in _corpus_generators(_Oracle).items():
+        assert _corpus_digest(generate) == GOLDEN_CONTENT[name], name
+
+
+_seeds = st.integers(0, 2 ** 32 - 1)
+_page_numbers = st.one_of(st.integers(0, 4096), st.integers(0, 2 ** 43))
+#: Includes sizes that are no multiple of 8 (or of 4), and tiny ones.
+_page_sizes = st.one_of(st.sampled_from((1024, 4096, 8192)),
+                        st.integers(1, 5000))
+
+
+class TestAgainstOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(number=_page_numbers, seed=_seeds, size=_page_sizes,
+           data=st.data())
+    def test_pages(self, number, seed, size, data):
+        unique = data.draw(st.integers(1, size))
+        assert (cg.repeating_pattern(number, seed, unique, size)
+                == _Oracle.repeating_pattern(number, seed, unique, size))
+        for name in ("incompressible", "dp_band_values", "index_page",
+                     "cache_table_page"):
+            assert (getattr(cg, name)(number, seed, size)
+                    == getattr(_Oracle, name)(number, seed, size)), name
+
+    @settings(max_examples=40, deadline=None)
+    @given(number=_page_numbers, seed=_seeds, size=_page_sizes,
+           plateau_mean=st.floats(0.05, 1e6),
+           fraction=st.floats(-0.5, 1.5), jitter=st.floats(0.0, 1.0))
+    def test_optional_arguments(self, number, seed, size, plateau_mean,
+                                fraction, jitter):
+        assert (cg.dp_band_values(number, seed, size, plateau_mean)
+                == _Oracle.dp_band_values(number, seed, size, plateau_mean))
+        assert (cg.index_page(number, seed, size, fraction, jitter)
+                == _Oracle.index_page(number, seed, size, fraction, jitter))
+
+    @settings(max_examples=60, deadline=None)
+    @given(number=_page_numbers, seed=_seeds, size=_page_sizes,
+           nwords=st.sampled_from((1, 2, 3, 31, 128, 500)),
+           lengths=st.sampled_from(((1, 1), (1, 3), (5, 12), (20, 40))),
+           cluster=st.integers(1, 40))
+    def test_text_pages(self, number, seed, size, nwords, lengths, cluster):
+        # One- to three-letter words fill a page slowly enough that the
+        # first bulk draw runs short and a second continues the stream.
+        nwords = min(nwords, 26 ** lengths[0])
+        words = cg.make_dictionary(nwords, seed, *lengths)
+        assert words == _Oracle.make_dictionary(nwords, seed, *lengths)
+        assert (cg.text_page_random(number, words, seed, size)
+                == _Oracle.text_page_random(number, words, seed, size))
+        assert (cg.text_page_clustered(number, words, seed, cluster, size)
+                == _Oracle.text_page_clustered(number, words, seed,
+                                               cluster, size))
+
+    def test_empty_dictionary_is_an_index_error(self):
+        with pytest.raises(IndexError):
+            cg.text_page_random(0, [])
+        with pytest.raises(IndexError):
+            cg.text_page_clustered(0, [b"word"], cluster_words=0)
+
+
+# --------------------------------------------------------------------------
+# The bulk draw.
+
+_PATHS = [cg._accepted_python] + (
+    [] if cg._np is None else [cg._accepted_numpy]
+)
+_BELOW = (2, 5, 26, 30, 255, 256, 257, 4096, 1 << 24)
+
+
+class TestBulkDraw:
+    def test_getrandbits_is_the_next_outputs_low_word_first(self):
+        """What the whole thing rests on."""
+        for seed in range(20):
+            for m in (1, 2, 3, 64, 1000):
+                one, many = random.Random(seed), random.Random(seed)
+                wide = one.getrandbits(32 * m)
+                words = [many.getrandbits(32) for _ in range(m)]
+                assert wide == sum(w << (32 * i)
+                                   for i, w in enumerate(words))
+                assert one.getstate() == many.getstate()
+
+    def test_narrow_getrandbits_is_one_outputs_top_bits(self):
+        for k in range(1, 33):
+            one, other = random.Random(k), random.Random(k)
+            for _ in range(50):
+                assert one.getrandbits(k) == other.getrandbits(32) >> (32 - k)
+
+    @pytest.mark.parametrize("accepted", _PATHS)
+    @pytest.mark.parametrize("n", _BELOW)
+    def test_equals_randrange(self, monkeypatch, accepted, n):
+        monkeypatch.setattr(cg, "_accepted", accepted)
+        for seed in range(6):
+            for count in (0, 1, 2, 3, 17, 640, 4096, 5000):
+                got = cg._draw_below(random.Random(seed), n, count)
+                rng = random.Random(seed)
+                assert len(got) >= count
+                # Every value returned, not only the first ``count``,
+                # is the stream's: a short caller may call again.
+                assert got == [rng.randrange(n) for _ in range(len(got))]
+
+    @pytest.mark.parametrize("accepted", _PATHS)
+    def test_short_first_pass_draws_again(self, monkeypatch, accepted):
+        """Two standard deviations of slack: about one first pass in
+        forty comes up short, and a second continues the stream."""
+        calls = []
+        monkeypatch.setattr(
+            cg, "_accepted",
+            lambda rng, n, m: calls.append(m) or accepted(rng, n, m),
+        )
+        second_passes = 0
+        for n in (2, 256, 4096):
+            for seed in range(300):
+                del calls[:]
+                got = cg._draw_below(random.Random(seed), n, 8)
+                rng = random.Random(seed)
+                assert got == [rng.randrange(n) for _ in range(len(got))]
+                second_passes += len(calls) > 1
+        assert second_passes > 0
+
+    @pytest.mark.skipif(cg._np is None, reason="needs numpy")
+    def test_both_paths_consume_the_same_outputs(self):
+        for n in _BELOW:
+            for m in (1, 7, 1000):
+                one, other = random.Random(n), random.Random(n)
+                assert (cg._accepted_numpy(one, n, m)
+                        == cg._accepted_python(other, n, m))
+                assert one.getstate() == other.getstate()
+
+    def test_call_again_continues_the_stream(self):
+        rng, reference = random.Random(5), random.Random(5)
+        got = cg._draw_below(rng, 30, 10) + cg._draw_below(rng, 30, 10)
+        assert got == [reference.randrange(30) for _ in range(len(got))]
