@@ -587,7 +587,9 @@ class CompressionCache:
         oldest = None
         scanned = 0
         for index in self._frames:  # insertion order == ascending index
-            if index == tail:
+            if index >= tail:
+                # The tail frame, and past it the frames an insert in
+                # progress has mapped but not yet filled.
                 continue
             if oldest is None:
                 oldest = index

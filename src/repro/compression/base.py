@@ -47,6 +47,19 @@ class CompressionResult:
     original_size: int
     stored_raw: bool = False
 
+    @classmethod
+    def from_payload(
+        cls, payload: bytes, original_size: int
+    ) -> "CompressionResult":
+        """The result behind a payload whose flag was not kept.
+
+        The caches and stores hold payloads only.  Every kernel stores
+        a page raw exactly when it cannot make it smaller, so the flag
+        is the length comparison (held for every registered kernel, on
+        inputs of two bytes or more, by ``test_roundtrip_property``).
+        """
+        return cls(payload, original_size, len(payload) >= original_size)
+
     @property
     def compressed_size(self) -> int:
         """Size in bytes of the stored representation."""

@@ -127,7 +127,7 @@ class CompressionPager(MemoryObjectPager):
         """Charge and perform decompression with the tier's kernel."""
         self.chain.charge_decompress(tier)
         return tier.sampler.compressor.decompress(
-            CompressionResult(payload, self.page_size)
+            CompressionResult.from_payload(payload, self.page_size)
         )
 
     def _get_fragment(self, page_id: PageId):

@@ -289,13 +289,59 @@ def bench_contentgen(pages: int = 32, reps: int = 5) -> Dict:
     }
 
 
-def bench_micro(reps: int = 5) -> Dict:
-    """Ops/s micro-benchmarks for the simulator's hot data structures.
+def _logstore_churn_ops(count: int = 8000, keys: int = 1500,
+                        seed: int = 20) -> List[Tuple[str, tuple]]:
+    """``(verb, arguments)`` for :func:`bench_micro`'s log-store body:
+    four operations in five go to a fifth of the keys; 55% puts of
+    400-2600 bytes, 35% gets, 10% frees (a put where the page is not
+    live)."""
+    from .mem.page import PageId
 
-    Three structures dominate the per-reference path: the resident-set
-    :class:`~repro.mem.lru.LruList`, the :class:`FragmentStore` fragment
-    map, and the :class:`CompressionSampler` memo.  Each is timed doing
-    the operation mix the simulator actually issues; figures are ops/s
+    rng = random.Random(seed)
+    payloads = [rng.randbytes(rng.randint(400, 2600)) for _ in range(64)]
+    live: set = set()
+    ops: List[Tuple[str, tuple]] = []
+    for _ in range(count):
+        hot = rng.random() < 0.8
+        page = PageId(1, rng.randrange(keys // 5 if hot else keys))
+        draw = rng.random()
+        if draw < 0.55 or page not in live:
+            live.add(page)
+            ops.append(("put", (page, rng.choice(payloads))))
+        elif draw < 0.90:
+            ops.append(("get", (page,)))
+        else:
+            live.discard(page)
+            ops.append(("free", (page,)))
+    return ops
+
+
+def _run_logstore_churn(ops: Sequence[Tuple[str, tuple]]):
+    """Drive a fresh 128-segment log store through ``ops``, with
+    ``maybe_collect`` every 64 operations; returns the store."""
+    from .storage.disk import DiskModel
+    from .storage.logstore import LogStoreConfig, LogStructuredStore
+
+    store = LogStructuredStore(DiskModel.rz57(),
+                               config=LogStoreConfig(total_segments=128))
+    for index, (verb, arguments) in enumerate(ops, 1):
+        getattr(store, verb)(*arguments)
+        if index % 64 == 0:
+            store.maybe_collect()
+    return store
+
+
+def bench_micro(reps: int = 5) -> Dict:
+    """Ops/s micro-benchmarks for the hot data structures.
+
+    Three structures dominate the simulator's per-reference path: the
+    resident-set :class:`~repro.mem.lru.LruList`, the
+    :class:`FragmentStore` fragment map, and the
+    :class:`CompressionSampler` memo.  The fourth body is the durable
+    tier's steady state: a :class:`LogStructuredStore` churning on a log
+    short enough (4 MBytes, about 45% live) that cleaning passes and
+    their checkpoints cycle a hundred times.  Each is timed doing the
+    operation mix its callers actually issue; figures are ops/s
     (host-absolute — track the trajectory, don't compare across hosts).
     """
     from .compression.sampler import CompressionSampler
@@ -352,7 +398,14 @@ def bench_micro(reps: int = 5) -> Dict:
                 ops += 1
         return ops
 
-    bodies = (lru_touch_evict, fragstore_put_get_gc, sampler_hit_miss)
+    churn = _logstore_churn_ops()
+
+    def logstore_churn() -> int:
+        _run_logstore_churn(churn)
+        return len(churn)
+
+    bodies = (lru_touch_evict, fragstore_put_get_gc, sampler_hit_miss,
+              logstore_churn)
     cmp = ab_compare({fn.__name__: (lambda fn=fn: fn) for fn in bodies},
                      reps)
     return {"reps": reps,
@@ -820,6 +873,8 @@ GATES: Tuple[Gate, ...] = (
          "<=", "overhead_ceiling_percent"),
     Gate("contentgen-floor", "sim", "contentgen.pages_per_second",
          ">=", "contentgen_pages_per_second", _FLOOR),
+    Gate("logstore-floor", "compression", "micro.logstore_churn_ops_s",
+         ">=", "logstore_churn_ops_per_second", _FLOOR),
     # A digest mismatch on the same spec is a determinism regression,
     # the one failure with no tolerance.
     Gate("service-ledger-digest", "service", "determinism.ledger_digest",

@@ -1,4 +1,9 @@
-"""Backing-store substrate: device models, block FS, swap layers, cache."""
+"""Backing-store substrate: device models, block FS, swap layers, cache.
+
+:class:`LogLocation`, the log store's page -> record map entry, is a
+``NamedTuple``: it unpacks and compares as ``(segment, offset, nbytes,
+crc32, seq)``.
+"""
 
 from .backing import BackingStore, WriteOutTarget
 from .blockfs import BlockFile, BlockFileSystem, FsCounters, PartialWritePolicy

@@ -45,7 +45,7 @@ import struct
 import zlib
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..faults.errors import FragmentChecksumError, MissingFragmentError
 from ..mem.page import PageId
@@ -194,8 +194,7 @@ def parse_kill_spec(spec: str) -> Tuple[str, int, Optional[float]]:
     return site, count, frac
 
 
-@dataclass(frozen=True)
-class LogLocation:
+class LogLocation(NamedTuple):
     """Where a page's current record lives.
 
     ``segment == -1`` means the record is still staged in the pending
@@ -211,10 +210,7 @@ class LogLocation:
 
 def _cp_row(page: PageId, loc: LogLocation) -> str:
     """One durable imap entry as the checkpoint's canonical JSON row."""
-    return "[%d,%d,%d,%d,%d,%d,%d]" % (
-        page.segment, page.number, loc.segment, loc.offset, loc.nbytes,
-        loc.crc32, loc.seq,
-    )
+    return "[%d,%d,%d,%d,%d,%d,%d]" % (page + loc)
 
 
 @dataclass
@@ -386,11 +382,18 @@ class LogStructuredStore:
 
     def _init_volatile(self) -> None:
         self._imap: Dict[PageId, LogLocation] = {}
-        # Checkpoint-image row of every *durable* imap entry, rendered
-        # at commit, and those pages in image order — plus any a discard
-        # left behind (it pays a dict delete; the checkpoint prunes).
-        self._cp_rows: Dict[PageId, str] = {}
+        # The checkpoint image's imap section as the image needs it: the
+        # pages with a durable record in image (sorted) order and,
+        # parallel to them, each one's rendered row — written where the
+        # record commits.  A discard only notes its page in ``_cp_dead``
+        # (O(1) on the put path); a recommit of the page replaces the row
+        # in place and the next image removes whatever is still noted.
         self._cp_keys: List[PageId] = []
+        self._cp_rows: List[str] = []
+        self._cp_dead: Set[PageId] = set()
+        # The image's row of each allocated segment, dropped wherever
+        # the segment's entry in the three tables below changes.
+        self._cp_allocated: Dict[int, str] = {}
         self._allocated: Dict[int, int] = {}     # segment -> segment seq
         self._written: Dict[int, int] = {}       # segment -> record bytes
         # segment -> segment-free-record bytes.  Control records are
@@ -499,24 +502,28 @@ class LogStructuredStore:
         """The slot image: canonical JSON, sorted keys, no spaces.
 
         Frozen bytes — the length is charged I/O, so it feeds every
-        digest.  The imap (nearly all of it) is a join of cached rows.
+        digest.  Both variable sections are joins of rows kept in image
+        form; only what changed since the last image is touched here.
         """
-        rows, keys = self._cp_rows, self._cp_keys
-        if len(keys) != len(rows):
-            keys[:] = [page for page in keys if page in rows]
-        written, control = self._written.get, self._control.get
+        keys, rows = self._cp_keys, self._cp_rows
+        for page in self._cp_dead:
+            at = bisect_left(keys, page)
+            del keys[at], rows[at]
+        self._cp_dead.clear()
+        allocated, table = self._allocated, self._cp_allocated
+        for seg in allocated.keys() - table.keys():
+            table[seg] = "[%d,%d,%d,%d]" % (
+                seg, allocated[seg], self._written.get(seg, 0),
+                self._control.get(seg, 0),
+            )
         blob = (
             '{"allocated":[%s],"gc_generation":%d,"head":%s,"imap":[%s],'
             '"record_seq":%d,"segment_seq":%d,"seq":%d}' % (
-                ",".join(
-                    "[%d,%d,%d,%d]" % (seg, sseq, written(seg, 0),
-                                       control(seg, 0))
-                    for seg, sseq in sorted(self._allocated.items())
-                ),
+                ",".join(map(table.__getitem__, sorted(table))),
                 self.gc_generation,
                 "null" if self._head_seg is None
                 else "[%d,%d]" % (self._head_seg, self._head_off),
-                ",".join(map(rows.__getitem__, keys)),
+                ",".join(rows),
                 self._next_rec_seq, self._next_seg_seq, seq,
             )
         ).encode()
@@ -739,18 +746,19 @@ class LogStructuredStore:
             1 for sseq in self._allocated.values() if sseq > cp_head_seq
         )
         # Rebuild the read index and the checkpoint rows (everything
-        # in a recovered imap is durable).
+        # in a recovered imap is durable; no segment row is cached yet).
         self._seg_offsets = {}
         self._seg_page_at = {}
         self._cp_keys = sorted(self._imap)
         for page in self._cp_keys:
             loc = self._imap[page]
-            self._cp_rows[page] = _cp_row(page, loc)
-            insort(self._seg_offsets.setdefault(loc.segment, []),
-                   loc.offset)
+            self._cp_rows.append(_cp_row(page, loc))
+            self._seg_offsets.setdefault(loc.segment, []).append(loc.offset)
             self._seg_page_at.setdefault(loc.segment, {})[loc.offset] = (
                 page
             )
+        for offsets in self._seg_offsets.values():
+            offsets.sort()
 
     def _replay_segment(
         self, seg: int, sseq: int, start: int, last_seen_seq: int,
@@ -969,7 +977,7 @@ class LogStructuredStore:
             entry.kind = _KIND_DROPPED
             self._pending_bytes -= size
             return entry.garbage
-        del self._cp_rows[page_id]
+        self._cp_dead.add(page_id)
         self._live_delta(old.segment, -size)
         offsets = self._seg_offsets.get(old.segment)
         if offsets is not None:
@@ -1058,7 +1066,7 @@ class LogStructuredStore:
             # Pack as many staged records as fit this segment.
             packed: List[Tuple[_PendingEntry, int]] = []
             i = self._pending_head
-            offset = chunk_off + len(chunk)
+            offset = records_at = chunk_off + len(chunk)
             while i < len(self._pending):
                 entry = self._pending[i]
                 if entry.kind == _KIND_DROPPED:
@@ -1104,41 +1112,60 @@ class LogStructuredStore:
                 self._live.setdefault(seg, 0)
                 self._opens_since_cp += 1
                 self.counters.segments_opened += 1
+            # The chunk landed in one segment, so each byte count moves
+            # once per chunk; only the maps are touched per record.
             self._head_off = offset
+            imap, dead = self._imap, self._cp_dead
+            keys, rows = self._cp_keys, self._cp_rows
+            # Offsets within the head segment only grow: append keeps
+            # the read index sorted.
+            offsets = self._seg_offsets.setdefault(seg, [])
+            page_at = self._seg_page_at.setdefault(seg, {})
+            live = garbage = control = copied = 0
             for entry, rec_off in packed:
                 size = entry.size
-                self._pending_bytes -= size
-                self._written[seg] = self._written.get(seg, 0) + size
                 if entry.kind == _KIND_DATA:
                     page = entry.page_id
-                    loc = self._imap[page] = LogLocation(
+                    loc = imap[page] = LogLocation(
                         seg, rec_off, len(entry.payload), entry.crc32,
                         entry.seq
                     )
-                    self._cp_rows[page] = _cp_row(page, loc)
-                    at = bisect_left(self._cp_keys, page)
-                    if self._cp_keys[at:at + 1] != [page]:
-                        self._cp_keys.insert(at, page)
-                    self._live_delta(seg, size)
-                    insort(self._seg_offsets.setdefault(seg, []),
-                           rec_off)
-                    self._seg_page_at.setdefault(seg, {})[rec_off] = page
+                    at = bisect_left(keys, page)
+                    if page in dead:
+                        # Its previous durable row is still in place.
+                        dead.remove(page)
+                        rows[at] = _cp_row(page, loc)
+                    else:
+                        keys.insert(at, page)
+                        rows.insert(at, _cp_row(page, loc))
+                    live += size
+                    offsets.append(rec_off)
+                    page_at[rec_off] = page
                 else:
                     # A tombstone or segment-free record is garbage the
                     # moment it lands.
-                    self.counters.garbage_bytes_created += size
+                    garbage += size
                     if entry.kind == _KIND_FREESEG:
-                        self._control[seg] = (
-                            self._control.get(seg, 0) + size
-                        )
+                        control += size
                 # Bytes this record displaced, counted now that the
                 # displacing record is durable (see _PendingEntry).
-                self.counters.garbage_bytes_created += entry.garbage
+                garbage += entry.garbage
                 if entry.cleaner:
-                    self.counters.cleaner_copied_bytes += size
+                    copied += size
             self._pending_head = i
-            self.counters.append_writes += 1
-            self.counters.appended_bytes += len(chunk)
+            self._pending_bytes -= offset - records_at
+            self._written[seg] = (
+                self._written.get(seg, 0) + offset - records_at
+            )
+            if control:
+                self._control[seg] = self._control.get(seg, 0) + control
+            self._live_delta(seg, live)
+            self._cp_allocated.pop(seg, None)
+            counters = self.counters
+            counters.garbage_bytes_created += garbage
+            counters.cleaner_copied_bytes += copied
+            counters.append_writes += 1
+            counters.appended_bytes += len(chunk)
             wrote = True
         self._pending = []
         self._pending_head = 0
@@ -1337,20 +1364,18 @@ class LogStructuredStore:
         live bytes only shrink, so a redo after a mid-clean crash
         reselects the same victim and resumes it.
         """
-        best = None
         best_key = None
+        live_of = self._live.get
         for seg in self._sealed:
-            live = self._live.get(seg, 0)
+            key = (live_of(seg, 0), seg)
+            if best_key is not None and key > best_key:
+                continue       # cannot win: skip the eligibility lookups
             reclaimable = self._written.get(seg, 0)
             if not pressure:
                 reclaimable -= self._control.get(seg, 0)
-            if live >= reclaimable:
-                continue
-            key = (live, seg)
-            if best_key is None or key < best_key:
+            if key[0] < reclaimable:
                 best_key = key
-                best = seg
-        return best
+        return None if best_key is None else best_key[1]
 
     def _clean_pass(self) -> None:
         """Inline low-free-list cleaning from the append path."""
@@ -1431,6 +1456,7 @@ class LogStructuredStore:
             self._allocated.pop(victim, None)
             self._written.pop(victim, None)
             self._control.pop(victim, None)
+            self._cp_allocated.pop(victim, None)
             self._seg_offsets.pop(victim, None)
             self._seg_page_at.pop(victim, None)
             insort(self._free, victim)

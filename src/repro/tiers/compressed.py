@@ -97,7 +97,9 @@ class DemotionSink:
         # kernel every time.  (Not ``pte.content``: under a workload
         # ``stable_key`` the payload is the page's first-measured bytes.)
         sampler = source.sampler
-        encoded = CompressionResult(payload, self.page_size)
+        # A demotion is admitted whatever its size, so the source may
+        # hold a page its kernel stored raw.
+        encoded = CompressionResult.from_payload(payload, self.page_size)
         if sampler.exact:
             data = sampler.compressor.decompress(encoded)
         else:

@@ -262,7 +262,9 @@ class CompressedVM(BaseVM):
         self.chain.charge_decompress(tier)
         if self.paranoid:
             restored = tier.sampler.compressor.decompress(
-                CompressionResult(payload, self.address_space.page_size)
+                CompressionResult.from_payload(
+                    payload, self.address_space.page_size
+                )
             )
             if restored != pte.content.materialize():
                 raise AssertionError(

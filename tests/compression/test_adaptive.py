@@ -19,7 +19,10 @@ from repro.compression.adaptive import (
     AdaptiveCompressor,
     page_kind,
 )
-from repro.compression.sampler import clear_shared_results
+from repro.compression.sampler import (
+    CompressionSampler,
+    clear_shared_results,
+)
 
 PAGE = 4096
 
@@ -133,6 +136,43 @@ def test_memo_hits_accumulate_and_counters_snapshot():
     # Identical bytes re-seen replay the finished result.
     kernel.compress(variants[0])
     assert kernel.selection_snapshot()["result_hits"] == 1
+
+
+def test_both_memos_hold_their_caps_first_in_first_out():
+    """More distinct kinds and pages than the caps: each memo stays at
+    its cap and drops by age of *insertion* — a hit refreshes nothing."""
+    kernel = AdaptiveCompressor(memo_max=3, result_memo_max=4)
+
+    def page(length: int, fill: int = 1) -> bytes:
+        return bytes([fill]) * length     # below 128 bytes: one kind a length
+
+    def fingerprints(*pages: bytes) -> list:
+        return [CompressionSampler.fingerprint(data) for data in pages]
+
+    lengths = list(range(8, 48, 4))
+    for seen, length in enumerate(lengths, 1):
+        kernel.compress(page(length))
+        assert len(kernel._memo) == min(seen, 3)
+        assert len(kernel._results) == min(seen, 4)
+    assert kernel.trials == len(lengths)
+    assert list(kernel._memo) == [page_kind(page(n)) for n in lengths[-3:]]
+    assert list(kernel._results) == fingerprints(
+        *[page(n) for n in lengths[-4:]])
+
+    # A hit on the oldest survivor of each memo leaves it the oldest:
+    # the next new page pushes out the result just replayed, the next
+    # new kind the kind just consulted.
+    kernel.compress(page(lengths[-4]))              # same bytes
+    kernel.compress(page(lengths[-3], fill=2))      # same kind, new bytes
+    assert (kernel.result_hits, kernel.memo_hits) == (1, 1)
+    assert list(kernel._results) == fingerprints(
+        page(lengths[-3]), page(lengths[-2]), page(lengths[-1]),
+        page(lengths[-3], fill=2))
+    kernel.compress(page(100))
+    assert list(kernel._memo) == [
+        page_kind(page(n)) for n in (lengths[-2], lengths[-1], 100)]
+    assert len(kernel._results) == 4
+    assert kernel.selection_snapshot()["kinds"] == 3
 
 
 def test_raw_fallback_on_incompressible():

@@ -4,7 +4,7 @@ import zlib
 
 from hypothesis import given, settings, strategies as st
 
-from repro.compression import available, create
+from repro.compression import CompressionResult, available, create
 
 _ALGORITHMS = sorted(available())
 
@@ -38,10 +38,18 @@ def test_round_trip(name, data):
 @settings(max_examples=120, deadline=None)
 @given(name=st.sampled_from(_ALGORITHMS), data=_payloads())
 def test_never_expands_beyond_raw(name, data):
-    """The raw fallback bounds stored size by the input size."""
+    """The raw fallback bounds stored size by the input size — and is
+    taken exactly when the kernel cannot shrink the input, which is how
+    ``CompressionResult.from_payload`` tells a raw payload by length.
+    (From two bytes up: ``bdi`` encodes the one-byte zero "page" as its
+    one-byte tag.)"""
     result = create(name).compress(data)
     assert result.compressed_size <= max(len(data), 1)
     assert result.original_size == len(data)
+    if len(data) > 1:
+        assert result.stored_raw == (result.compressed_size >= len(data))
+        assert CompressionResult.from_payload(
+            result.payload, len(data)) == result
 
 
 @settings(max_examples=60, deadline=None)

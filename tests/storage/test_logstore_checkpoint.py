@@ -72,6 +72,23 @@ def reference_checkpoint(store, seq):
     return frame(blob, seq)
 
 
+class _Increasing(list):
+    """One segment's registered record offsets: each must exceed the
+    last, which is what lets the store ``append`` where it once had to
+    ``insort``."""
+
+    def append(self, offset):
+        assert not self or offset > self[-1], (self[-1], offset)
+        super().append(offset)
+
+
+class _OffsetIndex(dict):
+    """``_seg_offsets`` handing out :class:`_Increasing` lists."""
+
+    def setdefault(self, seg, default=None):
+        return super().setdefault(seg, _Increasing())
+
+
 class OracleStore(LogStructuredStore):
     """Checks every image it packs, and the row cache behind it."""
 
@@ -80,21 +97,70 @@ class OracleStore(LogStructuredStore):
         assert packed == reference_checkpoint(self, seq)
         return packed
 
+    def _init_volatile(self):
+        super()._init_volatile()
+        self._seg_offsets = _OffsetIndex()
+
+    def _recover(self):
+        # Recovery rebuilds the read index from the imap, in page order,
+        # into a fresh dict and sorts it; every registration after that
+        # must arrive in increasing order.
+        super()._recover()
+        self._seg_offsets = _OffsetIndex(
+            (seg, _Increasing(offsets))
+            for seg, offsets in self._seg_offsets.items()
+        )
+
     def check(self):
         durable = {
             page: [page.segment, page.number, loc.segment, loc.offset,
                    loc.nbytes, loc.crc32, loc.seq]
             for page, loc in self._imap.items() if loc.segment >= 0
         }
-        rows = {page: json.loads(row) for page, row in self._cp_rows.items()}
-        assert rows == durable
-        # Image order: sorted, no duplicates, discarded pages allowed
-        # to linger until the next image prunes them.
+        # The read index: per segment, exactly its durable records'
+        # offsets, sorted, each naming its page.
+        located = {}
+        for page, row in durable.items():
+            located.setdefault(row[2], {})[row[3]] = page
+        for seg, offsets in self._seg_offsets.items():
+            assert offsets == sorted(located.get(seg, {}))
+            assert self._seg_page_at[seg] == located.get(seg, {})
+        assert all(seg in self._seg_offsets for seg in located)
+        # Image order: sorted, no duplicates, one row per page.  A
+        # discarded page lingers, noted, until the next image.
         assert self._cp_keys == sorted(set(self._cp_keys))
-        assert set(self._cp_keys) >= set(rows)
+        assert len(self._cp_rows) == len(self._cp_keys)
+        assert self._cp_dead <= set(self._cp_keys)
+        assert self.durable_rows() == durable
+        # Every cached allocated-table row is what formatting it now
+        # would give; rows are only ever missing, never stale.
+        assert self._cp_allocated == {
+            seg: "[%d,%d,%d,%d]" % (seg, self._allocated[seg],
+                                    self._written.get(seg, 0),
+                                    self._control.get(seg, 0))
+            for seg in self._cp_allocated
+        }
         # The image of the state as it stands, not only of the states
-        # the store happened to checkpoint.
+        # the store happened to checkpoint.  Packing removes what the
+        # discards noted and fills the rows the table lacks, so the
+        # store gets back what it had: a check is an observer, and noted
+        # pages must be able to outlive a verb.
+        kept = (list(self._cp_keys), list(self._cp_rows),
+                set(self._cp_dead), dict(self._cp_allocated))
         self._pack_checkpoint(self._cp_next_seq)
+        assert not self._cp_dead
+        assert self._cp_keys == sorted(durable)
+        assert sorted(self._cp_allocated) == sorted(self._allocated)
+        (self._cp_keys, self._cp_rows, self._cp_dead,
+         self._cp_allocated) = kept
+
+    def durable_rows(self):
+        """page -> decoded row, for every page no discard has noted."""
+        return {
+            page: json.loads(row)
+            for page, row in zip(self._cp_keys, self._cp_rows)
+            if page not in self._cp_dead
+        }
 
 
 def make_store(sync=False, kill=None, lost_rate=0.0, crash_rate=0.0,
@@ -192,15 +258,18 @@ def test_staged_then_dropped_records_never_get_a_row():
     page = PageId(0, 1)
     store.put(page, b"a" * 100)
     store.put(page, b"b" * 200)            # drops the staged first copy
-    assert store._cp_rows == {}
+    assert store._cp_rows == [] and store._cp_keys == []
     store.flush()
-    assert json.loads(store._cp_rows[page])[4] == 200
+    assert store.durable_rows()[page][4] == 200
     store.put(page, b"c" * 300)            # supersedes the durable copy
-    assert store._cp_rows == {}
+    assert store.durable_rows() == {} and store._cp_dead == {page}
     store.free(page)                       # staged copy dropped, tombstone
     store.flush()
+    assert store.durable_rows() == {} and store._cp_keys == [page]
     store.check()
-    assert store._cp_rows == {} and not store.contains(page)
+    store._write_checkpoint()              # an image removes what was noted
+    assert store._cp_rows == [] and store._cp_keys == []
+    assert not store._cp_dead and not store.contains(page)
 
 
 def test_cleaner_copies_move_a_row_without_duplicating_it():
@@ -210,12 +279,12 @@ def test_cleaner_copies_move_a_row_without_duplicating_it():
     for number in range(0, 40, 2):
         store.free(PageId(0, number))
     store.flush()
-    before = dict(store._cp_rows)
+    before = store.durable_rows()
     store.maybe_collect(force=True)
     store.check()
     assert store.counters.cleaner_copied_bytes > 0
-    assert set(store._cp_rows) == set(before)
-    assert store._cp_rows != before        # copied records have new homes
+    assert set(store.durable_rows()) == set(before)
+    assert store.durable_rows() != before  # copied records have new homes
     newest = store._cp_slots[(store._cp_next_seq - 1) % 2]
     image = json.loads(newest[_CP_HEADER.size:])
     assert len(image["imap"]) == len({(r[0], r[1]) for r in image["imap"]})

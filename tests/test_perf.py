@@ -17,6 +17,8 @@ from repro.perf import (
     FAST_KERNELS,
     GATES,
     SIM_CHECK_TOLERANCE,
+    _logstore_churn_ops,
+    _run_logstore_churn,
     _subsystem_of,
     ab_compare,
     bench_contentgen,
@@ -134,8 +136,19 @@ class TestBenchMicro:
             "lru_touch_evict_ops_s",
             "fragstore_put_get_gc_ops_s",
             "sampler_hit_miss_ops_s",
+            "logstore_churn_ops_s",
         ):
             assert result[key] > 0, key
+
+    def test_the_logstore_body_cycles_the_cleaner(self):
+        """What the fourth body times is the store's steady state:
+        cleaning passes, each ending in a checkpoint, by the hundred."""
+        ops = _logstore_churn_ops()
+        assert ops == _logstore_churn_ops()
+        counters = _run_logstore_churn(ops).counters
+        assert counters.clean_runs > 100
+        assert counters.checkpoints_written >= counters.clean_runs
+        assert counters.segments_cleaned > 150
 
 
 class TestBenchContentgen:
@@ -478,6 +491,23 @@ class TestGateTable:
         )
         assert [line.split(":")[0] for line in failures] == (
             ["contentgen-floor"] if fails else []
+        )
+
+    @pytest.mark.parametrize("ops_s, fails", [(48000, True), (68000, False)])
+    def test_committed_logstore_floor_can_fail(self, ops_s, fails):
+        """30% under the committed floor sits between the slowest the
+        churn measured on a noisy host with the checkpoint rows in a
+        ``PageId``-keyed dict (48,000 ops/s) and the slowest it measured
+        there with them kept in image order (68,000)."""
+        committed = json.loads(
+            (REPO_ROOT / "benchmarks" / "perf_baseline.json").read_text()
+        )["logstore_churn_ops_per_second"]
+        failures = _failures(
+            {"compression": {"micro": {"logstore_churn_ops_s": ops_s}}},
+            {"logstore_churn_ops_per_second": committed},
+        )
+        assert [line.split(":")[0] for line in failures] == (
+            ["logstore-floor"] if fails else []
         )
 
     def test_a_baseline_that_gates_nothing_is_not_a_pass(self):

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.compression.base import CompressionResult
 from repro.compression.sampler import shared_results_size
 from repro.compression.stats import CompressionStats
 from repro.faults.plan import FaultPlan
@@ -143,6 +144,54 @@ class TestTwoTierGoldenDigests:
             f"{name}: two-tier simulation output diverged from the pinned "
             "behaviour"
         )
+
+
+class TestRawStoredPagesBelowTheWarmestTier:
+    """Only evictions meet the 4:3 rule: a demotion is admitted whatever
+    its size, so a colder tier — and the store under it — can hold a
+    page its kernel stored raw.  The caches keep payloads, not flags,
+    and ``wk`` and ``rle`` mark raw storage *only* in the flag (their
+    decoders reject a raw page), so every re-wrap of a payload has to
+    recover it: the demotion out of such a tier, the fault from it, the
+    paranoid check of that fault."""
+
+    @pytest.mark.parametrize("architecture",
+                             ["monolithic", "external-pager"])
+    @pytest.mark.parametrize("tiers", [
+        "lzrw1:4,wk",           # raw pages reach the store and fault back
+        "lzrw1:4,wk:8,lzss",    # ... and are demoted again, out of wk
+        "lzrw1:2,wk:4,rle",     # ... into a capped tier, over three frames
+    ])
+    def test_an_overcommitted_thrasher_runs_to_the_end(
+            self, architecture, tiers, monkeypatch):
+        rewrapped = []
+        from_payload = CompressionResult.from_payload.__func__
+
+        def spy(cls, payload, original_size):
+            result = from_payload(cls, payload, original_size)
+            rewrapped.append(result.stored_raw)
+            return result
+
+        monkeypatch.setattr(CompressionResult, "from_payload",
+                            classmethod(spy))
+        memory = mbytes(6 * 0.05)
+        workload = Thrasher(int(memory * 2), cycles=3, write=True)
+        machine = Machine(
+            MachineConfig(
+                memory_bytes=memory,
+                tiers=parse_tier_specs(tiers),
+                vm_architecture=architecture,
+                # The pager decodes every pagein; the in-kernel VM only
+                # when it verifies.
+                paranoid=architecture == "monolithic",
+            ),
+            workload.build(),
+        )
+        result = SimulationEngine(machine).run(workload.references(),
+                                               drain=True)
+        assert result.metrics_snapshot["faults"]["total"] > 0
+        assert machine.chain.demoted_pages() > 0
+        assert True in rewrapped and False in rewrapped
 
 
 #: One page LZRW1 shrinks far past the 4:3 rule.
