@@ -116,8 +116,7 @@ class TestCompressedBufferCache:
             if compressed:
                 cache = CompressedBufferCache(
                     fs, frames,
-                    CompressionSampler(create("lzrw1"),
-                                       keep_payloads=True),
+                    CompressionSampler(create("lzrw1")),
                     Ledger(), CostModel(),
                 )
                 access = lambda b, t: cache.access(handle, b, t)

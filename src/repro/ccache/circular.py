@@ -29,6 +29,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
+from ..counters import Counters
 from ..faults.errors import PagingFaultError
 from ..mem.frames import FrameOwner, FramePool
 from ..mem.page import PageId
@@ -69,7 +70,7 @@ class _FrameSlot:
 
 
 @dataclass
-class CacheCounters:
+class CacheCounters(Counters):
     """Compression-cache event counters."""
 
     inserts: int = 0
@@ -80,18 +81,6 @@ class CacheCounters:
     evicted_dirty_pages: int = 0
     evicted_clean_pages: int = 0
     cleaned_pages: int = 0
-
-    def snapshot(self) -> dict:
-        return {
-            "inserts": self.inserts,
-            "fetch_hits": self.fetch_hits,
-            "drops": self.drops,
-            "frames_mapped": self.frames_mapped,
-            "frames_released": self.frames_released,
-            "evicted_dirty_pages": self.evicted_dirty_pages,
-            "evicted_clean_pages": self.evicted_clean_pages,
-            "cleaned_pages": self.cleaned_pages,
-        }
 
 
 class CompressionCache:

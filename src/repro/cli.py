@@ -51,60 +51,23 @@ from .experiments import (
 )
 from .mem.page import mbytes
 from .sim.engine import SimulationEngine
-from .sim.machine import Machine, MachineConfig
-from .workloads import (
-    AppRelaunchWorkload,
-    CacheSimWorkload,
-    CompareWorkload,
-    DiurnalWorkload,
-    GoldWorkload,
-    MultiProgramWorkload,
-    SortWorkload,
-    SyntheticWorkload,
-    Thrasher,
-)
+from .sim.machine import Machine, MachineConfig, SpecError
+from .workloads import Thrasher, catalog
 
-#: Workloads nameable from the command line (scaled to ``--scale``).
-WORKLOAD_FACTORIES = {
-    "thrasher": lambda scale: Thrasher(mbytes(12 * scale), cycles=3),
-    "compare": lambda scale: CompareWorkload(mbytes(24 * scale),
-                                             round_trips=2),
-    "isca": lambda scale: CacheSimWorkload(
-        mbytes(20 * scale), events=max(500, int(60000 * scale))
-    ),
-    "sort-partial": lambda scale: SortWorkload(mbytes(12 * scale),
-                                               partial=True),
-    "sort-random": lambda scale: SortWorkload(mbytes(12 * scale),
-                                              partial=False),
-    "gold-warm": lambda scale: GoldWorkload(
-        "warm", mbytes(30 * scale),
-        operations=max(30, int(8000 * scale)),
-    ),
-    "synthetic": lambda scale: SyntheticWorkload(
-        mbytes(8 * scale), references=max(500, int(40000 * scale))
-    ),
-    # Three CPU-bound programs timesharing one machine (Section 3's
-    # collective-address-space pressure); the canonical source for long
-    # streamed binary traces (trace-record --format binary --repeat N).
-    "multiprogram": lambda scale: MultiProgramWorkload(
-        [
-            CompareWorkload(mbytes(12 * scale), round_trips=2),
-            SortWorkload(mbytes(8 * scale), partial=True),
-            SyntheticWorkload(
-                mbytes(6 * scale), references=max(500, int(30000 * scale))
-            ),
-        ],
-        quantum=64,
-    ),
-    # The control-plane scenarios (sweep --experiment control uses the
-    # same shapes): app-switch storms and a breathing working set.
-    "relaunch": lambda scale: AppRelaunchWorkload(
-        mbytes(4 * scale), apps=3, sessions=8
-    ),
-    "diurnal": lambda scale: DiurnalWorkload(
-        mbytes(10 * scale), phases=6, passes_per_phase=2
-    ),
-}
+
+class UsageError(Exception):
+    """A command line that cannot be run: :func:`main` prints the
+    message to stderr and exits 2."""
+
+
+def _named_workload(args: argparse.Namespace):
+    """The catalogue workload ``--workload`` names, at ``--scale``."""
+    if args.workload not in catalog.CATALOG:
+        known = ", ".join(sorted(catalog.CATALOG))
+        raise UsageError(
+            f"unknown workload {args.workload!r}; known: {known}"
+        )
+    return catalog.build(args.workload, args.scale)
 
 
 def _trace_is_binary(path: str) -> bool:
@@ -120,17 +83,11 @@ def _trace_is_binary(path: str) -> bool:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     """Run one named workload, optionally under a fault plan."""
-    import hashlib
     import json
 
     from .sim.engine import run_workload
 
-    factory = WORKLOAD_FACTORIES.get(args.workload)
-    if factory is None:
-        known = ", ".join(sorted(WORKLOAD_FACTORIES))
-        print(f"unknown workload {args.workload!r}; known: {known}",
-              file=sys.stderr)
-        return 2
+    workload = _named_workload(args)
     plan = None
     if args.faults:
         from .faults.plan import FaultPlan, FaultPlanError
@@ -138,64 +95,35 @@ def _cmd_run(args: argparse.Namespace) -> int:
         try:
             plan = FaultPlan.from_json(args.faults)
         except (OSError, FaultPlanError) as exc:
-            print(f"run: cannot load fault plan {args.faults!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-    tiers = None
-    if args.tiers:
-        from .tiers.spec import parse_tier_specs
-
-        try:
-            tiers = parse_tier_specs(args.tiers)
-        except ValueError as exc:
-            print(f"run: bad --tiers spec {args.tiers!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-    store_changes = {}
-    if args.store != "frag" or args.store_sync or args.kill:
-        from .storage.logstore import LogStoreConfig, parse_kill_spec
-
-        if args.kill:
-            if args.store != "lfs":
-                print("run: --kill requires --store lfs", file=sys.stderr)
-                return 2
-            try:
-                parse_kill_spec(args.kill)
-            except ValueError as exc:
-                print(f"run: bad --kill spec {args.kill!r}: {exc}",
-                      file=sys.stderr)
-                return 2
-        store_changes = {
+            raise UsageError(
+                f"run: cannot load fault plan {args.faults!r}: {exc}"
+            )
+    if args.kill and args.store != "lfs":
+        raise UsageError("run: --kill requires --store lfs")
+    try:
+        config = MachineConfig.from_spec({
+            "memory_bytes": mbytes(args.memory_mb * args.scale),
+            "compressor": args.compressor,
+            "tiers": args.tiers or None,
             "store": args.store,
-            "log_store": LogStoreConfig(
-                sync_appends=args.store_sync,
-                kill=args.kill or None,
-            ),
-        }
-    control = None
-    if args.control:
-        from .control.controller import ControlConfig
-
-        control = ControlConfig()
-    workload = factory(args.scale)
-    config = MachineConfig(
-        memory_bytes=mbytes(args.memory_mb * args.scale),
-        compressor=args.compressor,
-        fault_plan=plan,
-        paranoid=args.paranoid,
-        tiers=tiers,
-        control=control,
-        **store_changes,
+            "log_store": {"sync_appends": args.store_sync,
+                          "kill": args.kill or None},
+            "control": {} if args.control else None,
+        })
+    except SpecError as exc:
+        flag, text = {"tiers": ("--tiers", args.tiers),
+                      "log_store": ("--kill", args.kill)}[exc.key]
+        raise UsageError(f"run: bad {flag} spec {text!r}: {exc.reason}")
+    machine = Machine(
+        config.variant(fault_plan=plan, paranoid=args.paranoid),
+        workload.build(),
     )
-    machine = Machine(config, workload.build())
     result = run_workload(machine, workload.references(), drain=args.drain)
-    payload = result.as_dict()
     if args.digest:
-        canonical = json.dumps(payload, sort_keys=True,
-                               separators=(",", ":"))
-        print(hashlib.sha256(canonical.encode()).hexdigest())
+        print(result.digest())
         return 0
     if args.json:
+        payload = result.as_dict()
         if machine.explicit_tiers and machine.telemetry is not None:
             payload["tier_report"] = _tier_report(machine)
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -257,9 +185,8 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         names = [name.strip() for name in args.rows.split(",")]
         unknown = set(names) - set(TABLE1_ORDER)
         if unknown:
-            print(f"unknown rows: {sorted(unknown)}", file=sys.stderr)
-            print(f"known: {', '.join(TABLE1_ORDER)}", file=sys.stderr)
-            return 2
+            raise UsageError(f"unknown rows: {sorted(unknown)}\n"
+                             f"known: {', '.join(TABLE1_ORDER)}")
     rows = table1(
         scale=args.scale, names=names, jobs=args.jobs,
         checkpoint=args.resume, timeout=args.timeout,
@@ -388,8 +315,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         config = _service_config_from_args(args)
     except ValueError as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"serve: {exc}")
 
     async def _run() -> int:
         service = CacheService(config)
@@ -433,9 +359,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     try:
         shard_counts = [int(s) for s in args.shards.split(",")]
     except ValueError:
-        print(f"serve-bench: bad --shards list {args.shards!r}",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"serve-bench: bad --shards list {args.shards!r}")
     try:
         bench = bench_service(
             shard_counts=shard_counts,
@@ -477,28 +401,20 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 def _cmd_trace_record(args: argparse.Namespace) -> int:
     """Record a named workload's reference trace to a file."""
     from .sim.trace import Trace
+    from .workloads import btrace
 
-    factory = WORKLOAD_FACTORIES.get(args.workload)
-    if factory is None:
-        known = ", ".join(sorted(WORKLOAD_FACTORIES))
-        print(f"unknown workload {args.workload!r}; known: {known}",
-              file=sys.stderr)
-        return 2
+    workload = _named_workload(args)
     fmt = args.format
     if fmt == "auto":
         fmt = ("binary" if args.out.endswith((".bt", ".btrace"))
                else "text")
     if args.repeat > 1 and fmt != "binary":
-        print("trace-record: --repeat requires --format binary",
-              file=sys.stderr)
-        return 2
-    workload = factory(args.scale)
-    workload.build()
+        raise UsageError("trace-record: --repeat requires --format binary")
     max_events = args.max_events or None
     try:
         if fmt == "binary":
-            count, pages, writes = _record_binary(
-                workload, args.out, max_events, args.repeat
+            count, pages, writes = btrace.dump_repeated(
+                args.out, workload.references(), args.repeat, max_events
             )
         else:
             trace = Trace.record(workload.references(),
@@ -508,51 +424,10 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
             pages = trace.touched_pages()
             writes = trace.write_fraction
     except OSError as exc:
-        print(f"trace-record: cannot write {args.out!r}: {exc}",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"trace-record: cannot write {args.out!r}: {exc}")
     print(f"recorded {count} references "
           f"({pages} pages, {writes:.0%} writes, {fmt}) to {args.out}")
     return 0
-
-
-def _record_binary(workload, out, max_events, repeat):
-    """Stream a workload's references to a binary trace file.
-
-    ``repeat > 1`` records the stream once as a packed block and writes
-    it ``repeat`` times — the cheap way to build 10M+ reference traces
-    for streaming-replay benchmarks without re-running the workload.
-    """
-    from .workloads import btrace
-
-    touched = set()
-    nwrites = 0
-    if repeat <= 1:
-        with btrace.BinaryTraceWriter(out) as writer:
-            for ref in workload.references():
-                if max_events is not None and writer.count >= max_events:
-                    break
-                writer.append(ref)
-                touched.add(ref.page_id)
-                nwrites += ref.write
-            count = writer.count
-        return count, len(touched), nwrites / count if count else 0.0
-    block = bytearray()
-    base = 0
-    for ref in workload.references():
-        if max_events is not None and base >= max_events:
-            break
-        block += btrace.pack_ref(ref)
-        base += 1
-        touched.add(ref.page_id)
-        nwrites += ref.write
-    block = bytes(block)
-    with btrace.BinaryTraceWriter(out) as writer:
-        for _ in range(repeat):
-            writer.append_raw(block, base)
-        count = writer.count
-    fraction = nwrites / base if base else 0.0
-    return count, len(touched), fraction
 
 
 def _cmd_trace_replay(args: argparse.Namespace) -> int:
@@ -565,21 +440,13 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
     mmap-backed chunk reader; text traces go through the classic
     per-reference path.
     """
-    import hashlib
     import json
     import resource
 
     from .sim.trace import Trace, TraceFormatError
     from .workloads import btrace
 
-    factory = WORKLOAD_FACTORIES.get(args.workload)
-    if factory is None:
-        known = ", ".join(sorted(WORKLOAD_FACTORIES))
-        print(f"unknown workload {args.workload!r}; known: {known}",
-              file=sys.stderr)
-        return 2
-    workload = factory(args.scale)
-    space = workload.build()
+    space = _named_workload(args).build()
     config = MachineConfig(
         memory_bytes=mbytes(args.memory_mb * args.scale),
         fast=False if args.scalar else None,
@@ -605,21 +472,16 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
                 max_references=max_references,
             )
     except OSError as exc:
-        print(f"trace-replay: cannot read {args.trace!r}: {exc}",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"trace-replay: cannot read {args.trace!r}: {exc}")
     except TraceFormatError as exc:
-        print(f"trace-replay: {args.trace!r} is not a valid trace: {exc}",
-              file=sys.stderr)
-        return 2
-    payload = result.as_dict()
+        raise UsageError(
+            f"trace-replay: {args.trace!r} is not a valid trace: {exc}"
+        )
     if args.digest:
-        canonical = json.dumps(payload, sort_keys=True,
-                               separators=(",", ":"))
-        print(hashlib.sha256(canonical.encode()).hexdigest())
+        print(result.digest())
         return 0
     if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps(result.as_dict(), sort_keys=True, indent=2))
         return 0
     replayed = (min(total, max_references) if max_references is not None
                 else total)
@@ -643,18 +505,17 @@ def _cmd_trace_analyze(args: argparse.Namespace) -> int:
         else:
             trace = Trace.load(args.trace)
     except OSError as exc:
-        print(f"trace-analyze: cannot read {args.trace!r}: {exc}",
-              file=sys.stderr)
-        print("usage: compression-cache trace-analyze TRACE "
-              "[--frames 64,256] (record one with trace-record)",
-              file=sys.stderr)
-        return 2
+        raise UsageError(
+            f"trace-analyze: cannot read {args.trace!r}: {exc}\n"
+            "usage: compression-cache trace-analyze TRACE "
+            "[--frames 64,256] (record one with trace-record)"
+        )
     except TraceFormatError as exc:
-        print(f"trace-analyze: {args.trace!r} is not a valid trace: {exc}",
-              file=sys.stderr)
-        print("the file may be truncated or not produced by "
-              "trace-record; re-record it", file=sys.stderr)
-        return 2
+        raise UsageError(
+            f"trace-analyze: {args.trace!r} is not a valid trace: {exc}\n"
+            "the file may be truncated or not produced by "
+            "trace-record; re-record it"
+        )
     if len(trace) == 0:
         # A zero-record trace is a valid (if vacuous) recording — e.g.
         # trace-record with --max-events 0 on an empty stream — not a
@@ -693,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run one workload, optionally under a fault plan"
     )
     run.add_argument("--workload", required=True,
-                     help=f"one of: {', '.join(sorted(WORKLOAD_FACTORIES))}")
+                     help=f"one of: {', '.join(sorted(catalog.CATALOG))}")
     run.add_argument("--scale", type=float, default=0.05)
     run.add_argument("--memory-mb", type=float, default=6.0,
                      help="user memory in MBytes before --scale is applied")
@@ -943,6 +804,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except SweepInterrupted as exc:
         done = len(exc.result.results)
         if exc.checkpoint:

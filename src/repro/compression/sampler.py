@@ -4,8 +4,8 @@ The simulator charges compression *time* from a bandwidth model but needs
 real compressed *sizes* to reproduce the paper's per-application ratios.
 Running a pure-Python LZRW1 on every one of the millions of page
 compressions a sweep performs would be wasteful when page contents repeat,
-so this module memoizes ``(algorithm, content fingerprint) -> compressed
-size``.
+so this module memoizes ``(algorithm, content fingerprint) -> compression
+result``.
 
 Two modes:
 
@@ -27,11 +27,10 @@ The same holds in the other direction (:data:`_SHARED_DECODED`,
 which is what keeps tier demotion from re-running a decoder on the same
 few payloads for every page it moves.
 
-Call sites that only need the stored *size* (ratio bookkeeping, threshold
-checks, reports) should use :meth:`CompressionSampler.compressed_size` —
-it is satisfied by either cache and never forces payload retention.  The
-pageout paths that must hand real payload bytes to the compression cache
-use :meth:`CompressionSampler.compress`.
+The pageout paths hand real payload bytes to the compression cache
+through :meth:`CompressionSampler.compress`;
+:meth:`CompressionSampler.compressed_size` is the same lookup for call
+sites that only need the stored *size*.
 """
 
 from __future__ import annotations
@@ -159,9 +158,6 @@ class CompressionSampler:
         compressor: the algorithm to measure.
         exact: disable memoization entirely.
         max_entries: memo capacity; oldest entries are dropped first.
-        keep_payloads: retain compressed payloads (needed when the
-            simulation verifies decompression round trips; sizes-only
-            otherwise to bound memory).
     """
 
     def __init__(
@@ -169,15 +165,12 @@ class CompressionSampler:
         compressor: Compressor,
         exact: bool = False,
         max_entries: int = 65536,
-        keep_payloads: bool = False,
     ):
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
         self.compressor = compressor
         self.exact = exact
         self.max_entries = max_entries
-        self.keep_payloads = keep_payloads
-        self._size_cache: "OrderedDict[object, int]" = OrderedDict()
         self._payload_cache: "OrderedDict[object, CompressionResult]" = (
             OrderedDict()
         )
@@ -213,40 +206,30 @@ class CompressionSampler:
     def compressed_size(self, data: bytes,
                         stable_key: Optional[str] = None,
                         fingerprint: Optional[bytes] = None) -> int:
-        """Size in bytes ``data`` occupies after compression.
-
-        The size-only fast path: answered from the size memo (or the
-        payload memo) without touching the compressor whenever this
-        content has been measured before.
-        """
+        """Size in bytes ``data`` occupies after compression: what
+        :meth:`compress` returns, measured (``exact`` mode counts the
+        kernel run it forces as a miss)."""
         if self.exact:
             self.misses += 1
-            return self.compressor.compress(data).compressed_size
-        key = self._cache_key(data, stable_key, fingerprint)
-        cached = self._size_cache.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        result = self._compute(key, data, fingerprint)
-        self._remember(key, result)
-        return result.compressed_size
+        return self.compress(data, stable_key, fingerprint).compressed_size
 
     def compress(self, data: bytes,
                  stable_key: Optional[str] = None,
                  fingerprint: Optional[bytes] = None) -> CompressionResult:
-        """Full compression result, memoized when payloads are kept."""
+        """Full compression result, from the memo when this content has
+        been measured before."""
         if self.exact:
             return self.compressor.compress(data)
         key = self._cache_key(data, stable_key, fingerprint)
-        if self.keep_payloads:
-            cached = self._payload_cache.get(key)
-            if cached is not None and cached.original_size == len(data):
-                self.hits += 1
-                return cached
+        cached = self._payload_cache.get(key)
+        if cached is not None and cached.original_size == len(data):
+            self.hits += 1
+            return cached
         self.misses += 1
         result = self._compute(key, data, fingerprint)
-        self._remember(key, result)
+        self._payload_cache[key] = result
+        while len(self._payload_cache) > self.max_entries:
+            self._payload_cache.popitem(last=False)
         return result
 
     def _compute(self, key, data: bytes,
@@ -270,15 +253,6 @@ class CompressionSampler:
             self.compressor, data, key if type(key) is bytes else fingerprint
         )
 
-    def _remember(self, key, result: CompressionResult) -> None:
-        self._size_cache[key] = result.compressed_size
-        while len(self._size_cache) > self.max_entries:
-            self._size_cache.popitem(last=False)
-        if self.keep_payloads:
-            self._payload_cache[key] = result
-            while len(self._payload_cache) > self.max_entries:
-                self._payload_cache.popitem(last=False)
-
     @property
     def hit_rate(self) -> float:
         """Fraction of requests served from the memo."""
@@ -287,7 +261,6 @@ class CompressionSampler:
 
     def clear(self) -> None:
         """Drop all cached measurements."""
-        self._size_cache.clear()
         self._payload_cache.clear()
         self.hits = 0
         self.misses = 0

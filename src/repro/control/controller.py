@@ -31,10 +31,11 @@ virtual-time telemetry; the only randomness is the seeded probe stream
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from math import isfinite
 from typing import Any, Dict, List, Mapping, Optional
 
+from ..counters import Counters
 from ..mem.frames import FrameOwner
 from ..sim.ledger import TimeCategory
 from .hotness import HotnessTracker
@@ -163,7 +164,7 @@ class ControlConfig:
 
 
 @dataclass
-class ControlCounters:
+class ControlCounters(Counters):
     """Everything the control plane did, for ``RunResult``.
 
     Only built when a :class:`ControlConfig` is installed; serialized as
@@ -184,8 +185,12 @@ class ControlCounters:
     frames_released: int = 0
     hot_deferrals: int = 0
     log: List[dict] = field(default_factory=list)
-    log_limit: int = 64
+    #: A bound, not a reading: an argument, kept out of ``snapshot()``.
+    log_limit: InitVar[int] = 64
     log_dropped: int = 0
+
+    def __post_init__(self, log_limit: int) -> None:
+        self.log_limit = log_limit
 
     def note_action(self, now: float, action: str, pool: str,
                     value: float) -> None:
@@ -198,24 +203,6 @@ class ControlCounters:
             })
         else:
             self.log_dropped += 1
-
-    def snapshot(self) -> dict:
-        return {
-            "ticks": self.ticks,
-            "actions": self.actions,
-            "grows": self.grows,
-            "shrinks": self.shrinks,
-            "retunes": self.retunes,
-            "probes": self.probes,
-            "deadband_skips": self.deadband_skips,
-            "cooldown_skips": self.cooldown_skips,
-            "quiet_skips": self.quiet_skips,
-            "ratio_vetoes": self.ratio_vetoes,
-            "frames_released": self.frames_released,
-            "hot_deferrals": self.hot_deferrals,
-            "log": [dict(entry) for entry in self.log],
-            "log_dropped": self.log_dropped,
-        }
 
 
 class TierTelemetry:

@@ -33,53 +33,25 @@ from typing import (
     Tuple,
 )
 
-from .ccache.allocator import AllocationBiases
 from .mem.page import mbytes
-from .sim.costs import CostModel
 from .sim.engine import RunResult, SimulationEngine
 from .sim.machine import Machine, MachineConfig
 from .sim.report import format_minutes_seconds, render_table
 from .storage.blockfs import PartialWritePolicy
 from .sweep import SweepPoint, run_sweep
-from .tiers.spec import parse_tier_specs
 from .workloads import (
-    AppRelaunchWorkload,
     CacheSimWorkload,
     CompareWorkload,
-    DiurnalWorkload,
     GoldWorkload,
-    MultiProgramWorkload,
     SortWorkload,
-    SyntheticWorkload,
     Thrasher,
     Workload,
+    catalog,
 )
 
 # ----------------------------------------------------------------------
 # Generic two-system runner
 # ----------------------------------------------------------------------
-
-
-def run_pair(
-    workload_factory: Callable[[], Workload],
-    config: MachineConfig,
-    setup: bool = False,
-) -> Tuple[RunResult, RunResult]:
-    """Run a workload on the standard machine and the compression-cache
-    machine; returns (std_result, cc_result)."""
-    results = []
-    for compression in (False, True):
-        workload = workload_factory()
-        machine = Machine(
-            config.variant(compression_cache=compression),
-            workload.build(),
-        )
-        engine = SimulationEngine(machine)
-        if setup:
-            engine.run(workload.setup_references())
-            machine.reset_measurement()
-        results.append(engine.run(workload.references()))
-    return results[0], results[1]
 
 
 def _run_single(workload: Workload, config: MachineConfig,
@@ -90,6 +62,21 @@ def _run_single(workload: Workload, config: MachineConfig,
         engine.run(workload.setup_references())
         machine.reset_measurement()
     return engine.run(workload.references())
+
+
+def run_pair(
+    workload_factory: Callable[[], Workload],
+    config: MachineConfig,
+    setup: bool = False,
+) -> Tuple[RunResult, RunResult]:
+    """Run a workload on the standard machine and the compression-cache
+    machine; returns (std_result, cc_result)."""
+    std, cc = (
+        _run_single(workload_factory(),
+                    config.variant(compression_cache=compression), setup)
+        for compression in (False, True)
+    )
+    return std, cc
 
 
 # ----------------------------------------------------------------------
@@ -512,121 +499,78 @@ def render_figure1() -> str:
 
 
 # ----------------------------------------------------------------------
-# Ablation cells: generic (config, workload) sweep points
+# Sweep cells: generic (config, workload) points
+# ----------------------------------------------------------------------
+#
+# Every grid below is made of cells whose spec encodes a machine
+# configuration and a workload as JSON primitives; ``build_cell``
+# rebuilds the real objects inside the worker and ``run_cell`` runs them.
+
+
+def cell_point(runner: str, key: str, config: Mapping[str, Any],
+               workload: Mapping[str, Any]) -> SweepPoint:
+    """One ``{"config": {...}, "workload": {...}}`` cell as a sweep
+    point for ``runner``."""
+    return SweepPoint(
+        runner=runner,
+        spec={"config": dict(config), "workload": dict(workload)},
+        key=key,
+    )
+
+
+def build_cell(spec: Mapping[str, Any]) -> Tuple[Machine, Workload]:
+    """The machine one ``{"config": {...}, "workload": {...}}`` cell
+    describes (:meth:`MachineConfig.from_spec`,
+    :func:`repro.workloads.catalog.from_spec`), with its workload."""
+    workload = catalog.from_spec(spec["workload"])
+    machine = Machine(MachineConfig.from_spec(spec["config"]),
+                      workload.build())
+    return machine, workload
+
+
+def run_cell(spec: Mapping[str, Any]) -> Tuple[Machine, RunResult]:
+    """Build and run one cell: the machine as the run left it (tier
+    chain, stores, counters) and the run's result."""
+    machine, workload = build_cell(spec)
+    return machine, SimulationEngine(machine).run(workload.references())
+
+
+def effective_memory(machine: Machine) -> Tuple[int, float]:
+    """End-of-run effective memory: frames' worth of pages held, and
+    that as a ratio of physical frames.
+
+    Frames the chain occupies hold ``compressed_pages`` pages' worth of
+    data; everything else holds one page per frame.
+    """
+    chain = machine.chain
+    total_frames = machine.frames.total_frames
+    effective = (
+        total_frames - chain.mapped_frames() + chain.compressed_pages()
+    )
+    return effective, effective / total_frames if total_frames else 0.0
+
+
+# ----------------------------------------------------------------------
+# Ablation cells
 # ----------------------------------------------------------------------
 #
 # The design-choice ablations (experiments/ablations.py) are grids of
 # independent std-versus-cc comparisons over machine-configuration
-# variants.  Each cell is one sweep point whose spec encodes the config
-# and workload as JSON primitives; the decoders below rebuild the real
-# objects inside the worker.
+# variants.
 
 #: Import path of the ablation cell runner (see ``repro.sweep``).
 ABLATION_RUNNER = "repro.experiments:run_ablation_point"
 
 
-def config_from_spec(spec: Mapping[str, Any]) -> MachineConfig:
-    """Build a :class:`MachineConfig` from JSON-primitive overrides.
-
-    Recognized keys: ``memory_bytes``, ``compressor``, ``device``,
-    ``filesystem``, ``partial_write_policy`` (enum value string),
-    ``fragment_size``, ``batch_bytes``, ``allow_spanning``, ``biases``
-    (three-weight mapping), ``costs`` (``"base"``, ``"hardware"`` or
-    ``["cpu", factor]``), ``vm_architecture``, ``tiers`` (a
-    :func:`repro.tiers.spec.parse_tier_specs` string), ``store``
-    (``"frag"`` or ``"lfs"``), and ``log_store`` (a mapping of
-    :class:`repro.storage.logstore.LogStoreConfig` field overrides).
-    """
-    changes: Dict[str, Any] = {}
-    passthrough = (
-        "memory_bytes", "compressor", "device", "filesystem",
-        "fragment_size", "batch_bytes", "allow_spanning",
-        "vm_architecture", "store",
-    )
-    for name in passthrough:
-        if name in spec:
-            changes[name] = spec[name]
-    if "log_store" in spec:
-        from .storage.logstore import LogStoreConfig
-
-        changes["log_store"] = LogStoreConfig(**spec["log_store"])
-    if "partial_write_policy" in spec:
-        changes["partial_write_policy"] = PartialWritePolicy(
-            spec["partial_write_policy"]
-        )
-    if "biases" in spec:
-        weights = spec["biases"]
-        changes["biases"] = AllocationBiases(
-            file_cache_weight=weights["file_cache_weight"],
-            vm_weight=weights["vm_weight"],
-            ccache_weight=weights["ccache_weight"],
-        )
-    if "costs" in spec:
-        costs = spec["costs"]
-        if costs == "base":
-            changes["costs"] = CostModel()
-        elif costs == "hardware":
-            changes["costs"] = CostModel.hardware_compression()
-        elif isinstance(costs, (list, tuple)) and costs[0] == "cpu":
-            changes["costs"] = CostModel.faster_cpu(float(costs[1]))
-        else:
-            raise ValueError(f"unknown costs spec: {costs!r}")
-    if "tiers" in spec and spec["tiers"] is not None:
-        changes["tiers"] = parse_tier_specs(spec["tiers"])
-    if "tier_l1_frames" in spec:
-        # Convenience for geometry grids: the two-tier preset with an
-        # explicit L1 cap (``None`` = allocator-sized).
-        from .tiers.spec import two_tier_specs
-
-        changes["tiers"] = two_tier_specs(spec["tier_l1_frames"])
-    if "control" in spec and spec["control"] is not None:
-        from .control.controller import ControlConfig
-
-        changes["control"] = ControlConfig.from_dict(spec["control"])
-    return MachineConfig(**changes)
-
-
-def workload_from_spec(spec: Mapping[str, Any]) -> Workload:
-    """Build a workload from a JSON-primitive description.
-
-    ``kind`` selects the class; the remaining keys are constructor
-    arguments.  Only the workloads the ablations use are mapped; extend
-    the table as new sweeps need new workloads.
-    """
-    kind = spec["kind"]
-    kwargs = {k: v for k, v in spec.items() if k != "kind"}
-    if kind == "multiprogram":
-        # Programs are themselves workload specs, decoded recursively.
-        return MultiProgramWorkload(
-            [workload_from_spec(program) for program in kwargs["programs"]],
-            quantum=kwargs.get("quantum", 64),
-        )
-    factories: Dict[str, Callable[..., Workload]] = {
-        "thrasher": Thrasher,
-        "gold": GoldWorkload,
-        "compare": CompareWorkload,
-        "isca": CacheSimWorkload,
-        "sort": SortWorkload,
-        "synthetic": SyntheticWorkload,
-        "relaunch": AppRelaunchWorkload,
-        "diurnal": DiurnalWorkload,
-    }
-    if kind not in factories:
-        known = ", ".join(sorted([*factories, "multiprogram"]))
-        raise ValueError(f"unknown workload kind {kind!r}; known: {known}")
-    return factories[kind](**kwargs)
-
-
 def run_ablation_point(spec: Mapping[str, Any]) -> Dict[str, Any]:
     """Sweep runner: one ablation cell (std and cc runs of one config).
 
-    Spec: ``{"config": {...}, "workload": {...}}`` per the decoders
-    above.  Returns elapsed times and the cc speedup.
+    Spec: ``{"config": {...}, "workload": {...}}`` as :func:`build_cell`
+    decodes it.  Returns elapsed times and the cc speedup.
     """
-    config = config_from_spec(spec["config"])
     std, cc = run_pair(
-        lambda: workload_from_spec(spec["workload"]),
-        config,
+        lambda: catalog.from_spec(spec["workload"]),
+        MachineConfig.from_spec(spec["config"]),
     )
     speedup = (
         float("inf") if cc.elapsed_seconds == 0
@@ -639,21 +583,19 @@ def run_ablation_point(spec: Mapping[str, Any]) -> Dict[str, Any]:
     }
 
 
-def ablation_point(
-    key: str,
-    config_spec: Mapping[str, Any],
-    workload_spec: Mapping[str, Any],
-) -> SweepPoint:
-    """One ablation cell as a sweep point."""
-    return SweepPoint(
-        runner=ABLATION_RUNNER,
-        spec={"config": dict(config_spec), "workload": dict(workload_spec)},
-        key=key,
-    )
-
-
 #: Allocator-bias weights swept by ablation 3.
 ABLATION_BIAS_WEIGHTS = (1.0, 2.0, 6.0, 16.0)
+
+
+def _paging_pair(scale: float) -> Dict[str, Dict[str, Any]]:
+    """The two workloads the ablation, tier and lfs grids run: the
+    thrasher (the cache's best case) and ``gold-warm`` with Table 1's
+    query skew (its worst)."""
+    return {
+        "thrasher": catalog.spec("thrasher", scale),
+        "gold-warm": catalog.spec("gold-warm", scale,
+                                  hot_fraction=0.3, hot_probability=0.8),
+    }
 
 
 def ablation_points(scale: float) -> List[SweepPoint]:
@@ -662,29 +604,16 @@ def ablation_points(scale: float) -> List[SweepPoint]:
     Every cell is independent; ``render_ablations`` reassembles the
     seven tables from the completed results by key.
     """
-    memory = mbytes(6 * scale)
-    thrasher = {
-        "kind": "thrasher",
-        "working_set_bytes": int(memory * 2),
-        "cycles": 3,
-        "write": True,
-    }
-    gold_warm = {
-        "kind": "gold",
-        "mode": "warm",
-        "index_bytes": mbytes(30 * scale),
-        "operations": max(30, int(8000 * scale)),
-        "hot_fraction": 0.3,
-        "hot_probability": 0.8,
-    }
-    base = {"memory_bytes": memory}
+    workloads = _paging_pair(scale)
+    base = {"memory_bytes": mbytes(6 * scale)}
     gold_base = {"memory_bytes": mbytes(14 * scale)}
 
     points: List[SweepPoint] = []
 
     def cell(key: str, config: Mapping[str, Any],
-             workload: Mapping[str, Any] = thrasher) -> None:
-        points.append(ablation_point(key, {**base, **config}, workload))
+             workload: Mapping[str, Any] = workloads["thrasher"]) -> None:
+        points.append(cell_point(ABLATION_RUNNER, key,
+                                 {**base, **config}, workload))
 
     for policy in PartialWritePolicy:
         cell(f"1-partial-write/{policy.value}",
@@ -702,10 +631,9 @@ def ablation_points(scale: float) -> List[SweepPoint]:
             "ccache_weight": 1.0,
         }
         cell(f"3-bias/w{weight:g}/thrasher", {"biases": biases})
-        points.append(ablation_point(
-            f"3-bias/w{weight:g}/gold-warm",
-            {**gold_base, "biases": biases},
-            gold_warm,
+        points.append(cell_point(
+            ABLATION_RUNNER, f"3-bias/w{weight:g}/gold-warm",
+            {**gold_base, "biases": biases}, workloads["gold-warm"],
         ))
 
     for name in ("lzrw1", "lzss", "wk", "rle"):
@@ -833,25 +761,16 @@ TIERS_CHAINS: Tuple[Tuple[str, Optional[str]], ...] = (
 def run_tiers_point(spec: Mapping[str, Any]) -> Dict[str, Any]:
     """Sweep runner: one (chain, workload) cell of the tier comparison.
 
-    Spec: ``{"config": {...}, "workload": {...}}`` per the decoders
-    above; ``config["tiers"]`` selects the chain (absent = the default
-    single cache).  Reports the compressed-memory hit rate, the
-    end-of-run effective memory (resident + compressed pages held, as a
-    ratio of physical frames), and the per-tier snapshots.
+    Spec as :func:`run_cell` takes it; ``config["tiers"]`` selects the
+    chain (absent = the default single cache).  Reports the
+    compressed-memory hit rate, the end-of-run effective memory
+    (resident + compressed pages held, as a ratio of physical frames),
+    and the per-tier snapshots.
     """
-    config = config_from_spec(spec["config"])
-    workload = workload_from_spec(spec["workload"])
-    machine = Machine(config, workload.build())
-    result = SimulationEngine(machine).run(workload.references())
+    machine, result = run_cell(spec)
     faults = result.metrics_snapshot["faults"]
     total = faults["total"]
-    chain = machine.chain
-    total_frames = machine.frames.total_frames
-    # Frames the chain occupies hold compressed_pages pages' worth of
-    # data; everything else holds one page per frame.
-    effective = (
-        total_frames - chain.mapped_frames() + chain.compressed_pages()
-    )
+    effective, ratio = effective_memory(machine)
     return {
         "elapsed_seconds": result.elapsed_seconds,
         "faults_total": total,
@@ -859,43 +778,23 @@ def run_tiers_point(spec: Mapping[str, Any]) -> Dict[str, Any]:
             faults["from_ccache"] / total if total else 0.0
         ),
         "effective_frames": effective,
-        "effective_memory_ratio": (
-            effective / total_frames if total_frames else 0.0
-        ),
-        "demoted_pages": chain.demoted_pages(),
-        "tiers": chain.snapshot(),
+        "effective_memory_ratio": ratio,
+        "demoted_pages": machine.chain.demoted_pages(),
+        "tiers": machine.chain.snapshot(),
     }
 
 
 def tiers_points(scale: float) -> List[SweepPoint]:
     """The 1-tier-versus-2-tier grid (experiments/tiers_sweep.py)."""
     memory = mbytes(6 * scale)
-    workloads: Dict[str, Mapping[str, Any]] = {
-        "thrasher": {
-            "kind": "thrasher",
-            "working_set_bytes": int(memory * 2),
-            "cycles": 3,
-            "write": True,
-        },
-        "gold-warm": {
-            "kind": "gold",
-            "mode": "warm",
-            "index_bytes": mbytes(30 * scale),
-            "operations": max(30, int(8000 * scale)),
-            "hot_fraction": 0.3,
-            "hot_probability": 0.8,
-        },
-    }
     points: List[SweepPoint] = []
-    for wname, workload in workloads.items():
+    for wname, workload in _paging_pair(scale).items():
         for cname, tiers in TIERS_CHAINS:
             config: Dict[str, Any] = {"memory_bytes": memory}
             if tiers is not None:
                 config["tiers"] = tiers
-            points.append(SweepPoint(
-                runner=TIERS_RUNNER,
-                spec={"config": config, "workload": dict(workload)},
-                key=f"tiers/{cname}/{wname}",
+            points.append(cell_point(
+                TIERS_RUNNER, f"tiers/{cname}/{wname}", config, workload
             ))
     return points
 
@@ -956,24 +855,23 @@ KERNELS_WORKLOADS: Tuple[str, ...] = (
 def run_kernels_point(spec: Mapping[str, Any]) -> Dict[str, Any]:
     """Sweep runner: one (kernel, workload) cell of the comparison.
 
-    Spec: ``{"config": {...}, "workload": {...}}`` per the decoders
-    above; ``config["compressor"]`` selects the kernel.  The simulated
-    results (faults, stored bytes, ratios) are deterministic; the
-    ``host_seconds``/``refs_per_second`` fields are wall-clock
-    throughput of this host and are excluded from digest-style
-    comparisons (the CI gate pins ``repro run --digest`` instead).
+    Spec as :func:`build_cell` takes it; ``config["compressor"]``
+    selects the kernel.  The simulated results (faults, stored bytes,
+    ratios) are deterministic; the ``host_seconds``/``refs_per_second``
+    fields are wall-clock throughput of this host and are excluded from
+    digest-style comparisons (the CI gate pins ``repro run --digest``
+    instead).
     """
     import time
 
-    config = config_from_spec(spec["config"])
-    workload = workload_from_spec(spec["workload"])
-    machine = Machine(config, workload.build())
+    # The host clock brackets the run alone, not the cell's set-up.
+    machine, workload = build_cell(spec)
     t0 = time.perf_counter()
     result = SimulationEngine(machine).run(workload.references())
     host_seconds = time.perf_counter() - t0
     metrics = machine.vm.metrics
     comp = metrics.compression
-    page_size = config.page_size
+    page_size = machine.config.page_size
     # Bytes the backing layers actually hold: kept pages at their
     # compressed size, threshold failures at full page size.  This is
     # the honest aggregate-ratio metric — a kernel that shrinks easy
@@ -981,11 +879,6 @@ def run_kernels_point(spec: Mapping[str, Any]) -> Dict[str, Any]:
     raw_bytes = comp.pages_uncompressible * page_size
     stored = comp.bytes_out + raw_bytes
     total = comp.bytes_in + raw_bytes
-    chain = machine.chain
-    total_frames = machine.frames.total_frames
-    effective = (
-        total_frames - chain.mapped_frames() + chain.compressed_pages()
-    )
     cell: Dict[str, Any] = {
         "elapsed_seconds": result.elapsed_seconds,
         "faults_total": result.metrics_snapshot["faults"]["total"],
@@ -997,9 +890,7 @@ def run_kernels_point(spec: Mapping[str, Any]) -> Dict[str, Any]:
         "stored_bytes": stored,
         "total_bytes": total,
         "stored_fraction": stored / total if total else 1.0,
-        "effective_memory_ratio": (
-            effective / total_frames if total_frames else 0.0
-        ),
+        "effective_memory_ratio": effective_memory(machine)[1],
         "host_seconds": host_seconds,
         "refs_per_second": (
             metrics.accesses / host_seconds if host_seconds > 0 else 0.0
@@ -1013,58 +904,13 @@ def run_kernels_point(spec: Mapping[str, Any]) -> Dict[str, Any]:
 def kernels_points(scale: float) -> List[SweepPoint]:
     """The kernel-versus-workload grid (experiments/kernels_sweep.py)."""
     memory = mbytes(6 * scale)
-    workloads: Dict[str, Mapping[str, Any]] = {
-        "thrasher": {
-            "kind": "thrasher",
-            "working_set_bytes": int(memory * 2),
-            "cycles": 3,
-            "write": True,
-        },
-        "compare": {
-            "kind": "compare",
-            "band_bytes": mbytes(24 * scale),
-            "round_trips": 2,
-        },
-        "isca": {
-            "kind": "isca",
-            "table_bytes": mbytes(20 * scale),
-            "events": max(500, int(60000 * scale)),
-        },
-        "sort-partial": {
-            "kind": "sort",
-            "data_bytes": mbytes(12 * scale),
-            "partial": True,
-        },
-        "sort-random": {
-            "kind": "sort",
-            "data_bytes": mbytes(12 * scale),
-            "partial": False,
-        },
-        "gold-warm": {
-            "kind": "gold",
-            "mode": "warm",
-            "index_bytes": mbytes(30 * scale),
-            "operations": max(30, int(8000 * scale)),
-        },
-        "synthetic": {
-            "kind": "synthetic",
-            "address_space_bytes": mbytes(8 * scale),
-            "references": max(500, int(40000 * scale)),
-        },
-    }
     points: List[SweepPoint] = []
     for wname in KERNELS_WORKLOADS:
         for kernel in KERNEL_NAMES:
-            points.append(SweepPoint(
-                runner=KERNELS_RUNNER,
-                spec={
-                    "config": {
-                        "memory_bytes": memory,
-                        "compressor": kernel,
-                    },
-                    "workload": dict(workloads[wname]),
-                },
-                key=f"kernels/{kernel}/{wname}",
+            points.append(cell_point(
+                KERNELS_RUNNER, f"kernels/{kernel}/{wname}",
+                {"memory_bytes": memory, "compressor": kernel},
+                catalog.spec(wname, scale),
             ))
     return points
 
@@ -1169,16 +1015,13 @@ LFS_STORE_SPEC: Mapping[str, Any] = {
 def run_lfs_point(spec: Mapping[str, Any]) -> Dict[str, Any]:
     """Sweep runner: one (device, store, workload) cell.
 
-    Spec: ``{"config": {...}, "workload": {...}}`` per the decoders
-    above; ``config["store"]`` selects the backing store and
-    ``config["device"]`` the device era.  Reports elapsed virtual time
-    and the store's write/cleaning traffic (field names differ between
-    the two stores; the common ones are normalized).
+    Spec as :func:`run_cell` takes it; ``config["store"]`` selects the
+    backing store and ``config["device"]`` the device era.  Reports
+    elapsed virtual time and the store's write/cleaning traffic (field
+    names differ between the two stores; the common ones are
+    normalized).
     """
-    config = config_from_spec(spec["config"])
-    workload = workload_from_spec(spec["workload"])
-    machine = Machine(config, workload.build())
-    result = SimulationEngine(machine).run(workload.references())
+    machine, result = run_cell(spec)
     counters = machine.fragstore.counters.snapshot()
     out: Dict[str, Any] = {
         "elapsed_seconds": result.elapsed_seconds,
@@ -1197,24 +1040,8 @@ def run_lfs_point(spec: Mapping[str, Any]) -> Dict[str, Any]:
 def lfs_points(scale: float) -> List[SweepPoint]:
     """The (device x store x workload) grid for ``sweep --experiment lfs``."""
     memory = mbytes(6 * scale)
-    workloads: Dict[str, Mapping[str, Any]] = {
-        "thrasher": {
-            "kind": "thrasher",
-            "working_set_bytes": int(memory * 2),
-            "cycles": 3,
-            "write": True,
-        },
-        "gold-warm": {
-            "kind": "gold",
-            "mode": "warm",
-            "index_bytes": mbytes(30 * scale),
-            "operations": max(30, int(8000 * scale)),
-            "hot_fraction": 0.3,
-            "hot_probability": 0.8,
-        },
-    }
     points: List[SweepPoint] = []
-    for wname, workload in workloads.items():
+    for wname, workload in _paging_pair(scale).items():
         for device in LFS_DEVICES:
             for mode in LFS_MODES:
                 config: Dict[str, Any] = {
@@ -1227,10 +1054,9 @@ def lfs_points(scale: float) -> List[SweepPoint]:
                         LFS_STORE_SPEC,
                         sync_appends=(mode == "lfs-sync"),
                     )
-                points.append(SweepPoint(
-                    runner=LFS_RUNNER,
-                    spec={"config": config, "workload": dict(workload)},
-                    key=f"lfs/{device}/{mode}/{wname}",
+                points.append(cell_point(
+                    LFS_RUNNER, f"lfs/{device}/{mode}/{wname}",
+                    config, workload,
                 ))
     return points
 
@@ -1308,65 +1134,43 @@ CONTROL_START = "l1-medium"
 
 def _control_workload_specs(scale: float) -> Dict[str, Mapping[str, Any]]:
     """The three traffic classes, sized against ``mbytes(6 * scale)``."""
+    # The mix is the catalogue's with smaller programs (8/6/5 MBytes
+    # where ``run --workload multiprogram`` has 12/8/6).
+    programs = [
+        catalog.spec("compare", scale, band_bytes=mbytes(8 * scale)),
+        catalog.spec("sort-partial", scale, data_bytes=mbytes(6 * scale)),
+        catalog.spec("synthetic", scale,
+                     address_space_bytes=mbytes(5 * scale),
+                     references=max(500, int(30000 * scale))),
+    ]
     return {
-        "relaunch": {
-            "kind": "relaunch",
-            "app_bytes": mbytes(4 * scale),
-            "apps": 3,
-            "sessions": 8,
-        },
-        "multiprogram": {
-            "kind": "multiprogram",
-            "quantum": 64,
-            "programs": [
-                {"kind": "compare", "band_bytes": mbytes(8 * scale),
-                 "round_trips": 2},
-                {"kind": "sort", "data_bytes": mbytes(6 * scale),
-                 "partial": True},
-                {"kind": "synthetic",
-                 "address_space_bytes": mbytes(5 * scale),
-                 "references": max(500, int(30000 * scale))},
-            ],
-        },
-        "diurnal": {
-            "kind": "diurnal",
-            "space_bytes": mbytes(10 * scale),
-            "phases": 6,
-            "passes_per_phase": 2,
-        },
+        "relaunch": catalog.spec("relaunch", scale),
+        "multiprogram": catalog.spec("multiprogram", scale,
+                                     programs=programs),
+        "diurnal": catalog.spec("diurnal", scale),
     }
 
 
 def run_control_point(spec: Mapping[str, Any]) -> Dict[str, Any]:
     """Sweep runner: one (geometry, workload) cell of the comparison.
 
-    Spec: ``{"config": {...}, "workload": {...}}`` per the decoders
-    above; ``config["control"]`` (when present) enables the closed-loop
-    controller, making the cell the autotuned arm.  Reports total
-    charged seconds, the compressed-memory hit rate, effective memory,
-    and — for the autotuned arm — the controller's action counters.
+    Spec as :func:`run_cell` takes it; ``config["control"]`` (when
+    present) enables the closed-loop controller, making the cell the
+    autotuned arm.  Reports total charged seconds, the compressed-memory
+    hit rate, effective memory, and — for the autotuned arm — the
+    controller's action counters.
     """
-    config = config_from_spec(spec["config"])
-    workload = workload_from_spec(spec["workload"])
-    machine = Machine(config, workload.build())
-    result = SimulationEngine(machine).run(workload.references())
+    machine, result = run_cell(spec)
     faults = result.metrics_snapshot["faults"]
     total = faults["total"]
-    chain = machine.chain
-    total_frames = machine.frames.total_frames
-    effective = (
-        total_frames - chain.mapped_frames() + chain.compressed_pages()
-    )
     cell: Dict[str, Any] = {
         "elapsed_seconds": result.elapsed_seconds,
         "faults_total": total,
         "compressed_hit_rate": (
             faults["from_ccache"] / total if total else 0.0
         ),
-        "effective_memory_ratio": (
-            effective / total_frames if total_frames else 0.0
-        ),
-        "demoted_pages": chain.demoted_pages(),
+        "effective_memory_ratio": effective_memory(machine)[1],
+        "demoted_pages": machine.chain.demoted_pages(),
     }
     if result.control_counters is not None:
         cell["control"] = result.control_counters
@@ -1387,28 +1191,17 @@ def control_points(scale: float) -> List[SweepPoint]:
     points: List[SweepPoint] = []
     for wname, workload in workloads.items():
         for gname, fraction in CONTROL_GEOMETRIES:
-            points.append(SweepPoint(
-                runner=CONTROL_RUNNER,
-                spec={
-                    "config": {
-                        "memory_bytes": memory,
-                        "tier_l1_frames": l1_cap(fraction),
-                    },
-                    "workload": dict(workload),
-                },
-                key=f"control/{wname}/{gname}",
+            points.append(cell_point(
+                CONTROL_RUNNER, f"control/{wname}/{gname}",
+                {"memory_bytes": memory,
+                 "tier_l1_frames": l1_cap(fraction)},
+                workload,
             ))
-        points.append(SweepPoint(
-            runner=CONTROL_RUNNER,
-            spec={
-                "config": {
-                    "memory_bytes": memory,
-                    "tier_l1_frames": start_cap,
-                    "control": {"seed": 0},
-                },
-                "workload": dict(workload),
-            },
-            key=f"control/{wname}/autotuned",
+        points.append(cell_point(
+            CONTROL_RUNNER, f"control/{wname}/autotuned",
+            {"memory_bytes": memory, "tier_l1_frames": start_cap,
+             "control": {"seed": 0}},
+            workload,
         ))
     return points
 

@@ -28,11 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..control.windowed import WindowedStats
+from ..counters import Counters
 from .plan import DegradationConfig
 
 
 @dataclass
-class ResilienceCounters:
+class ResilienceCounters(Counters):
     """Everything the fault-injection and resilience layers count.
 
     Only built when a :class:`~repro.faults.plan.FaultPlan` is installed;
@@ -89,33 +90,9 @@ class ResilienceCounters:
         )
 
     def snapshot(self) -> dict:
-        """Plain-dict copy for :class:`~repro.sim.engine.RunResult`."""
-        return {
-            "injected_faults": self.injected_faults,
-            "device_read_errors": self.device_read_errors,
-            "device_write_errors": self.device_write_errors,
-            "latency_spikes": self.latency_spikes,
-            "latency_spike_seconds": self.latency_spike_seconds,
-            "fragment_corruptions": self.fragment_corruptions,
-            "sticky_corruptions": self.sticky_corruptions,
-            "compressor_crashes": self.compressor_crashes,
-            "compressor_expansions": self.compressor_expansions,
-            "lfs_crashes": self.lfs_crashes,
-            "lfs_checkpoints_lost": self.lfs_checkpoints_lost,
-            "lfs_recoveries": self.lfs_recoveries,
-            "retries": self.retries,
-            "retry_backoff_seconds": self.retry_backoff_seconds,
-            "retries_exhausted": self.retries_exhausted,
-            "recovered_operations": self.recovered_operations,
-            "crc_checks": self.crc_checks,
-            "crc_failures": self.crc_failures,
-            "backstop_refetches": self.backstop_refetches,
-            "deferred_writebacks": self.deferred_writebacks,
-            "cleaner_requeues": self.cleaner_requeues,
-            "degradation_entries": self.degradation_entries,
-            "degradation_exits": self.degradation_exits,
-            "bypassed_evictions": self.bypassed_evictions,
-        }
+        """The total leads, as ``run --faults`` prints it."""
+        return {"injected_faults": self.injected_faults,
+                **super().snapshot()}
 
 
 @dataclass

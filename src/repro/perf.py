@@ -47,7 +47,7 @@ from .mem.page import DEFAULT_PAGE_SIZE, mbytes
 from .sim.engine import SimulationEngine
 from .sim.machine import Machine, MachineConfig
 from .tiers.spec import two_tier_specs
-from .workloads import contentgen
+from .workloads import btrace, catalog, contentgen
 
 _perf_counter = time.perf_counter
 
@@ -448,9 +448,7 @@ class _TimedReferences:
 
 def _build(name: str, scale: float, **config):
     """A fresh ``(engine, reference list)`` for one named workload."""
-    from .cli import WORKLOAD_FACTORIES  # late import: cli imports us
-
-    workload = WORKLOAD_FACTORIES[name](scale)
+    workload = catalog.build(name, scale)
     machine = Machine(
         MachineConfig(memory_bytes=mbytes(6 * scale), **config),
         workload.build(),
@@ -499,13 +497,12 @@ def bench_sim(scale: float = 0.12,
     the mean: compression-heavy faults are orders of magnitude slower
     than resident hits, and only the percentiles expose that mix.
     """
-    from .cli import WORKLOAD_FACTORIES  # late import: cli imports us
     from .service.latency import LatencyRecorder
 
     mode = "scalar" if fast is False else (
         "fast" if vectorized.HAVE_NUMPY else "scalar"
     )
-    names = list(workloads) if workloads else sorted(WORKLOAD_FACTORIES)
+    names = list(workloads) if workloads else sorted(catalog.CATALOG)
     result: Dict = {"scale": scale, "reps": reps, "mode": mode,
                     "workloads": {}}
     total_refs = 0
@@ -558,24 +555,11 @@ def bench_stream_replay(references: int = 10_000_000,
     import sys
     import tempfile
 
-    from .cli import WORKLOAD_FACTORIES
-    from .workloads import btrace
-
-    workload = WORKLOAD_FACTORIES["multiprogram"](scale)
-    workload.build()
-    block = bytearray()
-    base = 0
-    for ref in workload.references():
-        block += btrace.pack_ref(ref)
-        base += 1
-    repeat = max(1, -(-references // base))
+    one_pass = list(catalog.build("multiprogram", scale).references())
+    repeat = max(1, -(-references // len(one_pass)))
     with tempfile.TemporaryDirectory(prefix="repro-btrace-") as tmp:
         path = os.path.join(tmp, "multiprogram.btrace")
-        with btrace.BinaryTraceWriter(path) as writer:
-            raw = bytes(block)
-            for _ in range(repeat):
-                writer.append_raw(raw, base)
-            total = writer.count
+        total, _, _ = btrace.dump_repeated(path, one_pass, repeat)
         trace_bytes = os.path.getsize(path)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -699,9 +683,7 @@ def profile_sim(scale: float = 0.12, top_n: int = 25,
     import io
     import pstats
 
-    from .cli import WORKLOAD_FACTORIES  # late import: cli imports us
-
-    names = list(workloads) if workloads else sorted(WORKLOAD_FACTORIES)
+    names = list(workloads) if workloads else sorted(catalog.CATALOG)
     runs = [_build(name, scale) for name in names]
 
     profiler = cProfile.Profile()

@@ -9,6 +9,8 @@ optional application CPU time (the non-memory work of programs like the
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Dict, Iterable, Optional
@@ -128,6 +130,13 @@ class RunResult:
         if self.control_counters is not None:
             payload["control"] = self.control_counters
         return _jsonable(payload)
+
+    def digest(self) -> str:
+        """sha256 of the canonical JSON of :meth:`as_dict`: what
+        ``--digest`` prints and the golden-digest tests pin."""
+        canonical = json.dumps(self.as_dict(), sort_keys=True,
+                               separators=(",", ":"))
+        return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def _jsonable(value):

@@ -17,7 +17,7 @@ compression-cache configuration real frames, as they did in 1993.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..ccache.allocator import AllocationBiases, ThreeWayAllocator
 from ..ccache.circular import CompressionCache
@@ -47,7 +47,12 @@ from ..storage.network import NetworkModel
 from ..storage.swap import StandardSwap
 from ..tiers.chain import TierChain
 from ..tiers.compressed import CompressedTier, DemotionSink
-from ..tiers.spec import TierSpec, validate_tier_specs
+from ..tiers.spec import (
+    TierSpec,
+    parse_tier_specs,
+    two_tier_specs,
+    validate_tier_specs,
+)
 from ..vm.compressed import CompressedVM
 from ..vm.faults import VmConfigurationError
 from ..vm.standard import StandardVM
@@ -67,6 +72,45 @@ DEVICE_PRESETS: Dict[str, Callable[[], BackingDevice]] = {
 
 #: Known compressed-page backing stores (``MachineConfig.store``).
 STORE_KINDS = ("frag", "lfs")
+
+
+class SpecError(ValueError):
+    """A run-spec key whose value does not decode; ``key`` names it and
+    ``reason`` is the decoder's own message."""
+
+    def __init__(self, key: str, reason: Exception):
+        super().__init__(f"{key}: {reason}")
+        self.key = key
+        self.reason = reason
+
+
+def _costs_from_spec(costs: Any) -> CostModel:
+    if costs == "base":
+        return CostModel()
+    if costs == "hardware":
+        return CostModel.hardware_compression()
+    if isinstance(costs, (list, tuple)) and costs[0] == "cpu":
+        return CostModel.faster_cpu(float(costs[1]))
+    raise ValueError(f"unknown costs spec: {costs!r}")
+
+
+#: Run-spec keys that are ``MachineConfig`` fields taken as given.
+_SPEC_PLAIN = (
+    "memory_bytes", "compressor", "device", "filesystem",
+    "fragment_size", "batch_bytes", "allow_spanning",
+    "vm_architecture", "store",
+)
+
+#: Run-spec keys whose JSON value is decoded into the field's type
+#: (``None`` leaves the field at its default).
+_SPEC_DECODERS: Dict[str, Callable[[Any], Any]] = {
+    "log_store": lambda fields: LogStoreConfig(**fields),
+    "partial_write_policy": PartialWritePolicy,
+    "biases": lambda weights: AllocationBiases(**weights),
+    "costs": _costs_from_spec,
+    "tiers": parse_tier_specs,
+    "control": ControlConfig.from_dict,
+}
 
 
 @dataclass(frozen=True)
@@ -156,6 +200,32 @@ class MachineConfig:
                 f"MachineConfig.store must be one of {STORE_KINDS}, "
                 f"got {self.store!r}"
             )
+
+    #: Every key :meth:`from_spec` reads (docs/sweep.md lists them).
+    SPEC_KEYS = (*_SPEC_PLAIN, *_SPEC_DECODERS, "tier_l1_frames")
+
+    @classmethod
+    def from_spec(cls, spec: Mapping[str, Any]) -> "MachineConfig":
+        """Build a config from JSON-primitive overrides: a sweep cell's
+        ``config``, the ``run`` command's options.
+
+        Reads the keys of :attr:`SPEC_KEYS` and ignores any other
+        (docs/sweep.md says what each accepts).  ``tier_l1_frames`` is
+        the two-tier preset with that L1 cap (``None`` =
+        allocator-sized), a convenience for geometry grids; it wins over
+        ``tiers``.  A value its decoder rejects raises
+        :class:`SpecError`.
+        """
+        changes = {name: spec[name] for name in _SPEC_PLAIN if name in spec}
+        for key, decode in _SPEC_DECODERS.items():
+            if spec.get(key) is not None:
+                try:
+                    changes[key] = decode(spec[key])
+                except ValueError as exc:
+                    raise SpecError(key, exc) from exc
+        if "tier_l1_frames" in spec:
+            changes["tiers"] = two_tier_specs(spec["tier_l1_frames"])
+        return cls(**changes)
 
     def variant(self, **changes) -> "MachineConfig":
         """A copy with the given fields replaced."""
@@ -331,7 +401,6 @@ class Machine:
                 sampler = CompressionSampler(
                     create_compressor(spec.compressor, fast=config.fast),
                     exact=exact,
-                    keep_payloads=True,
                 )
                 if next_tier is None:
                     backing = self.fragstore

@@ -12,12 +12,13 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..compression.stats import CompressionStats
+from ..counters import Counters
 from .histogram import LatencyHistogram
 from .ledger import Ledger
 
 
 @dataclass
-class FaultCounters:
+class FaultCounters(Counters):
     """Where page faults were satisfied."""
 
     total: int = 0
@@ -26,18 +27,9 @@ class FaultCounters:
     from_swap: int = 0          # raw page read from backing store
     zero_fill: int = 0          # first touch
 
-    def snapshot(self) -> dict:
-        return {
-            "total": self.total,
-            "from_ccache": self.from_ccache,
-            "from_fragstore": self.from_fragstore,
-            "from_swap": self.from_swap,
-            "zero_fill": self.zero_fill,
-        }
-
 
 @dataclass
-class EvictionCounters:
+class EvictionCounters(Counters):
     """What happened to pages pushed out of the resident set."""
 
     total: int = 0
@@ -47,17 +39,6 @@ class EvictionCounters:
     clean_drops: int = 0        # valid copy elsewhere, no work needed
     ccache_fast_drops: int = 0  # unmodified page still compressed in cache
     raw_writes: int = 0         # full-page writes to the standard swap
-
-    def snapshot(self) -> dict:
-        return {
-            "total": self.total,
-            "compressed_kept": self.compressed_kept,
-            "uncompressible": self.uncompressible,
-            "bypassed_gate": self.bypassed_gate,
-            "clean_drops": self.clean_drops,
-            "ccache_fast_drops": self.ccache_fast_drops,
-            "raw_writes": self.raw_writes,
-        }
 
 
 @dataclass

@@ -32,6 +32,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from ..counters import Counters
 from .device import BackingDevice
 
 
@@ -44,21 +45,13 @@ class PartialWritePolicy(enum.Enum):
 
 
 @dataclass
-class FsCounters:
+class FsCounters(Counters):
     """File-system level counters (block granularity)."""
 
     block_reads: int = 0
     block_writes: int = 0
     rmw_reads: int = 0
     partial_writes: int = 0
-
-    def snapshot(self) -> dict:
-        return {
-            "block_reads": self.block_reads,
-            "block_writes": self.block_writes,
-            "rmw_reads": self.rmw_reads,
-            "partial_writes": self.partial_writes,
-        }
 
 
 @dataclass

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
+from ..counters import Counters
 from ..mem.frames import FrameOwner, FramePool
 from ..mem.lru import LruList
 from .blockfs import BlockFile, BlockFileSystem
@@ -27,8 +28,10 @@ FrameProvider = Callable[[FrameOwner], int]
 
 
 @dataclass
-class BufferCacheCounters:
+class BufferCacheCounters(Counters):
     """Hit/miss and writeback accounting."""
+
+    DERIVED = ("hit_rate",)
 
     hits: int = 0
     misses: int = 0
@@ -38,14 +41,6 @@ class BufferCacheCounters:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def snapshot(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "writebacks": self.writebacks,
-            "hit_rate": self.hit_rate,
-        }
 
 
 class BufferCache:

@@ -27,6 +27,7 @@ from typing import Dict, Optional, Tuple
 
 from ..compression.sampler import CompressionSampler
 from ..compression.stats import CompressionThreshold
+from ..counters import Counters
 from ..mem.frames import FrameOwner, FramePool
 from ..mem.lru import LruList
 from ..sim.costs import CostModel
@@ -38,8 +39,10 @@ BlockKey = Tuple[int, int]
 
 
 @dataclass
-class CompressedCacheCounters:
+class CompressedCacheCounters(Counters):
     """Two-tier hit accounting."""
+
+    DERIVED = ("hit_rate",)
 
     front_hits: int = 0
     compressed_hits: int = 0
@@ -59,17 +62,6 @@ class CompressedCacheCounters:
         if total == 0:
             return 0.0
         return (self.front_hits + self.compressed_hits) / total
-
-    def snapshot(self) -> dict:
-        return {
-            "front_hits": self.front_hits,
-            "compressed_hits": self.compressed_hits,
-            "misses": self.misses,
-            "compressions": self.compressions,
-            "rejected_blocks": self.rejected_blocks,
-            "writebacks": self.writebacks,
-            "hit_rate": self.hit_rate,
-        }
 
 
 @dataclass

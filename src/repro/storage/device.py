@@ -14,9 +14,11 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
+from ..counters import Counters
+
 
 @dataclass
-class DeviceCounters:
+class DeviceCounters(Counters):
     """Cumulative operation counters every device maintains."""
 
     reads: int = 0
@@ -25,17 +27,6 @@ class DeviceCounters:
     bytes_written: int = 0
     seeks: int = 0
     busy_seconds: float = 0.0
-
-    def snapshot(self) -> dict:
-        """Plain-dict copy for reports."""
-        return {
-            "reads": self.reads,
-            "writes": self.writes,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-            "seeks": self.seeks,
-            "busy_seconds": self.busy_seconds,
-        }
 
 
 class BackingDevice(ABC):

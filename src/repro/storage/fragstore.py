@@ -27,8 +27,10 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..faults.errors import FragmentChecksumError, MissingFragmentError
+from ..counters import Counters
+from ..faults.errors import MissingFragmentError
 from ..mem.page import PageId
+from .backing import verify_payload
 from .blockfs import BlockFile, BlockFileSystem
 
 
@@ -43,7 +45,7 @@ class FragmentLocation:
 
 
 @dataclass
-class FragStoreCounters:
+class FragStoreCounters(Counters):
     """Traffic and space accounting for the compressed swap."""
 
     pages_put: int = 0
@@ -54,18 +56,6 @@ class FragStoreCounters:
     garbage_bytes_created: int = 0
     gc_runs: int = 0
     gc_bytes_moved: int = 0
-
-    def snapshot(self) -> dict:
-        return {
-            "pages_put": self.pages_put,
-            "pages_got": self.pages_got,
-            "batch_flushes": self.batch_flushes,
-            "padding_bytes": self.padding_bytes,
-            "spanning_skips": self.spanning_skips,
-            "garbage_bytes_created": self.garbage_bytes_created,
-            "gc_runs": self.gc_runs,
-            "gc_bytes_moved": self.gc_bytes_moved,
-        }
 
 
 class FragmentStore:
@@ -338,41 +328,7 @@ class FragmentStore:
             )
         return self._verify(page_id, location, payload, 0.0)
 
-    def _verify(
-        self,
-        page_id: PageId,
-        location: FragmentLocation,
-        payload: bytes,
-        seconds: float,
-    ) -> bytes:
-        """Apply any injected corruption, then check the payload CRC.
-
-        ``seconds`` is the I/O time the read already consumed; a raised
-        :class:`FragmentChecksumError` carries it so the retry layer can
-        charge the failed attempt to virtual time.
-        """
-        injector = self.injector
-        if injector is not None:
-            sticky_prior = self._sticky_corrupt.get(page_id)
-            if sticky_prior is not None:
-                payload = sticky_prior
-            else:
-                hit = injector.corrupt_fragment(payload)
-                if hit is not None:
-                    payload, sticky = hit
-                    if sticky:
-                        self._sticky_corrupt[page_id] = payload
-        resilience = self.resilience
-        if resilience is not None:
-            resilience.crc_checks += 1
-        actual = zlib.crc32(payload)
-        if actual != location.crc32:
-            if resilience is not None:
-                resilience.crc_failures += 1
-            raise FragmentChecksumError(
-                page_id, location.crc32, actual, seconds=seconds
-            )
-        return payload
+    _verify = verify_payload
 
     # ------------------------------------------------------------------
     # Garbage collection

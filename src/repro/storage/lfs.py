@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .blockfs import BlockFile, FsCounters
+from .blockfs import BlockFile, BlockFileSystem, FsCounters
 from .device import BackingDevice
 
 BlockAddress = Tuple[int, int]  # (file id, block number)
@@ -38,17 +38,6 @@ class LfsCounters(FsCounters):
     segments_cleaned: int = 0
     live_blocks_copied: int = 0
 
-    def snapshot(self) -> dict:
-        base = super().snapshot()
-        base.update(
-            {
-                "segments_written": self.segments_written,
-                "segments_cleaned": self.segments_cleaned,
-                "live_blocks_copied": self.live_blocks_copied,
-            }
-        )
-        return base
-
 
 @dataclass
 class _Segment:
@@ -60,8 +49,11 @@ class _Segment:
     live: int = 0
 
 
-class LogStructuredFS:
+class LogStructuredFS(BlockFileSystem):
     """Append-only block file system with segment cleaning.
+
+    The file namespace (``open``), ``peek`` and the range check are
+    :class:`BlockFileSystem`'s; where blocks go on disk is its own.
 
     Args:
         device: the timing device.
@@ -85,36 +77,17 @@ class LogStructuredFS:
             raise ValueError("invalid LFS geometry")
         if clean_reserve < 1 or clean_reserve >= total_segments:
             raise ValueError(f"bad clean reserve: {clean_reserve}")
-        self.device = device
-        self.block_size = block_size
+        super().__init__(device, block_size)
         self.segment_blocks = segment_blocks
         self.total_segments = total_segments
         self.clean_reserve = clean_reserve
         self.counters = LfsCounters()
-        self._files: Dict[int, BlockFile] = {}
-        self._by_name: Dict[str, int] = {}
-        self._next_id = 0
         # Where each live block lives: address -> (segment, slot).
         self._locations: Dict[BlockAddress, Tuple[int, int]] = {}
         self._segments: Dict[int, _Segment] = {}
         self._free_segments: List[int] = list(range(total_segments - 1, -1, -1))
         self._open_segment: Optional[_Segment] = None
         self._pending_blocks: List[BlockAddress] = []
-
-    # ------------------------------------------------------------------
-    # File namespace (same surface as BlockFileSystem)
-    # ------------------------------------------------------------------
-
-    def open(self, name: str) -> BlockFile:
-        """Open (creating if needed) the file called ``name``."""
-        file_id = self._by_name.get(name)
-        if file_id is not None:
-            return self._files[file_id]
-        handle = BlockFile(self._next_id, name, self.block_size)
-        self._files[handle.file_id] = handle
-        self._by_name[name] = handle.file_id
-        self._next_id += 1
-        return handle
 
     # ------------------------------------------------------------------
     # Reads
@@ -148,18 +121,6 @@ class LogStructuredFS:
             buf += block if block is not None else bytes(self.block_size)
         lo = offset - first * self.block_size
         return bytes(buf[lo : lo + nbytes]), seconds
-
-    def peek(self, file: BlockFile, offset: int, nbytes: int) -> bytes:
-        """Read bytes without charging I/O (simulation-internal)."""
-        self._check_range(offset, nbytes)
-        first = offset // self.block_size
-        last = max(first, (offset + max(nbytes, 1) - 1) // self.block_size)
-        buf = bytearray()
-        for number in range(first, last + 1):
-            block = file.blocks.get(number)
-            buf += block if block is not None else bytes(self.block_size)
-        lo = offset - first * self.block_size
-        return bytes(buf[lo : lo + nbytes])
 
     # ------------------------------------------------------------------
     # Writes (always appended to the log)
@@ -344,8 +305,3 @@ class LogStructuredFS:
             return 0.0
         live = sum(segment.live for segment in self._segments.values())
         return live / allocated
-
-    @staticmethod
-    def _check_range(offset: int, nbytes: int) -> None:
-        if offset < 0 or nbytes < 0:
-            raise ValueError(f"bad file range: offset={offset} nbytes={nbytes}")

@@ -44,11 +44,13 @@ import json
 import struct
 import zlib
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
-from ..faults.errors import FragmentChecksumError, MissingFragmentError
+from ..counters import Counters
+from ..faults.errors import MissingFragmentError
 from ..mem.page import PageId
+from .backing import verify_payload
 from .device import BackingDevice
 
 #: Segment header: magic, segment sequence number, CRC32 of the two.
@@ -214,7 +216,7 @@ def _cp_row(page: PageId, loc: LogLocation) -> str:
 
 
 @dataclass
-class LogStoreCounters:
+class LogStoreCounters(Counters):
     """Traffic and space accounting (part of the RunResult digest)."""
 
     pages_put: int = 0
@@ -231,26 +233,9 @@ class LogStoreCounters:
     checkpoints_written: int = 0
     garbage_bytes_created: int = 0
 
-    def snapshot(self) -> dict:
-        return {
-            "pages_put": self.pages_put,
-            "pages_got": self.pages_got,
-            "tombstones": self.tombstones,
-            "batch_flushes": self.batch_flushes,
-            "append_writes": self.append_writes,
-            "appended_bytes": self.appended_bytes,
-            "segments_opened": self.segments_opened,
-            "segments_cleaned": self.segments_cleaned,
-            "cleaner_reads": self.cleaner_reads,
-            "cleaner_copied_bytes": self.cleaner_copied_bytes,
-            "clean_runs": self.clean_runs,
-            "checkpoints_written": self.checkpoints_written,
-            "garbage_bytes_created": self.garbage_bytes_created,
-        }
-
 
 @dataclass
-class RecoveryStats:
+class RecoveryStats(Counters):
     """Crash/recovery bookkeeping, *outside* the digest-pinned counters.
 
     Recovery models reboot-time work outside the measured run, so a
@@ -264,16 +249,6 @@ class RecoveryStats:
     scanned_segments: int = 0
     scanned_bytes: int = 0
     invalid_checkpoint_slots: int = 0
-
-    def snapshot(self) -> dict:
-        return {
-            "recoveries": self.recoveries,
-            "replayed_records": self.replayed_records,
-            "torn_records": self.torn_records,
-            "scanned_segments": self.scanned_segments,
-            "scanned_bytes": self.scanned_bytes,
-            "invalid_checkpoint_slots": self.invalid_checkpoint_slots,
-        }
 
 
 class _PendingEntry:
@@ -1263,36 +1238,7 @@ class LogStructuredStore:
             )
         return self._verify(page_id, loc, payload, 0.0)
 
-    def _verify(
-        self,
-        page_id: PageId,
-        loc: LogLocation,
-        payload: bytes,
-        seconds: float,
-    ) -> bytes:
-        """Injected corruption, then the payload CRC check."""
-        injector = self.injector
-        if injector is not None:
-            sticky_prior = self._sticky_corrupt.get(page_id)
-            if sticky_prior is not None:
-                payload = sticky_prior
-            else:
-                hit = injector.corrupt_fragment(payload)
-                if hit is not None:
-                    payload, sticky = hit
-                    if sticky:
-                        self._sticky_corrupt[page_id] = payload
-        resilience = self.resilience
-        if resilience is not None:
-            resilience.crc_checks += 1
-        actual = zlib.crc32(payload)
-        if actual != loc.crc32:
-            if resilience is not None:
-                resilience.crc_failures += 1
-            raise FragmentChecksumError(
-                page_id, loc.crc32, actual, seconds=seconds
-            )
-        return payload
+    _verify = verify_payload
 
     # ------------------------------------------------------------------
     # Segment cleaning

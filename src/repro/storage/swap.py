@@ -15,19 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+from ..counters import Counters
 from ..mem.page import PageId
 from .blockfs import BlockFile, BlockFileSystem
 
 
 @dataclass
-class SwapCounters:
+class SwapCounters(Counters):
     """Page-granularity swap traffic."""
 
     pages_out: int = 0
     pages_in: int = 0
-
-    def snapshot(self) -> dict:
-        return {"pages_out": self.pages_out, "pages_in": self.pages_in}
 
 
 class StandardSwap:

@@ -38,6 +38,7 @@ from __future__ import annotations
 import io
 import mmap
 import struct
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -190,6 +191,33 @@ def dump(
                 break
             writer.append(ref)
         return writer.count
+
+
+def dump_repeated(
+    target: Union[str, Path, io.BufferedIOBase],
+    references: Iterable[PageRef],
+    repeat: int = 1,
+    max_events: Optional[int] = None,
+) -> Tuple[int, int, float]:
+    """Record a stream once as a packed block and write it ``repeat``
+    times: the cheap way to build 10M+ reference traces for
+    streaming-replay benchmarks without re-running the workload.
+
+    ``max_events`` bounds the one recorded pass.  Returns ``(events
+    written, distinct pages, write fraction)``.
+    """
+    block = bytearray()
+    touched = set()
+    nwrites = 0
+    for ref in islice(references, max_events):
+        block += pack_ref(ref)
+        touched.add(ref.page_id)
+        nwrites += ref.write
+    passed = len(block) // RECORD_SIZE
+    with BinaryTraceWriter(target) as writer:
+        for _ in range(max(1, repeat)):
+            writer.append_raw(block, passed)
+        return writer.count, len(touched), nwrites / passed if passed else 0.0
 
 
 class BinaryTraceReader:

@@ -56,7 +56,24 @@ class TestMemoization:
         sampler = CompressionSampler(create("null"), max_entries=4)
         for i in range(10):
             sampler.compressed_size(bytes([i]) * 64)
-        assert len(sampler._size_cache) <= 4
+        assert len(sampler._payload_cache) == 4
+
+    def test_memo_stays_at_its_cap_fifo(self):
+        """More distinct pages than ``max_entries``: the oldest go
+        first, whichever of the two lookups filled the memo."""
+        sampler = CompressionSampler(create("null"), max_entries=4)
+        pages = [bytes([i]) * 64 for i in range(10)]
+        for i, page in enumerate(pages):
+            (sampler.compress if i % 2 else sampler.compressed_size)(page)
+            assert len(sampler._payload_cache) == min(i + 1, 4)
+        assert list(sampler._payload_cache) == [
+            CompressionSampler.fingerprint(page) for page in pages[6:]
+        ]
+        assert (sampler.hits, sampler.misses) == (0, 10)
+        sampler.compressed_size(pages[9])     # newest entry: a hit
+        sampler.compressed_size(pages[0])     # evicted: measured again
+        assert (sampler.hits, sampler.misses) == (1, 11)
+        assert len(sampler._payload_cache) == 4
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -66,7 +83,7 @@ class TestMemoization:
         sampler.compressed_size(sample_pages(rng)["text"])
         sampler.clear()
         assert sampler.hits == 0 and sampler.misses == 0
-        assert len(sampler._size_cache) == 0
+        assert len(sampler._payload_cache) == 0
 
     def test_precomputed_fingerprint_hits_same_entry(self, sampler, rng):
         data = sample_pages(rng)["text"]
@@ -76,12 +93,12 @@ class TestMemoization:
         size = sampler.compressed_size(data)
         assert sampler.compressed_size(data, fingerprint=fp) == size
         assert sampler.hits == 1
+        # One memo: compress() is served by the entry compressed_size()
+        # made, and the other way round.
         assert sampler.compress(data, fingerprint=fp).compressed_size == size
         assert sampler.compressed_size(data) == size
-        assert sampler.hits == 2
-        # compress() without keep_payloads always *accounts* a miss (the
-        # shared result cache may spare the kernel run, never the count).
-        assert sampler.misses == 2
+        assert (sampler.hits, sampler.misses) == (3, 1)
+        assert len(sampler._payload_cache) == 1
 
 
 class TestStableKeys:
@@ -322,13 +339,14 @@ class TestSharedDecoded:
 
 class TestPayloads:
     def test_keep_payloads_round_trips(self, rng):
-        sampler = CompressionSampler(create("lzrw1"), keep_payloads=True)
+        # The memo always keeps payloads; there is no sizes-only mode.
+        sampler = CompressionSampler(create("lzrw1"))
         data = sample_pages(rng)["text"]
         result = sampler.compress(data)
         assert sampler.compressor.decompress(result) == data
 
     def test_payload_cache_hit(self, rng):
-        sampler = CompressionSampler(create("lzrw1"), keep_payloads=True)
+        sampler = CompressionSampler(create("lzrw1"))
         data = sample_pages(rng)["text"]
         first = sampler.compress(data)
         second = sampler.compress(data)

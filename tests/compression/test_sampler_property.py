@@ -35,7 +35,7 @@ def _pages():
 def test_memo_agrees_with_exact(pages, data):
     """Sizes and payload round trips match between the two modes."""
     algorithm = data.draw(st.sampled_from(_ALGORITHMS))
-    memo = CompressionSampler(create(algorithm), keep_payloads=True)
+    memo = CompressionSampler(create(algorithm))
     exact = CompressionSampler(create(algorithm), exact=True)
     # Feed duplicates so the memo path actually serves hits.
     stream = pages + pages

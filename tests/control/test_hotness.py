@@ -63,6 +63,20 @@ class TestScores:
         assert t.score("a", 0.0) == 0.0
         assert t.score("c", 0.0) == pytest.approx(1.0)
 
+    def test_stays_at_max_pages_under_more_pages_than_the_cap(self):
+        """Ten times ``max_pages`` distinct pages, re-touches between:
+        the tracker never exceeds the cap, a re-touch evicts nothing,
+        and what it keeps is the last ``max_pages`` first-touched."""
+        cap = 16
+        t = HotnessTracker(half_life_s=1.0, max_pages=cap)
+        for page in range(10 * cap):
+            now = page * 0.001
+            t.touch(page, now)
+            t.touch(max(0, page - 1), now)   # already tracked: in place
+            assert len(t) == min(page + 1, cap)
+        assert list(t._scores) == list(range(9 * cap, 10 * cap))
+        assert t.score(0, 1.0) == 0.0
+
 
 class TestValidation:
     def test_half_life_must_be_positive(self):

@@ -25,15 +25,13 @@ legitimate only when selection semantics change deliberately.
 
 from __future__ import annotations
 
-import hashlib
-import json
-
 import pytest
 
 from repro.compression.sampler import clear_shared_results
 from repro.mem.page import mbytes
 from repro.sim.engine import SimulationEngine
 from repro.sim.machine import Machine, MachineConfig
+from repro.workloads import catalog
 
 SCALE = 0.12
 
@@ -50,9 +48,7 @@ GOLDEN_ADAPTIVE = {
 def run_adaptive(name: str, fast=None):
     """One adaptive run at the bench_sim configuration; returns the
     RunResult."""
-    from repro.cli import WORKLOAD_FACTORIES
-
-    workload = WORKLOAD_FACTORIES[name](SCALE)
+    workload = catalog.build(name, SCALE)
     config = MachineConfig(
         memory_bytes=mbytes(6 * SCALE), compressor="adaptive", fast=fast,
     )
@@ -62,10 +58,7 @@ def run_adaptive(name: str, fast=None):
 
 
 def digest_of(result) -> str:
-    blob = json.dumps(
-        result.as_dict(), sort_keys=True, separators=(",", ":")
-    ).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return result.digest()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_ADAPTIVE))

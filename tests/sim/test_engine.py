@@ -87,6 +87,22 @@ class TestRun:
         assert "elapsed" in result.summary()
         assert "faults" in result.summary()
 
+    def test_digest_is_the_sha256_of_the_canonical_json(self):
+        import hashlib
+        import json
+
+        workload = SyntheticWorkload(mbytes(1), references=40)
+        machine = Machine(
+            MachineConfig(memory_bytes=mbytes(0.25)), workload.build()
+        )
+        result = run_workload(machine, workload.references())
+        canonical = json.dumps(result.as_dict(), sort_keys=True,
+                               separators=(",", ":"))
+        assert result.digest() == hashlib.sha256(
+            canonical.encode()
+        ).hexdigest()
+        assert result.digest() == result.digest()
+
 
 class TestObserver:
     def test_observer_called_on_period(self):

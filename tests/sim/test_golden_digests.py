@@ -22,14 +22,12 @@ in budget while still driving every fault/evict/clean/GC path.
 
 from __future__ import annotations
 
-import hashlib
-import json
-
 import pytest
 
 from repro.mem.page import mbytes
 from repro.sim.engine import SimulationEngine
 from repro.sim.machine import Machine, MachineConfig
+from repro.workloads import catalog
 
 #: bench_sim's configuration: memory scales with the workload footprint.
 MEMO_SCALE = 0.12
@@ -61,20 +59,14 @@ GOLDEN_EXACT = {
 def run_digest(name: str, scale: float, exact: bool,
                fast=None) -> str:
     """Build the bench_sim machine for ``name`` and digest its RunResult."""
-    from repro.cli import WORKLOAD_FACTORIES
-
-    workload = WORKLOAD_FACTORIES[name](scale)
+    workload = catalog.build(name, scale)
     config = MachineConfig(
         memory_bytes=mbytes(6 * scale), exact_compression=exact,
         fast=fast,
     )
     machine = Machine(config, workload.build())
     refs = list(workload.references())
-    result = SimulationEngine(machine).run(iter(refs))
-    blob = json.dumps(
-        result.as_dict(), sort_keys=True, separators=(",", ":")
-    ).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return SimulationEngine(machine).run(iter(refs)).digest()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_MEMO))

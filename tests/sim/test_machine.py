@@ -158,3 +158,103 @@ class TestConfigValidation:
             NetworkModel(rpc_overhead_ms=-2.0)
         with pytest.raises(ValueError, match="per_packet_ms"):
             NetworkModel(per_packet_ms=-0.1)
+
+
+class TestFromSpec:
+    """``MachineConfig.from_spec``: a sweep cell's ``config``, decoded."""
+
+    def test_empty_spec_is_the_default_config(self):
+        assert MachineConfig.from_spec({}) == MachineConfig()
+
+    def test_plain_keys_are_fields_taken_as_given(self):
+        spec = {
+            "memory_bytes": mbytes(2), "compressor": "wk",
+            "device": "wavelan", "filesystem": "lfs",
+            "fragment_size": 512, "batch_bytes": 4096,
+            "allow_spanning": False, "vm_architecture": "external-pager",
+            "store": "lfs",
+        }
+        assert MachineConfig.from_spec(spec) == MachineConfig(**spec)
+
+    def test_decoded_keys(self):
+        from repro.ccache.allocator import AllocationBiases
+        from repro.control.controller import ControlConfig
+        from repro.sim.costs import CostModel
+        from repro.storage.blockfs import PartialWritePolicy
+        from repro.storage.logstore import LogStoreConfig
+        from repro.tiers.spec import parse_tier_specs, two_tier_specs
+
+        weights = {"file_cache_weight": 4.0, "vm_weight": 2.0,
+                   "ccache_weight": 1.0}
+        config = MachineConfig.from_spec({
+            "log_store": {"sync_appends": True, "kill": "append:3:0.5"},
+            "partial_write_policy": "whole-block",
+            "biases": weights,
+            "costs": ["cpu", 8.0],
+            "tiers": "lzrw1:8,lzss",
+            "control": {"seed": 3},
+        })
+        assert config.log_store == LogStoreConfig(sync_appends=True,
+                                                  kill="append:3:0.5")
+        assert config.partial_write_policy is PartialWritePolicy.WHOLE_BLOCK
+        assert config.biases == AllocationBiases(**weights)
+        assert config.costs == CostModel.faster_cpu(8.0)
+        assert config.tiers == parse_tier_specs("lzrw1:8,lzss")
+        assert config.control == ControlConfig(seed=3)
+        for costs, model in (("base", CostModel()),
+                             ("hardware", CostModel.hardware_compression())):
+            assert MachineConfig.from_spec({"costs": costs}).costs == model
+        # The geometry-grid convenience wins over "tiers"; its None is a
+        # value (allocator-sized L1), everyone else's means "default".
+        assert MachineConfig.from_spec(
+            {"tiers": "lzrw1", "tier_l1_frames": 12}
+        ).tiers == two_tier_specs(12)
+        assert MachineConfig.from_spec(
+            {"tier_l1_frames": None}
+        ).tiers == two_tier_specs(None)
+        assert MachineConfig.from_spec(
+            {"tiers": None, "control": None, "log_store": None}
+        ) == MachineConfig()
+
+    def test_every_key_it_reads_is_listed(self):
+        everything = {
+            "memory_bytes": mbytes(1), "compressor": "lzss",
+            "device": "pcmcia", "filesystem": "lfs", "fragment_size": 256,
+            "batch_bytes": 8192, "allow_spanning": False,
+            "vm_architecture": "external-pager", "store": "lfs",
+            "log_store": {"sync_appends": True},
+            "partial_write_policy": "overwrite",
+            "biases": {"vm_weight": 3.0}, "costs": "hardware",
+            "tiers": "wk", "control": {"seed": 1}, "tier_l1_frames": 9,
+        }
+        assert set(everything) == set(MachineConfig.SPEC_KEYS)
+        full = MachineConfig.from_spec(everything)
+        for key in MachineConfig.SPEC_KEYS:
+            # "tiers" only shows once "tier_l1_frames" stops overriding it.
+            hidden = {key, "tier_l1_frames"} if key == "tiers" else {key}
+            without = {k: v for k, v in everything.items()
+                       if k not in hidden}
+            shown = {k: v for k, v in everything.items()
+                     if k not in hidden - {key}}
+            assert (MachineConfig.from_spec(without)
+                    != MachineConfig.from_spec(shown)), key
+        assert MachineConfig.from_spec(
+            {**everything, "no_such_key": 1}
+        ) == full
+
+    @pytest.mark.parametrize("key, value, reason", [
+        ("tiers", "bogus:x", "bad max_frames in tier item 'bogus:x'"),
+        ("log_store", {"kill": "nowhere:1"}, "unknown kill site 'nowhere'"),
+        ("costs", "quantum", "unknown costs spec: 'quantum'"),
+        ("partial_write_policy", "sometimes", "'sometimes' is not a valid"),
+        ("control", {"sede": 1}, "unknown ControlConfig fields: ['sede']"),
+    ])
+    def test_rejected_value_names_its_key(self, key, value, reason):
+        from repro.sim.machine import SpecError
+
+        with pytest.raises(SpecError) as caught:
+            MachineConfig.from_spec({key: value})
+        assert caught.value.key == key
+        assert reason in str(caught.value.reason)
+        assert str(caught.value).startswith(f"{key}: ")
+        assert isinstance(caught.value, ValueError)

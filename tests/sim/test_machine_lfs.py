@@ -9,15 +9,13 @@ by the benchmark workloads (pages appended, segments cleaned).
 
 from __future__ import annotations
 
-import hashlib
-import json
-
 import pytest
 
 from repro.mem.page import mbytes
 from repro.sim.engine import SimulationEngine
 from repro.sim.machine import Machine, MachineConfig
 from repro.storage.logstore import LogStoreConfig, LogStructuredStore
+from repro.workloads import catalog
 
 SCALE = 0.12
 
@@ -27,9 +25,7 @@ STORE = dict(segment_bytes=8192, total_segments=512)
 
 
 def run_machine(workload_name: str, kill=None):
-    from repro.cli import WORKLOAD_FACTORIES
-
-    workload = WORKLOAD_FACTORIES[workload_name](SCALE)
+    workload = catalog.build(workload_name, SCALE)
     config = MachineConfig(
         memory_bytes=mbytes(6 * SCALE),
         store="lfs",
@@ -41,10 +37,7 @@ def run_machine(workload_name: str, kill=None):
 
 
 def digest(result) -> str:
-    blob = json.dumps(
-        result.as_dict(), sort_keys=True, separators=(",", ":")
-    ).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return result.digest()
 
 
 @pytest.fixture(scope="module")
@@ -87,10 +80,8 @@ def test_killed_run_digest_equals_uninterrupted(kill, thrasher_reference):
 def test_lfs_differs_from_fragment_store_digest(thrasher_reference):
     # The two stores have different timing/layout behaviour; equal
     # digests would suggest the store switch is not actually wired in.
-    from repro.cli import WORKLOAD_FACTORIES
-
     _, lfs_digest = thrasher_reference
-    workload = WORKLOAD_FACTORIES["thrasher"](SCALE)
+    workload = catalog.build("thrasher", SCALE)
     config = MachineConfig(memory_bytes=mbytes(6 * SCALE))
     machine = Machine(config, workload.build())
     result = SimulationEngine(machine).run(workload.references())

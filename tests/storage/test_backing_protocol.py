@@ -58,3 +58,10 @@ def test_protocol_is_exactly_the_surface_in_use():
 
 def test_demotion_sink_is_a_write_out_target():
     _assert_methods_agree(WriteOutTarget, DemotionSink)
+
+
+def test_both_stores_bind_the_one_read_check():
+    from repro.storage.backing import verify_payload
+
+    assert FragmentStore._verify is verify_payload
+    assert LogStructuredStore._verify is verify_payload

@@ -24,7 +24,7 @@ def make_cache(nframes=8, fill=None, **kwargs):
     cache = CompressedBufferCache(
         fs,
         frames,
-        CompressionSampler(create("lzrw1"), keep_payloads=True),
+        CompressionSampler(create("lzrw1")),
         ledger,
         CostModel(),
         **kwargs,

@@ -206,3 +206,54 @@ class TestAsBackingStore:
         store.flush()
         for n in range(12):
             assert store.get(PageId(0, n))[0] == bytes([n + 1]) * (700 + n * 31)
+
+
+class TestSharedFileSurface:
+    """``open``, ``peek`` and the range check are ``BlockFileSystem``'s;
+    opened, written, peeked and truncated side by side, the two file
+    systems agree on bytes."""
+
+    def test_namespace_and_peek_are_inherited(self):
+        from repro.storage.blockfs import BlockFileSystem
+
+        assert issubclass(LogStructuredFS, BlockFileSystem)
+        for name in ("open", "peek", "_check_range"):
+            assert name not in vars(LogStructuredFS)
+        for name in ("read", "write", "truncate", "flush"):
+            assert name in vars(LogStructuredFS)
+
+    def test_agrees_with_block_fs_on_bytes(self):
+        import random
+
+        from repro.storage.blockfs import BlockFileSystem
+
+        rng = random.Random(21)
+        systems = [BlockFileSystem(DiskModel.rz57()), make_lfs()]
+        files = [fs.open("data") for fs in systems]
+        assert [fs.open("data") for fs in systems] == files  # same handle
+        assert {f.file_id for f in files} == {0}
+        assert {fs.open("other").file_id for fs in systems} == {1}
+
+        def everywhere(call):
+            results = [call(fs, f) for fs, f in zip(systems, files)]
+            assert results[0] == results[1]
+            return results[0]
+
+        for step in range(200):
+            offset = rng.randrange(0, 10 * 4096)
+            nbytes = rng.choice((0, 1, 100, 4096, 5000, 9000))
+            if step % 50 == 49:
+                size = rng.randrange(0, 6 * 4096)
+                for fs, f in zip(systems, files):
+                    fs.truncate(f, size)
+            elif step % 3:
+                data = rng.randbytes(nbytes)
+                for fs, f in zip(systems, files):
+                    fs.write(f, offset, data)
+            everywhere(lambda fs, f: f.size)
+            everywhere(lambda fs, f: fs.peek(f, offset, nbytes))
+            everywhere(lambda fs, f: fs.read(f, offset, nbytes)[0])
+        assert everywhere(lambda fs, f: fs.peek(f, 123, 0)) == b""
+        for fs, f in zip(systems, files):
+            with pytest.raises(ValueError, match="bad file range"):
+                fs.peek(f, -1, 4)

@@ -1,5 +1,9 @@
 """The command-line interface."""
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -312,3 +316,88 @@ class TestLfsCommands:
         out = capsys.readouterr().out
         assert "lfs/rz57" in out
         assert "batching win" in out
+
+
+class TestDocumentedCommandLines:
+    """CI cannot run in every sandbox; its command lines can at least be
+    parsed.  Every ``python -m repro.cli ...`` / ``compression-cache
+    ...`` invocation in the workflow and the README must be one
+    ``build_parser()`` accepts."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+    START = re.compile(
+        r"(?:^|[\s(])(?:python3? -m repro\.cli|compression-cache)\s+(\S.*)$"
+    )
+    #: Sample values for the shell substitutions the files use.
+    SAMPLES = {"workload": "thrasher", "plan": "disk-flaky",
+               "kill": "append:1:0.5"}
+
+    @classmethod
+    def command_lines(cls, path):
+        """``(line number, argv)`` per invocation: continuation lines
+        joined (a trailing backslash, or the ``--option`` lines of a
+        folded YAML scalar), substitutions replaced, and the shell's
+        own syntax (pipes, redirections, comments) cut off."""
+        lines = (cls.ROOT / path).read_text().splitlines()
+        found = []
+        for number, line in enumerate(lines, 1):
+            stripped = line.strip()
+            if stripped.startswith(("#", "`")) or "`compression-cache" in line:
+                continue  # prose and comments, not invocations
+            match = cls.START.search(line)
+            if match is None:
+                continue
+            text, following = match[1], number
+            while True:
+                more = text.endswith("\\")
+                text = text.rstrip("\\").rstrip()
+                nxt = (lines[following].strip()
+                       if following < len(lines) else "")
+                if not (more or nxt.startswith("--")) or cls.START.search(nxt):
+                    break
+                text, following = f"{text} {nxt}", following + 1
+            text = text.replace("$(nproc)", "2")
+            text = re.sub(r"\$\{?(\w+)\}?",
+                          lambda m: cls.SAMPLES[m[1]], text)
+            text = re.split(r"\s[|>]\s|\)|;", text)[0]
+            found.append((number, shlex.split(text, comments=True)))
+        return found
+
+    @pytest.mark.parametrize("path, at_least", [
+        (".github/workflows/ci.yml", 25), ("README.md", 23),
+    ])
+    def test_every_documented_invocation_parses(self, path, at_least):
+        parser = build_parser()
+        commands = self.command_lines(path)
+        assert len(commands) >= at_least, (
+            f"{path}: only {len(commands)} invocations found"
+        )
+        for number, argv in commands:
+            try:
+                args = parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{path}:{number}: build_parser() rejects "
+                            f"{' '.join(argv)}")
+            assert args.command == argv[0]
+
+    def test_extraction_joins_and_cuts(self, tmp_path, monkeypatch):
+        (tmp_path / "sample.yml").write_text(
+            "        run: >\n"
+            "          PYTHONPATH=src python -m repro.cli perf\n"
+            "          --quick --check benchmarks/perf_baseline.json\n"
+            "      - run: |\n"
+            "          got=$(PYTHONPATH=src python -m repro.cli run \\\n"
+            '            --workload "$workload" --kill "$kill" --digest)\n'
+            "          compression-cache sweep --jobs \"$(nproc)\" \\\n"
+            "              # a comment line ends it\n"
+            "          python -m repro.cli trace-analyze t.bt | tee out\n"
+            "      # python -m repro.cli run --nonsense\n"
+        )
+        monkeypatch.setattr(type(self), "ROOT", tmp_path)
+        assert [argv for _, argv in self.command_lines("sample.yml")] == [
+            ["perf", "--quick", "--check", "benchmarks/perf_baseline.json"],
+            ["run", "--workload", "thrasher", "--kill", "append:1:0.5",
+             "--digest"],
+            ["sweep", "--jobs", "2"],
+            ["trace-analyze", "t.bt"],
+        ]

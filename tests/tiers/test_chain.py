@@ -24,7 +24,7 @@ from repro.sim.ledger import TimeCategory
 from repro.sim.machine import Machine, MachineConfig
 from repro.tiers.chain import Rejected
 from repro.tiers.spec import TierSpec, parse_tier_specs
-from repro.workloads import Thrasher
+from repro.workloads import Thrasher, catalog
 
 PLAN_DIR = Path(__file__).parents[2] / "experiments" / "fault_plans"
 
@@ -127,9 +127,7 @@ class TestTwoTierEndToEnd:
 class TestTwoTierGoldenDigests:
     @pytest.mark.parametrize("name", sorted(GOLDEN_TWO_TIER))
     def test_two_tier_digest_pinned(self, name):
-        from repro.cli import WORKLOAD_FACTORIES
-
-        workload = WORKLOAD_FACTORIES[name](0.12)
+        workload = catalog.build(name, 0.12)
         config = MachineConfig(
             memory_bytes=mbytes(6 * 0.12),
             tiers=parse_tier_specs("two-tier"),

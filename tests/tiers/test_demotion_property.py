@@ -24,7 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ccache.cleaner import CleanerPolicy
-from repro.cli import WORKLOAD_FACTORIES
 from repro.compression import sampler as sampler_mod
 from repro.compression.lzrw1 import Lzrw1
 from repro.compression.sampler import clear_shared_results
@@ -34,6 +33,7 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.machine import Machine, MachineConfig
 from repro.tiers import compressed
 from repro.tiers.spec import TierSpec, two_tier_specs
+from repro.workloads import catalog
 
 NPAGES = 200
 
@@ -109,7 +109,7 @@ def test_demotion_only_without_reclaimable_warm_space(pages):
 
 def _run_two_tier(name):
     """One ``two_tier_specs()`` run of a named workload."""
-    workload = WORKLOAD_FACTORIES[name](0.05)
+    workload = catalog.build(name, 0.05)
     config = MachineConfig(memory_bytes=mbytes(6 * 0.05),
                            tiers=two_tier_specs())
     machine = Machine(config, workload.build())

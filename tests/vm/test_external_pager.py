@@ -22,7 +22,7 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.machine import Machine, MachineConfig
 from repro.tiers.spec import parse_tier_specs
 from repro.vm.faults import VmConfigurationError
-from repro.workloads import SyntheticWorkload, Thrasher
+from repro.workloads import SyntheticWorkload, Thrasher, catalog
 
 PLAN_DIR = Path(__file__).parents[2] / "experiments" / "fault_plans"
 
@@ -70,9 +70,7 @@ _OVERRIDES = {
 
 def run_external(name, scale, variant="", plan=None):
     """One drained external-pager run at the bench_sim geometry."""
-    from repro.cli import WORKLOAD_FACTORIES
-
-    workload = WORKLOAD_FACTORIES[name](scale)
+    workload = catalog.build(name, scale)
     config = MachineConfig(
         memory_bytes=mbytes(6 * scale),
         vm_architecture="external-pager",

@@ -50,7 +50,7 @@ class TestParanoidCatchesCorruption:
         )
         # Swap the decompression path for the lying one.
         machine.vm.sampler = CompressionSampler(
-            BitFlippingCompressor(), exact=True, keep_payloads=True
+            BitFlippingCompressor(), exact=True
         )
         machine.sampler = machine.vm.sampler
         with pytest.raises(AssertionError, match="mismatch"):

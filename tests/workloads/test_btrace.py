@@ -72,6 +72,29 @@ class TestRoundTrip:
         assert len(btrace.BinaryTraceReader(buf.getvalue())) == 7
         assert len(btrace.BinaryTraceReader(data)) == 50
 
+    def test_dump_repeated_writes_the_recorded_pass_n_times(self):
+        refs = make_refs()
+        once = dump_bytes(refs)
+        buf = io.BytesIO()
+        assert btrace.dump_repeated(buf, refs) == (5, 4, 2 / 5)
+        assert buf.getvalue() == once  # one pass: what dump() writes
+        buf = io.BytesIO()
+        assert btrace.dump_repeated(buf, iter(refs), repeat=3) == (
+            15, 4, 2 / 5,
+        )
+        body = once[btrace.HEADER.size:]
+        assert buf.getvalue()[btrace.HEADER.size:] == body * 3
+        assert len(btrace.BinaryTraceReader(buf.getvalue())) == 15
+        # max_events bounds the recorded pass, not the file.
+        buf = io.BytesIO()
+        assert btrace.dump_repeated(buf, refs, 2, max_events=3) == (
+            6, 3, 2 / 3,
+        )
+        assert buf.getvalue()[btrace.HEADER.size:] == body[:48] * 2
+        buf = io.BytesIO()
+        assert btrace.dump_repeated(buf, [], repeat=4) == (0, 0, 0.0)
+        assert len(btrace.BinaryTraceReader(buf.getvalue())) == 0
+
     def test_writer_backpatches_count(self, tmp_path):
         path = tmp_path / "w.btrace"
         with btrace.BinaryTraceWriter(path) as writer:
