@@ -170,6 +170,9 @@ class TieredAllocator:
         self.policy: Optional[TradingPolicy] = policy
         self._now_fn = now_fn if now_fn is not None else (lambda: 0.0)
         self._pools: Dict[object, Optional[MemoryPool]] = {}
+        #: Each key's victim-counter label, worked out once at
+        #: registration (a frame is reclaimed per fault under pressure).
+        self._labels: Dict[object, str] = {}
         #: Keys whose terms the policy supplies (refreshed lazily when the
         #: policy object is swapped); other keys carry static terms.
         self._policy_keys: set = set()
@@ -208,7 +211,18 @@ class TieredAllocator:
         if key not in self._pools:
             self.counters.victims.setdefault(label, 0)
         self._pools[key] = pool
+        self._labels[key] = label
         self._terms_src = None  # force a term-table rebuild
+
+    def release_pools(self) -> None:
+        """Forget every pool: the machine that wired them is gone.
+
+        The pools hold this allocator (it is their frame provider), so
+        the references held here are what keeps a dead machine's parts
+        in a cycle.  Afterwards :meth:`obtain_frame` can only hand out
+        frames that are already free.
+        """
+        self._pools.clear()
 
     def obtain_frame(self, for_owner: FrameOwner) -> int:
         """Get a frame for ``for_owner``, reclaiming from the globally
@@ -220,6 +234,12 @@ class TieredAllocator:
         while self.frames.free_frames == 0:
             victim = self._choose_victim()
             if victim is None:
+                if not self._pools:
+                    raise OutOfFramesError(
+                        "this allocator's machine was released: its "
+                        "parts are valid only while the Machine is "
+                        f"referenced (requested by {for_owner.value})"
+                    )
                 raise OutOfFramesError(
                     "no pool can release a frame "
                     f"(requested by {for_owner.value})"
@@ -249,11 +269,11 @@ class TieredAllocator:
                             )
                     finally:
                         self._shrinking.discard(retry_key)
-                    self.counters.victims[_pool_label(retry_key)] += 1
+                    self.counters.victims[self._labels[retry_key]] += 1
                 finally:
                     self._shrinking.discard(key)
             else:
-                self.counters.victims[_pool_label(key)] += 1
+                self.counters.victims[self._labels[key]] += 1
         return self.frames.allocate(for_owner)
 
     def retune(
@@ -397,6 +417,7 @@ class ThreeWayAllocator(TieredAllocator):
         # identical to the historical three-pool implementation.
         for owner in FrameOwner:
             self._pools[owner] = None
+            self._labels[owner] = owner.value
             self._policy_keys.add(owner)
             self.counters.victims[owner.value] = 0
 

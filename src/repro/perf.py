@@ -546,9 +546,11 @@ def bench_stream_replay(references: int = 10_000_000,
     Records the multiprogram workload once, repeats the packed block to
     reach ``references`` events, then replays it through ``trace-replay``
     (mmap streaming reader + engine batch dispatch) in a child process —
-    a child so its ``ru_maxrss`` measures the replay alone.  The point of
-    the peak-RSS figure: it stays near the mapped trace size instead of
-    the gigabytes that 10M+ per-reference python objects would cost.
+    a child so the peak it reports (its own ``VmHWM``, which unlike
+    ``ru_maxrss`` does not start at this process's size) measures the
+    replay alone.  The point of the peak-RSS figure: it stays near the
+    mapped trace size instead of the gigabytes that 10M+ per-reference
+    python objects would cost.
     """
     import os
     import subprocess
@@ -857,6 +859,10 @@ GATES: Tuple[Gate, ...] = (
          ">=", "contentgen_pages_per_second", _FLOOR),
     Gate("logstore-floor", "compression", "micro.logstore_churn_ops_s",
          ">=", "logstore_churn_ops_per_second", _FLOOR),
+    # The replay's resident set is its interpreter, one machine and the
+    # mapped trace; the trace length depends on the scale it ran at.
+    Gate("stream-replay-rss", "sim", "stream_replay.peak_rss_mb",
+         "<=", "stream_replay_peak_rss_mb", 1.0, _at_scale),
     # A digest mismatch on the same spec is a determinism regression,
     # the one failure with no tolerance.
     Gate("service-ledger-digest", "service", "determinism.ledger_digest",

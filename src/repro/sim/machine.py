@@ -16,6 +16,7 @@ compression-cache configuration real frames, as they did in 1993.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -236,8 +237,51 @@ class MachineConfig:
         return self.variant(compression_cache=False, control=None)
 
 
+def _unwire(
+    allocator: ThreeWayAllocator, chain: Optional[TierChain]
+) -> None:
+    """Clear every edge that points back up the wiring.
+
+    :class:`Machine` owns its parts and the parts own what they are
+    built on, but a few edges point the other way — the allocator holds
+    the pools that call it back for frames, the coldest cache reports
+    write-outs to the VM, every cache asks the control plane which pages
+    are hot, a demotion sink knows the tier that writes through it — and
+    each closes a reference cycle that would keep the address space,
+    every cached payload and the store alive until a full collection.
+    This runs when the machine dies (``weakref.finalize``), after which
+    the parts are freed by reference count.  It is given the parts and
+    never the machine: an argument that led back to the machine would
+    keep it alive for ever.
+
+    The pools' ``frame_provider`` stays: with the allocator's pools gone
+    it points down, and a cache that outlives its machine then fails in
+    ``obtain_frame`` instead of quietly serving itself.
+
+    An edge added to ``Machine.__init__`` that points from a part to
+    something holding that part belongs here too;
+    ``tests/sim/test_machine_lifetime.py`` fails until it is.
+    """
+    allocator.release_pools()
+    if chain is not None:
+        for tier in chain.tiers:
+            tier.cache.written_callback = None
+            tier.cache.hot_filter = None
+            if tier.sink is not None:
+                tier.sink.source = None
+
+
 class Machine:
-    """A fully wired simulated machine for one address space."""
+    """A fully wired simulated machine for one address space.
+
+    The machine owns its parts (``vm``, ``allocator``, ``chain``,
+    ``ccache``, ...): they are valid while the machine is.  When the
+    last reference to the machine goes, the wiring between the parts is
+    undone so that they — and the address space's page contents — are
+    freed at once; a part kept past that point fails on its first frame
+    request (``OutOfFramesError``: the machine was released).  Hold the
+    machine, not a part of it.
+    """
 
     def __init__(self, config: MachineConfig, address_space: AddressSpace):
         if config.memory_bytes < 4 * config.page_size:
@@ -309,10 +353,13 @@ class Machine:
                 "known: ufs, lfs"
             )
         self.swap = StandardSwap(self.fs, page_size=config.page_size)
+        # The clock closure holds the ledger, not the machine: nothing a
+        # part holds may lead back here, or the finalizer never runs.
+        ledger = self.ledger
         self.allocator = ThreeWayAllocator(
             self.frames,
             biases=config.biases,
-            now_fn=lambda: self.ledger.now,
+            now_fn=lambda: ledger.now,
         )
         self.buffer_cache = BufferCache(
             self.fs,
@@ -554,6 +601,9 @@ class Machine:
                 resilience=self.resilience,
                 retry=self.retry,
             )
+        weakref.finalize(
+            self, _unwire, self.allocator, self.chain
+        ).atexit = False
 
     def _metadata_bytes(self) -> int:
         """Section 4.4 bookkeeping memory, charged against user memory."""

@@ -24,6 +24,7 @@ copies.
 
 from __future__ import annotations
 
+import random
 import struct
 from typing import Iterator, List, Sequence, Tuple
 
@@ -90,6 +91,28 @@ def banded_edit_distance(
     return rows[-1][-1], rows
 
 
+def _real_dp_stripe(seed: int, total_cells: int) -> bytes:
+    """The stripe of a real banded DP over two ~4%-different sequences,
+    as ``total_cells`` little-endian 32-bit values."""
+    rng = random.Random(seed ^ 0xD1FF)
+    band_cells = 128
+    length = max(2, total_cells // band_cells - 1)
+    a = [rng.randrange(40) for _ in range(length)]
+    b = list(a)
+    for _ in range(max(1, length // 25)):  # ~4% edits
+        position = rng.randrange(length)
+        b[position] = rng.randrange(40)
+    _, rows = banded_edit_distance(a, b, band=band_cells // 2 - 1)
+    words: List[int] = []
+    for row in rows:
+        padded = (row + [0] * band_cells)[:band_cells]
+        words.extend(padded)
+    words.extend([0] * (total_cells - len(words)))
+    return struct.pack(
+        f"<{total_cells}I", *(w & 0xFFFFFFFF for w in words)
+    )
+
+
 class CompareWorkload(Workload):
     """Banded edit-distance computation over a stripe too big for memory.
 
@@ -127,41 +150,20 @@ class CompareWorkload(Workload):
         self.seed = seed
         self.npages = pages_for_bytes(band_bytes, page_size)
         self._segment_id = -1
-        self._dp_bytes: bytes = b""
-
-    def _real_dp_content(self, number: int) -> bytes:
-        if not self._dp_bytes:
-            import random as _random
-
-            rng = _random.Random(self.seed ^ 0xD1FF)
-            band_cells = 128
-            total_cells = self.npages * self.page_size // 4
-            length = max(2, total_cells // band_cells - 1)
-            a = [rng.randrange(40) for _ in range(length)]
-            b = list(a)
-            for _ in range(max(1, length // 25)):  # ~4% edits
-                position = rng.randrange(length)
-                b[position] = rng.randrange(40)
-            _, rows = banded_edit_distance(a, b, band=band_cells // 2 - 1)
-            words: List[int] = []
-            for row in rows:
-                padded = (row + [0] * band_cells)[:band_cells]
-                words.extend(padded)
-            words.extend([0] * (total_cells - len(words)))
-            self._dp_bytes = struct.pack(
-                f"<{total_cells}I", *(w & 0xFFFFFFFF for w in words)
-            )
-        start = number * self.page_size
-        return self._dp_bytes[start : start + self.page_size]
 
     def _build(self, space: AddressSpace) -> None:
-        factory = (
-            self._real_dp_content
-            if self.real_dp
-            else lambda n: dp_band_values(
-                n, seed=self.seed, page_size=self.page_size
-            )
-        )
+        # Values, not ``self``: see Thrasher._build.
+        seed, page_size = self.seed, self.page_size
+        if self.real_dp:
+            # Every page is instantiated below, so the stripe is computed
+            # here rather than on the first call.
+            stripe = _real_dp_stripe(seed, self.npages * page_size // 4)
+
+            def factory(n: int) -> bytes:
+                return stripe[n * page_size : (n + 1) * page_size]
+        else:
+            def factory(n: int) -> bytes:
+                return dp_band_values(n, seed=seed, page_size=page_size)
         segment = space.add_segment(
             "dp-band", self.npages, content_factory=factory
         )

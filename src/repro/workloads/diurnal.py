@@ -84,14 +84,17 @@ class DiurnalWorkload(Workload):
         return sizes
 
     def _build(self, space: AddressSpace) -> None:
+        # Values, not ``self``: see Thrasher._build.
+        seed, unique_bytes = self.seed, self.unique_bytes
+        page_size = self.page_size
         segment = space.add_segment(
             "diurnal",
             self.npages,
             content_factory=lambda n: repeating_pattern(
                 n,
-                seed=self.seed,
-                unique_bytes=self.unique_bytes,
-                page_size=self.page_size,
+                seed=seed,
+                unique_bytes=unique_bytes,
+                page_size=page_size,
             ),
         )
         self._segment_id = segment.segment_id

@@ -101,18 +101,20 @@ class GoldWorkload(Workload):
         self._text_segment = -1
 
     def _build(self, space: AddressSpace) -> None:
+        # Values, not ``self``: see Thrasher._build.
+        seed, page_size = self.seed, self.page_size
         index = space.add_segment(
             "gold-index",
             self.index_pages,
             content_factory=lambda n: index_page(
-                n, seed=self.seed, page_size=self.page_size
+                n, seed=seed, page_size=page_size
             ),
         )
         text = space.add_segment(
             "gold-text",
             self.text_pages,
             content_factory=lambda n: incompressible(
-                n, seed=self.seed ^ 0x7E7, page_size=self.page_size
+                n, seed=seed ^ 0x7E7, page_size=page_size
             ),
         )
         self._index_segment = index.segment_id

@@ -82,18 +82,20 @@ class CacheSimWorkload(Workload):
         self.npages = pages_for_bytes(table_bytes, page_size)
         self._segment_id = -1
 
-    def _content(self, number: int) -> bytes:
-        # A deterministic sprinkling of packed (incompressible) pages.
-        rng = random.Random((self.seed << 20) ^ number ^ 0x15CA0)
-        if rng.random() < self.incompressible_fraction:
-            return incompressible(number, seed=self.seed,
-                                  page_size=self.page_size)
-        return cache_table_page(number, seed=self.seed,
-                                page_size=self.page_size)
-
     def _build(self, space: AddressSpace) -> None:
+        # Values, not ``self``: see Thrasher._build.
+        seed, page_size = self.seed, self.page_size
+        incompressible_fraction = self.incompressible_fraction
+
+        def content(number: int) -> bytes:
+            # A deterministic sprinkling of packed (incompressible) pages.
+            rng = random.Random((seed << 20) ^ number ^ 0x15CA0)
+            if rng.random() < incompressible_fraction:
+                return incompressible(number, seed=seed, page_size=page_size)
+            return cache_table_page(number, seed=seed, page_size=page_size)
+
         segment = space.add_segment(
-            "cache-tables", self.npages, content_factory=self._content
+            "cache-tables", self.npages, content_factory=content
         )
         self._segment_id = segment.segment_id
         for number in range(self.npages):

@@ -99,18 +99,18 @@ class AppRelaunchWorkload(Workload):
             self._schedule.append(rng.choice(choices))
 
     def _build(self, space: AddressSpace) -> None:
+        page_size = self.page_size
         for i in range(self.apps):
             _, unique_bytes = _APP_SHAPES[i % len(_APP_SHAPES)]
             npages = self._npages[i]
+            seed = self.seed * 1031 + i
             segment = space.add_segment(
                 f"app{i}",
                 npages,
-                content_factory=lambda n, u=unique_bytes, a=i: (
+                # Values, not ``self``: see Thrasher._build.
+                content_factory=lambda n, s=seed, u=unique_bytes: (
                     repeating_pattern(
-                        n,
-                        seed=self.seed * 1031 + a,
-                        unique_bytes=u,
-                        page_size=self.page_size,
+                        n, seed=s, unique_bytes=u, page_size=page_size
                     )
                 ),
             )

@@ -76,23 +76,27 @@ class SortWorkload(Workload):
         self._segment_id = -1
         self._dictionary = make_dictionary(seed=seed ^ 0x50F7)
 
-    def _content(self, number: int) -> bytes:
-        rng = random.Random((self.seed << 20) ^ number ^ 0x50F75EED)
-        if rng.random() < self.compressible_fraction:
-            # cluster_words=30 lands the kept-page ratio near the paper's
-            # ~30% for both sort variants.
-            return text_page_clustered(
-                number, self._dictionary, seed=self.seed,
-                cluster_words=30, page_size=self.page_size,
-            )
-        return text_page_random(
-            number, self._dictionary, seed=self.seed,
-            page_size=self.page_size,
-        )
-
     def _build(self, space: AddressSpace) -> None:
+        # Values, not ``self``: see Thrasher._build.
+        seed, page_size = self.seed, self.page_size
+        compressible_fraction = self.compressible_fraction
+        dictionary = self._dictionary
+
+        def content(number: int) -> bytes:
+            rng = random.Random((seed << 20) ^ number ^ 0x50F75EED)
+            if rng.random() < compressible_fraction:
+                # cluster_words=30 lands the kept-page ratio near the
+                # paper's ~30% for both sort variants.
+                return text_page_clustered(
+                    number, dictionary, seed=seed,
+                    cluster_words=30, page_size=page_size,
+                )
+            return text_page_random(
+                number, dictionary, seed=seed, page_size=page_size
+            )
+
         segment = space.add_segment(
-            "sort-heap", self.npages, content_factory=self._content
+            "sort-heap", self.npages, content_factory=content
         )
         self._segment_id = segment.segment_id
         # Swapping words within a page preserves its compressibility

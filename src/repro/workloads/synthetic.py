@@ -70,19 +70,23 @@ class SyntheticWorkload(Workload):
         self.npages = pages_for_bytes(address_space_bytes, page_size)
         self._segment_id = -1
 
-    def _content(self, number: int) -> bytes:
-        rng = random.Random((self.seed << 20) ^ number ^ 0x57E7)
-        if rng.random() < self.compressible_fraction:
-            return repeating_pattern(
-                number, seed=self.seed, unique_bytes=self.unique_bytes,
-                page_size=self.page_size,
-            )
-        return incompressible(number, seed=self.seed,
-                              page_size=self.page_size)
-
     def _build(self, space: AddressSpace) -> None:
+        # Values, not ``self``: see Thrasher._build.
+        seed, page_size = self.seed, self.page_size
+        compressible_fraction = self.compressible_fraction
+        unique_bytes = self.unique_bytes
+
+        def content(number: int) -> bytes:
+            rng = random.Random((seed << 20) ^ number ^ 0x57E7)
+            if rng.random() < compressible_fraction:
+                return repeating_pattern(
+                    number, seed=seed, unique_bytes=unique_bytes,
+                    page_size=page_size,
+                )
+            return incompressible(number, seed=seed, page_size=page_size)
+
         segment = space.add_segment(
-            "synthetic", self.npages, content_factory=self._content
+            "synthetic", self.npages, content_factory=content
         )
         self._segment_id = segment.segment_id
         for number in range(self.npages):

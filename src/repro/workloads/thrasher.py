@@ -57,14 +57,19 @@ class Thrasher(Workload):
         self._segment_id: int = -1
 
     def _build(self, space: AddressSpace) -> None:
+        # The factory closes over values, never ``self``: the space a
+        # workload holds must not hold the workload back (see "Ownership
+        # and lifetime" in docs/internals.md).
+        seed, unique_bytes = self.seed, self.unique_bytes
+        page_size = self.page_size
         segment = space.add_segment(
             "thrasher",
             self.npages,
             content_factory=lambda n: repeating_pattern(
                 n,
-                seed=self.seed,
-                unique_bytes=self.unique_bytes,
-                page_size=self.page_size,
+                seed=seed,
+                unique_bytes=unique_bytes,
+                page_size=page_size,
             ),
         )
         self._segment_id = segment.segment_id

@@ -162,6 +162,36 @@ class TestRefusal:
             allocator.obtain_frame(FrameOwner.VM)
 
 
+class TestReleasedPools:
+    def test_released_allocator_says_its_machine_is_gone(self):
+        frames, allocator, vm, cc, fs = make_world()
+        vm.grab(4)
+        allocator.release_pools()
+        with pytest.raises(OutOfFramesError, match="machine was released"):
+            allocator.obtain_frame(FrameOwner.VM)
+        assert vm.shrinks == 0
+
+    def test_released_allocator_still_hands_out_free_frames(self):
+        frames, allocator, vm, cc, fs = make_world()
+        allocator.release_pools()
+        frame = allocator.obtain_frame(FrameOwner.VM)
+        assert frames.owner_of(frame) == FrameOwner.VM
+
+    def test_victim_labels_are_those_of_registration(self):
+        frames, allocator, vm, cc, fs = make_world(nframes=3)
+        cold = FakePool(frames, FrameOwner.COMPRESSION, age=100.0)
+        allocator.register_pool("cc:cold", cold, weight=1.0, bias_s=0.0)
+        vm.grab(1)
+        fs.grab(1)
+        cold.grab(1)
+        cold.refuse = True  # oldest by far, reneges: the retry takes fs
+        vm.held.append(allocator.obtain_frame(FrameOwner.VM))
+        cold.refuse = False
+        allocator.obtain_frame(FrameOwner.VM)
+        assert list(allocator.counters.victims.items()) == [
+            ("vm", 0), ("cc", 0), ("fs", 1), ("cc:cold", 1)]
+
+
 class TestBiases:
     def test_for_owner(self):
         biases = AllocationBiases(30.0, 10.0, 0.0)
