@@ -126,14 +126,6 @@ class AllocationBiases:
             return self.vm_weight, self.vm_bias_s
         return self.ccache_weight, self.ccache_bias_s
 
-    def for_owner(self, owner: FrameOwner) -> float:
-        """Additive component only (kept for introspection)."""
-        if owner == FrameOwner.FILE_CACHE:
-            return self.file_cache_bias_s
-        if owner == FrameOwner.VM:
-            return self.vm_bias_s
-        return self.ccache_bias_s
-
 
 @dataclass
 class AllocatorCounters:

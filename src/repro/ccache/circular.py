@@ -31,6 +31,7 @@ from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from ..counters import Counters
 from ..faults.errors import PagingFaultError
+from ..faults.retry import ResilientIO, RetryPolicy
 from ..mem.frames import FrameOwner, FramePool
 from ..mem.page import PageId
 from ..sim.ledger import Ledger, TimeCategory
@@ -97,11 +98,10 @@ class CompressionCache:
             paper's variable-size design governed by the global allocator;
             a number reproduces the original fixed-size prototype of
             Section 4.2.
-        resilience: fault-layer counters; ``None`` disables resilience
-            accounting (the default, digest-identical configuration).
-        retry: a :class:`~repro.faults.retry.ResilientIO`; when set,
-            write-out failures are retried (and the cleaner re-queues
-            pages whose write-out could not complete).
+        retry: the :class:`~repro.faults.retry.ResilientIO` a failed
+            shrink-path write-out is retried under, and whose counters
+            take the cleaner's re-queues (a cache built on its own makes
+            a default one).
     """
 
     def __init__(
@@ -112,7 +112,6 @@ class CompressionCache:
         page_size: int = 4096,
         frame_provider: Optional[FrameProvider] = None,
         max_frames: Optional[int] = None,
-        resilience=None,
         retry=None,
     ):
         if max_frames is not None and max_frames < 1:
@@ -123,8 +122,7 @@ class CompressionCache:
         self.page_size = page_size
         self.frame_provider = frame_provider
         self.max_frames = max_frames
-        self.resilience = resilience
-        self.retry = retry
+        self.retry = retry or ResilientIO(RetryPolicy(), ledger)
         self.counters = CacheCounters()
         self._entries: Dict[PageId, _Entry] = {}
         self._frames: Dict[int, _FrameSlot] = {}
@@ -397,8 +395,7 @@ class CompressionCache:
                 # dirty data is not lost, just not yet durable.
                 self.ledger.charge(TimeCategory.CLEANER, exc.seconds)
                 self._dirty_fifo.appendleft(page_id)
-                if self.resilience is not None:
-                    self.resilience.cleaner_requeues += 1
+                self.retry.resilience.cleaner_requeues += 1
                 break
             self.ledger.charge(TimeCategory.CLEANER, seconds)
             self._mark_entry_clean(entry)
@@ -458,23 +455,14 @@ class CompressionCache:
         the allocator a frame).  On a write fault the page is already
         staged in the store's batch — readable from there, durable at the
         next successful flush — so charge the failed attempt, retry the
-        idempotent flush if a retry policy is wired in, and carry on
-        either way."""
+        idempotent flush, and carry on either way."""
         try:
             return self.fragstore.put(page_id, payload)
         except PagingFaultError as exc:
             self.ledger.charge(TimeCategory.IO_WRITE, exc.seconds)
-            if self.retry is not None:
-                flushed = self.retry.try_call(
-                    self.fragstore.flush, TimeCategory.IO_WRITE
-                )
-                if flushed is not None:
-                    return flushed
-            return 0.0
-
-    def evicted_to_backing_store(self, page_id: PageId) -> bool:
-        """True when the page's current copy lives in the fragment store."""
-        return self.fragstore.contains(page_id)
+            return self.retry.try_call(
+                self.fragstore.flush, TimeCategory.IO_WRITE
+            ) or 0.0
 
     # ------------------------------------------------------------------
     # Internals
@@ -550,12 +538,6 @@ class CompressionCache:
             slot.dirty_pages -= 1
             if slot.dirty_pages == 0:
                 self._dirty_frames -= 1
-
-    def _mark_frame_dirtier(self, index: int) -> None:
-        slot = self._frames[index]
-        slot.dirty_pages += 1
-        if slot.dirty_pages == 1:
-            self._dirty_frames += 1
 
     def _release_frame(self, index: int) -> None:
         slot = self._frames.pop(index)

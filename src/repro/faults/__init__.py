@@ -16,9 +16,10 @@ The subsystem has two halves:
   :class:`ResilienceCounters` and reported under the ``resilience`` key
   of ``RunResult.as_dict()``.
 
-With no plan installed, none of this is constructed: the hot path is
-byte-identical to a tree without the subsystem (the golden-digest tests
-pin that), and the always-on CRC32 check is the only added work.
+With no plan installed nothing is injected and no ``resilience`` key is
+reported (the golden-digest tests pin that).  The retry wrapper is the
+one part every machine has: a plan-free run goes through the same
+paging-I/O code, where no attempt fails and nothing is charged.
 """
 
 from .degrade import DegradationController, ResilienceCounters

@@ -5,8 +5,9 @@ fault/resilience layer does: injected faults, retries, backoff time,
 checksum verifications, recoveries, and degradation transitions.  It is a
 *separate* object from the digest-pinned per-component counters
 (``FragStoreCounters``, ``DeviceCounters``, …) on purpose: a default run
-builds no :class:`ResilienceCounters` at all, so ``RunResult.as_dict()``
-emits exactly the bytes it always has and the golden digests stay frozen.
+reports no ``resilience`` key (its retry wrapper counts into a block of
+its own that stays zero), so ``RunResult.as_dict()`` emits exactly the
+bytes it always has and the golden digests stay frozen.
 
 :class:`DegradationController` is the "bypass compression when the
 substrate misbehaves" state machine:
@@ -36,8 +37,8 @@ from .plan import DegradationConfig
 class ResilienceCounters(Counters):
     """Everything the fault-injection and resilience layers count.
 
-    Only built when a :class:`~repro.faults.plan.FaultPlan` is installed;
-    reported as the ``resilience`` key of ``RunResult.as_dict()``.
+    Reported as the ``resilience`` key of ``RunResult.as_dict()`` when a
+    :class:`~repro.faults.plan.FaultPlan` is installed.
     """
 
     # Injected faults, by site.

@@ -11,7 +11,7 @@ backoff — the latency budget a real pager would burn.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, Optional, TypeVar
 
 from ..sim.ledger import Ledger, TimeCategory
 from .degrade import ResilienceCounters
@@ -52,20 +52,27 @@ class ResilientIO:
     Failed-attempt time goes to the caller's category; backoff goes to
     ``RETRY_BACKOFF``.  Permanent errors fail fast.  When the budget runs
     out, raises :class:`IORetriesExhausted` wrapping the last error.
+
+    Every machine has one, plan or no plan: with nothing injected no
+    attempt fails, so the wrapper charges and counts nothing.  Without
+    ``resilience`` it counts into a block of its own that no report
+    reads.
     """
 
     def __init__(
         self,
         policy: RetryPolicy,
         ledger: Ledger,
-        resilience: ResilienceCounters,
+        resilience: Optional[ResilienceCounters] = None,
     ):
         self.policy = policy
         self.ledger = ledger
-        self.resilience = resilience
+        self.resilience = (
+            resilience if resilience is not None else ResilienceCounters()
+        )
 
-    def call(self, fn: Callable[[], T], category: TimeCategory) -> T:
-        """Invoke ``fn`` with retries; return its result.
+    def call(self, fn: Callable[..., T], category: TimeCategory, *args) -> T:
+        """Invoke ``fn(*args)`` with retries; return its result.
 
         ``fn`` must be safe to re-invoke after a failure (all the I/O
         operations routed through here are: a failed device transfer
@@ -78,7 +85,7 @@ class ResilientIO:
         while True:
             attempt += 1
             try:
-                result = fn()
+                result = fn(*args)
             except RETRYABLE as exc:
                 if exc.seconds:
                     self.ledger.charge(category, exc.seconds)
@@ -101,11 +108,11 @@ class ResilientIO:
                     resilience.recovered_operations += 1
                 return result
 
-    def try_call(self, fn: Callable[[], T], category: TimeCategory):
+    def try_call(self, fn: Callable[..., T], category: TimeCategory, *args):
         """Like :meth:`call` but returns ``None`` instead of raising
         :class:`IORetriesExhausted` — for callers with a fallback path."""
         try:
-            return self.call(fn, category)
+            return self.call(fn, category, *args)
         except IORetriesExhausted:
             return None
 

@@ -41,14 +41,12 @@ class CompressionPager(MemoryObjectPager):
         chain: TierChain,
         ledger: Ledger,
         page_size: int,
-        retry=None,
     ):
         self.chain = chain
         self.fragstore = chain.fragstore
-        self.swap = chain.swap
+        self.raw = chain.raw
         self.ledger = ledger
         self.page_size = page_size
-        self.retry = retry
         self.stats = CompressionStats()
         # Version counter per page: a new pageout supersedes store copies.
         self._versions: dict = {}
@@ -78,21 +76,7 @@ class CompressionPager(MemoryObjectPager):
         if not isinstance(outcome, Rejected):
             self.chain.admit(page_id, outcome, version)
             return
-        if self.retry is None:
-            seconds = self.swap.write_page(page_id, data)
-        else:
-            seconds = self.retry.try_call(
-                lambda: self.swap.write_page(page_id, data),
-                TimeCategory.IO_WRITE,
-            )
-            if seconds is None:
-                # Unlike the in-kernel VM, the pager holds the only copy
-                # of the page: losing the write would lose data, so the
-                # failure surfaces to the kernel with context.
-                raise PagerError(
-                    f"pageout write for {page_id} failed after retries"
-                )
-        self.ledger.charge(TimeCategory.IO_WRITE, seconds)
+        self.raw.pageout(page_id, data, dirty=True)
         self.fragstore.free(page_id)  # any compressed store copy is stale
         self._raw_on_swap.add(page_id)
 
@@ -107,20 +91,7 @@ class CompressionPager(MemoryObjectPager):
             # Store payloads carry the coldest tier's encoding.
             return self._decompress(payload, self.chain.coldest)
         if page_id in self._raw_on_swap:
-            if self.retry is None:
-                data, seconds = self.swap.read_page(page_id)
-            else:
-                fetched = self.retry.try_call(
-                    lambda: self.swap.read_page(page_id),
-                    TimeCategory.IO_READ,
-                )
-                if fetched is None:
-                    raise PagerError(
-                        f"pagein read for {page_id} failed after retries"
-                    )
-                data, seconds = fetched
-            self.ledger.charge(TimeCategory.IO_READ, seconds)
-            return data
+            return self.raw.pagein(page_id)
         raise PagerError(f"pagein for unknown page {page_id}")
 
     def _decompress(self, payload: bytes, tier: CompressedTier) -> bytes:
@@ -138,11 +109,7 @@ class CompressionPager(MemoryObjectPager):
         reported with the page id and the store's GC generation.
         """
         try:
-            if self.retry is None:
-                return self.fragstore.get(page_id)
-            return self.retry.call(
-                lambda: self.fragstore.get(page_id), TimeCategory.IO_READ
-            )
+            return self.chain.read_fragment(page_id)
         except MissingFragmentError as exc:
             raise PagerError(
                 f"pagein for {page_id}: fragment missing "

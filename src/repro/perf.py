@@ -596,8 +596,9 @@ def bench_stream_replay(references: int = 10_000_000,
 #: The same-process overhead comparisons: name, baseline
 #: ``MachineConfig`` fields, variant fields, workloads.  The variant is
 #: always a superset of the baseline's work (selector trials and memo
-#: probes on top of lzrw1; retry wrappers, injector probes and
-#: degradation bookkeeping that engage but never fire; hotness tracking,
+#: probes on top of lzrw1; injector probes, degradation bookkeeping and
+#: resilience counting that engage but never fire, over the retry
+#: wrapper both arms share; hotness tracking,
 #: telemetry and the evaluation tick; a capped L1 demoting into a second
 #: compressed tier), so each row bounds what turning the subsystem on
 #: costs.  Nothing here measures a *disabled* subsystem

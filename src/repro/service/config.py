@@ -11,7 +11,7 @@ ledger by a single byte (see ``docs/service.md``).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 from ..mem.page import DEFAULT_PAGE_SIZE
@@ -169,18 +169,7 @@ class ServiceConfig:
 
     def with_shards(self, shards: int) -> "ServiceConfig":
         """The same geometry served by a different process count."""
-        return ServiceConfig(
-            shards=shards,
-            vslots=self.vslots,
-            tenants=self.tenants,
-            tier_bytes=self.tier_bytes,
-            compressor=self.compressor,
-            page_size=self.page_size,
-            batch_ops=self.batch_ops,
-            max_pending=self.max_pending,
-            tenant_inflight=self.tenant_inflight,
-            debug_op_delay_s=self.debug_op_delay_s,
-        )
+        return replace(self, shards=shards)
 
     def describe(self) -> Dict[str, object]:
         """JSON-native form for BENCH_service.json and logs."""

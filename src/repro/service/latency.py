@@ -15,7 +15,7 @@ one service-wide distribution without sharing state on the hot path.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, Sequence
 
 #: log2 of the linear sub-buckets per power-of-two range.  5 → 32
 #: sub-buckets → recorded values are at most ~3.1% below the true value.
@@ -147,14 +147,3 @@ def merge_all(recorders: Iterable[LatencyRecorder]) -> LatencyRecorder:
     for recorder in recorders:
         merged.merge(recorder)
     return merged
-
-
-def _self_check(samples: List[int]) -> None:  # pragma: no cover
-    """Debug helper: assert the error bound against the exact answer."""
-    recorder = LatencyRecorder.of(samples)
-    ordered = sorted(samples)
-    for p in REPORT_PERCENTILES:
-        exact = ordered[min(len(ordered) - 1,
-                            max(0, int(len(ordered) * p / 100.0 + 0.5) - 1))]
-        got = recorder.percentile(p)
-        assert got >= exact * (1 - 2 ** -_SUB_BITS), (p, got, exact)

@@ -32,10 +32,13 @@ from ..control.controller import ControlConfig, ControlPlane, TierTelemetry
 from ..faults.degrade import DegradationController, ResilienceCounters
 from ..faults.device import FaultyDevice
 from ..faults.plan import FaultPlan
+from ..faults.retry import ResilientIO, RetryPolicy
 from ..mem.frames import FrameOwner, FramePool
 from ..mem.page import mbytes
 from ..mem.pagetable import page_table_overhead_bytes
 from ..mem.segment import AddressSpace
+from ..pager.compression import CompressionPager
+from ..pager.default import DefaultPager
 from ..storage.backing import BackingStore
 from ..storage.blockfs import BlockFileSystem, PartialWritePolicy
 from ..storage.buffercache import BufferCache
@@ -55,6 +58,7 @@ from ..tiers.spec import (
     validate_tier_specs,
 )
 from ..vm.compressed import CompressedVM
+from ..vm.external import ExternalPagerVM
 from ..vm.faults import VmConfigurationError
 from ..vm.standard import StandardVM
 from ..vm.system import BaseVM
@@ -166,8 +170,9 @@ class MachineConfig:
     exact_compression: bool = False
     #: Verify every decompression round trip (forces exact compression).
     paranoid: bool = False
-    #: Deterministic fault-injection plan; ``None`` (the default) builds
-    #: no fault machinery at all and leaves the hot path untouched.
+    #: Deterministic fault-injection plan; ``None`` (the default) injects
+    #: nothing, so the retry wrapper every machine's paging transfers run
+    #: under charges nothing and no ``resilience`` key is reported.
     fault_plan: Optional[FaultPlan] = None
     #: Explicit compressed-tier chain, warmest first (see
     #: :mod:`repro.tiers`).  ``None`` — the default and the paper's
@@ -313,19 +318,16 @@ class Machine:
             )
         self.device = device_factory()
 
-        # Fault machinery exists only when a plan is installed; the
-        # default leaves every component exactly as it always was.
+        # The injector, the degradation controller and the reported
+        # counters exist only under a plan.  The retry wrapper always
+        # does: a plan-free machine runs the same paging-I/O code, and
+        # with nothing injected no attempt fails.
         plan = config.fault_plan
         if plan is not None:
-            from ..faults.retry import ResilientIO
-
             self.resilience: Optional[ResilienceCounters] = (
                 ResilienceCounters()
             )
             self.injector = plan.build(self.resilience)
-            self.retry = ResilientIO(
-                plan.retry_policy(), self.ledger, self.resilience
-            )
             self.degradation: Optional[DegradationController] = (
                 DegradationController(plan.degradation, self.resilience)
             )
@@ -334,8 +336,12 @@ class Machine:
         else:
             self.resilience = None
             self.injector = None
-            self.retry = None
             self.degradation = None
+        self.retry = ResilientIO(
+            plan.retry_policy() if plan is not None else RetryPolicy(),
+            self.ledger,
+            self.resilience,
+        )
 
         if config.filesystem == "ufs":
             self.fs = BlockFileSystem(
@@ -353,6 +359,8 @@ class Machine:
                 "known: ufs, lfs"
             )
         self.swap = StandardSwap(self.fs, page_size=config.page_size)
+        #: The one raw page path; every VM and pager below holds it.
+        self.raw = DefaultPager(self.swap, self.retry)
         # The clock closure holds the ledger, not the machine: nothing a
         # part holds may lead back here, or the finalizer never runs.
         ledger = self.ledger
@@ -464,7 +472,6 @@ class Machine:
                     page_size=config.page_size,
                     frame_provider=self.allocator.obtain_frame,
                     max_frames=spec.max_frames,
-                    resilience=self.resilience,
                     retry=self.retry,
                 )
                 tier = CompressedTier(
@@ -486,10 +493,9 @@ class Machine:
                 tiers[i] = tier
                 next_tier = tier
             self.chain = TierChain(
-                tuple(tiers), self.fragstore, self.swap,
-                self.ledger, config.costs, config.page_size,
+                tuple(tiers), self.fragstore, self.raw,
+                config.costs, config.page_size,
                 injector=self.injector,
-                retry=self.retry,
                 degradation=self.degradation,
             )
             warmest = self.chain.warmest
@@ -508,14 +514,10 @@ class Machine:
                     bias_s=tier.spec.bias_s,
                 )
             if external:
-                from ..pager.compression import CompressionPager
-                from ..vm.external import ExternalPagerVM
-
                 self.pager = CompressionPager(
                     chain=self.chain,
                     ledger=self.ledger,
                     page_size=config.page_size,
-                    retry=self.retry,
                 )
                 self.vm: BaseVM = ExternalPagerVM(
                     address_space=address_space,
@@ -538,13 +540,9 @@ class Machine:
                     ledger=self.ledger,
                     costs=config.costs,
                     chain=self.chain,
-                    swap=self.swap,
                     min_resident_frames=config.min_resident_frames,
                     prefetch_colocated=config.prefetch_colocated,
                     paranoid=config.paranoid,
-                    resilience=self.resilience,
-                    retry=self.retry,
-                    degradation=self.degradation,
                 )
                 self.vm.metrics.compression.threshold = CompressionThreshold(
                     config.threshold_factor
@@ -574,10 +572,7 @@ class Machine:
                                 config.control.hot_skip_budget
                             )
         elif external:
-            from ..pager.default import DefaultPager
-            from ..vm.external import ExternalPagerVM
-
-            self.pager = DefaultPager(self.swap, self.ledger)
+            self.pager = self.raw
             self.vm = ExternalPagerVM(
                 address_space=address_space,
                 frames=self.frames,
@@ -595,11 +590,9 @@ class Machine:
                 allocator=self.allocator,
                 ledger=self.ledger,
                 costs=config.costs,
-                swap=self.swap,
+                raw=self.raw,
                 min_resident_frames=config.min_resident_frames,
                 paranoid=config.paranoid,
-                resilience=self.resilience,
-                retry=self.retry,
             )
         weakref.finalize(
             self, _unwire, self.allocator, self.chain

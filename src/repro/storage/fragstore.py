@@ -386,8 +386,6 @@ class FragmentStore:
             compacted += data[loc.offset : loc.offset + loc.nbytes]
             compacted += bytes(loc.padded_bytes - loc.nbytes)
 
-        seconds += self.fs.write(self._file, 0, bytes(compacted))
-        self.fs.truncate(self._file, len(compacted))
         self._locations = new_locations
         # Rebuild the offset index for the compacted layout.  Replacing
         # ``_locations`` re-orders its iteration to ascending offset, so
@@ -404,9 +402,20 @@ class FragmentStore:
             self._put_seq[pid] = self._next_seq
             self._next_seq += 1
         self._append_offset = len(compacted)
-        self._batch_start = len(compacted)
         self._garbage_bytes = new_garbage
         self.counters.gc_runs += 1
         self.gc_generation += 1
         self.counters.gc_bytes_moved += len(compacted)
+        # The compacted image is the staged batch until its write has
+        # returned: a failed write leaves the file in an unknown state,
+        # but every page reads from the batch and the next flush writes
+        # the same bytes again, so the collection itself needs no redo.
+        self._batch_start = 0
+        self._batch_buf = compacted
+        try:
+            seconds += self.fs.write(self._file, 0, bytes(compacted))
+        finally:
+            self.fs.truncate(self._file, len(compacted))
+        self._batch_start = len(compacted)
+        self._batch_buf = bytearray()
         return seconds

@@ -5,29 +5,36 @@ backing store, and is the one place that knows how a page enters, leaves
 and drains them.  The in-kernel :class:`~repro.vm.compressed.CompressedVM`
 and the user-level :class:`~repro.pager.compression.CompressionPager`
 call the same verbs — :meth:`~TierChain.compress_evicted` and
-:meth:`~TierChain.admit` on eviction, :meth:`~TierChain.fetch` and
+:meth:`~TierChain.admit` on eviction, :meth:`~TierChain.fetch`,
+:meth:`~TierChain.read_fragment` and
 :meth:`~TierChain.charge_decompress` on a fault,
 :meth:`~TierChain.run_cleaners` after one, :meth:`~TierChain.drain` at
 the end — and keep only what differs between them: who owns the page's
-frame and version, what a failed raw write means, and how a page comes
-back from the store (``docs/tiers.md`` has the table).  With one
-compressed tier the chain degenerates to the paper's design.
+frame and version, and what a transfer that failed for good means
+(``docs/tiers.md`` has the table).  With one compressed tier the chain
+degenerates to the paper's design.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 from ..compression.base import CompressionError, CompressionResult
 from ..compression.stats import CompressionStats
-from ..faults.errors import PagingFaultError
+from ..faults.errors import (
+    FragmentChecksumError,
+    IORetriesExhausted,
+    PagingFaultError,
+)
 from ..mem.page import PageId
 from ..sim.costs import CostModel
-from ..sim.ledger import Ledger, TimeCategory
+from ..sim.ledger import TimeCategory
 from ..storage.backing import BackingStore
-from ..storage.swap import StandardSwap
 from .compressed import CompressedTier
+
+if TYPE_CHECKING:
+    from ..pager.default import DefaultPager
 
 
 class Rejected(Enum):
@@ -43,20 +50,20 @@ class Rejected(Enum):
 class TierChain:
     """Ordered compressed tiers (warmest first) over a backing store.
 
-    ``injector``, ``retry`` and ``degradation`` are the fault layer's
-    hooks; all three are ``None`` unless the machine has a fault plan.
+    ``raw`` is the raw page path for what the 4:3 rule rejects; store
+    reads run under its retry wrapper and are charged to its ledger.
+    ``injector`` and ``degradation`` are the fault layer's hooks; both
+    are ``None`` unless the machine has a fault plan.
     """
 
     def __init__(
         self,
         tiers: Tuple[CompressedTier, ...],
         fragstore: BackingStore,
-        swap: StandardSwap,
-        ledger: Ledger,
+        raw: "DefaultPager",
         costs: CostModel,
         page_size: int,
         injector=None,
-        retry=None,
         degradation=None,
     ):
         if not tiers:
@@ -66,12 +73,12 @@ class TierChain:
             raise ValueError(f"tier names must be unique, got {names}")
         self.tiers: Tuple[CompressedTier, ...] = tuple(tiers)
         self.fragstore = fragstore
-        self.swap = swap
-        self.ledger = ledger
+        self.raw = raw
+        self.retry = raw.retry
+        self.ledger = raw.ledger
         self.costs = costs
         self.page_size = page_size
         self.injector = injector
-        self.retry = retry
         self.degradation = degradation
 
     @property
@@ -189,6 +196,28 @@ class TierChain:
         )
         return tier, payload
 
+    def read_fragment(self, page_id: PageId):
+        """The store's ``(payload, seconds, colocated)`` for the page,
+        read under the retry policy.
+
+        Raises :class:`IORetriesExhausted` when the fragment is
+        unrecoverable (checksum or device errors outlasted the
+        retries), after telling the degradation controller about a
+        checksum that never verified.  What happens to the bad copy and
+        the page is the caller's.
+        """
+        try:
+            return self.retry.call(
+                self.fragstore.get, TimeCategory.IO_READ, page_id
+            )
+        except IORetriesExhausted as exc:
+            if (
+                self.degradation is not None
+                and isinstance(exc.last_error, FragmentChecksumError)
+            ):
+                self.degradation.record(False)
+            raise
+
     def charge_decompress(self, tier: CompressedTier) -> None:
         """Charge decompressing one full page with ``tier``'s kernel."""
         self.ledger.charge(
@@ -219,7 +248,17 @@ class TierChain:
             if goal > 0:
                 invocations += 1
                 cache.clean_pages(goal)
-        gc_seconds = self.fragstore.maybe_collect()
+        # Asked after every fault, so the first attempt runs bare (as
+        # ``drain``'s flush does); only a failed one pays for the retry
+        # wrapper.  Collection is optional work: one that fails for good
+        # is skipped, and the store is asked again after the next fault.
+        try:
+            gc_seconds = self.fragstore.maybe_collect()
+        except PagingFaultError as exc:
+            self.ledger.charge(TimeCategory.GC, exc.seconds)
+            gc_seconds = self.retry.try_call(
+                self.fragstore.maybe_collect, TimeCategory.GC
+            )
         if gc_seconds:
             self.ledger.charge(TimeCategory.GC, gc_seconds)
         return invocations
@@ -244,11 +283,9 @@ class TierChain:
             seconds = self.fragstore.flush()
         except PagingFaultError as exc:
             self.ledger.charge(TimeCategory.IO_WRITE, exc.seconds)
-            seconds = 0.0
-            if self.retry is not None:
-                seconds = self.retry.try_call(
-                    self.fragstore.flush, TimeCategory.IO_WRITE
-                ) or 0.0
+            seconds = self.retry.try_call(
+                self.fragstore.flush, TimeCategory.IO_WRITE
+            )
         if seconds:
             self.ledger.charge(TimeCategory.IO_WRITE, seconds)
 
@@ -285,6 +322,6 @@ class TierChain:
             "frames": 0,
             "pages": self.fragstore.live_pages,
             "fragstore": self.fragstore.counters.snapshot(),
-            "swap": self.swap.counters.snapshot(),
+            "swap": self.raw.swap.counters.snapshot(),
         })
         return rows

@@ -46,7 +46,6 @@ from ..mem.pagetable import PageTableEntry
 from ..mem.segment import AddressSpace
 from ..sim.costs import CostModel
 from ..sim.ledger import Ledger, TimeCategory
-from ..storage.swap import StandardSwap
 from ..tiers.chain import Rejected, TierChain
 from ..tiers.compressed import CompressedTier
 from .faults import FaultSource
@@ -61,19 +60,13 @@ class CompressedVM(BaseVM):
     """VM system with the compressed tier chain as intermediate levels.
 
     Args:
-        chain: the ordered compressed tiers over the fragment store;
+        chain: the ordered compressed tiers over the fragment store,
+            and the raw page path for pages failing the 4:3 threshold;
             a one-tier chain reproduces the paper's design.
-        swap: uncompressed swap for pages failing the 4:3 threshold.
         prefetch_colocated: admit other compressed pages transferred by
             the same block read into the (coldest) cache.
         max_prefetch_pages: bound per-fault prefetch admissions.
         paranoid: verify every decompression round trip (slow).
-        resilience: fault-layer counters (``None`` = no fault plan).
-        retry: :class:`~repro.faults.retry.ResilientIO` wrapping the
-            pager I/O; ``None`` keeps the stock fail-fast path.
-        degradation: :class:`~repro.faults.degrade.DegradationController`
-            told about fragments whose checksum never verified (the
-            chain consults it to bypass compression).
     """
 
     def __init__(
@@ -84,29 +77,20 @@ class CompressedVM(BaseVM):
         ledger: Ledger,
         costs: CostModel,
         chain: TierChain,
-        swap: StandardSwap,
         min_resident_frames: int = 2,
         prefetch_colocated: bool = True,
         max_prefetch_pages: int = 16,
         paranoid: bool = False,
-        resilience=None,
-        retry=None,
-        degradation=None,
     ):
         super().__init__(
             address_space, frames, allocator, ledger, costs,
-            min_resident_frames,
+            min_resident_frames, paranoid, chain.raw,
         )
         self.chain = chain
         self.tiers = chain.tiers
-        self.swap = swap
         self.fragstore = chain.fragstore
         self.prefetch_colocated = prefetch_colocated
         self.max_prefetch_pages = max_prefetch_pages
-        self.paranoid = paranoid
-        self.resilience = resilience
-        self.retry = retry
-        self.degradation = degradation
         self._cleaner_check_pending = False
         # Only the terminal tier's write-outs reach the backing store;
         # warmer tiers' "write-outs" are demotions and must not update
@@ -146,15 +130,20 @@ class CompressedVM(BaseVM):
                 telemetry.note_tier_hit(tier.name, self.ledger.now)
             source = FaultSource.CCACHE
         elif self._valid_on_fragstore(pte):
-            fetched = self._fetch_fragment(pte)
-            if fetched is None:
+            try:
+                payload, seconds, colocated = self.chain.read_fragment(
+                    page_id
+                )
+            except IORetriesExhausted:
                 # Unrecoverable fragment (sticky corruption or permanent
-                # device failure); the bad copy was freed.  Fall back to
-                # the raw swap copy if one exists, else re-fetch from the
-                # authoritative copy.
-                frame, source = self._fill_fallback(pte)
+                # device failure): free the bad copy so later faults
+                # don't trip over it again, and re-fetch the page from
+                # the authoritative copy.
+                self.fragstore.free(page_id)
+                self.raw.backstop_read()
+                frame = self._obtain_frame()
+                source = FaultSource.SWAP
             else:
-                payload, seconds, colocated = fetched
                 self.ledger.charge(TimeCategory.IO_READ, seconds)
                 # Per Section 4.1 the page "is first brought into memory
                 # and stored in the compression cache, then it is
@@ -178,7 +167,9 @@ class CompressedVM(BaseVM):
                     self._prefetch(colocated)
                 source = FaultSource.FRAGSTORE
         elif self._valid_on_swap(pte):
-            frame, source = self._fill_from_swap(pte)
+            self._read_raw(pte)
+            frame = self._obtain_frame()
+            source = FaultSource.SWAP
         else:
             frame = self._obtain_frame()
             self.ledger.charge(
@@ -188,71 +179,6 @@ class CompressedVM(BaseVM):
         pte.mark_resident(frame)
         pte.dirty = False
         return source
-
-    def _fetch_fragment(self, pte: PageTableEntry):
-        """Read the page's fragment, retrying under a fault plan.
-
-        Returns the ``(payload, seconds, colocated)`` tuple from
-        :meth:`FragmentStore.get`, or ``None`` when the fragment is
-        unrecoverable (retries exhausted on checksum or device errors);
-        in that case the bad copy has been freed so later faults don't
-        trip over it again.
-        """
-        page_id = pte.page_id
-        if self.retry is None:
-            return self.fragstore.get(page_id)
-        try:
-            return self.retry.call(
-                lambda: self.fragstore.get(page_id), TimeCategory.IO_READ
-            )
-        except IORetriesExhausted as exc:
-            if (
-                self.degradation is not None
-                and isinstance(exc.last_error, FragmentChecksumError)
-            ):
-                self.degradation.record(False)
-            self.fragstore.free(page_id)
-            return None
-
-    def _fill_from_swap(self, pte: PageTableEntry):
-        """Read the raw swap copy, falling back to the backstop on failure."""
-        page_id = pte.page_id
-        if self.retry is None:
-            data, seconds = self.swap.read_page(page_id)
-        else:
-            fetched = self.retry.try_call(
-                lambda: self.swap.read_page(page_id), TimeCategory.IO_READ
-            )
-            if fetched is None:
-                return self._backstop_refetch(pte), FaultSource.SWAP
-            data, seconds = fetched
-        self.ledger.charge(TimeCategory.IO_READ, seconds)
-        if self.paranoid and data != pte.content.materialize():
-            raise AssertionError(f"stale swap data for {page_id}")
-        return self._obtain_frame(), FaultSource.SWAP
-
-    def _fill_fallback(self, pte: PageTableEntry):
-        """Recover a page whose compressed fragment was unrecoverable."""
-        if self._valid_on_swap(pte):
-            return self._fill_from_swap(pte)
-        return self._backstop_refetch(pte), FaultSource.SWAP
-
-    def _backstop_refetch(self, pte: PageTableEntry):
-        """Last-resort re-fetch from the paging server's authoritative copy.
-
-        Charged as a reliable full-page read on the unwrapped device
-        (faults are not injected into the backstop: the authoritative
-        copy is assumed intact, matching the paper's remote-memory
-        server holding the ground truth).
-        """
-        device = self.swap.fs.device
-        device = getattr(device, "inner", device)
-        self.ledger.charge(
-            TimeCategory.IO_READ, device.read(self.address_space.page_size)
-        )
-        if self.resilience is not None:
-            self.resilience.backstop_refetches += 1
-        return self._obtain_frame()
 
     def _charge_decompress(
         self, pte: PageTableEntry, payload: bytes, tier: CompressedTier
@@ -380,33 +306,10 @@ class CompressedVM(BaseVM):
             self.metrics.evictions.uncompressible += 1
 
         # Raw path: full-page write to the ordinary swap.
-        if self.retry is None:
-            seconds = self.swap.write_page(page_id, data)
-        else:
-            seconds = self.retry.try_call(
-                lambda: self.swap.write_page(page_id, data),
-                TimeCategory.IO_WRITE,
-            )
-        if seconds is None:
-            # Write-back failed for good: the page leaves memory without a
-            # saved copy, so the next fault's zero-fill/backstop path will
-            # reconstruct it from the authoritative content.
-            self.resilience.deferred_writebacks += 1
-        else:
-            self.ledger.charge(TimeCategory.IO_WRITE, seconds)
-            pte.note_saved()
+        if self._write_raw(pte, data):
             pte.swap_handle = _STORE_RAW
             self.fragstore.free(page_id)  # any compressed store copy is stale
-        self.metrics.evictions.raw_writes += 1
         self._release_resident_frame(pte, PageState.BACKING_STORE)
-
-    def _release_resident_frame(
-        self, pte: PageTableEntry, new_state: PageState
-    ) -> None:
-        if pte.frame is None:
-            raise AssertionError(f"evicting non-resident page {pte.page_id}")
-        self.frames.release(pte.frame)
-        pte.mark_nonresident(new_state)
 
     # ------------------------------------------------------------------
     # Background work
@@ -426,7 +329,7 @@ class CompressedVM(BaseVM):
         pte = self.address_space.entry(page_id)
         pte.saved_version = version
         pte.swap_handle = _STORE_FRAG
-        self.swap.invalidate(page_id)
+        self.raw.swap.invalidate(page_id)
 
     def _valid_on_fragstore(self, pte: PageTableEntry) -> bool:
         return (
@@ -439,7 +342,7 @@ class CompressedVM(BaseVM):
         return (
             pte.swap_handle == _STORE_RAW
             and pte.saved_version == pte.content.version
-            and self.swap.contains(pte.page_id)
+            and self.raw.holds(pte.page_id)
         )
 
     def drain(self) -> None:

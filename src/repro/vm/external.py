@@ -41,10 +41,9 @@ class ExternalPagerVM(BaseVM):
     ):
         super().__init__(
             address_space, frames, allocator, ledger, costs,
-            min_resident_frames,
+            min_resident_frames, paranoid,
         )
         self.pager = pager
-        self.paranoid = paranoid
         self.pager_crossings = 0
         self._fault_pending_tick = False
 
@@ -83,8 +82,6 @@ class ExternalPagerVM(BaseVM):
     def _evict(self, pte: PageTableEntry) -> None:
         self.metrics.evictions.total += 1
         page_id = pte.page_id
-        if pte.frame is None:
-            raise AssertionError(f"evicting non-resident page {page_id}")
         dirty = (
             pte.saved_version != pte.content.version
             or not self.pager.holds(page_id)
@@ -95,8 +92,7 @@ class ExternalPagerVM(BaseVM):
             # Hand the frame back before the pageout message so the
             # pager (which may grow a compression cache) can use it —
             # the same ordering the in-kernel path uses.
-            self.frames.release(pte.frame)
-            pte.mark_nonresident(PageState.BACKING_STORE)
+            self._release_resident_frame(pte, PageState.BACKING_STORE)
             self.pager.pageout(page_id, data, dirty=True)
             pte.note_saved()
             self.metrics.evictions.raw_writes += 1
@@ -104,8 +100,7 @@ class ExternalPagerVM(BaseVM):
             # Clean: the pager already holds these contents; no message
             # is needed at all (the kernel just unmaps).
             self.metrics.evictions.clean_drops += 1
-            self.frames.release(pte.frame)
-            pte.mark_nonresident(PageState.BACKING_STORE)
+            self._release_resident_frame(pte, PageState.BACKING_STORE)
 
     def _after_access(self) -> None:
         if self._fault_pending_tick:

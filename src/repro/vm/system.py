@@ -10,7 +10,7 @@ evicting a victim and satisfying a fault — which subclasses implement.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..ccache.allocator import ThreeWayAllocator
 from ..mem.frames import FrameOwner, FramePool
@@ -22,6 +22,9 @@ from ..sim.costs import CostModel
 from ..sim.ledger import Ledger, TimeCategory
 from ..sim.metrics import SimulationMetrics
 from .faults import FaultSource
+
+if TYPE_CHECKING:
+    from ..pager.default import DefaultPager
 
 
 class BaseVM(ABC):
@@ -36,6 +39,9 @@ class BaseVM(ABC):
         costs: CPU-side cost model.
         min_resident_frames: the VM refuses to shrink below this many
             resident pages, so a process always makes forward progress.
+        paranoid: verify every page that comes back (slow).
+        raw: the raw page path of a VM that pages to swap itself;
+            ``None`` when a pager holds it instead.
     """
 
     def __init__(
@@ -46,6 +52,8 @@ class BaseVM(ABC):
         ledger: Ledger,
         costs: CostModel,
         min_resident_frames: int = 2,
+        paranoid: bool = False,
+        raw: Optional["DefaultPager"] = None,
     ):
         if min_resident_frames < 1:
             raise ValueError(
@@ -57,6 +65,8 @@ class BaseVM(ABC):
         self.ledger = ledger
         self.costs = costs
         self.min_resident_frames = min_resident_frames
+        self.paranoid = paranoid
+        self.raw = raw
         self.metrics = SimulationMetrics()
         self._resident: LruList[PageId] = LruList()
         #: Control-plane fault telemetry (host-side accounting only —
@@ -142,6 +152,41 @@ class BaseVM(ABC):
     def _obtain_frame(self) -> int:
         """Get a physical frame for a faulting page."""
         return self.allocator.obtain_frame(FrameOwner.VM)
+
+    def _release_resident_frame(
+        self, pte: PageTableEntry, new_state: PageState
+    ) -> None:
+        if pte.frame is None:
+            raise AssertionError(f"evicting non-resident page {pte.page_id}")
+        self.frames.release(pte.frame)
+        pte.mark_nonresident(new_state)
+
+    # ------------------------------------------------------------------
+    # The raw page path, as a kernel VM uses it
+    # ------------------------------------------------------------------
+
+    def _read_raw(self, pte: PageTableEntry) -> None:
+        """Read the page's swap copy; when that fails for good, re-fetch
+        it from the paging server's authoritative copy."""
+        data = self.raw.read(pte.page_id)
+        if data is None:
+            self.raw.backstop_read()
+        elif self.paranoid and data != pte.content.materialize():
+            raise AssertionError(
+                f"swap returned stale data for {pte.page_id}"
+            )
+
+    def _write_raw(self, pte: PageTableEntry, data: bytes) -> bool:
+        """Write the page back to swap; ``False`` when that failed for
+        good and the page leaves memory unsaved (the next fault
+        reconstructs it from authoritative content)."""
+        saved = self.raw.write(pte.page_id, data)
+        if saved:
+            pte.note_saved()
+        else:
+            self.raw.retry.resilience.deferred_writebacks += 1
+        self.metrics.evictions.raw_writes += 1
+        return saved
 
     # ------------------------------------------------------------------
     # Subclass responsibilities

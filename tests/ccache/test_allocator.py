@@ -193,11 +193,11 @@ class TestReleasedPools:
 
 
 class TestBiases:
-    def test_for_owner(self):
+    def test_terms_for(self):
         biases = AllocationBiases(30.0, 10.0, 0.0)
-        assert biases.for_owner(FrameOwner.FILE_CACHE) == 30.0
-        assert biases.for_owner(FrameOwner.VM) == 10.0
-        assert biases.for_owner(FrameOwner.COMPRESSION) == 0.0
+        assert biases.terms_for(FrameOwner.FILE_CACHE) == (12.0, 30.0)
+        assert biases.terms_for(FrameOwner.VM) == (6.0, 10.0)
+        assert biases.terms_for(FrameOwner.COMPRESSION) == (1.0, 0.0)
 
 
 class TestBiasValidation:

@@ -14,8 +14,10 @@ import pytest
 
 from repro.faults.plan import FaultPlan
 from repro.mem.page import mbytes
+from repro.pager.interface import PagerError
 from repro.sim.engine import run_workload
 from repro.sim.machine import Machine, MachineConfig
+from repro.tiers.spec import parse_tier_specs
 from repro.workloads import CompareWorkload, Thrasher
 
 PLAN_DIR = Path(__file__).parents[2] / "experiments" / "fault_plans"
@@ -105,6 +107,90 @@ class TestChaosMatrix:
         first = chaos_run(compare_factory, base)
         second = chaos_run(compare_factory, reseeded)
         assert first.fault_counters != second.fault_counters
+
+
+#: What the grid varies besides architecture and cache: each is one
+#: ``MachineConfig`` field away from the machine the goldens pin.
+GRID_VARIANTS = {
+    "default": {},
+    "two-tier": {"tiers": parse_tier_specs("two-tier")},
+    "adaptive": {"compressor": "adaptive"},
+    "store-lfs": {"store": "lfs"},
+    "fs-lfs": {"filesystem": "lfs"},
+}
+
+#: Variants that mean something without a compression cache.
+GRID_CACHELESS = ("default", "fs-lfs")
+
+GRID_CELLS = [
+    (architecture, cache, variant)
+    for architecture in ("monolithic", "external-pager")
+    for cache in (True, False)
+    for variant in (GRID_VARIANTS if cache else GRID_CACHELESS)
+]
+
+GRID_PLANS = ("disk-flaky", "corrupt-fragments", "compressor-crash")
+
+GRID_WORKING_SETS_MB = (0.75, 1, 1.5, 2)
+
+
+def grid_outcome(architecture, cache, variant, plan, working_set_mb,
+                 paranoid):
+    """Digest of a drained run, or the pager's typed refusal."""
+    workload = Thrasher(mbytes(working_set_mb), cycles=3)
+    machine = Machine(
+        MachineConfig(
+            memory_bytes=mbytes(0.5), compression_cache=cache,
+            vm_architecture=architecture, fault_plan=plan,
+            paranoid=paranoid, **GRID_VARIANTS[variant],
+        ),
+        workload.build(),
+    )
+    try:
+        result = run_workload(machine, workload.references(), drain=True)
+    except PagerError as exc:
+        # A pager holds the only copy of its pages: a transfer that
+        # fails for good is an error it must name, not hide.  The kernel
+        # VMs have the backstop and may never give up.
+        assert architecture == "external-pager", exc
+        return f"PagerError: {exc}"
+    machine.vm.check_invariants()
+    assert machine.vm.resident_pages == 0
+    return digest(result)
+
+
+class TestChaosGrid:
+    """Every paging configuration, not just the one the goldens pin,
+    survives the standard plans at working sets on both sides of what
+    the compressed memory holds: a run completes, or an external pager
+    names the page it lost; any other exception fails the cell.
+
+    The whole grid under ``paranoid`` takes 52 s a pass (the real kernel
+    runs on every eviction), so each cell x plan picks one working set —
+    rotating, so that every plan meets every working set in both
+    architectures — to run again (same digest, or same error) and once
+    more verifying every byte it brings back.
+    """
+
+    @pytest.mark.parametrize("plan_index", range(len(GRID_PLANS)),
+                             ids=GRID_PLANS)
+    @pytest.mark.parametrize("cell_index", range(len(GRID_CELLS)), ids=[
+        f"{architecture}-{'cache' if cache else 'nocache'}-{variant}"
+        for architecture, cache, variant in GRID_CELLS
+    ])
+    def test_completes_or_names_the_page(self, cell_index, plan_index):
+        cell = GRID_CELLS[cell_index]
+        plan = FaultPlan.from_json(
+            PLAN_DIR / f"{GRID_PLANS[plan_index]}.json"
+        )
+        verified = (cell_index + plan_index) % len(GRID_WORKING_SETS_MB)
+        for ws_index, working_set_mb in enumerate(GRID_WORKING_SETS_MB):
+            outcome = grid_outcome(*cell, plan, working_set_mb, False)
+            if ws_index == verified:
+                assert outcome == grid_outcome(
+                    *cell, plan, working_set_mb, False
+                ), working_set_mb
+                grid_outcome(*cell, plan, working_set_mb, paranoid=True)
 
 
 class TestZeroOverheadDefault:

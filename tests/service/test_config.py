@@ -1,5 +1,7 @@
 """ServiceConfig: validation, routing invariants, CLI tenant grammar."""
 
+import dataclasses
+
 import pytest
 
 from repro.service.config import (
@@ -78,6 +80,22 @@ class TestRouting:
         assert other.tenants == base.tenants
         assert other.slot_tier_bytes() == base.slot_tier_bytes()
         assert other.slot_quota_bytes(0) == base.slot_quota_bytes(0)
+
+    def test_with_shards_keeps_every_other_field(self):
+        """Every field set away from its default, so one added later
+        and forgotten by ``with_shards`` shows up here as a reset."""
+        base = ServiceConfig(
+            shards=2, vslots=16, tenants=(TenantSpec("t", 1 << 20),),
+            tier_bytes=(1 << 20, 2 << 20), compressor="rle",
+            page_size=2048, batch_ops=8, max_pending=64,
+            tenant_inflight=5, debug_op_delay_s=0.25,
+        )
+        defaults, resharded = ServiceConfig(), base.with_shards(4)
+        for field in dataclasses.fields(ServiceConfig):
+            value = getattr(base, field.name)
+            assert value != getattr(defaults, field.name), field.name
+            assert getattr(resharded, field.name) == (
+                4 if field.name == "shards" else value), field.name
 
 
 class TestCarvings:
