@@ -147,9 +147,10 @@ class TieredAllocator:
 
     Pools register under a hashable key — a :class:`FrameOwner` for the
     classic three consumers, a tier name for the compressed tiers of an
-    N-tier chain.  Each pool's ``(weight, bias)`` age terms come either
-    from the installed :class:`TradingPolicy` (keys the policy knows) or
-    from explicit per-registration terms (everything else).
+    N-tier chain.  Each pool's ``(weight, bias)`` age terms are fixed
+    when it registers — the installed :class:`TradingPolicy`'s for that
+    key, or the explicit per-registration pair — and move only by
+    :meth:`retune`.
     """
 
     def __init__(
@@ -165,14 +166,10 @@ class TieredAllocator:
         #: Each key's victim-counter label, worked out once at
         #: registration (a frame is reclaimed per fault under pressure).
         self._labels: Dict[object, str] = {}
-        #: Keys whose terms the policy supplies (refreshed lazily when the
-        #: policy object is swapped); other keys carry static terms.
-        self._policy_keys: set = set()
-        self._static_terms: Dict[object, Tuple[float, float]] = {}
+        #: Each key's ``(weight, bias)``, read by every victim choice.
+        self._terms: Dict[object, Tuple[float, float]] = {}
         self._shrinking: set = set()
         self.counters = AllocatorCounters()
-        self._terms_src: Optional[TradingPolicy] = None
-        self._terms: Dict[object, tuple] = {}
 
     def register_pool(
         self,
@@ -183,9 +180,9 @@ class TieredAllocator:
     ) -> None:
         """Attach a pool under ``key`` with explicit or policy terms.
 
-        Passing explicit ``weight``/``bias_s`` pins the pool's age terms
-        at registration (validated immediately); leaving them ``None``
-        defers to the installed trading policy, which must know the key.
+        Explicit ``weight``/``bias_s`` are validated here; leaving both
+        ``None`` takes the installed trading policy's terms for ``key``,
+        which it must know.
         """
         label = _pool_label(key)
         if weight is None and bias_s is None:
@@ -194,17 +191,16 @@ class TieredAllocator:
                     f"pool {label!r} registered without terms and no "
                     "trading policy is installed"
                 )
-            self._policy_keys.add(key)
+            terms = self.policy.terms_for(key)
         else:
-            weight = 1.0 if weight is None else weight
-            bias_s = 0.0 if bias_s is None else bias_s
-            _validate_terms(label, weight, bias_s)
-            self._static_terms[key] = (weight, bias_s)
+            terms = (1.0 if weight is None else weight,
+                     0.0 if bias_s is None else bias_s)
+            _validate_terms(label, *terms)
         if key not in self._pools:
             self.counters.victims.setdefault(label, 0)
         self._pools[key] = pool
         self._labels[key] = label
-        self._terms_src = None  # force a term-table rebuild
+        self._terms[key] = terms
 
     def release_pools(self) -> None:
         """Forget every pool: the machine that wired them is gone.
@@ -276,12 +272,9 @@ class TieredAllocator:
     ) -> Tuple[float, float]:
         """Re-bias a registered pool's trading terms at runtime.
 
-        Terms left ``None`` keep their current value (for a pool still
-        on the policy, the policy's current terms).  After a retune the
-        pool carries static terms — it no longer follows the policy
-        object — and the flattened term table is invalidated so the next
-        victim choice sees the new values.  Returns the effective
-        ``(weight, bias_s)`` pair.
+        Terms left ``None`` keep their current value; the next victim
+        choice sees the new pair.  Returns the effective
+        ``(weight, bias_s)``.
 
         Raises:
             KeyError: when no pool is registered under ``key``.
@@ -292,18 +285,11 @@ class TieredAllocator:
             raise KeyError(
                 f"cannot retune unregistered pool {label!r}"
             )
-        current = self._static_terms.get(key)
-        if current is None:
-            if self.policy is not None and key in self._policy_keys:
-                current = self.policy.terms_for(key)
-            else:
-                current = (1.0, 0.0)
+        current = self._terms[key]
         new_weight = current[0] if weight is None else weight
         new_bias = current[1] if bias_s is None else bias_s
         _validate_terms(label, new_weight, new_bias)
-        self._policy_keys.discard(key)
-        self._static_terms[key] = (new_weight, new_bias)
-        self._terms_src = None  # force a term-table rebuild
+        self._terms[key] = (new_weight, new_bias)
         return (new_weight, new_bias)
 
     def resize_pool(self, key: object, max_frames: Optional[int]) -> int:
@@ -353,18 +339,6 @@ class TieredAllocator:
         return released
 
     def _choose_victim(self):
-        policy = self.policy
-        if policy is not self._terms_src:
-            # Flatten per-key (weight, bias) pairs once per policy object;
-            # victim choice runs for every reclaimed frame.
-            self._terms_src = policy
-            terms: Dict[object, tuple] = {}
-            for key in self._pools:
-                if key in self._policy_keys:
-                    terms[key] = policy.terms_for(key)
-                else:
-                    terms[key] = self._static_terms[key]
-            self._terms = terms
         terms = self._terms
         now = self._now_fn()
         best = None
@@ -410,17 +384,13 @@ class ThreeWayAllocator(TieredAllocator):
         for owner in FrameOwner:
             self._pools[owner] = None
             self._labels[owner] = owner.value
-            self._policy_keys.add(owner)
+            self._terms[owner] = self.policy.terms_for(owner)
             self.counters.victims[owner.value] = 0
 
     @property
     def biases(self) -> AllocationBiases:
         """The three-pool trading policy (kept for introspection)."""
         return self.policy
-
-    @biases.setter
-    def biases(self, value: AllocationBiases) -> None:
-        self.policy = value
 
     def register(self, owner: FrameOwner, pool: MemoryPool) -> None:
         """Attach the pool that manages ``owner``'s frames."""

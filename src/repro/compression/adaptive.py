@@ -196,7 +196,7 @@ class AdaptiveCompressor(Compressor):
                     f"adaptive: no payload tag for kernel {name!r}; "
                     f"known: {known}"
                 )
-        self.fast = fast
+        super().__init__(fast)
         self.candidate_names = names
         self.threshold = CompressionThreshold(threshold_factor)
         self.resample_every = resample_every
@@ -308,10 +308,9 @@ class AdaptiveCompressor(Compressor):
             self._results.popitem(last=False)
         return final
 
-    def decompress(self, result: CompressionResult) -> bytes:
-        if result.stored_raw:
-            return result.payload
-        payload = result.payload
+    def _decode(self, payload: bytes, n: int) -> bytes:
+        # The tag dispatch, to the tagged kernel's own ``_decode``: the
+        # envelope around this call is the one size check a GET hit pays.
         if not payload:
             raise CorruptDataError("adaptive: empty payload")
         tag = payload[0]
@@ -322,8 +321,7 @@ class AdaptiveCompressor(Compressor):
                 raise CorruptDataError(f"adaptive: unknown kernel tag {tag}")
             kernel = create(name, fast=self.fast)
             self._decoders[tag] = kernel
-        inner = CompressionResult(payload[1:], result.original_size)
-        return kernel.decompress(inner)
+        return kernel._decode(payload[1:], n)
 
     def selection_snapshot(self) -> Dict[str, object]:
         """JSON-able selection counters for :class:`RunResult`."""

@@ -14,9 +14,10 @@ and optionally at runtime via :func:`Compressor.compress_verified`.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
+
+from . import vectorized
 
 
 class CompressionError(Exception):
@@ -53,10 +54,9 @@ class CompressionResult:
     ) -> "CompressionResult":
         """The result behind a payload whose flag was not kept.
 
-        The caches and stores hold payloads only.  Every kernel stores
-        a page raw exactly when it cannot make it smaller, so the flag
-        is the length comparison (held for every registered kernel, on
-        inputs of two bytes or more, by ``test_roundtrip_property``).
+        The caches and stores hold payloads only.  A page is stored raw
+        exactly when no encoding made it smaller — the one comparison in
+        :meth:`Compressor.compress` — so the flag is that comparison.
         """
         return cls(payload, original_size, len(payload) >= original_size)
 
@@ -82,28 +82,74 @@ class CompressionResult:
         return self.original_size - self.compressed_size
 
 
-class Compressor(ABC):
+class Compressor:
     """A lossless, self-contained page compressor.
 
-    Subclasses must be stateless across calls (any per-call scratch space,
-    such as LZRW1's hash table, is re-derived per invocation or reset), so a
-    single instance may be shared by the whole simulator.
+    A kernel implements :meth:`_encode` and :meth:`_decode`; the
+    :meth:`compress` / :meth:`decompress` envelope around them owns the
+    store-raw rule, the empty page and the decoded-size check.  Results
+    are a function of the input bytes and the constructor arguments
+    (scratch such as LZRW1's hash table never shows in the output), so
+    one instance may be shared by a whole simulator; the ``adaptive``
+    selector is the deliberate exception — its choices follow page order
+    — and opts out of result sharing (:meth:`result_cache_key`).
+
+    Args:
+        fast: tri-state vectorization flag, resolved once here (see
+            :mod:`repro.compression.vectorized`): ``None`` and ``True``
+            take a kernel's numpy path when numpy is importable,
+            ``False`` forces its scalar loop.  Both paths produce
+            bit-identical payloads.
     """
 
     #: Registry name; subclasses override.
     name: str = "abstract"
 
-    @abstractmethod
-    def compress(self, data: bytes) -> CompressionResult:
-        """Compress ``data`` and return the stored representation."""
+    def __init__(self, fast: Optional[bool] = None):
+        self.fast = fast
+        self._use_fast = vectorized.enabled(fast)
 
-    @abstractmethod
+    def _encode(self, data: bytes, n: int) -> Optional[bytes]:
+        """The encoding of the ``n`` (>= 1) bytes of ``data``, or ``None``
+        as soon as the kernel knows it cannot beat ``n`` bytes.
+
+        Neither hook is abstract: a subclass may override
+        :meth:`compress` / :meth:`decompress` whole, as the selector's
+        ``compress`` and the test doubles do.
+        """
+        return None
+
+    def _decode(self, payload: bytes, n: int) -> bytes:
+        """Invert :meth:`_encode` for a page declared ``n`` bytes long.
+
+        Raises:
+            CorruptDataError: if ``payload`` does not decode cleanly.
+        """
+        raise NotImplementedError
+
+    def compress(self, data: bytes) -> CompressionResult:
+        """Compress ``data``; raw when no encoding made it smaller."""
+        n = len(data)
+        out = self._encode(data, n) if n else None
+        if out is None or len(out) >= n:
+            return CompressionResult(bytes(data), n, stored_raw=True)
+        return CompressionResult(out, n)
+
     def decompress(self, result: CompressionResult) -> bytes:
         """Invert :meth:`compress`, returning the original bytes.
 
         Raises:
             CorruptDataError: if ``result`` does not decode cleanly.
         """
+        if result.stored_raw:
+            return result.payload
+        n = result.original_size
+        out = self._decode(result.payload, n)
+        if len(out) != n:
+            raise CorruptDataError(
+                f"{self.name}: decoded {len(out)} bytes, expected {n}"
+            )
+        return out
 
     def result_cache_key(self):
         """Identity under which compress() results may be shared process-wide.
@@ -123,8 +169,9 @@ class Compressor(ABC):
     def compress_verified(self, data: bytes) -> CompressionResult:
         """Compress and immediately verify the round trip.
 
-        Useful in debug configurations; the simulator's ``paranoid`` mode
-        routes every compression through this method.
+        A debugging aid for a kernel under development; nothing in
+        ``src/`` calls it (the simulator's ``paranoid`` mode checks each
+        page as it comes back from the cache instead).
         """
         result = self.compress(data)
         restored = self.decompress(result)

@@ -38,7 +38,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from . import vectorized
-from .base import CompressionResult, Compressor, CorruptDataError, register
+from .base import Compressor, CorruptDataError, register
 
 _LINE = 64
 
@@ -96,36 +96,23 @@ def _encode_line(line: bytes) -> Tuple[int, bytes]:
 
 @register("bdi")
 class BdiCompressor(Compressor):
-    """Base-delta-immediate page compressor (Pekhimenko-style).
-
-    Args:
-        fast: tri-state vectorization flag (see
-            :mod:`repro.compression.vectorized`); both paths produce
-            bit-identical payloads.
-    """
-
-    def __init__(self, fast: Optional[bool] = None):
-        self.fast = fast
-        self._use_fast = vectorized.enabled(fast)
+    """Base-delta-immediate page compressor (Pekhimenko-style)."""
 
     def result_cache_key(self):
         # Stateless and parameter-free: one canonical payload per page,
         # so results are safe to share process-wide.
         return ("bdi",)
 
-    def compress(self, data: bytes) -> CompressionResult:
-        n = len(data)
-        if n == 0:
-            return CompressionResult(b"", 0, stored_raw=True)
+    def _encode(self, data: bytes, n: int) -> Optional[bytes]:
         if data.count(0) == n:
-            return CompressionResult(bytes([_PAGE_ZERO]), n)
+            return bytes([_PAGE_ZERO])
         # Header + value is 9 bytes, so the page must be at least two
         # repeats for this path to shrink it.
         if n >= 16 and n % 8 == 0 and data[:8] * (n // 8) == data:
-            return CompressionResult(bytes([_PAGE_SAME8]) + data[:8], n)
+            return bytes([_PAGE_SAME8]) + data[:8]
         nlines, tail_len = divmod(n, _LINE)
         if nlines == 0:
-            return CompressionResult(bytes(data), n, stored_raw=True)
+            return None
         if self._use_fast:
             out = vectorized.bdi_compress_lines(data, nlines)
         else:
@@ -137,15 +124,9 @@ class BdiCompressor(Compressor):
             out = bytes(stream)
         if tail_len:
             out += data[nlines * _LINE :]
-        if len(out) >= n:
-            return CompressionResult(bytes(data), n, stored_raw=True)
-        return CompressionResult(out, n)
+        return out
 
-    def decompress(self, result: CompressionResult) -> bytes:
-        if result.stored_raw:
-            return result.payload
-        payload = result.payload
-        n = result.original_size
+    def _decode(self, payload: bytes, n: int) -> bytes:
         if not payload:
             raise CorruptDataError("bdi: empty payload")
         header = payload[0]
@@ -159,11 +140,10 @@ class BdiCompressor(Compressor):
             return bytes(payload[1:9]) * (n // 8)
         if header != _PAGE_LINES:
             raise CorruptDataError(f"bdi: unknown page header {header}")
-        nlines, tail_len = divmod(n, _LINE)
         out = bytearray()
         pos = 1
         end = len(payload)
-        for _ in range(nlines):
+        for _ in range(n // _LINE):
             if pos >= end:
                 raise CorruptDataError("bdi: truncated line stream")
             enc = payload[pos]
@@ -204,9 +184,7 @@ class BdiCompressor(Compressor):
                 for value in values:
                     out += value.to_bytes(k, "little")
                 pos = dpos
+        # Each line above decoded to _LINE bytes, so the envelope's size
+        # check is also the check that the tail has its implied length.
         out += payload[pos:]
-        if len(out) != n or len(payload) - pos != tail_len:
-            raise CorruptDataError(
-                f"bdi: decoded {len(out)} bytes, expected {n}"
-            )
         return bytes(out)

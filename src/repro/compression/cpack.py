@@ -30,7 +30,7 @@ import struct
 from typing import Optional
 
 from . import vectorized
-from .base import CompressionResult, Compressor, CorruptDataError, register
+from .base import Compressor, CorruptDataError, register
 from .wk import _BitReader, _BitWriter
 
 _DICT_SIZE = 16
@@ -54,28 +54,19 @@ _F_HIGH24 = _C_EXT | _X_HIGH24 << 2
 class CpackCompressor(Compressor):
     """Small-dictionary pattern matcher in the C-Pack family.
 
-    Args:
-        fast: tri-state vectorization flag (see
-            :mod:`repro.compression.vectorized`).  The FIFO walk is
-            sequential either way; the flag selects the numpy field
-            packer over ``_BitWriter`` for the bit stream it produces,
-            with bit-identical payloads.
+    The FIFO walk is sequential whatever ``fast`` says; the flag selects
+    the numpy field packer over ``_BitWriter`` for the bit stream.
     """
-
-    def __init__(self, fast: Optional[bool] = None):
-        self.fast = fast
-        self._use_fast = vectorized.enabled(fast)
 
     def result_cache_key(self):
         # No output-affecting parameters; the fast path is pinned
         # bit-identical, so results may be shared process-wide.
         return ("cpack",)
 
-    def compress(self, data: bytes) -> CompressionResult:
-        n = len(data)
+    def _encode(self, data: bytes, n: int) -> Optional[bytes]:
         nwords, tail_len = divmod(n, 4)
         if nwords == 0:
-            return CompressionResult(bytes(data), n, stored_raw=True)
+            return None
         words = struct.unpack(f"<{nwords}I", data[: nwords * 4])
         tail = data[nwords * 4 :]
 
@@ -140,16 +131,9 @@ class CpackCompressor(Compressor):
             for field, width in zip(values, widths):
                 writer.write(field, width)
             stream = writer.flush()
-        out = struct.pack("<I", nwords) + stream + tail
-        if len(out) >= n:
-            return CompressionResult(bytes(data), n, stored_raw=True)
-        return CompressionResult(out, n)
+        return struct.pack("<I", nwords) + stream + tail
 
-    def decompress(self, result: CompressionResult) -> bytes:
-        if result.stored_raw:
-            return result.payload
-        payload = result.payload
-        n = result.original_size
+    def _decode(self, payload: bytes, n: int) -> bytes:
         if len(payload) < 4:
             raise CorruptDataError("cpack: header too short")
         (nwords,) = struct.unpack_from("<I", payload)
@@ -191,9 +175,4 @@ class CpackCompressor(Compressor):
             words.append(word)
             dictionary[fill] = word
             fill = (fill + 1) % _DICT_SIZE
-        out = struct.pack(f"<{nwords}I", *words) + tail
-        if len(out) != n:
-            raise CorruptDataError(
-                f"cpack: decoded {len(out)} bytes, expected {n}"
-            )
-        return out
+        return struct.pack(f"<{nwords}I", *words) + tail

@@ -28,7 +28,7 @@ import struct
 from typing import List, Optional
 
 from . import vectorized
-from .base import CompressionResult, Compressor, CorruptDataError, register
+from .base import Compressor, CorruptDataError, register
 
 _TAG_RAW = 0
 _TAG_ASCENDING = 1
@@ -69,30 +69,19 @@ def _read_varint(data: bytes, pos: int) -> tuple:
 
 @register("varint-delta")
 class VarintDeltaCompressor(Compressor):
-    """Posting-list codec: ascending 32-bit runs become varint gaps.
-
-    Args:
-        fast: tri-state vectorization flag (see
-            :mod:`repro.compression.vectorized`); both paths produce
-            bit-identical payloads.
-    """
-
-    def __init__(self, fast: Optional[bool] = None):
-        self.fast = fast
-        self._use_fast = vectorized.enabled(fast)
+    """Posting-list codec: ascending 32-bit runs become varint gaps."""
 
     def result_cache_key(self):
         # No output-affecting parameters; the fast path is pinned
         # bit-identical, so results may be shared process-wide.
         return ("varint-delta",)
 
-    def compress(self, data: bytes) -> CompressionResult:
+    def _encode(self, data: bytes, n: int) -> Optional[bytes]:
         if self._use_fast:
             return vectorized.delta_compress(data)
-        n = len(data)
         nwords = n // 4
         if nwords < _MIN_RUN:
-            return CompressionResult(bytes(data), n, stored_raw=True)
+            return None
         words = struct.unpack(f"<{nwords}I", data[: nwords * 4])
         tail = data[nwords * 4 :]
 
@@ -133,15 +122,9 @@ class VarintDeltaCompressor(Compressor):
             out.append(_TAG_TAIL)
             _write_varint(out, len(tail))
             out.extend(tail)
+        return bytes(out)
 
-        if len(out) >= n:
-            return CompressionResult(bytes(data), n, stored_raw=True)
-        return CompressionResult(bytes(out), n)
-
-    def decompress(self, result: CompressionResult) -> bytes:
-        if result.stored_raw:
-            return result.payload
-        payload = result.payload
+    def _decode(self, payload: bytes, n: int) -> bytes:
         out = bytearray()
         pos = 0
         end = len(payload)
@@ -173,9 +156,4 @@ class VarintDeltaCompressor(Compressor):
                 pos += count
             else:
                 raise CorruptDataError(f"varint-delta: bad tag {tag}")
-        if len(out) != result.original_size:
-            raise CorruptDataError(
-                f"varint-delta: decoded {len(out)} bytes, "
-                f"expected {result.original_size}"
-            )
         return bytes(out)

@@ -31,7 +31,7 @@ import struct
 from typing import Optional
 
 from . import vectorized
-from .base import CompressionResult, Compressor, CorruptDataError, register
+from .base import Compressor, CorruptDataError, register
 from .wk import _BitReader, _BitWriter
 
 _P_ZRUN = 0
@@ -57,30 +57,19 @@ def _half_fits8(half: int) -> bool:
 
 @register("fpc")
 class FpcCompressor(Compressor):
-    """Frequent-pattern prefix/mask coder for 32-bit words.
-
-    Args:
-        fast: tri-state vectorization flag (see
-            :mod:`repro.compression.vectorized`); both paths produce
-            bit-identical payloads.
-    """
-
-    def __init__(self, fast: Optional[bool] = None):
-        self.fast = fast
-        self._use_fast = vectorized.enabled(fast)
+    """Frequent-pattern prefix/mask coder for 32-bit words."""
 
     def result_cache_key(self):
         # Stateless and parameter-free: one canonical payload per page,
         # so results are safe to share process-wide.
         return ("fpc",)
 
-    def compress(self, data: bytes) -> CompressionResult:
+    def _encode(self, data: bytes, n: int) -> Optional[bytes]:
         if self._use_fast:
             return vectorized.fpc_compress(data)
-        n = len(data)
         nwords, tail_len = divmod(n, 4)
         if nwords == 0:
-            return CompressionResult(bytes(data), n, stored_raw=True)
+            return None
         words = struct.unpack(f"<{nwords}I", data[: nwords * 4])
         tail = data[nwords * 4 :]
 
@@ -126,16 +115,9 @@ class FpcCompressor(Compressor):
             write(_P_ZRUN, 3)
             write(zrun - 1, 3)
 
-        out = struct.pack("<I", nwords) + stream.flush() + tail
-        if len(out) >= n:
-            return CompressionResult(bytes(data), n, stored_raw=True)
-        return CompressionResult(out, n)
+        return struct.pack("<I", nwords) + stream.flush() + tail
 
-    def decompress(self, result: CompressionResult) -> bytes:
-        if result.stored_raw:
-            return result.payload
-        payload = result.payload
-        n = result.original_size
+    def _decode(self, payload: bytes, n: int) -> bytes:
         if len(payload) < 4:
             raise CorruptDataError("fpc: header too short")
         (nwords,) = struct.unpack_from("<I", payload)
@@ -177,9 +159,4 @@ class FpcCompressor(Compressor):
                 words.append(read(32))
         if len(words) != nwords:
             raise CorruptDataError("fpc: zero run overran word count")
-        out = struct.pack(f"<{nwords}I", *words) + tail
-        if len(out) != n:
-            raise CorruptDataError(
-                f"fpc: decoded {len(out)} bytes, expected {n}"
-            )
-        return out
+        return struct.pack(f"<{nwords}I", *words) + tail

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from .base import CompressionResult, Compressor, CorruptDataError, register
+from .base import Compressor, CorruptDataError, register
 
 try:  # numpy is the optional [fast] extra; the scalar fallback is complete
     import numpy as _np
@@ -116,7 +116,9 @@ def _make_hashes(
 def decode_items(payload: bytes, original_size: int, name: str) -> bytes:
     """Decode the copy/literal item stream ``lzrw1`` and ``lzss`` share.
 
-    ``name`` prefixes the :class:`CorruptDataError` messages.  The loop
+    ``name`` prefixes the :class:`CorruptDataError` messages; a stream
+    that ends short of ``original_size`` or runs an item past it is the
+    caller's to reject (:meth:`Compressor.decompress` does).  The loop
     reads one control bit per item; only an all-literal group is copied
     as a slice (a decoder restructured around literal runs measured
     0.82x: stored pages are match-heavy).
@@ -171,10 +173,6 @@ def decode_items(payload: bytes, original_size: int, name: str) -> bytes:
                 out.append(payload[i])
                 i += 1
                 olen += 1
-    if olen != want:
-        raise CorruptDataError(
-            f"{name}: decoded {olen} bytes, expected {want}"
-        )
     return bytes(out)
 
 
@@ -186,18 +184,15 @@ class Lzrw1(Compressor):
         table_bits: log2 of the hash-table entry count.  12 matches the
             16-KByte table of the measured system; smaller tables trade
             compression ratio for memory.
-        fast: tri-state flag for the numpy hash precompute.  ``None``
-            (auto, the historical behaviour) and ``True`` use numpy when
-            importable; ``False`` forces the scalar hash loop.  Output
-            is identical either way.
+        fast: as for every :class:`Compressor`; here it selects the
+            numpy hash precompute.
     """
 
     def __init__(self, table_bits: int = 12, fast: Optional[bool] = None):
         if not 4 <= table_bits <= 20:
             raise ValueError(f"table_bits out of range: {table_bits}")
+        super().__init__(fast)
         self.table_bits = table_bits
-        self.fast = fast
-        self._use_numpy_hashes = fast is not False
         self._table_size = 1 << table_bits
         # Reused across compress() calls; see the module docstring.  A slot
         # holds a position, valid only when its stamp equals the current
@@ -216,16 +211,15 @@ class Lzrw1(Compressor):
         """Memory footprint of the hash table (4-byte entries, as in Sprite)."""
         return 4 * self._table_size
 
-    def compress(self, data: bytes) -> CompressionResult:
-        n = len(data)
+    def _encode(self, data: bytes, n: int) -> Optional[bytes]:
         if n < _MIN_MATCH + 1:
-            return CompressionResult(bytes(data), n, stored_raw=True)
+            return None
 
         self._epoch = epoch = self._epoch + 1
         table = self._table
         stamp = self._stamp
         hashes = _make_hashes(
-            data, n, self._table_size - 1, self._use_numpy_hashes
+            data, n, self._table_size - 1, self._use_fast
         )
         from_bytes = int.from_bytes
         bits = _BITS
@@ -276,9 +270,7 @@ class Lzrw1(Compressor):
                             del items[:]
                             control = 0
                             if len(out) >= n:   # cannot beat raw any more
-                                return CompressionResult(
-                                    bytes(data), n, stored_raw=True
-                                )
+                                return None
                             flush_i = i + _GROUP
                         else:
                             flush_i = i + cap
@@ -300,7 +292,7 @@ class Lzrw1(Compressor):
                     out += data[lit_start:i]
                 lit_start = i
                 if len(out) >= n:
-                    return CompressionResult(bytes(data), n, stored_raw=True)
+                    return None
                 flush_i = i + _GROUP
 
         while i < n:            # tail: last 1-3 bytes are always literals
@@ -318,7 +310,7 @@ class Lzrw1(Compressor):
                     out += data[lit_start:i]
                 lit_start = i
                 if len(out) >= n:
-                    return CompressionResult(bytes(data), n, stored_raw=True)
+                    return None
                 flush_i = i + _GROUP
 
         if flush_i - n < _GROUP:    # partial final group pending
@@ -326,12 +318,7 @@ class Lzrw1(Compressor):
             out_append(control & 0xFF)
             out_append(control >> 8)
             out += items
+        return bytes(out)
 
-        if len(out) >= n:
-            return CompressionResult(bytes(data), n, stored_raw=True)
-        return CompressionResult(bytes(out), n)
-
-    def decompress(self, result: CompressionResult) -> bytes:
-        if result.stored_raw:
-            return result.payload
-        return decode_items(result.payload, result.original_size, "lzrw1")
+    def _decode(self, payload: bytes, n: int) -> bytes:
+        return decode_items(payload, n, "lzrw1")

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple, Union
 
-from .base import CompressionResult, Compressor, register
+from .base import Compressor, register
 from .lzrw1 import (    # the item stream, its limits and its hash are shared
     _GROUP,
     _MAX_MATCH,
@@ -144,9 +144,8 @@ class Lzss(Compressor):
             hash bucket.  Higher values improve the ratio and slow the
             encoder; 16 is a good balance for 4-KByte pages.
         lazy: enable one-byte lazy match deferral.
-        fast: tri-state flag for the numpy table pass (as in
-            :class:`~repro.compression.lzrw1.Lzrw1`); ``False`` forces
-            the scalar pre-pass.  Output is identical either way.
+        fast: as for every :class:`Compressor`; here it selects the
+            numpy table pass.
     """
 
     def __init__(
@@ -157,24 +156,21 @@ class Lzss(Compressor):
     ):
         if chain_depth < 1:
             raise ValueError("chain_depth must be >= 1")
+        super().__init__(fast)
         self.chain_depth = chain_depth
         self.lazy = lazy
-        self.fast = fast
 
     def result_cache_key(self):
         # Both knobs steer the match search and change the emitted stream.
         return ("lzss", self.chain_depth, self.lazy)
 
-    def compress(self, data: bytes) -> CompressionResult:
-        n = len(data)
+    def _encode(self, data: bytes, n: int) -> Optional[bytes]:
         if n < _MIN_MATCH + 1:
-            return CompressionResult(bytes(data), n, stored_raw=True)
+            return None
 
         depth = self.chain_depth
         lazy = self.lazy
-        prev, can_match = _chain_tables(
-            data, n, depth, self.fast is not False
-        )
+        prev, can_match = _chain_tables(data, n, depth, self._use_fast)
         next_match = can_match.find
 
         out = bytearray()
@@ -233,12 +229,7 @@ class Lzss(Compressor):
             out_append(control & 0xFF)
             out_append(control >> 8)
             out += items
+        return bytes(out)
 
-        if len(out) >= n:
-            return CompressionResult(bytes(data), n, stored_raw=True)
-        return CompressionResult(bytes(out), n)
-
-    def decompress(self, result: CompressionResult) -> bytes:
-        if result.stored_raw:
-            return result.payload
-        return decode_items(result.payload, result.original_size, "lzss")
+    def _decode(self, payload: bytes, n: int) -> bytes:
+        return decode_items(payload, n, "lzss")

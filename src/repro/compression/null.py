@@ -8,24 +8,12 @@ machinery itself from the benefit of compression.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .base import CompressionResult, Compressor, register
+from .base import Compressor, register
 
 
 @register("null")
 class NullCompressor(Compressor):
-    """Pass-through "compressor": output equals input.
+    """Pass-through "compressor": never encodes, so every page is raw."""
 
-    Accepts (and ignores) the ``fast`` flag so machine configuration can
-    pass it uniformly to every registered algorithm.
-    """
-
-    def __init__(self, fast: Optional[bool] = None):
-        self.fast = fast
-
-    def compress(self, data: bytes) -> CompressionResult:
-        return CompressionResult(bytes(data), len(data), stored_raw=True)
-
-    def decompress(self, result: CompressionResult) -> bytes:
-        return result.payload
+    def _decode(self, payload: bytes, n: int) -> bytes:
+        return payload  # an adaptive payload tagged ``null``

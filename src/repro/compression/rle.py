@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Optional
 
 from . import vectorized
-from .base import CompressionResult, Compressor, CorruptDataError, register
+from .base import Compressor, CorruptDataError, register
 
 _MIN_RUN = 3
 _MAX_RUN = 130
@@ -27,19 +27,7 @@ _MAX_LITERAL = 128
 
 @register("rle")
 class Rle(Compressor):
-    """Escape-coded run-length encoder.
-
-    Args:
-        fast: tri-state vectorization flag (see
-            :mod:`repro.compression.vectorized`): ``None`` auto-selects
-            the numpy fast path when available, ``True`` prefers it with
-            a scalar fallback, ``False`` forces the scalar loop.  Both
-            paths produce bit-identical payloads.
-    """
-
-    def __init__(self, fast: Optional[bool] = None):
-        self.fast = fast
-        self._use_fast = vectorized.enabled(fast)
+    """Escape-coded run-length encoder."""
 
     def result_cache_key(self):
         # Stateless and parameter-free: one canonical payload per page
@@ -47,10 +35,9 @@ class Rle(Compressor):
         # to share process-wide.
         return ("rle",)
 
-    def compress(self, data: bytes) -> CompressionResult:
+    def _encode(self, data: bytes, n: int) -> Optional[bytes]:
         if self._use_fast:
             return vectorized.rle_compress(data)
-        n = len(data)
         out = bytearray()
         literals = bytearray()
         i = 0
@@ -76,14 +63,9 @@ class Rle(Compressor):
             out.append(len(chunk) - 1)
             out += chunk
             del literals[:_MAX_LITERAL]
-        if len(out) >= n:
-            return CompressionResult(bytes(data), n, stored_raw=True)
-        return CompressionResult(bytes(out), n)
+        return bytes(out)
 
-    def decompress(self, result: CompressionResult) -> bytes:
-        if result.stored_raw:
-            return result.payload
-        payload = result.payload
+    def _decode(self, payload: bytes, n: int) -> bytes:
         out = bytearray()
         i = 0
         end = len(payload)
@@ -101,9 +83,4 @@ class Rle(Compressor):
                     raise CorruptDataError("rle: truncated run")
                 out += bytes([payload[i]]) * (header - 0x7D)
                 i += 1
-        if len(out) != result.original_size:
-            raise CorruptDataError(
-                f"rle: decoded {len(out)} bytes, "
-                f"expected {result.original_size}"
-            )
         return bytes(out)

@@ -14,23 +14,26 @@ report assume one canonical payload per (algorithm, page).
 ``tests/compression/test_vectorized.py`` diffs every payload against the
 scalar kernels across the full content corpus.
 
+A twin returns what its kernel's ``_encode`` returns — the encoding, or
+``None`` where the scalar encoder gives up before it starts — never a
+result: whether the page is stored raw is :meth:`Compressor.compress`'s
+one comparison (this module does not import :mod:`~.base`; ``base``
+imports it).
+
 numpy is an *optional* dependency (the ``repro[fast]`` extra).  When it
 is missing, :func:`enabled` reports ``False`` and every kernel falls
-back to its scalar loop — same output, just slower.  The per-kernel
-``fast=`` constructor flag selects the path explicitly:
-
-* ``None`` (default) — auto: vectorize when numpy is importable;
-* ``True`` — prefer the vectorized path, silently falling back to
-  scalar when numpy is absent (never an ImportError);
-* ``False`` — force the scalar loop (A/B benchmarking, debugging).
+back to its scalar loop — same output, just slower.  ``Compressor``'s
+``fast=`` constructor flag is resolved once, by :func:`enabled`, and has
+two meanings: ``False`` forces the scalar loop (A/B benchmarking,
+debugging); ``None`` (the default) and ``True`` are one value —
+vectorize when numpy is importable, silently scalar when it is not
+(never an ImportError).
 """
 
 from __future__ import annotations
 
 import struct
 from typing import Optional
-
-from .base import CompressionResult
 
 try:  # optional [fast] extra; every caller falls back to scalar loops
     import numpy as _np
@@ -79,8 +82,8 @@ def _emit_literals(out: bytearray, data: bytes, start: int, end: int) -> None:
         out += data[off:stop]
 
 
-def rle_compress(data: bytes) -> CompressionResult:
-    """Bit-identical fast path for :meth:`repro.compression.rle.Rle.compress`.
+def rle_compress(data: bytes) -> bytes:
+    """Bit-identical fast path for :meth:`repro.compression.rle.Rle._encode`.
 
     Maximal equal-byte runs are located in one numpy pass (boundary =
     adjacent inequality); only runs of length >= 3 are then visited in
@@ -90,30 +93,27 @@ def rle_compress(data: bytes) -> CompressionResult:
     """
     n = len(data)
     out = bytearray()
-    if n:
-        arr = _np.frombuffer(data, _np.uint8)
-        change = _np.flatnonzero(arr[1:] != arr[:-1])
-        starts = _np.concatenate(([0], change + 1))
-        lengths = _np.concatenate((change + 1, [n])) - starts
-        long_mask = lengths >= _RLE_MIN_RUN
-        lit_start = 0
-        for pos, length in zip(
-            starts[long_mask].tolist(), lengths[long_mask].tolist()
-        ):
-            _emit_literals(out, data, lit_start, pos)
-            byte = data[pos]
-            remaining = length
-            while remaining >= _RLE_MIN_RUN:
-                take = remaining if remaining <= _RLE_MAX_RUN else _RLE_MAX_RUN
-                out.append(0x7D + take)
-                out.append(byte)
-                pos += take
-                remaining -= take
-            lit_start = pos  # a 1-2 byte leftover joins the next literals
-        _emit_literals(out, data, lit_start, n)
-    if len(out) >= n:
-        return CompressionResult(bytes(data), n, stored_raw=True)
-    return CompressionResult(bytes(out), n)
+    arr = _np.frombuffer(data, _np.uint8)
+    change = _np.flatnonzero(arr[1:] != arr[:-1])
+    starts = _np.concatenate(([0], change + 1))
+    lengths = _np.concatenate((change + 1, [n])) - starts
+    long_mask = lengths >= _RLE_MIN_RUN
+    lit_start = 0
+    for pos, length in zip(
+        starts[long_mask].tolist(), lengths[long_mask].tolist()
+    ):
+        _emit_literals(out, data, lit_start, pos)
+        byte = data[pos]
+        remaining = length
+        while remaining >= _RLE_MIN_RUN:
+            take = remaining if remaining <= _RLE_MAX_RUN else _RLE_MAX_RUN
+            out.append(0x7D + take)
+            out.append(byte)
+            pos += take
+            remaining -= take
+        lit_start = pos  # a 1-2 byte leftover joins the next literals
+    _emit_literals(out, data, lit_start, n)
+    return bytes(out)
 
 
 # --------------------------------------------------------------------------
@@ -174,8 +174,8 @@ def _pack_bits(values, width: int) -> bytes:
     ).tobytes()
 
 
-def wk_compress(data: bytes) -> CompressionResult:
-    """Bit-identical fast path for ``WkCompressor.compress``.
+def wk_compress(data: bytes) -> Optional[bytes]:
+    """Bit-identical fast path for ``WkCompressor._encode``.
 
     The direct-mapped dictionary looks sequential but does not depend
     on what matched: after any non-zero word its slot holds that word
@@ -192,20 +192,17 @@ def wk_compress(data: bytes) -> CompressionResult:
     n = len(data)
     nwords = n // 4
     if nwords == 0:
-        return CompressionResult(bytes(data), n, stored_raw=True)
+        return None
     words_arr = _np.frombuffer(data, "<u4", count=nwords)
     tail = data[nwords * 4 :]
 
     if not words_arr.any():
         tag_bytes = bytes((2 * nwords + 7) // 8)
-        out = (
+        return (
             struct.pack("<IHHH", nwords, len(tag_bytes), 0, 0)
             + tag_bytes
             + tail
         )
-        if len(out) >= n:
-            return CompressionResult(bytes(data), n, stored_raw=True)
-        return CompressionResult(out, n)
 
     nonzero = _np.flatnonzero(words_arr)
     words = words_arr[nonzero]
@@ -236,7 +233,7 @@ def wk_compress(data: bytes) -> CompressionResult:
     tag_bytes = _pack_bits(tags, 2)
     index_bytes = _pack_bits(slots[~miss], 4)
     low_bytes = _pack_bits(words[partial] & _WK_LOW_MASK, _WK_LOW_BITS)
-    out = (
+    return (
         struct.pack(
             "<IHHH", nwords, len(tag_bytes), len(index_bytes), len(low_bytes)
         )
@@ -246,9 +243,6 @@ def wk_compress(data: bytes) -> CompressionResult:
         + words[miss].tobytes()
         + tail
     )
-    if len(out) >= n:
-        return CompressionResult(bytes(data), n, stored_raw=True)
-    return CompressionResult(out, n)
 
 
 # --------------------------------------------------------------------------
@@ -271,8 +265,8 @@ def _write_varint(out: bytearray, value: int) -> None:
             return
 
 
-def delta_compress(data: bytes) -> CompressionResult:
-    """Bit-identical fast path for ``VarintDeltaCompressor.compress``.
+def delta_compress(data: bytes) -> Optional[bytes]:
+    """Bit-identical fast path for ``VarintDeltaCompressor._encode``.
 
     The scalar greedy scan emits one ascending chunk per maximal
     non-descending word segment of length >= 4, and folds every other
@@ -285,7 +279,7 @@ def delta_compress(data: bytes) -> CompressionResult:
     n = len(data)
     nwords = n // 4
     if nwords < _DELTA_MIN_RUN:
-        return CompressionResult(bytes(data), n, stored_raw=True)
+        return None
     words = _np.frombuffer(data, "<u4", count=nwords)
     tail = data[nwords * 4 :]
 
@@ -334,10 +328,7 @@ def delta_compress(data: bytes) -> CompressionResult:
         out.append(_DELTA_TAG_TAIL)
         _write_varint(out, len(tail))
         out += tail
-
-    if len(out) >= n:
-        return CompressionResult(bytes(data), n, stored_raw=True)
-    return CompressionResult(bytes(out), n)
+    return bytes(out)
 
 
 # --------------------------------------------------------------------------
@@ -348,8 +339,8 @@ _FPC_MAX_ZRUN = 8
 _FPC_DATA_BITS = (3, 4, 8, 16, 16, 16, 8, 32)
 
 
-def fpc_compress(data: bytes) -> CompressionResult:
-    """Bit-identical fast path for ``FpcCompressor.compress``.
+def fpc_compress(data: bytes) -> Optional[bytes]:
+    """Bit-identical fast path for ``FpcCompressor._encode``.
 
     The seven word patterns are independent per-word tests, written here
     as wrapping unsigned compares (``w + 8 < 16`` is ``-8 <= signed < 8``)
@@ -363,7 +354,7 @@ def fpc_compress(data: bytes) -> CompressionResult:
     n = len(data)
     nwords = n // 4
     if nwords == 0:
-        return CompressionResult(bytes(data), n, stored_raw=True)
+        return None
     words = _np.frombuffer(data, "<u4", count=nwords)
     u32 = _np.uint32
 
@@ -405,10 +396,7 @@ def fpc_compress(data: bytes) -> CompressionResult:
     stream = pack_fields(
         prefix.astype(_np.uint64) | (value << _np.uint64(3)), bits + 3
     )
-    out = struct.pack("<I", nwords) + stream + data[nwords * 4 :]
-    if len(out) >= n:
-        return CompressionResult(bytes(data), n, stored_raw=True)
-    return CompressionResult(out, n)
+    return struct.pack("<I", nwords) + stream + data[nwords * 4 :]
 
 
 # --------------------------------------------------------------------------
@@ -427,7 +415,7 @@ _BDI_SIZES = (1, 9, 17, 21, 25, 35, 37, 41, 65)
 
 
 def bdi_compress_lines(data: bytes, nlines: int) -> bytes:
-    """The per-line stream of ``BdiCompressor.compress``, bit-identical.
+    """The per-line stream of ``BdiCompressor._encode``, bit-identical.
 
     ``data`` holds at least ``nlines`` whole 64-byte lines; the caller
     keeps the page-level shortcuts, the tail and the raw fallback.  The

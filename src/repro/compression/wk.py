@@ -28,7 +28,7 @@ import struct
 from typing import Optional
 
 from . import vectorized
-from .base import CompressionResult, Compressor, CorruptDataError, register
+from .base import Compressor, CorruptDataError, register
 
 _DICT_SIZE = 16
 _TAG_ZERO = 0
@@ -96,30 +96,19 @@ class _BitReader:
 
 @register("wk")
 class WkCompressor(Compressor):
-    """Word-oriented compressor in the WK4x4/WKdm family.
-
-    Args:
-        fast: tri-state vectorization flag (see
-            :mod:`repro.compression.vectorized`); both paths produce
-            bit-identical payloads.
-    """
-
-    def __init__(self, fast: Optional[bool] = None):
-        self.fast = fast
-        self._use_fast = vectorized.enabled(fast)
+    """Word-oriented compressor in the WK4x4/WKdm family."""
 
     def result_cache_key(self):
         # No output-affecting parameters; the fast path is pinned
         # bit-identical, so results may be shared process-wide.
         return ("wk",)
 
-    def compress(self, data: bytes) -> CompressionResult:
+    def _encode(self, data: bytes, n: int) -> Optional[bytes]:
         if self._use_fast:
             return vectorized.wk_compress(data)
-        n = len(data)
         nwords, tail_len = divmod(n, 4)
         if nwords == 0:
-            return CompressionResult(bytes(data), n, stored_raw=True)
+            return None
         words = struct.unpack(f"<{nwords}I", data[: nwords * 4])
         tail = data[nwords * 4 :]
 
@@ -154,15 +143,9 @@ class WkCompressor(Compressor):
         header = struct.pack(
             "<IHHH", nwords, len(tag_bytes), len(index_bytes), len(low_bytes)
         )
-        out = header + tag_bytes + index_bytes + low_bytes + bytes(misses) + tail
-        if len(out) >= n:
-            return CompressionResult(bytes(data), n, stored_raw=True)
-        return CompressionResult(out, n)
+        return header + tag_bytes + index_bytes + low_bytes + bytes(misses) + tail
 
-    def decompress(self, result: CompressionResult) -> bytes:
-        if result.stored_raw:
-            return result.payload
-        payload = result.payload
+    def _decode(self, payload: bytes, n: int) -> bytes:
         if len(payload) < 10:
             raise CorruptDataError("wk: header too short")
         nwords, tag_len, index_len, low_len = struct.unpack(
@@ -198,11 +181,4 @@ class WkCompressor(Compressor):
                 miss_pos += 4
                 dictionary[_dict_slot(word)] = word
                 words.append(word)
-        tail = rest[miss_pos:]
-        out = struct.pack(f"<{nwords}I", *words) + tail
-        if len(out) != result.original_size:
-            raise CorruptDataError(
-                f"wk: decoded {len(out)} bytes, "
-                f"expected {result.original_size}"
-            )
-        return out
+        return struct.pack(f"<{nwords}I", *words) + rest[miss_pos:]

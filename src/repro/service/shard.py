@@ -32,8 +32,10 @@ from collections import Counter
 from typing import Callable, Dict, Iterable, Mapping, Optional
 
 from .config import ServiceConfig
+from .errors import ProtocolError
 from .ledger import merge_ledgers
 from .protocol import (
+    MAX_FRAME_BYTES,
     OP_DELETE,
     OP_GET,
     OP_PUT,
@@ -75,7 +77,10 @@ class FrameSocket:
         """The next whole frame, read straight into its own buffer.
 
         ``None`` when a non-blocking socket has no more to give yet;
-        raises :class:`EOFError` once the peer has closed.
+        raises :class:`EOFError` once the peer has closed, and
+        :class:`ProtocolError` — before any buffer is made — on a length
+        prefix above :data:`MAX_FRAME_BYTES`, after which the stream has
+        lost its framing and the caller must give the socket up.
         """
         try:
             while True:
@@ -89,8 +94,12 @@ class FrameSocket:
                 if self._body is not None:
                     frame, self._body = self._body, None
                     return frame
-                self._body = bytearray(
-                    int.from_bytes(self._header, "little"))
+                size = int.from_bytes(self._header, "little")
+                if size > MAX_FRAME_BYTES:
+                    raise ProtocolError(
+                        f"frame prefix {size} exceeds {MAX_FRAME_BYTES}"
+                    )
+                self._body = bytearray(size)
         except BlockingIOError:
             return None
 
@@ -150,8 +159,8 @@ def shard_main(config: ServiceConfig, shard_id: int,
     while running:
         try:
             frame = conn.recv_frame()
-        except (EOFError, OSError):
-            break  # front-end went away; nothing left to serve
+        except (EOFError, OSError, ProtocolError):
+            break  # front end gone or its stream unframed: nothing to serve
         t0 = perf_counter()
         reply = ResponseBatch()
         for op, tenant, vslot, key, payload in iter_requests(
@@ -297,7 +306,7 @@ class ShardHandle:
         # One frame per wakeup: the loop calls again while more wait.
         try:
             frame = self._conn.recv_frame()
-        except (EOFError, OSError) as exc:
+        except (EOFError, OSError, ProtocolError) as exc:
             self._on_death(exc)
             return
         if frame is not None:

@@ -256,3 +256,77 @@ class TestRegisterPool:
         allocator = TieredAllocator(FramePool(2), policy=None)
         with pytest.raises(ValueError, match="trading policy"):
             allocator.register_pool("cc:l2", None)
+
+
+class TestTerms:
+    """One table: what registration and ``retune`` write is what
+    ``_choose_victim`` reads."""
+
+    def world(self, biases=None):
+        frames = FramePool(6)
+        allocator = ThreeWayAllocator(frames, biases=biases)
+        vm = FakePool(frames, FrameOwner.VM, age=10.0)
+        cc = FakePool(frames, FrameOwner.COMPRESSION, age=10.0)
+        l2 = FakePool(frames, FrameOwner.COMPRESSION, age=10.0)
+        allocator.register(FrameOwner.VM, vm)
+        allocator.register(FrameOwner.COMPRESSION, cc)
+        allocator.register_pool("cc:l2", l2, weight=3.0, bias_s=1.0)
+        for pool in (vm, cc, l2):
+            pool.grab(2)
+        return allocator, {FrameOwner.VM: vm, FrameOwner.COMPRESSION: cc,
+                           "cc:l2": l2}
+
+    def victim(self, allocator, pools):
+        """The key ``_choose_victim`` picks, checked against the terms."""
+        key, pool = allocator._choose_victim()
+        ages = {
+            k: p.age * allocator._terms[k][0] + allocator._terms[k][1]
+            for k, p in pools.items()
+        }
+        assert ages[key] == max(ages.values())
+        assert pool is pools[key]
+        return key
+
+    def test_never_retuned_pools_read_their_policys_terms(self):
+        biases = AllocationBiases(30.0, 10.0, 0.5, 12.0, 6.0, 1.0)
+        allocator, pools = self.world(biases)
+        assert allocator._terms == {
+            FrameOwner.VM: (6.0, 10.0),
+            FrameOwner.COMPRESSION: (1.0, 0.5),
+            FrameOwner.FILE_CACHE: (12.0, 30.0),
+            "cc:l2": (3.0, 1.0),
+        }
+        assert allocator.biases is biases
+        assert self.victim(allocator, pools) == FrameOwner.VM
+
+    def test_register_pool_without_terms_takes_the_policys(self):
+        allocator, pools = self.world()
+        allocator.register_pool("cc:l3", None)
+        assert allocator._terms["cc:l3"] == \
+            allocator.policy.terms_for("cc:l3")
+        allocator.register_pool("cc:l3", None, weight=2.0)
+        assert allocator._terms["cc:l3"] == (2.0, 0.0)
+
+    def test_retune_replaces_the_entry_the_next_choice_reads(self):
+        allocator, pools = self.world()
+        assert self.victim(allocator, pools) == FrameOwner.VM
+        assert allocator.retune("cc:l2", weight=50.0) == (50.0, 1.0)
+        assert allocator._terms["cc:l2"] == (50.0, 1.0)
+        assert self.victim(allocator, pools) == "cc:l2"
+        # A pool that began on the policy keeps the other term.
+        assert allocator.retune(FrameOwner.COMPRESSION, bias_s=9999.0) \
+            == (1.0, 9999.0)
+        assert self.victim(allocator, pools) == FrameOwner.COMPRESSION
+        allocator.obtain_frame(FrameOwner.VM)
+        assert pools[FrameOwner.COMPRESSION].shrinks == 1
+
+    def test_a_rejected_retune_or_registration_leaves_the_table(self):
+        allocator, pools = self.world()
+        before = dict(allocator._terms)
+        with pytest.raises(ValueError):
+            allocator.retune("cc:l2", weight=0.0)
+        with pytest.raises(ValueError):
+            allocator.register_pool("cc:l4", None, weight=-1.0)
+        assert allocator._terms == before
+        with pytest.raises(AttributeError):  # the policy is not swapped
+            allocator.biases = AllocationBiases()

@@ -2,10 +2,15 @@
 on blocking and non-blocking ends alike."""
 
 import socket
+import threading
+import time
 
 import pytest
 
-from repro.service.shard import FrameSocket
+from repro.service import ServiceConfig, TenantSpec
+from repro.service.errors import ProtocolError
+from repro.service.protocol import MAX_FRAME_BYTES
+from repro.service.shard import FrameSocket, shard_main
 
 
 @pytest.fixture
@@ -82,3 +87,49 @@ def test_write_to_a_closed_peer_raises(pair):
     theirs.close()
     with pytest.raises(OSError):
         writer.send_frame(b"late")
+
+
+@pytest.mark.parametrize("prefix", [MAX_FRAME_BYTES + 1, 0xFFFFFFFF])
+@pytest.mark.parametrize("blocking", [False, True])
+def test_oversized_prefix_is_refused_before_any_buffer(pair, prefix, blocking):
+    """A length prefix is foreign bytes: above ``MAX_FRAME_BYTES`` it is
+    a typed error at once, not a buffer of that size and a wait for a
+    body that never comes (4 GB and 20 s for the all-ones prefix)."""
+    ours, theirs = pair
+    if blocking:
+        ours.settimeout(5.0)  # a reader that waits for the body fails
+    reader = FrameSocket(ours)
+    theirs.send(prefix.to_bytes(4, "little"))
+    started = time.perf_counter()
+    with pytest.raises(ProtocolError) as excinfo:
+        reader.recv_frame()
+    assert time.perf_counter() - started < 1.0
+    assert str(prefix) in str(excinfo.value)
+    assert reader._body is None
+
+
+def test_a_prefix_at_the_bound_is_a_frame(pair):
+    ours, theirs = pair
+    reader = FrameSocket(ours)
+    theirs.send(MAX_FRAME_BYTES.to_bytes(4, "little"))
+    assert reader.recv_frame() is None  # header taken, body awaited
+    assert len(reader._body) == MAX_FRAME_BYTES
+
+
+def test_worker_leaves_its_loop_on_an_oversized_prefix():
+    """The shard's blocking end: ``shard_main`` returns and closes its
+    socket instead of waiting on a body no front end will send."""
+    config = ServiceConfig(
+        shards=1, vslots=2, tenants=(TenantSpec("default"),),
+        tier_bytes=(64 << 10,), compressor="null", page_size=1024,
+    )
+    ours, theirs = socket.socketpair()
+    with ours:
+        ours.sendall((MAX_FRAME_BYTES + 1).to_bytes(4, "little"))
+        worker = threading.Thread(
+            target=shard_main, args=(config, 0, theirs), daemon=True)
+        worker.start()
+        worker.join(timeout=5)
+        assert not worker.is_alive()
+        assert theirs.fileno() == -1
+        assert ours.recv(1) == b""  # the worker answered nothing

@@ -279,6 +279,14 @@ class TestFlowControl:
         asyncio.run(scenario())
 
 
+def oversized_worker(config, shard_id, sock):
+    """A shard that answers its first request with a 4 GB prefix."""
+    FrameSocket(sock).recv_frame()
+    sock.sendall(b"\xff\xff\xff\xff")
+    sock.recv(1)  # until the front end gives the socket up
+    sock.close()
+
+
 class TestShardDeath:
     def test_dead_shard_fails_fast_others_serve(self):
         async def scenario():
@@ -344,6 +352,34 @@ class TestShardDeath:
                 )
                 assert [type(r) for r in results] == [ProtocolError] * 3
                 assert "1 responses for 2 requests" in str(results[0])
+                assert service.live_shards() == 0
+                with pytest.raises(ShardDeadError):
+                    await service.get("default", 1)
+            finally:
+                await asyncio.wait_for(service.stop(), timeout=10)
+
+        asyncio.run(scenario())
+
+    def test_oversized_prefix_fails_the_shard_not_the_loop(self, monkeypatch):
+        """A response whose length prefix no frame can have: no buffer
+        of that size is made on the event loop; the shard is lost with
+        a ``ProtocolError`` and the operations in flight raise it."""
+        monkeypatch.setattr(shard_module, "shard_main", oversized_worker)
+
+        async def scenario():
+            config = make_config(shards=1, batch_ops=2)
+            service = CacheService(config)
+            await service.start()
+            try:
+                results = await asyncio.wait_for(
+                    asyncio.gather(
+                        *(service.get("default", key) for key in range(3)),
+                        return_exceptions=True,
+                    ),
+                    timeout=10,
+                )
+                assert [type(r) for r in results] == [ProtocolError] * 3
+                assert "4294967295" in str(results[0])
                 assert service.live_shards() == 0
                 with pytest.raises(ShardDeadError):
                     await service.get("default", 1)

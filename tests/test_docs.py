@@ -1,13 +1,13 @@
 """Docs held to the code they tabulate (as the ``EXPERIMENTS`` registry
 holds ``sweep --experiment``): the workload catalogue, the keys of a
-run spec, and README's ``run --workload`` list."""
+run spec, README's ``run --workload`` list, and the kernel inventory."""
 
 from __future__ import annotations
 
 import re
 from pathlib import Path
 
-from repro import experiments
+from repro import compression, experiments
 from repro.sim.machine import MachineConfig
 from repro.workloads import catalog
 
@@ -87,3 +87,14 @@ def test_readme_workload_list_is_the_catalogue():
         r"`run --workload`[^.]*?takes one of\s+(.*?)\s+—", text, re.S
     )[1]
     assert re.findall(r"`([a-z-]+)`", sentence) == sorted(catalog.CATALOG)
+
+
+def test_kernels_md_inventory_is_the_registry():
+    """One row per registered name, so docs/kernels.md's "Adding a
+    kernel" cannot leave the inventory behind."""
+    header, rows = _table_after("docs/kernels.md", "## Inventory")
+    assert header == ["name", "family", "favored content", "notes"]
+    names = [row[0].strip("`") for row in rows]
+    assert sorted(names) == list(compression.available())
+    assert names[-1] == "adaptive"  # the selector "over the kernels above"
+    assert all(cell for row in rows for cell in row)
