@@ -380,10 +380,13 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     for shards in shard_counts:
         run = bench["runs"][str(shards)]
         lat = run["latency_us"]
+        growth = run.get("shard_peak_rss_growth_mb")  # old checkpoints
         print(f"  {shards} shard(s): {run['ops_per_second']:,.0f} ops/s, "
               f"p50 {lat['p50']:,} us, p99 {lat['p99']:,} us, "
               f"p999 {lat['p999']:,} us, "
-              f"mean batch {run['mean_batch_ops']:.1f} ops")
+              f"mean batch {run['mean_batch_ops']:.1f} ops, "
+              f"shard memory "
+              f"{'n/a' if growth is None else f'+{growth:.1f} MB'}")
     print(f"ledger digest (all shard counts): "
           f"{bench['determinism']['ledger_digest']}")
     scaling = bench["scaling"]
@@ -441,13 +444,11 @@ def _own_peak_rss_kb() -> int:
     """
     import resource
 
-    try:
-        with open("/proc/self/status") as status:
-            for line in status:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1])
-    except OSError:
-        pass
+    from .counters import proc_status_kb
+
+    peak = proc_status_kb("VmHWM")
+    if peak is not None:
+        return peak
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 

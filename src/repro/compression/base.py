@@ -89,7 +89,8 @@ class Compressor:
     :meth:`compress` / :meth:`decompress` envelope around them owns the
     store-raw rule, the empty page and the decoded-size check.  Results
     are a function of the input bytes and the constructor arguments
-    (scratch such as LZRW1's hash table never shows in the output), so
+    (scratch never shows in the output — LZRW1's hash table is one per
+    table size for the whole process, shared by every instance), so
     one instance may be shared by a whole simulator; the ``adaptive``
     selector is the deliberate exception — its choices follow page order
     — and opts out of result sharing (:meth:`result_cache_key`).

@@ -34,11 +34,15 @@ and produces **bit-identical output**, enforced by
 * three-byte hashes for the whole page are precomputed in one vectorized
   numpy pass (``_make_hashes``) instead of being evaluated per position in
   the interpreter;
-* the hash table persists across calls and is never re-initialized: a
+* the hash table persists across calls *and instances* and is never
+  re-initialized: there is one table per ``table_bits`` in the process
+  (the service builds a selector, hence an ``Lzrw1``, per virtual slot;
+  a table each cost a shard about 8.7 MB at the default 64 slots).  A
   parallel ``stamp`` list holds the epoch in which each slot was last
-  written, so a slot is valid exactly when its stamp equals the current
-  call's epoch.  Both lists store plain loop-local ints, which makes every
-  slot update a pointer store with no integer allocation;
+  written, and every call takes a fresh process-wide epoch, so a slot is
+  valid exactly when its stamp equals the current call's epoch.  Both
+  lists store plain loop-local ints, which makes every slot update a
+  pointer store with no integer allocation;
 * when the stamp is already current it is *not* rewritten — the common
   candidate-hit path does one store, not two;
 * match extension compares the two candidate windows with a single
@@ -53,7 +57,8 @@ and produces **bit-identical output**, enforced by
 
 from __future__ import annotations
 
-from typing import List, Optional
+import itertools
+from typing import Dict, List, Optional, Tuple
 
 from .base import Compressor, CorruptDataError, register
 
@@ -77,6 +82,20 @@ _VECTOR_THRESHOLD = 256
 
 #: Single-bit masks for the 16 control-word positions (index 16 - cap).
 _BITS = [1 << k for k in range(_GROUP + 1)]
+
+#: The encoder's scratch, shared by every instance in the process: one
+#: ``(table, stamp)`` pair per ``table_bits``, built by the first call
+#: at that size (an instance holds none, so constructing one allocates
+#: nothing).  Sharing cannot change a payload: ``_encode`` reads a slot
+#: only when its stamp equals the epoch it drew from :data:`_EPOCHS`,
+#: which no other call ever draws, so what earlier calls (of any
+#: instance) left in the lists is never read.  That holds while one
+#: ``_encode`` runs at a time per process — it calls out to nothing that
+#: could re-enter it, nothing in this package compresses from two
+#: threads, and parallel sweeps and shards are processes, each with its
+#: own copy of both.
+_SCRATCH: Dict[int, Tuple[List[int], List[int]]] = {}
+_EPOCHS = itertools.count(1)  # stamps start at 0: never current
 
 
 def _hash_array(data: bytes, mask: int):
@@ -194,12 +213,6 @@ class Lzrw1(Compressor):
         super().__init__(fast)
         self.table_bits = table_bits
         self._table_size = 1 << table_bits
-        # Reused across compress() calls; see the module docstring.  A slot
-        # holds a position, valid only when its stamp equals the current
-        # epoch, so neither list is ever re-initialized.
-        self._table = [0] * self._table_size
-        self._stamp = [0] * self._table_size
-        self._epoch = 0
 
     def result_cache_key(self):
         # table_bits changes which candidates the hash table remembers and
@@ -215,9 +228,12 @@ class Lzrw1(Compressor):
         if n < _MIN_MATCH + 1:
             return None
 
-        self._epoch = epoch = self._epoch + 1
-        table = self._table
-        stamp = self._stamp
+        epoch = next(_EPOCHS)
+        scratch = _SCRATCH.get(self.table_bits)
+        if scratch is None:
+            size = self._table_size
+            scratch = _SCRATCH[self.table_bits] = ([0] * size, [0] * size)
+        table, stamp = scratch
         hashes = _make_hashes(
             data, n, self._table_size - 1, self._use_fast
         )

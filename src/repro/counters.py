@@ -2,13 +2,30 @@
 
 Every counter dataclass in the package derives from :class:`Counters`,
 so a counter added to one is reported — and digested — without its name
-being repeated in a hand-written ``snapshot()``.
+being repeated in a hand-written ``snapshot()``.  The kernel's memory
+counters for this process are read in one place too
+(:func:`proc_status_kb`).
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import ClassVar, Tuple
+from typing import ClassVar, Optional, Tuple
+
+
+def proc_status_kb(field: str) -> Optional[int]:
+    """``field`` of ``/proc/self/status`` in KB (``"VmRSS"``, the resident
+    set now; ``"VmHWM"``, its peak since exec, or since fork for a forked
+    child); ``None`` where there is no ``/proc``."""
+    prefix = field + ":"
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith(prefix):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return None
 
 
 class Counters:

@@ -796,6 +796,19 @@ def _enough_cpus(payload: Dict, baseline: Dict) -> Optional[str]:
             f"{cpus} CPU(s) visible, the scaling floor needs {needed}")
 
 
+def _shard_memory_measured(payload: Dict, baseline: Dict) -> Optional[str]:
+    # A shard's memory follows its slot count, compressor and traffic.
+    reason = _same_spec(payload, baseline)
+    if reason:
+        return reason
+    run = payload.get("runs", {}).get("1")
+    if run is None:
+        return "no 1-shard run in this bench"
+    if run.get("shard_peak_rss_growth_mb") is None:
+        return "no /proc on this host: the shard's memory was not read"
+    return None
+
+
 class Gate(NamedTuple):
     """One row of what ``--check`` enforces.
 
@@ -875,6 +888,11 @@ GATES: Tuple[Gate, ...] = (
     Gate("service-p99", "service",
          "runs.{scaling.best_shards}.latency_us.p99",
          "<=", "service.max_p99_us"),
+    # One shard's own peak above what it started with: its slots'
+    # stores, their selectors and whatever scratch those carry.
+    Gate("service-shard-rss", "service", "runs.1.shard_peak_rss_growth_mb",
+         "<=", "service.max_shard_rss_growth_mb", 1.0,
+         _shard_memory_measured),
 )
 
 

@@ -231,7 +231,9 @@ async def replay_traffic(
             "ops_per_second": round(shard["ops"] / wall, 1),
             "resident_bytes": shard["resident_bytes"],
             "resident_entries": shard["resident_entries"],
+            "peak_rss_growth_mb": shard["peak_rss_growth_mb"],
         })
+    growth = [shard["peak_rss_growth_mb"] for shard in per_shard]
     return {
         "shards": config.shards,
         "clients": clients,
@@ -250,6 +252,10 @@ async def replay_traffic(
             },
         },
         "per_shard": per_shard,
+        # The largest shard's own memory (None without /proc).
+        "shard_peak_rss_growth_mb": (
+            None if None in growth else max(growth)
+        ),
         "ledgers": stats["ledgers"],
         "ledger_digest": ledger_digest(stats["ledgers"]),
         "selector": sum_selection(selectors) if selectors else None,

@@ -126,8 +126,11 @@ def iter_requests(
 ) -> Iterator[Tuple[int, int, int, int, memoryview]]:
     """Yield ``(op, tenant, vslot, key, payload view)`` per record.
 
-    Raises :class:`ProtocolError` on truncation or trailing garbage —
-    a shard must never guess at a half-frame.
+    Raises :class:`ProtocolError` on truncation, trailing garbage or an
+    op outside :data:`OP_NAMES` — a shard must never guess at a
+    half-frame, and a record it cannot serve must not reach it.  No
+    field sizes an allocation: a length is checked against the bytes
+    the frame has before a view is cut.
     """
     if len(frame) < _HEADER.size:
         raise ProtocolError(f"frame shorter than header: {len(frame)}")
@@ -139,6 +142,8 @@ def iter_requests(
         if offset + size > len(frame):
             raise ProtocolError("truncated request record")
         op, tenant, vslot, key, length = rec.unpack_from(frame, offset)
+        if op not in OP_NAMES:
+            raise ProtocolError(f"unknown op {op}")
         offset += size
         if offset + length > len(frame):
             raise ProtocolError("truncated request payload")

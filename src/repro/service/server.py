@@ -439,11 +439,15 @@ async def serve_tcp(
     Malformed input never wedges a connection: an oversized length
     prefix (> ``max_frame_bytes``) or a frame :func:`iter_requests`
     rejects draws a single :data:`ST_PROTOCOL_ERROR` response (message
-    as payload) and the connection closes.  A connection idle for more
+    as payload) and the connection closes, as does a record naming a
+    tenant the service does not have.  A frame is all or nothing: it is
+    parsed and checked whole before any record is applied, so a
+    rejected one changed nothing.  A connection idle for more
     than ``idle_timeout`` seconds between frames is closed silently
     (``None`` disables the timeout).
     """
     stopped = asyncio.Event()
+    tenants = len(service.config.tenants)
 
     async def _protocol_error(writer: "asyncio.StreamWriter",
                               message: str) -> None:
@@ -487,9 +491,14 @@ async def serve_tcp(
                 reply = ResponseBatch()
                 shutdown = False
                 try:
-                    for op, tenant, _vslot, key, payload in iter_requests(
-                        memoryview(frame)
-                    ):
+                    # The whole frame is checked before its first record
+                    # is applied: a frame rejected by its last record
+                    # must leave nothing of its first behind.
+                    records = list(iter_requests(memoryview(frame)))
+                    for _op, tenant, _vslot, _key, _payload in records:
+                        if tenant >= tenants:
+                            raise ProtocolError(f"unknown tenant {tenant}")
+                    for op, tenant, _vslot, key, payload in records:
                         if op == OP_SHUTDOWN:
                             reply.add(ST_BYE)
                             shutdown = True

@@ -31,6 +31,7 @@ import time
 from collections import Counter
 from typing import Callable, Dict, Iterable, Mapping, Optional
 
+from ..counters import proc_status_kb
 from .config import ServiceConfig
 from .errors import ProtocolError
 from .ledger import merge_ledgers
@@ -39,7 +40,6 @@ from .protocol import (
     OP_DELETE,
     OP_GET,
     OP_PUT,
-    OP_SHUTDOWN,
     OP_STATS,
     ST_BYE,
     ST_DELETED,
@@ -145,6 +145,9 @@ def shard_main(config: ServiceConfig, shard_id: int,
         shard_id: this worker's index in ``range(config.shards)``.
         sock: this worker's (blocking) end of the shard socketpair.
     """
+    # What the worker holds before it builds anything (a forked one: the
+    # front end's pages); its stats report the peak above this.
+    rss_at_start = proc_status_kb("VmRSS")
     conn = FrameSocket(sock)
     slots: Dict[int, VslotStore] = {
         vslot: VslotStore(config, vslot)
@@ -184,13 +187,12 @@ def shard_main(config: ServiceConfig, shard_id: int,
                 reply.add(ST_DELETED if removed else ST_NOT_FOUND)
             elif op == OP_STATS:
                 reply.add(ST_STATS, _stats_blob(
-                    config, shard_id, slots, ops, batches, busy_s
+                    config, shard_id, slots, ops, batches, busy_s,
+                    rss_at_start,
                 ))
-            elif op == OP_SHUTDOWN:
+            else:  # OP_SHUTDOWN: iter_requests admits no other op
                 reply.add(ST_BYE)
                 running = False
-            else:
-                raise ValueError(f"shard {shard_id}: unknown op {op}")
             ops += 1
         busy_s += perf_counter() - t0
         batches += 1
@@ -227,13 +229,19 @@ def sum_selection(snapshots: Iterable[Mapping[str, object]]) -> Dict:
 
 def _stats_blob(config: ServiceConfig, shard_id: int,
                 slots: Dict[int, VslotStore], ops: int, batches: int,
-                busy_s: float) -> bytes:
-    """The JSON payload answering :data:`OP_STATS`."""
+                busy_s: float, rss_at_start: Optional[int]) -> bytes:
+    """The JSON payload answering :data:`OP_STATS`.
+
+    ``peak_rss_growth_mb`` is the worker's own memory: its peak resident
+    set (``VmHWM``) above what it held when it started, ``None`` where
+    there is no ``/proc``.
+    """
     from ..compression.sampler import shared_results_size
 
     ledgers = merge_ledgers(
         slots[vslot].ledgers_by_name() for vslot in sorted(slots)
     )
+    peak = proc_status_kb("VmHWM")
     payload = {
         "shard": shard_id,
         "vslots": len(slots),
@@ -247,6 +255,10 @@ def _stats_blob(config: ServiceConfig, shard_id: int,
             store.resident_bytes() for store in slots.values()
         ),
         "kernel_cache_entries": shared_results_size(),
+        "peak_rss_growth_mb": (
+            None if peak is None or rss_at_start is None
+            else round((peak - rss_at_start) / 1024, 2)
+        ),
         "ledgers": ledgers,
     }
     # Trials per pass from the live service; only a selecting

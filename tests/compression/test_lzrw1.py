@@ -1,13 +1,17 @@
 """LZRW1 unit tests: format, round trips, corruption handling."""
 
+import hashlib
 import random
+import tracemalloc
 
 import pytest
 
+from repro.compression._seed_reference import SeedLzrw1
 from repro.compression.base import CorruptDataError
 from repro.compression.lzrw1 import Lzrw1
 
 from ..conftest import PAGE, sample_pages
+from .test_golden_kernels import GOLDEN_DIGESTS, golden_corpus
 
 
 @pytest.fixture
@@ -116,6 +120,56 @@ class TestHashTableSizing:
             Lzrw1(table_bits=2)
         with pytest.raises(ValueError):
             Lzrw1(table_bits=25)
+
+
+#: One table and stamp list of the default size: two 4,096-entry lists of
+#: 8-byte pointers.
+ONE_TABLE = 2 * 4096 * 8
+
+
+class TestSharedScratch:
+    """One hash table per table size in the process, not per instance —
+    the service builds an ``Lzrw1`` per virtual slot."""
+
+    def test_instances_carry_no_table(self):
+        page = golden_corpus()[5]          # a text page: a well-used table
+        Lzrw1().compress(page)             # the process's table exists
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kernels = [Lzrw1() for _ in range(64)]
+            built = tracemalloc.get_traced_memory()[0]
+            for kernel in kernels:
+                kernel.compress(page)
+            used = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # A table per instance would cost about 4 MB built, 3.7 MB used.
+        assert built - before < 64 * 1024
+        assert used - built < ONE_TABLE
+
+    @pytest.mark.parametrize("fast", [True, False])
+    @pytest.mark.parametrize("bits", [10, 12, 14])
+    def test_interleaved_instances_emit_the_seed_payloads(self, bits, fast):
+        """Two instances of one size, and one of another size compressing
+        a different page between every pair of their calls, each emit
+        exactly what a fresh seed instance (its own table) emits."""
+        pages = golden_corpus()
+        pair = (Lzrw1(table_bits=bits, fast=fast),
+                Lzrw1(table_bits=bits, fast=not fast))
+        other = Lzrw1(table_bits=bits - 4, fast=fast)
+        digest = hashlib.sha256()
+        for index, page in enumerate(pages):
+            got = pair[index % 2].compress(page)
+            between = pages[-1 - index]
+            assert other.compress(between).payload == SeedLzrw1(
+                table_bits=bits - 4).compress(between).payload
+            want = SeedLzrw1(table_bits=bits).compress(page)
+            assert got.payload == want.payload, (bits, index)
+            digest.update(got.payload)
+            digest.update(b"\x00" if got.stored_raw else b"\x01")
+        if bits == 12:
+            assert digest.hexdigest() == GOLDEN_DIGESTS["lzrw1-tb12"]
 
 
 class TestCorruption:

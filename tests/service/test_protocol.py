@@ -71,6 +71,12 @@ class TestRequestFraming:
         with pytest.raises(ProtocolError):
             list(iter_requests(memoryview(frame)))
 
+    def test_unknown_op_rejected(self):
+        frame = bytes(pack_requests([(OP_GET, 0, 0, 1, None)]))
+        with pytest.raises(ProtocolError, match="unknown op 9"):
+            list(iter_requests(memoryview(b"\x01\x00\x00\x00\x09"
+                                          + frame[5:])))
+
     def test_short_header_rejected(self):
         with pytest.raises(ProtocolError):
             list(iter_requests(memoryview(b"\x01")))

@@ -7,6 +7,7 @@ processes) per test.
 """
 
 import asyncio
+import contextlib
 import gc
 import logging
 import multiprocessing as mp
@@ -67,6 +68,38 @@ def keys_on_shard(config, shard, count):
 
 def key_on_shard(config, shard):
     return keys_on_shard(config, shard, 1)[0]
+
+
+@contextlib.asynccontextmanager
+async def tcp_service(config, **kwargs):
+    """A started service behind :func:`serve_tcp`; yields the service
+    and an async ``connect()`` returning a new ``(reader, writer)``."""
+    service = CacheService(config)
+    await service.start()
+    server, _stopped = await serve_tcp(service, port=0, **kwargs)
+    port = server.sockets[0].getsockname()[1]
+    writers = []
+
+    async def connect():
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writers.append(writer)
+        return reader, writer
+
+    try:
+        yield service, connect
+    finally:
+        for writer in writers:
+            writer.close()
+        server.close()
+        await server.wait_closed()
+        await service.stop()
+
+
+async def read_reply(reader):
+    """One length-prefixed response frame, as ``(status, view)`` pairs."""
+    length = int.from_bytes(await reader.readexactly(4), "little")
+    reply = await reader.readexactly(length)
+    return list(iter_responses(memoryview(reply)))
 
 
 def short_worker(config, shard_id, sock):
@@ -618,32 +651,69 @@ class TestTcpFrontEnd:
         asyncio.run(scenario())
 
     def _serve(self, **kwargs):
-        """Start service + TCP front-end; returns an async context."""
-        import contextlib
+        """Start service + TCP front-end and connect once."""
 
         @contextlib.asynccontextmanager
         async def ctx():
-            service = CacheService(make_config(shards=1))
-            await service.start()
-            server, _stopped = await serve_tcp(service, port=0, **kwargs)
-            port = server.sockets[0].getsockname()[1]
-            try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", port
-                )
-                yield reader, writer
-                writer.close()
-            finally:
-                server.close()
-                await server.wait_closed()
-                await service.stop()
+            async with tcp_service(make_config(shards=1), **kwargs) as (
+                _service, connect
+            ):
+                yield await connect()
 
         return ctx()
 
     async def _read_status(self, reader):
-        length = int.from_bytes(await reader.readexactly(4), "little")
-        reply = await reader.readexactly(length)
-        return list(iter_responses(memoryview(reply)))[0][0]
+        return (await read_reply(reader))[0][0]
+
+    def test_rejected_frame_applies_none_of_its_records(self):
+        """A frame whose second record is truncated is refused whole:
+        the PUT before it must not have been stored."""
+
+        async def scenario():
+            config = make_config(shards=1, vslots=2)
+            async with tcp_service(config) as (_service, connect):
+                reader, writer = await connect()
+                put = bytes(pack_requests(
+                    [(OP_PUT, 0, 0, 5, b"five".ljust(PAGE, b"."))]
+                ))
+                frame = b"\x02\x00\x00\x00" + put[4:] + b"\x00\x00"
+                writer.write(len(frame).to_bytes(4, "little") + frame)
+                await writer.drain()
+                (status, message), = await read_reply(reader)
+                assert status == ST_PROTOCOL_ERROR
+                assert bytes(message) == b"truncated request record"
+                assert await reader.read() == b""
+                reader, writer = await connect()
+                get = bytes(pack_requests([(OP_GET, 0, 0, 5, None)]))
+                writer.write(len(get).to_bytes(4, "little") + get)
+                await writer.drain()
+                assert (await read_reply(reader))[0][0] == ST_MISS
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("op, tenant", [(9, 0), (OP_PUT, 7)])
+    def test_unservable_record_draws_protocol_error_not_a_dead_shard(
+        self, op, tenant
+    ):
+        """An op or tenant the service does not have is the client's
+        error, refused before it reaches the shard: the worker cannot
+        serve the record and would die on it."""
+
+        async def scenario():
+            async with tcp_service(make_config(shards=1)) as (
+                service, connect
+            ):
+                reader, writer = await connect()
+                frame = bytes(pack_requests(
+                    [(op, tenant, 0, 5, b"x".ljust(PAGE, b"."))]
+                ))
+                writer.write(len(frame).to_bytes(4, "little") + frame)
+                await writer.drain()
+                assert await self._read_status(reader) == ST_PROTOCOL_ERROR
+                assert service.live_shards() == 1
+                assert (await service.stats())["ledgers"] == {}
+
+        asyncio.run(scenario())
 
     def test_truncated_frame_draws_protocol_error(self):
         async def scenario():

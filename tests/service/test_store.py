@@ -5,10 +5,12 @@ single-vslot geometry, so every capacity decision is arithmetic the test
 can predict: warm tier holds exactly 3 pages, cold tier exactly 2.
 """
 
+import tracemalloc
 from collections import OrderedDict
 
 from repro.service.config import ServiceConfig, TenantSpec
 from repro.service.store import VslotStore
+from repro.workloads import contentgen
 
 PAGE = 64
 WARM_PAGES = 3
@@ -170,6 +172,28 @@ class TestQuota:
         assert store.get(0, key=0) is None
         assert store.get(0, key=899) == page(899)
         assert store.resident_entries() == 1000
+
+
+class TestShardMemory:
+    def test_per_slot_selectors_share_one_lzrw1_table(self):
+        """A shard's 64 slots each build an adaptive selector, hence an
+        ``Lzrw1``; its hash table is the process's, not the slot's.  A
+        table per slot would hold about 8.7 MB traced."""
+        config = ServiceConfig(compressor="adaptive")
+        dictionary = contentgen.make_dictionary()
+        pages = [contentgen.text_page_random(vslot, dictionary)
+                 for vslot in range(config.vslots)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            stores = [VslotStore(config, vslot)
+                      for vslot in range(config.vslots)]
+            for vslot, store in enumerate(stores):
+                assert store.put(0, key=vslot, page=pages[vslot])
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 2 << 20, held
 
 
 class TestReporting:

@@ -510,6 +510,31 @@ class TestGateTable:
             ["logstore-floor"] if fails else []
         )
 
+    @pytest.mark.parametrize("growth, fails", [(31.4, True), (21.2, False)])
+    def test_committed_shard_rss_ceiling_can_fail(self, growth, fails):
+        """The committed ceiling sits between what one shard grew by
+        with a hash table per ``Lzrw1`` (31.4 MB: 64 slots, 64 tables)
+        and with one per process (21.2 MB)."""
+        committed = json.loads(
+            (REPO_ROOT / "benchmarks" / "perf_baseline.json").read_text()
+        )["service"]["max_shard_rss_growth_mb"]
+        failures = _failures(
+            {"service": {"runs": {"1": {"shard_peak_rss_growth_mb": growth}}}},
+            {"service": {"max_shard_rss_growth_mb": committed}},
+        )
+        assert [line.split(":")[0] for line in failures] == (
+            ["service-shard-rss"] if fails else []
+        )
+
+    def test_shard_rss_without_proc_is_skipped_by_name(self):
+        report = evaluate_gates(
+            {"service": {"runs": {"1": {"shard_peak_rss_growth_mb": None}}}},
+            {"service": {"max_shard_rss_growth_mb": 26.0}},
+        )
+        assert report.failures == []
+        assert ("service-shard-rss: no /proc on this host: the shard's "
+                "memory was not read") in report.skipped
+
     def test_a_baseline_that_gates_nothing_is_not_a_pass(self):
         failures = _failures({"compression": _compression()}, {})
         assert failures == [
