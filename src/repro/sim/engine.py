@@ -243,6 +243,9 @@ class SimulationEngine:
         mutation, ticks charge BASE time — but no per-reference python
         object is ever built: page ids are interned per (segment,
         number) pair and the inner loop walks four flat int lists.
+        A record naming a page the address space lacks raises
+        :class:`~repro.sim.trace.TraceFormatError` with its index
+        (checked once per distinct page, as it is interned).
         """
         if observe_every < 1:
             raise ValueError(f"observe_every must be >= 1: {observe_every}")
@@ -252,6 +255,7 @@ class SimulationEngine:
         start = ledger.now
         touch = vm.touch
         entry = machine.address_space.entry
+        segment_of = machine.address_space.segment
         charge = ledger.charge
         default_mutation = self._default_mutation
         base = TimeCategory.BASE
@@ -270,7 +274,16 @@ class SimulationEngine:
                 key = (segment, number)
                 page_id = interned.get(key)
                 if page_id is None:
-                    page_id = interned[key] = PageId(segment, number)
+                    try:
+                        page_id = segment_of(segment).page_id(number)
+                    except (KeyError, IndexError) as exc:
+                        # sim.trace imports this module.
+                        from .trace import TraceFormatError
+                        raise TraceFormatError(
+                            f"record {seen - 1} names a page this "
+                            f"address space lacks: {exc.args[0]}"
+                        ) from None
+                    interned[key] = page_id
                 touch(page_id, bool(write))
                 if note_ref is not None:
                     note_ref(page_id)

@@ -31,6 +31,12 @@ batch dispatch (:meth:`repro.sim.engine.SimulationEngine.run_trace`)
 consumes them directly.  With numpy available the columns are decoded by
 a single structured-dtype view per chunk; without it a
 ``struct.iter_unpack`` fallback produces identical values.
+
+Reserved fields are enforced: a nonzero header pad is refused when the
+trace is opened, and a record with op bits 1-7 or its pad byte set when
+its chunk is decoded — both as :class:`~repro.sim.trace.TraceFormatError`,
+the latter naming the record's index — so every trace the reader accepts
+re-encodes to its own bytes.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ RECORD = struct.Struct("<BBHIII")  # op, pad, segment, number, kind, tick
 assert HEADER.size == 16 and RECORD.size == RECORD_SIZE
 
 _OP_WRITE = 0x01
+_OP_RESERVED = 0xFE  # op bits 1-7
 
 #: numpy structured view of one record; field offsets match RECORD.
 if _np is not None:
@@ -79,6 +86,12 @@ else:  # pragma: no cover - no-numpy environments
 #: One decoded chunk: (writes, segments, numbers, ticks_us) as parallel
 #: plain-python lists, identical from both decode backends.
 TraceChunk = Tuple[List[int], List[int], List[int], List[int]]
+
+
+def _reserved_bits_set(index: int, op: int, pad: int) -> TraceFormatError:
+    return TraceFormatError(
+        f"record {index}: reserved bits set (op {op:#04x}, pad {pad:#04x})"
+    )
 
 
 def pack_record(
@@ -233,9 +246,10 @@ class BinaryTraceReader:
             value-identical; this exists for tests and diagnostics).
 
     The full file structure is validated up front: bad magic, an unknown
-    version, a foreign record size, a truncated record region, or a
-    count/size mismatch all raise
-    :class:`~repro.sim.trace.TraceFormatError` at construction.
+    version, a foreign record size, a nonzero reserved header field, a
+    truncated record region, or a count/size mismatch all raise
+    :class:`~repro.sim.trace.TraceFormatError` at construction; records
+    are checked as :meth:`chunks` decodes them.
     """
 
     def __init__(
@@ -271,7 +285,7 @@ class BinaryTraceReader:
                 f"binary trace shorter than its {HEADER.size}-byte header "
                 f"({size} bytes)"
             )
-        magic, version, record_size, _, count = HEADER.unpack_from(buf, 0)
+        magic, version, record_size, pad, count = HEADER.unpack_from(buf, 0)
         if magic != MAGIC:
             self.close()
             raise TraceFormatError(f"bad binary-trace magic: {magic!r}")
@@ -285,6 +299,11 @@ class BinaryTraceReader:
             self.close()
             raise TraceFormatError(
                 f"record size {record_size} != expected {RECORD_SIZE}"
+            )
+        if pad:
+            self.close()
+            raise TraceFormatError(
+                f"reserved header field is {pad:#06x}, not zero"
             )
         body = len(buf) - HEADER.size
         if body != count * RECORD_SIZE:
@@ -308,7 +327,13 @@ class BinaryTraceReader:
 
     def close(self) -> None:
         if self._mmap is not None:
-            self._mmap.close()
+            try:
+                self._mmap.close()
+            except BufferError:
+                # A view of the mapping is still out: the frame of a
+                # decode that raised, kept by the exception's traceback.
+                # The mapping is unmapped when that last view dies.
+                pass
             self._mmap = None
         self._buf = b""
 
@@ -327,7 +352,8 @@ class BinaryTraceReader:
 
         Each element is a plain-python list of ints (``writes`` entries
         are 0/1), at most ``chunk_size`` long; both decode backends
-        produce identical values.
+        produce identical values.  A chunk holding a record with a
+        reserved bit set raises :class:`TraceFormatError` instead.
         """
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1: {chunk_size}")
@@ -345,8 +371,15 @@ class BinaryTraceReader:
         )
         for start in range(0, self._count, chunk_size):
             part = arr[start:start + chunk_size]
+            ops, pads = part["op"], part["pad"]
+            bad = _np.flatnonzero((ops & _OP_RESERVED) | pads)
+            if bad.size:
+                first = int(bad[0])
+                raise _reserved_bits_set(
+                    start + first, int(ops[first]), int(pads[first])
+                )
             yield (
-                (part["op"] & _OP_WRITE).tolist(),
+                ops.tolist(),
                 part["segment"].tolist(),
                 part["number"].tolist(),
                 part["tick"].tolist(),
@@ -361,10 +394,12 @@ class BinaryTraceReader:
             segments: List[int] = []
             numbers: List[int] = []
             ticks: List[int] = []
-            for op, _, segment, number, _, tick in RECORD.iter_unpack(
+            for op, pad, segment, number, _, tick in RECORD.iter_unpack(
                 view[lo:lo + n * RECORD_SIZE]
             ):
-                writes.append(op & _OP_WRITE)
+                if op & _OP_RESERVED or pad:
+                    raise _reserved_bits_set(start + len(writes), op, pad)
+                writes.append(op)
                 segments.append(segment)
                 numbers.append(number)
                 ticks.append(tick)

@@ -27,7 +27,7 @@ from ..mem.page import DEFAULT_PAGE_SIZE, PageId, pages_for_bytes
 from ..mem.segment import AddressSpace
 from ..sim.engine import PageRef
 from .base import Workload
-from .contentgen import make_dictionary, text_page_clustered, text_page_random
+from .contentgen import dictionary_words, text_page_clustered, text_page_random
 
 
 class SortWorkload(Workload):
@@ -74,7 +74,9 @@ class SortWorkload(Workload):
         heap_bytes = int(data_bytes * (1.0 + pointer_overhead))
         self.npages = pages_for_bytes(heap_bytes, page_size)
         self._segment_id = -1
-        self._dictionary = make_dictionary(seed=seed ^ 0x50F7)
+        # The memoized tuple, not a list: the text memos resolve it by
+        # identity instead of hashing its 4,096 words on every page.
+        self._dictionary = dictionary_words(seed=seed ^ 0x50F7)
 
     def _build(self, space: AddressSpace) -> None:
         # Values, not ``self``: see Thrasher._build.

@@ -526,6 +526,23 @@ class TestGateTable:
             ["service-shard-rss"] if fails else []
         )
 
+    @pytest.mark.parametrize("peak, fails", [(61.2, True), (56.5, False)])
+    def test_committed_stream_replay_ceiling_can_fail(self, peak, fails):
+        """The committed ceiling sits between the replay's peak while
+        every memoized text page kept its own copy of the dictionary
+        (61.2 MB, the lowest of three runs) and with the text memos
+        keyed by a dictionary token (56.5, the highest of three)."""
+        committed = json.loads(
+            (REPO_ROOT / "benchmarks" / "perf_baseline.json").read_text()
+        )["stream_replay_peak_rss_mb"]
+        failures = _failures(
+            {"sim": {"scale": 0.05, "stream_replay": {"peak_rss_mb": peak}}},
+            {"sim_scale": 0.05, "stream_replay_peak_rss_mb": committed},
+        )
+        assert [line.split(":")[0] for line in failures] == (
+            ["stream-replay-rss"] if fails else []
+        )
+
     def test_shard_rss_without_proc_is_skipped_by_name(self):
         report = evaluate_gates(
             {"service": {"runs": {"1": {"shard_peak_rss_growth_mb": None}}}},

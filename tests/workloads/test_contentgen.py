@@ -12,6 +12,7 @@ bulk draw helper against the ``randrange`` calls it stands for.
 import random
 import statistics
 import struct
+import tracemalloc
 from hashlib import sha256
 
 import pytest
@@ -378,6 +379,129 @@ class TestAgainstOracle:
             cg.text_page_random(0, [])
         with pytest.raises(IndexError):
             cg.text_page_clustered(0, [b"word"], cluster_words=0)
+
+
+# --------------------------------------------------------------------------
+# The text memos' dictionary token.
+
+#: How a caller may hand over a dictionary: the list ``make_dictionary``
+#: returned, a tuple it keeps, or a fresh equal tuple / list every call.
+_DICTIONARY_FORMS = {
+    "list": lambda words, held: words,
+    "held tuple": lambda words, held: held,
+    "equal tuple": lambda words, held: tuple(list(words)),
+    "equal list": lambda words, held: list(words),
+}
+
+
+def _text_generators(form):
+    words = cg.make_dictionary(128)
+    held = tuple(words)
+    return {
+        "text_page_random": lambda number, seed, size:
+            cg.text_page_random(number, form(words, held), seed, size),
+        "text_page_clustered": lambda number, seed, size:
+            cg.text_page_clustered(number, form(words, held), seed,
+                                   page_size=size),
+    }
+
+
+class TestDictionaryToken:
+    """The text memos are keyed by a token for the dictionary's content:
+    one canonical tuple per distinct word list, never a copy an entry."""
+
+    @pytest.mark.parametrize("form", sorted(_DICTIONARY_FORMS))
+    def test_every_form_yields_the_frozen_pages(self, form):
+        generators = _text_generators(_DICTIONARY_FORMS[form])
+        for warm in (False, True):  # generated, then from the memo
+            if not warm:
+                cg.clear_caches()
+            for name, generate in generators.items():
+                assert _corpus_digest(generate) == GOLDEN_CONTENT[name]
+        words = cg.make_dictionary(128)
+        for number in (0, 5, 1 << 33):
+            page = _DICTIONARY_FORMS[form](words, tuple(words))
+            assert (cg.text_page_random(number, page, 3, 1000)
+                    == _Oracle.text_page_random(number, words, 3, 1000))
+            assert (cg.text_page_clustered(number, page, 3, 7, 1000)
+                    == _Oracle.text_page_clustered(number, words, 3, 7,
+                                                   1000))
+
+    def test_all_forms_share_one_canonical_dictionary(self):
+        """Once one form has been seen, a new page through any other
+        form retains its page and an entry, not another 4,096-word copy
+        (32 KBytes of tuple)."""
+        words = cg.make_dictionary()
+        held = tuple(words)
+        cg.clear_caches()
+        cg.text_page_random(0, held)
+        cg.text_page_clustered(0, held)
+        number = 1
+        for form in sorted(_DICTIONARY_FORMS):
+            for generate in (cg.text_page_random, cg.text_page_clustered):
+                tracemalloc.start()
+                try:
+                    before = tracemalloc.get_traced_memory()[0]
+                    # The form is built inside the count: were it kept,
+                    # it would show.
+                    page = generate(number,
+                                    _DICTIONARY_FORMS[form](words, held))
+                    retained = tracemalloc.get_traced_memory()[0] - before
+                finally:
+                    tracemalloc.stop()
+                assert retained < len(page) + 1024, (form, retained)
+                number += 1
+        assert len(cg._TOKENS) == 1
+        # The first tuple seen is the one held, and resolves by identity.
+        assert cg._TOKENS_BY_ID[id(held)].words is held
+        cg.clear_caches()
+
+    def test_a_list_changed_in_place_yields_its_new_pages(self):
+        words = cg.make_dictionary(128)
+        before = (cg.text_page_random(0, words),
+                  cg.text_page_clustered(0, words))
+        words.reverse()
+        words[3] = b"changed"
+        after = (cg.text_page_random(0, words),
+                 cg.text_page_clustered(0, words))
+        assert after == (_Oracle.text_page_random(0, words),
+                         _Oracle.text_page_clustered(0, words))
+        assert after[0] != before[0] and after[1] != before[1]
+
+    def test_the_table_is_bounded_and_eviction_changes_no_page(self):
+        """A caller with a new word list every call fills the table to
+        its bound and no further; a list whose token was evicted gets a
+        new one and the same pages."""
+        cg.clear_caches()
+        first = cg.make_dictionary(64, 0)
+        page = cg.text_page_random(0, first)
+        for seed in range(1, 3 * cg._DICTIONARY_SLOTS):
+            cg.text_page_clustered(0, cg.make_dictionary(64, seed))
+            assert len(cg._TOKENS) == len(cg._TOKENS_BY_ID) <= \
+                cg._DICTIONARY_SLOTS
+        assert tuple(first) not in cg._TOKENS
+        assert cg.text_page_random(0, first) == page \
+            == _Oracle.text_page_random(0, first)
+        cg.clear_caches()
+
+    def test_clear_caches_retains_no_dictionary(self):
+        cg.clear_caches()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            words = cg.make_dictionary()
+            for form in _DICTIONARY_FORMS.values():
+                dictionary = form(words, tuple(words))
+                cg.text_page_random(0, dictionary)
+                cg.text_page_clustered(0, dictionary)
+            del words, dictionary
+            cg.clear_caches()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # One dictionary is 32 KBytes of tuple plus 4,096 words.
+        assert retained < 4096, retained
+        assert cg._TOKENS == {} and cg._TOKENS_BY_ID == {}
 
 
 # --------------------------------------------------------------------------
