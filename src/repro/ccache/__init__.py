@@ -1,40 +1,18 @@
 """The compression cache: circular buffer, cleaner, gate, and allocator."""
 
-from .allocator import (
-    AllocationBiases,
-    AllocatorCounters,
-    MemoryPool,
-    ThreeWayAllocator,
-)
-from .circular import CacheCounters, CompressionCache
-from .cleaner import CleanerPolicy
-from .header import (
-    CODE_SIZE_BYTES,
-    COMPRESSED_PAGE_HEADER_BYTES,
-    FRAME_HEADER_BYTES,
-    HASH_TABLE_BYTES,
-    SLOT_DESCRIPTOR_BYTES,
-    CompressedPageHeader,
-    SlotState,
-    cache_metadata_bytes,
-)
-from .threshold import AdaptiveCompressionGate
+from .. import _lazy_exports
 
-__all__ = [
-    "AdaptiveCompressionGate",
-    "AllocationBiases",
-    "AllocatorCounters",
-    "CODE_SIZE_BYTES",
-    "COMPRESSED_PAGE_HEADER_BYTES",
-    "CacheCounters",
-    "CleanerPolicy",
-    "CompressedPageHeader",
-    "CompressionCache",
-    "FRAME_HEADER_BYTES",
-    "HASH_TABLE_BYTES",
-    "MemoryPool",
-    "SLOT_DESCRIPTOR_BYTES",
-    "SlotState",
-    "ThreeWayAllocator",
-    "cache_metadata_bytes",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "allocator": (
+        "AllocationBiases", "AllocatorCounters", "MemoryPool",
+        "ThreeWayAllocator",
+    ),
+    "circular": ("CacheCounters", "CompressionCache"),
+    "cleaner": ("CleanerPolicy",),
+    "header": (
+        "CODE_SIZE_BYTES", "COMPRESSED_PAGE_HEADER_BYTES",
+        "CompressedPageHeader", "FRAME_HEADER_BYTES", "HASH_TABLE_BYTES",
+        "SLOT_DESCRIPTOR_BYTES", "SlotState", "cache_metadata_bytes",
+    ),
+    "threshold": ("AdaptiveCompressionGate",),
+})

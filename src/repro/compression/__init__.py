@@ -14,51 +14,24 @@ Public surface:
 * :class:`CompressionSampler` — memoized measurement used by the simulator.
 """
 
-from .adaptive import AdaptiveCompressor
-from .base import (
-    CompressionError,
-    CompressionResult,
-    Compressor,
-    CorruptDataError,
-    UnknownCompressorError,
-    available,
-    create,
-    iter_compressors,
-    register,
-)
-from .bdi import BdiCompressor
-from .cpack import CpackCompressor
-from .delta import VarintDeltaCompressor
-from .fpc import FpcCompressor
-from .lzrw1 import Lzrw1
-from .lzss import Lzss
-from .null import NullCompressor
-from .rle import Rle
-from .sampler import CompressionSampler
-from .stats import CompressionStats, CompressionThreshold
-from .wk import WkCompressor
+from .. import _lazy_exports
 
-__all__ = [
-    "AdaptiveCompressor",
-    "BdiCompressor",
-    "CompressionError",
-    "CompressionResult",
-    "CompressionSampler",
-    "CompressionStats",
-    "CompressionThreshold",
-    "Compressor",
-    "CorruptDataError",
-    "CpackCompressor",
-    "FpcCompressor",
-    "Lzrw1",
-    "Lzss",
-    "NullCompressor",
-    "Rle",
-    "UnknownCompressorError",
-    "VarintDeltaCompressor",
-    "WkCompressor",
-    "available",
-    "create",
-    "iter_compressors",
-    "register",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "adaptive": ("AdaptiveCompressor",),
+    "base": (
+        "CompressionError", "CompressionResult", "Compressor",
+        "CorruptDataError", "UnknownCompressorError", "available", "create",
+        "iter_compressors", "register",
+    ),
+    "bdi": ("BdiCompressor",),
+    "cpack": ("CpackCompressor",),
+    "delta": ("VarintDeltaCompressor",),
+    "fpc": ("FpcCompressor",),
+    "lzrw1": ("Lzrw1",),
+    "lzss": ("Lzss",),
+    "null": ("NullCompressor",),
+    "rle": ("Rle",),
+    "sampler": ("CompressionSampler",),
+    "stats": ("CompressionStats", "CompressionThreshold"),
+    "wk": ("WkCompressor",),
+})

@@ -5,7 +5,9 @@ calls for a design that "should allow different compression algorithms to
 be used for different types of data" (Section 3).  This module defines the
 interface every algorithm implements, a result record carrying the
 bookkeeping the simulator needs, and a registry so algorithms can be chosen
-by name from configuration.
+by name from configuration.  The registry is a table (name -> module):
+a kernel's module is imported the first time the kernel is asked for, so
+a process that never compresses imports none of them, nor numpy.
 
 All compressors are *lossless*: ``decompress(compress(data)) == data`` is a
 hard invariant, enforced by the test suite (including property-based tests)
@@ -14,10 +16,9 @@ and optionally at runtime via :func:`Compressor.compress_verified`.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Optional, Tuple
-
-from . import vectorized
 
 
 class CompressionError(Exception):
@@ -107,6 +108,10 @@ class Compressor:
     name: str = "abstract"
 
     def __init__(self, fast: Optional[bool] = None):
+        # Imported here, where it is first needed: numpy comes with it,
+        # and the error classes above must not bring numpy along.
+        from . import vectorized
+
         self.fast = fast
         self._use_fast = vectorized.enabled(fast)
 
@@ -187,6 +192,24 @@ class Compressor:
         return f"<{type(self).__name__} name={self.name!r}>"
 
 
+#: Where each built-in kernel lives: registry name -> module of this
+#: package.  :func:`create` imports the module the first time its name
+#: is asked for, and the module's ``@register`` fills :data:`_REGISTRY`.
+#: A new kernel is a module with one ``@register`` and one row here
+#: (tests/test_import_graph.py holds the two sets equal).
+_KERNEL_MODULES: Dict[str, str] = {
+    "adaptive": "adaptive",
+    "bdi": "bdi",
+    "cpack": "cpack",
+    "fpc": "fpc",
+    "lzrw1": "lzrw1",
+    "lzss": "lzss",
+    "null": "null",
+    "rle": "rle",
+    "varint-delta": "delta",
+    "wk": "wk",
+}
+
 _REGISTRY: Dict[str, Callable[[], Compressor]] = {}
 
 
@@ -204,15 +227,18 @@ def register(name: str) -> Callable[[type], type]:
 
 
 def create(name: str, **kwargs) -> Compressor:
-    """Instantiate a registered compressor by name.
+    """Instantiate a registered compressor by name, importing its module
+    on first use.
 
     Raises:
         UnknownCompressorError: if ``name`` was never registered.
     """
+    if name not in _REGISTRY and name in _KERNEL_MODULES:
+        importlib.import_module(f".{_KERNEL_MODULES[name]}", __package__)
     try:
         factory = _REGISTRY[name]
     except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
+        known = ", ".join(available())
         raise UnknownCompressorError(
             f"unknown compressor {name!r}; known: {known}"
         ) from None
@@ -220,8 +246,8 @@ def create(name: str, **kwargs) -> Compressor:
 
 
 def available() -> Tuple[str, ...]:
-    """Names of all registered compressors, sorted."""
-    return tuple(sorted(_REGISTRY))
+    """Names of all registered compressors, sorted; imports nothing."""
+    return tuple(sorted(_KERNEL_MODULES.keys() | _REGISTRY.keys()))
 
 
 def iter_compressors() -> Iterator[Compressor]:

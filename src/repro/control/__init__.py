@@ -21,36 +21,13 @@ this).  With no :class:`ControlConfig` installed none of it is
 constructed and the golden digests stay byte-identical.
 """
 
-from .hotness import HotnessTracker
-from .windowed import WindowedStats
+from .. import _lazy_exports
 
-# The controller module imports repro.sim.ledger, and repro.sim
-# transitively imports faults/degrade which imports this package —
-# loading the controller lazily keeps that chain acyclic no matter
-# which module is imported first (same pattern as repro.faults.retry).
-_CONTROLLER_EXPORTS = (
-    "ControlConfig",
-    "ControlCounters",
-    "ControlPlane",
-    "TierController",
-    "TierTelemetry",
-)
-
-
-def __getattr__(name: str):
-    if name in _CONTROLLER_EXPORTS:
-        from . import controller
-
-        return getattr(controller, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "ControlConfig",
-    "ControlCounters",
-    "ControlPlane",
-    "HotnessTracker",
-    "TierController",
-    "TierTelemetry",
-    "WindowedStats",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "controller": (
+        "ControlConfig", "ControlCounters", "ControlPlane", "TierController",
+        "TierTelemetry",
+    ),
+    "hotness": ("HotnessTracker",),
+    "windowed": ("WindowedStats",),
+})

@@ -22,64 +22,20 @@ one part every machine has: a plan-free run goes through the same
 paging-I/O code, where no attempt fails and nothing is charged.
 """
 
-from .degrade import DegradationController, ResilienceCounters
-from .device import FaultyDevice
-from .errors import (
-    CompressorFaultError,
-    DeviceIOError,
-    FragmentChecksumError,
-    IORetriesExhausted,
-    MissingFragmentError,
-    PagingFaultError,
-    PermanentIOError,
-    TransientIOError,
-)
-from .injectors import DeviceDecision, FaultInjector
-from .plan import (
-    CompressorFaultConfig,
-    DegradationConfig,
-    DeviceFaultConfig,
-    FaultPlan,
-    FaultPlanError,
-    FragmentFaultConfig,
-    RetryConfig,
-)
+from .. import _lazy_exports
 
-# The retry module imports repro.sim.ledger, and repro.sim transitively
-# imports the storage/ccache/vm modules that themselves import this
-# package for the error types — loading retry lazily keeps that chain
-# acyclic no matter which module is imported first.
-_RETRY_EXPORTS = ("ResilientIO", "RetryPolicy")
-
-
-def __getattr__(name: str):
-    if name in _RETRY_EXPORTS:
-        from . import retry
-
-        return getattr(retry, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "CompressorFaultConfig",
-    "CompressorFaultError",
-    "DegradationConfig",
-    "DegradationController",
-    "DeviceDecision",
-    "DeviceFaultConfig",
-    "DeviceIOError",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultPlanError",
-    "FaultyDevice",
-    "FragmentChecksumError",
-    "FragmentFaultConfig",
-    "IORetriesExhausted",
-    "MissingFragmentError",
-    "PagingFaultError",
-    "PermanentIOError",
-    "ResilienceCounters",
-    "ResilientIO",
-    "RetryConfig",
-    "RetryPolicy",
-    "TransientIOError",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "degrade": ("DegradationController", "ResilienceCounters"),
+    "device": ("FaultyDevice",),
+    "errors": (
+        "CompressorFaultError", "DeviceIOError", "FragmentChecksumError",
+        "IORetriesExhausted", "MissingFragmentError", "PagingFaultError",
+        "PermanentIOError", "TransientIOError",
+    ),
+    "injectors": ("DeviceDecision", "FaultInjector"),
+    "plan": (
+        "CompressorFaultConfig", "DegradationConfig", "DeviceFaultConfig",
+        "FaultPlan", "FaultPlanError", "FragmentFaultConfig", "RetryConfig",
+    ),
+    "retry": ("ResilientIO", "RetryPolicy"),
+})

@@ -23,12 +23,16 @@ Plans load from JSON (``repro run --faults plan.json``)::
 
 Every section is optional; omitted sections inject nothing (or use the
 default retry/degradation parameters).  Unknown keys are rejected — a
-typoed rate silently injecting nothing would be worse than an error.
+typoed rate silently injecting nothing would be worse than an error —
+and so are booleans where a number belongs and non-finite numbers
+(JSON's ``Infinity``/``NaN``): whatever the document, loading it either
+returns a plan or raises :class:`FaultPlanError`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -38,18 +42,40 @@ class FaultPlanError(ValueError):
     """Raised when a fault-plan document is malformed."""
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass; JSON's true/false are not counts.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """An int or float (never a bool) that is a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:               # an int past any float
+        return False
+
+
 def _check_rate(name: str, value: float) -> None:
-    if not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
+    if not _is_number(value) or not 0.0 <= value <= 1.0:
         raise FaultPlanError(f"{name} must be a rate in [0, 1]: {value!r}")
 
 
 def _check_nonneg(name: str, value: float) -> None:
-    if not isinstance(value, (int, float)) or value < 0:
-        raise FaultPlanError(f"{name} must be non-negative: {value!r}")
+    if not _is_number(value) or value < 0:
+        raise FaultPlanError(
+            f"{name} must be a finite non-negative number: {value!r}"
+        )
+
+
+def _check_at_least_one(name: str, value: int) -> None:
+    if not _is_int(value) or value < 1:
+        raise FaultPlanError(f"{name} must be an integer >= 1: {value!r}")
 
 
 def _check_max_faults(name: str, value) -> None:
-    if value is not None and (not isinstance(value, int) or value < 0):
+    if value is not None and (not _is_int(value) or value < 0):
         raise FaultPlanError(
             f"{name} must be null or a non-negative integer: {value!r}"
         )
@@ -172,15 +198,13 @@ class RetryConfig:
     max_backoff_ms: float = 50.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_attempts, int) or self.max_attempts < 1:
-            raise FaultPlanError(
-                f"retry.max_attempts must be >= 1: {self.max_attempts!r}"
-            )
+        _check_at_least_one("retry.max_attempts", self.max_attempts)
         _check_nonneg("retry.base_backoff_ms", self.base_backoff_ms)
         _check_nonneg("retry.max_backoff_ms", self.max_backoff_ms)
-        if not isinstance(self.multiplier, (int, float)) or self.multiplier < 1.0:
+        if not _is_number(self.multiplier) or self.multiplier < 1.0:
             raise FaultPlanError(
-                f"retry.multiplier must be >= 1: {self.multiplier!r}"
+                f"retry.multiplier must be a finite number >= 1: "
+                f"{self.multiplier!r}"
             )
 
 
@@ -206,21 +230,12 @@ class DegradationConfig:
     cooldown_evictions: int = 64
 
     def __post_init__(self) -> None:
-        if not isinstance(self.window, int) or self.window < 1:
-            raise FaultPlanError(
-                f"degradation.window must be >= 1: {self.window!r}"
-            )
+        _check_at_least_one("degradation.window", self.window)
         _check_rate("degradation.fault_threshold", self.fault_threshold)
-        if not isinstance(self.min_events, int) or self.min_events < 1:
-            raise FaultPlanError(
-                f"degradation.min_events must be >= 1: {self.min_events!r}"
-            )
-        if (not isinstance(self.cooldown_evictions, int)
-                or self.cooldown_evictions < 1):
-            raise FaultPlanError(
-                "degradation.cooldown_evictions must be >= 1: "
-                f"{self.cooldown_evictions!r}"
-            )
+        _check_at_least_one("degradation.min_events", self.min_events)
+        _check_at_least_one(
+            "degradation.cooldown_evictions", self.cooldown_evictions
+        )
 
 
 @dataclass(frozen=True)
@@ -292,7 +307,7 @@ class FaultPlan:
     )
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int):
+        if not _is_int(self.seed):
             raise FaultPlanError(f"seed must be an integer: {self.seed!r}")
 
     # ------------------------------------------------------------------
@@ -337,10 +352,10 @@ class FaultPlan:
     @classmethod
     def from_json(cls, path) -> "FaultPlan":
         """Load and validate a plan from a JSON file."""
-        text = Path(path).read_text()
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+            doc = json.loads(Path(path).read_bytes())
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers malformed JSON and undecodable bytes.
             raise FaultPlanError(f"{path}: not valid JSON: {exc}") from exc
         return cls.from_dict(doc)
 

@@ -39,11 +39,17 @@ class RetryPolicy:
     max_backoff_s: float = 0.05
 
     def backoff_seconds(self, retry_index: int) -> float:
-        """Backoff before retry number ``retry_index`` (0-based)."""
-        return min(
-            self.base_backoff_s * self.multiplier ** retry_index,
-            self.max_backoff_s,
-        )
+        """Backoff before retry number ``retry_index`` (0-based),
+        saturating at ``max_backoff_s`` where the growth overflows."""
+        try:
+            return min(
+                self.base_backoff_s * self.multiplier ** retry_index,
+                self.max_backoff_s,
+            )
+        except OverflowError:
+            # multiplier >= 1, so the uncapped value is past any float;
+            # only a zero base keeps it at zero.
+            return self.max_backoff_s if self.base_backoff_s else 0.0
 
 
 class ResilientIO:

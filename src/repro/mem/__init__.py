@@ -1,44 +1,18 @@
 """Physical and virtual memory substrate: pages, frames, LRU, segments."""
 
-from .content import PageContent, zero_page
-from .frames import FrameOwner, FramePool, OutOfFramesError
-from .lru import LruList
-from .page import (
-    DEFAULT_PAGE_SIZE,
-    WORD_SIZE,
-    PageId,
-    PageState,
-    mbytes,
-    pages_for_bytes,
-)
-from .pagetable import (
-    CC_PTE_BYTES,
-    CC_PTE_EXTRA_BYTES,
-    STD_PTE_BYTES,
-    PageTableEntry,
-    page_table_overhead_bytes,
-)
-from .segment import AddressSpace, ContentFactory, Segment
+from .. import _lazy_exports
 
-__all__ = [
-    "AddressSpace",
-    "CC_PTE_BYTES",
-    "CC_PTE_EXTRA_BYTES",
-    "ContentFactory",
-    "DEFAULT_PAGE_SIZE",
-    "FrameOwner",
-    "FramePool",
-    "LruList",
-    "OutOfFramesError",
-    "PageContent",
-    "PageId",
-    "PageState",
-    "PageTableEntry",
-    "STD_PTE_BYTES",
-    "Segment",
-    "WORD_SIZE",
-    "mbytes",
-    "page_table_overhead_bytes",
-    "pages_for_bytes",
-    "zero_page",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "content": ("PageContent", "zero_page"),
+    "frames": ("FrameOwner", "FramePool", "OutOfFramesError"),
+    "lru": ("LruList",),
+    "page": (
+        "DEFAULT_PAGE_SIZE", "PageId", "PageState", "WORD_SIZE", "mbytes",
+        "pages_for_bytes",
+    ),
+    "pagetable": (
+        "CC_PTE_BYTES", "CC_PTE_EXTRA_BYTES", "PageTableEntry",
+        "STD_PTE_BYTES", "page_table_overhead_bytes",
+    ),
+    "segment": ("AddressSpace", "ContentFactory", "Segment"),
+})

@@ -1,12 +1,9 @@
 """External pagers: the Mach-style restructuring the paper suggests."""
 
-from .compression import CompressionPager
-from .default import DefaultPager
-from .interface import MemoryObjectPager, PagerError
+from .. import _lazy_exports
 
-__all__ = [
-    "CompressionPager",
-    "DefaultPager",
-    "MemoryObjectPager",
-    "PagerError",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "compression": ("CompressionPager",),
+    "default": ("DefaultPager",),
+    "interface": ("MemoryObjectPager", "PagerError"),
+})

@@ -17,6 +17,8 @@ The repo's simulated results never depend on host wall-clock, but the
 * **page generation** — ms per page of each :mod:`~.workloads.contentgen`
   generator with its memo emptied: what every run pays before its first
   reference.
+* **import footprint** — the peak resident set of a fresh interpreter
+  that imports only what one process kind needs (:data:`IMPORT_SETS`).
 
 Every in-process wall-clock figure is taken by :func:`ab_compare`.
 Results are written as ``BENCH_compression.json`` and ``BENCH_sim.json``
@@ -593,6 +595,74 @@ def bench_stream_replay(references: int = 10_000_000,
     }
 
 
+#: What :func:`bench_import_footprint` imports, per process kind:
+#: ``logstore`` is the ``lfs-churn`` benchmark's store, ``kv_front_end``
+#: the ``repro`` imports of the ``kv-mixed`` front end
+#: (benchmarks/e2e/kv_workload.py), which its shard workers inherit.
+IMPORT_SETS: Dict[str, Tuple[str, ...]] = {
+    "logstore": ("repro.storage.logstore",),
+    "kv_front_end": (
+        "repro.compression.sampler", "repro.service.config",
+        "repro.service.errors", "repro.service.protocol",
+        "repro.service.server", "repro.service.store",
+        "repro.workloads.contentgen", "repro.workloads.traffic",
+    ),
+}
+
+_FOOTPRINT_CHILD = """
+import json, os, sys
+{imports}
+peak_kb = None
+if os.path.exists("/proc/self/status"):
+    status = dict(line.split(":", 1) for line in open("/proc/self/status"))
+    peak_kb = int(status["VmHWM"].split()[0])
+print(json.dumps([peak_kb,
+                  sum(name.startswith("repro") for name in sys.modules),
+                  "numpy" in sys.modules]))
+"""
+
+
+def bench_import_footprint(reps: int = 3) -> Dict:
+    """Each :data:`IMPORT_SETS` row's fresh-interpreter ``VmHWM``.
+
+    A child interpreter imports the row's modules and nothing else, then
+    reads its own peak resident set; the figure is the least of ``reps``
+    children (they spread about 0.1 MB).  ``peak_rss_mb`` is ``None``
+    where there is no ``/proc``.
+
+    Raises:
+        RuntimeError: if a child cannot import its modules.
+    """
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    result: Dict = {}
+    for name, modules in IMPORT_SETS.items():
+        code = _FOOTPRINT_CHILD.format(
+            imports="\n".join(f"import {module}" for module in modules))
+        peaks = []
+        for _ in range(reps):
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True)
+            if proc.returncode != 0:
+                raise RuntimeError(
+                    f"importing {name} failed (exit {proc.returncode}): "
+                    f"{proc.stderr.strip()}")
+            peak_kb, repro_modules, numpy_loaded = json.loads(proc.stdout)
+            peaks.append(peak_kb)
+        result[name] = {
+            "modules": list(modules),
+            "peak_rss_mb": (None if peak_kb is None
+                            else round(min(peaks) / 1024, 1)),
+            "repro_modules": repro_modules,
+            "numpy_loaded": numpy_loaded,
+        }
+    return result
+
+
 #: The same-process overhead comparisons: name, baseline
 #: ``MachineConfig`` fields, variant fields, workloads.  The variant is
 #: always a superset of the baseline's work (selector trials and memo
@@ -796,6 +866,13 @@ def _enough_cpus(payload: Dict, baseline: Dict) -> Optional[str]:
             f"{cpus} CPU(s) visible, the scaling floor needs {needed}")
 
 
+def _footprint_measured(payload: Dict, baseline: Dict) -> Optional[str]:
+    rows = payload.get("import_footprint", {}).values()
+    if any(row["peak_rss_mb"] is None for row in rows):
+        return "no /proc on this host: no child read its VmHWM"
+    return None
+
+
 def _shard_memory_measured(payload: Dict, baseline: Dict) -> Optional[str]:
     # A shard's memory follows its slot count, compressor and traffic.
     reason = _same_spec(payload, baseline)
@@ -877,6 +954,10 @@ GATES: Tuple[Gate, ...] = (
     # mapped trace; the trace length depends on the scale it ran at.
     Gate("stream-replay-rss", "sim", "stream_replay.peak_rss_mb",
          "<=", "stream_replay_peak_rss_mb", 1.0, _at_scale),
+    # A fresh interpreter importing one process kind's modules: a
+    # package __init__ or a registry that imports eagerly again fails it.
+    Gate("import-footprint", "compression", "import_footprint.*.peak_rss_mb",
+         "<=", "import_footprint_mb", 1.0, _footprint_measured),
     # A digest mismatch on the same spec is a determinism regression,
     # the one failure with no tolerance.
     Gate("service-ledger-digest", "service", "determinism.ledger_digest",
@@ -1004,6 +1085,16 @@ def run_harness(
     for key, value in micro.items():
         if key.endswith("_ops_s"):
             echo(f"  {key[:-6]}: {value:,.0f} ops/s")
+    echo("import footprint (fresh interpreter, VmHWM) ...")
+    try:
+        compression["import_footprint"] = bench_import_footprint()
+    except RuntimeError as exc:
+        echo(f"  import footprint failed: {exc}")
+    for name, row in compression.get("import_footprint", {}).items():
+        peak = ("unknown" if row["peak_rss_mb"] is None
+                else f"{row['peak_rss_mb']:.1f} MB")
+        echo(f"  {name}: {peak}, {row['repro_modules']} repro modules, "
+             f"numpy {'loaded' if row['numpy_loaded'] else 'not loaded'}")
     comp_path = out_dir / "BENCH_compression.json"
     comp_path.write_text(json.dumps(compression, indent=2) + "\n")
     echo(f"wrote {comp_path}")

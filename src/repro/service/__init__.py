@@ -23,20 +23,12 @@ contract (why 1-shard and 4-shard runs of the same traffic produce
 identical ledgers).
 """
 
-from .config import ServiceConfig, TenantSpec
-from .errors import BackpressureError, ServiceError, ShardDeadError
-from .latency import LatencyRecorder
-from .ledger import TenantLedger, ledger_digest, merge_ledgers
-from .server import CacheService
+from .. import _lazy_exports
 
-__all__ = [
-    "BackpressureError",
-    "CacheService",
-    "LatencyRecorder",
-    "ServiceConfig",
-    "ServiceError",
-    "ShardDeadError",
-    "TenantLedger",
-    "ledger_digest",
-    "merge_ledgers",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "config": ("ServiceConfig", "TenantSpec"),
+    "errors": ("BackpressureError", "ServiceError", "ShardDeadError"),
+    "latency": ("LatencyRecorder",),
+    "ledger": ("TenantLedger", "ledger_digest", "merge_ledgers"),
+    "server": ("CacheService",),
+})

@@ -27,10 +27,13 @@ import asyncio
 import json
 import multiprocessing as mp
 import socket
+import sys
 import time
 from collections import Counter
-from typing import Callable, Dict, Iterable, Mapping, Optional
+from typing import Callable, Dict, Iterable, Mapping, Optional, Set
 
+from ..compression.base import create
+from ..compression.sampler import shared_results_size
 from ..counters import proc_status_kb
 from .config import ServiceConfig
 from .errors import ProtocolError
@@ -148,6 +151,7 @@ def shard_main(config: ServiceConfig, shard_id: int,
     # What the worker holds before it builds anything (a forked one: the
     # front end's pages); its stats report the peak above this.
     rss_at_start = proc_status_kb("VmRSS")
+    modules_at_start = set(sys.modules)
     conn = FrameSocket(sock)
     slots: Dict[int, VslotStore] = {
         vslot: VslotStore(config, vslot)
@@ -188,7 +192,7 @@ def shard_main(config: ServiceConfig, shard_id: int,
             elif op == OP_STATS:
                 reply.add(ST_STATS, _stats_blob(
                     config, shard_id, slots, ops, batches, busy_s,
-                    rss_at_start,
+                    rss_at_start, modules_at_start,
                 ))
             else:  # OP_SHUTDOWN: iter_requests admits no other op
                 reply.add(ST_BYE)
@@ -229,15 +233,17 @@ def sum_selection(snapshots: Iterable[Mapping[str, object]]) -> Dict:
 
 def _stats_blob(config: ServiceConfig, shard_id: int,
                 slots: Dict[int, VslotStore], ops: int, batches: int,
-                busy_s: float, rss_at_start: Optional[int]) -> bytes:
+                busy_s: float, rss_at_start: Optional[int],
+                modules_at_start: Set[str]) -> bytes:
     """The JSON payload answering :data:`OP_STATS`.
 
     ``peak_rss_growth_mb`` is the worker's own memory: its peak resident
     set (``VmHWM``) above what it held when it started, ``None`` where
-    there is no ``/proc``.
+    there is no ``/proc``.  ``late_imports`` lists the ``repro`` modules
+    the worker imported after it started; a forked worker inherits its
+    modules from the front end (:class:`ShardHandle`), so it reads
+    ``[]``.
     """
-    from ..compression.sampler import shared_results_size
-
     ledgers = merge_ledgers(
         slots[vslot].ledgers_by_name() for vslot in sorted(slots)
     )
@@ -258,6 +264,10 @@ def _stats_blob(config: ServiceConfig, shard_id: int,
         "peak_rss_growth_mb": (
             None if peak is None or rss_at_start is None
             else round((peak - rss_at_start) / 1024, 2)
+        ),
+        "late_imports": sorted(
+            name for name in sys.modules
+            if name.startswith("repro") and name not in modules_at_start
         ),
         "ledgers": ledgers,
     }
@@ -291,6 +301,10 @@ class ShardHandle:
         on_frame: Callable[[bytearray], None],
         on_death: Callable[[Exception], None],
     ):
+        # Build one compressor here, in the parent, so the kernel modules
+        # (and numpy) a worker's stores need are imported once, before
+        # the fork, instead of by every worker after it.
+        create(config.compressor)
         ctx = mp.get_context()
         ours, theirs = socket.socketpair()
         self.shard_id = shard_id

@@ -1,35 +1,16 @@
 """Simulation engine: clock, ledger, costs, machine wiring, metrics."""
 
-from .clock import VirtualClock
-from .costs import CostModel
-from .engine import PageRef, RunResult, SimulationEngine, run_workload
-from .ledger import Ledger, TimeCategory
-from .machine import DEVICE_PRESETS, Machine, MachineConfig
-from .metrics import EvictionCounters, FaultCounters, SimulationMetrics
-from .report import (
-    format_minutes_seconds,
-    render_sampler_stats,
-    render_series,
-    render_table,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "CostModel",
-    "DEVICE_PRESETS",
-    "EvictionCounters",
-    "FaultCounters",
-    "Ledger",
-    "Machine",
-    "MachineConfig",
-    "PageRef",
-    "RunResult",
-    "SimulationEngine",
-    "SimulationMetrics",
-    "TimeCategory",
-    "VirtualClock",
-    "format_minutes_seconds",
-    "render_sampler_stats",
-    "render_series",
-    "render_table",
-    "run_workload",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "clock": ("VirtualClock",),
+    "costs": ("CostModel",),
+    "engine": ("PageRef", "RunResult", "SimulationEngine", "run_workload"),
+    "ledger": ("Ledger", "TimeCategory"),
+    "machine": ("DEVICE_PRESETS", "Machine", "MachineConfig"),
+    "metrics": ("EvictionCounters", "FaultCounters", "SimulationMetrics"),
+    "report": (
+        "format_minutes_seconds", "render_sampler_stats", "render_series",
+        "render_table",
+    ),
+})

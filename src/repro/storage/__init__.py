@@ -5,52 +5,25 @@
 crc32, seq)``.
 """
 
-from .backing import BackingStore, WriteOutTarget
-from .blockfs import BlockFile, BlockFileSystem, FsCounters, PartialWritePolicy
-from .buffercache import BufferCache, BufferCacheCounters
-from .compressed_buffercache import (
-    CompressedBufferCache,
-    CompressedCacheCounters,
-)
-from .device import BackingDevice, DeviceCounters
-from .disk import DiskModel
-from .fragstore import FragmentLocation, FragmentStore, FragStoreCounters
-from .lfs import LfsCounters, LogStructuredFS
-from .logstore import (
-    LogLocation,
-    LogStoreConfig,
-    LogStoreCounters,
-    LogStructuredStore,
-    RecoveryStats,
-)
-from .network import NetworkModel
-from .swap import StandardSwap, SwapCounters
+from .. import _lazy_exports
 
-__all__ = [
-    "BackingDevice",
-    "BackingStore",
-    "BlockFile",
-    "BlockFileSystem",
-    "BufferCache",
-    "BufferCacheCounters",
-    "CompressedBufferCache",
-    "CompressedCacheCounters",
-    "DeviceCounters",
-    "DiskModel",
-    "FragStoreCounters",
-    "FragmentLocation",
-    "FragmentStore",
-    "FsCounters",
-    "LfsCounters",
-    "LogLocation",
-    "LogStoreConfig",
-    "LogStoreCounters",
-    "LogStructuredFS",
-    "LogStructuredStore",
-    "NetworkModel",
-    "RecoveryStats",
-    "PartialWritePolicy",
-    "StandardSwap",
-    "SwapCounters",
-    "WriteOutTarget",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "backing": ("BackingStore", "WriteOutTarget"),
+    "blockfs": (
+        "BlockFile", "BlockFileSystem", "FsCounters", "PartialWritePolicy",
+    ),
+    "buffercache": ("BufferCache", "BufferCacheCounters"),
+    "compressed_buffercache": (
+        "CompressedBufferCache", "CompressedCacheCounters",
+    ),
+    "device": ("BackingDevice", "DeviceCounters"),
+    "disk": ("DiskModel",),
+    "fragstore": ("FragStoreCounters", "FragmentLocation", "FragmentStore"),
+    "lfs": ("LfsCounters", "LogStructuredFS"),
+    "logstore": (
+        "LogLocation", "LogStoreConfig", "LogStoreCounters",
+        "LogStructuredStore", "RecoveryStats",
+    ),
+    "network": ("NetworkModel",),
+    "swap": ("StandardSwap", "SwapCounters"),
+})

@@ -29,16 +29,10 @@ byte-identical to the historical single compression cache; see
 example.
 """
 
-from .chain import Rejected, TierChain
-from .compressed import CompressedTier, DemotionSink
-from .spec import TierSpec, parse_tier_specs, two_tier_specs
+from .. import _lazy_exports
 
-__all__ = [
-    "CompressedTier",
-    "DemotionSink",
-    "Rejected",
-    "TierChain",
-    "TierSpec",
-    "parse_tier_specs",
-    "two_tier_specs",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "chain": ("Rejected", "TierChain"),
+    "compressed": ("CompressedTier", "DemotionSink"),
+    "spec": ("TierSpec", "parse_tier_specs", "two_tier_specs"),
+})

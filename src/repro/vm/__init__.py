@@ -1,16 +1,11 @@
 """Virtual memory systems: standard demand paging and the compression cache."""
 
-from .compressed import CompressedVM
-from .external import ExternalPagerVM
-from .faults import FaultSource, VmConfigurationError
-from .standard import StandardVM
-from .system import BaseVM
+from .. import _lazy_exports
 
-__all__ = [
-    "BaseVM",
-    "CompressedVM",
-    "ExternalPagerVM",
-    "FaultSource",
-    "StandardVM",
-    "VmConfigurationError",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "compressed": ("CompressedVM",),
+    "external": ("ExternalPagerVM",),
+    "faults": ("FaultSource", "VmConfigurationError"),
+    "standard": ("StandardVM",),
+    "system": ("BaseVM",),
+})

@@ -1,25 +1,16 @@
 """The paper's benchmark applications, reimplemented as reference streams."""
 
-from .base import Workload
-from .compare import CompareWorkload
-from .diurnal import DiurnalWorkload
-from .gold import GoldWorkload
-from .isca import CacheSimWorkload
-from .multiprogram import MultiProgramWorkload
-from .relaunch import AppRelaunchWorkload
-from .sortw import SortWorkload
-from .synthetic import SyntheticWorkload
-from .thrasher import Thrasher
+from .. import _lazy_exports
 
-__all__ = [
-    "AppRelaunchWorkload",
-    "CacheSimWorkload",
-    "CompareWorkload",
-    "DiurnalWorkload",
-    "GoldWorkload",
-    "MultiProgramWorkload",
-    "SortWorkload",
-    "SyntheticWorkload",
-    "Thrasher",
-    "Workload",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "base": ("Workload",),
+    "compare": ("CompareWorkload",),
+    "diurnal": ("DiurnalWorkload",),
+    "gold": ("GoldWorkload",),
+    "isca": ("CacheSimWorkload",),
+    "multiprogram": ("MultiProgramWorkload",),
+    "relaunch": ("AppRelaunchWorkload",),
+    "sortw": ("SortWorkload",),
+    "synthetic": ("SyntheticWorkload",),
+    "thrasher": ("Thrasher",),
+})

@@ -543,6 +543,52 @@ class TestGateTable:
             ["stream-replay-rss"] if fails else []
         )
 
+    @pytest.mark.parametrize("logstore, fails", [(35.9, True), (16.8, False)])
+    def test_committed_import_footprint_ceiling_can_fail(self, logstore,
+                                                         fails):
+        """The committed ``logstore`` ceiling sits between a fresh
+        ``import repro.storage.logstore`` with eager package inits
+        (35.9 MB: the simulator and numpy) and with lazy ones (16.8,
+        the highest measured)."""
+        committed = json.loads(
+            (REPO_ROOT / "benchmarks" / "perf_baseline.json").read_text()
+        )["import_footprint_mb"]
+        failures = _failures(
+            {"compression": {"import_footprint": {
+                "logstore": {"peak_rss_mb": logstore},
+                "kv_front_end": {"peak_rss_mb": 36.4},
+            }}},
+            {"import_footprint_mb": committed},
+        )
+        assert [line.split(":")[0] for line in failures] == (
+            ["import-footprint logstore"] if fails else []
+        )
+
+    def test_import_footprint_measures_each_set_and_names_a_broken_one(
+            self, monkeypatch):
+        monkeypatch.setattr(perf, "IMPORT_SETS",
+                            {"disk": ("repro.storage.disk",)})
+        row = perf.bench_import_footprint(reps=1)["disk"]
+        assert row["numpy_loaded"] is False
+        # repro, repro.storage, disk, device and counters: nothing else.
+        assert row["repro_modules"] == 5
+        assert row["peak_rss_mb"] is None or row["peak_rss_mb"] > 0
+        monkeypatch.setattr(perf, "IMPORT_SETS",
+                            {"broken": ("repro.no_such_module",)})
+        with pytest.raises(RuntimeError, match="importing broken failed"):
+            perf.bench_import_footprint(reps=1)
+
+    def test_import_footprint_without_proc_is_skipped_by_name(self):
+        report = evaluate_gates(
+            {"compression": {"import_footprint": {
+                "logstore": {"peak_rss_mb": None},
+            }}},
+            {"import_footprint_mb": {"logstore": 24}},
+        )
+        assert report.failures == []
+        assert ("import-footprint: no /proc on this host: no child read "
+                "its VmHWM") in report.skipped
+
     def test_shard_rss_without_proc_is_skipped_by_name(self):
         report = evaluate_gates(
             {"service": {"runs": {"1": {"shard_peak_rss_growth_mb": None}}}},
