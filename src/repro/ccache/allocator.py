@@ -9,23 +9,23 @@ pages for all three types.  The system biases the ages to favor
 compressed pages over uncompressed pages and both of these over file
 cache blocks."
 
-The bias here is additive seconds on a pool's raw LRU age: a larger bias
+The bias here is a weight on a pool's raw LRU age: a larger weight
 makes the pool's coldest entry look older and therefore get reclaimed
-sooner.  Favoring compressed pages most means the cache's bias is the
-smallest (zero by default).  The key tunable the paper discusses — "the
-more the system favors compressed pages, the larger the compression cache
-will tend to grow in periods of heavy paging; with a very low bias ...
-the compression cache degenerates into a buffer for compressing and
-decompressing pages between memory and the backing store" — is the gap
-between ``vm_bias_s`` and ``ccache_bias_s``, swept by the policy-ablation
-benchmark.
+sooner.  Favoring compressed pages most means the cache's weight is the
+smallest.  The key tunable the paper discusses — "the more the system
+favors compressed pages, the larger the compression cache will tend to
+grow in periods of heavy paging; with a very low bias ... the
+compression cache degenerates into a buffer for compressing and
+decompressing pages between memory and the backing store" — is the
+ratio between ``vm_weight`` and ``ccache_weight``, which the
+policy-ablation sweep (``ABLATION_BIAS_WEIGHTS``) varies.
 
 The mechanism is not limited to three pools.  :class:`TieredAllocator`
 arbitrates over an *ordered list* of registered pools, each with its own
-``(weight, bias)`` age terms — the shape an N-tier compressed-memory
-hierarchy needs, where every compressed tier competes for frames
-separately (see :mod:`repro.tiers`).  :class:`ThreeWayAllocator` is the
-paper's three-pool configuration of the same machinery, with its terms
+age weight — the shape an N-tier compressed-memory hierarchy needs,
+where every compressed tier competes for frames separately (see
+:mod:`repro.tiers`).  :class:`ThreeWayAllocator` is the paper's
+three-pool configuration of the same machinery, with its weights
 supplied by an :class:`AllocationBiases` trading policy.
 """
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isfinite
-from typing import Dict, Optional, Protocol, Tuple
+from typing import Dict, Optional, Protocol
 
 from ..mem.frames import FrameOwner, FramePool, OutOfFramesError
 
@@ -51,80 +51,65 @@ class MemoryPool(Protocol):
 
 
 class TradingPolicy(Protocol):
-    """Supplies per-pool ``(weight, bias_seconds)`` age terms.
+    """Supplies each pool's age weight.
 
-    Victim selection computes ``effective_age = age * weight + bias`` for
-    each registered pool and reclaims from the largest.  A policy maps a
-    pool's registration key to its two terms; pools registered with
-    explicit terms (the N-tier path) bypass the policy entirely.
+    Victim selection computes ``effective_age = age * weight`` for each
+    registered pool and reclaims from the largest.  A policy maps a
+    pool's registration key to its weight; pools registered with an
+    explicit weight (the N-tier path) bypass the policy entirely.
     """
 
-    def terms_for(self, key: object) -> Tuple[float, float]:
-        """``(weight, bias_seconds)`` for the pool registered as ``key``."""
+    def weight_for(self, key: object) -> float:
+        """The age weight of the pool registered as ``key``."""
 
 
-def _validate_terms(label: str, weight: float, bias_s: float) -> None:
-    """Reject weights/biases that produce nonsense effective ages."""
+def _validate_weight(label: str, weight: float) -> None:
+    """Reject weights that produce nonsense effective ages."""
     if not isfinite(weight) or weight <= 0:
         raise ValueError(
             f"{label}: age weight must be a positive finite number, "
             f"got {weight!r} (a zero or negative weight erases or inverts "
             "LRU ordering)"
         )
-    if not isfinite(bias_s) or bias_s < 0:
-        raise ValueError(
-            f"{label}: age bias must be a non-negative finite number of "
-            f"seconds, got {bias_s!r} (a negative bias makes effective "
-            "ages meaningless)"
-        )
 
 
 @dataclass(frozen=True)
 class AllocationBiases:
-    """Age biases: ``effective_age = age * weight + bias_seconds``.
+    """Age biases: ``effective_age = age * weight``.
 
     A bigger effective age means reclaimed sooner.  Defaults order
     eviction pressure as file cache first, uncompressed VM pages second,
     compressed pages last — the paper's stated preference.  The weights
-    are the primary knob: they are scale-free (a workload that runs 10x
-    longer sees the same relative policy), matching Sprite's practice of
-    comparing LRU ages with a proportional adjustment.  The VM-vs-cache
-    gap is deliberately modest: the paper found that "the more the
-    system favors compressed pages, the larger the compression cache
-    will tend to grow" at the expense of the uncompressed pool, and a
-    middling setting performed best across its application mix (the
-    policy-ablation benchmark sweeps this).
+    are scale-free (a workload that runs 10x longer sees the same
+    relative policy), matching Sprite's practice of comparing LRU ages
+    with a proportional adjustment.  The VM-vs-cache gap is deliberately
+    modest: the paper found that "the more the system favors compressed
+    pages, the larger the compression cache will tend to grow" at the
+    expense of the uncompressed pool, and a middling setting performed
+    best across its application mix (the policy-ablation benchmark
+    sweeps this).
 
-    All weights must be positive and all biases non-negative (and every
-    term finite); violations raise ``ValueError`` at construction rather
-    than silently producing inverted or negative effective ages.
+    Every weight must be positive and finite; a violation raises
+    ``ValueError`` at construction rather than silently producing
+    inverted effective ages.
     """
 
-    file_cache_bias_s: float = 0.0
-    vm_bias_s: float = 0.0
-    ccache_bias_s: float = 0.0
     file_cache_weight: float = 12.0
     vm_weight: float = 6.0
     ccache_weight: float = 1.0
 
     def __post_init__(self) -> None:
-        _validate_terms("file_cache", self.file_cache_weight,
-                        self.file_cache_bias_s)
-        _validate_terms("vm", self.vm_weight, self.vm_bias_s)
-        _validate_terms("ccache", self.ccache_weight, self.ccache_bias_s)
+        _validate_weight("file_cache", self.file_cache_weight)
+        _validate_weight("vm", self.vm_weight)
+        _validate_weight("ccache", self.ccache_weight)
 
-    def effective_age(self, owner: FrameOwner, age: float) -> float:
-        """Bias-adjusted age used for victim selection."""
-        weight, bias = self.terms_for(owner)
-        return age * weight + bias
-
-    def terms_for(self, owner: FrameOwner) -> Tuple[float, float]:
-        """TradingPolicy protocol: ``(weight, bias)`` for one owner."""
+    def weight_for(self, owner: FrameOwner) -> float:
+        """TradingPolicy protocol: the age weight of one owner."""
         if owner == FrameOwner.FILE_CACHE:
-            return self.file_cache_weight, self.file_cache_bias_s
+            return self.file_cache_weight
         if owner == FrameOwner.VM:
-            return self.vm_weight, self.vm_bias_s
-        return self.ccache_weight, self.ccache_bias_s
+            return self.vm_weight
+        return self.ccache_weight
 
 
 @dataclass
@@ -147,10 +132,9 @@ class TieredAllocator:
 
     Pools register under a hashable key — a :class:`FrameOwner` for the
     classic three consumers, a tier name for the compressed tiers of an
-    N-tier chain.  Each pool's ``(weight, bias)`` age terms are fixed
-    when it registers — the installed :class:`TradingPolicy`'s for that
-    key, or the explicit per-registration pair — and move only by
-    :meth:`retune`.
+    N-tier chain.  Each pool's age weight is fixed when it registers —
+    the installed :class:`TradingPolicy`'s for that key, or the explicit
+    per-registration one — and moves only by :meth:`retune`.
     """
 
     def __init__(
@@ -166,8 +150,8 @@ class TieredAllocator:
         #: Each key's victim-counter label, worked out once at
         #: registration (a frame is reclaimed per fault under pressure).
         self._labels: Dict[object, str] = {}
-        #: Each key's ``(weight, bias)``, read by every victim choice.
-        self._terms: Dict[object, Tuple[float, float]] = {}
+        #: Each key's age weight, read by every victim choice.
+        self._weights: Dict[object, float] = {}
         self._shrinking: set = set()
         self.counters = AllocatorCounters()
 
@@ -176,31 +160,28 @@ class TieredAllocator:
         key: object,
         pool: Optional[MemoryPool],
         weight: Optional[float] = None,
-        bias_s: Optional[float] = None,
     ) -> None:
-        """Attach a pool under ``key`` with explicit or policy terms.
+        """Attach a pool under ``key`` with an explicit or policy weight.
 
-        Explicit ``weight``/``bias_s`` are validated here; leaving both
-        ``None`` takes the installed trading policy's terms for ``key``,
-        which it must know.
+        An explicit ``weight`` is validated here; ``None`` takes the
+        installed trading policy's weight for ``key``, which it must
+        know.
         """
         label = _pool_label(key)
-        if weight is None and bias_s is None:
+        if weight is None:
             if self.policy is None:
                 raise ValueError(
-                    f"pool {label!r} registered without terms and no "
+                    f"pool {label!r} registered without a weight and no "
                     "trading policy is installed"
                 )
-            terms = self.policy.terms_for(key)
+            weight = self.policy.weight_for(key)
         else:
-            terms = (1.0 if weight is None else weight,
-                     0.0 if bias_s is None else bias_s)
-            _validate_terms(label, *terms)
+            _validate_weight(label, weight)
         if key not in self._pools:
             self.counters.victims.setdefault(label, 0)
         self._pools[key] = pool
         self._labels[key] = label
-        self._terms[key] = terms
+        self._weights[key] = weight
 
     def release_pools(self) -> None:
         """Forget every pool: the machine that wired them is gone.
@@ -264,33 +245,23 @@ class TieredAllocator:
                 self.counters.victims[self._labels[key]] += 1
         return self.frames.allocate(for_owner)
 
-    def retune(
-        self,
-        key: object,
-        weight: Optional[float] = None,
-        bias_s: Optional[float] = None,
-    ) -> Tuple[float, float]:
-        """Re-bias a registered pool's trading terms at runtime.
+    def retune(self, key: object, weight: float) -> float:
+        """Re-bias a registered pool's age weight at runtime.
 
-        Terms left ``None`` keep their current value; the next victim
-        choice sees the new pair.  Returns the effective
-        ``(weight, bias_s)``.
+        The next victim choice sees the new weight.  Returns it.
 
         Raises:
             KeyError: when no pool is registered under ``key``.
-            ValueError: when the resulting terms are invalid.
+            ValueError: when the weight is invalid.
         """
         label = _pool_label(key)
         if key not in self._pools:
             raise KeyError(
                 f"cannot retune unregistered pool {label!r}"
             )
-        current = self._terms[key]
-        new_weight = current[0] if weight is None else weight
-        new_bias = current[1] if bias_s is None else bias_s
-        _validate_terms(label, new_weight, new_bias)
-        self._terms[key] = (new_weight, new_bias)
-        return (new_weight, new_bias)
+        _validate_weight(label, weight)
+        self._weights[key] = weight
+        return weight
 
     def resize_pool(self, key: object, max_frames: Optional[int]) -> int:
         """Change a capped pool's frame budget at runtime, spill-safe.
@@ -339,7 +310,7 @@ class TieredAllocator:
         return released
 
     def _choose_victim(self):
-        terms = self._terms
+        weights = self._weights
         now = self._now_fn()
         best = None
         best_age = None
@@ -349,8 +320,7 @@ class TieredAllocator:
             age = pool.coldest_age(now)
             if age is None:
                 continue
-            weight, bias = terms[key]
-            effective = age * weight + bias
+            effective = age * weights[key]
             if best_age is None or effective > best_age:
                 best_age = effective
                 best = (key, pool)
@@ -359,12 +329,12 @@ class TieredAllocator:
 
 class ThreeWayAllocator(TieredAllocator):
     """The paper's three-pool arbitration: VM, compression cache, file
-    cache, with age terms from an :class:`AllocationBiases` policy.
+    cache, with age weights from an :class:`AllocationBiases` policy.
 
     Pools register themselves once constructed; a pool slot left ``None``
     simply never competes (e.g. no file cache in a pure-VM experiment).
     Extra pools — the colder compressed tiers of an N-tier chain — join
-    through :meth:`TieredAllocator.register_pool` with explicit terms.
+    through :meth:`TieredAllocator.register_pool` with explicit weights.
     """
 
     def __init__(
@@ -384,7 +354,7 @@ class ThreeWayAllocator(TieredAllocator):
         for owner in FrameOwner:
             self._pools[owner] = None
             self._labels[owner] = owner.value
-            self._terms[owner] = self.policy.terms_for(owner)
+            self._weights[owner] = self.policy.weight_for(owner)
             self.counters.victims[owner.value] = 0
 
     @property

@@ -38,6 +38,11 @@ from ..sim.ledger import Ledger, TimeCategory
 from ..storage.backing import WriteOutTarget
 from .header import CompressedPageHeader, SlotState
 
+#: Max hot-page deferrals per :meth:`CompressionCache.clean_pages` round
+#: — the bound that guarantees cleaner progress even when every dirty
+#: page is hot.
+HOT_SKIP_BUDGET = 8
+
 #: Called when the cache needs a physical frame and the pool is empty;
 #: must free one up (possibly by shrinking another consumer) and return it.
 FrameProvider = Callable[[FrameOwner], int]
@@ -146,13 +151,10 @@ class CompressionCache:
         self.written_callback: Optional[Callable[[PageId, int], None]] = None
         #: Hotness predicate consulted by :meth:`clean_pages`; when it
         #: returns True the dirty page is deferred to the back of the
-        #: FIFO (bounded per round by :attr:`hot_skip_budget`) so cold
+        #: FIFO (bounded per round by :data:`HOT_SKIP_BUDGET`) so cold
         #: pages sink first.  ``None`` (the default) keeps the historical
         #: strict-FIFO order byte-for-byte.
         self.hot_filter: Optional[Callable[[PageId], bool]] = None
-        #: Max hot-page deferrals per clean_pages round — the bound that
-        #: guarantees cleaner progress even when every dirty page is hot.
-        self.hot_skip_budget = 8
 
     # ------------------------------------------------------------------
     # Introspection
@@ -372,7 +374,7 @@ class CompressionCache:
         """
         written = 0
         hot_filter = self.hot_filter
-        skips_left = self.hot_skip_budget if hot_filter is not None else 0
+        skips_left = HOT_SKIP_BUDGET if hot_filter is not None else 0
         while written < max_pages and self._dirty_fifo:
             page_id = self._dirty_fifo.popleft()
             entry = self._entries.get(page_id)

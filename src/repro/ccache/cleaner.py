@@ -19,6 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: How many compressed pages typically fit in one frame (≈ compression
+#: factor for 4-KByte pages); converts a frame deficit into a page count.
+PAGES_PER_FRAME_ESTIMATE = 3.0
+
 
 @dataclass(frozen=True)
 class CleanerPolicy:
@@ -31,15 +35,11 @@ class CleanerPolicy:
             with this many free frames the cleaner stays idle regardless.
         max_batch_pages: upper bound on pages cleaned per invocation, so
             cleaning interleaves with foreground progress.
-        pages_per_frame_estimate: how many compressed pages typically fit
-            in one frame (≈ compression factor for 4-KByte pages); used
-            to convert a frame deficit into a page count.
     """
 
     target_clean_fraction: float = 0.25
     free_goal_frames: int = 8
     max_batch_pages: int = 16
-    pages_per_frame_estimate: float = 3.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.target_clean_fraction <= 1.0:
@@ -48,8 +48,6 @@ class CleanerPolicy:
             )
         if self.free_goal_frames < 0 or self.max_batch_pages < 0:
             raise ValueError("cleaner frame/page goals must be non-negative")
-        if self.pages_per_frame_estimate <= 0:
-            raise ValueError("pages_per_frame_estimate must be positive")
 
     def pages_to_clean(
         self,
@@ -72,5 +70,5 @@ class CleanerPolicy:
         deficit = goal_frames - reclaimable_frames - free_frames
         if deficit <= 0:
             return 0
-        pages = int(deficit * self.pages_per_frame_estimate + 0.5)
+        pages = int(deficit * PAGES_PER_FRAME_ESTIMATE + 0.5)
         return max(1, min(self.max_batch_pages, pages))

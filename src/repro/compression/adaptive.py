@@ -152,9 +152,9 @@ class AdaptiveCompressor(Compressor):
             bit-identical across modes).
         candidates: kernel names to choose among, CPU-cheapest first
             (the tie-break order).  Defaults to
-            :data:`DEFAULT_CANDIDATES`.
-        threshold_factor: the paper's keep-compressed rule; a kernel is
-            *eligible* only if the tagged payload meets it.
+            :data:`DEFAULT_CANDIDATES`.  A kernel is *eligible* only if
+            its tagged payload meets the paper's 4:3 keep-compressed
+            rule.
         resample_every: re-run full trials after this many memo hits on
             one kind, so a drifting kind re-elects its kernel
             deterministically.
@@ -171,7 +171,6 @@ class AdaptiveCompressor(Compressor):
         self,
         fast: Optional[bool] = None,
         candidates: Optional[Sequence[str]] = None,
-        threshold_factor: float = 4.0 / 3.0,
         resample_every: int = 32,
         memo_max: int = 1024,
         result_memo_max: int = 8192,
@@ -198,7 +197,7 @@ class AdaptiveCompressor(Compressor):
                 )
         super().__init__(fast)
         self.candidate_names = names
-        self.threshold = CompressionThreshold(threshold_factor)
+        self.threshold = CompressionThreshold()
         self.resample_every = resample_every
         self.memo_max = memo_max
         self.result_memo_max = result_memo_max

@@ -33,7 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import InitVar, dataclass, field
 from math import isfinite
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Dict, List, Optional
 
 from ..counters import Counters
 from ..mem.frames import FrameOwner
@@ -42,62 +42,58 @@ from .hotness import HotnessTracker
 from .windowed import WindowedStats
 
 
+#: Virtual seconds between controller evaluations.
+INTERVAL_S = 0.1
+#: Width of one telemetry window slot (virtual seconds), and the number
+#: of slots in the ring.
+WINDOW_S = 0.1
+WINDOWS = 8
+#: Center and half-width of the miss-fraction comfort band.
+TARGET_MISS_FRACTION = 0.25
+DEADBAND = 0.1
+#: Above this achieved ratio, compression is not paying — the controller
+#: never grows the compressed tiers on its account.
+RATIO_CEILING_PERCENT = 85.0
+#: Evaluations with fewer windowed demand faults than this are "quiet"
+#: and never act.
+MIN_WINDOW_FAULTS = 8
+#: Occupancy (frames / cap) above which a grow is worthwhile, and below
+#: which a shrink reclaims idle frames.
+GROW_OCCUPANCY = 0.85
+SHRINK_OCCUPANCY = 0.55
+#: Multiplicative step of a warm-pool weight re-bias, and its upper bound.
+WEIGHT_STEP = 2.0
+MAX_WEIGHT = 16.0
+#: CPU charged to the virtual clock per evaluation.
+TICK_COST_S = 2e-5
+#: Half-life of the hotness tracker's decayed access count.
+HOT_HALF_LIFE_S = 0.05
+
+
 @dataclass(frozen=True)
 class ControlConfig:
     """Tuning knobs for the closed-loop tier controller.
 
     The policy triggers on the *miss fraction*: the share of demand
     faults (zero-fills excluded) that had to go past every compressed
-    tier to the backing store or raw swap.  ``target_miss_fraction ±
-    deadband`` is the comfort band; outside it — and only when the
-    windowed compression ratio is below ``ratio_ceiling_percent``, i.e.
+    tier to the backing store or raw swap.  ``TARGET_MISS_FRACTION ±
+    DEADBAND`` is the comfort band; outside it — and only when the
+    windowed compression ratio is below ``RATIO_CEILING_PERCENT``, i.e.
     compression is actually paying for itself — the controller spends
-    one bounded action per evaluation.
+    one bounded action per evaluation.  Those constants, and the rest
+    above, are the policy's fixed shape; the fields are what a run sets.
     """
 
-    #: Virtual seconds between controller evaluations.
-    interval_s: float = 0.1
-    #: Width of one telemetry window slot (virtual seconds).
-    window_s: float = 0.1
-    #: Number of slots in the telemetry ring.
-    windows: int = 8
     #: Minimum virtual seconds between two issued actions.
     cooldown_s: float = 0.4
-    #: Center of the miss-fraction comfort band.
-    target_miss_fraction: float = 0.25
-    #: Half-width of the comfort band (symmetric hysteresis).
-    deadband: float = 0.1
-    #: Above this achieved ratio, compression is not paying — the
-    #: controller never grows the compressed tiers on its account.
-    ratio_ceiling_percent: float = 85.0
-    #: Evaluations with fewer windowed demand faults than this are
-    #: "quiet" and never act.
-    min_window_faults: int = 8
     #: Frames added/removed by one resize action.
     resize_step_frames: int = 8
     #: A capped tier is never shrunk below this.
     min_tier_frames: int = 8
-    #: Upper cap bound; ``None`` derives it from the machine's frames.
-    max_tier_frames: Optional[int] = None
-    #: Occupancy (frames / cap) above which a grow is worthwhile.
-    grow_occupancy: float = 0.85
-    #: Occupancy below which a shrink reclaims idle frames.
-    shrink_occupancy: float = 0.55
-    #: Multiplicative step for warm-pool weight re-bias actions.
-    weight_step: float = 2.0
-    #: Bounds for the warm pool's trading weight.
+    #: Lower bound for the warm pool's trading weight.
     min_weight: float = 0.25
-    max_weight: float = 16.0
-    #: CPU charged to the virtual clock per evaluation.
-    tick_cost_s: float = 2e-5
-    #: Hotness tracking (the demotion-path filter); half-life of the
-    #: decayed access count, the hot threshold, and the per-clean-round
-    #: deferral budget.
+    #: Hotness tracking (the demotion-path filter).
     hotness: bool = True
-    hot_half_life_s: float = 0.05
-    hot_score: float = 2.0
-    hot_skip_budget: int = 8
-    max_tracked_pages: int = 65536
     #: After this many consecutive in-deadband evaluations, take one
     #: seeded exploratory resize step (0 disables probing).
     probe_every: int = 0
@@ -107,60 +103,24 @@ class ControlConfig:
     log_limit: int = 64
 
     def __post_init__(self) -> None:
-        for name in ("interval_s", "window_s", "cooldown_s",
-                     "hot_half_life_s"):
-            value = getattr(self, name)
-            if not isfinite(value) or value <= 0:
-                raise ValueError(
-                    f"ControlConfig.{name} must be positive and finite, "
-                    f"got {value!r}"
-                )
-        for name in ("windows", "min_window_faults", "resize_step_frames",
-                     "min_tier_frames", "hot_skip_budget",
-                     "max_tracked_pages", "log_limit"):
+        if not isfinite(self.cooldown_s) or self.cooldown_s <= 0:
+            raise ValueError(
+                "ControlConfig.cooldown_s must be positive and finite, "
+                f"got {self.cooldown_s!r}"
+            )
+        for name in ("resize_step_frames", "min_tier_frames", "log_limit"):
             if getattr(self, name) < 1:
                 raise ValueError(
                     f"ControlConfig.{name} must be >= 1, "
                     f"got {getattr(self, name)!r}"
                 )
-        if not 0.0 < self.target_miss_fraction < 1.0:
+        if not 0 < self.min_weight <= MAX_WEIGHT:
             raise ValueError(
-                "ControlConfig.target_miss_fraction must be in (0, 1), "
-                f"got {self.target_miss_fraction!r}"
-            )
-        if not 0.0 <= self.deadband < 0.5:
-            raise ValueError(
-                "ControlConfig.deadband must be in [0, 0.5), "
-                f"got {self.deadband!r}"
-            )
-        if self.weight_step <= 1.0:
-            raise ValueError(
-                "ControlConfig.weight_step must be > 1.0, "
-                f"got {self.weight_step!r}"
-            )
-        if not 0 < self.min_weight <= self.max_weight:
-            raise ValueError(
-                "ControlConfig weight bounds need "
-                f"0 < min_weight <= max_weight, got "
-                f"{self.min_weight!r}..{self.max_weight!r}"
-            )
-        if self.max_tier_frames is not None and \
-                self.max_tier_frames < self.min_tier_frames:
-            raise ValueError(
-                "ControlConfig.max_tier_frames must be >= min_tier_frames"
+                f"ControlConfig.min_weight must be in (0, {MAX_WEIGHT}], "
+                f"got {self.min_weight!r}"
             )
         if self.probe_every < 0:
             raise ValueError("ControlConfig.probe_every must be >= 0")
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ControlConfig":
-        """Build from a JSON-style mapping (sweep spec decoding)."""
-        unknown = set(data) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ValueError(
-                f"unknown ControlConfig fields: {sorted(unknown)}"
-            )
-        return cls(**data)
 
 
 @dataclass
@@ -215,8 +175,8 @@ class TierTelemetry:
     so collecting telemetry can never move simulation output.
     """
 
-    def __init__(self, window_s: float = 0.1, windows: int = 8):
-        self.window = WindowedStats(windows, width_s=window_s)
+    def __init__(self):
+        self.window = WindowedStats(WINDOWS, width_s=WINDOW_S)
 
     # Fault sources, recorded by the VM fault path -----------------------
 
@@ -287,16 +247,15 @@ class TierController:
         self._rng = random.Random(config.seed)
         self._last_action_at: Optional[float] = None
         self._in_deadband_streak = 0
-        # The warm pool's trading terms start on the machine's policy;
-        # the first retune pins them static.  Track the current weight
-        # here (the allocator's term table is policy-private).
+        # The warm pool's weight starts on the machine's policy; the
+        # first retune pins it static.  Track the current weight here
+        # (the allocator's weight table is policy-private).
         policy = allocator.policy
-        if policy is not None:
-            warm_terms = policy.terms_for(FrameOwner.COMPRESSION)
-        else:
-            warm_terms = (1.0, 0.0)
-        self._warm_weight = warm_terms[0]
-        self._baseline_weight = warm_terms[0]
+        self._warm_weight = (
+            policy.weight_for(FrameOwner.COMPRESSION)
+            if policy is not None else 1.0
+        )
+        self._baseline_weight = self._warm_weight
         # The resize target: the warmest tier that carries a frame cap
         # (fixed-geometry tiers are exactly the ones whose size is a
         # policy decision rather than allocator-emergent).
@@ -310,10 +269,8 @@ class TierController:
                     else f"cc:{tier.name}"
                 )
                 break
-        cap_limit = total_frames - min_resident_frames - 2
-        if config.max_tier_frames is not None:
-            cap_limit = min(cap_limit, config.max_tier_frames)
-        self._cap_limit = max(config.min_tier_frames, cap_limit)
+        self._cap_limit = max(config.min_tier_frames,
+                              total_frames - min_resident_frames - 2)
 
     # -- actions ---------------------------------------------------------
 
@@ -346,8 +303,7 @@ class TierController:
         return True
 
     def _retune_warm(self, now: float, new_weight: float) -> bool:
-        new_weight = min(self.config.max_weight,
-                         max(self.config.min_weight, new_weight))
+        new_weight = min(MAX_WEIGHT, max(self.config.min_weight, new_weight))
         if new_weight == self._warm_weight:
             return False
         self.allocator.retune(FrameOwner.COMPRESSION, weight=new_weight)
@@ -367,7 +323,7 @@ class TierController:
         telemetry = self.telemetry
         telemetry.window.advance(now)
 
-        if telemetry.demand_faults() < config.min_window_faults:
+        if telemetry.demand_faults() < MIN_WINDOW_FAULTS:
             counters.quiet_skips += 1
             return
         if self._last_action_at is not None and \
@@ -376,12 +332,10 @@ class TierController:
             return
 
         miss = telemetry.miss_fraction()
-        high = config.target_miss_fraction + config.deadband
-        low = config.target_miss_fraction - config.deadband
+        high = TARGET_MISS_FRACTION + DEADBAND
+        low = TARGET_MISS_FRACTION - DEADBAND
         ratio = telemetry.windowed_ratio_percent()
-        compression_paying = (
-            ratio is None or ratio <= config.ratio_ceiling_percent
-        )
+        compression_paying = ratio is None or ratio <= RATIO_CEILING_PERCENT
 
         acted = False
         if miss > high:
@@ -390,7 +344,7 @@ class TierController:
                 # more compressed memory would not help.  Relax instead.
                 counters.ratio_vetoes += 1
                 acted = self._retune_warm(
-                    now, self._warm_weight * config.weight_step
+                    now, self._warm_weight * WEIGHT_STEP
                 )
             else:
                 tier = self._resize_tier
@@ -398,11 +352,11 @@ class TierController:
                     tier.cache.nframes / tier.cache.max_frames
                     if tier is not None and tier.cache.max_frames else 0.0
                 )
-                if tier is not None and occupancy >= config.grow_occupancy:
+                if tier is not None and occupancy >= GROW_OCCUPANCY:
                     acted = self._grow(now)
                 if not acted:
                     acted = self._retune_warm(
-                        now, self._warm_weight / config.weight_step
+                        now, self._warm_weight / WEIGHT_STEP
                     )
         elif miss < low:
             tier = self._resize_tier
@@ -410,11 +364,11 @@ class TierController:
                 tier.cache.nframes / tier.cache.max_frames
                 if tier is not None and tier.cache.max_frames else 1.0
             )
-            if tier is not None and occupancy <= config.shrink_occupancy:
+            if tier is not None and occupancy <= SHRINK_OCCUPANCY:
                 acted = self._shrink(now)
             if not acted and self._warm_weight < self._baseline_weight:
                 acted = self._retune_warm(
-                    now, self._warm_weight * config.weight_step
+                    now, self._warm_weight * WEIGHT_STEP
                 )
 
         if acted:
@@ -440,7 +394,7 @@ class ControlPlane:
     """Machine-facing facade: hotness, telemetry ticks, and the policy.
 
     The engine calls :meth:`note_reference` once per reference; it keeps
-    the hotness tracker current and, every ``interval_s`` of virtual
+    the hotness tracker current and, every ``INTERVAL_S`` of virtual
     time, charges one ``TimeCategory.CONTROL`` tick and runs the
     controller.
     """
@@ -454,10 +408,7 @@ class ControlPlane:
         self.telemetry = telemetry
         self.counters = ControlCounters(log_limit=config.log_limit)
         self.hotness: Optional[HotnessTracker] = (
-            HotnessTracker(
-                half_life_s=config.hot_half_life_s,
-                max_pages=config.max_tracked_pages,
-            )
+            HotnessTracker(half_life_s=HOT_HALF_LIFE_S)
             if config.hotness else None
         )
         self.controller = TierController(
@@ -465,7 +416,7 @@ class ControlPlane:
             total_frames, min_resident_frames,
         )
         self._chain = chain
-        self._next_tick_at = ledger.now + config.interval_s
+        self._next_tick_at = ledger.now + INTERVAL_S
         self._last_bytes_in = metrics.compression.bytes_in
         self._last_bytes_out = metrics.compression.bytes_out
         self._last_demoted = 0
@@ -489,8 +440,7 @@ class ControlPlane:
 
     def hot_filter(self, page_id) -> bool:
         """Demotion-path predicate (installed as ``cache.hot_filter``)."""
-        hot = self.hotness.is_hot(page_id, self.ledger.now,
-                                  self.config.hot_score)
+        hot = self.hotness.is_hot(page_id, self.ledger.now)
         if hot:
             self.counters.hot_deferrals += 1
         return hot
@@ -498,10 +448,9 @@ class ControlPlane:
     # -- the control tick ------------------------------------------------
 
     def _tick(self, now: float) -> None:
-        config = self.config
-        self.ledger.charge(TimeCategory.CONTROL, config.tick_cost_s)
+        self.ledger.charge(TimeCategory.CONTROL, TICK_COST_S)
         self.counters.ticks += 1
-        self._next_tick_at = now + config.interval_s
+        self._next_tick_at = now + INTERVAL_S
 
         # Fold per-interval deltas of eviction-path compression bytes and
         # demotions into the telemetry window: these have no per-event

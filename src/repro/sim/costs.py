@@ -21,6 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+#: Decompression bandwidth multiplier over compression (paper: 2x).
+DECOMPRESS_SPEEDUP = 2.0
+#: One kernel<->user message round trip (Mach-style IPC, early-90s
+#: microkernel hardware) — paid per external-pager crossing.
+IPC_ROUNDTRIP_S = 2e-4
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -30,24 +36,17 @@ class CostModel:
     fault_trap_s: float = 4e-4
     copy_bandwidth: float = 12e6
     compress_bandwidth: float = 2e6
-    #: Decompression bandwidth multiplier over compression (paper: 2x).
-    decompress_speedup: float = 2.0
-    #: One kernel<->user message round trip (Mach-style IPC, early-90s
-    #: microkernel hardware) — paid per external-pager crossing.
-    ipc_roundtrip_s: float = 2e-4
 
     def __post_init__(self) -> None:
         if min(self.base_access_s, self.fault_trap_s) < 0:
             raise ValueError("costs must be non-negative")
         if min(self.copy_bandwidth, self.compress_bandwidth) <= 0:
             raise ValueError("bandwidths must be positive")
-        if self.decompress_speedup <= 0:
-            raise ValueError("decompress_speedup must be positive")
 
     @property
     def decompress_bandwidth(self) -> float:
         """Decompression bandwidth in bytes/second."""
-        return self.compress_bandwidth * self.decompress_speedup
+        return self.compress_bandwidth * DECOMPRESS_SPEEDUP
 
     def compress_seconds(self, nbytes: int) -> float:
         """Time to compress ``nbytes`` of input."""

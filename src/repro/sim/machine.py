@@ -4,8 +4,8 @@ A :class:`MachineConfig` captures everything the paper varies: user-memory
 size ("a 32-Mbyte machine can behave as though it has as little as
 12 Mbytes ... about 6 Mbytes are used by the kernel"), the backing device,
 compression algorithm, backing-store interface parameters (fragment size,
-batch size, spanning, partial-write policy), allocator biases, cleaner
-policy, and whether the compression cache exists at all.
+batch size, spanning, partial-write policy), allocator biases, and
+whether the compression cache exists at all.
 
 :func:`build_machine` wires every substrate together into a ready
 :class:`Machine` whose ``vm`` attribute is either a :class:`StandardVM`
@@ -17,17 +17,15 @@ compression-cache configuration real frames, as they did in 1993.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..ccache.allocator import AllocationBiases, ThreeWayAllocator
 from ..ccache.circular import CompressionCache
-from ..ccache.cleaner import CleanerPolicy
 from ..ccache.header import CODE_SIZE_BYTES, HASH_TABLE_BYTES, SLOT_DESCRIPTOR_BYTES
 from ..ccache.threshold import AdaptiveCompressionGate
 from ..compression import create as create_compressor
 from ..compression.sampler import CompressionSampler
-from ..compression.stats import CompressionThreshold
 from ..control.controller import ControlConfig, ControlPlane, TierTelemetry
 from ..faults.degrade import DegradationController, ResilienceCounters
 from ..faults.device import FaultyDevice
@@ -94,9 +92,29 @@ def _costs_from_spec(costs: Any) -> CostModel:
         return CostModel()
     if costs == "hardware":
         return CostModel.hardware_compression()
-    if isinstance(costs, (list, tuple)) and costs[0] == "cpu":
+    if (isinstance(costs, (list, tuple)) and len(costs) == 2
+            and costs[0] == "cpu" and isinstance(costs[1], (int, float))):
         return CostModel.faster_cpu(float(costs[1]))
     raise ValueError(f"unknown costs spec: {costs!r}")
+
+
+def _fields_from_spec(cls) -> Callable[[Any], Any]:
+    """Decoder of a JSON object naming some of ``cls``'s fields."""
+    names = {f.name for f in fields(cls)}
+
+    def decode(data: Any):
+        if not isinstance(data, Mapping):
+            raise ValueError(
+                f"expected an object of {cls.__name__} fields, got {data!r}"
+            )
+        unknown = set(data) - names
+        if unknown:
+            raise ValueError(
+                f"unknown {cls.__name__} fields: {sorted(unknown)}"
+            )
+        return cls(**data)
+
+    return decode
 
 
 #: Run-spec keys that are ``MachineConfig`` fields taken as given.
@@ -109,12 +127,12 @@ _SPEC_PLAIN = (
 #: Run-spec keys whose JSON value is decoded into the field's type
 #: (``None`` leaves the field at its default).
 _SPEC_DECODERS: Dict[str, Callable[[Any], Any]] = {
-    "log_store": lambda fields: LogStoreConfig(**fields),
+    "log_store": _fields_from_spec(LogStoreConfig),
     "partial_write_policy": PartialWritePolicy,
-    "biases": lambda weights: AllocationBiases(**weights),
+    "biases": _fields_from_spec(AllocationBiases),
     "costs": _costs_from_spec,
     "tiers": parse_tier_specs,
-    "control": ControlConfig.from_dict,
+    "control": _fields_from_spec(ControlConfig),
 }
 
 
@@ -153,9 +171,7 @@ class MachineConfig:
     #: Geometry/policy of the log-structured store; ignored unless
     #: ``store == "lfs"``.
     log_store: LogStoreConfig = field(default_factory=LogStoreConfig)
-    threshold_factor: float = 4.0 / 3.0
     biases: AllocationBiases = field(default_factory=AllocationBiases)
-    cleaner: CleanerPolicy = field(default_factory=CleanerPolicy)
     adaptive_gate: bool = False
     prefetch_colocated: bool = True
     min_resident_frames: int = 2
@@ -177,7 +193,7 @@ class MachineConfig:
     #: Explicit compressed-tier chain, warmest first (see
     #: :mod:`repro.tiers`).  ``None`` — the default and the paper's
     #: configuration — builds the single compression cache from the
-    #: ``compressor``/``ccache_max_frames``/``cleaner`` fields above.
+    #: ``compressor``/``ccache_max_frames`` fields above.
     tiers: Optional[Tuple[TierSpec, ...]] = None
     #: Closed-loop controller configuration (see :mod:`repro.control`);
     #: ``None`` (the default) builds no control machinery at all and
@@ -196,11 +212,6 @@ class MachineConfig:
                 raise ValueError(
                     f"MachineConfig.{name} must be positive, got {value!r}"
                 )
-        if self.threshold_factor <= 0:
-            raise ValueError(
-                "MachineConfig.threshold_factor must be positive, got "
-                f"{self.threshold_factor!r}"
-            )
         if self.store not in STORE_KINDS:
             raise ValueError(
                 f"MachineConfig.store must be one of {STORE_KINDS}, "
@@ -227,7 +238,7 @@ class MachineConfig:
             if spec.get(key) is not None:
                 try:
                     changes[key] = decode(spec[key])
-                except ValueError as exc:
+                except (ValueError, TypeError) as exc:
                     raise SpecError(key, exc) from exc
         if "tier_l1_frames" in spec:
             changes["tiers"] = two_tier_specs(spec["tier_l1_frames"])
@@ -444,7 +455,6 @@ class Machine:
                         name="cc",
                         compressor=config.compressor,
                         max_frames=config.ccache_max_frames,
-                        cleaner=config.cleaner,
                     ),
                 )
             # Build cold to warm: each warmer tier's write-out sink needs
@@ -503,15 +513,12 @@ class Machine:
             self.sampler = warmest.sampler
             self.gate = warmest.gate
             # The warmest tier takes the classic compression slot (its
-            # terms come from the trading policy); colder tiers compete
-            # with their own per-spec terms.
+            # weight comes from the trading policy); colder tiers compete
+            # on their raw LRU age.
             self.allocator.register(FrameOwner.COMPRESSION, warmest.cache)
             for tier in self.chain.tiers[1:]:
                 self.allocator.register_pool(
-                    f"cc:{tier.name}",
-                    tier.cache,
-                    weight=tier.spec.weight,
-                    bias_s=tier.spec.bias_s,
+                    f"cc:{tier.name}", tier.cache, weight=1.0
                 )
             if external:
                 self.pager = CompressionPager(
@@ -529,9 +536,6 @@ class Machine:
                     min_resident_frames=config.min_resident_frames,
                     paranoid=config.paranoid,
                 )
-                self.pager.stats.threshold = CompressionThreshold(
-                    config.threshold_factor
-                )
             else:
                 self.vm = CompressedVM(
                     address_space=address_space,
@@ -544,15 +548,8 @@ class Machine:
                     prefetch_colocated=config.prefetch_colocated,
                     paranoid=config.paranoid,
                 )
-                self.vm.metrics.compression.threshold = CompressionThreshold(
-                    config.threshold_factor
-                )
                 if config.control is not None or self.explicit_tiers:
-                    cc = config.control
-                    self.telemetry = TierTelemetry(
-                        window_s=cc.window_s if cc is not None else 0.1,
-                        windows=cc.windows if cc is not None else 8,
-                    )
+                    self.telemetry = TierTelemetry()
                     self.vm.telemetry = self.telemetry
                 if config.control is not None:
                     self.control = ControlPlane(
@@ -568,9 +565,6 @@ class Machine:
                     if self.control.hotness is not None:
                         for tier in self.chain.tiers:
                             tier.cache.hot_filter = self.control.hot_filter
-                            tier.cache.hot_skip_budget = (
-                                config.control.hot_skip_budget
-                            )
         elif external:
             self.pager = self.raw
             self.vm = ExternalPagerVM(
@@ -634,11 +628,5 @@ class Machine:
 
         self.ledger.reset_totals()
         self.vm.metrics = SimulationMetrics()
-        if self.config.compression_cache:
-            from ..compression.stats import CompressionThreshold
-
-            self.vm.metrics.compression.threshold = CompressionThreshold(
-                self.config.threshold_factor
-            )
         if self.control is not None:
             self.control.rebind_metrics(self.vm.metrics)

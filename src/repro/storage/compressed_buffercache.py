@@ -205,8 +205,13 @@ class CompressedBufferCache:
         return self.frames.allocate(FrameOwner.FILE_CACHE)
 
     def _demote_front_lru(self) -> None:
-        """Compress the front tier's LRU block into the second tier."""
-        key = self._front_lru.evict()
+        """Compress the front tier's LRU block into the second tier.
+
+        The block keeps its front-tier stamp (the caller's clock), so
+        :meth:`coldest_age` compares the two tiers on one clock.
+        """
+        key, last_touch = self._front_lru.coldest()
+        self._front_lru.remove(key)
         frame = self._front_frame.pop(key)
         dirty = self._front_dirty.pop(key)
         file = self._file_of[key[0]]
@@ -229,7 +234,7 @@ class CompressedBufferCache:
             self._compressed[key] = _CompressedBlock(
                 nbytes=result.compressed_size,
                 dirty=dirty,
-                last_touch=self.ledger.now,
+                last_touch=last_touch,
             )
             self._account_compressed_bytes(result.compressed_size)
         else:

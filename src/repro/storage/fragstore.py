@@ -33,6 +33,10 @@ from ..mem.page import PageId
 from .backing import verify_payload
 from .blockfs import BlockFile, BlockFileSystem
 
+#: Garbage fraction beyond which :meth:`FragmentStore.maybe_collect`
+#: compacts the file.
+GC_THRESHOLD = 0.5
+
 
 @dataclass(frozen=True)
 class FragmentLocation:
@@ -67,8 +71,6 @@ class FragmentStore:
         batch_bytes: bytes of compressed pages written per operation; the
             paper uses 32 KBytes.
         allow_spanning: may a page cross a file-block boundary?
-        gc_threshold: garbage fraction beyond which :meth:`maybe_collect`
-            compacts the file.
         gc_min_bytes: don't bother collecting files smaller than this.
         resilience: :class:`~repro.faults.degrade.ResilienceCounters` to
             count checksum verifications and failures in; ``None`` (the
@@ -84,7 +86,6 @@ class FragmentStore:
         fragment_size: int = 1024,
         batch_bytes: int = 32768,
         allow_spanning: bool = True,
-        gc_threshold: float = 0.5,
         gc_min_bytes: int = 1 << 20,
         resilience=None,
         injector=None,
@@ -96,13 +97,10 @@ class FragmentStore:
             )
         if batch_bytes < fragment_size:
             raise ValueError("batch must hold at least one fragment")
-        if not 0.0 < gc_threshold <= 1.0:
-            raise ValueError(f"gc_threshold out of range: {gc_threshold}")
         self.fs = fs
         self.fragment_size = fragment_size
         self.batch_bytes = batch_bytes
         self.allow_spanning = allow_spanning
-        self.gc_threshold = gc_threshold
         self.gc_min_bytes = gc_min_bytes
         self.counters = FragStoreCounters()
         self.resilience = resilience
@@ -344,7 +342,7 @@ class FragmentStore:
         if not force:
             if self._append_offset < self.gc_min_bytes:
                 return 0.0
-            if self.garbage_fraction <= self.gc_threshold:
+            if self.garbage_fraction <= GC_THRESHOLD:
                 return 0.0
         seconds = self.flush()
 

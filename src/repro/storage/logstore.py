@@ -74,6 +74,18 @@ _CP_MAGIC = b"LCKP"
 #: Kill-point site names (also the FaultPlan ``lfs`` section's sites).
 KILL_SITES = ("append", "clean", "checkpoint")
 
+#: Read-transfer alignment: a fault reads whole blocks, exactly as the
+#: fragment store models.
+BLOCK_BYTES = 4096
+#: Cleaning starts when the free list shrinks to this many segments,
+#: keeping headroom for the cleaner's own appends.
+RESERVE_SEGMENTS = 4
+#: Sealed-segment garbage fraction beyond which
+#: :meth:`LogStructuredStore.maybe_collect` cleans.
+GC_THRESHOLD = 0.5
+#: Torn fraction of a ``kill`` spec that names none.
+KILL_TORN_FRACTION = 0.5
+
 
 class _SimulatedCrash(Exception):
     """Internal: a kill point fired; unwind to the public-op wrapper.
@@ -103,13 +115,6 @@ class LogStoreConfig:
         segment_bytes: fixed segment size; also the cleaner's batched
             sequential write-out unit (the paper's 32 KBytes).
         total_segments: device capacity in segments.
-        block_bytes: read-transfer alignment (a fault reads whole
-            blocks, exactly as the fragment store models).
-        reserve_segments: cleaning starts when the free list shrinks to
-            this many segments, keeping headroom for the cleaner's own
-            appends.
-        gc_threshold: sealed-segment garbage fraction beyond which
-            :meth:`LogStructuredStore.maybe_collect` cleans.
         min_sealed_for_gc: don't threshold-clean while fewer sealed
             segments exist (low-space cleaning still runs).
         checkpoint_every: write a periodic checkpoint after this many
@@ -120,47 +125,30 @@ class LogStoreConfig:
         kill: deterministic kill point, ``"site:count"`` or
             ``"site:count:torn_fraction"`` — crash at the ``count``-th
             consult of ``site`` (one-shot), leaving ``torn_fraction``
-            of the in-flight write on the medium.  Implies
-            ``sync_appends``.
-        kill_torn_fraction: default torn fraction for ``kill`` specs
-            that omit one.
+            of the in-flight write on the medium (default
+            :data:`KILL_TORN_FRACTION`).  Implies ``sync_appends``.
     """
 
     segment_bytes: int = 32768
     total_segments: int = 2048
-    block_bytes: int = 4096
-    reserve_segments: int = 4
-    gc_threshold: float = 0.5
     min_sealed_for_gc: int = 8
     checkpoint_every: int = 8
     sync_appends: bool = False
     kill: Optional[str] = None
-    kill_torn_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.segment_bytes < 4096:
+        if self.segment_bytes < BLOCK_BYTES or \
+                self.segment_bytes % BLOCK_BYTES:
             raise ValueError(
-                f"segment_bytes must be >= 4096: {self.segment_bytes}"
+                f"segment_bytes must be a positive multiple of "
+                f"{BLOCK_BYTES}: {self.segment_bytes}"
             )
         if self.total_segments < 4:
             raise ValueError(
                 f"total_segments must be >= 4: {self.total_segments}"
             )
-        if self.block_bytes <= 0 or self.segment_bytes % self.block_bytes:
-            raise ValueError(
-                f"block_bytes {self.block_bytes} must divide segment_bytes "
-                f"{self.segment_bytes}"
-            )
-        if self.reserve_segments < 1:
-            raise ValueError("reserve_segments must be >= 1")
-        if not 0.0 < self.gc_threshold <= 1.0:
-            raise ValueError(f"gc_threshold out of range: {self.gc_threshold}")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        if not 0.0 <= self.kill_torn_fraction <= 1.0:
-            raise ValueError(
-                f"kill_torn_fraction out of range: {self.kill_torn_fraction}"
-            )
         if self.kill is not None:
             parse_kill_spec(self.kill)  # validates
 
@@ -172,6 +160,8 @@ class LogStoreConfig:
 
 def parse_kill_spec(spec: str) -> Tuple[str, int, Optional[float]]:
     """``"site:count[:frac]"`` → (site, count, frac or None)."""
+    if not isinstance(spec, str):
+        raise ValueError(f"kill spec must be a string: {spec!r}")
     parts = spec.split(":")
     if len(parts) not in (2, 3):
         raise ValueError(
@@ -323,7 +313,7 @@ class LogStructuredStore:
         if self.config.kill is not None:
             site, count, frac = parse_kill_spec(self.config.kill)
             if frac is None:
-                frac = self.config.kill_torn_fraction
+                frac = KILL_TORN_FRACTION
             self._kill = [site, count, frac]
         #: Crash injection requires durable-on-ack appends: a lost
         #: staging buffer would desynchronize the VM from the store.
@@ -996,7 +986,7 @@ class LogStructuredStore:
             self._pending_bytes = 0
             return
         if (not self._in_clean
-                and len(self._free) <= self.config.reserve_segments):
+                and len(self._free) <= RESERVE_SEGMENTS):
             self._clean_pass()
         wrote = False
         config = self.config
@@ -1199,7 +1189,7 @@ class LogStructuredStore:
             self.counters.pages_got += 1
             return payload, 0.0, []
 
-        block = self.config.block_bytes
+        block = BLOCK_BYTES
         payload_off = loc.offset + _REC_HEADER.size
         lo = (loc.offset // block) * block
         hi = -(-(payload_off + loc.nbytes) // block) * block
@@ -1264,13 +1254,13 @@ class LogStructuredStore:
                 self._crash_and_recover()
 
     def _should_clean(self, force: bool) -> bool:
-        if len(self._free) <= self.config.reserve_segments:
+        if len(self._free) <= RESERVE_SEGMENTS:
             return True
         if force:
             return True
         if len(self._sealed) < self.config.min_sealed_for_gc:
             return False
-        return self.garbage_fraction > self.config.gc_threshold
+        return self.garbage_fraction > GC_THRESHOLD
 
     def _collect_body(
         self,
@@ -1326,7 +1316,7 @@ class LogStructuredStore:
     def _clean_pass(self) -> None:
         """Inline low-free-list cleaning from the append path."""
         for _ in range(2 * self.config.total_segments):  # safety bound
-            if len(self._free) > self.config.reserve_segments:
+            if len(self._free) > RESERVE_SEGMENTS:
                 return
             victim = self._select_victim()
             if victim is None:

@@ -1,12 +1,14 @@
 """Declarative per-tier configuration.
 
 A :class:`TierSpec` names one compressed tier of the chain: which kernel
-it runs, how many frames it may map, how its age competes in the global
-trading policy, how eagerly its cleaner demotes, and how its kernel's
-speed relates to the baseline cost model.  ``MachineConfig.tiers`` is a
+it runs, how many frames it may map, how eagerly its cleaner demotes,
+and how its kernel's speed relates to the baseline cost model.  Every
+tier past the first competes for frames in the global trading policy
+with age weight 1.0; the warmest trades through the machine's
+:class:`~repro.ccache.allocator.AllocationBiases`.  ``MachineConfig.tiers`` is a
 tuple of these, warmest first; ``None`` keeps the paper's single-tier
 layout built from the legacy ``compressor``/``ccache_max_frames``/
-``cleaner``/``adaptive_gate`` fields.
+``adaptive_gate`` fields.
 """
 
 from __future__ import annotations
@@ -29,12 +31,6 @@ class TierSpec:
         compressor: kernel name (``lzrw1``, ``lzss``, ``wk``, ``rle``).
         max_frames: cap on frames the tier may map; ``None`` lets the
             global allocator size it (the paper's variable design).
-        weight: multiplicative term on the tier's coldest LRU age in
-            victim selection (larger = reclaimed sooner).
-        bias_s: additive seconds on that age (larger = reclaimed
-            sooner).  Only consulted for tiers past the first; the
-            warmest tier trades through the machine's
-            :class:`~repro.ccache.allocator.AllocationBiases`.
         cleaner: demotion pacing — the tier's cleaner writes its oldest
             dirty pages to the next level (colder tier, or the store).
         compress_scale: multiplier on the cost model's per-page
@@ -45,8 +41,6 @@ class TierSpec:
     name: str
     compressor: str = "lzrw1"
     max_frames: Optional[int] = None
-    weight: float = 1.0
-    bias_s: float = 0.0
     cleaner: CleanerPolicy = field(default_factory=CleanerPolicy)
     compress_scale: float = 1.0
 
@@ -69,16 +63,6 @@ class TierSpec:
             raise ValueError(
                 f"tier {self.name!r}: max_frames must be >= 1 or None, "
                 f"got {self.max_frames!r}"
-            )
-        if not isfinite(self.weight) or self.weight <= 0:
-            raise ValueError(
-                f"tier {self.name!r}: weight must be a positive finite "
-                f"number, got {self.weight!r}"
-            )
-        if not isfinite(self.bias_s) or self.bias_s < 0:
-            raise ValueError(
-                f"tier {self.name!r}: bias_s must be a non-negative finite "
-                f"number of seconds, got {self.bias_s!r}"
             )
         if not isfinite(self.compress_scale) or self.compress_scale <= 0:
             raise ValueError(
@@ -109,6 +93,8 @@ def parse_tier_specs(text: str) -> Tuple[TierSpec, ...]:
 
     A ``max_frames`` of ``0`` means uncapped.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"a tier spec is a string, got {text!r}")
     text = text.strip()
     if not text:
         raise ValueError("empty tier spec")

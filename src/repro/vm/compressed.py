@@ -55,6 +55,9 @@ from .system import BaseVM
 _STORE_FRAG = "frag"
 _STORE_RAW = "raw"
 
+#: Bound on colocated pages one fault's block read admits.
+MAX_PREFETCH_PAGES = 16
+
 
 class CompressedVM(BaseVM):
     """VM system with the compressed tier chain as intermediate levels.
@@ -64,8 +67,8 @@ class CompressedVM(BaseVM):
             and the raw page path for pages failing the 4:3 threshold;
             a one-tier chain reproduces the paper's design.
         prefetch_colocated: admit other compressed pages transferred by
-            the same block read into the (coldest) cache.
-        max_prefetch_pages: bound per-fault prefetch admissions.
+            the same block read into the (coldest) cache, at most
+            :data:`MAX_PREFETCH_PAGES` per fault.
         paranoid: verify every decompression round trip (slow).
     """
 
@@ -79,7 +82,6 @@ class CompressedVM(BaseVM):
         chain: TierChain,
         min_resident_frames: int = 2,
         prefetch_colocated: bool = True,
-        max_prefetch_pages: int = 16,
         paranoid: bool = False,
     ):
         super().__init__(
@@ -90,7 +92,6 @@ class CompressedVM(BaseVM):
         self.tiers = chain.tiers
         self.fragstore = chain.fragstore
         self.prefetch_colocated = prefetch_colocated
-        self.max_prefetch_pages = max_prefetch_pages
         self._cleaner_check_pending = False
         # Only the terminal tier's write-outs reach the backing store;
         # warmer tiers' "write-outs" are demotions and must not update
@@ -207,7 +208,7 @@ class CompressedVM(BaseVM):
         chain = self.chain
         coldest_cache = chain.coldest.cache
         for page_id in colocated:
-            if admitted >= self.max_prefetch_pages:
+            if admitted >= MAX_PREFETCH_PAGES:
                 break
             if chain.holds(page_id):
                 continue

@@ -19,7 +19,7 @@ from ..mem.page import PageState
 from ..mem.pagetable import PageTableEntry
 from ..mem.segment import AddressSpace
 from ..pager.interface import MemoryObjectPager
-from ..sim.costs import CostModel
+from ..sim.costs import IPC_ROUNDTRIP_S, CostModel
 from ..sim.ledger import Ledger, TimeCategory
 from .faults import FaultSource
 from .system import BaseVM
@@ -50,7 +50,7 @@ class ExternalPagerVM(BaseVM):
     def _crossing(self) -> None:
         """One kernel<->pager IPC round trip plus a page copy."""
         self.pager_crossings += 1
-        self.ledger.charge(TimeCategory.FAULT_TRAP, self.costs.ipc_roundtrip_s)
+        self.ledger.charge(TimeCategory.FAULT_TRAP, IPC_ROUNDTRIP_S)
         self.ledger.charge(
             TimeCategory.COPY,
             self.costs.copy_seconds(self.address_space.page_size),

@@ -1,4 +1,4 @@
-"""Three-way allocator: age comparison, biases, victim selection."""
+"""Three-way allocator: age comparison, weights, victim selection."""
 
 from typing import Optional
 
@@ -69,7 +69,7 @@ class TestVictimSelection:
         vm.age, cc.age, fs.age = 100.0, 5.0, 5.0
         allocator = ThreeWayAllocator(
             frames,
-            biases=AllocationBiases(0, 0, 0, 1.0, 1.0, 1.0),
+            biases=AllocationBiases(1.0, 1.0, 1.0),
         )
         allocator.register(FrameOwner.VM, vm)
         allocator.register(FrameOwner.COMPRESSION, cc)
@@ -114,7 +114,7 @@ class TestVictimSelection:
         frames = FramePool(4)
         allocator = ThreeWayAllocator(
             frames,
-            biases=AllocationBiases(0, 0, 0, 1.0, 1.0, 1.0),
+            biases=AllocationBiases(1.0, 1.0, 1.0),
         )
         vm = FakePool(frames, FrameOwner.VM, age=1.0)
         cc = FakePool(frames, FrameOwner.COMPRESSION, age=2.0)
@@ -180,7 +180,7 @@ class TestReleasedPools:
     def test_victim_labels_are_those_of_registration(self):
         frames, allocator, vm, cc, fs = make_world(nframes=3)
         cold = FakePool(frames, FrameOwner.COMPRESSION, age=100.0)
-        allocator.register_pool("cc:cold", cold, weight=1.0, bias_s=0.0)
+        allocator.register_pool("cc:cold", cold, weight=1.0)
         vm.grab(1)
         fs.grab(1)
         cold.grab(1)
@@ -194,10 +194,11 @@ class TestReleasedPools:
 
 class TestBiases:
     def test_terms_for(self):
-        biases = AllocationBiases(30.0, 10.0, 0.0)
-        assert biases.terms_for(FrameOwner.FILE_CACHE) == (12.0, 30.0)
-        assert biases.terms_for(FrameOwner.VM) == (6.0, 10.0)
-        assert biases.terms_for(FrameOwner.COMPRESSION) == (1.0, 0.0)
+        biases = AllocationBiases(8.0, 4.0, 2.0)
+        assert biases.weight_for(FrameOwner.FILE_CACHE) == 8.0
+        assert biases.weight_for(FrameOwner.VM) == 4.0
+        assert biases.weight_for(FrameOwner.COMPRESSION) == 2.0
+        assert biases.weight_for("cc:l2") == 2.0
 
 
 class TestBiasValidation:
@@ -215,19 +216,26 @@ class TestBiasValidation:
 
     @pytest.mark.parametrize("bias", [-0.001, float("nan"), float("inf")])
     def test_bad_biases_rejected(self, bias):
-        with pytest.raises(ValueError, match="bias"):
+        """There is no additive age bias to set, at any value: a pool's
+        trading term is its weight alone."""
+        with pytest.raises(TypeError, match="vm_bias_s"):
             AllocationBiases(vm_bias_s=bias)
+        allocator = ThreeWayAllocator(FramePool(2))
+        with pytest.raises(TypeError, match="bias_s"):
+            allocator.register_pool("cc:l2", None, weight=1.0, bias_s=bias)
+        with pytest.raises(TypeError, match="bias_s"):
+            allocator.retune(FrameOwner.VM, weight=1.0, bias_s=bias)
 
     def test_error_names_the_offending_pool(self):
         with pytest.raises(ValueError, match="file_cache"):
             AllocationBiases(file_cache_weight=-2.0)
 
     def test_zero_biases_valid(self):
-        AllocationBiases(0.0, 0.0, 0.0)  # pure weighted LRU is fine
+        AllocationBiases(1.0, 1.0, 1.0)  # pure LRU is fine
 
 
 class TestRegisterPool:
-    """Extra pools (the N-tier path) join with explicit age terms."""
+    """Extra pools (the N-tier path) join with explicit age weights."""
 
     def test_explicit_terms_pool_competes(self):
         frames = FramePool(4)
@@ -237,7 +245,7 @@ class TestRegisterPool:
         allocator.register(FrameOwner.VM, vm)
         # A huge weight makes the extra pool the preferred victim even
         # against the VM pool's default weight of 6.
-        allocator.register_pool("cc:l2", l2, weight=100.0, bias_s=0.0)
+        allocator.register_pool("cc:l2", l2, weight=100.0)
         vm.grab(2)
         l2.grab(2)
         allocator.obtain_frame(FrameOwner.VM)
@@ -248,9 +256,8 @@ class TestRegisterPool:
         allocator = ThreeWayAllocator(FramePool(2))
         with pytest.raises(ValueError, match="weight"):
             allocator.register_pool("cc:l2", None, weight=-1.0)
-        with pytest.raises(ValueError, match="bias"):
-            allocator.register_pool("cc:l2", None, weight=1.0,
-                                    bias_s=float("nan"))
+        with pytest.raises(ValueError, match="weight"):
+            allocator.register_pool("cc:l2", None, weight=float("nan"))
 
     def test_policyless_registration_needs_terms(self):
         allocator = TieredAllocator(FramePool(2), policy=None)
@@ -270,31 +277,28 @@ class TestTerms:
         l2 = FakePool(frames, FrameOwner.COMPRESSION, age=10.0)
         allocator.register(FrameOwner.VM, vm)
         allocator.register(FrameOwner.COMPRESSION, cc)
-        allocator.register_pool("cc:l2", l2, weight=3.0, bias_s=1.0)
+        allocator.register_pool("cc:l2", l2, weight=3.0)
         for pool in (vm, cc, l2):
             pool.grab(2)
         return allocator, {FrameOwner.VM: vm, FrameOwner.COMPRESSION: cc,
                            "cc:l2": l2}
 
     def victim(self, allocator, pools):
-        """The key ``_choose_victim`` picks, checked against the terms."""
+        """The key ``_choose_victim`` picks, checked against the weights."""
         key, pool = allocator._choose_victim()
-        ages = {
-            k: p.age * allocator._terms[k][0] + allocator._terms[k][1]
-            for k, p in pools.items()
-        }
+        ages = {k: p.age * allocator._weights[k] for k, p in pools.items()}
         assert ages[key] == max(ages.values())
         assert pool is pools[key]
         return key
 
     def test_never_retuned_pools_read_their_policys_terms(self):
-        biases = AllocationBiases(30.0, 10.0, 0.5, 12.0, 6.0, 1.0)
+        biases = AllocationBiases(8.0, 4.0, 2.0)
         allocator, pools = self.world(biases)
-        assert allocator._terms == {
-            FrameOwner.VM: (6.0, 10.0),
-            FrameOwner.COMPRESSION: (1.0, 0.5),
-            FrameOwner.FILE_CACHE: (12.0, 30.0),
-            "cc:l2": (3.0, 1.0),
+        assert allocator._weights == {
+            FrameOwner.VM: 4.0,
+            FrameOwner.COMPRESSION: 2.0,
+            FrameOwner.FILE_CACHE: 8.0,
+            "cc:l2": 3.0,
         }
         assert allocator.biases is biases
         assert self.victim(allocator, pools) == FrameOwner.VM
@@ -302,31 +306,31 @@ class TestTerms:
     def test_register_pool_without_terms_takes_the_policys(self):
         allocator, pools = self.world()
         allocator.register_pool("cc:l3", None)
-        assert allocator._terms["cc:l3"] == \
-            allocator.policy.terms_for("cc:l3")
+        assert allocator._weights["cc:l3"] == \
+            allocator.policy.weight_for("cc:l3")
         allocator.register_pool("cc:l3", None, weight=2.0)
-        assert allocator._terms["cc:l3"] == (2.0, 0.0)
+        assert allocator._weights["cc:l3"] == 2.0
 
     def test_retune_replaces_the_entry_the_next_choice_reads(self):
         allocator, pools = self.world()
         assert self.victim(allocator, pools) == FrameOwner.VM
-        assert allocator.retune("cc:l2", weight=50.0) == (50.0, 1.0)
-        assert allocator._terms["cc:l2"] == (50.0, 1.0)
+        assert allocator.retune("cc:l2", weight=50.0) == 50.0
+        assert allocator._weights["cc:l2"] == 50.0
         assert self.victim(allocator, pools) == "cc:l2"
-        # A pool that began on the policy keeps the other term.
-        assert allocator.retune(FrameOwner.COMPRESSION, bias_s=9999.0) \
-            == (1.0, 9999.0)
+        # A pool that began on the policy leaves it.
+        assert allocator.retune(FrameOwner.COMPRESSION, weight=9999.0) \
+            == 9999.0
         assert self.victim(allocator, pools) == FrameOwner.COMPRESSION
         allocator.obtain_frame(FrameOwner.VM)
         assert pools[FrameOwner.COMPRESSION].shrinks == 1
 
     def test_a_rejected_retune_or_registration_leaves_the_table(self):
         allocator, pools = self.world()
-        before = dict(allocator._terms)
+        before = dict(allocator._weights)
         with pytest.raises(ValueError):
             allocator.retune("cc:l2", weight=0.0)
         with pytest.raises(ValueError):
             allocator.register_pool("cc:l4", None, weight=-1.0)
-        assert allocator._terms == before
+        assert allocator._weights == before
         with pytest.raises(AttributeError):  # the policy is not swapped
             allocator.biases = AllocationBiases()

@@ -66,7 +66,7 @@ class UncappablePool:
 def make_allocator(**pool_kwargs):
     allocator = TieredAllocator(FramePool(64))
     pool = RecordingPool(**pool_kwargs)
-    allocator.register_pool("cc:test", pool, weight=1.0, bias_s=0.0)
+    allocator.register_pool("cc:test", pool, weight=1.0)
     return allocator, pool
 
 
@@ -148,8 +148,7 @@ class TestFailureModes:
 
     def test_resize_uncappable_pool_raises(self):
         allocator = TieredAllocator(FramePool(8))
-        allocator.register_pool("flat", UncappablePool(),
-                                weight=1.0, bias_s=0.0)
+        allocator.register_pool("flat", UncappablePool(), weight=1.0)
         with pytest.raises(TypeError, match="does not support a frame cap"):
             allocator.resize_pool("flat", 4)
 
@@ -163,14 +162,9 @@ class TestFailureModes:
         allocator, _ = make_allocator()
         with pytest.raises(ValueError, match="weight"):
             allocator.retune("cc:test", weight=0.0)
-        with pytest.raises(ValueError, match="bias"):
-            allocator.retune("cc:test", bias_s=-1.0)
-
-    def test_retune_none_terms_inherit_current(self):
-        allocator, _ = make_allocator()
-        allocator.retune("cc:test", weight=3.0, bias_s=0.5)
-        assert allocator.retune("cc:test", bias_s=0.25) == (3.0, 0.25)
-        assert allocator.retune("cc:test") == (3.0, 0.25)
+        with pytest.raises(ValueError, match="weight"):
+            allocator.retune("cc:test", weight=float("inf"))
+        assert allocator.retune("cc:test", weight=3.0) == 3.0
 
 
 class TestShrinkMechanics:

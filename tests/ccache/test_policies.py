@@ -56,8 +56,6 @@ class TestCleanerPolicy:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             CleanerPolicy(target_clean_fraction=1.5)
-        with pytest.raises(ValueError):
-            CleanerPolicy(pages_per_frame_estimate=0)
 
 
 class TestAdaptiveGate:

@@ -9,12 +9,14 @@ every branch of the policy can be driven precisely.  End-to-end wiring
 import pytest
 
 from repro.control.controller import (
+    WEIGHT_STEP,
     ControlConfig,
     ControlCounters,
     TierController,
     TierTelemetry,
 )
 from repro.mem.frames import FrameOwner
+from repro.sim.machine import MachineConfig
 
 
 class FakeCache:
@@ -36,8 +38,8 @@ class FakeChain:
 
 
 class FakePolicy:
-    def terms_for(self, _key):
-        return (2.0, 0.0)
+    def weight_for(self, _key):
+        return 2.0
 
 
 class FakeAllocator:
@@ -55,9 +57,9 @@ class FakeAllocator:
         self.cache.max_frames = max_frames
         return self.released if max_frames < old else 0
 
-    def retune(self, key, weight=None, bias_s=None):
-        self.calls.append(("retune", key, weight, bias_s))
-        return (weight, bias_s or 0.0)
+    def retune(self, key, weight):
+        self.calls.append(("retune", key, weight))
+        return weight
 
 
 def make_controller(config=None, nframes=90, max_frames=100,
@@ -72,8 +74,7 @@ def make_controller(config=None, nframes=90, max_frames=100,
         capped = FakeTier("l1", nframes, max_frames)
         chain = FakeChain(capped, FakeTier("l2", 5, None))
     allocator = FakeAllocator(cache=capped.cache, released_per_shrink=3)
-    telemetry = TierTelemetry(window_s=config.window_s,
-                              windows=config.windows)
+    telemetry = TierTelemetry()
     counters = ControlCounters(log_limit=config.log_limit)
     controller = TierController(
         config, allocator, chain, telemetry, counters, total_frames
@@ -96,7 +97,7 @@ def feed_hits(telemetry, now, n=20):
 class TestSkips:
     def test_quiet_window_never_acts(self):
         controller, allocator, telemetry, counters = make_controller()
-        feed_misses(telemetry, 1.0, n=3)  # below min_window_faults
+        feed_misses(telemetry, 1.0, n=3)  # below MIN_WINDOW_FAULTS
         controller.evaluate(1.0)
         assert counters.quiet_skips == 1
         assert counters.actions == 0
@@ -160,7 +161,7 @@ class TestHighMiss:
         assert counters.retunes == 1
         call = allocator.calls[0]
         assert call[:2] == ("retune", FrameOwner.COMPRESSION)
-        assert call[2] == pytest.approx(2.0 / controller.config.weight_step)
+        assert call[2] == pytest.approx(2.0 / WEIGHT_STEP)
 
     def test_ratio_veto_relaxes_instead_of_growing(self):
         """Compression above the ceiling: more compressed memory will
@@ -176,7 +177,7 @@ class TestHighMiss:
         assert counters.grows == 0
         call = allocator.calls[0]
         assert call[:2] == ("retune", FrameOwner.COMPRESSION)
-        assert call[2] == pytest.approx(2.0 * controller.config.weight_step)
+        assert call[2] == pytest.approx(2.0 * WEIGHT_STEP)
 
     def test_grow_respects_cap_limit(self):
         """total_frames - min_resident - 2 bounds the cap; at the bound
@@ -316,27 +317,25 @@ class TestProbing:
 
 class TestConfigValidation:
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError, match="interval_s"):
-            ControlConfig(interval_s=0.0)
-        with pytest.raises(ValueError, match="target_miss_fraction"):
-            ControlConfig(target_miss_fraction=1.5)
-        with pytest.raises(ValueError, match="deadband"):
-            ControlConfig(deadband=0.5)
-        with pytest.raises(ValueError, match="weight_step"):
-            ControlConfig(weight_step=1.0)
+        with pytest.raises(ValueError, match="cooldown_s"):
+            ControlConfig(cooldown_s=0.0)
+        with pytest.raises(ValueError, match="min_tier_frames"):
+            ControlConfig(min_tier_frames=0)
         with pytest.raises(ValueError, match="min_weight"):
             ControlConfig(min_weight=0.0)
-        with pytest.raises(ValueError, match="max_tier_frames"):
-            ControlConfig(max_tier_frames=2, min_tier_frames=8)
+        with pytest.raises(ValueError, match="min_weight"):
+            ControlConfig(min_weight=32.0)
+        with pytest.raises(ValueError, match="probe_every"):
+            ControlConfig(probe_every=-1)
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown ControlConfig"):
-            ControlConfig.from_dict({"no_such_knob": 1})
+            MachineConfig.from_spec({"control": {"no_such_knob": 1}})
 
     def test_from_dict_round_trip(self):
-        config = ControlConfig.from_dict(
-            {"interval_s": 0.2, "seed": 3, "hotness": False}
-        )
-        assert config.interval_s == 0.2
+        config = MachineConfig.from_spec({"control": {
+            "cooldown_s": 0.2, "seed": 3, "hotness": False,
+        }}).control
+        assert config.cooldown_s == 0.2
         assert config.seed == 3
         assert config.hotness is False

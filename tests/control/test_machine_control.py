@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.control.controller import ControlConfig, ControlPlane
+from repro.control.controller import TICK_COST_S, ControlConfig, ControlPlane
 from repro.mem.page import mbytes
 from repro.sim.engine import SimulationEngine
 from repro.sim.machine import Machine, MachineConfig
@@ -70,7 +70,6 @@ class TestWiring:
         assert machine.telemetry is machine.control.telemetry
         for tier in machine.chain.tiers:
             assert tier.cache.hot_filter == machine.control.hot_filter
-            assert tier.cache.hot_skip_budget == 8
 
     def test_hotness_off_leaves_demotion_path_untouched(self):
         machine, _ = controlled_machine(
@@ -147,6 +146,4 @@ class TestDigestDiscipline:
         result = SimulationEngine(machine).run(workload.references())
         ticks = result.as_dict()["control"]["ticks"]
         charged = result.time_breakdown.get("control", 0.0)
-        assert charged == pytest.approx(
-            ticks * machine.config.control.tick_cost_s
-        )
+        assert charged == pytest.approx(ticks * TICK_COST_S)

@@ -132,14 +132,6 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match=field_name):
                 MachineConfig(**{field_name: -4096})
 
-    def test_rejects_nonpositive_threshold(self):
-        import pytest
-
-        from repro.sim.machine import MachineConfig
-
-        with pytest.raises(ValueError, match="threshold_factor"):
-            MachineConfig(threshold_factor=0.0)
-
     def test_device_models_validate(self):
         import pytest
 
@@ -258,3 +250,42 @@ class TestFromSpec:
         assert reason in str(caught.value.reason)
         assert str(caught.value).startswith(f"{key}: ")
         assert isinstance(caught.value, ValueError)
+
+    #: Options that were fields once and are module constants now: a
+    #: spec naming one is refused like any unknown field.
+    RETIRED = [
+        *(("log_store", name) for name in (
+            "block_bytes", "reserve_segments", "gc_threshold",
+            "kill_torn_fraction")),
+        *(("biases", f"{pool}_bias_s")
+          for pool in ("file_cache", "vm", "ccache")),
+        *(("control", name) for name in (
+            "interval_s", "window_s", "windows", "target_miss_fraction",
+            "deadband", "ratio_ceiling_percent", "min_window_faults",
+            "max_tier_frames", "grow_occupancy", "shrink_occupancy",
+            "weight_step", "max_weight", "tick_cost_s", "hot_half_life_s",
+            "hot_score", "hot_skip_budget", "max_tracked_pages")),
+    ]
+
+    @pytest.mark.parametrize("key, value", [
+        *((key, {name: 1}) for key, name in RETIRED),
+        ("log_store", {"bogus": 1}),
+        ("log_store", {"kill": 5}),
+        ("log_store", {"segment_bytes": "big"}),
+        ("biases", {"bogus": 1}),
+        ("biases", [1, 2]),
+        ("control", ["seed"]),
+        ("costs", []),
+        ("costs", ["cpu"]),
+        ("costs", ["cpu", None]),
+        ("tiers", 5),
+        ("partial_write_policy", [1]),
+    ])
+    def test_malformed_value_is_a_spec_error(self, key, value):
+        from repro.sim.machine import SpecError
+
+        with pytest.raises(SpecError) as caught:
+            MachineConfig.from_spec({key: value})
+        assert caught.value.key == key
+        if isinstance(value, dict) and (key, *value) in self.RETIRED:
+            assert f"fields: {list(value)}" in str(caught.value)

@@ -79,8 +79,6 @@ class TestCostModel:
         with pytest.raises(ValueError):
             CostModel(compress_bandwidth=0)
         with pytest.raises(ValueError):
-            CostModel(decompress_speedup=0)
-        with pytest.raises(ValueError):
             CostModel.faster_cpu(0)
 
     def test_copy_seconds(self):

@@ -157,3 +157,14 @@ class TestShrink:
         assert cache.coldest_age(0.0) is None
         cache.access(handle, 0, now=5.0)
         assert cache.coldest_age(10.0) == pytest.approx(5.0)
+
+    def test_demoted_block_keeps_the_callers_clock(self):
+        """The compressed tier's age is on the clock the caller passes,
+        not the ledger's: block (0, 0), last touched at t=100 and then
+        demoted, is 6 s old at t=106."""
+        cache, _, handle, _, ledger = make_cache(nframes=4)
+        for block in range(6):
+            cache.access(handle, block, now=100.0 + block)
+        assert (handle.file_id, 0) in cache._compressed
+        assert ledger.now < 1.0  # the two clocks are far apart
+        assert cache.coldest_age(106.0) == pytest.approx(6.0)

@@ -200,7 +200,7 @@ class TestGarbageCollection:
             assert store.get(PageId(0, n))[0] == bytes([n]) * 1024
 
     def test_collect_threshold(self):
-        store = make_store(gc_min_bytes=0, gc_threshold=0.5)
+        store = make_store(gc_min_bytes=0)
         store.put(PageId(0, 0), b"a" * 1024)
         store.put(PageId(0, 1), b"b" * 1024)
         assert store.maybe_collect() == 0.0  # no garbage yet
@@ -221,8 +221,6 @@ class TestGarbageCollection:
 
     def test_invalid_thresholds(self):
         fs = BlockFileSystem(DiskModel.rz57())
-        with pytest.raises(ValueError):
-            FragmentStore(fs, gc_threshold=0.0)
         with pytest.raises(ValueError):
             FragmentStore(fs, batch_bytes=100)
 

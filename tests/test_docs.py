@@ -1,15 +1,26 @@
 """Docs held to the code they tabulate (as the ``EXPERIMENTS`` registry
 holds ``sweep --experiment``): the workload catalogue, the keys of a
-run spec, README's ``run --workload`` list, and the kernel inventory."""
+run spec, README's ``run --workload`` list, the kernel inventory, and
+the options table."""
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from pathlib import Path
 
 from repro import compression, experiments
+from repro.ccache.allocator import AllocationBiases
+from repro.ccache.cleaner import CleanerPolicy
+from repro.control.controller import ControlConfig
+from repro.faults.retry import RetryPolicy
+from repro.service.config import ServiceConfig, TenantSpec
+from repro.sim.costs import CostModel
 from repro.sim.machine import MachineConfig
+from repro.storage.logstore import LogStoreConfig
+from repro.tiers.spec import TierSpec
 from repro.workloads import catalog
+from repro.workloads.traffic import TrafficSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -98,3 +109,24 @@ def test_kernels_md_inventory_is_the_registry():
     assert sorted(names) == list(compression.available())
     assert names[-1] == "adaptive"  # the selector "over the kernels above"
     assert all(cell for row in rows for cell in row)
+
+
+#: The configuration dataclasses, in the order docs/internals.md lists
+#: them.
+OPTION_CLASSES = (
+    MachineConfig, ControlConfig, LogStoreConfig, ServiceConfig,
+    TrafficSpec, TierSpec, CostModel, AllocationBiases, CleanerPolicy,
+    RetryPolicy, TenantSpec,
+)
+
+
+def test_internals_md_options_table_is_every_field():
+    """One row per field of each configuration dataclass, in order, and
+    every row names what sets it."""
+    header, rows = _table_after("docs/internals.md", "## Options")
+    assert header == ["class", "field", "set by"]
+    documented = [(row[0].strip("`"), row[1].strip("`")) for row in rows]
+    declared = [(cls.__name__, f.name)
+                for cls in OPTION_CLASSES for f in dataclasses.fields(cls)]
+    assert documented == declared
+    assert all(row[2] for row in rows)

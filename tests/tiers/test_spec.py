@@ -38,16 +38,6 @@ class TestTierSpecValidation:
         with pytest.raises(ValueError, match="max_frames"):
             TierSpec(name="l1", max_frames=-3)
 
-    def test_bad_age_terms_rejected(self):
-        with pytest.raises(ValueError, match="weight"):
-            TierSpec(name="l1", weight=0.0)
-        with pytest.raises(ValueError, match="weight"):
-            TierSpec(name="l1", weight=float("nan"))
-        with pytest.raises(ValueError, match="bias_s"):
-            TierSpec(name="l1", bias_s=-1.0)
-        with pytest.raises(ValueError, match="bias_s"):
-            TierSpec(name="l1", bias_s=float("inf"))
-
     def test_bad_compress_scale_rejected(self):
         with pytest.raises(ValueError, match="compress_scale"):
             TierSpec(name="l1", compress_scale=0.0)

@@ -18,6 +18,7 @@ import pytest
 from repro.faults.plan import FaultPlan
 from repro.mem.page import PageId, mbytes
 from repro.pager.interface import PagerError
+from repro.sim.costs import IPC_ROUNDTRIP_S
 from repro.sim.engine import SimulationEngine
 from repro.sim.machine import Machine, MachineConfig
 from repro.tiers.spec import parse_tier_specs
@@ -171,8 +172,7 @@ class TestIpcTax:
         assert machine.vm.pager_crossings > 0
         # Every crossing charged at least the IPC round trip.
         assert result.time_breakdown["fault-trap"] >= (
-            machine.vm.pager_crossings
-            * machine.config.costs.ipc_roundtrip_s
+            machine.vm.pager_crossings * IPC_ROUNDTRIP_S
         )
 
     def test_ipc_tax_on_identical_policy(self):
@@ -195,8 +195,7 @@ class TestIpcTax:
         assert external.elapsed_seconds > in_kernel.elapsed_seconds
         tax = (
             machine.vm.pager_crossings
-            * (machine.config.costs.ipc_roundtrip_s
-               + machine.config.costs.copy_seconds(4096))
+            * (IPC_ROUNDTRIP_S + machine.config.costs.copy_seconds(4096))
         )
         assert external.elapsed_seconds == pytest.approx(
             in_kernel.elapsed_seconds + tax, rel=0.02
