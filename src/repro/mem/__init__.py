@@ -5,7 +5,7 @@ from .. import _lazy_exports
 __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "content": ("PageContent", "zero_page"),
     "frames": ("FrameOwner", "FramePool", "OutOfFramesError"),
-    "lru": ("LruList",),
+    "lru": ("LruList", "SizedLru"),
     "page": (
         "DEFAULT_PAGE_SIZE", "PageId", "PageState", "WORD_SIZE", "mbytes",
         "pages_for_bytes",

@@ -10,11 +10,18 @@ Backed by a plain insertion-ordered dict: a touch deletes and re-inserts
 the key (moving it to the hot end), eviction pops the first key.  The VM
 access path is the hottest loop in the simulator, so :meth:`hit` fuses the
 membership probe and the re-stamp into one call.
+
+:class:`SizedLru` is the byte-counted sibling: each value carries its own
+``nbytes`` and the list keeps their sum, which is what a compressed tier
+is budgeted by.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generic, Hashable, Iterator, Optional, Tuple, TypeVar
+from collections import OrderedDict
+from typing import (
+    Dict, Generic, Hashable, ItemsView, Iterator, Optional, Tuple, TypeVar,
+)
 
 K = TypeVar("K", bound=Hashable)
 
@@ -89,3 +96,53 @@ class LruList(Generic[K]):
     def last_touch(self, key: K) -> float:
         """Timestamp of ``key``'s last touch."""
         return self._entries[key]
+
+
+V = TypeVar("V")
+
+
+class SizedLru(Generic[K, V]):
+    """Ordered map from least- to most-recently used key, whose values
+    each carry ``nbytes``; :attr:`used_bytes` is their sum.
+
+    A value's ``nbytes`` must not change while it is in the map.
+    """
+
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[K, V]" = OrderedDict()
+        self.used_bytes = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key: K) -> bool:
+        return key in self._entries
+
+    def get(self, key: K) -> Optional[V]:
+        return self._entries.get(key)
+
+    def items(self) -> ItemsView[K, V]:
+        """(key, value) pairs from coldest to hottest."""
+        return self._entries.items()
+
+    def touch(self, key: K) -> None:
+        """Move a present ``key`` to the hot end."""
+        self._entries.move_to_end(key)
+
+    def insert(self, key: K, value: V) -> None:
+        """Add an absent ``key`` at the hot end."""
+        self._entries[key] = value
+        self.used_bytes += value.nbytes
+
+    def pop(self, key: K) -> Optional[V]:
+        """Remove ``key`` and return its value, or None if absent."""
+        value = self._entries.pop(key, None)
+        if value is not None:
+            self.used_bytes -= value.nbytes
+        return value
+
+    def pop_lru(self) -> Tuple[K, V]:
+        """Remove and return the least-recently-used (key, value)."""
+        key, value = self._entries.popitem(last=False)
+        self.used_bytes -= value.nbytes
+        return key, value

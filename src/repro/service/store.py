@@ -4,11 +4,12 @@ Each virtual slot owns a miniature compressed-memory hierarchy — the
 service-side analogue of :class:`repro.tiers.chain.TierChain`, shorn of
 the simulator's virtual-time machinery:
 
-* an ordered chain of :class:`SlotTier` byte-capacitated LRU tiers
-  (warmest first).  PUTs land in the warm tier; overflow *demotes* the
-  warm LRU tail one tier colder (payloads move as-is — every tier
-  shares the slot's kernel, so no recompression is needed); overflow of
-  the coldest tier evicts outright.
+* an ordered chain of byte-capacitated LRU tiers, each a
+  :class:`repro.mem.lru.SizedLru` (warmest first).  PUTs land in the
+  warm tier; overflow *demotes* the warm LRU tail one tier colder
+  (payloads move as-is — every tier shares the slot's kernel, so no
+  recompression is needed); overflow of the coldest tier evicts
+  outright.
 * per-tenant stored-byte quotas, carved per slot
   (:meth:`ServiceConfig.slot_quota_bytes`): a PUT that would exceed the
   tenant's carving first evicts that tenant's own coldest entries, and
@@ -25,11 +26,11 @@ the order operations arrive — no locks, no clocks, no randomness.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..compression import CompressionResult, create
 from ..compression.sampler import shared_compress
+from ..mem.lru import SizedLru
 from .config import ServiceConfig
 from .ledger import TenantLedger
 
@@ -37,61 +38,12 @@ from .ledger import TenantLedger
 class _Entry:
     """One resident page: a compression result plus its owner."""
 
-    __slots__ = ("tenant", "result")
+    __slots__ = ("tenant", "result", "nbytes")
 
     def __init__(self, tenant: int, result: CompressionResult):
         self.tenant = tenant
         self.result = result
-
-    @property
-    def stored_size(self) -> int:
-        return self.result.compressed_size
-
-
-class SlotTier:
-    """A byte-capacitated LRU of compressed entries (one tier, one slot)."""
-
-    __slots__ = ("capacity", "entries", "used_bytes")
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.entries: "OrderedDict[int, _Entry]" = OrderedDict()
-        self.used_bytes = 0
-
-    def __contains__(self, key: int) -> bool:
-        return key in self.entries
-
-    def get(self, key: int) -> Optional[_Entry]:
-        return self.entries.get(key)
-
-    def touch(self, key: int) -> None:
-        """Mark a resident key most-recently-used."""
-        self.entries.move_to_end(key)
-
-    def insert(self, key: int, entry: _Entry) -> None:
-        """Insert at MRU (caller has made room)."""
-        self.entries[key] = entry
-        self.used_bytes += entry.stored_size
-
-    def remove(self, key: int) -> Optional[_Entry]:
-        entry = self.entries.pop(key, None)
-        if entry is not None:
-            self.used_bytes -= entry.stored_size
-        return entry
-
-    def pop_lru(self) -> Tuple[int, _Entry]:
-        """Remove and return the least-recently-used entry."""
-        key, entry = self.entries.popitem(last=False)
-        self.used_bytes -= entry.stored_size
-        return key, entry
-
-    def lru_key_of_tenant(self, tenant: int) -> Optional[int]:
-        """The tenant's least recently used key, or ``None``; the scan
-        stops at the first entry the tenant owns."""
-        for key, entry in self.entries.items():
-            if entry.tenant == tenant:
-                return key
-        return None
+        self.nbytes = result.compressed_size
 
 
 class VslotStore:
@@ -100,17 +52,14 @@ class VslotStore:
     def __init__(self, config: ServiceConfig, vslot: int):
         self.config = config
         self.vslot = vslot
-        self.tiers = tuple(
-            SlotTier(capacity) for capacity in config.slot_tier_bytes()
-        )
+        self._capacities = config.slot_tier_bytes()
+        self.tiers = tuple(SizedLru() for _ in self._capacities)
         # Per-slot kernel instance: see the module docstring.
         self.compressor = create(config.compressor)
         self.ledgers: Dict[int, TenantLedger] = {}
         self._quotas = tuple(
             config.slot_quota_bytes(i) for i in range(len(config.tenants))
         )
-        #: tenant -> stored bytes resident in this slot (all tiers).
-        self._tenant_bytes: Dict[int, int] = {}
 
     # -- bookkeeping --------------------------------------------------
 
@@ -121,19 +70,13 @@ class VslotStore:
         return ledger
 
     def _account_insert(self, entry: _Entry) -> None:
-        tenant = entry.tenant
-        self._tenant_bytes[tenant] = (
-            self._tenant_bytes.get(tenant, 0) + entry.stored_size
-        )
-        ledger = self.ledger(tenant)
-        ledger.resident_bytes += entry.stored_size
+        ledger = self.ledger(entry.tenant)
+        ledger.resident_bytes += entry.nbytes
         ledger.resident_entries += 1
 
     def _account_remove(self, entry: _Entry) -> None:
-        tenant = entry.tenant
-        self._tenant_bytes[tenant] -= entry.stored_size
-        ledger = self.ledger(tenant)
-        ledger.resident_bytes -= entry.stored_size
+        ledger = self.ledger(entry.tenant)
+        ledger.resident_bytes -= entry.nbytes
         ledger.resident_entries -= 1
 
     # -- the data plane ----------------------------------------------
@@ -152,13 +95,13 @@ class VslotStore:
             ledger.bump("hits")
             return self.compressor.decompress(entry.result)
         for tier in self.tiers[1:]:
-            entry = tier.remove(key)
+            entry = tier.pop(key)
             if entry is not None:
                 ledger.bump("cold_hits")
                 # Promote: re-admit to the warm tier like a fresh PUT
                 # (demoting its tail as needed), without re-accounting
                 # the resident bytes — the entry never left the slot.
-                self._make_room(warm, entry.stored_size, 0)
+                self._make_room(0, entry.nbytes)
                 warm.insert(key, entry)
                 return self.compressor.decompress(entry.result)
         ledger.bump("misses")
@@ -179,16 +122,15 @@ class VslotStore:
         # Replace any resident version first so quota and capacity
         # accounting see the net state.
         for tier in self.tiers:
-            old = tier.remove(key)
+            old = tier.pop(key)
             if old is not None:
                 self._account_remove(old)
                 break
         if quota is not None:
             self._enforce_quota(tenant, stored, quota)
         entry = _Entry(tenant, result)
-        warm = self.tiers[0]
-        self._make_room(warm, stored, 0)
-        warm.insert(key, entry)
+        self._make_room(0, stored)
+        self.tiers[0].insert(key, entry)
         self._account_insert(entry)
         ledger.bump("stores")
         ledger.bump("stored_bytes", stored)
@@ -198,7 +140,7 @@ class VslotStore:
         """Remove a key from whichever tier holds it."""
         ledger = self.ledger(tenant)
         for tier in self.tiers:
-            entry = tier.remove(key)
+            entry = tier.pop(key)
             if entry is not None:
                 self._account_remove(entry)
                 ledger.bump("deletes")
@@ -208,15 +150,17 @@ class VslotStore:
 
     # -- room-making --------------------------------------------------
 
-    def _make_room(self, tier: SlotTier, need: int, depth: int) -> None:
-        """Demote/evict LRU entries until ``need`` bytes fit in ``tier``."""
-        while tier.used_bytes + need > tier.capacity and tier.entries:
+    def _make_room(self, depth: int, need: int) -> None:
+        """Demote/evict LRU entries until ``need`` bytes fit in tier
+        ``depth``."""
+        tier = self.tiers[depth]
+        capacity = self._capacities[depth]
+        while tier.used_bytes + need > capacity and tier:
             key, entry = tier.pop_lru()
             if depth + 1 < len(self.tiers):
-                colder = self.tiers[depth + 1]
                 self.ledger(entry.tenant).bump("demotions")
-                self._make_room(colder, entry.stored_size, depth + 1)
-                colder.insert(key, entry)
+                self._make_room(depth + 1, entry.nbytes)
+                self.tiers[depth + 1].insert(key, entry)
             else:
                 self._account_remove(entry)
                 self.ledger(entry.tenant).bump("evictions")
@@ -225,20 +169,23 @@ class VslotStore:
                        quota: int) -> None:
         """Evict the tenant's own entries, coldest tier first, LRU
         first, until the incoming entry fits under the quota."""
-        while self._tenant_bytes.get(tenant, 0) + incoming > quota:
+        ledger = self.ledger(tenant)
+        while ledger.resident_bytes + incoming > quota:
             for tier in reversed(self.tiers):
-                victim_key = tier.lru_key_of_tenant(tenant)
-                if victim_key is not None:
+                # The scan stops at the tenant's first (coldest) entry.
+                victim = next((key for key, entry in tier.items()
+                               if entry.tenant == tenant), None)
+                if victim is not None:
                     break
             else:  # nothing left to evict
                 break
-            self._account_remove(tier.remove(victim_key))
-            self.ledger(tenant).bump("quota_evictions")
+            self._account_remove(tier.pop(victim))
+            ledger.bump("quota_evictions")
 
     # -- reporting ----------------------------------------------------
 
     def resident_entries(self) -> int:
-        return sum(len(tier.entries) for tier in self.tiers)
+        return sum(len(tier) for tier in self.tiers)
 
     def resident_bytes(self) -> int:
         return sum(tier.used_bytes for tier in self.tiers)

@@ -44,7 +44,12 @@ class BufferCacheCounters(Counters):
 
 
 class BufferCache:
-    """LRU cache of file blocks, one block per physical frame."""
+    """LRU cache of file blocks, one block per physical frame.
+
+    A subclass changes what a miss brings in (:meth:`_fill`) and what an
+    evicted block becomes (:meth:`_evict`), as the subclasses of
+    :class:`repro.vm.system.BaseVM` do for pages.
+    """
 
     def __init__(
         self,
@@ -86,18 +91,25 @@ class BufferCache:
         if key in self._frame_of:
             self.counters.hits += 1
         else:
-            self.counters.misses += 1
-            frame = self._take_frame()
-            _, seconds = self.fs.read(
-                file, block * self.fs.block_size, self.fs.block_size
-            )
-            self._frame_of[key] = frame
-            self._dirty[key] = False
             self._file_of[file.file_id] = file
+            seconds = self._fill(file, key)
         if write:
             self._dirty[key] = True
         self._lru.touch(key, now)
         return seconds
+
+    def _fill(self, file: BlockFile, key: BlockKey) -> float:
+        """Bring a missing block in: take a frame, then read the block."""
+        self.counters.misses += 1
+        self._install(key, dirty=False)
+        _, seconds = self.fs.read(
+            file, key[1] * self.fs.block_size, self.fs.block_size
+        )
+        return seconds
+
+    def _install(self, key: BlockKey, dirty: bool) -> None:
+        self._frame_of[key] = self._take_frame()
+        self._dirty[key] = dirty
 
     def _take_frame(self) -> int:
         if self.frames.free_frames > 0:
@@ -105,8 +117,7 @@ class BufferCache:
         if self.frame_provider is not None:
             return self.frame_provider(FrameOwner.FILE_CACHE)
         # Self-service: evict our own LRU block.
-        evict_seconds = self.shrink_one()
-        if evict_seconds is None:
+        if self.shrink_one() is None:
             raise RuntimeError("buffer cache cannot obtain a frame")
         return self.frames.allocate(FrameOwner.FILE_CACHE)
 
@@ -116,16 +127,18 @@ class BufferCache:
         Returns seconds spent writing back (0.0 if clean), or None when
         the cache is empty.
         """
-        if not len(self._lru):
+        coldest = self._lru.coldest()
+        if coldest is None:
             return None
-        key = self._lru.evict()
-        frame = self._frame_of.pop(key)
-        dirty = self._dirty.pop(key)
-        seconds = 0.0
-        if dirty:
-            seconds = self._writeback(key)
-        self.frames.release(frame)
-        return seconds
+        key, last_touch = coldest
+        self._lru.remove(key)
+        self.frames.release(self._frame_of.pop(key))
+        return self._evict(key, self._dirty.pop(key), last_touch)
+
+    def _evict(self, key: BlockKey, dirty: bool, last_touch: float) -> float:
+        """What a block evicted from the frames becomes (its frame is
+        already free): here, written back if dirty."""
+        return self._writeback(key) if dirty else 0.0
 
     def flush(self) -> float:
         """Write back every dirty block; returns seconds charged."""

@@ -6,7 +6,6 @@ can predict: warm tier holds exactly 3 pages, cold tier exactly 2.
 """
 
 import tracemalloc
-from collections import OrderedDict
 
 from repro.service.config import ServiceConfig, TenantSpec
 from repro.service.store import VslotStore
@@ -150,14 +149,6 @@ class TestQuota:
         """The tenant owns the 1st and the 900th of 1,000 entries: the
         1st goes, found by visiting one entry, not by listing all 1,000."""
 
-        class CountingEntries(OrderedDict):
-            visited = 0
-
-            def items(self):
-                for item in super().items():
-                    self.visited += 1
-                    yield item
-
         store = make_store(
             tenants=(TenantSpec("a", quota_bytes=2 * PAGE), TenantSpec("b")),
             tiers=(1000,),
@@ -165,9 +156,18 @@ class TestQuota:
         for key in range(1000):
             store.put(0 if key in (0, 899) else 1, key, page(key))
         (tier,) = store.tiers
-        tier.entries = CountingEntries(tier.entries)
+        items = tier.items
+        visited = 0
+
+        def counting_items():
+            nonlocal visited
+            for item in items():
+                visited += 1
+                yield item
+
+        tier.items = counting_items
         assert store.put(0, key=5000, page=page(7))
-        assert tier.entries.visited == 1
+        assert visited == 1
         assert store.ledger(0).as_dict()["quota_evictions"] == 1
         assert store.get(0, key=0) is None
         assert store.get(0, key=899) == page(899)

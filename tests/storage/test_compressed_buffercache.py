@@ -1,5 +1,8 @@
 """The compressed file buffer cache (Section 6 extension)."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.compression import CompressionSampler, create
@@ -38,7 +41,7 @@ class TestTiering:
         cache.access(handle, 0, now=0.0)
         cache.access(handle, 0, now=1.0)
         assert cache.counters.misses == 1
-        assert cache.counters.front_hits == 1
+        assert cache.counters.hits == 1
 
     def test_demotion_to_compressed_tier(self):
         cache, fs, handle, _, _ = make_cache(nframes=4)
@@ -130,7 +133,8 @@ class TestCapacityEffect:
         )
         for block in range(40):
             cache.access(handle, block, now=float(block))
-        assert cache._compressed_frames_held <= max(
+        compressed_frames = cache.total_frames_held - cache.front_blocks
+        assert compressed_frames <= max(
             1, int(cache.total_frames_held * 0.25)
         ) + 1
 
@@ -168,3 +172,122 @@ class TestShrink:
         assert (handle.file_id, 0) in cache._compressed
         assert ledger.now < 1.0  # the two clocks are far apart
         assert cache.coldest_age(106.0) == pytest.approx(6.0)
+
+
+class TestSharedPool:
+    def test_never_frees_another_caches_frame(self):
+        """A plain cache holds frames 0-2 of a shared pool; the
+        compressed cache, cycling 20 blocks through the other nine,
+        must give back only frames it holds itself."""
+        fs = BlockFileSystem(DiskModel.rz57())
+        handle = fs.open("data")
+        for block in range(20):
+            fs.write(handle, block * 4096, dp_band_values(block))
+        frames = FramePool(12)
+        plain = BufferCache(fs, frames)
+        for block in range(3):
+            plain.access(handle, block, now=0.0)
+        assert sorted(plain._frame_of.values()) == [0, 1, 2]
+        compressed = CompressedBufferCache(
+            fs, frames, CompressionSampler(create("lzrw1")), Ledger(),
+            CostModel(),
+        )
+        for step in range(60):
+            compressed.access(handle, step % 20, now=float(step))
+            front = set(compressed._frame_of.values())
+            held = front | set(compressed._tier_frames)
+            assert not held & set(plain._frame_of.values()), step
+            assert len(held) == compressed.total_frames_held, step
+            for frame in held | set(plain._frame_of.values()):
+                frames.owner_of(frame)  # raises if counted free
+
+
+def _pin_fill(block):
+    return incompressible(block) if block % 3 == 0 else dp_band_values(block)
+
+
+def _pin_trace(seed, nframes, steps):
+    """(block, write) pairs: hot set of ``nframes`` blocks, 48 in all,
+    30% writes."""
+    rng = random.Random(seed)
+    for _ in range(steps):
+        block = (rng.randrange(nframes) if rng.random() < 0.4
+                 else rng.randrange(48))
+        yield block, rng.random() < 0.3
+
+
+def _pin_fs(fill):
+    fs = BlockFileSystem(DiskModel.rz57())
+    handle = fs.open("data")
+    for block in range(48):
+        fs.write(handle, block * 4096, fill(block))
+    return fs, handle
+
+
+class TestBehaviourPin:
+    """Exact state after every access of a seeded trace, hashed.
+
+    Each run interleaves a ``shrink_one()`` every 97 accesses.  A moved
+    digest means the caches' tiering, frame accounting, charging or
+    ages changed.
+    """
+
+    STEPS = 1500
+
+    def test_compressed_cache(self):
+        digest = hashlib.sha256()
+        for nframes in (4, 8, 16):
+            for fraction in (0.25, 0.5, 1.0):
+                for fill in (dp_band_values, _pin_fill):
+                    fs, handle = _pin_fs(fill)
+                    frames = FramePool(nframes)
+                    ledger = Ledger()
+                    cache = CompressedBufferCache(
+                        fs, frames, CompressionSampler(create("lzrw1")),
+                        ledger, CostModel(),
+                        max_compressed_fraction=fraction,
+                    )
+                    trace = _pin_trace(nframes, nframes, self.STEPS)
+                    for step, (block, write) in enumerate(trace):
+                        now = float(step)
+                        cache.access(handle, block, now, write=write)
+                        if step % 97 == 96:
+                            cache.shrink_one()
+                        c = cache.counters
+                        state = (
+                            c.hits, c.compressed_hits, c.misses,
+                            c.compressions, c.rejected_blocks, c.writebacks,
+                            c.hit_rate,
+                            cache.front_blocks, cache.compressed_blocks,
+                            cache.total_frames_held, frames.free_frames,
+                            [ledger.total(c) for c in TimeCategory],
+                            cache.coldest_age(now),
+                        )
+                        digest.update(repr(state).encode())
+        assert digest.hexdigest() == COMPRESSED_PIN
+
+    def test_plain_cache(self):
+        digest = hashlib.sha256()
+        for nframes in (4, 8, 16):
+            fs, handle = _pin_fs(_pin_fill)
+            frames = FramePool(nframes)
+            cache = BufferCache(fs, frames)
+            trace = _pin_trace(nframes, nframes, self.STEPS)
+            for step, (block, write) in enumerate(trace):
+                now = float(step)
+                seconds = cache.access(handle, block, now, write=write)
+                if step % 97 == 96:
+                    seconds = (seconds, cache.shrink_one())
+                state = (
+                    cache.counters.snapshot(), cache.nblocks,
+                    frames.free_frames, cache.coldest_age(now), seconds,
+                )
+                digest.update(repr(state).encode())
+            digest.update(repr(cache.flush()).encode())
+        assert digest.hexdigest() == PLAIN_PIN
+
+
+COMPRESSED_PIN = (
+    "66d2e75f50adc38a85cb026ddb81c2c8fd733a787ec446f179ac50b176778eda"
+)
+PLAIN_PIN = "202c399ba1acf63cb748dcb83856a3e7875311ba268663c93b2f8017addf5197"

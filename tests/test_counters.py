@@ -53,8 +53,8 @@ SNAPSHOT_KEYS = {
     ),
     BufferCacheCounters: ("hits", "misses", "writebacks", "hit_rate"),
     CompressedCacheCounters: (
-        "front_hits", "compressed_hits", "misses", "compressions",
-        "rejected_blocks", "writebacks", "hit_rate",
+        "hits", "misses", "writebacks", "compressed_hits", "compressions",
+        "rejected_blocks", "hit_rate",
     ),
     FragStoreCounters: (
         "pages_put", "pages_got", "batch_flushes", "padding_bytes",
