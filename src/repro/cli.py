@@ -15,6 +15,8 @@ Usage::
     compression-cache demo   [--scale 0.2]
     compression-cache perf   [--quick] [--skip-sim] [--check baseline.json]
                              [--profile [N]] [--out profile.txt]
+    compression-cache perf pairs PARENT CHANGE --workload kv-mixed
+                             [--pairs 10] [--seed 1] [--quick]
     compression-cache serve  [--shards 4] [--port 9009]
                              [--tenants alpha=8,beta=2] [--tier-mb 8,8]
     compression-cache serve-bench [--shards 1,2,4] [--ops 20000]
@@ -272,9 +274,15 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
-    """Kernel-throughput and sim-rate benchmarks (BENCH_*.json)."""
+    """Kernel-throughput and sim-rate benchmarks (BENCH_*.json), or
+    ``perf pairs``: alternated parent/change runs of the e2e benchmark."""
     from pathlib import Path
 
+    if args.perf_command == "pairs":
+        from .pairs import main as pairs_main
+
+        return pairs_main(args.parent, args.change, args.workload,
+                          args.pairs, args.seed, args.quick)
     from .perf import run_harness
 
     return run_harness(
@@ -684,6 +692,20 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--out", default="", metavar="PATH",
                       help="where --profile writes its report "
                            "(default: OUT_DIR/BENCH_profile.txt)")
+    perf_sub = perf.add_subparsers(dest="perf_command")
+    pairs = perf_sub.add_parser(
+        "pairs", help="alternated parent/change runs of "
+                      "benchmarks/e2e/run.py, with medians, quartiles, "
+                      "wins and exact-count equality")
+    pairs.add_argument("parent", help="git revision or checkout directory")
+    pairs.add_argument("change", help="git revision or checkout directory")
+    pairs.add_argument("--workload", required=True,
+                       help="a workload BENCHMARK.json declares")
+    pairs.add_argument("--pairs", type=int, default=10)
+    pairs.add_argument("--seed", type=int, default=1,
+                       help="seed of pair 0; pair i runs seed + i")
+    pairs.add_argument("--quick", action="store_true",
+                       help="run.py --quick (sizes tiny, never comparable)")
 
     def add_service_options(command: argparse.ArgumentParser) -> None:
         command.add_argument(

@@ -20,7 +20,9 @@ multi-point bench resumes without re-measuring completed shard counts.
 
 Latency is measured client-side around each awaited submission, so it
 includes queueing, batching, IPC, and the shard's compression work —
-the number a caller of the service would see.
+the number a caller of the service would see.  Under ``--pace`` it runs
+from the op's scheduled send, so time spent queued behind a slow op
+counts too.
 """
 
 from __future__ import annotations
@@ -127,10 +129,6 @@ async def _client(
     clock = time.perf_counter
     clock_ns = time.perf_counter_ns
     for index, op in enumerate(ops):
-        if offsets is not None:
-            delay = start + offsets[index] - clock()
-            if delay > 0:
-                await asyncio.sleep(delay)
         # Generate the payload before the clock starts: content
         # generation is the *client's* cost, not service latency.
         payload = op.payload(traffic)
@@ -141,8 +139,17 @@ async def _client(
         else:
             wire = (OP_PUT, payload)
         # Latency includes the retry loop: time-to-acceptance is what a
-        # backpressured caller experiences.
-        t0 = clock_ns()
+        # backpressured caller experiences.  A paced op's clock starts
+        # at its scheduled send, so an op that waited behind a slow one
+        # counts the wait (no coordinated omission).
+        if offsets is not None:
+            due = start + offsets[index]
+            delay = due - clock()
+            if delay > 0:
+                await asyncio.sleep(delay)
+            t0 = round(due * 1e9)
+        else:
+            t0 = clock_ns()
         backoff = RETRY_INITIAL_S
         while True:
             try:

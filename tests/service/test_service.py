@@ -13,6 +13,7 @@ import logging
 import multiprocessing as mp
 import os
 import threading
+import time
 import warnings
 from itertools import islice
 
@@ -289,6 +290,51 @@ class TestFlowControl:
             assert "backpressure" not in result["statuses"]
 
         asyncio.run(scenario())
+
+    def test_paced_client_counts_time_queued_behind_a_stall(self):
+        """A paced op is timed from its scheduled send, so the ops due
+        while one op stalls record the wait; unpaced ops still time only
+        their own submission."""
+        from collections import Counter
+
+        from repro.service.bench import _client
+        from repro.service.latency import LatencyRecorder
+        from repro.service.protocol import ST_MISS
+        from repro.workloads.traffic import GET, TrafficOp, TrafficSpec
+
+        stall_s = 0.1
+
+        class StallFirst:
+            def __init__(self):
+                self.calls = 0
+
+            async def submit(self, op, tenant, key, payload, wait=True):
+                self.calls += 1
+                if self.calls == 1:
+                    await asyncio.sleep(stall_s)
+                return ST_MISS, None
+
+        traffic = TrafficSpec(ops=20, seed=1, page_size=PAGE)
+        ops = [TrafficOp(GET, "default", key) for key in range(20)]
+
+        def replay(offsets):
+            recorder = LatencyRecorder()
+
+            async def scenario():
+                await _client(StallFirst(), ops, traffic, recorder,
+                              Counter(), offsets=offsets,
+                              start=time.perf_counter())
+
+            asyncio.run(scenario())
+            return recorder
+
+        # Due every millisecond: ops 1..19 were due 81-99 ms before the
+        # stall ended, and each records at least that.
+        paced = replay([0.001 * index for index in range(20)])
+        assert paced.percentile(5) >= 80_000
+        unpaced = replay(None)
+        assert unpaced.percentile(50) < 80_000
+        assert unpaced.percentile(100) >= stall_s * 1e6
 
     def test_tenant_inflight_cap(self):
         async def scenario():

@@ -57,12 +57,12 @@ GOLDEN_EXACT = {
 
 
 def run_digest(name: str, scale: float, exact: bool,
-               fast=None) -> str:
+               fast=None, paranoid: bool = False) -> str:
     """Build the bench_sim machine for ``name`` and digest its RunResult."""
     workload = catalog.build(name, scale)
     config = MachineConfig(
         memory_bytes=mbytes(6 * scale), exact_compression=exact,
-        fast=fast,
+        fast=fast, paranoid=paranoid,
     )
     machine = Machine(config, workload.build())
     refs = list(workload.references())
@@ -112,4 +112,19 @@ def test_exact_mode_scalar_kernels_match_same_digest(name):
     ) == GOLDEN_EXACT[name], (
         f"{name}: forcing scalar kernels (fast=False) changed simulation "
         "output in exact mode — scalar and vectorized kernels diverged"
+    )
+
+
+# A run that is not paranoid never decodes a payload on the fault path,
+# so the digests above do not check that stored payloads decode to their
+# pages.  paranoid=True decodes every page it fetches and compares it
+# with the page's ground truth; it implies exact compression, so it must
+# reproduce the exact-mode digests.
+
+@pytest.mark.parametrize("name", ["compare", "gold-warm", "isca", "thrasher"])
+def test_exact_mode_paranoid_matches_same_digest(name):
+    assert run_digest(
+        name, EXACT_SCALE, exact=True, paranoid=True
+    ) == GOLDEN_EXACT[name], (
+        f"{name}: paranoid verification changed exact-mode output"
     )
