@@ -10,7 +10,7 @@ Usage::
     compression-cache figure3 [--scale 0.2] [--mode rw|ro|both] [--jobs N]
     compression-cache table1 [--scale 0.2] [--rows compare,isca] [--jobs N]
     compression-cache sweep  [--experiment figure3|table1|ablations|
-                              tiers|kernels|lfs]
+                              tiers|kernels|lfs|control]
                              [--jobs N] [--resume path.jsonl] [--timeout s]
     compression-cache demo   [--scale 0.2]
     compression-cache perf   [--quick] [--skip-sim] [--check baseline.json]
@@ -40,17 +40,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from .compression import available as available_compressors
-from .experiments import (
-    TABLE1_ORDER,
-    experiment_names,
-    figure3_sweep,
-    render_figure1,
-    render_table1,
-    table1,
-)
+from .experiments import TABLE1_ORDER, experiment_names, render_figure1
 from .mem.page import mbytes
 from .sim.engine import SimulationEngine
 from .sim.machine import Machine, MachineConfig, SpecError
@@ -170,15 +163,7 @@ def _cmd_figure1(_args: argparse.Namespace) -> int:
 
 
 def _cmd_figure3(args: argparse.Namespace) -> int:
-    modes = {"rw": [True], "ro": [False], "both": [False, True]}[args.mode]
-    for write in modes:
-        result = figure3_sweep(
-            write=write, scale=args.scale, jobs=args.jobs,
-            checkpoint=args.resume, timeout=args.timeout,
-        )
-        print(result.render())
-        print()
-    return 0
+    return _run_experiment(args, "figure3", {"mode": args.mode})
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
@@ -189,51 +174,52 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         if unknown:
             raise UsageError(f"unknown rows: {sorted(unknown)}\n"
                              f"known: {', '.join(TABLE1_ORDER)}")
-    rows = table1(
-        scale=args.scale, names=names, jobs=args.jobs,
-        checkpoint=args.resume, timeout=args.timeout,
-    )
-    print(render_table1(rows))
-    return 0
+    return _run_experiment(args, "table1", {"names": names})
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    """Run one experiment as an explicit sweep: parallel, resumable.
+    return _run_experiment(args, args.experiment,
+                           {"mode": args.mode, "seed": args.seed})
 
-    ``--digest`` prints only a stable fingerprint of the aggregated
-    results; CI compares digests across ``--jobs`` values to prove
-    parallel == serial.
+
+def _run_experiment(args: argparse.Namespace, name: str,
+                    options: Dict[str, Any]) -> int:
+    """Run one ``EXPERIMENTS`` row as a sweep and print its tables: the
+    one path of ``figure3``, ``table1`` and ``sweep``.
+
+    ``sweep`` also prints progress, every completed point as a JSON line
+    and a summary line — or, with ``--digest``, only a stable
+    fingerprint of the results (CI compares digests across ``--jobs``
+    values to prove parallel == serial).  A point that still fails
+    after its retries is reported as ``FAILED key: error``, exit 1.
     """
+    import json
+
     from .experiments import EXPERIMENTS
     from .sweep import run_sweep
 
-    say = (lambda _msg: None) if args.digest else print
-    experiment = EXPERIMENTS[args.experiment]
-    points = experiment.points(
-        args.scale, {"mode": args.mode, "seed": args.seed}
-    )
-    sweep = run_sweep(
-        points,
-        jobs=args.jobs,
-        checkpoint=args.resume,
-        timeout=args.timeout,
-        retries=args.retries,
-        progress=say,
-    )
+    listing = args.command == "sweep"
+    experiment = EXPERIMENTS[name]
+    points = experiment.points(args.scale, options)
+    extra: Dict[str, Any] = {}
+    if listing:
+        extra = {"retries": args.retries,
+                 "progress": None if args.digest else print}
+    sweep = run_sweep(points, jobs=args.jobs, checkpoint=args.resume,
+                      timeout=args.timeout, **extra)
     if sweep.failures:
         for key, error in sweep.failures.items():
             print(f"FAILED {key}: {error}", file=sys.stderr)
         return 1
-    if args.digest:
+    if listing and args.digest:
         print(sweep.digest())
         return 0
-    import json
-
-    for key, record in sweep.results.items():
-        print(f"{key}: {json.dumps(record, sort_keys=True)}")
-    if experiment.render is not None:
-        print(experiment.render(sweep.results))
-    print(sweep.summary())
+    if listing:
+        for key, record in sweep.results.items():
+            print(f"{key}: {json.dumps(record, sort_keys=True)}")
+    print(experiment.render(sweep.cells(points)))
+    if listing:
+        print(sweep.summary())
     return 0
 
 
@@ -567,6 +553,22 @@ def _cmd_trace_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _bounded(convert: Callable[[str], Any], low: float,
+             inclusive: bool = True) -> Callable[[str], Any]:
+    """An argparse ``type``: ``convert`` the text, then refuse a value
+    below ``low`` (or equal to it, unless ``inclusive``) as a usage
+    error."""
+    def parse(text: str) -> Any:
+        value = convert(text)
+        if not (value >= low if inclusive else value > low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>=' if inclusive else '>'} {low:g}: {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # "invalid int value: 'x'"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -627,13 +629,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_sweep_options(command: argparse.ArgumentParser) -> None:
         command.add_argument(
-            "--jobs", type=int, default=1,
+            "--jobs", type=_bounded(int, 1), default=1,
             help="worker processes (1 = serial; output is identical)")
         command.add_argument(
             "--resume", default=None, metavar="PATH.jsonl",
             help="JSONL checkpoint: skip completed points, append new")
+        # 0 would disarm the per-point timer rather than set a limit.
         command.add_argument(
-            "--timeout", type=float, default=None, metavar="SECONDS",
+            "--timeout", type=_bounded(float, 0, inclusive=False),
+            default=None, metavar="SECONDS",
             help="per-point wall-clock limit")
 
     fig3 = sub.add_parser("figure3", help="thrasher sweep (both panels)")
@@ -659,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="both", help="figure3 only")
     sweep.add_argument("--seed", type=int, default=0,
                        help="content-generation seed (figure3 only)")
-    sweep.add_argument("--retries", type=int, default=2,
+    sweep.add_argument("--retries", type=_bounded(int, 0), default=2,
                        help="extra attempts for a crashed/failed point")
     sweep.add_argument("--digest", action="store_true",
                        help="print only the aggregated-results digest "

@@ -1,9 +1,10 @@
 """Experiment harnesses regenerating the paper's tables and figures.
 
-Shared by ``benchmarks/`` (scaled-down, pytest-benchmark) and
-``experiments/`` (full-fidelity scripts).  Every function returns plain
-data structures plus a rendered text block, so callers can assert on
-shapes or just print.
+Every experiment is one row of :data:`EXPERIMENTS`: a grid of
+independent sweep points and a renderer over the completed cells by key.
+The CLI's ``figure3``, ``table1`` and ``sweep`` commands run a row;
+``benchmarks/`` and ``tests/`` assert on the typed views
+(:class:`Figure3Result`, :class:`Table1Row`) built from the same cells.
 
 Scaling: each harness takes a ``scale`` in (0, 1].  ``scale=1`` is the
 paper's configuration (14 MBytes of user memory for Table 1, ~6 MBytes
@@ -21,7 +22,7 @@ uncompressible column — are emergent outputs.  See EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import (
     Any,
     Callable,
@@ -106,6 +107,18 @@ class Figure3Result:
     mode: str
     points: List[Figure3Point] = field(default_factory=list)
 
+    @classmethod
+    def from_cells(cls, mode: str,
+                   cells: Mapping[str, Mapping[str, Any]]) -> "Figure3Result":
+        """The ``mode`` curve of completed Figure 3 cells, in cell order."""
+        return cls(mode, [
+            Figure3Point(record["address_space_bytes"],
+                         record["std_ms_per_access"],
+                         record["cc_ms_per_access"])
+            for key, record in cells.items()
+            if key.startswith(f"figure3/{mode}/")
+        ])
+
     def render(self) -> str:
         rows = [
             [
@@ -189,16 +202,22 @@ def figure3_points(
     ]
 
 
+def run_cells(points: Sequence[SweepPoint],
+              **sweep_options: Any) -> Dict[str, Dict[str, Any]]:
+    """Run ``points`` as one sweep (``sweep_options`` as
+    :func:`repro.sweep.run_sweep` takes them: ``jobs``, ``checkpoint``,
+    ``timeout``, ``progress``); the completed cells by key, in point
+    order.  Raises :class:`repro.sweep.SweepError` on a failed point."""
+    return run_sweep(points, **sweep_options).cells(points)
+
+
 def figure3_sweep(
     write: bool,
     scale: float = 1.0,
     points: Optional[Sequence[float]] = None,
     cycles: int = 3,
     seed: int = 0,
-    jobs: int = 1,
-    checkpoint: Optional[str] = None,
-    timeout: Optional[float] = None,
-    progress: Optional[Callable[[str], None]] = None,
+    **sweep_options: Any,
 ) -> Figure3Result:
     """Regenerate one pair of Figure 3 curves.
 
@@ -210,32 +229,24 @@ def figure3_sweep(
             (default mirrors the paper's 0.3x-6.7x span).
         cycles: passes per measurement.
         seed: content-generation seed carried into every point.
-        jobs: worker processes (1 = serial; output is identical either
-            way — see ``docs/sweep.md``).
-        checkpoint: JSONL path for resumable execution.
-        timeout: per-point wall-clock limit in seconds.
-        progress: optional one-line progress callback.
+        sweep_options: as :func:`run_cells` takes them (output is
+            identical at any ``jobs`` — see ``docs/sweep.md``).
     """
-    specs = figure3_points(
-        write, scale=scale, points=points, cycles=cycles, seed=seed
+    cells = run_cells(
+        figure3_points(write, scale=scale, points=points, cycles=cycles,
+                       seed=seed),
+        **sweep_options,
     )
-    sweep = run_sweep(
-        specs,
-        jobs=jobs,
-        checkpoint=checkpoint,
-        timeout=timeout,
-        progress=progress,
-    )
-    result = Figure3Result(mode="rw" if write else "ro")
-    for record in sweep.in_order(specs):
-        result.points.append(
-            Figure3Point(
-                address_space_bytes=record["address_space_bytes"],
-                std_ms_per_access=record["std_ms_per_access"],
-                cc_ms_per_access=record["cc_ms_per_access"],
-            )
-        )
-    return result
+    return Figure3Result.from_cells("rw" if write else "ro", cells)
+
+
+def render_figure3(cells: Mapping[str, Mapping[str, Any]]) -> str:
+    """One Figure 3 table per access mode the cells hold, in cell order,
+    each followed by a blank line."""
+    modes = dict.fromkeys(key.split("/")[1] for key in cells)
+    return "\n\n".join(
+        Figure3Result.from_cells(mode, cells).render() for mode in modes
+    ) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -395,17 +406,9 @@ def run_table1_point(spec: Mapping[str, Any]) -> Dict[str, Any]:
     only on its own standard-system probe run — so rows are independent
     and can execute on any worker in any order.
     """
-    row = table1_row(
+    return asdict(table1_row(
         spec["name"], scale=spec["scale"], calibrate=spec["calibrate"]
-    )
-    return {
-        "name": row.name,
-        "std_seconds": row.std_seconds,
-        "cc_seconds": row.cc_seconds,
-        "ratio_percent": row.ratio_percent,
-        "uncompressible_percent": row.uncompressible_percent,
-        "compute_seconds_per_ref": row.compute_seconds_per_ref,
-    }
+    ))
 
 
 def table1_points(
@@ -424,25 +427,23 @@ def table1_points(
     ]
 
 
+def table1_rows(cells: Mapping[str, Mapping[str, Any]]) -> List[Table1Row]:
+    """The typed rows of completed Table 1 cells, in cell order."""
+    return [Table1Row(**record) for record in cells.values()]
+
+
 def table1(
     scale: float = 1.0,
     calibrate: bool = True,
     names: Optional[Sequence[str]] = None,
-    jobs: int = 1,
-    checkpoint: Optional[str] = None,
-    timeout: Optional[float] = None,
-    progress: Optional[Callable[[str], None]] = None,
+    **sweep_options: Any,
 ) -> List[Table1Row]:
-    """Measure all (or selected) Table 1 rows, optionally in parallel."""
-    points = table1_points(scale=scale, calibrate=calibrate, names=names)
-    sweep = run_sweep(
-        points,
-        jobs=jobs,
-        checkpoint=checkpoint,
-        timeout=timeout,
-        progress=progress,
-    )
-    return [Table1Row(**record) for record in sweep.in_order(points)]
+    """Measure all (or selected) Table 1 rows; ``sweep_options`` as
+    :func:`run_cells` takes them."""
+    return table1_rows(run_cells(
+        table1_points(scale=scale, calibrate=calibrate, names=names),
+        **sweep_options,
+    ))
 
 
 def render_table1(rows: Sequence[Table1Row]) -> str:
@@ -554,9 +555,9 @@ def effective_memory(machine: Machine) -> Tuple[int, float]:
 # Ablation cells
 # ----------------------------------------------------------------------
 #
-# The design-choice ablations (experiments/ablations.py) are grids of
-# independent std-versus-cc comparisons over machine-configuration
-# variants.
+# The design-choice ablations (``sweep --experiment ablations``) are
+# grids of independent std-versus-cc comparisons over
+# machine-configuration variants.
 
 #: Import path of the ablation cell runner (see ``repro.sweep``).
 ABLATION_RUNNER = "repro.experiments:run_ablation_point"
@@ -598,143 +599,95 @@ def _paging_pair(scale: float) -> Dict[str, Dict[str, Any]]:
     }
 
 
+def _ablation_tables() -> Tuple[Tuple[Any, ...], ...]:
+    """The seven ablation tables: title, header, the ``(key suffix,
+    field)`` each value column reads, and one ``(label, key, config)``
+    per row.  A row is one cell per distinct suffix: ``""`` runs the
+    thrasher, ``"/thrasher"`` / ``"/gold-warm"`` name the workload."""
+    speedup = (("", "speedup"),)
+    return (
+        ("1. Backing-store partial-write policy (Section 4.3)",
+         ["partial-write policy", "cc speedup"], speedup,
+         [(policy.value, f"1-partial-write/{policy.value}",
+           {"partial_write_policy": policy.value})
+          for policy in PartialWritePolicy]),
+        ("2. Fragment store parameters (Section 4.3)",
+         ["fragments", "cc speedup"], speedup,
+         [("spanning allowed", "2-fragments/spanning",
+           {"allow_spanning": True}),
+          ("no spanning", "2-fragments/no-spanning",
+           {"allow_spanning": False}),
+          ("per-page writes (batch=4K)", "2-fragments/batch-4k",
+           {"batch_bytes": 4096}),
+          ("32-KByte batches", "2-fragments/batch-32k",
+           {"batch_bytes": 32768})]),
+        ("3. Allocator bias: application-dependent optimum (Section 4.2)",
+         ["bias", "thrasher speedup", "gold-warm speedup"],
+         (("/thrasher", "speedup"), ("/gold-warm", "speedup")),
+         [(f"vm_weight={weight:g}", f"3-bias/w{weight:g}",
+           {"biases": {"file_cache_weight": 2 * weight,
+                       "vm_weight": weight, "ccache_weight": 1.0}})
+          for weight in ABLATION_BIAS_WEIGHTS]),
+        ("4. Compression algorithm", ["algorithm", "cc speedup"], speedup,
+         [(name, f"4-algorithm/{name}", {"compressor": name})
+          for name in ("lzrw1", "lzss", "wk", "rle")]),
+        ("5. Paging into LFS (Sections 3, 5.1)",
+         ["filesystem", "std (s)", "cc (s)", "cc speedup"],
+         (("", "std_seconds"), ("", "cc_seconds"), ("", "speedup")),
+         [(fs, f"5-filesystem/{fs}", {"filesystem": fs})
+          for fs in ("ufs", "lfs")]),
+        ("6. In-kernel versus Mach-style external pager (Section 4)",
+         ["architecture", "cc speedup", "std time (s)"],
+         (("", "speedup"), ("", "std_seconds")),
+         [(arch, f"6-architecture/{arch}", {"vm_architecture": arch})
+          for arch in ("monolithic", "external-pager")]),
+        ("7. Section 6 outlook", ["outlook", "cc speedup"], speedup,
+         [("1993 baseline", "7-outlook/baseline", {}),
+          ("hardware compression", "7-outlook/hardware-compression",
+           {"costs": "hardware"}),
+          ("8x faster CPU", "7-outlook/cpu-8x", {"costs": ["cpu", 8.0]}),
+          ("wireless LAN backing store", "7-outlook/wavelan",
+           {"device": "wavelan"}),
+          ("modern disk", "7-outlook/modern-hdd",
+           {"device": "modern-hdd"})]),
+    )
+
+
 def ablation_points(scale: float) -> List[SweepPoint]:
-    """The full design-choice ablation grid (experiments/ablations.py).
+    """The full design-choice ablation grid, one table row at a time.
 
     Every cell is independent; ``render_ablations`` reassembles the
-    seven tables from the completed results by key.
+    seven tables from the completed results by key.  The gold-warm
+    cells run on Table 1's 14 MBytes, the thrasher's on 6.
     """
     workloads = _paging_pair(scale)
-    base = {"memory_bytes": mbytes(6 * scale)}
-    gold_base = {"memory_bytes": mbytes(14 * scale)}
-
+    memory = {"thrasher": mbytes(6 * scale), "gold-warm": mbytes(14 * scale)}
     points: List[SweepPoint] = []
-
-    def cell(key: str, config: Mapping[str, Any],
-             workload: Mapping[str, Any] = workloads["thrasher"]) -> None:
-        points.append(cell_point(ABLATION_RUNNER, key,
-                                 {**base, **config}, workload))
-
-    for policy in PartialWritePolicy:
-        cell(f"1-partial-write/{policy.value}",
-             {"partial_write_policy": policy.value})
-
-    cell("2-fragments/spanning", {"allow_spanning": True})
-    cell("2-fragments/no-spanning", {"allow_spanning": False})
-    cell("2-fragments/batch-4k", {"batch_bytes": 4096})
-    cell("2-fragments/batch-32k", {"batch_bytes": 32768})
-
-    for weight in ABLATION_BIAS_WEIGHTS:
-        biases = {
-            "file_cache_weight": 2 * weight,
-            "vm_weight": weight,
-            "ccache_weight": 1.0,
-        }
-        cell(f"3-bias/w{weight:g}/thrasher", {"biases": biases})
-        points.append(cell_point(
-            ABLATION_RUNNER, f"3-bias/w{weight:g}/gold-warm",
-            {**gold_base, "biases": biases}, workloads["gold-warm"],
-        ))
-
-    for name in ("lzrw1", "lzss", "wk", "rle"):
-        cell(f"4-algorithm/{name}", {"compressor": name})
-
-    for fs in ("ufs", "lfs"):
-        cell(f"5-filesystem/{fs}", {"filesystem": fs})
-
-    for arch in ("monolithic", "external-pager"):
-        cell(f"6-architecture/{arch}", {"vm_architecture": arch})
-
-    cell("7-outlook/baseline", {})
-    cell("7-outlook/hardware-compression", {"costs": "hardware"})
-    cell("7-outlook/cpu-8x", {"costs": ["cpu", 8.0]})
-    cell("7-outlook/wavelan", {"device": "wavelan"})
-    cell("7-outlook/modern-hdd", {"device": "modern-hdd"})
-
+    for _title, _header, columns, rows in _ablation_tables():
+        for _label, key, config in rows:
+            for suffix in dict.fromkeys(suffix for suffix, _ in columns):
+                wname = suffix.lstrip("/") or "thrasher"
+                points.append(cell_point(
+                    ABLATION_RUNNER, key + suffix,
+                    {"memory_bytes": memory[wname], **config},
+                    workloads[wname],
+                ))
     return points
 
 
 def render_ablations(cells: Mapping[str, Mapping[str, Any]]) -> str:
-    """The seven ablation tables, from completed cell results by key."""
-
-    def speedup(key: str) -> str:
-        return f"{cells[key]['speedup']:.2f}"
-
-    def seconds(key: str, which: str) -> str:
-        return f"{cells[key][which]:.1f}"
-
-    blocks = [
-        render_table(
-            ["partial-write policy", "cc speedup"],
-            [[policy.value, speedup(f"1-partial-write/{policy.value}")]
-             for policy in PartialWritePolicy],
-            title="1. Backing-store partial-write policy (Section 4.3)",
-        ),
-        render_table(
-            ["fragments", "cc speedup"],
-            [
-                ["spanning allowed", speedup("2-fragments/spanning")],
-                ["no spanning", speedup("2-fragments/no-spanning")],
-                ["per-page writes (batch=4K)",
-                 speedup("2-fragments/batch-4k")],
-                ["32-KByte batches", speedup("2-fragments/batch-32k")],
-            ],
-            title="2. Fragment store parameters (Section 4.3)",
-        ),
-        render_table(
-            ["bias", "thrasher speedup", "gold-warm speedup"],
-            [
-                [f"vm_weight={weight:g}",
-                 speedup(f"3-bias/w{weight:g}/thrasher"),
-                 speedup(f"3-bias/w{weight:g}/gold-warm")]
-                for weight in ABLATION_BIAS_WEIGHTS
-            ],
-            title="3. Allocator bias: application-dependent optimum "
-                  "(Section 4.2)",
-        ),
-        render_table(
-            ["algorithm", "cc speedup"],
-            [[name, speedup(f"4-algorithm/{name}")]
-             for name in ("lzrw1", "lzss", "wk", "rle")],
-            title="4. Compression algorithm",
-        ),
-        render_table(
-            ["filesystem", "std (s)", "cc (s)", "cc speedup"],
-            [
-                [fs,
-                 seconds(f"5-filesystem/{fs}", "std_seconds"),
-                 seconds(f"5-filesystem/{fs}", "cc_seconds"),
-                 speedup(f"5-filesystem/{fs}")]
-                for fs in ("ufs", "lfs")
-            ],
-            title="5. Paging into LFS (Sections 3, 5.1)",
-        ),
-        render_table(
-            ["architecture", "cc speedup", "std time (s)"],
-            [
-                [arch,
-                 speedup(f"6-architecture/{arch}"),
-                 seconds(f"6-architecture/{arch}", "std_seconds")]
-                for arch in ("monolithic", "external-pager")
-            ],
-            title="6. In-kernel versus Mach-style external pager "
-                  "(Section 4)",
-        ),
-        render_table(
-            ["outlook", "cc speedup"],
-            [
-                ["1993 baseline", speedup("7-outlook/baseline")],
-                ["hardware compression",
-                 speedup("7-outlook/hardware-compression")],
-                ["8x faster CPU", speedup("7-outlook/cpu-8x")],
-                ["wireless LAN backing store",
-                 speedup("7-outlook/wavelan")],
-                ["modern disk", speedup("7-outlook/modern-hdd")],
-            ],
-            title="7. Section 6 outlook",
-        ),
-    ]
-    return "\n\n".join(blocks)
+    """The seven ablation tables, from completed cell results by key:
+    speedups to two places, seconds to one."""
+    return "\n\n".join(
+        render_table(header, [
+            [label] + [
+                f"{cells[key + suffix][name]:.{2 if name == 'speedup' else 1}f}"
+                for suffix, name in columns
+            ]
+            for label, key, _config in rows
+        ], title=title)
+        for title, header, columns, rows in _ablation_tables()
+    )
 
 
 # ----------------------------------------------------------------------
@@ -758,6 +711,24 @@ TIERS_CHAINS: Tuple[Tuple[str, Optional[str]], ...] = (
 )
 
 
+def _run_chain_cell(spec: Mapping[str, Any]) -> Tuple[Machine, RunResult,
+                                                      Dict[str, Any]]:
+    """Run one cell and split its faults: the machine, the result, and
+    the fields the tier and control comparisons share."""
+    machine, result = run_cell(spec)
+    faults = result.metrics_snapshot["faults"]
+    total = faults["total"]
+    return machine, result, {
+        "elapsed_seconds": result.elapsed_seconds,
+        "faults_total": total,
+        "compressed_hit_rate": (
+            faults["from_ccache"] / total if total else 0.0
+        ),
+        "effective_memory_ratio": effective_memory(machine)[1],
+        "demoted_pages": machine.chain.demoted_pages(),
+    }
+
+
 def run_tiers_point(spec: Mapping[str, Any]) -> Dict[str, Any]:
     """Sweep runner: one (chain, workload) cell of the tier comparison.
 
@@ -767,25 +738,14 @@ def run_tiers_point(spec: Mapping[str, Any]) -> Dict[str, Any]:
     (resident + compressed pages held, as a ratio of physical frames),
     and the per-tier snapshots.
     """
-    machine, result = run_cell(spec)
-    faults = result.metrics_snapshot["faults"]
-    total = faults["total"]
-    effective, ratio = effective_memory(machine)
-    return {
-        "elapsed_seconds": result.elapsed_seconds,
-        "faults_total": total,
-        "compressed_hit_rate": (
-            faults["from_ccache"] / total if total else 0.0
-        ),
-        "effective_frames": effective,
-        "effective_memory_ratio": ratio,
-        "demoted_pages": machine.chain.demoted_pages(),
-        "tiers": machine.chain.snapshot(),
-    }
+    machine, _result, cell = _run_chain_cell(spec)
+    cell["effective_frames"] = effective_memory(machine)[0]
+    cell["tiers"] = machine.chain.snapshot()
+    return cell
 
 
 def tiers_points(scale: float) -> List[SweepPoint]:
-    """The 1-tier-versus-2-tier grid (experiments/tiers_sweep.py)."""
+    """The 1-tier-versus-2-tier grid."""
     memory = mbytes(6 * scale)
     points: List[SweepPoint] = []
     for wname, workload in _paging_pair(scale).items():
@@ -902,7 +862,7 @@ def run_kernels_point(spec: Mapping[str, Any]) -> Dict[str, Any]:
 
 
 def kernels_points(scale: float) -> List[SweepPoint]:
-    """The kernel-versus-workload grid (experiments/kernels_sweep.py)."""
+    """The kernel-versus-workload grid."""
     memory = mbytes(6 * scale)
     points: List[SweepPoint] = []
     for wname in KERNELS_WORKLOADS:
@@ -916,47 +876,27 @@ def kernels_points(scale: float) -> List[SweepPoint]:
 
 
 def render_kernels(cells: Mapping[str, Mapping[str, Any]]) -> str:
-    """The kernel-comparison tables, from completed cell results.
-
-    Tolerates partial grids (a resumed sweep that has not finished):
-    missing cells render as ``-`` and drop out of the aggregates.
-    """
-    header = ["workload"] + list(KERNEL_NAMES)
-    rows = []
-    for wname in KERNELS_WORKLOADS:
-        row = [wname]
-        for kernel in KERNEL_NAMES:
-            cell = cells.get(f"kernels/{kernel}/{wname}")
-            row.append(
-                f"{cell['stored_fraction'] * 100:.1f}%"
-                if cell is not None else "-"
-            )
-        rows.append(row)
-    per_kernel: Dict[str, Optional[List[int]]] = {}
-    for kernel in KERNEL_NAMES:
-        stored = total = 0
-        complete = True
-        for wname in KERNELS_WORKLOADS:
-            cell = cells.get(f"kernels/{kernel}/{wname}")
-            if cell is None:
-                complete = False
-                continue
-            stored += cell["stored_bytes"]
-            total += cell["total_bytes"]
-        if total:
-            per_kernel[kernel] = [stored, total] if complete else None
-    agg_row = ["aggregate"]
+    """The kernel-comparison tables, from completed cell results."""
+    rows = [
+        [wname] + [
+            f"{cells[f'kernels/{kernel}/{wname}']['stored_fraction'] * 100:.1f}%"
+            for kernel in KERNEL_NAMES
+        ]
+        for wname in KERNELS_WORKLOADS
+    ]
     aggregates: Dict[str, float] = {}
     for kernel in KERNEL_NAMES:
-        entry = per_kernel.get(kernel)
-        if entry:
-            aggregates[kernel] = entry[0] / entry[1]
-            agg_row.append(f"{aggregates[kernel] * 100:.1f}%")
-        else:
-            agg_row.append("-")
-    rows.append(agg_row)
+        grid = [cells[f"kernels/{kernel}/{wname}"]
+                for wname in KERNELS_WORKLOADS]
+        total = sum(cell["total_bytes"] for cell in grid)
+        if total:
+            aggregates[kernel] = sum(c["stored_bytes"] for c in grid) / total
+    rows.append(["aggregate"] + [
+        f"{aggregates[kernel] * 100:.1f}%" if kernel in aggregates else "-"
+        for kernel in KERNEL_NAMES
+    ])
     block = render_table(
-        header, rows,
+        ["workload"] + list(KERNEL_NAMES), rows,
         title="Stored fraction by kernel (lower is better; "
               "threshold failures count at full page size)",
     )
@@ -1062,33 +1002,22 @@ def lfs_points(scale: float) -> List[SweepPoint]:
 
 
 def render_lfs(cells: Mapping[str, Mapping[str, Any]]) -> str:
-    """The store-comparison table, from completed cell results by key.
-
-    Tolerates partial grids: missing cells render as ``-`` and their
-    speedup column stays blank.
-    """
+    """The store-comparison table, from completed cell results by key."""
     rows = []
-    workloads = ("thrasher", "gold-warm")
-    for wname in workloads:
+    for wname in ("thrasher", "gold-warm"):
         for device in LFS_DEVICES:
-            frag = cells.get(f"lfs/{device}/frag/{wname}")
-            sync = cells.get(f"lfs/{device}/lfs-sync/{wname}")
-            batch = cells.get(f"lfs/{device}/lfs-batch/{wname}")
-            win = "-"
-            if sync and batch and batch["elapsed_seconds"]:
-                win = (
-                    f"{sync['elapsed_seconds'] / batch['elapsed_seconds']:.2f}x"
-                )
+            frag, sync, batch = (cells[f"lfs/{device}/{mode}/{wname}"]
+                                 for mode in LFS_MODES)
             rows.append([
                 wname,
                 device,
-                f"{frag['elapsed_seconds']:.1f}" if frag else "-",
-                f"{sync['elapsed_seconds']:.1f}" if sync else "-",
-                f"{batch['elapsed_seconds']:.1f}" if batch else "-",
-                win,
-                str(batch["segments_cleaned"]) if batch else "-",
-                (f"{batch['cleaner_copied_bytes'] / 1024:.0f}"
-                 if batch else "-"),
+                f"{frag['elapsed_seconds']:.1f}",
+                f"{sync['elapsed_seconds']:.1f}",
+                f"{batch['elapsed_seconds']:.1f}",
+                (f"{sync['elapsed_seconds'] / batch['elapsed_seconds']:.2f}x"
+                 if batch["elapsed_seconds"] else "-"),
+                str(batch["segments_cleaned"]),
+                f"{batch['cleaner_copied_bytes'] / 1024:.0f}",
             ])
     return render_table(
         ["workload", "device", "frag (s)", "lfs sync (s)",
@@ -1160,18 +1089,7 @@ def run_control_point(spec: Mapping[str, Any]) -> Dict[str, Any]:
     hit rate, effective memory, and — for the autotuned arm — the
     controller's action counters.
     """
-    machine, result = run_cell(spec)
-    faults = result.metrics_snapshot["faults"]
-    total = faults["total"]
-    cell: Dict[str, Any] = {
-        "elapsed_seconds": result.elapsed_seconds,
-        "faults_total": total,
-        "compressed_hit_rate": (
-            faults["from_ccache"] / total if total else 0.0
-        ),
-        "effective_memory_ratio": effective_memory(machine)[1],
-        "demoted_pages": machine.chain.demoted_pages(),
-    }
+    _machine, result, cell = _run_chain_cell(spec)
     if result.control_counters is not None:
         cell["control"] = result.control_counters
     return cell
@@ -1209,22 +1127,16 @@ def control_points(scale: float) -> List[SweepPoint]:
 def render_control(cells: Mapping[str, Mapping[str, Any]]) -> str:
     """The control-comparison table plus per-workload verdict lines.
 
-    Tolerates partial grids: missing cells render as ``-`` and their
-    workload's verdict line is skipped.  The verdict compares the
-    autotuned arm against the *best* static geometry by total charged
-    seconds (ties broken toward static), with the hit rate as the
-    secondary axis the issue's acceptance criterion allows.
+    The verdict compares the autotuned arm against the *best* static
+    geometry by total charged seconds (ties broken toward static); a
+    higher compressed-memory hit rate also counts as a win.
     """
-    arms = [name for name, _ in CONTROL_GEOMETRIES] + ["autotuned"]
-    rows = []
+    rows, verdicts = [], []
     for wname in CONTROL_WORKLOADS:
-        for arm in arms:
-            cell = cells.get(f"control/{wname}/{arm}")
-            if cell is None:
-                rows.append([wname, arm, "-", "-", "-", "-"])
-                continue
-            control = cell.get("control") or {}
-            actions = control.get("actions")
+        arms = {arm: cells[f"control/{wname}/{arm}"]
+                for arm in [g for g, _ in CONTROL_GEOMETRIES] + ["autotuned"]}
+        for arm, cell in arms.items():
+            actions = (cell.get("control") or {}).get("actions")
             rows.append([
                 wname,
                 arm,
@@ -1233,25 +1145,9 @@ def render_control(cells: Mapping[str, Mapping[str, Any]]) -> str:
                 f"{cell['effective_memory_ratio']:.2f}",
                 str(actions) if actions is not None else "-",
             ])
-    block = render_table(
-        ["workload", "geometry", "charged (s)", "compressed hit rate",
-         "effective memory", "control actions"],
-        rows,
-        title="Closed-loop control: autotuned geometry versus the "
-              "static grid",
-    )
-    verdicts = []
-    for wname in CONTROL_WORKLOADS:
-        autotuned = cells.get(f"control/{wname}/autotuned")
-        static = {
-            gname: cells.get(f"control/{wname}/{gname}")
-            for gname, _ in CONTROL_GEOMETRIES
-        }
-        static = {k: v for k, v in static.items() if v is not None}
-        if autotuned is None or not static:
-            continue
-        best = min(static, key=lambda k: static[k]["elapsed_seconds"])
-        best_cell = static[best]
+        autotuned = arms.pop("autotuned")
+        best = min(arms, key=lambda arm: arms[arm]["elapsed_seconds"])
+        best_cell = arms[best]
         wins = (
             autotuned["elapsed_seconds"] < best_cell["elapsed_seconds"]
             or autotuned["compressed_hit_rate"]
@@ -1265,9 +1161,14 @@ def render_control(cells: Mapping[str, Mapping[str, Any]]) -> str:
             f"(hit {best_cell['compressed_hit_rate'] * 100:.1f}%) -- "
             f"autotuned {'wins' if wins else 'does not win'}"
         )
-    if verdicts:
-        block += "\n\n" + "\n".join(verdicts)
-    return block
+    block = render_table(
+        ["workload", "geometry", "charged (s)", "compressed hit rate",
+         "effective memory", "control actions"],
+        rows,
+        title="Closed-loop control: autotuned geometry versus the "
+              "static grid",
+    )
+    return block + "\n\n" + "\n".join(verdicts)
 
 
 # ----------------------------------------------------------------------
@@ -1278,59 +1179,56 @@ def render_control(cells: Mapping[str, Mapping[str, Any]]) -> str:
 
 @dataclass(frozen=True)
 class Experiment:
-    """One sweep-shaped experiment the CLI can run by name.
+    """One experiment the CLI can run by name: a grid and its tables.
 
     Attributes:
         name: the ``--experiment`` token.
         points: builds the sweep grid; called as ``points(scale,
-            options)`` where ``options`` carries experiment-specific
-            CLI extras (``mode``/``seed`` for figure3; ignored by the
-            rest).
-        render: optional table renderer over completed cells by key;
-            ``None`` leaves the raw per-point JSON lines as the only
-            output (figure3 and table1 render from typed results, not
-            cells by key, through their own ``figure3``/``table1``
-            subcommands).
+            options)`` where ``options`` carries the command's extras
+            (``mode``/``seed`` for figure3, ``names`` for table1;
+            ignored by the rest).
+        render: the text the experiment prints, from its completed cells
+            by key in point order.
     """
 
     name: str
     points: Callable[[float, Mapping[str, Any]], List[SweepPoint]]
-    render: Optional[Callable[[Mapping[str, Mapping[str, Any]]], str]] = None
+    render: Callable[[Mapping[str, Mapping[str, Any]]], str]
 
 
 def _figure3_experiment_points(
     scale: float, options: Mapping[str, Any]
 ) -> List[SweepPoint]:
-    modes = {"rw": [True], "ro": [False], "both": [False, True]}[
+    writes = {"rw": [True], "ro": [False], "both": [False, True]}[
         options.get("mode", "both")
     ]
-    points: List[SweepPoint] = []
-    for write in modes:
-        points.extend(figure3_points(
-            write=write, scale=scale, seed=options.get("seed", 0)
-        ))
-    return points
+    return [point for write in writes
+            for point in figure3_points(write, scale=scale,
+                                        seed=options.get("seed", 0))]
 
 
 #: Every experiment ``sweep --experiment`` accepts, in display order.
-#: The CLI derives its argparse choices and render dispatch from this
-#: table — add an entry here and the command-line surface follows (a
-#: drift test pins the equivalence).
+#: The CLI derives its argparse choices from this table and runs every
+#: row through one path — add an entry here and the command-line
+#: surface follows (a drift test pins the equivalence).
 EXPERIMENTS: Dict[str, Experiment] = {
     exp.name: exp
     for exp in (
-        Experiment("figure3", _figure3_experiment_points),
-        Experiment("table1", lambda scale, _opts: table1_points(scale=scale)),
+        Experiment("figure3", _figure3_experiment_points, render_figure3),
+        Experiment("table1",
+                   lambda scale, opts: table1_points(
+                       scale=scale, names=opts.get("names")),
+                   lambda cells: render_table1(table1_rows(cells))),
         Experiment("ablations", lambda scale, _opts: ablation_points(scale),
-                   render=render_ablations),
+                   render_ablations),
         Experiment("tiers", lambda scale, _opts: tiers_points(scale),
-                   render=render_tiers),
+                   render_tiers),
         Experiment("kernels", lambda scale, _opts: kernels_points(scale),
-                   render=render_kernels),
+                   render_kernels),
         Experiment("lfs", lambda scale, _opts: lfs_points(scale),
-                   render=render_lfs),
+                   render_lfs),
         Experiment("control", lambda scale, _opts: control_points(scale),
-                   render=render_control),
+                   render_control),
     )
 }
 

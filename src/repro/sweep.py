@@ -293,6 +293,11 @@ class SweepResult:
             )
         return [self.results[p.key] for p in points]
 
+    def cells(self, points: Sequence[SweepPoint]) -> Dict[str, Dict[str, Any]]:
+        """Results by key, in the given points' order (raises on a
+        failed point): what an experiment's renderer reads."""
+        return dict(zip((p.key for p in points), self.in_order(points)))
+
     def digest(self) -> str:
         """A stable fingerprint of the aggregated results.
 

@@ -24,6 +24,74 @@ class TestParser:
         args = build_parser().parse_args(["figure3", "--scale", "0.5"])
         assert args.scale == 0.5
 
+    def test_usage_line_lists_every_experiment(self):
+        import repro.cli
+        from repro.experiments import experiment_names
+
+        listed = re.search(r"\[--experiment ([^\]]+)\]", repro.cli.__doc__)
+        assert tuple("".join(listed[1].split()).split("|")) == (
+            experiment_names()
+        )
+
+
+class TestSweepFlags:
+    """A sweep flag no run could honour is a usage error (exit 2) on
+    every command that takes it, not a traceback or a silent no-limit."""
+
+    def _rejected(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args(argv)
+        assert exit_.value.code == 2
+        assert f"argument {flag}: must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["figure3", "table1", "sweep"])
+    def test_zero_jobs(self, capsys, command):
+        self._rejected(capsys, [command, "--jobs", "0"], "--jobs")
+
+    def test_negative_retries(self, capsys):
+        self._rejected(capsys, ["sweep", "--retries", "-1"], "--retries")
+
+    @pytest.mark.parametrize("command", ["figure3", "table1", "sweep"])
+    def test_negative_timeout(self, capsys, command):
+        self._rejected(capsys, [command, "--timeout", "-1"], "--timeout")
+
+    @pytest.mark.parametrize("command", ["figure3", "table1", "sweep"])
+    def test_zero_timeout(self, capsys, command):
+        # setitimer(0) disarms the timer: 0 would mean "no limit".
+        self._rejected(capsys, [command, "--timeout", "0"], "--timeout")
+
+    def test_valid_values_parse(self):
+        args = build_parser().parse_args(
+            ["sweep", "--jobs", "1", "--retries", "0", "--timeout", "0.5"]
+        )
+        assert (args.jobs, args.retries, args.timeout) == (1, 0, 0.5)
+
+
+class TestFailureReport:
+    """figure3, table1 and sweep report a point that failed after its
+    retries the same way: one ``FAILED key: error`` line each, exit 1."""
+
+    @pytest.mark.parametrize("argv, runner, keys", [
+        (["figure3", "--mode", "rw"], "run_figure3_point", "figure3/rw/"),
+        (["table1", "--rows", "compare"], "run_table1_point", "table1/"),
+        (["sweep", "--experiment", "table1", "--retries", "0"],
+         "run_table1_point", "table1/"),
+    ])
+    def test_failed_point(self, capsys, monkeypatch, argv, runner, keys):
+        import repro.experiments
+
+        def broken(spec):
+            raise RuntimeError("broken runner")
+
+        monkeypatch.setattr(repro.experiments, runner, broken)
+        assert main(argv + ["--scale", "0.05", "--jobs", "1"]) == 1
+        out, err = capsys.readouterr()
+        failed = re.findall(r"^FAILED (\S+): (.*)$", err, re.M)
+        assert failed
+        for key, error in failed:
+            assert key.startswith(keys) and "broken runner" in error
+        assert "Table 1" not in out and "Figure 3" not in out
+
 
 class TestExecution:
     def test_figure1(self, capsys):
