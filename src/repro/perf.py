@@ -886,6 +886,19 @@ def _shard_memory_measured(payload: Dict, baseline: Dict) -> Optional[str]:
     return None
 
 
+def _adversarial_measured(payload: Dict, baseline: Dict) -> Optional[str]:
+    # The ceilings are worked out for one stream length.
+    section = payload.get("adversarial", {})
+    pages = baseline["service"].get("adversarial_pages")
+    if pages is not None and section.get("pages") != pages:
+        return (f"stream of {section.get('pages')} pages, ceilings "
+                f"recorded for {pages}")
+    if any(run.get("shard_peak_rss_growth_mb") is None
+           for run in section.get("runs", {}).values()):
+        return "no /proc on this host: the shard's memory was not read"
+    return None
+
+
 class Gate(NamedTuple):
     """One row of what ``--check`` enforces.
 
@@ -974,6 +987,13 @@ GATES: Tuple[Gate, ...] = (
     Gate("service-shard-rss", "service", "runs.1.shard_peak_rss_growth_mb",
          "<=", "service.max_shard_rss_growth_mb", 1.0,
          _shard_memory_measured),
+    # The same, on distinct pages it should keep nothing of: what the
+    # selectors hold on the side stays under their byte budget plus a
+    # constant a page and a slot, at every slot count.
+    Gate("service-adversarial-rss", "service",
+         "adversarial.runs.*.shard_peak_rss_growth_mb", "<=",
+         "service.max_adversarial_shard_rss_growth_mb", 1.0,
+         _adversarial_measured),
 )
 
 

@@ -18,6 +18,11 @@ through :func:`repro.sweep.run_sweep`, so ``--resume`` gives serve-bench
 the same JSONL checkpointing the experiment sweeps have: an interrupted
 multi-point bench resumes without re-measuring completed shard counts.
 
+Beside the measured ``hit_rate`` each run reports the op stream's own
+LRU hit-rate curve (:func:`hit_rate_curve`), and every bench ends with
+an adversarial memory stream (:func:`adversarial_memory`): distinct
+pages that a shard must not keep beyond its finished-result budget.
+
 Latency is measured client-side around each awaited submission, so it
 includes queueing, batching, IPC, and the shard's compression work —
 the number a caller of the service would see.  Under ``--pace`` it runs
@@ -29,10 +34,12 @@ from __future__ import annotations
 
 import asyncio
 import os
+import random
 import time
 from collections import Counter
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
+from ..counters import proc_status_kb
 from ..workloads.traffic import (
     DELETE,
     GET,
@@ -59,6 +66,17 @@ RETRY_MAX_S = 0.032
 
 #: Import path of :func:`run_service_point` for SweepPoint specs.
 SERVICE_RUNNER = "repro.service.bench:run_service_point"
+
+#: The adversarial memory stream: this many distinct 4-KByte pages
+#: (40 MBytes, two and a half times the selector's 16-MByte
+#: finished-result budget), all PUT once and then all again, into one
+#: shard at each slot count.  One page in
+#: :data:`ADVERSARIAL_COMPRESSIBLE_EVERY` is 1 KByte of random bytes and
+#: zeros, which the selectors trial; the rest are random, which the
+#: kind memo sends to one kernel that gives up.
+ADVERSARIAL_PAGES = 10240
+ADVERSARIAL_COMPRESSIBLE_EVERY = 8
+ADVERSARIAL_VSLOTS = (64, 1024)
 
 
 def _config_from_spec(spec: Mapping[str, Any]) -> ServiceConfig:
@@ -225,6 +243,9 @@ async def replay_traffic(
         await service.stop()
     latency = merge_all(recorders)
     total_batches = sum(batches_sent) or 1
+    gets = sum(ledger["gets"] for ledger in stats["ledgers"].values())
+    hits = sum(ledger["hits"] + ledger["cold_hits"]
+               for ledger in stats["ledgers"].values())
     selectors = [
         shard["selector"] for shard in stats["shards"] if "selector" in shard
     ]
@@ -266,6 +287,116 @@ async def replay_traffic(
         "ledgers": stats["ledgers"],
         "ledger_digest": ledger_digest(stats["ledgers"]),
         "selector": sum_selection(selectors) if selectors else None,
+        "hit_rate": hits / gets if gets else 0.0,
+        "hit_rate_curve": hit_rate_curve(config, ops),
+    }
+
+
+def hit_rate_curve(config: ServiceConfig,
+                   ops: Sequence[TrafficOp]) -> Dict[str, Any]:
+    """The op stream's LRU hit rate: infinite, and at the slots' size.
+
+    Each virtual slot's ``(tenant, key)`` references, under the store's
+    rules (:func:`repro.model.locality.store_distances`), give the hit
+    rate of every LRU size in one pass.  ``capacity_pages`` is a slot's
+    tiers counted in raw pages.  With the ``null`` kernel, one tier and
+    no quota a slot *is* that LRU, so the measured ``hit_rate`` equals
+    ``at_capacity`` exactly; compressed tiers fit more pages, and a
+    second tier and quotas change what is evicted, so elsewhere the
+    curve is a reference, not a prediction.
+    """
+    from ..model.locality import MissRatioCurve, store_distances
+
+    by_slot: Dict[int, List] = {}
+    for op in ops:
+        by_slot.setdefault(config.vslot_of(op.key), []).append(
+            (op.op, (op.tenant, op.key)))
+    curve = MissRatioCurve.from_distances([
+        distance for refs in by_slot.values()
+        for distance in store_distances(refs)
+    ])
+    capacity = sum(tier // config.page_size
+                   for tier in config.slot_tier_bytes())
+    gets = curve.references or 1
+    return {
+        "capacity_pages": capacity,
+        "at_capacity": (gets - curve.faults_at(capacity)) / gets,
+        "infinite": (gets - curve.compulsory) / gets,
+    }
+
+
+def adversarial_page(number: int, seed: int) -> bytes:
+    """Page ``number`` of the adversarial stream (see
+    :data:`ADVERSARIAL_PAGES`); a pure function of its arguments."""
+    rng = random.Random(f"{seed}:{number}")
+    if number % ADVERSARIAL_COMPRESSIBLE_EVERY:
+        return rng.randbytes(4096)
+    return rng.randbytes(1024) + bytes(3072)
+
+
+def _reset_peak_rss() -> bool:
+    """Restart this process's ``VmHWM`` from its ``VmRSS`` (Linux)."""
+    try:
+        with open("/proc/self/clear_refs", "w") as handle:
+            handle.write("5")
+    except OSError:
+        return False
+    return True
+
+
+async def _adversarial_run(vslots: int, seed: int) -> Dict[str, Any]:
+    config = ServiceConfig(
+        shards=1, vslots=vslots, tenants=(TenantSpec("adversary"),),
+        tier_bytes=(vslots * 4096,), compressor="adaptive",
+    )
+    queues: List[List[int]] = [[] for _ in range(8)]
+    for key in range(ADVERSARIAL_PAGES):
+        queues[config.vslot_of(key) % len(queues)].append(key)
+
+    async def client(keys: List[int]) -> None:
+        for _ in range(2):
+            for key in keys:
+                await service.submit(OP_PUT, 0, key,
+                                     adversarial_page(key, seed))
+
+    start = proc_status_kb("VmRSS") if _reset_peak_rss() else None
+    service = CacheService(config)
+    await service.start()
+    try:
+        await asyncio.gather(*(client(queue) for queue in queues))
+        stats = await service.stats()
+    finally:
+        await service.stop()
+    peak = proc_status_kb("VmHWM")
+    shard = stats["shards"][0]
+    return {
+        "vslots": vslots,
+        "shard_peak_rss_growth_mb": shard["peak_rss_growth_mb"],
+        "front_end_peak_rss_growth_mb": (
+            None if start is None or peak is None
+            else round((peak - start) / 1024, 2)
+        ),
+        "resident_bytes": shard["resident_bytes"],
+        "selector": shard.get("selector"),
+    }
+
+
+def adversarial_memory(seed: int = 1234) -> Dict[str, Any]:
+    """What one shard keeps of a stream it should keep nothing of.
+
+    Every page is distinct and PUT twice into one tier a page a slot
+    wide, so almost nothing stays resident; what the shard grows by
+    is what its selectors keep on the side.  The
+    ``service-adversarial-rss`` gate holds that under the finished-result
+    budget plus a constant a page and a slot
+    (``benchmarks/perf_baseline.json``).
+    """
+    return {
+        "pages": ADVERSARIAL_PAGES,
+        "runs": {
+            str(vslots): asyncio.run(_adversarial_run(vslots, seed))
+            for vslots in ADVERSARIAL_VSLOTS
+        },
     }
 
 
@@ -366,6 +497,10 @@ def bench_service(
         )
     single = next((r for r in runs if r["shards"] == 1), runs[0])
     best = max(runs, key=lambda r: r["ops_per_second"])
+    if progress is not None:
+        progress(f"adversarial memory stream: {ADVERSARIAL_PAGES} "
+                 f"distinct pages, each PUT twice, at "
+                 f"{'/'.join(map(str, ADVERSARIAL_VSLOTS))} vslots")
     return {
         "cpu_count": os.cpu_count(),
         "spec": dict(points[0].spec),
@@ -384,4 +519,5 @@ def bench_service(
                 best["ops_per_second"] / single["ops_per_second"], 3
             ),
         },
+        "adversarial": adversarial_memory(seed),
     }

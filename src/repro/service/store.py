@@ -18,7 +18,10 @@ the simulator's virtual-time machinery:
   (the adaptive selector's kind memo) is a pure function of the slot's
   own history — the property that makes ledgers identical across shard
   counts.  Deterministic kernels still share compression *results*
-  process-wide through :func:`repro.compression.sampler.shared_compress`.
+  process-wide through :func:`repro.compression.sampler.shared_compress`,
+  and the selector its finished ones through
+  :func:`~repro.compression.sampler.shared_finished`: a stored payload
+  is that store's object, held once in the shard.
 
 Everything here runs inside a shard worker process, single-threaded, in
 the order operations arrive — no locks, no clocks, no randomness.

@@ -33,6 +33,7 @@ from repro.compression.adaptive import (
     AdaptiveCompressor,
     raw_proofs,
 )
+from repro.compression.sampler import clear_shared_results
 from repro.perf import _corpus_kinds
 from repro.workloads.traffic import (
     PUT,
@@ -227,10 +228,13 @@ def test_elections_equal_the_full_trial(seed, monkeypatch):
     stream = kv_payloads(seed) + corpus()
     random.Random(seed).shuffle(stream)
     stream += stream[: len(stream) // 3]
+    clear_shared_results()
     skipping = AdaptiveCompressor()
     got = [skipping.compress(page).payload for page in stream]
     monkeypatch.setattr(adaptive, "raw_proofs",
                         lambda data, np=None: frozenset())
+    # Or the full selector would replay the skipping one's outcomes.
+    clear_shared_results()
     full = AdaptiveCompressor()
     want = [full.compress(page).payload for page in stream]
     assert got == want
@@ -246,8 +250,10 @@ def test_a_hopeless_page_runs_no_kernel(monkeypatch):
     def no_kernel(*args):
         raise AssertionError("a proven-raw candidate ran")
 
-    monkeypatch.setattr(adaptive, "shared_compress", no_kernel)
+    clear_shared_results()
     kernel = AdaptiveCompressor()
+    for candidate in kernel._kernels:
+        monkeypatch.setattr(candidate, "compress", no_kernel)
     result = kernel.compress(page)
     assert result.stored_raw and result.payload == page
     snapshot = kernel.selection_snapshot()

@@ -8,6 +8,7 @@ from repro.model.locality import (
     MissRatioCurve,
     predicted_compression_benefit,
     stack_distances,
+    store_distances,
     working_set_sizes,
 )
 
@@ -30,6 +31,41 @@ class TestStackDistances:
         refs = list("abcd") * 3
         distances = stack_distances(refs)
         assert all(d == 4 for d in distances[4:])
+
+
+class TestStoreDistances:
+    """A key-value store's reads: a missed get stores nothing, a delete
+    frees a slot and pulls nothing back."""
+
+    @staticmethod
+    def ops(text):
+        codes = {"p": "put", "g": "get", "d": "delete"}
+        return [(codes[text[i]], text[i + 1]) for i in range(0, len(text), 2)]
+
+    def test_a_read_renews_its_item_where_it_is(self):
+        # b at depth 3 misses in two slots and is not stored there, so a
+        # second read finds it at 3 again (move-to-front would say 1).
+        refs = self.ops("pbpapcgbgb")
+        assert store_distances(refs) == [3, 3]
+        assert stack_distances([item for _, item in refs])[-2:] == [3, 1]
+        assert store_distances(self.ops("gapbpagb")) == [INFINITE, 2]
+
+    def test_a_renewed_item_outlives_an_older_one(self):
+        # In three slots the read keeps b, and the put of d evicts a.
+        assert store_distances(self.ops("pbpapcgbpdgb")) == [3, 3]
+
+    def test_a_delete_is_a_hole_not_a_shift(self):
+        # b deleted: c stays at depth 3 (evicted from two slots) and the
+        # put of d fills the hole instead of pushing c down.
+        refs = self.ops("pcpbpadbgcpdgc")
+        assert store_distances(refs) == [3, 3]
+        assert store_distances(self.ops("padagagb")) == [INFINITE, INFINITE]
+
+    def test_curve_from_distances(self):
+        curve = MissRatioCurve.from_distances(
+            store_distances(self.ops("papbgagbgc")))
+        assert (curve.references, curve.compulsory) == (3, 1)
+        assert curve.faults_at(1) == 2 and curve.faults_at(2) == 1
 
 
 class TestMissRatioCurve:

@@ -7,9 +7,18 @@ can predict: warm tier holds exactly 3 pages, cold tier exactly 2.
 
 import tracemalloc
 
+from repro.compression import sampler
+from repro.compression.sampler import clear_shared_results, shared_results_size
 from repro.service.config import ServiceConfig, TenantSpec
 from repro.service.store import VslotStore
 from repro.workloads import contentgen
+from repro.workloads.traffic import (
+    GET,
+    PUT,
+    TenantTraffic,
+    TrafficSpec,
+    generate_ops,
+)
 
 PAGE = 64
 WARM_PAGES = 3
@@ -194,6 +203,59 @@ class TestShardMemory:
         finally:
             tracemalloc.stop()
         assert held < 2 << 20, held
+
+    def test_a_kv_mixed_replay_holds_each_payload_once_and_no_loser(self):
+        """``kv-mixed``'s geometry and stream (seed 11, one pass)
+        through 64 in-process stores: every payload held is one object,
+        shared by the process-wide finished results and the tier that
+        stores it; the selectors keep choices, not payloads; and every
+        finished result is what some selector chose for those bytes."""
+        clear_shared_results()
+        config = ServiceConfig(
+            shards=1,
+            tenants=(TenantSpec("alpha"), TenantSpec("beta", 64 * 6144)),
+            tier_bytes=(320 << 10, 320 << 10),
+            compressor="adaptive",
+        )
+        traffic = TrafficSpec(
+            ops=3000, seed=11,
+            tenants=(TenantTraffic("alpha", 3.0, 600),
+                     TenantTraffic("beta", 1.0, 200)),
+            zipf_s=1.1, read_fraction=0.75, delete_fraction=0.20,
+        )
+        stores = [VslotStore(config, vslot) for vslot in range(64)]
+        try:
+            for op in generate_ops(traffic):
+                store = stores[config.vslot_of(op.key)]
+                tenant = config.tenant_index(op.tenant)
+                if op.op == PUT:
+                    store.put(tenant, op.key, op.payload(traffic))
+                elif op.op == GET:
+                    store.get(tenant, op.key)
+                else:
+                    store.delete(tenant, op.key)
+            finished = dict(sampler._SHARED_FINISHED)
+            assert shared_results_size() == 0   # no per-kernel results
+        finally:
+            clear_shared_results()
+        resident = [entry.result for store in stores
+                    for tier in store.tiers for _, entry in tier.items()]
+        assert len(resident) > 100
+        kept = {id(result.payload) for result in finished.values()}
+        assert all(id(result.payload) in kept for result in resident)
+        copies: dict = {}
+        for result in list(finished.values()) + resident:
+            copies.setdefault(bytes(result.payload), set()).add(
+                id(result.payload))
+        assert all(len(ids) == 1 for ids in copies.values())
+        chosen = {}
+        for store in stores:
+            selector = store.compressor
+            for fp, index in selector._results.items():
+                assert type(index) is int
+                chosen.setdefault(fp, set()).add(selector._keys[index])
+        for kernel_key, fp in finished:
+            assert kernel_key in chosen[fp], f"a losing {kernel_key} result"
 
 
 class TestReporting:

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Tuple
 
 import pytest
 
-from repro.compression import create
+from repro.compression import create, sampler
 from repro.compression.sampler import (
     CompressionSampler,
     clear_shared_results,
@@ -31,7 +31,9 @@ N = 256
 #: 125-216 for the contentgen memos (193 / 203 for a text page; 33,000
 #: while each kept its own copy of the dictionary), 179-563 for the
 #: kernel-result memos (a fingerprint key, an ``OrderedDict`` node, a
-#: ``CompressionResult``).
+#: ``CompressionResult``), 231 for the selector's own memo (a
+#: fingerprint and a choice) and 323 for its process-wide finished
+#: results with their trial outcomes.
 PER_ENTRY = 768
 
 #: A case builds its inputs and returns ``fill``, which fills the memo
@@ -126,10 +128,43 @@ def _adaptive_case() -> Fill:
     clear_shared_results()
 
     def fill():
-        held = sum(len(adaptive.compress(page).payload) for page in pages)
-        clear_shared_results()  # the trials' results: another memo's
-        return held, len(pages)
+        for page in pages:
+            adaptive.compress(page)
+        clear_shared_results()  # the finished results: another memo's
+        return 0, len(pages)    # a choice an entry, no payload
     return fill
+
+
+def _finished_case(budget=None) -> Callable[[], Fill]:
+    """The selector's process-wide finished results and trial outcomes,
+    the selector's own memos emptied; with ``budget``, a byte budget
+    the pages overflow three times over."""
+    def case() -> Fill:
+        adaptive = create("adaptive")
+        pages = _kernel_pages()
+        adaptive.compress(cg.incompressible(0))
+        clear_shared_results()
+
+        def fill():
+            saved = sampler._SHARED_FINISHED_MAX_BYTES
+            if budget is not None:
+                sampler._SHARED_FINISHED_MAX_BYTES = budget
+            try:
+                # A raw result's payload is the caller's page, built
+                # before the count: only tagged payloads are the memo's.
+                held = sum(len(result.payload) for result in map(
+                    adaptive.compress, pages) if not result.stored_raw)
+            finally:
+                sampler._SHARED_FINISHED_MAX_BYTES = saved
+            adaptive._results.clear()
+            adaptive._memo.clear()
+            if budget is not None:
+                assert held > 3 * budget
+                assert sampler._shared_finished_bytes <= budget
+                held = budget
+            return held, len(pages)
+        return fill
+    return case
 
 
 #: A list, as tests and examples pass it: resolved by content.
@@ -150,6 +185,8 @@ CASES: Dict[str, Callable[[], Fill]] = {
     "sampler._SHARED_RESULTS": _shared_results_case,
     "sampler._SHARED_DECODED": _shared_decoded_case,
     "adaptive.AdaptiveCompressor._results": _adaptive_case,
+    "sampler._SHARED_FINISHED": _finished_case(),
+    "sampler._SHARED_FINISHED at its budget": _finished_case(64 * 1024),
 }
 
 

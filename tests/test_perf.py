@@ -510,11 +510,14 @@ class TestGateTable:
             ["logstore-floor"] if fails else []
         )
 
-    @pytest.mark.parametrize("growth, fails", [(31.4, True), (21.2, False)])
+    @pytest.mark.parametrize("growth, fails", [
+        (31.4, True), (20.1, True), (10.4, False)])
     def test_committed_shard_rss_ceiling_can_fail(self, growth, fails):
         """The committed ceiling sits between what one shard grew by
-        with a hash table per ``Lzrw1`` (31.4 MB: 64 slots, 64 tables)
-        and with one per process (21.2 MB)."""
+        with a hash table per ``Lzrw1`` (31.4 MB) or while every trial
+        candidate's payload and every slot's finished results were kept
+        (20.1 MB), and with one byte-budgeted store of finished results
+        (10.4 MB)."""
         committed = json.loads(
             (REPO_ROOT / "benchmarks" / "perf_baseline.json").read_text()
         )["service"]["max_shard_rss_growth_mb"]
@@ -525,6 +528,46 @@ class TestGateTable:
         assert [line.split(":")[0] for line in failures] == (
             ["service-shard-rss"] if fails else []
         )
+
+    @pytest.mark.parametrize("growth, fails", [
+        ({"64": 48.7, "1024": 53.4}, True),
+        ({"64": 22.0, "1024": 26.3}, False),
+    ])
+    def test_committed_adversarial_ceilings_can_fail(self, growth, fails):
+        """The committed ceilings sit between what one shard grew by on
+        the adversarial stream while every slot's memo kept its finished
+        results (48.7 MB at 64 slots, 53.4 at 1,024) and with one
+        byte-budgeted store of them (22.0, 26.3)."""
+        service = json.loads(
+            (REPO_ROOT / "benchmarks" / "perf_baseline.json").read_text()
+        )["service"]
+        failures = _failures(
+            {"service": {"adversarial": {
+                "pages": service["adversarial_pages"],
+                "runs": {slots: {"shard_peak_rss_growth_mb": mb}
+                         for slots, mb in growth.items()},
+            }}},
+            {"service": {
+                key: service[key] for key in (
+                    "adversarial_pages",
+                    "max_adversarial_shard_rss_growth_mb")
+            }},
+        )
+        assert [line.split(":")[0] for line in failures] == (
+            ["service-adversarial-rss 64", "service-adversarial-rss 1024"]
+            if fails else []
+        )
+
+    def test_adversarial_ceilings_skip_another_stream_by_name(self):
+        report = evaluate_gates(
+            {"service": {"adversarial": {"pages": 64, "runs": {
+                "64": {"shard_peak_rss_growth_mb": 99.0}}}}},
+            {"service": {"adversarial_pages": 10240,
+                         "max_adversarial_shard_rss_growth_mb": {"64": 24}}},
+        )
+        assert report.failures == []
+        assert ("service-adversarial-rss: stream of 64 pages, ceilings "
+                "recorded for 10240") in report.skipped
 
     @pytest.mark.parametrize("peak, fails", [(61.2, True), (56.5, False)])
     def test_committed_stream_replay_ceiling_can_fail(self, peak, fails):
