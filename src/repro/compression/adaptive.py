@@ -65,6 +65,7 @@ from .base import (
     create,
     register,
 )
+from .lzrw1 import lz_size_floor
 from .sampler import CompressionSampler, shared_finished, shared_trial
 from .stats import CompressionThreshold
 
@@ -180,11 +181,10 @@ def raw_proofs(data: bytes, np=None) -> FrozenSet[str]:
     the page raw (:meth:`Compressor.compress`), which is exactly what a
     trial of it would return.  For ``n`` bytes, ``W = n // 4`` words:
 
-    * ``lzss``/``lzrw1``: a copy of ``L`` bytes saves ``L - 2`` and each
-      of its first ``L - 2`` positions holds a trigram seen earlier, so
-      the copies save at most ``R`` (such positions) bytes, while the
-      at least ``ceil(n / 18)`` items need a 2-byte control word per 16
-      (30 bytes at 4 KBytes).
+    * ``lzss``/``lzrw1``: :func:`~repro.compression.lzrw1.lz_size_floor`
+      (copies save at most one byte per position whose trigram occurred
+      earlier, and every 16 items cost a 2-byte control word) reaches
+      ``n``.
     * ``rle``: a run of ``L`` bytes saves ``L - 2`` and holds ``L - 1``
       of the ``P`` adjacent equal byte pairs; the literals left (at least
       ``n - 2P``) need a header byte per 128.
@@ -204,9 +204,7 @@ def raw_proofs(data: bytes, np=None) -> FrozenSet[str]:
     Pages under :data:`_PROOF_MIN_BYTES` and pages the entropy screen
     passes over get the empty set.  ``np`` (numpy, or ``None`` for the
     scalar path) only builds the byte histogram and counts the distinct
-    trigrams, so both paths return the same set.  It sorts with the
-    16-bit stable (radix) argsort ``lzss`` already runs: the first
-    ``np.sort`` in a process costs it 0.25-0.4 MBytes of peak memory.
+    trigrams, so both paths return the same set.
     """
     n = len(data)
     if n < _PROOF_MIN_BYTES:
@@ -262,20 +260,7 @@ def raw_proofs(data: bytes, np=None) -> FrozenSet[str]:
                 if len(set(data[top:top + 57:8])) <= 2)
     if 64 * loose <= lines + 1:
         proven.append("bdi")
-    if np is not None:
-        # Sorted by two stable passes over 16-bit keys: low, then high.
-        t = octets.astype(np.uint32)
-        t = (t[:-2] << 16) | (t[1:-1] << 8) | t[2:]
-        t = t[t.astype(np.uint16).argsort(kind="stable")]
-        t = t[(t >> 8).astype(np.uint16).argsort(kind="stable")]
-        trigrams = 1 + int(np.count_nonzero(t[1:] != t[:-1]))
-    else:
-        trigrams = len({data[i:i + 3] for i in range(n - 2)})
-    seen_before = n - 2 - trigrams
-    # lzrw1.py's item stream: copies of 3..18 bytes, a 2-byte control
-    # word per 16 items.
-    items = -(-n // 18)
-    if seen_before <= 2 * -(-items // 16):
+    if lz_size_floor(data, np) >= n:
         proven += ("lzrw1", "lzss")
     return frozenset(proven)
 

@@ -107,6 +107,13 @@ class Compressor:
     #: Registry name; subclasses override.
     name: str = "abstract"
 
+    #: ``size_floor(data)``: a lower bound on ``compress(data)``'s
+    #: ``compressed_size``, well cheaper than the kernel, or ``None``
+    #: for a kernel with no such proof (or none that cheap).  A sampler
+    #: asks it first when its caller needs only the 4:3 keep decision
+    #: (:meth:`~repro.compression.sampler.CompressionSampler.compress`).
+    size_floor: Optional[Callable[[bytes], int]] = None
+
     def __init__(self, fast: Optional[bool] = None):
         # Imported here, where it is first needed: numpy comes with it,
         # and the error classes above must not bring numpy along.

@@ -58,7 +58,7 @@ and produces **bit-identical output**, enforced by
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .base import Compressor, CorruptDataError, register
 
@@ -130,6 +130,52 @@ def _make_hashes(
                   & 0xFFFF)) >> 4) & mask
         for j in range(n - 2)
     ]
+
+
+def lz_size_floor(data: bytes, np=_np) -> int:
+    """A lower bound on the bytes ``lzrw1`` or ``lzss`` store ``data`` in.
+
+    Both write one item stream: copies of 3..18 bytes (2 bytes each),
+    literals (1 byte each), a 2-byte control word per 16 items.  Let
+    ``R`` be the positions whose trigram occurred at an earlier position.
+    A copy of ``L`` bytes saves ``L - 2`` and each of its first ``L - 2``
+    positions is such a position, so the copies save at most ``R``
+    bytes.  Each copy holds at least one, so there are at least
+    ``n - 2R`` items, and at least ``ceil(n / 18)``.  The bound is
+    ``n - R`` plus their control words, capped at ``n`` (a page the
+    stream cannot beat is stored raw in ``n``).
+
+    ``np`` (numpy, or ``None`` for the scalar path) only counts the
+    distinct trigrams, so both paths return the same value.  It sorts
+    with the 16-bit stable (radix) argsort ``lzss`` already runs: the
+    first ``np.sort`` in a process costs it 0.25-0.4 MBytes of peak
+    memory.
+    """
+    n = len(data)
+    if n < _MIN_MATCH:
+        return n
+    if np is not None and n >= _VECTOR_THRESHOLD:
+        # Sorted by two stable passes over 16-bit keys: low, then high.
+        t = np.frombuffer(data, np.uint8).astype(np.uint32)
+        t = (t[:-2] << 16) | (t[1:-1] << 8) | t[2:]
+        t = t[t.astype(np.uint16).argsort(kind="stable")]
+        t = t[(t >> 8).astype(np.uint16).argsort(kind="stable")]
+        trigrams = 1 + int(np.count_nonzero(t[1:] != t[:-1]))
+    else:
+        trigrams = len({data[i:i + 3] for i in range(n - 2)})
+    seen_before = n - 2 - trigrams
+    items = max(-(-n // _MAX_MATCH), n - 2 * seen_before)
+    floor = n - seen_before + 2 * -(-items // _GROUP)
+    return floor if floor < n else n
+
+
+def numpy_size_floor(data: bytes) -> int:
+    """:func:`lz_size_floor` counted with numpy: the ``size_floor`` of
+    both LZ kernels on their numpy path.  It costs about 0.1 ms a
+    4-KByte page, against about 0.8 ms for ``lzrw1``; the scalar count
+    costs about 0.7 ms, half the scalar kernel, which made a cold pass
+    slower, so a scalar kernel offers no floor."""
+    return lz_size_floor(data, _np)
 
 
 def decode_items(payload: bytes, original_size: int, name: str) -> bytes:
@@ -223,6 +269,10 @@ class Lzrw1(Compressor):
     def hash_table_bytes(self) -> int:
         """Memory footprint of the hash table (4-byte entries, as in Sprite)."""
         return 4 * self._table_size
+
+    @property
+    def size_floor(self) -> Optional[Callable[[bytes], int]]:
+        return numpy_size_floor if self._use_fast else None
 
     def _encode(self, data: bytes, n: int) -> Optional[bytes]:
         if n < _MIN_MATCH + 1:

@@ -35,7 +35,7 @@ extensions that provably cannot beat the current best, so the chosen
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from .base import Compressor, register
 from .lzrw1 import (    # the item stream, its limits and its hash are shared
@@ -48,6 +48,7 @@ from .lzrw1 import (    # the item stream, its limits and its hash are shared
     _make_hashes,
     _np,
     decode_items,
+    numpy_size_floor,
 )
 
 
@@ -163,6 +164,10 @@ class Lzss(Compressor):
     def result_cache_key(self):
         # Both knobs steer the match search and change the emitted stream.
         return ("lzss", self.chain_depth, self.lazy)
+
+    @property
+    def size_floor(self) -> Optional[Callable[[bytes], int]]:
+        return numpy_size_floor if self._use_fast else None
 
     def _encode(self, data: bytes, n: int) -> Optional[bytes]:
         if n < _MIN_MATCH + 1:

@@ -42,17 +42,63 @@ The pageout paths hand real payload bytes to the compression cache
 through :meth:`CompressionSampler.compress`;
 :meth:`CompressionSampler.compressed_size` is the same lookup for call
 sites that only need the stored *size*.
+
+A caller that reads only the 4:3 keep decision — an eviction, whose
+rejected page is written raw — passes ``threshold``.  On a memo miss
+the kernel's ``size_floor`` (a lower bound on its output; ``lzrw1`` and
+``lzss`` have one on their numpy path) is asked first, and a page it
+proves cannot meet the threshold gets a :class:`ProvenRejected`:
+``compressed_size`` is the page's, the payload is empty, and the kernel
+does not run.  It is memoized and shared like any result, so a warm run
+replays it in one lookup, and the keep decision, hit/miss counts and
+every virtual charge are what the kernel's own result gives.  It never reaches a caller that
+reads bytes: :func:`shared_compress` and a memo hit without
+``threshold`` replace it with the kernel's real result (the hit still
+counts as a hit), and so does a caller whose threshold is looser than
+the one the floor was held to.  ``exact`` mode never takes the
+shortcut.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from .base import CompressionResult, Compressor
 
+if TYPE_CHECKING:
+    from .stats import CompressionThreshold
+
 _blake2b = hashlib.blake2b
+
+
+@dataclass(frozen=True)
+class ProvenRejected(CompressionResult):
+    """What a page the kernel's size floor proves fails the 4:3 rule
+    compresses to, as far as a keep decision can tell: its full size.
+
+    Holds no payload (``ProvenRejected(b"", n, True, floor)``), so only
+    a caller that reads nothing but the keep decision may see one
+    (:meth:`CompressionSampler.compress` with a ``threshold`` it
+    :meth:`settles`).  :func:`shared_compress` and any other memo hit
+    replace it with the kernel's real result.
+    """
+
+    #: The kernel's size floor for the page, which the proof rests on.
+    floor: int = 0
+
+    @property
+    def compressed_size(self) -> int:
+        return self.original_size
+
+    def settles(self, threshold: Optional["CompressionThreshold"]) -> bool:
+        """Whether the floor alone rejects the page under ``threshold``
+        (one looser than the proof's may keep the real result)."""
+        return threshold is not None and not threshold.keep_compressed(
+            self.original_size, self.floor)
+
 
 #: Process-wide pure-function cache: ``(compressor key, content
 #: fingerprint) -> CompressionResult``.  Compression is deterministic, so
@@ -121,6 +167,11 @@ def shared_results_size() -> int:
     return len(_SHARED_RESULTS)
 
 
+def shared_finished_size() -> int:
+    """Entries currently in the selector's finished results."""
+    return len(_SHARED_FINISHED)
+
+
 def shared_compress(
     compressor: Compressor,
     data: bytes,
@@ -142,9 +193,13 @@ def shared_compress(
     ).digest()
     skey = (ckey, fp)
     shared = _SHARED_RESULTS.get(skey)
-    if shared is not None and shared.original_size == len(data):
+    if (shared is not None and shared.original_size == len(data)
+            and type(shared) is not ProvenRejected):
         return shared
-    result = compressor.compress(data)
+    return _share(skey, compressor.compress(data))
+
+
+def _share(skey: tuple, result: CompressionResult) -> CompressionResult:
     _SHARED_RESULTS[skey] = result
     while len(_SHARED_RESULTS) > _SHARED_MAX_ENTRIES:
         _SHARED_RESULTS.popitem(last=False)
@@ -288,25 +343,41 @@ class CompressionSampler:
 
     def compress(self, data: bytes,
                  stable_key: Optional[str] = None,
-                 fingerprint: Optional[bytes] = None) -> CompressionResult:
+                 fingerprint: Optional[bytes] = None,
+                 threshold: Optional["CompressionThreshold"] = None,
+                 ) -> CompressionResult:
         """Full compression result, from the memo when this content has
-        been measured before."""
+        been measured before.
+
+        A caller that reads only whether the result passes ``threshold``
+        says so: a page the kernel's size floor proves fails it then
+        gets a :class:`ProvenRejected` and the kernel does not run.
+        Otherwise the result is always the kernel's own: a memo hit on
+        a stand-in that does not settle ``threshold`` (or has none to
+        settle) is replaced, and still counts as a hit.
+        """
         if self.exact:
             return self.compressor.compress(data)
         key = self._cache_key(data, stable_key, fingerprint)
         cached = self._payload_cache.get(key)
         if cached is not None and cached.original_size == len(data):
             self.hits += 1
+            if type(cached) is ProvenRejected and not cached.settles(
+                    threshold):
+                cached = self._payload_cache[key] = self._compute(
+                    key, data, fingerprint, threshold)
             return cached
         self.misses += 1
-        result = self._compute(key, data, fingerprint)
+        result = self._compute(key, data, fingerprint, threshold)
         self._payload_cache[key] = result
         while len(self._payload_cache) > self.max_entries:
             self._payload_cache.popitem(last=False)
         return result
 
     def _compute(self, key, data: bytes,
-                 fingerprint: Optional[bytes] = None) -> CompressionResult:
+                 fingerprint: Optional[bytes] = None,
+                 threshold: Optional["CompressionThreshold"] = None,
+                 ) -> CompressionResult:
         """Run the kernel — or replay a shared, content-addressed result.
 
         Reached only on a per-instance memo miss (never in exact mode,
@@ -321,10 +392,31 @@ class CompressionSampler:
         was passed, :func:`shared_compress` hashes the page itself: a
         memo miss is about to pay for a full kernel run, so that is
         noise.
+
+        With a ``threshold``, a shared entry answers (a
+        :class:`ProvenRejected` only if it settles that threshold), and
+        otherwise the kernel's size floor is asked first: a page it
+        proves fails the threshold gets a :class:`ProvenRejected`,
+        shared under the same key.
         """
-        return shared_compress(
-            self.compressor, data, key if type(key) is bytes else fingerprint
-        )
+        fp = key if type(key) is bytes else fingerprint
+        floor = self.compressor.size_floor
+        ckey = self.compressor.result_cache_key()
+        if threshold is None or floor is None or ckey is None:
+            return shared_compress(self.compressor, data, fp)
+        n = len(data)
+        if fp is None:
+            fp = _blake2b(data, digest_size=16).digest()
+        skey = (ckey, fp)
+        shared = _SHARED_RESULTS.get(skey)
+        if shared is not None and shared.original_size == n and (
+                type(shared) is not ProvenRejected
+                or shared.settles(threshold)):
+            return shared
+        lower = floor(data)
+        if threshold.keep_compressed(n, lower):
+            return _share(skey, self.compressor.compress(data))
+        return _share(skey, ProvenRejected(b"", n, True, lower))
 
     @property
     def hit_rate(self) -> float:

@@ -33,7 +33,7 @@ from collections import Counter
 from typing import Callable, Dict, Iterable, Mapping, Optional, Set
 
 from ..compression.base import create
-from ..compression.sampler import shared_results_size
+from ..compression.sampler import shared_finished_size, shared_results_size
 from ..counters import proc_status_kb
 from .config import ServiceConfig
 from .errors import ProtocolError
@@ -242,7 +242,8 @@ def _stats_blob(config: ServiceConfig, shard_id: int,
     there is no ``/proc``.  ``late_imports`` lists the ``repro`` modules
     the worker imported after it started; a forked worker inherits its
     modules from the front end (:class:`ShardHandle`), so it reads
-    ``[]``.
+    ``[]``.  ``kernel_cache_entries`` counts both process-wide result
+    stores: per-kernel results and the selector's finished ones.
     """
     ledgers = merge_ledgers(
         slots[vslot].ledgers_by_name() for vslot in sorted(slots)
@@ -260,7 +261,9 @@ def _stats_blob(config: ServiceConfig, shard_id: int,
         "resident_bytes": sum(
             store.resident_bytes() for store in slots.values()
         ),
-        "kernel_cache_entries": shared_results_size(),
+        "kernel_cache_entries": (
+            shared_results_size() + shared_finished_size()
+        ),
         "peak_rss_growth_mb": (
             None if peak is None or rss_at_start is None
             else round((peak - rss_at_start) / 1024, 2)

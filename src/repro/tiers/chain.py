@@ -134,8 +134,11 @@ class TierChain:
             result = CompressionResult(bytes(data) + b"\0" * 64, len(data))
         elif fault is None:
             try:
+                # Only the keep decision is read from a rejected page,
+                # so one its size floor already rejects is not compressed.
                 result = warmest.sampler.compress(
-                    data, stable_key=stable_key, fingerprint=fingerprint
+                    data, stable_key=stable_key, fingerprint=fingerprint,
+                    threshold=stats.threshold,
                 )
             except CompressionError:
                 pass

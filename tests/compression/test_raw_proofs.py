@@ -127,8 +127,10 @@ def near_bounds() -> list:
     for word in range(0, 1024, 9):
         page[4 * word + 2:4 * word + 4] = b"\x00\x00"
     pages.append(bytes(page))                             # fpc
+    # Thirteen back-to-back copies of a 40-byte block: lzss stores the
+    # page in 4,088 bytes, just under raw.
     block = rng.randbytes(40)
-    pages.append(planted(2000, block + rng.randbytes(100) + block))  # lz
+    pages.append(planted(2000, block + rng.randbytes(100) + block * 13))
     # One ascending chunk whose gaps need 4 varint bytes but for four
     # small items: the chunk header alone cannot pay for them.
     value, words = 0, []

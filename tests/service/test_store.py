@@ -5,11 +5,13 @@ single-vslot geometry, so every capacity decision is arithmetic the test
 can predict: warm tier holds exactly 3 pages, cold tier exactly 2.
 """
 
+import json
 import tracemalloc
 
 from repro.compression import sampler
 from repro.compression.sampler import clear_shared_results, shared_results_size
 from repro.service.config import ServiceConfig, TenantSpec
+from repro.service.shard import _stats_blob
 from repro.service.store import VslotStore
 from repro.workloads import contentgen
 from repro.workloads.traffic import (
@@ -266,3 +268,23 @@ class TestReporting:
         by_name = store.ledgers_by_name()
         assert by_name["a"]["stores"] == 1
         assert by_name["b"]["misses"] == 1
+
+    def test_shard_stats_count_an_adaptive_shards_finished_results(self):
+        """``OP_STATS``' ``kernel_cache_entries`` counts the selector's
+        finished results too: an adaptive shard keeps no per-kernel
+        result, so counting those alone read 0."""
+        clear_shared_results()
+        config = ServiceConfig(compressor="adaptive", vslots=4)
+        dictionary = contentgen.make_dictionary()
+        slots = {vslot: VslotStore(config, vslot) for vslot in range(4)}
+        try:
+            for key in range(12):
+                slots[key % 4].put(0, key=key, page=(
+                    contentgen.text_page_random(key, dictionary)))
+            stats = json.loads(_stats_blob(config, 0, slots, 12, 1, 0.0,
+                                           None, set()))
+            assert shared_results_size() == 0
+            assert stats["kernel_cache_entries"] \
+                == len(sampler._SHARED_FINISHED) > 0
+        finally:
+            clear_shared_results()

@@ -286,6 +286,18 @@ class TestSimLatency:
         assert 0 < latency["p50"] <= latency["p95"] <= latency["p99"]
         assert row["noise_band"] >= 0.0
 
+    def test_the_cold_arm_empties_the_kernel_caches_every_round(
+            self, monkeypatch):
+        cleared = []
+        clear = perf.clear_shared_results
+        monkeypatch.setattr(perf, "clear_shared_results",
+                            lambda: cleared.append(1) or clear())
+        result = bench_sim(scale=0.02, workloads=["thrasher"], reps=2)
+        assert len(cleared) == 3    # the warm-up and both rounds
+        assert result["cold"]["references"] \
+            == result["aggregate"]["references"]
+        assert result["workloads"]["thrasher"]["cold_wall_seconds"] > 0
+
 
 class TestBenchOverhead:
     def test_rows_carry_what_the_gate_reads(self, monkeypatch):
