@@ -26,38 +26,57 @@ Stored format produced by :meth:`Lzrw1.compress`:
   flagged via :attr:`CompressionResult.stored_raw` (Williams's
   ``FLAG_COPY`` word serves the same purpose in the C code).
 
-The encoder here is a CPython-optimized rewrite of the seed
-implementation (kept verbatim in :mod:`repro.compression._seed_reference`)
-and produces **bit-identical output**, enforced by
-``tests/compression/test_golden_kernels.py``.  The speed tricks:
+Three encoders emit these bytes, held **bit-identical** by
+``tests/compression/test_golden_kernels.py`` and
+``tests/compression/test_lzrw1_compiled.py``:
 
-* three-byte hashes for the whole page are precomputed in one vectorized
-  numpy pass (``_make_hashes``) instead of being evaluated per position in
-  the interpreter;
-* the hash table persists across calls *and instances* and is never
-  re-initialized: there is one table per ``table_bits`` in the process
-  (the service builds a selector, hence an ``Lzrw1``, per virtual slot;
-  a table each cost a shard about 8.7 MB at the default 64 slots).  A
-  parallel ``stamp`` list holds the epoch in which each slot was last
-  written, and every call takes a fresh process-wide epoch, so a slot is
-  valid exactly when its stamp equals the current call's epoch.  Both
-  lists store plain loop-local ints, which makes every slot update a
-  pointer store with no integer allocation;
-* when the stamp is already current it is *not* rewritten — the common
-  candidate-hit path does one store, not two;
-* match extension compares the two candidate windows with a single
-  C-level slice comparison; only on a mismatch does it locate the first
-  differing byte via an XOR/lowest-set-bit trick (little-endian
-  ``int.from_bytes``, so the lowest set byte is the mismatch position);
-* literal runs are emitted with one slice append per run (tracked via
-  ``lit_start``) rather than one ``append`` per byte, and the group flush
-  is detected by position (``flush_i``) so the literal path carries no
-  per-item counter.
+* the seed implementation, frozen in
+  :mod:`repro.compression._seed_reference`, which the other two are
+  diffed against;
+* the compiled encoder, ``_lzrw1.c`` beside this module: a C port of the
+  Python loop below, built with the platform's C compiler the first time
+  an instance whose ``fast`` is not ``False`` encodes a page, cached
+  under ``$XDG_CACHE_HOME/repro`` and called through :mod:`ctypes`
+  (:func:`compiled_encoder`).  It is the default whenever it loads,
+  about 40x the Python loop.  Any failure to build or load it — no
+  compiler (``CC=false``), a compile error, an unwritable or untrusted
+  cache directory, a damaged library — falls back to the Python loop,
+  once per process, silently;
+* the Python loop (:meth:`Lzrw1._encode_python`): the fallback, what
+  ``fast=False`` always runs, and the oracle the compiled encoder is
+  tested against (:class:`PythonLzrw1` pins an instance to it).  It is
+  a CPython-optimized rewrite of the seed.  The speed tricks:
+
+  - three-byte hashes for the whole page are precomputed in one
+    vectorized numpy pass (``_make_hashes``) instead of being evaluated
+    per position in the interpreter;
+  - the hash table persists across calls *and instances* and is never
+    re-initialized: there is one table per ``table_bits`` in the
+    process (the service builds a selector, hence an ``Lzrw1``, per
+    virtual slot; a table each cost a shard about 8.7 MB at the default
+    64 slots).  A parallel ``stamp`` list holds the epoch in which each
+    slot was last written, and every call takes a fresh process-wide
+    epoch, so a slot is valid exactly when its stamp equals the current
+    call's epoch.  Both lists store plain loop-local ints, which makes
+    every slot update a pointer store with no integer allocation;
+  - when the stamp is already current it is *not* rewritten — the
+    common candidate-hit path does one store, not two;
+  - match extension compares the two candidate windows with a single
+    C-level slice comparison; only on a mismatch does it locate the
+    first differing byte via an XOR/lowest-set-bit trick (little-endian
+    ``int.from_bytes``, so the lowest set byte is the mismatch
+    position);
+  - literal runs are emitted with one slice append per run (tracked via
+    ``lit_start``) rather than one ``append`` per byte, and the group
+    flush is detected by position (``flush_i``) so the literal path
+    carries no per-item counter.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import sys
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .base import Compressor, CorruptDataError, register
@@ -241,6 +260,116 @@ def decode_items(payload: bytes, original_size: int, name: str) -> bytes:
     return bytes(out)
 
 
+#: The compiled encoder's source, shipped beside this module.
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_lzrw1.c")
+#: What :func:`compiled_encoder` resolved: empty until its first call,
+#: then ``[encode]`` — the callable, or ``None`` after any failure.
+_COMPILED: List[Optional[Callable[[bytes, int, int], Optional[bytes]]]] = []
+
+
+def compiled_encoder() -> Optional[Callable[[bytes, int, int],
+                                            Optional[bytes]]]:
+    """``encode(data, n, table_bits)``: the compiled ``_encode``, or
+    ``None`` where it cannot be built or loaded.  Tried once per process
+    (forked workers inherit the outcome); raises nothing."""
+    if not _COMPILED:
+        try:
+            encode = _load_compiled()
+        except Exception:   # any failure means the Python loop
+            encode = None
+        _COMPILED.append(encode)
+    return _COMPILED[0]
+
+
+def compile_command() -> List[str]:
+    """The command that builds a shared library from one C file (append
+    ``-o <library> <source>``): ``$CC``, else the compiler Python was
+    built with (``sysconfig``'s, the one setuptools uses)."""
+    import shlex
+
+    compiler = os.environ.get("CC")
+    if not compiler:
+        import sysconfig    # its data module costs 70 KB: only to build
+
+        compiler = sysconfig.get_config_var("CC") or "cc"
+    return shlex.split(compiler) + ["-O2", "-shared", "-fPIC"]
+
+
+def _load_compiled():
+    """Build ``_lzrw1.c`` (once per source, compiler and platform) and
+    wrap the loaded function.
+
+    The library is cached as ``$XDG_CACHE_HOME/repro/lzrw1-<key>.so``
+    (``~/.cache`` without the variable), where ``key`` hashes the
+    source, ``$CC`` (unset: the interpreter's compiler) and the
+    platform.  It is compiled to a temporary name and moved into place
+    with :func:`os.replace`, so concurrent builders leave one whole
+    file.  It is loaded only from a directory owned by this uid that no
+    one else may write to, and only if it ends with the SHA-256 of the
+    rest (appended after the build): ``dlopen`` of a truncated library
+    can kill the process with SIGBUS rather than fail.
+    """
+    import ctypes
+    import hashlib
+
+    with open(_SOURCE, "rb") as handle:
+        source = handle.read()
+    target = f"{sys.platform}-{os.uname().machine}-{sys.maxsize:x}"
+    key = hashlib.sha256(b"\0".join([
+        source, os.environ.get("CC", "").encode(),
+        target.encode()])).hexdigest()[:24]
+    cache = os.path.join(os.environ.get("XDG_CACHE_HOME")
+                         or os.path.expanduser("~/.cache"), "repro")
+    os.makedirs(cache, mode=0o700, exist_ok=True)
+    owner = os.stat(cache)
+    if owner.st_uid != os.getuid() or owner.st_mode & 0o022:
+        return None
+    path = os.path.join(cache, f"lzrw1-{key}.so")
+    if not os.path.exists(path):
+        import subprocess
+        import tempfile
+
+        handle, partial = tempfile.mkstemp(".partial", "lzrw1-", cache)
+        os.close(handle)
+        try:
+            subprocess.run(compile_command() + ["-o", partial, _SOURCE],
+                           check=True, capture_output=True, timeout=120)
+            with open(partial, "rb") as handle:
+                built = handle.read()
+            with open(partial, "ab") as handle:
+                handle.write(hashlib.sha256(built).digest())
+            os.replace(partial, path)
+        finally:
+            if os.path.exists(partial):
+                os.unlink(partial)
+    with open(path, "rb") as handle:
+        library = handle.read()
+    if hashlib.sha256(library[:-32]).digest() != library[-32:]:
+        return None
+    function = ctypes.CDLL(path).lzrw1_encode
+    function.argtypes = (ctypes.c_char_p, ctypes.c_long, ctypes.c_int,
+                         ctypes.POINTER(ctypes.c_int32), ctypes.c_char_p)
+    function.restype = ctypes.c_long
+    # Process-wide like the Python loop's scratch, and so correct while
+    # one ``_encode`` runs at a time (ctypes drops the GIL for the call).
+    tables: Dict[int, object] = {}     # exactly 4 << table_bits bytes
+    buffers = [ctypes.create_string_buffer(0)]
+
+    def encode(data: bytes, n: int, table_bits: int) -> Optional[bytes]:
+        table = tables.get(table_bits)
+        if table is None:
+            table = tables[table_bits] = (ctypes.c_int32 * (1 << table_bits))()
+        out = buffers[0]
+        if len(out) < n + 64:
+            out = buffers[0] = ctypes.create_string_buffer(n + 64)
+        if type(data) is not bytes:
+            data = bytes(data)
+        length = function(data, n, table_bits, table, out)
+        return out[:length] if length >= 0 else None
+
+    return encode
+
+
 @register("lzrw1")
 class Lzrw1(Compressor):
     """Single-pass LZ77 compressor matching Williams's LZRW1.
@@ -249,8 +378,10 @@ class Lzrw1(Compressor):
         table_bits: log2 of the hash-table entry count.  12 matches the
             16-KByte table of the measured system; smaller tables trade
             compression ratio for memory.
-        fast: as for every :class:`Compressor`; here it selects the
-            numpy hash precompute.
+        fast: as for every :class:`Compressor`.  ``False`` runs the
+            scalar Python loop; otherwise the compiled encoder runs if
+            it loads, else the Python loop with the numpy hash
+            precompute (scalar without numpy).
     """
 
     def __init__(self, table_bits: int = 12, fast: Optional[bool] = None):
@@ -263,18 +394,34 @@ class Lzrw1(Compressor):
     def result_cache_key(self):
         # table_bits changes which candidates the hash table remembers and
         # therefore the emitted items; it is the only output-affecting knob.
+        # Every encoder emits the same bytes, so they share one key.
         return ("lzrw1", self.table_bits)
 
     @property
     def hash_table_bytes(self) -> int:
-        """Memory footprint of the hash table (4-byte entries, as in Sprite)."""
+        """Memory footprint of the hash table (4-byte entries, as in
+        Sprite): the compiled encoder's table is exactly this size."""
         return 4 * self._table_size
+
+    def _compiled(self):
+        """The compiled encoder this instance runs, or ``None``."""
+        return None if self.fast is False else compiled_encoder()
 
     @property
     def size_floor(self) -> Optional[Callable[[bytes], int]]:
-        return numpy_size_floor if self._use_fast else None
+        # The numpy floor (about 0.1 ms a page) pays only against the
+        # Python loop; the compiled encoder runs a page in about 20 us.
+        if not self._use_fast or self._compiled() is not None:
+            return None
+        return numpy_size_floor
 
     def _encode(self, data: bytes, n: int) -> Optional[bytes]:
+        encode = self._compiled()
+        if encode is not None:
+            return encode(data, n, self.table_bits)
+        return self._encode_python(data, n)
+
+    def _encode_python(self, data: bytes, n: int) -> Optional[bytes]:
         if n < _MIN_MATCH + 1:
             return None
 
@@ -388,3 +535,15 @@ class Lzrw1(Compressor):
 
     def _decode(self, payload: bytes, n: int) -> bytes:
         return decode_items(payload, n, "lzrw1")
+
+
+class PythonLzrw1(Lzrw1):
+    """``lzrw1`` that never runs the compiled encoder: the Python loop,
+    with the numpy hash precompute unless ``fast=False``.  The oracle
+    the compiled encoder is tested against, and what the harness's
+    ``aggregate_speedup.lzrw1`` times against the seed kernel.  Not
+    registered: its payloads are ``lzrw1``'s, under ``lzrw1``'s
+    result-cache key."""
+
+    def _compiled(self):
+        return None

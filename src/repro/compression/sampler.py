@@ -45,13 +45,15 @@ sites that only need the stored *size*.
 
 A caller that reads only the 4:3 keep decision — an eviction, whose
 rejected page is written raw — passes ``threshold``.  On a memo miss
-the kernel's ``size_floor`` (a lower bound on its output; ``lzrw1`` and
-``lzss`` have one on their numpy path) is asked first, and a page it
-proves cannot meet the threshold gets a :class:`ProvenRejected`:
+the kernel's ``size_floor`` (a lower bound on its output; ``lzss`` and
+the Python ``lzrw1`` have one on their numpy path) is asked first, and a
+page it proves cannot meet the threshold gets a :class:`ProvenRejected`:
 ``compressed_size`` is the page's, the payload is empty, and the kernel
-does not run.  It is memoized and shared like any result, so a warm run
-replays it in one lookup, and the keep decision, hit/miss counts and
-every virtual charge are what the kernel's own result gives.  It never reaches a caller that
+does not run.  A page whose kernel result fails the threshold gets one
+too, so no memo keeps a rejected payload.  It is memoized and shared
+like any result, so a warm run replays it in one lookup, and the keep
+decision, hit/miss counts and every virtual charge are what the
+kernel's own result gives.  It never reaches a caller that
 reads bytes: :func:`shared_compress` and a memo hit without
 ``threshold`` replace it with the kernel's real result (the hit still
 counts as a hit), and so does a caller whose threshold is looser than
@@ -76,8 +78,9 @@ _blake2b = hashlib.blake2b
 
 @dataclass(frozen=True)
 class ProvenRejected(CompressionResult):
-    """What a page the kernel's size floor proves fails the 4:3 rule
-    compresses to, as far as a keep decision can tell: its full size.
+    """What a page known to fail the 4:3 rule — by the kernel's size
+    floor, or by the kernel's own result — compresses to, as far as a
+    keep decision can tell: its full size.
 
     Holds no payload (``ProvenRejected(b"", n, True, floor)``), so only
     a caller that reads nothing but the keep decision may see one
@@ -86,7 +89,8 @@ class ProvenRejected(CompressionResult):
     replace it with the kernel's real result.
     """
 
-    #: The kernel's size floor for the page, which the proof rests on.
+    #: A lower bound on the kernel's output for the page, which the
+    #: proof rests on: its size floor, or the output's own size.
     floor: int = 0
 
     @property
@@ -351,7 +355,9 @@ class CompressionSampler:
 
         A caller that reads only whether the result passes ``threshold``
         says so: a page the kernel's size floor proves fails it then
-        gets a :class:`ProvenRejected` and the kernel does not run.
+        gets a :class:`ProvenRejected` and the kernel does not run, and
+        a page the kernel's result fails gets one in place of the
+        result.
         Otherwise the result is always the kernel's own: a memo hit on
         a stand-in that does not settle ``threshold`` (or has none to
         settle) is replaced, and still counts as a hit.
@@ -395,14 +401,17 @@ class CompressionSampler:
 
         With a ``threshold``, a shared entry answers (a
         :class:`ProvenRejected` only if it settles that threshold), and
-        otherwise the kernel's size floor is asked first: a page it
-        proves fails the threshold gets a :class:`ProvenRejected`,
-        shared under the same key.
+        otherwise the kernel's size floor, if it has one, is asked
+        first: a page it proves fails the threshold gets a
+        :class:`ProvenRejected`, shared under the same key.  So does a
+        page whose kernel result fails it, with that result's size as
+        the floor: the caller reads only the keep decision, and a
+        rejected payload kept in the memos would be memory no one reads.
         """
         fp = key if type(key) is bytes else fingerprint
         floor = self.compressor.size_floor
         ckey = self.compressor.result_cache_key()
-        if threshold is None or floor is None or ckey is None:
+        if threshold is None or ckey is None:
             return shared_compress(self.compressor, data, fp)
         n = len(data)
         if fp is None:
@@ -413,9 +422,12 @@ class CompressionSampler:
                 type(shared) is not ProvenRejected
                 or shared.settles(threshold)):
             return shared
-        lower = floor(data)
+        lower = floor(data) if floor is not None else 0
         if threshold.keep_compressed(n, lower):
-            return _share(skey, self.compressor.compress(data))
+            result = self.compressor.compress(data)
+            if threshold.keep_compressed(n, result.compressed_size):
+                return _share(skey, result)
+            lower = result.compressed_size
         return _share(skey, ProvenRejected(b"", n, True, lower))
 
     @property

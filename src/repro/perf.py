@@ -42,6 +42,7 @@ from typing import (
 
 from .compression import create, vectorized
 from .compression._seed_reference import SeedLzrw1, SeedLzss
+from .compression.lzrw1 import PythonLzrw1, compiled_encoder
 from .compression.sampler import clear_shared_results
 from .control.controller import ControlConfig
 from .faults.plan import FaultPlan
@@ -207,30 +208,38 @@ def _bench_pairs(pairs: Mapping[str, Tuple[object, object]],
     return result
 
 
-#: Kernels with a numpy-vectorized variant (see compression/vectorized.py);
-#: lzrw1 vectorizes only its hash precompute stage, lzss its chain and
-#: match-position tables, cpack only the packing of its bit stream.
+#: Kernels with a ``fast`` variant (see compression/vectorized.py): lzrw1's
+#: is its compiled encoder (its numpy hash precompute where that does not
+#: load), lzss vectorizes its chain and match-position tables, cpack only
+#: the packing of its bit stream.
 FAST_KERNELS = (
     "rle", "wk", "varint-delta", "lzrw1", "lzss", "fpc", "bdi", "cpack",
 )
 
 
+def _lzrw1_encoder() -> str:
+    """Which encoder ``lzrw1`` runs here: ``compiled`` or ``python``."""
+    return "compiled" if compiled_encoder() is not None else "python"
+
+
 def bench_compression(pages_per_kind: int = 16, reps: int = 5) -> Dict:
     """Kernel throughput: the dict that becomes ``BENCH_compression.json``.
 
-    The optimized kernels next to the frozen seed ones and, under
-    ``fast``, every ``fast=``-capable kernel's vectorized path next to
-    its scalar one (``None`` without numpy: nothing to compare).  Both
-    sides of each pair are pinned bit-identical by the test suite, so a
-    ratio measures the same work done two ways and is
-    machine-independent.
+    The optimized Python kernels next to the frozen seed ones and,
+    under ``fast``, every ``fast=``-capable kernel's fast path next to
+    its scalar one (``None`` without numpy: nothing to compare); for
+    lzrw1 that is the compiled encoder when it loads, which
+    ``lzrw1_encoder`` names.  Both sides of each pair are pinned
+    bit-identical by the test suite, so a ratio measures the same work
+    done two ways and is machine-independent.
     """
     result = _bench_pairs(
-        {"lzrw1": (create("lzrw1"), SeedLzrw1()),
+        {"lzrw1": (PythonLzrw1(), SeedLzrw1()),
          "lzss": (create("lzss"), SeedLzss())},
         ("new", "seed"), pages_per_kind, reps,
     )
     result["kernels"] = vectorized.capability()
+    result["lzrw1_encoder"] = _lzrw1_encoder()
     result["fast"] = _bench_pairs(
         {name: (create(name), create(name, fast=False))
          for name in FAST_KERNELS},
@@ -846,6 +855,13 @@ def _numpy_present(payload: Dict, baseline: Dict) -> Optional[str]:
             else "numpy absent: no vectorized kernels to compare")
 
 
+def _compiled_lzrw1(key: str, payload: Dict) -> Optional[str]:
+    # lzrw1's committed fast ratio is the compiled encoder's.
+    if key != "lzrw1" or payload.get("lzrw1_encoder") == "compiled":
+        return None
+    return "the compiled encoder did not load: the Python loop ran"
+
+
 def _at_scale(payload: Dict, baseline: Dict) -> Optional[str]:
     # Throughput varies with workload scale; floors only make sense at
     # the scale they were recorded at.
@@ -924,7 +940,8 @@ class Gate(NamedTuple):
     substituted for ``*`` in ``measured``.  The committed value is
     scaled by ``tolerance`` before ``compare`` (``>=``, ``<=`` or
     ``==``) is applied; ``applies`` returns why the row cannot be judged
-    on this host/run, or ``None`` when it can.
+    on this host/run, or ``None`` when it can, and ``applies_to_key``
+    the same for one key of a dict threshold.
     """
 
     name: str
@@ -934,6 +951,7 @@ class Gate(NamedTuple):
     threshold: str
     tolerance: float = 1.0
     applies: Optional[Callable[[Dict, Dict], Optional[str]]] = None
+    applies_to_key: Optional[Callable[[str, Dict], Optional[str]]] = None
 
     def judge(self, got, committed) -> Optional[str]:
         """Why ``got`` fails against ``committed``; ``None`` if it holds."""
@@ -961,7 +979,8 @@ GATES: Tuple[Gate, ...] = (
     Gate("kernel-speedup", "compression", "aggregate.*.speedup",
          ">=", "aggregate_speedup", CHECK_TOLERANCE),
     Gate("fast-kernel-speedup", "compression", "fast.aggregate.*.speedup",
-         ">=", "fast_kernel_speedup", CHECK_TOLERANCE, _numpy_present),
+         ">=", "fast_kernel_speedup", CHECK_TOLERANCE, _numpy_present,
+         _compiled_lzrw1),
     Gate("sim-floor", "sim", "workloads.*.pages_per_second",
          ">=", "sim_pages_per_second", _FLOOR, _at_scale),
     Gate("sim-aggregate-floor", "sim", "aggregate.pages_per_second",
@@ -1028,9 +1047,10 @@ def evaluate_gates(payloads: Mapping[str, Optional[Dict]],
     A row is *skipped* — and listed with the reason — when its payload
     was not measured in this run, the baseline commits no threshold for
     it, or its applicability predicate says the host or run cannot judge
-    it.  A supplied payload for which the baseline commits *no*
-    threshold at all is a failure: checking against a baseline that
-    gates nothing must not read as a pass.
+    it; one key of a dict row is skipped, by its label, the same way.
+    A supplied payload for which the baseline commits *no* threshold at
+    all is a failure: checking against a baseline that gates nothing
+    must not read as a pass.
     """
     report = GateReport([], [], [])
     ungated = {name for name, payload in payloads.items()
@@ -1052,6 +1072,10 @@ def evaluate_gates(payloads: Mapping[str, Optional[Dict]],
                 else [("", committed)])
         for key, value in rows:
             label = f"{gate.name} {key}".rstrip()
+            reason = gate.applies_to_key and gate.applies_to_key(key, payload)
+            if reason:
+                report.skipped.append(f"{label}: {reason}")
+                continue
             got = _lookup(payload, gate.measured.replace("*", key))
             failure = gate.judge(got, value)
             if failure is None:
@@ -1102,6 +1126,8 @@ def run_harness(
         echo(f"error: output directory not found: {out_dir}")
         return 2
     echo(vectorized.capability())
+    echo(f"lzrw1 encoder: {_lzrw1_encoder()} (its Python loop is the "
+         "new-against-seed row, this encoder the fast one)")
     pages_per_kind, reps = (6, 3) if quick else (16, 5)
     echo(f"compression kernels: {pages_per_kind} pages/kind, "
          f"best of {reps} interleaved rounds ...")

@@ -27,7 +27,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.compression import create, vectorized
 from repro.compression.base import CompressionResult
-from repro.compression.lzrw1 import Lzrw1, lz_size_floor
+from repro.compression.lzrw1 import (
+    Lzrw1,
+    PythonLzrw1,
+    compiled_encoder,
+    lz_size_floor,
+)
 from repro.compression.sampler import (
     CompressionSampler,
     ProvenRejected,
@@ -154,18 +159,18 @@ def run_trace(factory):
 @pytest.fixture(scope="module")
 def sim_cold_pages():
     """``{page: lzrw1 stored size}`` for every page ``sim-cold`` hands
-    its sampler at seeds 1-3, from runs with the floor off, so every
-    page gets the kernel's real size."""
+    its sampler at seeds 1-3, read off the kernel in runs with the floor
+    off, so every page gets the kernel's real size."""
     sizes = {}
-    compress = CompressionSampler.compress
+    compress = Lzrw1.compress
 
-    def record(self, data, *args, **kwargs):
-        result = compress(self, data, *args, **kwargs)
+    def record(self, data):
+        result = compress(self, data)
         sizes[bytes(data)] = result.compressed_size
         return result
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(CompressionSampler, "compress", record)
+        patch.setattr(Lzrw1, "compress", record)
         patch.setattr(Lzrw1, "size_floor", None)
         for seed in (1, 2, 3):
             for factory in paper_traces(seed).values():
@@ -247,19 +252,27 @@ def hopeless() -> bytes:
 
 
 def with_floor(monkeypatch) -> None:
-    """Give ``lzrw1`` its floor on the scalar path too, which it offers
-    only on the numpy one, so the sampler's use of it is exercised
-    whether numpy is installed or not."""
+    """Give ``lzrw1`` its floor on every path, which it offers only on
+    the numpy Python one, so the sampler's use of it is exercised
+    whether numpy is installed and the compiled encoder loads or not."""
     monkeypatch.setattr(Lzrw1, "size_floor",
                         lambda self, data: lz_size_floor(data))
 
 
 def test_only_the_numpy_kernels_offer_the_floor():
+    """``lzss`` and the Python ``lzrw1`` offer it on their numpy paths;
+    the compiled ``lzrw1`` runs a page faster than the floor counts
+    one, so it offers none."""
     page = hopeless()
-    for name in ("lzrw1", "lzss"):
-        assert create(name, fast=False).size_floor is None
+    for kernel in (create("lzss"), PythonLzrw1()):
+        assert type(kernel)(fast=False).size_floor is None
         if NUMPY is not None:
-            assert create(name).size_floor(page) == lz_size_floor(page, None)
+            assert kernel.size_floor(page) == lz_size_floor(page, None)
+    assert create("lzrw1", fast=False).size_floor is None
+    if compiled_encoder() is not None:
+        assert create("lzrw1").size_floor is None
+    elif NUMPY is not None:
+        assert create("lzrw1").size_floor(page) == lz_size_floor(page, None)
     assert create("rle").size_floor is None
     assert create("adaptive").size_floor is None
 
@@ -331,6 +344,22 @@ class TestIsolation:
         other = CompressionSampler(create("lzrw1"))
         assert other.compress(page, threshold=looser) is result
 
+    def test_a_rejected_kernel_result_keeps_no_payload(self):
+        """A kernel with no floor runs, and a result that fails 4:3 is
+        memoized as a stand-in holding that result's size; a caller
+        that reads bytes still gets the result."""
+        page = random.Random(8).randbytes(PAGE - 800) + bytes(800)
+        kernel = create("rle")
+        real = kernel.compress(page)
+        assert not real.stored_raw
+        assert not THRESHOLD.keep_compressed(PAGE, real.compressed_size)
+        sampler = CompressionSampler(kernel)
+        result = sampler.compress(page, threshold=THRESHOLD)
+        assert type(result) is ProvenRejected
+        assert (result.payload, result.floor) == (b"", real.compressed_size)
+        assert sampler.compress(page) == real
+        assert shared_compress(kernel, page) == real
+
     def test_exact_mode_always_runs_the_kernel(self):
         page = hopeless()
         sampler = CompressionSampler(create("lzrw1"), exact=True)
@@ -377,7 +406,8 @@ class TestIsolation:
 def test_runs_with_the_floor_off_are_identical(trace, monkeypatch):
     """Same digest, sampler counts and statistics with the floor off,
     on traces with rejected pages — and the floor did skip kernel
-    runs, so the comparison is not vacuous."""
+    runs, so the comparison is not vacuous.  And the same again with
+    no stand-in at all: every eviction gets the kernel's real result."""
     calls = []
     compress = Lzrw1.compress
     monkeypatch.setattr(
@@ -389,10 +419,18 @@ def test_runs_with_the_floor_off_are_identical(trace, monkeypatch):
     on_calls = len(calls)
     monkeypatch.setattr(Lzrw1, "size_floor", lambda self, data: 0)
     off, machine_off = run_trace(factory)
+    off_calls = len(calls) - on_calls
+    sampler_compress = CompressionSampler.compress
+    monkeypatch.setattr(
+        CompressionSampler, "compress",
+        lambda self, data, *args, threshold=None, **kwargs:
+        sampler_compress(self, data, *args, **kwargs))
+    real, machine_real = run_trace(factory)
     clear_shared_results()
-    assert on.digest() == off.digest()
-    assert (on.sampler_hits, on.sampler_misses) == (
-        off.sampler_hits, off.sampler_misses)
-    assert machine_on.vm.metrics.compression == \
-        machine_off.vm.metrics.compression
-    assert on_calls < len(calls) - on_calls
+    for run, machine in ((off, machine_off), (real, machine_real)):
+        assert on.digest() == run.digest()
+        assert (on.sampler_hits, on.sampler_misses) == (
+            run.sampler_hits, run.sampler_misses)
+        assert machine_on.vm.metrics.compression == \
+            machine.vm.metrics.compression
+    assert on_calls < off_calls

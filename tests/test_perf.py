@@ -489,6 +489,31 @@ class TestGateTable:
             ["fast-kernel-speedup lzss"] if fails else []
         )
 
+    @pytest.mark.parametrize("encoder, speedup, verdict", [
+        ("compiled", 1.3, "failed"), ("compiled", 80.0, "passed"),
+        ("python", 1.3, "skipped")])
+    def test_committed_lzrw1_fast_floor_is_the_compiled_encoders(
+            self, encoder, speedup, verdict):
+        """``fast_kernel_speedup.lzrw1`` is the compiled encoder against
+        the scalar Python loop: the numpy-hash Python loop's ratio (about
+        1.3) fails it by name, and a run where the library did not load
+        skips it by name."""
+        committed = json.loads(
+            (REPO_ROOT / "benchmarks" / "perf_baseline.json").read_text()
+        )["fast_kernel_speedup"]["lzrw1"]
+        report = evaluate_gates(
+            {"compression": {"lzrw1_encoder": encoder, "fast": {
+                "aggregate": {"lzrw1": {"speedup": speedup}}}}},
+            {"fast_kernel_speedup": {"lzrw1": committed}},
+        )
+        lines = {"failed": report.failures, "passed": report.passed,
+                 "skipped": report.skipped}
+        row = {verdict: ["fast-kernel-speedup lzrw1"]}
+        assert {kind: [line.split(":")[0] for line in found
+                       if line.startswith("fast-kernel-speedup")]
+                for kind, found in lines.items()} == {
+            kind: row.get(kind, []) for kind in lines}
+
     @pytest.mark.parametrize("pages_s, fails", [(2100, True), (4400, False)])
     def test_committed_contentgen_floor_can_fail(self, pages_s, fails):
         """The committed floor sits between what the generators measured
