@@ -90,11 +90,11 @@ class Compressor:
     :meth:`compress` / :meth:`decompress` envelope around them owns the
     store-raw rule, the empty page and the decoded-size check.  Results
     are a function of the input bytes and the constructor arguments
-    (scratch never shows in the output — LZRW1's hash table is one per
-    table size for the whole process, shared by every instance), so
-    one instance may be shared by a whole simulator; the ``adaptive``
-    selector is the deliberate exception — its choices follow page order
-    — and opts out of result sharing (:meth:`result_cache_key`).
+    (scratch never shows in the output — compiled LZRW1 resets its one
+    hash table per table size on every call), so one instance may be
+    shared by a whole simulator; the ``adaptive`` selector is the
+    deliberate exception — its choices follow page order — and opts out
+    of result sharing (:meth:`result_cache_key`).
 
     Args:
         fast: tri-state vectorization flag, resolved once here (see

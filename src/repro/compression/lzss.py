@@ -38,18 +38,26 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple, Union
 
 from .base import Compressor, register
-from .lzrw1 import (    # the item stream, its limits and its hash are shared
+from .lzrw1 import (    # the item stream and its limits are shared
     _GROUP,
     _MAX_MATCH,
     _MAX_OFFSET,
     _MIN_MATCH,
     _VECTOR_THRESHOLD,
-    _hash_array,
-    _make_hashes,
     _np,
     decode_items,
     numpy_size_floor,
 )
+
+#: Williams's LZRW1 hash constant, which the seed kept for its buckets.
+_HASH_MULTIPLIER = 40543
+
+
+def _hash_array(data: bytes):
+    """The bucket of every 3-byte window of ``data``, a uint32 array."""
+    d = _np.frombuffer(data, _np.uint8).astype(_np.uint32)
+    k = ((d[:-2] << 8) ^ (d[1:-1] << 4) ^ d[2:]) & 0xFFFF
+    return ((k * _HASH_MULTIPLIER) >> 4) & 0xFFF
 
 
 def _chain_tables(
@@ -67,7 +75,7 @@ def _chain_tables(
     the encoder emits the same bytes.
     """
     if use_numpy and _np is not None and n >= _VECTOR_THRESHOLD:
-        hashes = _hash_array(data, 0xFFF).astype(_np.uint16)
+        hashes = _hash_array(data).astype(_np.uint16)
         order = hashes.argsort(kind="stable")   # by (hash, position)
         d = _np.frombuffer(data, _np.uint8)
         trigram = d[:-2].astype(_np.uint32)
@@ -96,7 +104,10 @@ def _chain_tables(
     heads = [-1] * 4096
     prev = []
     can_match = bytearray(n)
-    for p, h in enumerate(_make_hashes(data, n, 0xFFF, False)):
+    mult = _HASH_MULTIPLIER
+    for p in range(n - 2):
+        h = ((mult * (((data[p] << 8) ^ (data[p + 1] << 4) ^ data[p + 2])
+                      & 0xFFFF)) >> 4) & 0xFFF
         cand = heads[h]
         if cand >= 0:
             can_match[p] = 1

@@ -45,8 +45,8 @@ sites that only need the stored *size*.
 
 A caller that reads only the 4:3 keep decision — an eviction, whose
 rejected page is written raw — passes ``threshold``.  On a memo miss
-the kernel's ``size_floor`` (a lower bound on its output; ``lzss`` and
-the Python ``lzrw1`` have one on their numpy path) is asked first, and a
+the kernel's ``size_floor`` (a lower bound on its output; ``lzss`` has
+one on its numpy path) is asked first, and a
 page it proves cannot meet the threshold gets a :class:`ProvenRejected`:
 ``compressed_size`` is the page's, the payload is empty, and the kernel
 does not run.  A page whose kernel result fails the threshold gets one

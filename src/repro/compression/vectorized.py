@@ -60,7 +60,7 @@ def capability() -> str:
     return (
         f"fast kernels: numpy {_np.__version__} "
         "(rle/wk/varint-delta/fpc/bdi vectorized, cpack bit packing, "
-        "lzrw1 hash precompute, lzss chain and match-position tables)"
+        "lzss chain and match-position tables)"
     )
 
 

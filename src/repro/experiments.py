@@ -818,9 +818,8 @@ def run_kernels_point(spec: Mapping[str, Any]) -> Dict[str, Any]:
     Spec as :func:`build_cell` takes it; ``config["compressor"]``
     selects the kernel.  The simulated results (faults, stored bytes,
     ratios) are deterministic; the ``host_seconds``/``refs_per_second``
-    fields are wall-clock throughput of this host and are excluded from
-    digest-style comparisons (the CI gate pins ``repro run --digest``
-    instead).
+    fields are this host's wall-clock throughput, which the sweep digest
+    leaves out (:data:`~repro.sweep.WALL_CLOCK_FIELDS`).
     """
     import time
 

@@ -41,8 +41,8 @@ from typing import (
 )
 
 from .compression import create, vectorized
-from .compression._seed_reference import SeedLzrw1, SeedLzss
-from .compression.lzrw1 import PythonLzrw1, compiled_encoder
+from .compression._seed_reference import SeedLzss
+from .compression.lzrw1 import compiled_encoder
 from .compression.sampler import clear_shared_results
 from .control.controller import ControlConfig
 from .faults.plan import FaultPlan
@@ -209,9 +209,9 @@ def _bench_pairs(pairs: Mapping[str, Tuple[object, object]],
 
 
 #: Kernels with a ``fast`` variant (see compression/vectorized.py): lzrw1's
-#: is its compiled encoder (its numpy hash precompute where that does not
-#: load), lzss vectorizes its chain and match-position tables, cpack only
-#: the packing of its bit stream.
+#: is its compiled encoder (the seed's loop, as ``fast=False``, where that
+#: does not load), lzss vectorizes its chain and match-position tables,
+#: cpack only the packing of its bit stream.
 FAST_KERNELS = (
     "rle", "wk", "varint-delta", "lzrw1", "lzss", "fpc", "bdi", "cpack",
 )
@@ -225,17 +225,16 @@ def _lzrw1_encoder() -> str:
 def bench_compression(pages_per_kind: int = 16, reps: int = 5) -> Dict:
     """Kernel throughput: the dict that becomes ``BENCH_compression.json``.
 
-    The optimized Python kernels next to the frozen seed ones and,
-    under ``fast``, every ``fast=``-capable kernel's fast path next to
-    its scalar one (``None`` without numpy: nothing to compare); for
-    lzrw1 that is the compiled encoder when it loads, which
-    ``lzrw1_encoder`` names.  Both sides of each pair are pinned
+    The optimized Python lzss next to the frozen seed one and, under
+    ``fast``, every ``fast=``-capable kernel's fast path next to its
+    scalar one (``None`` without numpy: nothing to compare); for lzrw1
+    that is the compiled encoder, when it loads (``lzrw1_encoder``
+    names it), against the seed's loop.  Both sides of each pair are pinned
     bit-identical by the test suite, so a ratio measures the same work
     done two ways and is machine-independent.
     """
     result = _bench_pairs(
-        {"lzrw1": (PythonLzrw1(), SeedLzrw1()),
-         "lzss": (create("lzss"), SeedLzss())},
+        {"lzss": (create("lzss"), SeedLzss())},
         ("new", "seed"), pages_per_kind, reps,
     )
     result["kernels"] = vectorized.capability()
@@ -1126,8 +1125,8 @@ def run_harness(
         echo(f"error: output directory not found: {out_dir}")
         return 2
     echo(vectorized.capability())
-    echo(f"lzrw1 encoder: {_lzrw1_encoder()} (its Python loop is the "
-         "new-against-seed row, this encoder the fast one)")
+    echo(f"lzrw1 encoder: {_lzrw1_encoder()} (the fast row, against the "
+         "seed's loop)")
     pages_per_kind, reps = (6, 3) if quick else (16, 5)
     echo(f"compression kernels: {pages_per_kind} pages/kind, "
          f"best of {reps} interleaved rounds ...")

@@ -264,6 +264,10 @@ class _CheckpointWriter:
 # ----------------------------------------------------------------------
 
 
+#: Host-timing fields of ``kernels`` cells: not in :meth:`SweepResult.digest`.
+WALL_CLOCK_FIELDS = frozenset({"host_seconds", "refs_per_second"})
+
+
 @dataclass
 class SweepResult:
     """Aggregated outcome of :func:`run_sweep`."""
@@ -303,11 +307,12 @@ class SweepResult:
 
         Parallel and serial sweeps over the same points must produce the
         same digest; CI's ``--jobs 2`` smoke compares it against a
-        serial run's.
+        serial run's.  :data:`WALL_CLOCK_FIELDS` are not part of it.
         """
-        blob = json.dumps(
-            self.results, sort_keys=True, separators=(",", ":")
-        )
+        timeless = {key: {name: value for name, value in cell.items()
+                          if name not in WALL_CLOCK_FIELDS}
+                    for key, cell in self.results.items()}
+        blob = json.dumps(timeless, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def summary(self) -> str:

@@ -19,7 +19,6 @@ from repro.compression import (
     CorruptDataError,
     available,
     create,
-    lzrw1,
     lzss,
     vectorized,
 )
@@ -145,7 +144,6 @@ class TestFastResolution:
 
         for twin in _TWINS:
             monkeypatch.setattr(vectorized, twin, forbidden)
-        monkeypatch.setattr(lzrw1, "_hash_array", forbidden)
         monkeypatch.setattr(lzss, "_hash_array", forbidden)
         compressor = create(name, fast=False)
         for data in _contents(4096).values():

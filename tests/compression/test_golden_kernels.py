@@ -11,9 +11,8 @@ layers of protection:
 * an aggregate SHA-256 over all corpus payloads is pinned, so even a
   coordinated edit of kernel *and* reference is caught.
 
-LZRW1 has two live encoders, the compiled one ``Lzrw1`` runs when it
-loads and the Python loop (``PythonLzrw1``); each is held to the seed
-and to the pinned digests (``-python`` rows).
+``Lzrw1`` runs its compiled encoder where it loads and the seed's loop
+elsewhere (``CC=false``), so these rows hold whichever ran.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import List
 import pytest
 
 from repro.compression._seed_reference import SeedLzrw1, SeedLzss
-from repro.compression.lzrw1 import Lzrw1, PythonLzrw1
+from repro.compression.lzrw1 import Lzrw1
 from repro.compression.lzss import Lzss
 from repro.workloads import contentgen
 
@@ -72,11 +71,6 @@ def golden_corpus() -> List[bytes]:
 PAIRS = {
     "lzrw1-tb12": (lambda: Lzrw1(), lambda: SeedLzrw1()),
     "lzrw1-tb6": (lambda: Lzrw1(table_bits=6), lambda: SeedLzrw1(table_bits=6)),
-    "lzrw1-tb12-python": (lambda: PythonLzrw1(), lambda: SeedLzrw1()),
-    "lzrw1-tb6-python": (
-        lambda: PythonLzrw1(table_bits=6),
-        lambda: SeedLzrw1(table_bits=6),
-    ),
     "lzss-d16-lazy": (lambda: Lzss(), lambda: SeedLzss()),
     "lzss-d4-greedy": (
         lambda: Lzss(chain_depth=4, lazy=False),
@@ -100,8 +94,7 @@ def test_bit_identical_to_seed_kernel(variant):
         assert got.original_size == want.original_size == len(page)
         digest.update(got.payload)
         digest.update(b"\x00" if got.stored_raw else b"\x01")
-    assert digest.hexdigest() == GOLDEN_DIGESTS[
-        variant.removesuffix("-python")], (
+    assert digest.hexdigest() == GOLDEN_DIGESTS[variant], (
         f"{variant}: corpus digest changed — the stored format moved"
     )
 

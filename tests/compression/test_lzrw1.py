@@ -8,7 +8,7 @@ import pytest
 
 from repro.compression._seed_reference import SeedLzrw1
 from repro.compression.base import CorruptDataError
-from repro.compression.lzrw1 import Lzrw1, PythonLzrw1
+from repro.compression.lzrw1 import Lzrw1
 
 from ..conftest import PAGE, sample_pages
 from .test_golden_kernels import GOLDEN_DIGESTS, golden_corpus
@@ -122,30 +122,30 @@ class TestHashTableSizing:
             Lzrw1(table_bits=25)
 
 
-#: One table and stamp list of the default size: two 4,096-entry lists of
-#: 8-byte pointers.
-ONE_TABLE = 2 * 4096 * 8
+#: One hash table of the default size: 4,096 four-byte entries.
+ONE_TABLE = 4096 * 4
 
 
 class TestSharedScratch:
-    """The Python loop's hash table is one per table size in the process,
-    not per instance — the service builds an ``Lzrw1`` per virtual slot.
-    (The compiled encoder's is too, and is reset on every call.)"""
+    """The compiled encoder's hash table is one per table size in the
+    process, reset on every call, not one per instance — the service
+    builds an ``Lzrw1`` per virtual slot.  (The seed's loop, the
+    fallback, builds its table per call.)"""
 
     def test_instances_carry_no_table(self):
         page = golden_corpus()[5]          # a text page: a well-used table
-        PythonLzrw1().compress(page)       # the process's table exists
+        Lzrw1().compress(page)             # the process's table exists
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            kernels = [PythonLzrw1() for _ in range(64)]
+            kernels = [Lzrw1() for _ in range(64)]
             built = tracemalloc.get_traced_memory()[0]
             for kernel in kernels:
                 kernel.compress(page)
             used = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        # A table per instance would cost about 4 MB built, 3.7 MB used.
+        # A table per instance would cost 64 tables.
         assert built - before < 64 * 1024
         assert used - built < ONE_TABLE
 
@@ -156,9 +156,9 @@ class TestSharedScratch:
         a different page between every pair of their calls, each emit
         exactly what a fresh seed instance (its own table) emits."""
         pages = golden_corpus()
-        pair = (PythonLzrw1(table_bits=bits, fast=fast),
-                PythonLzrw1(table_bits=bits, fast=not fast))
-        other = PythonLzrw1(table_bits=bits - 4, fast=fast)
+        pair = (Lzrw1(table_bits=bits, fast=fast),
+                Lzrw1(table_bits=bits, fast=not fast))
+        other = Lzrw1(table_bits=bits - 4, fast=fast)
         digest = hashlib.sha256()
         for index, page in enumerate(pages):
             got = pair[index % 2].compress(page)

@@ -4,18 +4,20 @@
 (:func:`repro.compression.lzrw1.compiled_encoder`).  Two things must
 hold:
 
-* *identity* — it emits the Python loop's bytes (and so the seed's) for
-  every input length, alphabet, table size and buffer type, and the
-  unchanged decoder reads them back; on a host with a working C
-  compiler it must actually load, so a silent fallback fails here;
-* *fallback* — no compiler, a compile error, an unwritable or untrusted
-  cache directory and a damaged cached library each leave the Python
-  loop running with the same payloads, and raise nothing; builders
-  racing on an empty cache leave one whole library.
+* *identity* — it emits the Python loop's bytes (the frozen seed,
+  :class:`~repro.compression._seed_reference.SeedLzrw1`) for every input
+  length, alphabet, table size and buffer type, and the unchanged
+  decoder reads them back; on a host with a working C compiler it must
+  actually load, so a silent fallback fails here;
+* *fallback* — no compiler, a compile error and an unwritable or
+  untrusted cache directory each leave the Python loop running with the
+  same payloads, and raise nothing; a damaged cached library is rebuilt;
+  builders racing on an empty cache leave one whole library.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import subprocess
@@ -26,9 +28,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compression import lzrw1
+from repro.compression._seed_reference import SeedLzrw1
 from repro.compression.lzrw1 import (
     Lzrw1,
-    PythonLzrw1,
     compile_command,
     compiled_encoder,
     decode_items,
@@ -61,7 +63,6 @@ def test_the_library_loads_where_a_compiler_works(tmp_path):
     assert compiled_encoder() is not None
     assert Lzrw1()._compiled() is compiled_encoder()
     assert Lzrw1(fast=False)._compiled() is None
-    assert PythonLzrw1()._compiled() is None
 
 
 @st.composite
@@ -86,17 +87,17 @@ def inputs(draw) -> bytes:
 @given(data=inputs(), wrap=st.sampled_from((bytes, bytearray, memoryview)))
 def test_compiled_equals_the_python_loop(table_bits, data, wrap):
     n = len(data)
-    want = PythonLzrw1(table_bits)._encode(wrap(data), n)
-    got = Lzrw1(table_bits)._encode(wrap(data), n)
+    want = SeedLzrw1(table_bits).compress(wrap(data))
+    got = Lzrw1(table_bits).compress(wrap(data))
     assert got == want
-    if got is not None:
-        assert decode_items(got, n, "lzrw1") == data
+    if not got.stored_raw:
+        assert decode_items(got.payload, n, "lzrw1") == data
 
 
 @needs_library
 @pytest.mark.parametrize("table_bits", (4, 10, 12, 16))
 def test_compiled_equals_the_python_loop_on_the_corpus(table_bits):
-    compiled, python = Lzrw1(table_bits), PythonLzrw1(table_bits)
+    compiled, python = Lzrw1(table_bits), SeedLzrw1(table_bits)
     for pages in _corpus_kinds(12).values():
         for page in pages:
             result = compiled.compress(page)
@@ -113,14 +114,14 @@ def corpus_sample() -> list:
 def fresh(monkeypatch, tmp_path):
     """A process whose compiled encoder is untried, caching under
     ``tmp_path/cache``; yields a check that it fell back and still
-    emits the Python loop's payloads."""
+    emits the seed's payloads."""
     monkeypatch.setattr(lzrw1, "_COMPILED", [])
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
 
     def fell_back() -> None:
         kernel = Lzrw1()
         for page in corpus_sample():
-            assert kernel.compress(page) == PythonLzrw1().compress(page)
+            assert kernel.compress(page) == SeedLzrw1().compress(page)
         assert compiled_encoder() is None
         assert lzrw1._COMPILED == [None]     # tried once, not per call
 
@@ -166,17 +167,29 @@ class TestFallback:
         assert library_files(tmp_path) == []
 
     def test_a_truncated_library(self, fresh, tmp_path):
-        """Built by another process (a library this one has mapped must
-        not be cut), then cut in half: loading it could raise SIGBUS,
-        so the checksum must refuse it first."""
-        if not compiler_works(tmp_path):
-            pytest.skip("no working C compiler (CC, else sysconfig's)")
-        assert build_in_child(tmp_path / "cache").stdout.strip() == "True"
-        [name] = library_files(tmp_path)
-        library = tmp_path / "cache" / "repro" / name
+        """Cut in half: loading it could raise SIGBUS, so the checksum
+        refuses it, and it is rebuilt in place where a compiler works
+        (built by another process first: a library this one has mapped
+        must not be cut); elsewhere the Python loop runs."""
+        works = compiler_works(tmp_path)
+        library = Path(lzrw1._library_path())
+        if works:
+            assert build_in_child(tmp_path / "cache").stdout.strip() == "True"
+        else:
+            library.parent.mkdir(mode=0o700, parents=True)
+            library.write_bytes(b"\x7fELF" + bytes(4092))
         body = library.read_bytes()
         library.write_bytes(body[:len(body) // 2])
-        fresh()
+        if not works:
+            fresh()
+            return
+        kernel = Lzrw1()
+        for page in corpus_sample():
+            assert kernel.compress(page) == SeedLzrw1().compress(page)
+        assert kernel._compiled() is not None
+        assert library_files(tmp_path) == [library.name]
+        body = library.read_bytes()
+        assert hashlib.sha256(body[:-32]).digest() == body[-32:]
 
 
 _BUILD = ("from repro.compression.lzrw1 import compiled_encoder; "

@@ -27,12 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.compression import create, vectorized
 from repro.compression.base import CompressionResult
-from repro.compression.lzrw1 import (
-    Lzrw1,
-    PythonLzrw1,
-    compiled_encoder,
-    lz_size_floor,
-)
+from repro.compression.lzrw1 import Lzrw1, lz_size_floor
 from repro.compression.sampler import (
     CompressionSampler,
     ProvenRejected,
@@ -252,27 +247,23 @@ def hopeless() -> bytes:
 
 
 def with_floor(monkeypatch) -> None:
-    """Give ``lzrw1`` its floor on every path, which it offers only on
-    the numpy Python one, so the sampler's use of it is exercised
-    whether numpy is installed and the compiled encoder loads or not."""
+    """Give ``lzrw1`` the floor, which it does not offer, so the
+    sampler's use of it is exercised whether numpy is installed and the
+    compiled encoder loads or not."""
     monkeypatch.setattr(Lzrw1, "size_floor",
                         lambda self, data: lz_size_floor(data))
 
 
 def test_only_the_numpy_kernels_offer_the_floor():
-    """``lzss`` and the Python ``lzrw1`` offer it on their numpy paths;
-    the compiled ``lzrw1`` runs a page faster than the floor counts
-    one, so it offers none."""
+    """``lzss`` offers it on its numpy path; ``lzrw1`` offers none: its
+    compiled encoder runs a page faster than the floor counts one, and
+    its fallback is the seed's loop."""
     page = hopeless()
-    for kernel in (create("lzss"), PythonLzrw1()):
-        assert type(kernel)(fast=False).size_floor is None
-        if NUMPY is not None:
-            assert kernel.size_floor(page) == lz_size_floor(page, None)
-    assert create("lzrw1", fast=False).size_floor is None
-    if compiled_encoder() is not None:
-        assert create("lzrw1").size_floor is None
-    elif NUMPY is not None:
-        assert create("lzrw1").size_floor(page) == lz_size_floor(page, None)
+    assert create("lzss", fast=False).size_floor is None
+    if NUMPY is not None:
+        assert create("lzss").size_floor(page) == lz_size_floor(page, None)
+    for fast in (None, True, False):
+        assert create("lzrw1", fast=fast).size_floor is None
     assert create("rle").size_floor is None
     assert create("adaptive").size_floor is None
 

@@ -495,9 +495,9 @@ class TestGateTable:
     def test_committed_lzrw1_fast_floor_is_the_compiled_encoders(
             self, encoder, speedup, verdict):
         """``fast_kernel_speedup.lzrw1`` is the compiled encoder against
-        the scalar Python loop: the numpy-hash Python loop's ratio (about
-        1.3) fails it by name, and a run where the library did not load
-        skips it by name."""
+        the seed's loop: a Python encoder's ratio (the deleted numpy-hash
+        loop read about 1.3) fails it by name, and a run where the
+        library did not load skips it by name."""
         committed = json.loads(
             (REPO_ROOT / "benchmarks" / "perf_baseline.json").read_text()
         )["fast_kernel_speedup"]["lzrw1"]

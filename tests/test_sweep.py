@@ -20,9 +20,11 @@ from repro.experiments import (
 )
 from repro.sweep import (
     SELFTEST_RUNNER,
+    WALL_CLOCK_FIELDS,
     SweepError,
     SweepInterrupted,
     SweepPoint,
+    SweepResult,
     load_checkpoint,
     run_sweep,
     selftest_points,
@@ -141,6 +143,21 @@ class TestParallelSweep:
         result = run_sweep(points, jobs=1, timeout=0.2, retries=0)
         assert "slow" in result.failures
         assert "PointTimeout" in result.failures["slow"]
+
+
+class TestDigest:
+    def test_kernels_wall_clock_fields_leave_it_alone(self):
+        """Two ``kernels`` results that differ only in host timing give
+        one digest; a simulated field still moves it."""
+        cell = {"faults_total": 120, "stored_bytes": 81920,
+                "host_seconds": 0.5, "refs_per_second": 4000.0}
+        assert set(WALL_CLOCK_FIELDS) < set(cell)
+
+        def digest(**changes):
+            return SweepResult({"lzrw1/thrasher": dict(cell, **changes)}).digest()
+
+        assert digest(host_seconds=0.9, refs_per_second=2222.2) == digest()
+        assert digest(faults_total=121) != digest()
 
 
 class TestCheckpoint:
