@@ -13,7 +13,7 @@ checks from the paper's figure:
 import pytest
 from conftest import run_once
 
-from repro.experiments import figure3_sweep
+from repro.experiments import Figure3Result, figure3_points, run_cells
 
 SCALE = 0.08
 POINTS = (0.5, 1.0, 1.5, 2.2, 3.5, 5.0)
@@ -21,12 +21,12 @@ POINTS = (0.5, 1.0, 1.5, 2.2, 3.5, 5.0)
 
 @pytest.fixture(scope="module")
 def sweeps():
-    return {
-        "ro": figure3_sweep(write=False, scale=SCALE, points=POINTS,
-                            cycles=3),
-        "rw": figure3_sweep(write=True, scale=SCALE, points=POINTS,
-                            cycles=3),
-    }
+    cells = run_cells(
+        figure3_points(False, scale=SCALE, points=POINTS, cycles=3)
+        + figure3_points(True, scale=SCALE, points=POINTS, cycles=3)
+    )
+    return {mode: Figure3Result.from_cells(mode, cells)
+            for mode in ("ro", "rw")}
 
 
 def test_figure3_rw(benchmark, sweeps):

@@ -17,7 +17,7 @@ processes with identical output (see docs/sweep.md).
 
 import argparse
 
-from repro.experiments import figure3_sweep
+from repro.experiments import EXPERIMENTS, Figure3Result, run_cells
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
@@ -27,17 +27,16 @@ if __name__ == "__main__":
                         help="JSONL checkpoint path (created if absent)")
     parser.add_argument("--timeout", type=float, default=None)
     args = parser.parse_args()
-    for write in (False, True):
-        result = figure3_sweep(
-            write=write,
-            scale=args.scale,
-            jobs=args.jobs,
-            checkpoint=args.resume,
-            timeout=args.timeout,
-        )
+    cells = run_cells(
+        EXPERIMENTS["figure3"].points(args.scale, {"mode": "both"}),
+        jobs=args.jobs,
+        checkpoint=args.resume,
+        timeout=args.timeout,
+    )
+    for mode in ("ro", "rw"):
+        result = Figure3Result.from_cells(mode, cells)
         print(result.render())
         print()
-        mode = result.mode
         peak = max(point.speedup for point in result.points)
         print(f"peak cc_{mode} speedup: {peak:.1f}x")
         print()

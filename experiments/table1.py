@@ -19,7 +19,12 @@ with identical output (see docs/sweep.md).
 
 import argparse
 
-from repro.experiments import render_table1, table1
+from repro.experiments import (
+    render_table1,
+    run_cells,
+    table1_points,
+    table1_rows,
+)
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
@@ -29,10 +34,10 @@ if __name__ == "__main__":
                         help="JSONL checkpoint path (created if absent)")
     parser.add_argument("--timeout", type=float, default=None)
     args = parser.parse_args()
-    rows = table1(
-        scale=args.scale,
+    rows = table1_rows(run_cells(
+        table1_points(scale=args.scale),
         jobs=args.jobs,
         checkpoint=args.resume,
         timeout=args.timeout,
-    )
+    ))
     print(render_table1(rows))

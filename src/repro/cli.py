@@ -43,11 +43,14 @@ import sys
 from typing import Any, Callable, Dict, List, Optional
 
 from .compression import available as available_compressors
-from .experiments import TABLE1_ORDER, experiment_names, render_figure1
+from .experiments import (
+    TABLE1_ORDER, build_cell, experiment_names, render_figure1, run_cell,
+    run_pair,
+)
 from .mem.page import mbytes
 from .sim.engine import SimulationEngine
-from .sim.machine import Machine, MachineConfig, SpecError
-from .workloads import Thrasher, catalog
+from .sim.machine import Machine, SpecError
+from .workloads import catalog
 
 
 class UsageError(Exception):
@@ -55,14 +58,14 @@ class UsageError(Exception):
     message to stderr and exits 2."""
 
 
-def _named_workload(args: argparse.Namespace):
-    """The catalogue workload ``--workload`` names, at ``--scale``."""
+def _workload_spec(args: argparse.Namespace) -> Dict[str, Any]:
+    """The catalogue spec ``--workload`` names, at ``--scale``."""
     if args.workload not in catalog.CATALOG:
         known = ", ".join(sorted(catalog.CATALOG))
         raise UsageError(
             f"unknown workload {args.workload!r}; known: {known}"
         )
-    return catalog.build(args.workload, args.scale)
+    return catalog.spec(args.workload, args.scale)
 
 
 def _trace_is_binary(path: str) -> bool:
@@ -82,7 +85,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     from .sim.engine import run_workload
 
-    workload = _named_workload(args)
+    spec = _workload_spec(args)
     plan = None
     if args.faults:
         from .faults.plan import FaultPlan, FaultPlanError
@@ -95,24 +98,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
     if args.kill and args.store != "lfs":
         raise UsageError("run: --kill requires --store lfs")
+    config = {
+        "memory_bytes": mbytes(args.memory_mb * args.scale),
+        "compressor": args.compressor,
+        "tiers": args.tiers or None,
+        "store": args.store,
+        "log_store": {"sync_appends": args.store_sync,
+                      "kill": args.kill or None},
+        "control": {} if args.control else None,
+    }
     try:
-        config = MachineConfig.from_spec({
-            "memory_bytes": mbytes(args.memory_mb * args.scale),
-            "compressor": args.compressor,
-            "tiers": args.tiers or None,
-            "store": args.store,
-            "log_store": {"sync_appends": args.store_sync,
-                          "kill": args.kill or None},
-            "control": {} if args.control else None,
-        })
+        machine, workload = build_cell(
+            {"config": config, "workload": spec},
+            fault_plan=plan, paranoid=args.paranoid,
+        )
     except SpecError as exc:
         flag, text = {"tiers": ("--tiers", args.tiers),
                       "log_store": ("--kill", args.kill)}[exc.key]
         raise UsageError(f"run: bad {flag} spec {text!r}: {exc.reason}")
-    machine = Machine(
-        config.variant(fault_plan=plan, paranoid=args.paranoid),
-        workload.build(),
-    )
     result = run_workload(machine, workload.references(), drain=args.drain)
     if args.digest:
         print(result.digest())
@@ -229,11 +232,11 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     from .sim.inspect import render_machine
 
     memory = mbytes(6 * args.scale)
-    workload = Thrasher(int(memory * 2.5), cycles=2, write=True)
-    machine = Machine(
-        MachineConfig(memory_bytes=memory), workload.build()
-    )
-    SimulationEngine(machine).run(workload.references())
+    machine, _ = run_cell({
+        "config": {"memory_bytes": memory},
+        "workload": catalog.spec("thrasher", args.scale, cycles=2,
+                                 working_set_bytes=int(memory * 2.5)),
+    })
     print(render_machine(machine))
     return 0
 
@@ -246,15 +249,13 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         f"thrasher over {working_set // 1024} KBytes on "
         f"{memory // 1024} KBytes of memory:"
     )
-    for compression in (False, True):
-        workload = Thrasher(working_set, cycles=3, write=True)
-        machine = Machine(
-            MachineConfig(memory_bytes=memory,
-                          compression_cache=compression),
-            workload.build(),
-        )
-        result = SimulationEngine(machine).run(workload.references())
-        label = "compression cache" if compression else "unmodified system"
+    results = run_pair({
+        "config": {"memory_bytes": memory},
+        "workload": catalog.spec("thrasher", args.scale,
+                                 working_set_bytes=working_set),
+    })
+    for label, result in zip(("unmodified system", "compression cache"),
+                             results):
         print(f"  {label:18s}: {result.summary()}")
     return 0
 
@@ -412,7 +413,7 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
     from .sim.trace import Trace
     from .workloads import btrace
 
-    workload = _named_workload(args)
+    workload = catalog.from_spec(_workload_spec(args))
     fmt = args.format
     if fmt == "auto":
         fmt = ("binary" if args.out.endswith((".bt", ".btrace"))
@@ -473,12 +474,11 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
     from .sim.trace import Trace, TraceFormatError
     from .workloads import btrace
 
-    space = _named_workload(args).build()
-    config = MachineConfig(
-        memory_bytes=mbytes(args.memory_mb * args.scale),
+    machine, _ = build_cell(
+        {"config": {"memory_bytes": mbytes(args.memory_mb * args.scale)},
+         "workload": _workload_spec(args)},
         fast=False if args.scalar else None,
     )
-    machine = Machine(config, space)
     engine = SimulationEngine(machine)
     max_references = args.max_events or None
     try:
@@ -589,6 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # A run on no memory, or on none of a workload, is no run at all.
+    positive = _bounded(float, 0, inclusive=False)
 
     sub.add_parser("figure1", help="analytic speedup surfaces")
 
@@ -597,8 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--workload", required=True,
                      help=f"one of: {', '.join(sorted(catalog.CATALOG))}")
-    run.add_argument("--scale", type=float, default=0.05)
-    run.add_argument("--memory-mb", type=float, default=6.0,
+    run.add_argument("--scale", type=positive, default=0.05)
+    run.add_argument("--memory-mb", type=positive, default=6.0,
                      help="user memory in MBytes before --scale is applied")
     run.add_argument("--faults", default="", metavar="PLAN.json",
                      help="fault-injection plan (see docs/faults.md)")
@@ -653,13 +655,13 @@ def build_parser() -> argparse.ArgumentParser:
             help="per-point wall-clock limit")
 
     fig3 = sub.add_parser("figure3", help="thrasher sweep (both panels)")
-    fig3.add_argument("--scale", type=float, default=0.2)
+    fig3.add_argument("--scale", type=positive, default=0.2)
     fig3.add_argument("--mode", choices=("rw", "ro", "both"),
                       default="both")
     add_sweep_options(fig3)
 
     tbl = sub.add_parser("table1", help="application speedups")
-    tbl.add_argument("--scale", type=float, default=0.12)
+    tbl.add_argument("--scale", type=positive, default=0.12)
     tbl.add_argument("--rows", default="",
                      help="comma-separated subset of applications")
     add_sweep_options(tbl)
@@ -670,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--experiment",
                        choices=experiment_names(),
                        default="figure3")
-    sweep.add_argument("--scale", type=float, default=0.2)
+    sweep.add_argument("--scale", type=positive, default=0.2)
     sweep.add_argument("--mode", choices=("rw", "ro", "both"),
                        default="both", help="figure3 only")
     sweep.add_argument("--seed", type=int, default=0,
@@ -683,12 +685,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_sweep_options(sweep)
 
     demo = sub.add_parser("demo", help="quick thrasher demonstration")
-    demo.add_argument("--scale", type=float, default=0.2)
+    demo.add_argument("--scale", type=positive, default=0.2)
 
     inspect = sub.add_parser(
         "inspect", help="dump machine state after a thrashing burst"
     )
-    inspect.add_argument("--scale", type=float, default=0.1)
+    inspect.add_argument("--scale", type=positive, default=0.1)
 
     perf = sub.add_parser(
         "perf", help="compressor MB/s and sim pages/s benchmarks"
@@ -790,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     record.add_argument("--workload", required=True)
     record.add_argument("--out", required=True)
-    record.add_argument("--scale", type=float, default=0.05)
+    record.add_argument("--scale", type=positive, default=0.05)
     record.add_argument("--max-events", type=int, default=0)
     record.add_argument("--format", choices=("auto", "text", "binary"),
                         default="auto",
@@ -808,8 +810,8 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--workload", required=True,
                         help="workload that recorded the trace (rebuilds "
                              "the address space; use the same --scale)")
-    replay.add_argument("--scale", type=float, default=0.05)
-    replay.add_argument("--memory-mb", type=float, default=6.0,
+    replay.add_argument("--scale", type=positive, default=0.05)
+    replay.add_argument("--memory-mb", type=positive, default=6.0,
                         help="user memory in MBytes before --scale")
     replay.add_argument("--max-events", type=int, default=0)
     replay.add_argument("--drain", action="store_true")

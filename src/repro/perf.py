@@ -45,10 +45,10 @@ from .compression._seed_reference import SeedLzss
 from .compression.lzrw1 import compiled_encoder
 from .compression.sampler import clear_shared_results
 from .control.controller import ControlConfig
+from .experiments import build_cell
 from .faults.plan import FaultPlan
 from .mem.page import DEFAULT_PAGE_SIZE, mbytes
 from .sim.engine import SimulationEngine
-from .sim.machine import Machine, MachineConfig
 from .tiers.spec import two_tier_specs
 from .workloads import btrace, catalog, contentgen
 
@@ -457,12 +457,12 @@ class _TimedReferences:
 
 
 def _build(name: str, scale: float, **config):
-    """A fresh ``(engine, reference list)`` for one named workload."""
-    workload = catalog.build(name, scale)
-    machine = Machine(
-        MachineConfig(memory_bytes=mbytes(6 * scale), **config),
-        workload.build(),
-    )
+    """A fresh ``(engine, reference list)`` for one named workload on
+    ~6 MBytes of user memory; ``config`` replaces machine fields."""
+    machine, workload = build_cell({
+        "config": {"memory_bytes": mbytes(6 * scale)},
+        "workload": catalog.spec(name, scale),
+    }, **config)
     return SimulationEngine(machine), list(workload.references())
 
 

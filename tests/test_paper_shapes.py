@@ -7,18 +7,22 @@ versions.
 
 import pytest
 
-from repro.experiments import figure3_sweep, run_pair, table1_row
+from repro.experiments import (
+    Figure3Result,
+    figure3_points,
+    run_cells,
+    run_pair,
+    table1_row,
+)
 from repro.mem.page import mbytes
-from repro.sim.machine import MachineConfig
-from repro.workloads import SyntheticWorkload, Thrasher
 
 
 class TestThrasherRegimes:
     @pytest.fixture(scope="class")
     def sweep(self):
-        return figure3_sweep(
+        return Figure3Result.from_cells("rw", run_cells(figure3_points(
             write=True, scale=0.05, points=(0.5, 1.5, 5.0), cycles=2
-        )
+        )))
 
     def test_no_paging_below_memory(self, sweep):
         assert sweep.points[0].speedup == pytest.approx(1.0, abs=0.05)
@@ -51,22 +55,22 @@ class TestCompressionIsTheDifference:
     def test_incompressible_data_neutralizes_the_cache(self):
         """With random pages the two systems converge (modulo the wasted
         compression effort)."""
-        config = MachineConfig(memory_bytes=mbytes(0.7))
-        std, cc = run_pair(
-            lambda: SyntheticWorkload(
-                mbytes(2), references=3000, compressible_fraction=0.0,
-                hot_probability=0.3, write_fraction=0.5, seed=21,
-            ),
-            config,
-        )
+        std, cc = run_pair({
+            "config": {"memory_bytes": mbytes(0.7)},
+            "workload": {
+                "kind": "synthetic", "address_space_bytes": mbytes(2),
+                "references": 3000, "compressible_fraction": 0.0,
+                "hot_probability": 0.3, "write_fraction": 0.5, "seed": 21,
+            },
+        })
         assert cc.elapsed_seconds == pytest.approx(
             std.elapsed_seconds, rel=0.25
         )
 
     def test_compressible_data_engages_the_cache(self):
-        config = MachineConfig(memory_bytes=mbytes(0.7))
-        std, cc = run_pair(
-            lambda: Thrasher(mbytes(1.4), cycles=3, write=True),
-            config,
-        )
+        std, cc = run_pair({
+            "config": {"memory_bytes": mbytes(0.7)},
+            "workload": {"kind": "thrasher", "cycles": 3, "write": True,
+                         "working_set_bytes": mbytes(1.4)},
+        })
         assert std.elapsed_seconds / cc.elapsed_seconds > 3.0

@@ -12,11 +12,12 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import (
+    Figure3Result,
     ablation_points,
     figure3_points,
-    figure3_sweep,
-    table1,
+    run_cells,
     table1_points,
+    table1_rows,
 )
 from repro.sweep import (
     SELFTEST_RUNNER,
@@ -332,13 +333,15 @@ class TestExperimentSweeps:
 
     POINTS = (0.5, 1.5, 2.5)
 
+    def figure3(self, write, **sweep_options):
+        points = figure3_points(write, scale=0.04, points=self.POINTS,
+                                cycles=2)
+        return Figure3Result.from_cells("rw" if write else "ro",
+                                        run_cells(points, **sweep_options))
+
     def test_figure3_jobs_1_and_4_byte_identical(self):
-        serial = figure3_sweep(
-            write=True, scale=0.04, points=self.POINTS, cycles=2, jobs=1
-        )
-        parallel = figure3_sweep(
-            write=True, scale=0.04, points=self.POINTS, cycles=2, jobs=4
-        )
+        serial = self.figure3(True, jobs=1)
+        parallel = self.figure3(True, jobs=4)
         assert serial.render() == parallel.render()
         assert [p.address_space_bytes for p in serial.points] == [
             p.address_space_bytes for p in parallel.points
@@ -346,15 +349,9 @@ class TestExperimentSweeps:
 
     def test_figure3_checkpoint_resume(self, tmp_path):
         ck = tmp_path / "fig3.jsonl"
-        first = figure3_sweep(
-            write=False, scale=0.04, points=self.POINTS, cycles=2,
-            checkpoint=str(ck),
-        )
+        first = self.figure3(False, checkpoint=str(ck))
         lines_after_first = len(ck.read_text().splitlines())
-        second = figure3_sweep(
-            write=False, scale=0.04, points=self.POINTS, cycles=2,
-            checkpoint=str(ck),
-        )
+        second = self.figure3(False, checkpoint=str(ck))
         assert first.render() == second.render()
         # Nothing recomputed: the checkpoint did not grow.
         assert len(ck.read_text().splitlines()) == lines_after_first
@@ -366,9 +363,9 @@ class TestExperimentSweeps:
         assert {p.key for p in base}.isdisjoint({p.key for p in other})
 
     def test_table1_parallel_matches_serial(self):
-        names = ["compare"]
-        serial = table1(scale=0.04, names=names, jobs=1)
-        parallel = table1(scale=0.04, names=names, jobs=2)
+        points = table1_points(scale=0.04, names=["compare"])
+        serial = table1_rows(run_cells(points, jobs=1))
+        parallel = table1_rows(run_cells(points, jobs=2))
         assert len(serial) == len(parallel) == 1
         assert serial[0] == parallel[0]
 
