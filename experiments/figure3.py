@@ -17,15 +17,17 @@ processes with identical output (see docs/sweep.md).
 
 import argparse
 
+from repro.cli import _bounded
 from repro.experiments import EXPERIMENTS, Figure3Result, run_cells
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("scale", nargs="?", type=float, default=0.25)
-    parser.add_argument("--jobs", type=int, default=1)
+    positive = _bounded(float, 0, inclusive=False)
+    parser.add_argument("scale", nargs="?", type=positive, default=0.25)
+    parser.add_argument("--jobs", type=_bounded(int, 1), default=1)
     parser.add_argument("--resume", default=None,
                         help="JSONL checkpoint path (created if absent)")
-    parser.add_argument("--timeout", type=float, default=None)
+    parser.add_argument("--timeout", type=positive, default=None)
     args = parser.parse_args()
     cells = run_cells(
         EXPERIMENTS["figure3"].points(args.scale, {"mode": "both"}),

@@ -19,6 +19,7 @@ with identical output (see docs/sweep.md).
 
 import argparse
 
+from repro.cli import _bounded
 from repro.experiments import (
     render_table1,
     run_cells,
@@ -28,11 +29,12 @@ from repro.experiments import (
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("scale", nargs="?", type=float, default=0.12)
-    parser.add_argument("--jobs", type=int, default=1)
+    positive = _bounded(float, 0, inclusive=False)
+    parser.add_argument("scale", nargs="?", type=positive, default=0.12)
+    parser.add_argument("--jobs", type=_bounded(int, 1), default=1)
     parser.add_argument("--resume", default=None,
                         help="JSONL checkpoint path (created if absent)")
-    parser.add_argument("--timeout", type=float, default=None)
+    parser.add_argument("--timeout", type=positive, default=None)
     args = parser.parse_args()
     rows = table1_rows(run_cells(
         table1_points(scale=args.scale),

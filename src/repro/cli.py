@@ -47,9 +47,9 @@ from .experiments import (
     TABLE1_ORDER, build_cell, experiment_names, render_figure1, run_cell,
     run_pair,
 )
-from .mem.page import mbytes
+from .mem.page import DEFAULT_PAGE_SIZE, mbytes
 from .sim.engine import SimulationEngine
-from .sim.machine import Machine, SpecError
+from .sim.machine import MIN_FRAMES, Machine, SpecError
 from .workloads import catalog
 
 
@@ -66,6 +66,22 @@ def _workload_spec(args: argparse.Namespace) -> Dict[str, Any]:
             f"unknown workload {args.workload!r}; known: {known}"
         )
     return catalog.spec(args.workload, args.scale)
+
+
+def _check_sizes(args: argparse.Namespace, workload: Dict[str, Any],
+                 memory: Optional[int] = None) -> None:
+    """Refuse a ``--scale`` (or ``--memory-mb``) that rounds the
+    workload's sizes, or a machine's ``memory``, below what they need to
+    build: a usage error, before anything runs."""
+    try:
+        catalog.from_spec(workload)
+    except ValueError as exc:
+        raise UsageError(
+            f"{args.command}: --scale {args.scale:g} is too small: {exc}")
+    if memory is not None and memory < MIN_FRAMES * DEFAULT_PAGE_SIZE:
+        raise UsageError(
+            f"{args.command}: --scale {args.scale:g} is too small: "
+            f"{memory} bytes of memory, under {MIN_FRAMES} pages")
 
 
 def _trace_is_binary(path: str) -> bool:
@@ -98,8 +114,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
     if args.kill and args.store != "lfs":
         raise UsageError("run: --kill requires --store lfs")
+    memory = mbytes(args.memory_mb * args.scale)
+    _check_sizes(args, spec, memory)
     config = {
-        "memory_bytes": mbytes(args.memory_mb * args.scale),
+        "memory_bytes": memory,
         "compressor": args.compressor,
         "tiers": args.tiers or None,
         "store": args.store,
@@ -232,11 +250,11 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     from .sim.inspect import render_machine
 
     memory = mbytes(6 * args.scale)
-    machine, _ = run_cell({
-        "config": {"memory_bytes": memory},
-        "workload": catalog.spec("thrasher", args.scale, cycles=2,
-                                 working_set_bytes=int(memory * 2.5)),
-    })
+    workload = catalog.spec("thrasher", args.scale, cycles=2,
+                            working_set_bytes=int(memory * 2.5))
+    _check_sizes(args, workload, memory)
+    machine, _ = run_cell({"config": {"memory_bytes": memory},
+                           "workload": workload})
     print(render_machine(machine))
     return 0
 
@@ -245,15 +263,15 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     """A quick end-to-end demonstration on the thrasher."""
     memory = mbytes(6 * args.scale)
     working_set = int(memory * 2.5)
+    workload = catalog.spec("thrasher", args.scale,
+                            working_set_bytes=working_set)
+    _check_sizes(args, workload, memory)
     print(
         f"thrasher over {working_set // 1024} KBytes on "
         f"{memory // 1024} KBytes of memory:"
     )
-    results = run_pair({
-        "config": {"memory_bytes": memory},
-        "workload": catalog.spec("thrasher", args.scale,
-                                 working_set_bytes=working_set),
-    })
+    results = run_pair({"config": {"memory_bytes": memory},
+                        "workload": workload})
     for label, result in zip(("unmodified system", "compression cache"),
                              results):
         print(f"  {label:18s}: {result.summary()}")
@@ -413,7 +431,9 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
     from .sim.trace import Trace
     from .workloads import btrace
 
-    workload = catalog.from_spec(_workload_spec(args))
+    spec = _workload_spec(args)
+    _check_sizes(args, spec)
+    workload = catalog.from_spec(spec)
     fmt = args.format
     if fmt == "auto":
         fmt = ("binary" if args.out.endswith((".bt", ".btrace"))
@@ -474,9 +494,11 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
     from .sim.trace import Trace, TraceFormatError
     from .workloads import btrace
 
+    memory = mbytes(args.memory_mb * args.scale)
+    workload = _workload_spec(args)
+    _check_sizes(args, workload, memory)
     machine, _ = build_cell(
-        {"config": {"memory_bytes": mbytes(args.memory_mb * args.scale)},
-         "workload": _workload_spec(args)},
+        {"config": {"memory_bytes": memory}, "workload": workload},
         fast=False if args.scalar else None,
     )
     engine = SimulationEngine(machine)

@@ -65,7 +65,6 @@ from .base import (
     create,
     register,
 )
-from .lzrw1 import lz_size_floor
 from .sampler import CompressionSampler, shared_finished, shared_trial
 from .stats import CompressionThreshold
 
@@ -181,10 +180,6 @@ def raw_proofs(data: bytes, np=None) -> FrozenSet[str]:
     the page raw (:meth:`Compressor.compress`), which is exactly what a
     trial of it would return.  For ``n`` bytes, ``W = n // 4`` words:
 
-    * ``lzss``/``lzrw1``: :func:`~repro.compression.lzrw1.lz_size_floor`
-      (copies save at most one byte per position whose trigram occurred
-      earlier, and every 16 items cost a 2-byte control word) reaches
-      ``n``.
     * ``rle``: a run of ``L`` bytes saves ``L - 2`` and holds ``L - 1``
       of the ``P`` adjacent equal byte pairs; the literals left (at least
       ``n - 2P``) need a header byte per 128.
@@ -203,8 +198,10 @@ def raw_proofs(data: bytes, np=None) -> FrozenSet[str]:
 
     Pages under :data:`_PROOF_MIN_BYTES` and pages the entropy screen
     passes over get the empty set.  ``np`` (numpy, or ``None`` for the
-    scalar path) only builds the byte histogram and counts the distinct
-    trigrams, so both paths return the same set.
+    scalar path) only builds the byte histogram, so both paths return
+    the same set.  ``lzss`` and ``lzrw1`` have no rule: their compiled
+    encoders run a page faster than the trigram count a bound on them
+    needs.
     """
     n = len(data)
     if n < _PROOF_MIN_BYTES:
@@ -260,8 +257,6 @@ def raw_proofs(data: bytes, np=None) -> FrozenSet[str]:
                 if len(set(data[top:top + 57:8])) <= 2)
     if 64 * loose <= lines + 1:
         proven.append("bdi")
-    if lz_size_floor(data, np) >= n:
-        proven += ("lzrw1", "lzss")
     return frozenset(proven)
 
 

@@ -90,8 +90,8 @@ class Compressor:
     :meth:`compress` / :meth:`decompress` envelope around them owns the
     store-raw rule, the empty page and the decoded-size check.  Results
     are a function of the input bytes and the constructor arguments
-    (scratch never shows in the output — compiled LZRW1 resets its one
-    hash table per table size on every call), so one instance may be
+    (scratch never shows in the output — the compiled LZ library resets
+    its process-wide tables on every call), so one instance may be
     shared by a whole simulator; the ``adaptive`` selector is the
     deliberate exception — its choices follow page order — and opts out
     of result sharing (:meth:`result_cache_key`).
@@ -106,13 +106,6 @@ class Compressor:
 
     #: Registry name; subclasses override.
     name: str = "abstract"
-
-    #: ``size_floor(data)``: a lower bound on ``compress(data)``'s
-    #: ``compressed_size``, well cheaper than the kernel, or ``None``
-    #: for a kernel with no such proof (or none that cheap).  A sampler
-    #: asks it first when its caller needs only the 4:3 keep decision
-    #: (:meth:`~repro.compression.sampler.CompressionSampler.compress`).
-    size_floor: Optional[Callable[[bytes], int]] = None
 
     def __init__(self, fast: Optional[bool] = None):
         # Imported here, where it is first needed: numpy comes with it,

@@ -29,76 +29,31 @@ Stored format produced by :meth:`Lzrw1.compress`:
 Two encoders emit these bytes, held **bit-identical** by
 ``tests/compression/test_golden_kernels.py`` and
 ``tests/compression/test_lzrw1_compiled.py``: the compiled one
-(``_lzrw1.c`` beside this module, built when the first instance whose
-``fast`` is not ``False`` is made, cached under ``$XDG_CACHE_HOME/repro``
-and called through :mod:`ctypes`: :func:`compiled_encoder`), and the
-seed's Python loop (:class:`~repro.compression._seed_reference.SeedLzrw1`):
-the oracle, what ``fast=False`` runs, and the silent fallback wherever
-the library cannot be built or loaded.
+(``lzrw1_encode`` in ``_lz.c`` beside this module) and the seed's Python
+loop (:class:`~repro.compression._seed_reference.SeedLzrw1`): the
+oracle, what ``fast=False`` runs, and the silent fallback wherever the
+library cannot be built or loaded.  Two decoders read them, and
+``lzss``'s: ``lz_decode`` in the same library and :func:`decode_items`,
+its Python twin under the same terms.
+
+``_lz.c`` is the one compiled library of the package: this module
+builds it when the first ``lzrw1`` or ``lzss`` instance whose ``fast``
+is not ``False`` is made, caches it under ``$XDG_CACHE_HOME/repro`` and
+calls it through :mod:`ctypes` (:func:`compiled_library`).
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .base import Compressor, CorruptDataError, register
-
-try:  # numpy is the optional [fast] extra; the scalar fallback is complete
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the no-numpy CI job
-    _np = None
 
 _MAX_OFFSET = 4095
 _MIN_MATCH = 3
 _MAX_MATCH = 18
 _GROUP = 16
-#: Below this input size the numpy round trip costs more than it saves.
-_VECTOR_THRESHOLD = 256
-
-
-def lz_size_floor(data: bytes, np=_np) -> int:
-    """A lower bound on the bytes ``lzrw1`` or ``lzss`` store ``data`` in.
-
-    Both write one item stream: copies of 3..18 bytes (2 bytes each),
-    literals (1 byte each), a 2-byte control word per 16 items.  Let
-    ``R`` be the positions whose trigram occurred at an earlier position.
-    A copy of ``L`` bytes saves ``L - 2`` and each of its first ``L - 2``
-    positions is such a position, so the copies save at most ``R``
-    bytes.  Each copy holds at least one, so there are at least
-    ``n - 2R`` items, and at least ``ceil(n / 18)``.  The bound is
-    ``n - R`` plus their control words, capped at ``n`` (a page the
-    stream cannot beat is stored raw in ``n``).
-
-    ``np`` (numpy, or ``None`` for the scalar path) only counts the
-    distinct trigrams, so both paths return the same value.  It sorts
-    with the 16-bit stable (radix) argsort ``lzss`` already runs: the
-    first ``np.sort`` in a process costs it 0.25-0.4 MBytes of peak
-    memory.
-    """
-    n = len(data)
-    if n < _MIN_MATCH:
-        return n
-    if np is not None and n >= _VECTOR_THRESHOLD:
-        # Sorted by two stable passes over 16-bit keys: low, then high.
-        t = np.frombuffer(data, np.uint8).astype(np.uint32)
-        t = (t[:-2] << 16) | (t[1:-1] << 8) | t[2:]
-        t = t[t.astype(np.uint16).argsort(kind="stable")]
-        t = t[(t >> 8).astype(np.uint16).argsort(kind="stable")]
-        trigrams = 1 + int(np.count_nonzero(t[1:] != t[:-1]))
-    else:
-        trigrams = len({data[i:i + 3] for i in range(n - 2)})
-    seen_before = n - 2 - trigrams
-    items = max(-(-n // _MAX_MATCH), n - 2 * seen_before)
-    floor = n - seen_before + 2 * -(-items // _GROUP)
-    return floor if floor < n else n
-
-
-def numpy_size_floor(data: bytes) -> int:
-    """:func:`lz_size_floor` counted with numpy, ``lzss``'s ``size_floor``:
-    about 0.1 ms a page (the scalar count, 0.7 ms, made a cold pass slower)."""
-    return lz_size_floor(data, _np)
 
 
 def decode_items(payload: bytes, original_size: int, name: str) -> bytes:
@@ -164,24 +119,38 @@ def decode_items(payload: bytes, original_size: int, name: str) -> bytes:
     return bytes(out)
 
 
-#: The compiled encoder's source, shipped beside this module.
-_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_lzrw1.c")
-#: What :func:`compiled_encoder` resolved: empty until its first call,
-#: then ``[encode]`` — the callable, or ``None`` after any failure.
-_COMPILED: List[Optional[Callable[[bytes, int, int], Optional[bytes]]]] = []
+#: The compiled library's source, shipped beside this module.
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_lz.c")
 
 
-def compiled_encoder() -> Optional[Callable[[bytes, int, int],
-                                            Optional[bytes]]]:
-    """``encode(data, n, table_bits)``: the compiled ``_encode``, or
-    ``None`` where it cannot be built or loaded.  Tried once per process
-    (forked workers inherit the outcome); raises nothing."""
+class CompiledLz(NamedTuple):
+    """The compiled library's entry points, each emitting (or raising)
+    exactly what its Python twin does."""
+
+    #: ``lzrw1_encode(data, n, table_bits)``: :meth:`Lzrw1._encode`.
+    lzrw1_encode: Callable[[bytes, int, int], Optional[bytes]]
+    #: ``lzss_encode(data, n, chain_depth, lazy)``:
+    #: :meth:`~repro.compression.lzss.Lzss._encode`.
+    lzss_encode: Callable[[bytes, int, int, bool], Optional[bytes]]
+    #: ``decode(payload, n, name)``: :func:`decode_items`.
+    decode: Callable[[bytes, int, str], bytes]
+
+
+#: What :func:`compiled_library` resolved: empty until its first call,
+#: then ``[library]`` — the entry points, or ``None`` after any failure.
+_COMPILED: List[Optional[CompiledLz]] = []
+
+
+def compiled_library() -> Optional[CompiledLz]:
+    """The compiled LZ library, or ``None`` where it cannot be built or
+    loaded.  Tried once per process (forked workers inherit the
+    outcome); raises nothing."""
     if not _COMPILED:
         try:
-            encode = _load_compiled()
-        except Exception:   # any failure means the Python loop
-            encode = None
-        _COMPILED.append(encode)
+            library = _load_compiled()
+        except Exception:   # any failure means the Python loops
+            library = None
+        _COMPILED.append(library)
     return _COMPILED[0]
 
 
@@ -200,7 +169,7 @@ def compile_command() -> List[str]:
 
 
 def _library_path() -> str:
-    """``$XDG_CACHE_HOME/repro/lzrw1-<key>.so`` (``~/.cache`` without the
+    """``$XDG_CACHE_HOME/repro/lz-<key>.so`` (``~/.cache`` without the
     variable); ``key`` hashes the source, ``$CC`` and the platform."""
     import hashlib
 
@@ -212,17 +181,18 @@ def _library_path() -> str:
         target.encode()])).hexdigest()[:24]
     cache = os.path.join(os.environ.get("XDG_CACHE_HOME")
                          or os.path.expanduser("~/.cache"), "repro")
-    return os.path.join(cache, f"lzrw1-{key}.so")
+    return os.path.join(cache, f"lz-{key}.so")
 
 
-def _load_compiled():
-    """Build ``_lzrw1.c`` at :func:`_library_path` if need be and wrap
-    the loaded function.  The library is loaded only from a directory
-    owned by this uid that no one else may write to, and only if it ends
-    with the SHA-256 of the rest: ``dlopen`` of a truncated library can
-    kill the process with SIGBUS rather than fail."""
+def _load_compiled() -> Optional[CompiledLz]:
+    """Build ``_lz.c`` at :func:`_library_path` if need be and wrap the
+    loaded functions.  The library is loaded only from a directory owned
+    by this uid that no one else may write to, and only if it ends with
+    the SHA-256 of the rest: ``dlopen`` of a truncated library can kill
+    the process with SIGBUS rather than fail."""
     import ctypes
     import hashlib
+    import threading
 
     path = _library_path()
     cache = os.path.dirname(path)
@@ -240,39 +210,94 @@ def _load_compiled():
         if built:
             return None
         _build(path)
-    function = ctypes.CDLL(path).lzrw1_encode
-    function.argtypes = (ctypes.c_char_p, ctypes.c_long, ctypes.c_int,
-                         ctypes.POINTER(ctypes.c_int32), ctypes.c_char_p)
-    function.restype = ctypes.c_long
-    # Process-wide, one table per size, so correct while one ``_encode``
-    # runs at a time (ctypes drops the GIL for the call).
-    tables: Dict[int, object] = {}     # exactly 4 << table_bits bytes
-    buffers = [ctypes.create_string_buffer(0)]
+    loaded = ctypes.CDLL(path)
+    c_bytes, c_int, c_long = ctypes.c_char_p, ctypes.c_int, ctypes.c_long
+    c_table = ctypes.POINTER(ctypes.c_int32)
+    lzrw1 = loaded.lzrw1_encode
+    lzrw1.argtypes = (c_bytes, c_long, c_int, c_table, c_bytes)
+    lzss = loaded.lzss_encode
+    lzss.argtypes = (c_bytes, c_long, c_long, c_int, c_table, c_table,
+                     c_bytes)
+    decoder = loaded.lz_decode
+    decoder.argtypes = (c_bytes, c_long, c_long, c_bytes,
+                        ctypes.POINTER(c_long))
+    for function in (lzrw1, lzss, decoder):
+        function.restype = c_long
 
-    def encode(data: bytes, n: int, table_bits: int) -> Optional[bytes]:
-        table = tables.get(table_bits)
-        if table is None:
-            table = tables[table_bits] = (ctypes.c_int32 * (1 << table_bits))()
-        out = buffers[0]
-        if len(out) < n + 64:
-            out = buffers[0] = ctypes.create_string_buffer(n + 64)
+    # The scratch is process-wide and only grows: lzrw1's table per
+    # size (exactly 4 << table_bits bytes), lzss's 4,096 heads and
+    # chain, one output buffer and the decoder's error position.  ctypes
+    # drops the GIL for a call, so each call holds the lock from its
+    # first write to the copy out of the buffer.
+    lock = threading.Lock()
+    tables: Dict[int, object] = {}
+    heads = (ctypes.c_int32 * 4096)()
+    chain = [(ctypes.c_int32 * 0)()]
+    outs = [ctypes.create_string_buffer(0)]
+    where = (c_long * 2)()
+
+    def out_of(size: int):
+        if len(outs[0]) < size:
+            outs[0] = ctypes.create_string_buffer(size)
+        return outs[0]
+
+    def lzrw1_encode(data: bytes, n: int, table_bits: int
+                     ) -> Optional[bytes]:
         if type(data) is not bytes:
             data = bytes(data)
-        length = function(data, n, table_bits, table, out)
-        return out[:length] if length >= 0 else None
+        with lock:
+            table = tables.get(table_bits)
+            if table is None:
+                table = tables[table_bits] = (
+                    ctypes.c_int32 * (1 << table_bits))()
+            out = out_of(n + 64)
+            length = lzrw1(data, n, table_bits, table, out)
+            return out[:length] if length >= 0 else None
 
-    return encode
+    def lzss_encode(data: bytes, n: int, chain_depth: int, lazy: bool
+                    ) -> Optional[bytes]:
+        if type(data) is not bytes:
+            data = bytes(data)
+        # No chain holds more than _MAX_OFFSET candidates in reach.
+        depth = min(chain_depth, _MAX_OFFSET + 1)
+        with lock:
+            if len(chain[0]) < n:
+                chain[0] = (ctypes.c_int32 * n)()
+            out = out_of(n + 64)
+            length = lzss(data, n, depth, lazy, heads, chain[0], out)
+            return out[:length] if length >= 0 else None
+
+    def decode(payload: bytes, n: int, name: str) -> bytes:
+        if type(payload) is not bytes:
+            payload = bytes(payload)
+        end = len(payload)
+        with lock:
+            # A copy item is 2 bytes for at most 18, and the last item
+            # may run 17 bytes past n.
+            out = out_of(min(n, 9 * end) + _MAX_MATCH)
+            length = decoder(payload, end, n, out, where)
+            if length >= 0:
+                return out[:length]
+            offset, position = where
+        if length == -1:
+            raise CorruptDataError(f"{name}: truncated control word")
+        if length == -2:
+            raise CorruptDataError(f"{name}: truncated copy item")
+        raise CorruptDataError(f"{name}: bad copy offset {offset} at "
+                               f"output position {position}")
+
+    return CompiledLz(lzrw1_encode, lzss_encode, decode)
 
 
 def _build(path: str) -> None:
-    """Compile ``_lzrw1.c`` to ``path``, checksum appended, through a
+    """Compile ``_lz.c`` to ``path``, checksum appended, through a
     temporary file and :func:`os.replace`: no reader sees half a
     library, and none that a process has mapped is cut."""
     import hashlib
     import subprocess
     import tempfile
 
-    handle, partial = tempfile.mkstemp(".partial", "lzrw1-",
+    handle, partial = tempfile.mkstemp(".partial", "lz-",
                                        os.path.dirname(path))
     os.close(handle)
     try:
@@ -321,18 +346,20 @@ class Lzrw1(Compressor):
         Sprite): the compiled encoder's table is exactly this size."""
         return 4 << self.table_bits
 
-    def _compiled(self):
-        """The compiled encoder this instance runs, or ``None``."""
-        return None if self.fast is False else compiled_encoder()
+    def _compiled(self) -> Optional[CompiledLz]:
+        """The compiled library this instance runs, or ``None``."""
+        return None if self.fast is False else compiled_library()
 
     def _encode(self, data: bytes, n: int) -> Optional[bytes]:
-        encode = self._compiled()
-        if encode is not None:
-            return encode(data, n, self.table_bits)
+        library = self._compiled()
+        if library is not None:
+            return library.lzrw1_encode(data, n, self.table_bits)
         from ._seed_reference import SeedLzrw1
 
         result = SeedLzrw1(self.table_bits).compress(data)
         return None if result.stored_raw else result.payload
 
     def _decode(self, payload: bytes, n: int) -> bytes:
-        return decode_items(payload, n, "lzrw1")
+        library = self._compiled()
+        decode = decode_items if library is None else library.decode
+        return decode(payload, n, "lzrw1")

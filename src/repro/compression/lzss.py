@@ -13,41 +13,55 @@ smaller-or-equal output on virtually all inputs at several times the CPU
 cost, which is exactly the trade-off the paper's asymmetric/off-line
 discussion (Taunton, Atkinson et al.) is about.
 
-The output is **bit-identical** to the seed implementation (frozen in
-:mod:`repro.compression._seed_reference`), enforced by
-``tests/compression/test_golden_kernels.py`` and
-``tests/compression/test_lzss.py``, but there is no hash table.  The
-seed inserts every position that has a trigram into its bucket's chain
-exactly once, in increasing order, before any later position is searched
-(its literal, match-interior and lazy paths all insert).  So the chain
-seen from ``p`` is ``prev[p], prev[prev[p]], ...`` with ``prev[p]`` the
-previous position with the same 12-bit hash: a function of the bytes
-alone, whatever the parse did.  :func:`_chain_tables` builds ``prev`` for
-the whole page up front, and with it the positions at which a match can
-exist at all; every other position is a literal whenever the parse
-reaches it, so :meth:`Lzss.compress` emits those runs as slices and runs
-the seed's candidate loop (:func:`_search`: same chain order, depth
-budget, strict-improvement updates, early break on a full-length match)
-only where it can succeed.  The per-candidate first-byte guard only skips
+Two encoders emit the output, both **bit-identical** to the seed
+implementation (frozen in :mod:`repro.compression._seed_reference`): the
+compiled ``lzss_encode`` of the package's LZ library (``_lz.c``, loaded
+by :func:`~repro.compression.lzrw1.compiled_library`), and the Python
+encoder below, which ``fast=False`` runs and which runs wherever the
+library does not load.  ``tests/compression/test_golden_kernels.py``,
+``tests/compression/test_lzss.py`` and
+``tests/compression/test_lz_compiled.py`` hold them to it.  Neither
+keeps the seed's hash table.  The seed inserts every position that has a
+trigram into its bucket's chain exactly once, in increasing order,
+before any later position is searched (its literal, match-interior and
+lazy paths all insert).  So the chain seen from ``p`` is ``prev[p],
+prev[prev[p]], ...`` with ``prev[p]`` the previous position with the
+same 12-bit hash: a function of the bytes alone, whatever the parse did.
+The compiled encoder builds ``prev`` for the whole page with a
+4,096-entry head table and then parses position by position as the seed
+does.  In Python, :func:`_chain_tables` builds ``prev`` up front, and
+with it the positions at which a match can exist at all; every other
+position is a literal whenever the parse reaches it, so
+:meth:`Lzss.compress` emits those runs as slices and runs the seed's
+candidate loop (:func:`_search`: same chain order, depth budget,
+strict-improvement updates, early break on a full-length match) only
+where it can succeed.  The per-candidate first-byte guard only skips
 extensions that provably cannot beat the current best, so the chosen
 (length, offset) never changes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .base import Compressor, register
-from .lzrw1 import (    # the item stream and its limits are shared
+from .lzrw1 import (    # the item stream, its limits and the library
     _GROUP,
     _MAX_MATCH,
     _MAX_OFFSET,
     _MIN_MATCH,
-    _VECTOR_THRESHOLD,
-    _np,
+    CompiledLz,
+    compiled_library,
     decode_items,
-    numpy_size_floor,
 )
+
+try:  # numpy is the optional [fast] extra; the scalar fallback is complete
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised via the no-numpy CI job
+    _np = None
+
+#: Below this input size the numpy round trip costs more than it saves.
+_VECTOR_THRESHOLD = 256
 
 #: Williams's LZRW1 hash constant, which the seed kept for its buckets.
 _HASH_MULTIPLIER = 40543
@@ -156,8 +170,10 @@ class Lzss(Compressor):
             hash bucket.  Higher values improve the ratio and slow the
             encoder; 16 is a good balance for 4-KByte pages.
         lazy: enable one-byte lazy match deferral.
-        fast: as for every :class:`Compressor`; here it selects the
-            numpy table pass.
+        fast: as for every :class:`Compressor`.  ``False`` runs the
+            Python encoder's scalar table pass; otherwise the compiled
+            library runs if it loads, else that encoder with its numpy
+            table pass.
     """
 
     def __init__(
@@ -171,16 +187,20 @@ class Lzss(Compressor):
         super().__init__(fast)
         self.chain_depth = chain_depth
         self.lazy = lazy
+        self._compiled()    # the library is resolved before any fork
 
     def result_cache_key(self):
         # Both knobs steer the match search and change the emitted stream.
         return ("lzss", self.chain_depth, self.lazy)
 
-    @property
-    def size_floor(self) -> Optional[Callable[[bytes], int]]:
-        return numpy_size_floor if self._use_fast else None
+    def _compiled(self) -> Optional[CompiledLz]:
+        """The compiled library this instance runs, or ``None``."""
+        return None if self.fast is False else compiled_library()
 
     def _encode(self, data: bytes, n: int) -> Optional[bytes]:
+        library = self._compiled()
+        if library is not None:
+            return library.lzss_encode(data, n, self.chain_depth, self.lazy)
         if n < _MIN_MATCH + 1:
             return None
 
@@ -248,4 +268,6 @@ class Lzss(Compressor):
         return bytes(out)
 
     def _decode(self, payload: bytes, n: int) -> bytes:
-        return decode_items(payload, n, "lzss")
+        library = self._compiled()
+        decode = decode_items if library is None else library.decode
+        return decode(payload, n, "lzss")

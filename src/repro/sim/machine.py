@@ -77,6 +77,10 @@ DEVICE_PRESETS: Dict[str, Callable[[], BackingDevice]] = {
 STORE_KINDS = ("frag", "lfs")
 
 
+#: The fewest page frames a machine pages in.
+MIN_FRAMES = 4
+
+
 class SpecError(ValueError):
     """A run-spec key whose value does not decode; ``key`` names it and
     ``reason`` is the decoder's own message."""
@@ -300,7 +304,7 @@ class Machine:
     """
 
     def __init__(self, config: MachineConfig, address_space: AddressSpace):
-        if config.memory_bytes < 4 * config.page_size:
+        if config.memory_bytes < MIN_FRAMES * config.page_size:
             raise VmConfigurationError(
                 f"{config.memory_bytes} bytes is too little memory to page in"
             )

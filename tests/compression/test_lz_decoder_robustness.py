@@ -12,11 +12,15 @@ the way the system sends them: tag byte first, through
 exception.  ``lzrw1`` and ``lzss`` payloads share one item stream and
 one decoder, ``lzrw1.decode_items``, which in addition never decodes
 more than one item (18 bytes) past ``original_size`` before it gives up.
+It has a compiled twin (``lz_decode`` in ``_lz.c``), which every
+mutation here also goes through: the two return the same bytes or raise
+the same message.
 """
 
 from __future__ import annotations
 
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -24,6 +28,7 @@ import pytest
 from repro.compression import create
 from repro.compression.adaptive import KERNEL_TAGS, AdaptiveCompressor
 from repro.compression.base import CompressionResult, CorruptDataError
+from repro.compression.lzrw1 import compiled_library, decode_items
 from repro.workloads import contentgen
 
 LZ_KERNELS = ("lzrw1", "lzss")
@@ -112,6 +117,34 @@ def test_damaged_payloads_decode_to_size_or_corrupt(name):
     # the right length).
     assert damaged_pages >= (8 if name in LZ_KERNELS else 3)
     assert rejected > MUTATIONS_PER_PAGE
+
+
+def _decoded(decode, payload: bytes, size: int, name: str):
+    try:
+        return decode(payload, size, name)
+    except CorruptDataError as error:
+        return f"CorruptDataError: {error}"
+
+
+@pytest.mark.skipif(compiled_library() is None,
+                    reason="the compiled library did not load")
+@pytest.mark.parametrize("name", LZ_KERNELS)
+def test_both_lz_decoders_agree_on_damaged_payloads(name):
+    compiled = compiled_library().decode
+    rng = random.Random(f"twins-{name}")
+    kernel = create(name)
+    tags = _tags(name)
+    outcomes = set()
+    for page in _pages():
+        tagged = bytes([KERNEL_TAGS[name]]) + kernel.compress(page).payload
+        for _ in range(MUTATIONS_PER_PAGE):
+            payload, size = _mutate(rng, tagged, len(page), tags)
+            want = _decoded(decode_items, payload[1:], size, name)
+            assert _decoded(compiled, payload[1:], size, name) == want
+            outcomes.add(re.sub(r"\d+", "N", want)
+                         if type(want) is str else "bytes")
+    # Every error the decoder raises, and decoded bytes, came up.
+    assert len(outcomes) == 4, outcomes
 
 
 def test_unknown_tag_and_empty_payload_are_corrupt():

@@ -1,18 +1,21 @@
-"""The compiled LZRW1 encoder: byte-identical, and never a failure.
+"""The compiled LZ library: byte-identical, and never a failure.
 
-``_lzrw1.c`` is built on first use and loaded with ``ctypes``
-(:func:`repro.compression.lzrw1.compiled_encoder`).  Two things must
+``_lz.c`` is built on first use and loaded with ``ctypes``
+(:func:`repro.compression.lzrw1.compiled_library`).  Its LZRW1 encoder
+and the loader are held here; ``test_lz_compiled.py`` holds its LZSS
+encoder, its decoder and calls from many threads.  Two things must
 hold:
 
-* *identity* — it emits the Python loop's bytes (the frozen seed,
-  :class:`~repro.compression._seed_reference.SeedLzrw1`) for every input
-  length, alphabet, table size and buffer type, and the unchanged
-  decoder reads them back; on a host with a working C compiler it must
-  actually load, so a silent fallback fails here;
+* *identity* — the LZRW1 encoder emits the Python loop's bytes (the
+  frozen seed, :class:`~repro.compression._seed_reference.SeedLzrw1`)
+  for every input length, alphabet, table size and buffer type, and the
+  Python decoder reads them back; on a host with a working C compiler
+  the library must actually load, so a silent fallback fails here;
 * *fallback* — no compiler, a compile error and an unwritable or
-  untrusted cache directory each leave the Python loop running with the
-  same payloads, and raise nothing; a damaged cached library is rebuilt;
-  builders racing on an empty cache leave one whole library.
+  untrusted cache directory each leave the Python loops running — both
+  encoders and the decoder — with the same payloads, and raise nothing;
+  a damaged cached library is rebuilt; builders racing on an empty
+  cache leave one whole library.
 """
 
 from __future__ import annotations
@@ -28,20 +31,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compression import lzrw1
-from repro.compression._seed_reference import SeedLzrw1
+from repro.compression._seed_reference import SeedLzrw1, SeedLzss
 from repro.compression.lzrw1 import (
     Lzrw1,
     compile_command,
-    compiled_encoder,
+    compiled_library,
     decode_items,
 )
+from repro.compression.lzss import Lzss
 from repro.perf import _corpus_kinds
 
 #: The ``src`` directory this package was imported from.
 SRC = Path(lzrw1.__file__).resolve().parents[2]
 
 needs_library = pytest.mark.skipif(
-    compiled_encoder() is None, reason="the compiled encoder did not load")
+    compiled_library() is None, reason="the compiled library did not load")
 
 
 def compiler_works(tmp: Path) -> bool:
@@ -60,9 +64,10 @@ def compiler_works(tmp: Path) -> bool:
 def test_the_library_loads_where_a_compiler_works(tmp_path):
     if not compiler_works(tmp_path):
         pytest.skip("no working C compiler (CC, else sysconfig's)")
-    assert compiled_encoder() is not None
-    assert Lzrw1()._compiled() is compiled_encoder()
-    assert Lzrw1(fast=False)._compiled() is None
+    assert compiled_library() is not None
+    for kernel in (Lzrw1, Lzss):
+        assert kernel()._compiled() is compiled_library()
+        assert kernel(fast=False)._compiled() is None
 
 
 @st.composite
@@ -110,19 +115,27 @@ def corpus_sample() -> list:
         bytes(5), b"abcabcabcabc", random.Random(4).randbytes(4096)]
 
 
+def assert_seed_payloads(lzrw1_kernel, lzss_kernel) -> None:
+    """Both kernels emit the seed's payloads and read them back."""
+    for page in corpus_sample():
+        for kernel, seed in ((lzrw1_kernel, SeedLzrw1()),
+                             (lzss_kernel, SeedLzss())):
+            result = kernel.compress(page)
+            assert result == seed.compress(page)
+            assert kernel.decompress(result) == page
+
+
 @pytest.fixture
 def fresh(monkeypatch, tmp_path):
-    """A process whose compiled encoder is untried, caching under
+    """A process whose compiled library is untried, caching under
     ``tmp_path/cache``; yields a check that it fell back and still
-    emits the seed's payloads."""
+    emits and reads the seed's payloads."""
     monkeypatch.setattr(lzrw1, "_COMPILED", [])
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
 
     def fell_back() -> None:
-        kernel = Lzrw1()
-        for page in corpus_sample():
-            assert kernel.compress(page) == SeedLzrw1().compress(page)
-        assert compiled_encoder() is None
+        assert_seed_payloads(Lzrw1(), Lzss())
+        assert compiled_library() is None
         assert lzrw1._COMPILED == [None]     # tried once, not per call
 
     return fell_back
@@ -184,21 +197,20 @@ class TestFallback:
             fresh()
             return
         kernel = Lzrw1()
-        for page in corpus_sample():
-            assert kernel.compress(page) == SeedLzrw1().compress(page)
+        assert_seed_payloads(kernel, Lzss())
         assert kernel._compiled() is not None
         assert library_files(tmp_path) == [library.name]
         body = library.read_bytes()
         assert hashlib.sha256(body[:-32]).digest() == body[-32:]
 
 
-_BUILD = ("from repro.compression.lzrw1 import compiled_encoder; "
-          "print(compiled_encoder() is not None)")
+_BUILD = ("from repro.compression.lzrw1 import compiled_library; "
+          "print(compiled_library() is not None)")
 
 
 def child(cache: Path) -> dict:
     """A fresh interpreter that loads (building if need be) the compiled
-    encoder with ``cache`` as its cache home, and prints whether it did."""
+    library with ``cache`` as its cache home, and prints whether it did."""
     return {"args": [sys.executable, "-c", _BUILD], "text": True,
             "env": dict(os.environ, XDG_CACHE_HOME=str(cache),
                         PYTHONPATH=str(SRC))}
@@ -219,6 +231,6 @@ def test_builders_racing_leave_one_whole_library(tmp_path):
     assert [child.returncode for child in children] == [0, 0]
     assert [out.strip() for out in outputs] == ["True", "True"]
     [name] = library_files(tmp_path)
-    assert name.startswith("lzrw1-") and name.endswith(".so")
+    assert name.startswith("lz-") and name.endswith(".so")
     # And a third process loads what they left.
     assert build_in_child(tmp_path / "cache").stdout.strip() == "True"

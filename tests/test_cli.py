@@ -148,6 +148,59 @@ class TestPositiveSizes:
         assert (args.scale, args.memory_mb) == (0.01, 0.5)
 
 
+class TestTooSmallScales:
+    """A positive ``--scale`` that rounds the workload's sizes to nothing,
+    or its machine under four pages, is a usage error too: exit 2 with
+    one line, before anything runs."""
+
+    @pytest.mark.parametrize("scale", ("1e-7", "1e-3"))
+    @pytest.mark.parametrize("argv", [
+        ["run", "--workload", "thrasher"], ["run", "--workload", "compare"],
+        ["demo"], ["inspect"],
+        ["trace-replay", "t.trace", "--workload", "synthetic"],
+    ])
+    def test_rejected(self, capsys, argv, scale):
+        assert main(argv + ["--scale", scale]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith(f"{argv[0]}: --scale {float(scale):g} is "
+                               "too small: ")
+
+    def test_trace_record_needs_only_a_workload(self, capsys, tmp_path):
+        out = str(tmp_path / "t.trace")
+        argv = ["trace-record", "--workload", "synthetic", "--out", out]
+        assert main(argv + ["--scale", "1e-7"]) == 2
+        assert capsys.readouterr().err == (
+            "trace-record: --scale 1e-07 is too small: space and reference "
+            "count must be positive\n")
+        assert main(argv + ["--scale", "1e-3"]) == 0
+
+
+class TestExperimentScripts:
+    """``experiments/figure3.py`` and ``table1.py`` bound their scale,
+    ``--jobs`` and ``--timeout`` as the CLI does: exit 2, one line."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    @pytest.mark.parametrize("script", ("figure3.py", "table1.py"))
+    @pytest.mark.parametrize("args, message", [
+        (["0"], "argument scale: must be > 0: '0'"),
+        (["-0.5"], "argument scale: must be > 0: '-0.5'"),
+        (["0.05", "--jobs", "0"], "argument --jobs: must be >= 1: '0'"),
+        (["0.05", "--timeout", "0"], "argument --timeout: must be > 0: '0'"),
+    ])
+    def test_rejected(self, capsys, monkeypatch, script, args, message):
+        import runpy
+
+        path = self.ROOT / "experiments" / script
+        monkeypatch.setattr("sys.argv", [str(path)] + args)
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_path(str(path), run_name="__main__")
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(message)
+
+
 class TestFailureReport:
     """figure3, table1 and sweep report a point that failed after its
     retries the same way: one ``FAILED key: error`` line each, exit 1."""
