@@ -17,8 +17,7 @@ processes with identical output (see docs/sweep.md).
 
 import argparse
 
-from repro.cli import _bounded
-from repro.experiments import EXPERIMENTS, Figure3Result, run_cells
+from repro.cli import _bounded, main
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
@@ -29,16 +28,10 @@ if __name__ == "__main__":
                         help="JSONL checkpoint path (created if absent)")
     parser.add_argument("--timeout", type=positive, default=None)
     args = parser.parse_args()
-    cells = run_cells(
-        EXPERIMENTS["figure3"].points(args.scale, {"mode": "both"}),
-        jobs=args.jobs,
-        checkpoint=args.resume,
-        timeout=args.timeout,
-    )
-    for mode in ("ro", "rw"):
-        result = Figure3Result.from_cells(mode, cells)
-        print(result.render())
-        print()
-        peak = max(point.speedup for point in result.points)
-        print(f"peak cc_{mode} speedup: {peak:.1f}x")
-        print()
+    # The CLI's run: its tables, its FAILED lines and its exit codes.
+    argv = ["figure3", "--scale", repr(args.scale), "--jobs", str(args.jobs)]
+    if args.resume is not None:
+        argv += ["--resume", args.resume]
+    if args.timeout is not None:
+        argv += ["--timeout", repr(args.timeout)]
+    raise SystemExit(main(argv))

@@ -19,13 +19,7 @@ with identical output (see docs/sweep.md).
 
 import argparse
 
-from repro.cli import _bounded
-from repro.experiments import (
-    render_table1,
-    run_cells,
-    table1_points,
-    table1_rows,
-)
+from repro.cli import _bounded, main
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
@@ -36,10 +30,10 @@ if __name__ == "__main__":
                         help="JSONL checkpoint path (created if absent)")
     parser.add_argument("--timeout", type=positive, default=None)
     args = parser.parse_args()
-    rows = table1_rows(run_cells(
-        table1_points(scale=args.scale),
-        jobs=args.jobs,
-        checkpoint=args.resume,
-        timeout=args.timeout,
-    ))
-    print(render_table1(rows))
+    # The CLI's run: its tables, its FAILED lines and its exit codes.
+    argv = ["table1", "--scale", repr(args.scale), "--jobs", str(args.jobs)]
+    if args.resume is not None:
+        argv += ["--resume", args.resume]
+    if args.timeout is not None:
+        argv += ["--timeout", repr(args.timeout)]
+    raise SystemExit(main(argv))

@@ -24,7 +24,7 @@ page it:
    can beat raw (:func:`raw_proofs` names the ones that provably
    cannot) and keeps the kernel that stores the page in the fewest
    bytes while meeting the paper's 4:3 threshold, breaking ties toward
-   the CPU-cheaper kernel.  A page no candidate can compress goes raw
+   the earlier candidate.  A page no candidate can compress goes raw
    untried.  Only the winner's finished result is kept, process-wide
    (:func:`~repro.compression.sampler.shared_finished`), with the
    trial's outcome (:func:`~repro.compression.sampler.shared_trial`):
@@ -84,12 +84,17 @@ KERNEL_TAGS: Dict[str, int] = {
 }
 _TAG_NAMES: Dict[int, str] = {tag: name for name, tag in KERNEL_TAGS.items()}
 
-#: Default candidate kernels, CPU-cheapest first (the tie-break order).
-#: ``null`` is omitted (it never compresses) and ``adaptive`` must not
-#: nest.  ``lzrw1`` is omitted too: ``lzss`` writes lzrw1's stream
-#: format with a deeper search and never stores a page in more bytes,
-#: so lzrw1 could only win a tie.  Its tag and decoder stay (stored payloads may
-#: carry it), and ``candidates=`` may still name it.
+#: Default candidate kernels in tie-break order: a size tie elects the
+#: earlier one, and the adaptive goldens pin this order (a new one moves
+#: tie-breaks and digests).  It is not CPU order: per page of
+#: ``perf._corpus_kinds(8)`` (numpy, compiled LZ library, 2-vCPU x86)
+#: ``lzss`` took 41 us, ``rle``/``bdi``/``varint-delta``/``wk``/``fpc``
+#: 93-139 us and ``cpack`` 542 us.  ``null`` is omitted (it never
+#: compresses) and ``adaptive`` must not nest.  ``lzrw1`` is omitted
+#: too: ``lzss`` writes lzrw1's stream format with a deeper search and
+#: never stores a page in more bytes, so lzrw1 could only win a tie.
+#: Its tag and decoder stay (stored payloads may carry it), and
+#: ``candidates=`` may still name it.
 DEFAULT_CANDIDATES: Tuple[str, ...] = (
     "rle", "bdi", "varint-delta", "wk", "fpc", "cpack", "lzss",
 )
@@ -268,8 +273,8 @@ class AdaptiveCompressor(Compressor):
         fast: tri-state vectorization flag, forwarded to every candidate
             kernel (selection is unaffected; payloads are pinned
             bit-identical across modes).
-        candidates: kernel names to choose among, CPU-cheapest first
-            (the tie-break order).  Defaults to
+        candidates: kernel names to choose among, in tie-break order
+            (a size tie elects the earlier one).  Defaults to
             :data:`DEFAULT_CANDIDATES`.  A kernel is *eligible* only if
             its tagged payload meets the paper's 4:3 keep-compressed
             rule.

@@ -36,6 +36,9 @@ library cannot be built or loaded.  Two decoders read them, and
 ``lzss``'s: ``lz_decode`` in the same library and :func:`decode_items`,
 its Python twin under the same terms.
 
+``lzss`` is two-path the same way, against the seed's ``SeedLzss``;
+:class:`LzKernel` is the choice both kernels make.
+
 ``_lz.c`` is the one compiled library of the package: this module
 builds it when the first ``lzrw1`` or ``lzss`` instance whose ``fast``
 is not ``False`` is made, caches it under ``$XDG_CACHE_HOME/repro`` and
@@ -313,8 +316,29 @@ def _build(path: str) -> None:
             os.unlink(partial)
 
 
+class LzKernel(Compressor):
+    """What :class:`Lzrw1` and :class:`~repro.compression.lzss.Lzss`
+    share: the compiled library unless ``fast`` is ``False`` or it did
+    not load, else the seed's encoder (a subclass's ``_encode``) and
+    :func:`decode_items`."""
+
+    def __init__(self, fast: Optional[bool] = None):
+        super().__init__(fast)
+        if self._compiled() is None:    # the fallback, before any fork
+            from . import _seed_reference  # noqa: F401
+
+    def _compiled(self) -> Optional[CompiledLz]:
+        """The compiled library this instance runs, or ``None``."""
+        return None if self.fast is False else compiled_library()
+
+    def _decode(self, payload: bytes, n: int) -> bytes:
+        library = self._compiled()
+        decode = decode_items if library is None else library.decode
+        return decode(payload, n, self.name)
+
+
 @register("lzrw1")
-class Lzrw1(Compressor):
+class Lzrw1(LzKernel):
     """Single-pass LZ77 compressor matching Williams's LZRW1.
 
     Args:
@@ -329,10 +353,8 @@ class Lzrw1(Compressor):
     def __init__(self, table_bits: int = 12, fast: Optional[bool] = None):
         if not 4 <= table_bits <= 20:
             raise ValueError(f"table_bits out of range: {table_bits}")
-        super().__init__(fast)
         self.table_bits = table_bits
-        if self._compiled() is None:    # the fallback, before any fork
-            from . import _seed_reference  # noqa: F401
+        super().__init__(fast)
 
     def result_cache_key(self):
         # table_bits changes which candidates the hash table remembers and
@@ -346,10 +368,6 @@ class Lzrw1(Compressor):
         Sprite): the compiled encoder's table is exactly this size."""
         return 4 << self.table_bits
 
-    def _compiled(self) -> Optional[CompiledLz]:
-        """The compiled library this instance runs, or ``None``."""
-        return None if self.fast is False else compiled_library()
-
     def _encode(self, data: bytes, n: int) -> Optional[bytes]:
         library = self._compiled()
         if library is not None:
@@ -358,8 +376,3 @@ class Lzrw1(Compressor):
 
         result = SeedLzrw1(self.table_bits).compress(data)
         return None if result.stored_raw else result.payload
-
-    def _decode(self, payload: bytes, n: int) -> bytes:
-        library = self._compiled()
-        decode = decode_items if library is None else library.decode
-        return decode(payload, n, "lzrw1")

@@ -59,8 +59,7 @@ def capability() -> str:
         )
     return (
         f"fast kernels: numpy {_np.__version__} "
-        "(rle/wk/varint-delta/fpc/bdi vectorized, cpack bit packing, "
-        "lzss chain and match-position tables)"
+        "(rle/wk/varint-delta/fpc/bdi vectorized, cpack bit packing)"
     )
 
 

@@ -19,7 +19,6 @@ from repro.compression import (
     CorruptDataError,
     available,
     create,
-    lzss,
     vectorized,
 )
 from repro.workloads import contentgen
@@ -144,7 +143,6 @@ class TestFastResolution:
 
         for twin in _TWINS:
             monkeypatch.setattr(vectorized, twin, forbidden)
-        monkeypatch.setattr(lzss, "_hash_array", forbidden)
         compressor = create(name, fast=False)
         for data in _contents(4096).values():
             assert compressor.decompress(compressor.compress(data)) == data

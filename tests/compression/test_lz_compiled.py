@@ -8,7 +8,8 @@ things must hold:
 * *identity* — compiled ``lzss`` emits the frozen seed's bytes
   (:class:`~repro.compression._seed_reference.SeedLzss`) for every
   search depth, with and without lazy matching, on every input length,
-  alphabet and buffer type, and the Python encoder agrees;
+  alphabet and buffer type, and ``fast=False`` (the seed's encoder
+  through :meth:`Compressor.compress`) agrees;
 * *one decoder* — on any bytes and any declared size, the compiled
   decoder returns :func:`~repro.compression.lzrw1.decode_items`'s bytes
   or raises its :class:`CorruptDataError` message;

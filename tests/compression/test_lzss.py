@@ -1,15 +1,16 @@
-"""LZSS: the table-walking encoder against the seed, on arbitrary input.
+"""LZSS: the compiled encoder against the seed, on arbitrary input.
 
-``Lzss.compress`` never builds the seed's hash table: it derives the
-chains (and, with numpy, the positions that can match at all) from the
-bytes alone and walks those.  The golden corpus in
+``Lzss`` runs the compiled library's ``lzss_encode`` where it loads and
+``SeedLzss`` itself otherwise (and under ``fast=False``).  The compiled
+encoder never builds the seed's hash table: it derives the chains from
+the bytes alone and walks those.  The golden corpus in
 ``test_golden_kernels.py`` pins the common pages; here Hypothesis hunts
-the seams — the 4,095-byte offset cap (inputs up to 12 KB), the 256-byte
-threshold under which the numpy pass is skipped, tiny alphabets whose
-chains overflow every depth budget, and planted repeats that put equal
-trigrams far apart.  The default instance, ``fast=False`` and
-``SeedLzss`` must agree byte for byte.  Without numpy the first two are
-the same scalar table builder, which is then what the seed is held to.
+the seams — the 4,095-byte offset cap (inputs up to 12 KB), tiny
+alphabets whose chains overflow every depth budget, and planted repeats
+that put equal trigrams far apart.  The default instance, ``fast=False``
+and ``SeedLzss`` must agree byte for byte.  Where the library does not
+load, all three are the seed's encoder and the test holds the envelope
+(``Compressor.compress``'s store-raw rule) to the seed's result.
 """
 
 from __future__ import annotations

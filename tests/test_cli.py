@@ -200,6 +200,34 @@ class TestExperimentScripts:
         assert exit_.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1].endswith(message)
 
+    @pytest.mark.parametrize("script, runner, keys", [
+        ("figure3.py", "run_figure3_point", "figure3/"),
+        ("table1.py", "run_table1_point", "table1/"),
+    ])
+    def test_a_failed_point_ends_as_the_cli_does(
+            self, capsys, monkeypatch, script, runner, keys):
+        """``FAILED key: error`` lines and exit 1, as
+        :class:`TestFailureReport` holds the CLI to; no traceback."""
+        import runpy
+
+        import repro.experiments
+
+        def broken(spec):
+            raise RuntimeError("broken runner")
+
+        monkeypatch.setattr(repro.experiments, runner, broken)
+        path = self.ROOT / "experiments" / script
+        monkeypatch.setattr("sys.argv", [str(path), "0.05", "--jobs", "1"])
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_path(str(path), run_name="__main__")
+        assert exit_.value.code == 1
+        out, err = capsys.readouterr()
+        failed = re.findall(r"^FAILED (\S+): (.*)$", err, re.M)
+        assert failed
+        for key, error in failed:
+            assert key.startswith(keys) and "broken runner" in error
+        assert "Table 1" not in out and "Figure 3" not in out
+
 
 class TestFailureReport:
     """figure3, table1 and sweep report a point that failed after its
@@ -268,7 +296,7 @@ class TestExecution:
 
         monkeypatch.setattr(
             perf, "bench_compression",
-            lambda *a, **k: {"aggregate": {}, "kinds": {}},
+            lambda *a, **k: {"fast": None},
         )
         monkeypatch.setattr(perf, "bench_micro", lambda **k: {"reps": 1})
         real_profile_sim = perf.profile_sim

@@ -181,13 +181,14 @@ def _failures(payloads, baseline):
 
 
 def _baseline(**extra):
-    baseline = {"aggregate_speedup": {"lzrw1": 2.0}}
+    baseline = {"fast_kernel_speedup": {"lzrw1": 2.0}}
     baseline.update(extra)
     return baseline
 
 
 def _compression(speedup=2.0):
-    return {"aggregate": {"lzrw1": {"speedup": speedup}}}
+    return {"lz_library": "compiled",
+            "fast": {"aggregate": {"lzrw1": {"speedup": speedup}}}}
 
 
 def _sim(scale=0.05, pps=1000.0):
@@ -472,14 +473,14 @@ class TestGateTable:
                 assert len(line) > len(gate.name) + 2   # has a reason
 
     @pytest.mark.parametrize("speedup, fails", [
-        (1.51, True), (2.57, True), (56.0, False)])
+        (1.0, True), (1.51, True), (2.57, True), (56.0, False)])
     def test_committed_lzss_fast_floor_can_fail(self, speedup, fails):
         """The committed ``fast_kernel_speedup.lzss`` floor is the
-        compiled encoder's against the Python loop ``fast=False`` runs
-        (a quick run read 69.6 in aggregate and 59-103 per kind, so 56
-        passes): a silent fallback's ratio — the Python encoder's numpy
-        chain tables, 2.57 at best, or the hash-table encoder before
-        them, 1.51 — fails it."""
+        compiled encoder's against the seed's encoder, which
+        ``fast=False`` runs (56 passes): a silent fallback's ratio fails
+        it — the seed against itself, about 1.0, and the Python
+        encoders deleted before it, 2.57 at best with numpy chain tables
+        and 1.51 with a hash table."""
         committed = json.loads(
             (REPO_ROOT / "benchmarks" / "perf_baseline.json").read_text()
         )["fast_kernel_speedup"]["lzss"]
@@ -721,4 +722,5 @@ class TestCheckBaseline:
         assert any(line.startswith("skipped: sim-floor:") for line in lines)
         assert check_baseline({"compression": _compression(speedup=1.0)},
                               path, lines.append) == 1
-        assert lines[-1].startswith("REGRESSION: kernel-speedup lzrw1:")
+        assert lines[-1].startswith(
+            "REGRESSION: fast-kernel-speedup lzrw1:")
