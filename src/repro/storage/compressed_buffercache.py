@@ -173,7 +173,7 @@ class CompressedBufferCache(BufferCache):
             self.costs.compress_seconds(self.fs.block_size),
         )
         self.counters.compressions += 1
-        result = self.sampler.compress(data, threshold=self.threshold)
+        result = self.sampler.compress(data)
         kept = self.threshold.keep_compressed(
             len(data), result.compressed_size
         )

@@ -13,12 +13,12 @@ pages through a fragment-store-shaped object (``put``/``contains``/
 points at a sink that *recompresses the page into the next-colder tier*
 instead: decompress with the source kernel, compress with the target
 kernel, insert dirty.  The recompression CPU time is charged to the
-``DEMOTE`` ledger category on every demotion, while the host really
-decodes a payload once per distinct payload per process
-(:func:`~repro.compression.sampler.shared_decompress`, the inverse of
-the kernel-result cache the compressions already go through); no I/O
-happens until the terminal tier's write-outs reach the store, which is
-the only point where the VM's ``written_callback`` may fire.
+``DEMOTE`` ledger category on every demotion, and the host does both:
+the source kernel's decoder runs on every page moved, and the
+recompression goes through the target tier's sampler like any other
+compression.  No I/O happens until the terminal tier's write-outs reach
+the store, which is the only point where the VM's ``written_callback``
+may fire.
 
 Demotion reliability: compressor fault injection applies at the VM/pager
 eviction boundary, not inside the sink — a demotion that loses data has
@@ -36,7 +36,7 @@ from ..ccache.circular import CompressionCache
 from ..ccache.cleaner import CleanerPolicy
 from ..ccache.threshold import AdaptiveCompressionGate
 from ..compression.base import CompressionResult
-from ..compression.sampler import CompressionSampler, shared_decompress
+from ..compression.sampler import CompressionSampler
 from ..mem.frames import OutOfFramesError
 from ..mem.page import PageId
 from ..sim.costs import CostModel
@@ -92,18 +92,13 @@ class DemotionSink:
         # The source entry is still registered while its cache writes it
         # out, so the content version rides along to the colder copy.
         version = source.cache.entry_version(page_id)
-        # Recover the bytes the source payload encodes: decoded once per
-        # distinct payload per process, unless the tier runs the real
-        # kernel every time.  (Not ``pte.content``: under a workload
-        # ``stable_key`` the payload is the page's first-measured bytes.)
-        sampler = source.sampler
-        # A demotion is admitted whatever its size, so the source may
-        # hold a page its kernel stored raw.
-        encoded = CompressionResult.from_payload(payload, self.page_size)
-        if sampler.exact:
-            data = sampler.compressor.decompress(encoded)
-        else:
-            data = shared_decompress(sampler.compressor, encoded)
+        # Recover the bytes the source payload encodes.  (Not
+        # ``pte.content``: under a workload ``stable_key`` the payload is
+        # the page's first-measured bytes.)  A demotion is admitted
+        # whatever its size, so the source may hold a page its kernel
+        # stored raw.
+        data = source.sampler.compressor.decompress(
+            CompressionResult.from_payload(payload, self.page_size))
         self.ledger.charge(
             TimeCategory.DEMOTE,
             self.costs.decompress_seconds(self.page_size)

@@ -2,9 +2,9 @@
 kernel slice).
 
 A stored payload is bytes the decoder did not write by the time it reads
-them back (the log store, the service's tiers, the wire) — and a decoded
-page is reused process-wide (``shared_decompress``), so what a decoder
-accepts matters beyond the one call.  Valid payloads of every tagged
+them back (the log store, the service's tiers, the wire, a warm tier's
+payload that a demotion decodes to recompress one level colder), so what
+a decoder accepts matters beyond the one call.  Valid payloads of every tagged
 kernel are mutated, truncated, extended and mis-sized here and sent in
 the way the system sends them: tag byte first, through
 ``AdaptiveCompressor.decompress``.  The contract is *exactly

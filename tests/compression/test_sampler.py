@@ -1,24 +1,8 @@
 """Compression sampler: memoization correctness and modes."""
 
-import random
-
 import pytest
 
 from repro.compression import CompressionSampler, create
-from repro.compression import sampler as sampler_mod
-from repro.compression.base import (
-    CompressionResult,
-    Compressor,
-    CorruptDataError,
-)
-from repro.compression.lzrw1 import Lzrw1
-from repro.compression.lzss import Lzss
-from repro.compression.sampler import (
-    clear_shared_results,
-    shared_compress,
-    shared_decompress,
-    shared_results_size,
-)
 
 from ..conftest import sample_pages
 
@@ -198,143 +182,6 @@ class TestSharedResults:
         size_b = b.compressed_size(pages["random"], stable_key="k")
         exact = CompressionSampler(create("lzrw1"), exact=True)
         assert size_b == exact.compressed_size(pages["random"])
-
-
-class _Echo(Compressor):
-    """A free kernel with a config identity: ``compress`` stores the
-    input, ``decompress`` returns ``original_size`` bytes.  What the cap
-    tests fill the process-wide caches with."""
-
-    def __init__(self):
-        self.decodes = 0
-
-    def result_cache_key(self):
-        return ("echo",)
-
-    def compress(self, data):
-        return CompressionResult(bytes(data), len(data))
-
-    def decompress(self, result):
-        self.decodes += 1
-        return bytes(result.original_size)
-
-
-class TestSharedDecoded:
-    """``shared_decompress``: the kernel-result cache's inverse."""
-
-    @pytest.fixture(autouse=True)
-    def _fresh_shared_cache(self):
-        sampler_mod.clear_shared_results()
-        yield
-        sampler_mod.clear_shared_results()
-
-    @staticmethod
-    def _counting(base):
-        class Counting(base):
-            calls = 0
-
-            def decompress(self, result):
-                Counting.calls += 1
-                return super().decompress(result)
-
-        return Counting
-
-    def test_distinct_payload_decoded_once_across_instances(self, rng):
-        counting = self._counting(Lzrw1)
-        data = sample_pages(rng)["text"]
-        result = counting().compress(data)
-        assert shared_decompress(counting(), result) == data
-        # Equal bytes in another object, through another instance.
-        twin = CompressionResult(bytes(bytearray(result.payload)), len(data))
-        assert shared_decompress(counting(), twin) == data
-        assert counting.calls == 1
-
-    def test_hit_only_on_equal_payload_size_and_kernel(self, rng):
-        counting = self._counting(Lzrw1)
-        kernel = counting()
-        data = sample_pages(rng)["text"]
-        result = kernel.compress(data)
-        shared_decompress(kernel, result)
-        calls = counting.calls
-        flips = random.Random("one-byte").sample(range(len(result.payload)),
-                                                 40)
-        for position in flips:
-            damaged = bytearray(result.payload)
-            damaged[position] ^= 0x10
-            damaged = CompressionResult(bytes(damaged), len(data))
-            try:
-                expected = Lzrw1().decompress(damaged)
-            except CorruptDataError:
-                with pytest.raises(CorruptDataError):
-                    shared_decompress(kernel, damaged)
-            else:
-                assert shared_decompress(kernel, damaged) == expected
-            calls += 1
-            assert counting.calls == calls  # the kernel ran: no hit
-        # A payload that failed its checks was never stored.
-        assert all(shared_decompress(kernel, result) == data
-                   for _ in range(2))
-        assert counting.calls == calls
-        # Same payload, another declared size or another kernel config.
-        with pytest.raises(CorruptDataError):
-            shared_decompress(
-                kernel, CompressionResult(result.payload, len(data) - 1))
-        assert shared_decompress(counting(table_bits=10), result) == data
-        other = self._counting(Lzss)
-        assert shared_decompress(other(), result) == data  # common stream
-        assert (counting.calls, other.calls) == (calls + 2, 1)
-
-    def test_unshared_raw_and_non_bytes_payloads_are_just_decoded(self, rng):
-        data = sample_pages(rng)["text"]
-
-        class Private(self._counting(Lzrw1)):
-            def result_cache_key(self):
-                return None
-
-        result = Private().compress(data)
-        for _ in range(2):
-            assert shared_decompress(Private(), result) == data
-        assert Private.calls == 2
-
-        counting = self._counting(Lzrw1)
-        raw = CompressionResult(data, len(data), stored_raw=True)
-        for view in (bytearray(result.payload), memoryview(result.payload),
-                     memoryview(bytearray(result.payload))):
-            held = CompressionResult(view, len(data))
-            for _ in range(2):
-                assert shared_decompress(counting(), held) == data
-                assert shared_decompress(counting(), raw) == data
-        assert counting.calls == 12
-        assert not sampler_mod._SHARED_DECODED
-
-    def test_both_caches_stay_at_their_caps_fifo(self):
-        kernel = _Echo()
-        cap = sampler_mod._SHARED_MAX_ENTRIES
-        pages = [index.to_bytes(4, "little") for index in range(cap + 3)]
-        for page in pages:
-            shared_compress(kernel, page)
-        assert shared_results_size() == cap
-        kept = [key[1] for key in sampler_mod._SHARED_RESULTS]
-        assert kept == [CompressionSampler.fingerprint(page)
-                        for page in pages[3:]]  # oldest three went first
-
-        size = 64 * 1024
-        fit = sampler_mod._SHARED_DECODED_MAX_BYTES // size
-        for page in pages[:fit + 3]:
-            shared_decompress(kernel, CompressionResult(page, size))
-        assert [key[2] for key in sampler_mod._SHARED_DECODED] \
-            == pages[3:fit + 3]
-        assert sampler_mod._shared_decoded_bytes == fit * size
-        assert kernel.decodes == fit + 3
-        shared_decompress(kernel, CompressionResult(pages[fit + 2], size))
-        assert kernel.decodes == fit + 3  # newest entry: a hit
-        shared_decompress(kernel, CompressionResult(pages[0], size))
-        assert kernel.decodes == fit + 4  # evicted: decoded again
-
-        clear_shared_results()
-        assert shared_results_size() == 0
-        assert not sampler_mod._SHARED_DECODED
-        assert sampler_mod._shared_decoded_bytes == 0
 
 
 class TestPayloads:

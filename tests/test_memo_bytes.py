@@ -22,7 +22,6 @@ from repro.compression.sampler import (
     CompressionSampler,
     clear_shared_results,
     shared_compress,
-    shared_decompress,
 )
 from repro.workloads import contentgen as cg
 
@@ -109,18 +108,6 @@ def _shared_results_case() -> Fill:
     return fill
 
 
-def _shared_decoded_case() -> Fill:
-    kernel = create("lzrw1")
-    # The payloads key the memo but belong to their results, which the
-    # tier caches hold: built here, outside the count.
-    results = [kernel.compress(page) for page in _kernel_pages()]
-
-    def fill():
-        return sum(len(shared_decompress(kernel, result))
-                   for result in results), len(results)
-    return fill
-
-
 def _adaptive_case() -> Fill:
     adaptive = create("adaptive")
     pages = _kernel_pages()
@@ -146,21 +133,22 @@ def _finished_case(budget=None) -> Callable[[], Fill]:
         clear_shared_results()
 
         def fill():
-            saved = sampler._SHARED_FINISHED_MAX_BYTES
+            finished = sampler._SHARED_FINISHED
+            saved = finished.budget
             if budget is not None:
-                sampler._SHARED_FINISHED_MAX_BYTES = budget
+                finished.budget = budget
             try:
                 # A raw result's payload is the caller's page, built
                 # before the count: only tagged payloads are the memo's.
                 held = sum(len(result.payload) for result in map(
                     adaptive.compress, pages) if not result.stored_raw)
             finally:
-                sampler._SHARED_FINISHED_MAX_BYTES = saved
+                finished.budget = saved
             adaptive._results.clear()
             adaptive._memo.clear()
             if budget is not None:
                 assert held > 3 * budget
-                assert sampler._shared_finished_bytes <= budget
+                assert finished.held <= budget
                 held = budget
             return held, len(pages)
         return fill
@@ -183,7 +171,6 @@ CASES: Dict[str, Callable[[], Fill]] = {
     "contentgen.cache_table_page": _contentgen_case(cg.cache_table_page),
     "sampler.CompressionSampler": _sampler_case,
     "sampler._SHARED_RESULTS": _shared_results_case,
-    "sampler._SHARED_DECODED": _shared_decoded_case,
     "adaptive.AdaptiveCompressor._results": _adaptive_case,
     "sampler._SHARED_FINISHED": _finished_case(),
     "sampler._SHARED_FINISHED at its budget": _finished_case(64 * 1024),
@@ -202,3 +189,41 @@ def test_memo_retains_its_values_plus_a_constant(name):
         f"{name}: {retained:,} bytes retained by {entries} entries "
         f"holding {values:,} ({(retained - values) / entries:,.0f} an "
         f"entry beyond its value)")
+
+
+def test_shared_results_hold_their_byte_budget_oldest_first(monkeypatch):
+    """Every memo keeps the kernel's own result, a rejected page's
+    4-KByte payload included, so the process-wide result cache is bounded
+    by the bytes it holds: filled past its budget with rejected pages and
+    pages that compress to a few hundred bytes, it holds at most the
+    budget, its newest entries in order, and the next older one would
+    not have fit."""
+    kernel = create("lzrw1")
+    pages = [page for number in range(48)
+             for page in (cg.incompressible(number),
+                          cg.repeating_pattern(number))]
+    results = sampler._SHARED_RESULTS
+    budget = 64 * 1024
+    monkeypatch.setattr(results, "budget", budget)
+    clear_shared_results()
+    try:
+        charged = [len(shared_compress(kernel, page).payload)
+                   + sampler._ENTRY_BYTES for page in pages]
+        assert sum(charged) > 3 * budget
+        assert {len(page) for page in pages[::2]} == {4096}
+        assert all(result.stored_raw for result in map(
+            kernel.compress, pages[::2]))
+        assert max(charged[1::2]) < 4096
+        assert results.held <= budget
+        assert results.held == sum(
+            sampler._ENTRY_BYTES + len(result.payload)
+            for result in results.values())
+        kept = len(results)
+        ckey = kernel.result_cache_key()
+        assert list(results) == [
+            (ckey, CompressionSampler.fingerprint(page))
+            for page in pages[-kept:]]
+        assert results.held + charged[-kept - 1] > budget
+    finally:
+        clear_shared_results()
+    assert results.held == 0

@@ -13,10 +13,10 @@ Cleaners are disabled throughout: the cleaner *deliberately* writes
 dirty pages ahead of pressure (that is its job, and the copies stay in
 the warm tier), so the invariant is about the shrink path only.
 
-The second subject is what a demotion decodes: the sink recovers a
-payload's bytes through the process-wide decode memo
-(``shared_decompress``), which must change no simulation bit and must
-stand aside for a tier that runs ``exact``.
+The second subject is what a demotion decodes: the sink runs the
+source kernel's decoder once on every page it moves, and the
+process-wide result caches the recompressions go through change no
+simulation bit.
 """
 
 import pytest
@@ -24,14 +24,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ccache.cleaner import CleanerPolicy
-from repro.compression import sampler as sampler_mod
 from repro.compression.lzrw1 import Lzrw1
-from repro.compression.sampler import clear_shared_results
+from repro.compression.sampler import (
+    clear_shared_results,
+    shared_results_size,
+)
 from repro.mem.page import PageId, mbytes
 from repro.mem.segment import AddressSpace
 from repro.sim.engine import SimulationEngine
 from repro.sim.machine import Machine, MachineConfig
-from repro.tiers import compressed
 from repro.tiers.spec import TierSpec, two_tier_specs
 from repro.workloads import catalog
 
@@ -118,36 +119,28 @@ def _run_two_tier(name):
 
 
 @pytest.mark.parametrize("name", ["thrasher", "multiprogram"])
-def test_memoised_demotion_decode_changes_no_simulation_bit(
-        name, monkeypatch):
-    """Decoding each distinct payload once per process is wall-clock
-    only: cold (both process-wide caches empty) and warm, the complete
-    result, the ledger and the colder tier's contents equal those of a
-    run whose every demotion runs the decoder."""
+def test_cold_and_warm_two_tier_runs_are_identical(name):
+    """The process-wide result caches are wall-clock only: a run that
+    starts with them empty and one that replays its results give the
+    same complete result, ledger and colder-tier contents."""
     clear_shared_results()
     cold_machine, cold = _run_two_tier(name)
     assert cold_machine.chain.demoted_pages() > 0
-    assert 0 < len(sampler_mod._SHARED_DECODED) \
-        < cold_machine.chain.demoted_pages()
-    _, warm = _run_two_tier(name)
-    monkeypatch.setattr(
-        compressed, "shared_decompress",
-        lambda compressor, result: compressor.decompress(result),
-    )
-    decoding_machine, decoding = _run_two_tier(name)
-    assert cold == warm == decoding
-    assert (cold_machine.ledger.breakdown()
-            == decoding_machine.ledger.breakdown())
+    assert shared_results_size() > 0
+    warm_machine, warm = _run_two_tier(name)
+    assert cold == warm
+    assert cold_machine.ledger.breakdown() == warm_machine.ledger.breakdown()
     l2_sizes = [
         {h.page_id: h.compressed_size
          for h in machine.chain.tiers[1].cache.iter_entries()}
-        for machine in (cold_machine, decoding_machine)
+        for machine in (cold_machine, warm_machine)
     ]
     assert l2_sizes[0] == l2_sizes[1]
 
 
-def test_exact_tier_decodes_on_every_demotion(monkeypatch):
-    """Exact mode means the real kernel every time, both directions."""
+def test_every_demotion_runs_the_decoder_once(monkeypatch):
+    """No decode is cached: in an exact tier, a cold one and a warm one,
+    each demotion out of the lzrw1 L1 runs lzrw1's decoder once."""
     decodes = []
     real = Lzrw1.decompress
     monkeypatch.setattr(
@@ -156,18 +149,19 @@ def test_exact_tier_decodes_on_every_demotion(monkeypatch):
     )
 
     def sweep(**config):
-        clear_shared_results()
         del decodes[:]
         machine, segment = build_machine(**config)
         run_touches(machine, segment, list(range(NPAGES)) * 2)
         sink = machine.chain.warmest.sink
         return sink.demoted_pages + sink.spilled_pages
 
+    clear_shared_results()
     demotions = sweep(exact_compression=True)
     assert len(decodes) == demotions > 0
-    assert not sampler_mod._SHARED_DECODED
-    assert sweep() == demotions
-    assert len(decodes) == len(sampler_mod._SHARED_DECODED) < demotions
+    for _ in ("cold", "warm"):
+        assert sweep() == demotions
+        assert len(decodes) == demotions
+    clear_shared_results()
 
 
 def test_put_many_equals_sequential_puts():
