@@ -20,12 +20,15 @@ page it:
    kernel compresses the page directly (one kernel run, the common
    case);
 3. on a memo miss (first sight of a kind, or a deterministic periodic
-   re-trial) runs *trial compressions* of every candidate kernel that
-   can beat raw (:func:`raw_proofs` names the ones that provably
-   cannot) and keeps the kernel that stores the page in the fewest
-   bytes while meeting the paper's 4:3 threshold, breaking ties toward
-   the earlier candidate.  A page no candidate can compress goes raw
-   untried.  Only the winner's finished result is kept, process-wide
+   re-trial) runs *trial compressions* of every candidate kernel and
+   keeps the kernel that stores the page in the fewest bytes while
+   meeting the paper's 4:3 threshold, breaking ties toward the earlier
+   candidate.  Every candidate runs in the compiled library
+   (:mod:`.compiled`) where it loads: on the ``kv-mixed`` PUT pages the
+   six word kernels together take about 56 us a page, less than half of
+   what the raw-proof screen that once skipped the ones that provably
+   store a page raw cost (126-131 us; docs/kernels.md has the record).  Only the
+   winner's finished result is kept, process-wide
    (:func:`~repro.compression.sampler.shared_finished`), with the
    trial's outcome (:func:`~repro.compression.sampler.shared_trial`):
    any selector that trials the same bytes again does one lookup and
@@ -50,13 +53,9 @@ it picked, never by the selector.
 
 from __future__ import annotations
 
-import math
 import struct
-from array import array
-from collections import Counter, OrderedDict
-from itertools import compress
-from operator import gt
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from collections import OrderedDict
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .base import (
     CompressionResult,
@@ -87,9 +86,9 @@ _TAG_NAMES: Dict[int, str] = {tag: name for name, tag in KERNEL_TAGS.items()}
 #: Default candidate kernels in tie-break order: a size tie elects the
 #: earlier one, and the adaptive goldens pin this order (a new one moves
 #: tie-breaks and digests).  It is not CPU order: per page of
-#: ``perf._corpus_kinds(8)`` (numpy, compiled LZ library, 2-vCPU x86)
-#: ``lzss`` took 41 us, ``rle``/``bdi``/``varint-delta``/``wk``/``fpc``
-#: 93-139 us and ``cpack`` 542 us.  ``null`` is omitted (it never
+#: ``perf._corpus_kinds(8)`` (the compiled library, 2-vCPU x86)
+#: ``lzss`` took 38 us, ``rle``/``bdi``/``varint-delta``/``wk``/``fpc``
+#: 6-9 us and ``cpack`` 11 us.  ``null`` is omitted (it never
 #: compresses) and ``adaptive`` must not nest.  ``lzrw1`` is omitted
 #: too: ``lzss`` writes lzrw1's stream format with a deeper search and
 #: never stores a page in more bytes, so lzrw1 could only win a tie.
@@ -159,118 +158,12 @@ def page_kind(data: bytes) -> Tuple:
     )
 
 
-#: Pages below this size always get the full trial: the varint-delta
-#: and bdi bounds in :func:`raw_proofs` need at least 128 whole words.
-_PROOF_MIN_BYTES = 512
-
-#: ``c * log2(c)`` in units of ``2**-20`` for every byte count ``c`` up
-#: to the largest page seen (8 bytes an entry: 32 KBytes at 4 KBytes).
-#: Integers, so the entropy screen sums exactly and decides the same
-#: whichever path built the histogram.
-_XLOGX = array("q", [0])
-_XLOGX_UNIT = 1 << 20
-
-#: The entropy screen: a page under 7.5 bits a byte gets the full trial
-#: without the proofs (every page any kernel compressed in the corpus
-#: and the ``kv-mixed`` trials sat below it; every page all of them
-#: stored raw, above 7.9).  Soundness does not rest on it.
-_SCREEN_HALF_BITS = 15
-
-
-def raw_proofs(data: bytes, np=None) -> FrozenSet[str]:
-    """The kernels that provably store ``data`` raw, without running them.
-
-    Each rule is a lower bound on a kernel's output from counts the page
-    shows, and a kernel whose output cannot get under ``n`` bytes stores
-    the page raw (:meth:`Compressor.compress`), which is exactly what a
-    trial of it would return.  For ``n`` bytes, ``W = n // 4`` words:
-
-    * ``rle``: a run of ``L`` bytes saves ``L - 2`` and holds ``L - 1``
-      of the ``P`` adjacent equal byte pairs; the literals left (at least
-      ``n - 2P``) need a header byte per 128.
-    * ``wk``/``cpack``: a miss costs 34 bits, anything else at least 2,
-      and a word that is not a miss shares its high 16 bits with an
-      earlier word, or is the first with high half zero.
-    * ``fpc``: a miss costs 35 bits; every other pattern has two bytes
-      from {0x00, 0xFF} or three equal adjacent pairs in its word.
-    * ``varint-delta``: a word costs 4 bytes or more except as the
-      first word (under ``2**21``) or a gap (under ``2**21``) of an
-      ascending run of 4 or more words, and then saves at most 3; every
-      chunk costs 2 header bytes, 3 when one chunk holds the page.
-    * ``bdi``: a line that any encoding but raw fits has its eight
-      top bytes (offsets 7, 15, ..., 63) in at most two values, and
-      each line costs a header byte.
-
-    Pages under :data:`_PROOF_MIN_BYTES` and pages the entropy screen
-    passes over get the empty set.  ``np`` (numpy, or ``None`` for the
-    scalar path) only builds the byte histogram, so both paths return
-    the same set.  ``lzss`` and ``lzrw1`` have no rule: their compiled
-    encoders run a page faster than the trigram count a bound on them
-    needs.
-    """
-    n = len(data)
-    if n < _PROOF_MIN_BYTES:
-        return frozenset()
-    if np is not None:
-        octets = np.frombuffer(data, np.uint8)
-        counts = np.bincount(octets, minlength=256).tolist()
-    else:
-        counts = Counter(data).values()
-    table = _XLOGX
-    for c in range(len(table), n + 1):
-        table.append(round(c * math.log2(c) * _XLOGX_UNIT))
-    entropy = table[n] - sum([table[c] for c in counts])   # n * bits
-    if 2 * entropy < _SCREEN_HALF_BITS * n * _XLOGX_UNIT:
-        return frozenset()
-
-    proven = []
-    words = n // 4
-    # P: adjacent equal byte pairs, as zero bytes of the shifted XOR.
-    pairs = (int.from_bytes(data[1:], "little")
-             ^ int.from_bytes(data[:-1], "little")).to_bytes(
-                 n - 1, "little").count(0)
-    if 130 * pairs <= n:
-        proven.append("rle")
-    extremes = data.count(0) + data.count(0xFF)
-    if 35 * (extremes // 2 + pairs // 3) <= 3 * words:
-        proven.append("fpc")
-    # The high half of every little-endian word: read in native order
-    # it may come out byte-swapped, which leaves the count of distinct
-    # values as it is.
-    highs = set(memoryview(data)[:4 * words].cast("H")[1::2])
-    if 16 * (words - len(highs) + 1) <= words:
-        proven += ("wk", "cpack")
-    values = struct.unpack_from(f"<{words}I", data)
-    small = chunks = start = 0
-    raw_chunk = False
-    descents = list(compress(range(1, words), map(gt, values, values[1:])))
-    for end in descents + [words]:
-        if end - start >= 4:    # delta.py's ascending run
-            chunks += 1
-            raw_chunk = False
-            small += values[start] < 1 << 21
-            for i in range(start + 1, end):
-                small += values[i] - values[i - 1] < 1 << 21
-        elif not raw_chunk:
-            chunks += 1
-            raw_chunk = True
-        start = end
-    if 3 * small <= 2 * chunks + (chunks == 1):
-        proven.append("varint-delta")
-    lines = n // 64
-    loose = sum(1 for top in range(7, 64 * lines, 64)
-                if len(set(data[top:top + 57:8])) <= 2)
-    if 64 * loose <= lines + 1:
-        proven.append("bdi")
-    return frozenset(proven)
-
-
 @register("adaptive")
 class AdaptiveCompressor(Compressor):
     """Selector-compressor: per page, the best registered kernel.
 
     Args:
-        fast: tri-state vectorization flag, forwarded to every candidate
+        fast: tri-state flag (:class:`Compressor`), forwarded to every candidate
             kernel (selection is unaffected; payloads are pinned
             bit-identical across modes).
         candidates: kernel names to choose among, in tie-break order
@@ -328,10 +221,6 @@ class AdaptiveCompressor(Compressor):
         self._kernels: Tuple[Compressor, ...] = tuple(
             create(name, fast=fast) for name in names
         )
-        from . import vectorized    # loaded by Compressor.__init__
-
-        #: numpy for :func:`raw_proofs`'s histogram and distinct counts.
-        self._np = vectorized._np if self._use_fast else None
         #: kind -> [candidate index, memo hits since last trial]
         self._memo: Dict[Tuple, List[int]] = {}
         #: content fingerprint -> index of the candidate this instance
@@ -387,27 +276,20 @@ class AdaptiveCompressor(Compressor):
         return shared_finished(None if key is None else (key, fp), finish)
 
     def _run_trials(self, data: bytes, n: int, fp: bytes) -> Tuple[int, bool]:
-        """Try every candidate that can win; return the winner's index
+        """Try every candidate; return the winner's index
         and whether no candidate met the threshold.
 
         The winner stores the page in the fewest bytes (counting the tag
         byte) while meeting the threshold; candidate order breaks ties
         toward the cheaper kernel.  With no eligible kernel the smallest
         result still wins — the caller's raw fallback and the 4:3
-        accounting downstream handle the rest.  A candidate
-        :func:`raw_proofs` names is not run: its result is the raw page
-        it would have returned.  Only the winner's finished result is
-        kept; the losers' payloads go with this frame.
+        accounting downstream handle the rest.  Only the winner's
+        finished result is kept; the losers' payloads go with this frame.
         """
-        proven = raw_proofs(data, self._np)
-        raw = CompressionResult(data, n, stored_raw=True)
         best = None
         best_eligible = None
         for index, kernel in enumerate(self._kernels):
-            if self.candidate_names[index] in proven:
-                result = raw
-            else:
-                result = kernel.compress(data)
+            result = kernel.compress(data)
             size = result.compressed_size
             if best is None or size < best[0]:
                 best = (size, index, result)

@@ -90,22 +90,27 @@ class Compressor:
     :meth:`compress` / :meth:`decompress` envelope around them owns the
     store-raw rule, the empty page and the decoded-size check.  Results
     are a function of the input bytes and the constructor arguments
-    (scratch never shows in the output — the compiled LZ library resets
+    (scratch never shows in the output — the compiled library resets
     its process-wide tables on every call), so one instance may be
     shared by a whole simulator; the ``adaptive`` selector is the
     deliberate exception — its choices follow page order — and opts out
     of result sharing (:meth:`result_cache_key`).
 
     Args:
-        fast: tri-state vectorization flag, resolved once here (see
-            :mod:`repro.compression.vectorized`): ``None`` and ``True``
-            take a kernel's numpy path when numpy is importable,
-            ``False`` forces its scalar loop.  Both paths produce
+        fast: tri-state flag, resolved once here: ``False`` forces a
+            kernel's Python loop.  ``None`` and ``True`` are one value:
+            the compiled library's entry points (:mod:`.compiled`) for
+            a kernel that has them and where the library loads, else
+            the kernel's numpy path (:mod:`.vectorized`) when numpy is
+            importable, else the loop.  Every path produces
             bit-identical payloads.
     """
 
     #: Registry name; subclasses override.
     name: str = "abstract"
+
+    #: Whether the compiled library holds this kernel's encoder.
+    uses_library: bool = False
 
     def __init__(self, fast: Optional[bool] = None):
         # Imported here, where it is first needed: numpy comes with it,
@@ -114,6 +119,13 @@ class Compressor:
 
         self.fast = fast
         self._use_fast = vectorized.enabled(fast)
+        #: The compiled library this instance runs, or ``None``:
+        #: resolved here, so a forked worker loads nothing later.
+        self._library = None
+        if self.uses_library and fast is not False:
+            from .compiled import compiled_library
+
+            self._library = compiled_library()
 
     def _encode(self, data: bytes, n: int) -> Optional[bytes]:
         """The encoding of the ``n`` (>= 1) bytes of ``data``, or ``None``

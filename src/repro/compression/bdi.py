@@ -98,12 +98,17 @@ def _encode_line(line: bytes) -> Tuple[int, bytes]:
 class BdiCompressor(Compressor):
     """Base-delta-immediate page compressor (Pekhimenko-style)."""
 
+    uses_library = True
+
     def result_cache_key(self):
         # Stateless and parameter-free: one canonical payload per page,
         # so results are safe to share process-wide.
         return ("bdi",)
 
     def _encode(self, data: bytes, n: int) -> Optional[bytes]:
+        if self._library is not None:
+            return self._library.bdi_encode(data, n)
+        data = bytes(data)  # count() and repetition: not a memoryview's
         if data.count(0) == n:
             return bytes([_PAGE_ZERO])
         # Header + value is 9 bytes, so the page must be at least two

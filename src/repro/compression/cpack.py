@@ -54,9 +54,13 @@ _F_HIGH24 = _C_EXT | _X_HIGH24 << 2
 class CpackCompressor(Compressor):
     """Small-dictionary pattern matcher in the C-Pack family.
 
-    The FIFO walk is sequential whatever ``fast`` says; the flag selects
-    the numpy field packer over ``_BitWriter`` for the bit stream.
+    ``cpack_encode`` and ``cpack_decode`` in the compiled library
+    (:mod:`.compiled`) run unless ``fast`` is ``False`` or it did not
+    load.  Otherwise the FIFO walk below runs, and ``fast`` selects the
+    numpy field packer over ``_BitWriter`` for its bit stream.
     """
+
+    uses_library = True
 
     def result_cache_key(self):
         # No output-affecting parameters; the fast path is pinned
@@ -64,6 +68,8 @@ class CpackCompressor(Compressor):
         return ("cpack",)
 
     def _encode(self, data: bytes, n: int) -> Optional[bytes]:
+        if self._library is not None:
+            return self._library.cpack_encode(data, n)
         nwords, tail_len = divmod(n, 4)
         if nwords == 0:
             return None
@@ -134,6 +140,8 @@ class CpackCompressor(Compressor):
         return struct.pack("<I", nwords) + stream + tail
 
     def _decode(self, payload: bytes, n: int) -> bytes:
+        if self._library is not None:
+            return self._library.cpack_decode(payload, n)
         if len(payload) < 4:
             raise CorruptDataError("cpack: header too short")
         (nwords,) = struct.unpack_from("<I", payload)

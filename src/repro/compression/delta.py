@@ -71,12 +71,16 @@ def _read_varint(data: bytes, pos: int) -> tuple:
 class VarintDeltaCompressor(Compressor):
     """Posting-list codec: ascending 32-bit runs become varint gaps."""
 
+    uses_library = True
+
     def result_cache_key(self):
         # No output-affecting parameters; the fast path is pinned
         # bit-identical, so results may be shared process-wide.
         return ("varint-delta",)
 
     def _encode(self, data: bytes, n: int) -> Optional[bytes]:
+        if self._library is not None:
+            return self._library.delta_encode(data, n)
         if self._use_fast:
             return vectorized.delta_compress(data)
         nwords = n // 4

@@ -59,12 +59,16 @@ def _half_fits8(half: int) -> bool:
 class FpcCompressor(Compressor):
     """Frequent-pattern prefix/mask coder for 32-bit words."""
 
+    uses_library = True
+
     def result_cache_key(self):
         # Stateless and parameter-free: one canonical payload per page,
         # so results are safe to share process-wide.
         return ("fpc",)
 
     def _encode(self, data: bytes, n: int) -> Optional[bytes]:
+        if self._library is not None:
+            return self._library.fpc_encode(data, n)
         if self._use_fast:
             return vectorized.fpc_compress(data)
         nwords, tail_len = divmod(n, 4)

@@ -17,8 +17,8 @@ Two encoders emit these bytes, held **bit-identical** by
 ``tests/compression/test_golden_kernels.py``,
 ``tests/compression/test_lzss.py`` and
 ``tests/compression/test_lz_compiled.py``: the compiled one
-(``lzss_encode`` in the package's LZ library, ``_lz.c``, loaded by
-:func:`~repro.compression.lzrw1.compiled_library`) and the seed's
+(``lzss_encode`` in the package's compiled library, ``_kernels.c``,
+loaded by :func:`~repro.compression.compiled.compiled_library`) and the seed's
 (:class:`~repro.compression._seed_reference.SeedLzss`): the oracle,
 what ``fast=False`` runs, and the silent fallback wherever the library
 cannot be built or loaded.  The compiled encoder does not keep the
@@ -70,7 +70,7 @@ class Lzss(LzKernel):
         return ("lzss", self.chain_depth, self.lazy)
 
     def _encode(self, data: bytes, n: int) -> Optional[bytes]:
-        library = self._compiled()
+        library = self._library
         if library is not None:
             return library.lzss_encode(data, n, self.chain_depth, self.lazy)
         from ._seed_reference import SeedLzss

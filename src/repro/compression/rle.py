@@ -23,11 +23,20 @@ from .base import Compressor, CorruptDataError, register
 _MIN_RUN = 3
 _MAX_RUN = 130
 _MAX_LITERAL = 128
+_PAST_SIZE = "rle: output runs past the declared size"
 
 
 @register("rle")
 class Rle(Compressor):
-    """Escape-coded run-length encoder."""
+    """Escape-coded run-length encoder.
+
+    ``rle_encode`` and ``rle_decode`` in the compiled library
+    (:mod:`.compiled`) run unless ``fast`` is ``False`` or it did not
+    load; then the numpy twin encodes where numpy is importable.  The
+    loops below are the oracle ``fast=False`` runs.
+    """
+
+    uses_library = True
 
     def result_cache_key(self):
         # Stateless and parameter-free: one canonical payload per page
@@ -36,6 +45,8 @@ class Rle(Compressor):
         return ("rle",)
 
     def _encode(self, data: bytes, n: int) -> Optional[bytes]:
+        if self._library is not None:
+            return self._library.rle_encode(data, n)
         if self._use_fast:
             return vectorized.rle_compress(data)
         out = bytearray()
@@ -66,6 +77,10 @@ class Rle(Compressor):
         return bytes(out)
 
     def _decode(self, payload: bytes, n: int) -> bytes:
+        # A block that would take the output past n is refused before it
+        # is written, so no payload decodes to more than n bytes.
+        if self._library is not None:
+            return self._library.rle_decode(payload, n)
         out = bytearray()
         i = 0
         end = len(payload)
@@ -76,11 +91,16 @@ class Rle(Compressor):
                 count = header + 1
                 if i + count > end:
                     raise CorruptDataError("rle: truncated literal block")
+                if len(out) + count > n:
+                    raise CorruptDataError(_PAST_SIZE)
                 out += payload[i : i + count]
                 i += count
             else:
                 if i >= end:
                     raise CorruptDataError("rle: truncated run")
-                out += bytes([payload[i]]) * (header - 0x7D)
+                count = header - 0x7D
+                if len(out) + count > n:
+                    raise CorruptDataError(_PAST_SIZE)
+                out += bytes([payload[i]]) * count
                 i += 1
         return bytes(out)

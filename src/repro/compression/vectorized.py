@@ -1,4 +1,5 @@
-"""Numpy-vectorized fast paths for the byte/word kernels.
+"""Numpy-vectorized fast paths for the byte/word kernels, where the
+compiled kernel library (:mod:`~.compiled`) does not load.
 
 The scalar kernels in :mod:`repro.compression.rle`, :mod:`~.wk`,
 :mod:`~.delta`, :mod:`~.fpc` and :mod:`~.bdi` walk their input one

@@ -98,12 +98,16 @@ class _BitReader:
 class WkCompressor(Compressor):
     """Word-oriented compressor in the WK4x4/WKdm family."""
 
+    uses_library = True
+
     def result_cache_key(self):
         # No output-affecting parameters; the fast path is pinned
         # bit-identical, so results may be shared process-wide.
         return ("wk",)
 
     def _encode(self, data: bytes, n: int) -> Optional[bytes]:
+        if self._library is not None:
+            return self._library.wk_encode(data, n)
         if self._use_fast:
             return vectorized.wk_compress(data)
         nwords, tail_len = divmod(n, 4)

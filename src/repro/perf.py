@@ -3,9 +3,9 @@
 The repo's simulated results never depend on host wall-clock, but the
 *cost of running the reproduction* does.  This module measures it:
 
-* **kernel throughput** — MB/s of each kernel's fast path (numpy, or
-  for lzrw1 and lzss the compiled LZ library) next to the scalar path
-  ``fast=False`` runs.  Both sides of a pair run interleaved in the
+* **kernel throughput** — MB/s of each kernel's fast path (the
+  compiled kernel library) next to the scalar path ``fast=False``
+  runs.  Both sides of a pair run interleaved in the
   same process on the same pages, so their ratio ("speedup") is largely
   machine-independent, which is what CI regression checks compare.
 * **end-to-end simulation rate** — pages of reference stream processed
@@ -40,7 +40,7 @@ from typing import (
 )
 
 from .compression import create, vectorized
-from .compression.lzrw1 import compiled_library
+from .compression.compiled import compiled_library
 from .compression.sampler import clear_shared_results
 from .control.controller import ControlConfig
 from .experiments import build_cell
@@ -205,19 +205,17 @@ def _bench_pairs(pairs: Mapping[str, Tuple[object, object]],
     return result
 
 
-#: Kernels with a ``fast`` variant (see compression/vectorized.py): lzrw1's
-#: and lzss's is the compiled LZ library (where that does not load, both
-#: sides run the seed's encoder), cpack's only the packing of its bit
-#: stream.
+#: Kernels with a ``fast`` variant, each the compiled kernel library's
+#: (where that does not load, lzrw1 and lzss run the seed's encoder on
+#: both sides, the word kernels their numpy twins; see
+#: compression/vectorized.py), and so is every committed fast ratio.
 FAST_KERNELS = (
     "rle", "wk", "varint-delta", "lzrw1", "lzss", "fpc", "bdi", "cpack",
 )
-#: The kernels whose committed fast ratio is the compiled library's.
-COMPILED_KERNELS = ("lzrw1", "lzss")
 
 
 def _lz_library() -> str:
-    """What ``lzrw1`` and ``lzss`` run here: ``compiled`` or ``python``."""
+    """What the compiled kernels run here: ``compiled`` or ``python``."""
     return "compiled" if compiled_library() is not None else "python"
 
 
@@ -225,10 +223,10 @@ def bench_compression(pages_per_kind: int = 16, reps: int = 5) -> Dict:
     """Kernel throughput: the dict that becomes ``BENCH_compression.json``.
 
     Under ``fast``, every ``fast=``-capable kernel's fast path next to
-    its scalar one (``None`` without numpy: nothing to compare); for
-    lzrw1 and lzss that is the compiled library, when it loads
-    (``lz_library`` names it), against the seed's encoder, which
-    ``fast=False`` runs.  Both sides of each pair are pinned
+    its scalar one (``None`` without numpy: nothing to compare): the
+    compiled library, when it loads (``lz_library`` names it), against
+    the Python loop ``fast=False`` runs (the seed's encoder for lzrw1
+    and lzss).  Both sides of each pair are pinned
     bit-identical by the test suite, so a ratio measures the same work
     done two ways and is machine-independent.
     """
@@ -851,9 +849,9 @@ def _numpy_present(payload: Dict, baseline: Dict) -> Optional[str]:
 
 
 def _compiled_lz(key: str, payload: Dict) -> Optional[str]:
-    if key not in COMPILED_KERNELS or payload.get("lz_library") == "compiled":
+    if key not in FAST_KERNELS or payload.get("lz_library") == "compiled":
         return None
-    return "the compiled LZ library did not load: the Python loops ran"
+    return "the compiled kernel library did not load: the Python paths ran"
 
 
 def _at_scale(payload: Dict, baseline: Dict) -> Optional[str]:
@@ -1118,8 +1116,8 @@ def run_harness(
         echo(f"error: output directory not found: {out_dir}")
         return 2
     echo(vectorized.capability())
-    echo(f"lz library: {_lz_library()} (lzrw1's and lzss's fast rows, "
-         "against the seed's encoders)")
+    echo(f"lz library: {_lz_library()} (every kernel's fast row, "
+         "against its Python loop)")
     pages_per_kind, reps = (6, 3) if quick else (16, 5)
     echo(f"compression kernels: {pages_per_kind} pages/kind, "
          f"best of {reps} interleaved rounds ...")

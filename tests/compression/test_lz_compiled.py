@@ -1,8 +1,8 @@
-"""The compiled LZ library's LZSS encoder and item decoder, and calls
-to it from many threads.
+"""The compiled library's LZSS encoder and item decoder, and calls to
+it from many threads.
 
-``_lz.c`` holds ``lzss_encode`` and ``lz_decode`` beside LZRW1's encoder
-(``test_lzrw1_compiled.py`` holds that encoder and the loader).  Three
+``_kernels.c`` holds ``lzss_encode`` and ``lz_decode`` beside LZRW1's
+encoder (``test_lzrw1_compiled.py`` holds that encoder and the loader).  Three
 things must hold:
 
 * *identity* — compiled ``lzss`` emits the frozen seed's bytes
@@ -29,7 +29,8 @@ from hypothesis import given, settings, strategies as st
 from repro.compression import create
 from repro.compression._seed_reference import SeedLzss
 from repro.compression.base import CorruptDataError
-from repro.compression.lzrw1 import compiled_library, decode_items
+from repro.compression.compiled import compiled_library
+from repro.compression.lzrw1 import decode_items
 from repro.compression.lzss import Lzss
 from repro.perf import _corpus_kinds
 from tests.compression.test_lzrw1_compiled import inputs
@@ -50,7 +51,7 @@ def test_compiled_lzss_equals_the_seed(chain_depth, lazy, data, wrap):
     assert got == want
     assert Lzss(chain_depth, lazy, fast=False).compress(data) == want
     if not got.stored_raw:
-        assert LIBRARY.decode(got.payload, len(data), "lzss") == data
+        assert LIBRARY.lz_decode(got.payload, len(data), "lzss") == data
 
 
 @needs_library
@@ -81,8 +82,8 @@ def decoded(decode, payload: bytes, size: int, name: str):
 
 def assert_one_decoder(payload: bytes, size: int, name: str = "lzss"):
     want = decoded(decode_items, payload, size, name)
-    assert decoded(LIBRARY.decode, payload, size, name) == want
-    assert decoded(LIBRARY.decode, bytearray(payload), size, name) == want
+    assert decoded(LIBRARY.lz_decode, payload, size, name) == want
+    assert decoded(LIBRARY.lz_decode, bytearray(payload), size, name) == want
     return want
 
 
@@ -115,12 +116,17 @@ def thread_pages() -> list:
     return [page for pages in _corpus_kinds(4).values() for page in pages]
 
 
+#: Every kernel with entry points in the library.
+THREAD_KERNELS = ("lzrw1", "lzss", "rle", "bdi", "varint-delta", "wk",
+                  "fpc", "cpack")
+
+
 def test_threads_get_what_one_thread_gets():
-    """Four threads compress and decompress distinct pages through
-    ``lzrw1`` and ``lzss`` with a thread switch every microsecond: every
-    payload and every decoded page equals the serial result (whichever
-    encoder this process runs)."""
-    kernels = (create("lzrw1"), create("lzss"))
+    """Four threads compress and decompress distinct pages through every
+    kernel with entry points in the library, with a thread switch every
+    microsecond: every payload and every decoded page equals the serial
+    result (whichever encoders and decoders this process runs)."""
+    kernels = tuple(create(name) for name in THREAD_KERNELS)
     pages = thread_pages()
     serial = [[kernel.compress(page) for kernel in kernels]
               for page in pages]

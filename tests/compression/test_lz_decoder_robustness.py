@@ -12,9 +12,11 @@ the way the system sends them: tag byte first, through
 exception.  ``lzrw1`` and ``lzss`` payloads share one item stream and
 one decoder, ``lzrw1.decode_items``, which in addition never decodes
 more than one item (18 bytes) past ``original_size`` before it gives up.
-It has a compiled twin (``lz_decode`` in ``_lz.c``), which every
+It has a compiled twin (``lz_decode`` in ``_kernels.c``), which every
 mutation here also goes through: the two return the same bytes or raise
-the same message.
+the same message.  So do ``rle``'s and ``cpack``'s decoders, the word
+kernels' that the benchmark workloads store, and neither writes past
+``original_size``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import pytest
 from repro.compression import create
 from repro.compression.adaptive import KERNEL_TAGS, AdaptiveCompressor
 from repro.compression.base import CompressionResult, CorruptDataError
-from repro.compression.lzrw1 import compiled_library, decode_items
+from repro.compression.compiled import compiled_library
+from repro.compression.lzrw1 import decode_items
 from repro.workloads import contentgen
 
 LZ_KERNELS = ("lzrw1", "lzss")
@@ -130,7 +133,7 @@ def _decoded(decode, payload: bytes, size: int, name: str):
                     reason="the compiled library did not load")
 @pytest.mark.parametrize("name", LZ_KERNELS)
 def test_both_lz_decoders_agree_on_damaged_payloads(name):
-    compiled = compiled_library().decode
+    compiled = compiled_library().lz_decode
     rng = random.Random(f"twins-{name}")
     kernel = create(name)
     tags = _tags(name)
@@ -147,6 +150,36 @@ def test_both_lz_decoders_agree_on_damaged_payloads(name):
     assert len(outcomes) == 4, outcomes
 
 
+#: The word kernels with a compiled decoder, and what it returns.
+COMPILED_DECODERS = {"rle": "rle_decode", "cpack": "cpack_decode"}
+
+
+@pytest.mark.skipif(compiled_library() is None,
+                    reason="the compiled library did not load")
+@pytest.mark.parametrize("name", sorted(COMPILED_DECODERS))
+def test_compiled_word_decoders_agree_on_damaged_payloads(name):
+    compiled = getattr(compiled_library(), COMPILED_DECODERS[name])
+    python = create(name, fast=False)._decode
+    rng = random.Random(f"twins-{name}")
+    kernel = create(name)
+    outcomes = set()
+    for page in _pages():
+        result = kernel.compress(page)
+        if result.stored_raw:
+            continue
+        tagged = bytes([KERNEL_TAGS[name]]) + result.payload
+        for _ in range(MUTATIONS_PER_PAGE):
+            payload, size = _mutate(rng, tagged, len(page), _tags(name))
+            want = _decoded(lambda p, n, _: python(p, n), payload[1:],
+                            size, name)
+            got = _decoded(lambda p, n, _: compiled(p, n), payload[1:],
+                           size, name)
+            assert got == want
+            outcomes.add(want if type(want) is str else "bytes")
+    # Decoded bytes and most of the decoder's errors came up.
+    assert "bytes" in outcomes and len(outcomes) >= 3, outcomes
+
+
 def test_unknown_tag_and_empty_payload_are_corrupt():
     adaptive = AdaptiveCompressor()
     for payload in (b"", bytes([max(KERNEL_TAGS.values()) + 1, 0, 0])):
@@ -155,30 +188,35 @@ def test_unknown_tag_and_empty_payload_are_corrupt():
 
 
 def test_decoder_never_runs_far_past_the_size():
-    """Worst case by construction — a group of maximal self-overlapping
-    copies with ``original_size`` one byte short of the first — and 60
-    random mutations: beyond the adaptive layer's one copy of the payload
-    (it strips the tag) and the raised exception, peak allocation stays
-    within a small multiple of ``original_size + 18``."""
+    """Worst cases by construction — a group of maximal self-overlapping
+    LZ copies with ``original_size`` one byte short of the first, and
+    ``rle`` runs of 130 bytes for 2 — and 60 random mutations of an
+    ``lzss``, an ``rle`` and a ``cpack`` payload, through the compiled
+    decoders and the Python ones: beyond the adaptive layer's one copy
+    of the payload (it strips the tag) and the raised exception, peak
+    allocation stays within a small multiple of ``original_size + 18``."""
     copy = bytes([0xF0, 0x01])          # length 18, offset 1
     runaway = bytes([KERNEL_TAGS["lzss"]]) + (
         b"\x00\x00" + b"A" * 16 + (b"\xff\xff" + copy * 16) * 400)
+    runs = bytes([KERNEL_TAGS["rle"]]) + b"\xff\x00" * 2048
     rng = random.Random("overshoot")
-    adaptive = AdaptiveCompressor()
     page = _pages()[0]
-    tagged = (bytes([KERNEL_TAGS["lzss"]])
-              + create("lzss").compress(page).payload)
-    cases = [(runaway, 16 + 17), (runaway, 4096)]
-    cases += [_mutate(rng, tagged, len(page), _tags("lzss"))
-              for _ in range(60)]
+    cases = [(runaway, 16 + 17), (runaway, 4096), (runs, 4096), (runs, 1)]
+    for name in ("lzss", "rle", "cpack"):
+        tagged = (bytes([KERNEL_TAGS[name]])
+                  + create(name).compress(page).payload)
+        cases += [_mutate(rng, tagged, len(page), _tags(name))
+                  for _ in range(60)]
     tracemalloc.start()
     try:
-        for payload, size in cases:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            _rejected(adaptive, payload, size)
-            peak = tracemalloc.get_traced_memory()[1] - before
-            budget = len(payload) + 4 * (size + 18) + 4096
-            assert peak <= budget, (size, peak)
+        for adaptive in (AdaptiveCompressor(),
+                         AdaptiveCompressor(fast=False)):
+            for payload, size in cases:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                _rejected(adaptive, payload, size)
+                peak = tracemalloc.get_traced_memory()[1] - before
+                budget = len(payload) + 4 * (size + 18) + 4096
+                assert peak <= budget, (payload[0], size, peak)
     finally:
         tracemalloc.stop()

@@ -1,10 +1,11 @@
-"""The compiled LZ library: byte-identical, and never a failure.
+"""The compiled kernel library: byte-identical, and never a failure.
 
-``_lz.c`` is built on first use and loaded with ``ctypes``
-(:func:`repro.compression.lzrw1.compiled_library`).  Its LZRW1 encoder
-and the loader are held here; ``test_lz_compiled.py`` holds its LZSS
-encoder, its decoder and calls from many threads.  Two things must
-hold:
+``_kernels.c`` is built on first use and loaded with ``ctypes``
+(:func:`repro.compression.compiled.compiled_library`).  Its LZRW1
+encoder and the loader are held here; ``test_lz_compiled.py`` holds its
+LZSS encoder, its LZ decoder and calls from many threads, and
+``test_word_kernels_compiled.py`` the word kernels' entry points.  Two
+things must hold:
 
 * *identity* — the LZRW1 encoder emits the Python loop's bytes (the
   frozen seed, :class:`~repro.compression._seed_reference.SeedLzrw1`)
@@ -30,19 +31,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compression import lzrw1
+from repro.compression import compiled
 from repro.compression._seed_reference import SeedLzrw1, SeedLzss
-from repro.compression.lzrw1 import (
-    Lzrw1,
-    compile_command,
-    compiled_library,
-    decode_items,
-)
+from repro.compression.compiled import compile_command, compiled_library
+from repro.compression.lzrw1 import Lzrw1, decode_items
 from repro.compression.lzss import Lzss
 from repro.perf import _corpus_kinds
 
 #: The ``src`` directory this package was imported from.
-SRC = Path(lzrw1.__file__).resolve().parents[2]
+SRC = Path(compiled.__file__).resolve().parents[2]
 
 needs_library = pytest.mark.skipif(
     compiled_library() is None, reason="the compiled library did not load")
@@ -66,8 +63,8 @@ def test_the_library_loads_where_a_compiler_works(tmp_path):
         pytest.skip("no working C compiler (CC, else sysconfig's)")
     assert compiled_library() is not None
     for kernel in (Lzrw1, Lzss):
-        assert kernel()._compiled() is compiled_library()
-        assert kernel(fast=False)._compiled() is None
+        assert kernel()._library is compiled_library()
+        assert kernel(fast=False)._library is None
 
 
 @st.composite
@@ -130,13 +127,13 @@ def fresh(monkeypatch, tmp_path):
     """A process whose compiled library is untried, caching under
     ``tmp_path/cache``; yields a check that it fell back and still
     emits and reads the seed's payloads."""
-    monkeypatch.setattr(lzrw1, "_COMPILED", [])
+    monkeypatch.setattr(compiled, "_COMPILED", [])
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
 
     def fell_back() -> None:
         assert_seed_payloads(Lzrw1(), Lzss())
         assert compiled_library() is None
-        assert lzrw1._COMPILED == [None]     # tried once, not per call
+        assert compiled._COMPILED == [None]  # tried once, not per call
 
     return fell_back
 
@@ -154,7 +151,7 @@ class TestFallback:
     def test_a_compile_error(self, fresh, monkeypatch, tmp_path):
         broken = tmp_path / "broken.c"
         broken.write_text("long lzrw1_encode(void) { return }\n")
-        monkeypatch.setattr(lzrw1, "_SOURCE", str(broken))
+        monkeypatch.setattr(compiled, "_SOURCE", str(broken))
         fresh()
         assert library_files(tmp_path) == []
 
@@ -175,7 +172,7 @@ class TestFallback:
     def test_a_cache_directory_owned_by_another_uid(self, fresh,
                                                     monkeypatch, tmp_path):
         other = os.getuid() + 1
-        monkeypatch.setattr(lzrw1.os, "getuid", lambda: other)
+        monkeypatch.setattr(compiled.os, "getuid", lambda: other)
         fresh()
         assert library_files(tmp_path) == []
 
@@ -185,7 +182,7 @@ class TestFallback:
         (built by another process first: a library this one has mapped
         must not be cut); elsewhere the Python loop runs."""
         works = compiler_works(tmp_path)
-        library = Path(lzrw1._library_path())
+        library = Path(compiled._library_path())
         if works:
             assert build_in_child(tmp_path / "cache").stdout.strip() == "True"
         else:
@@ -198,13 +195,13 @@ class TestFallback:
             return
         kernel = Lzrw1()
         assert_seed_payloads(kernel, Lzss())
-        assert kernel._compiled() is not None
+        assert kernel._library is not None
         assert library_files(tmp_path) == [library.name]
         body = library.read_bytes()
         assert hashlib.sha256(body[:-32]).digest() == body[-32:]
 
 
-_BUILD = ("from repro.compression.lzrw1 import compiled_library; "
+_BUILD = ("from repro.compression.compiled import compiled_library; "
           "print(compiled_library() is not None)")
 
 
@@ -231,6 +228,6 @@ def test_builders_racing_leave_one_whole_library(tmp_path):
     assert [child.returncode for child in children] == [0, 0]
     assert [out.strip() for out in outputs] == ["True", "True"]
     [name] = library_files(tmp_path)
-    assert name.startswith("lz-") and name.endswith(".so")
+    assert name.startswith("kernels-") and name.endswith(".so")
     # And a third process loads what they left.
     assert build_in_child(tmp_path / "cache").stdout.strip() == "True"

@@ -521,22 +521,43 @@ class TestGateTable:
     def test_a_run_without_the_compiled_library_skips_both_lz_rows(self):
         """Where the library did not load, lzrw1's and lzss's fast rows
         are skipped by name (their Python ratios would fail them), and
-        the other kernels' rows are still judged."""
+        so is every word kernel's: each holds the compiled encoder's
+        ratio, which the numpy twins that then run cannot reach."""
         committed = json.loads(
             (REPO_ROOT / "benchmarks" / "perf_baseline.json").read_text()
         )["fast_kernel_speedup"]
         report = evaluate_gates(
             {"compression": {"lz_library": "python", "fast": {
                 "aggregate": {name: {"speedup": 2.5}
-                              for name in ("lzrw1", "lzss", "rle")}}}},
-            {"fast_kernel_speedup": {
-                name: committed[name] for name in ("lzrw1", "lzss", "rle")}},
+                              for name in committed}}}},
+            {"fast_kernel_speedup": committed},
         )
         assert sorted(line.split(":")[0] for line in report.skipped
-                      if line.startswith("fast-kernel-speedup")) == [
-            "fast-kernel-speedup lzrw1", "fast-kernel-speedup lzss"]
-        assert [line.split(":")[0] for line in report.failures] == [
-            "fast-kernel-speedup rle"]
+                      if line.startswith("fast-kernel-speedup")) == sorted(
+            f"fast-kernel-speedup {name}" for name in committed)
+        assert {"lzrw1", "lzss"} < set(committed)
+        assert report.failures == []
+
+    @pytest.mark.parametrize("name, numpy_twin, compiled", [
+        ("rle", 7.69, 55.9), ("wk", 6.99, 84.7), ("varint-delta", 2.73, 39.0),
+        ("fpc", 8.33, 111.7), ("bdi", 4.93, 60.0), ("cpack", 1.85, 80.4)])
+    def test_a_fallback_to_the_numpy_twin_fails_its_row(
+            self, name, numpy_twin, compiled):
+        """Each word kernel's committed floor is its compiled encoder's
+        ratio against its loop: the highest ratio its numpy twin read in
+        the harness fails the row by name where the library loaded, and
+        the lowest compiled ratio recorded passes it."""
+        committed = json.loads(
+            (REPO_ROOT / "benchmarks" / "perf_baseline.json").read_text()
+        )["fast_kernel_speedup"][name]
+        for speedup, want in ((numpy_twin, [f"fast-kernel-speedup {name}"]),
+                              (compiled, [])):
+            failures = _failures(
+                {"compression": {"lz_library": "compiled", "fast": {
+                    "aggregate": {name: {"speedup": speedup}}}}},
+                {"fast_kernel_speedup": {name: committed}},
+            )
+            assert [line.split(":")[0] for line in failures] == want
 
     @pytest.mark.parametrize("pages_s, fails", [(2100, True), (4400, False)])
     def test_committed_contentgen_floor_can_fail(self, pages_s, fails):
