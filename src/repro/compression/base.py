@@ -101,9 +101,7 @@ class Compressor:
             kernel's Python loop.  ``None`` and ``True`` are one value:
             the compiled library's entry points (:mod:`.compiled`) for
             a kernel that has them and where the library loads, else
-            the kernel's numpy path (:mod:`.vectorized`) when numpy is
-            importable, else the loop.  Every path produces
-            bit-identical payloads.
+            the loop.  Both paths produce bit-identical payloads.
     """
 
     #: Registry name; subclasses override.
@@ -113,12 +111,7 @@ class Compressor:
     uses_library: bool = False
 
     def __init__(self, fast: Optional[bool] = None):
-        # Imported here, where it is first needed: numpy comes with it,
-        # and the error classes above must not bring numpy along.
-        from . import vectorized
-
         self.fast = fast
-        self._use_fast = vectorized.enabled(fast)
         #: The compiled library this instance runs, or ``None``:
         #: resolved here, so a forked worker loads nothing later.
         self._library = None

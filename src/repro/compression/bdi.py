@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from . import vectorized
 from .base import Compressor, CorruptDataError, register
 
 _LINE = 64
@@ -115,21 +114,16 @@ class BdiCompressor(Compressor):
         # repeats for this path to shrink it.
         if n >= 16 and n % 8 == 0 and data[:8] * (n // 8) == data:
             return bytes([_PAGE_SAME8]) + data[:8]
-        nlines, tail_len = divmod(n, _LINE)
+        nlines = n // _LINE
         if nlines == 0:
             return None
-        if self._use_fast:
-            out = vectorized.bdi_compress_lines(data, nlines)
-        else:
-            stream = bytearray([_PAGE_LINES])
-            for i in range(0, nlines * _LINE, _LINE):
-                enc, payload = _encode_line(data[i : i + _LINE])
-                stream.append(enc)
-                stream += payload
-            out = bytes(stream)
-        if tail_len:
-            out += data[nlines * _LINE :]
-        return out
+        out = bytearray([_PAGE_LINES])
+        for i in range(0, nlines * _LINE, _LINE):
+            enc, payload = _encode_line(data[i : i + _LINE])
+            out.append(enc)
+            out += payload
+        out += data[nlines * _LINE :]
+        return bytes(out)
 
     def _decode(self, payload: bytes, n: int) -> bytes:
         if not payload:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import struct
 from typing import Optional
 
-from . import vectorized
 from .base import Compressor, CorruptDataError, register
 from .wk import _BitReader, _BitWriter
 
@@ -56,8 +55,8 @@ class CpackCompressor(Compressor):
 
     ``cpack_encode`` and ``cpack_decode`` in the compiled library
     (:mod:`.compiled`) run unless ``fast`` is ``False`` or it did not
-    load.  Otherwise the FIFO walk below runs, and ``fast`` selects the
-    numpy field packer over ``_BitWriter`` for its bit stream.
+    load.  Otherwise the FIFO walk below runs, packing its bit stream
+    through ``_BitWriter``.
     """
 
     uses_library = True
@@ -77,11 +76,9 @@ class CpackCompressor(Compressor):
         tail = data[nwords * 4 :]
 
         # One bit-stream field per word: code, index and raw bits combined
-        # LSB-first, so the stream is packed once at the end.
-        values = []
-        widths = bytearray()
-        emit = values.append
-        emit_width = widths.append
+        # LSB-first, one write each.
+        stream = _BitWriter()
+        write = stream.write
         dictionary = [0] * _DICT_SIZE
         fill = 0  # next FIFO slot to replace
         # The scan the hardware does in parallel, as three lookups: where
@@ -96,29 +93,25 @@ class CpackCompressor(Compressor):
         top2s = [0] * _DICT_SIZE
         for word in words:
             if word == 0:
-                emit(_C_ZERO)
-                emit_width(2)
+                write(_C_ZERO, 2)
                 continue
             if word < 0x100:
-                emit(_F_LOWBYTE | word << 4)
-                emit_width(12)
+                write(_F_LOWBYTE | word << 4, 12)
                 continue
             pos = position.get(word)
             if pos is not None:
-                emit(_C_EXACT | pos << 2)
-                emit_width(6)
+                write(_C_EXACT | pos << 2, 6)
                 continue
             top3 = word >> 8
             top2 = word >> 16
             if top2 not in top2s:
-                emit(_C_MISS | word << 2)
-                emit_width(34)
+                write(_C_MISS | word << 2, 34)
             elif top3 in top3s:
-                emit(_F_HIGH24 | top3s.index(top3) << 4 | (word & 0xFF) << 8)
-                emit_width(16)
+                write(_F_HIGH24 | top3s.index(top3) << 4 | (word & 0xFF) << 8,
+                      16)
             else:
-                emit(_F_HIGH16 | top2s.index(top2) << 4 | (word & 0xFFFF) << 8)
-                emit_width(24)
+                write(_F_HIGH16 | top2s.index(top2) << 4
+                      | (word & 0xFFFF) << 8, 24)
             # Partial matches and misses push the word, replacing the
             # oldest entry; the decoder mirrors this exactly.
             old = dictionary[fill]
@@ -130,14 +123,7 @@ class CpackCompressor(Compressor):
             top2s[fill] = top2
             fill = (fill + 1) % _DICT_SIZE
 
-        if self._use_fast:
-            stream = vectorized.pack_fields(values, widths)
-        else:
-            writer = _BitWriter()
-            for field, width in zip(values, widths):
-                writer.write(field, width)
-            stream = writer.flush()
-        return struct.pack("<I", nwords) + stream + tail
+        return struct.pack("<I", nwords) + stream.flush() + tail
 
     def _decode(self, payload: bytes, n: int) -> bytes:
         if self._library is not None:

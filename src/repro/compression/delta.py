@@ -27,7 +27,6 @@ from __future__ import annotations
 import struct
 from typing import List, Optional
 
-from . import vectorized
 from .base import Compressor, CorruptDataError, register
 
 _TAG_RAW = 0
@@ -81,8 +80,6 @@ class VarintDeltaCompressor(Compressor):
     def _encode(self, data: bytes, n: int) -> Optional[bytes]:
         if self._library is not None:
             return self._library.delta_encode(data, n)
-        if self._use_fast:
-            return vectorized.delta_compress(data)
         nwords = n // 4
         if nwords < _MIN_RUN:
             return None

@@ -30,7 +30,6 @@ from __future__ import annotations
 import struct
 from typing import Optional
 
-from . import vectorized
 from .base import Compressor, CorruptDataError, register
 from .wk import _BitReader, _BitWriter
 
@@ -69,8 +68,6 @@ class FpcCompressor(Compressor):
     def _encode(self, data: bytes, n: int) -> Optional[bytes]:
         if self._library is not None:
             return self._library.fpc_encode(data, n)
-        if self._use_fast:
-            return vectorized.fpc_compress(data)
         nwords, tail_len = divmod(n, 4)
         if nwords == 0:
             return None

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from . import vectorized
 from .base import Compressor, CorruptDataError, register
 
 _MIN_RUN = 3
@@ -32,8 +31,8 @@ class Rle(Compressor):
 
     ``rle_encode`` and ``rle_decode`` in the compiled library
     (:mod:`.compiled`) run unless ``fast`` is ``False`` or it did not
-    load; then the numpy twin encodes where numpy is importable.  The
-    loops below are the oracle ``fast=False`` runs.
+    load.  The loops below are the oracle ``fast=False`` runs and the
+    fallback.
     """
 
     uses_library = True
@@ -47,8 +46,6 @@ class Rle(Compressor):
     def _encode(self, data: bytes, n: int) -> Optional[bytes]:
         if self._library is not None:
             return self._library.rle_encode(data, n)
-        if self._use_fast:
-            return vectorized.rle_compress(data)
         out = bytearray()
         literals = bytearray()
         i = 0

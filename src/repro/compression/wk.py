@@ -27,7 +27,6 @@ from __future__ import annotations
 import struct
 from typing import Optional
 
-from . import vectorized
 from .base import Compressor, CorruptDataError, register
 
 _DICT_SIZE = 16
@@ -108,8 +107,6 @@ class WkCompressor(Compressor):
     def _encode(self, data: bytes, n: int) -> Optional[bytes]:
         if self._library is not None:
             return self._library.wk_encode(data, n)
-        if self._use_fast:
-            return vectorized.wk_compress(data)
         nwords, tail_len = divmod(n, 4)
         if nwords == 0:
             return None

@@ -39,7 +39,7 @@ from typing import (
     Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
 )
 
-from .compression import create, vectorized
+from .compression import create
 from .compression.compiled import compiled_library
 from .compression.sampler import clear_shared_results
 from .control.controller import ControlConfig
@@ -206,9 +206,8 @@ def _bench_pairs(pairs: Mapping[str, Tuple[object, object]],
 
 
 #: Kernels with a ``fast`` variant, each the compiled kernel library's
-#: (where that does not load, lzrw1 and lzss run the seed's encoder on
-#: both sides, the word kernels their numpy twins; see
-#: compression/vectorized.py), and so is every committed fast ratio.
+#: (where that does not load, both sides run the Python path ``fast=False``
+#: runs), and so is every committed fast ratio.
 FAST_KERNELS = (
     "rle", "wk", "varint-delta", "lzrw1", "lzss", "fpc", "bdi", "cpack",
 )
@@ -223,21 +222,19 @@ def bench_compression(pages_per_kind: int = 16, reps: int = 5) -> Dict:
     """Kernel throughput: the dict that becomes ``BENCH_compression.json``.
 
     Under ``fast``, every ``fast=``-capable kernel's fast path next to
-    its scalar one (``None`` without numpy: nothing to compare): the
-    compiled library, when it loads (``lz_library`` names it), against
-    the Python loop ``fast=False`` runs (the seed's encoder for lzrw1
-    and lzss).  Both sides of each pair are pinned
+    its scalar one: the compiled library, when it loads (``lz_library``
+    names it), against the Python loop ``fast=False`` runs (the seed's
+    encoder for lzrw1 and lzss).  Both sides of each pair are pinned
     bit-identical by the test suite, so a ratio measures the same work
     done two ways and is machine-independent.
     """
     return {
-        "kernels": vectorized.capability(),
         "lz_library": _lz_library(),
         "fast": _bench_pairs(
             {name: (create(name), create(name, fast=False))
              for name in FAST_KERNELS},
             pages_per_kind, reps,
-        ) if vectorized.HAVE_NUMPY else None,
+        ),
     }
 
 
@@ -264,7 +261,7 @@ def bench_contentgen(pages: int = 32, reps: int = 5) -> Dict:
 
     outputs = 2 * DEFAULT_PAGE_SIZE
     paths = {"python": contentgen._accepted_python}
-    if vectorized.HAVE_NUMPY:
+    if contentgen._np is not None:
         paths["numpy"] = contentgen._accepted_numpy
     draw = ab_compare({
         name: (lambda accepted=accepted: lambda: [
@@ -513,9 +510,8 @@ def bench_sim(scale: float = 0.12,
     """
     from .service.latency import LatencyRecorder
 
-    mode = "scalar" if fast is False else (
-        "fast" if vectorized.HAVE_NUMPY else "scalar"
-    )
+    mode = ("fast" if fast is not False and compiled_library() is not None
+            else "scalar")
     names = list(workloads) if workloads else sorted(catalog.CATALOG)
     result: Dict = {"scale": scale, "reps": reps, "mode": mode,
                     "workloads": {}}
@@ -843,11 +839,6 @@ def _lookup(tree, path: str):
     return tree
 
 
-def _numpy_present(payload: Dict, baseline: Dict) -> Optional[str]:
-    return (None if payload.get("fast") is not None
-            else "numpy absent: no vectorized kernels to compare")
-
-
 def _compiled_lz(key: str, payload: Dict) -> Optional[str]:
     if key not in FAST_KERNELS or payload.get("lz_library") == "compiled":
         return None
@@ -866,8 +857,8 @@ def _at_scale(payload: Dict, baseline: Dict) -> Optional[str]:
 
 def _scalar_at_scale(payload: Dict, baseline: Dict) -> Optional[str]:
     if "scalar" not in payload:
-        # No numpy: the primary sweep already ran the scalar kernels and
-        # the sim-floor rows hold it.
+        # No compiled library: the primary sweep already ran the scalar
+        # kernels and the sim-floor rows hold it.
         return "no separate forced-scalar sweep in this run"
     return _at_scale(payload["scalar"], baseline)
 
@@ -969,8 +960,8 @@ _FLOOR = 1.0 - SIM_CHECK_TOLERANCE
 #: ``BENCH_compression.json``, ``service`` is ``BENCH_service.json``.
 GATES: Tuple[Gate, ...] = (
     Gate("fast-kernel-speedup", "compression", "fast.aggregate.*.speedup",
-         ">=", "fast_kernel_speedup", CHECK_TOLERANCE, _numpy_present,
-         _compiled_lz),
+         ">=", "fast_kernel_speedup", CHECK_TOLERANCE,
+         applies_to_key=_compiled_lz),
     Gate("sim-floor", "sim", "workloads.*.pages_per_second",
          ">=", "sim_pages_per_second", _FLOOR, _at_scale),
     Gate("sim-aggregate-floor", "sim", "aggregate.pages_per_second",
@@ -1115,15 +1106,13 @@ def run_harness(
     if not out_dir.is_dir():
         echo(f"error: output directory not found: {out_dir}")
         return 2
-    echo(vectorized.capability())
     echo(f"lz library: {_lz_library()} (every kernel's fast row, "
          "against its Python loop)")
     pages_per_kind, reps = (6, 3) if quick else (16, 5)
     echo(f"compression kernels: {pages_per_kind} pages/kind, "
          f"best of {reps} interleaved rounds ...")
     compression = bench_compression(pages_per_kind, reps)
-    fast = compression["fast"] or {"aggregate": {}}    # None: no numpy
-    for name, agg in fast["aggregate"].items():
+    for name, agg in compression["fast"]["aggregate"].items():
         echo(f"  {name}: fast {agg['fast_mb_s']:.2f} MB/s, "
              f"scalar {agg['scalar_mb_s']:.2f} MB/s "
              f"({agg['speedup']:.2f}x; per-kind mean "

@@ -150,11 +150,11 @@ class MachineConfig:
     #: False builds the "unmodified system" baseline.
     compression_cache: bool = True
     compressor: str = "lzrw1"
-    #: Tri-state vectorization flag forwarded to every compressor the
-    #: machine builds (see :mod:`repro.compression.vectorized`).  ``None``
-    #: auto-selects the numpy fast paths when the ``[fast]`` extra is
-    #: installed; ``False`` forces the scalar kernels.  Simulation output
-    #: is bit-identical either way — the flag only moves wall-clock.
+    #: Tri-state flag forwarded to every compressor the machine builds
+    #: (see :class:`repro.compression.Compressor`).  ``None`` runs the
+    #: compiled kernel library where it loads; ``False`` forces the
+    #: Python kernels.  Simulation output is bit-identical either way —
+    #: the flag only moves wall-clock.
     fast: Optional[bool] = None
     device: str = "rz57"
     #: "ufs" = update-in-place whole-block FS (Sprite's, with the

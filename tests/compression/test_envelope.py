@@ -18,8 +18,8 @@ from repro.compression import (
     Compressor,
     CorruptDataError,
     available,
+    compiled,
     create,
-    vectorized,
 )
 from repro.workloads import contentgen
 
@@ -121,29 +121,29 @@ class TestPlantedKernels:
             assert str(excinfo.value).startswith(f"{name}: "), name
 
 
-_TWINS = ("rle_compress", "wk_compress", "delta_compress", "fpc_compress",
-          "bdi_compress_lines", "pack_fields")
-
-
 class TestFastResolution:
     @pytest.mark.parametrize("name", available())
     def test_every_kernel_takes_the_three_values(self, name):
+        """``None`` and ``True`` resolve to one library, the compiled
+        one where the kernel has entry points there (``None`` where it
+        did not load); ``False`` to none, for every kernel."""
         assert create(name).fast is None
+        library = (compiled.compiled_library()
+                   if create(name).uses_library else None)
         for fast in (None, True, False):
             compressor = create(name, fast=fast)
             assert compressor.fast is fast
-            assert compressor._use_fast is vectorized.enabled(fast)
-        assert create(name, fast=True)._use_fast is create(name)._use_fast
-        assert create(name, fast=False)._use_fast is False
+            assert compressor._library is (
+                None if fast is False else library)
 
     @pytest.mark.parametrize("name", available())
-    def test_false_never_reaches_a_numpy_twin(self, name, monkeypatch):
+    def test_false_never_reaches_the_library(self, name, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("fast=False called into vectorized")
+            raise AssertionError("fast=False loaded the compiled library")
 
-        for twin in _TWINS:
-            monkeypatch.setattr(vectorized, twin, forbidden)
+        monkeypatch.setattr(compiled, "compiled_library", forbidden)
         compressor = create(name, fast=False)
+        assert compressor._library is None
         for data in _contents(4096).values():
             assert compressor.decompress(compressor.compress(data)) == data
 

@@ -9,7 +9,8 @@ things must hold:
   (:class:`~repro.compression._seed_reference.SeedLzss`) for every
   search depth, with and without lazy matching, on every input length,
   alphabet and buffer type, and ``fast=False`` (the seed's encoder
-  through :meth:`Compressor.compress`) agrees;
+  through :meth:`Compressor.compress`) agrees — for ``lzrw1`` too on
+  the word kernels' boundary corpus;
 * *one decoder* — on any bytes and any declared size, the compiled
   decoder returns :func:`~repro.compression.lzrw1.decode_items`'s bytes
   or raises its :class:`CorruptDataError` message;
@@ -30,10 +31,11 @@ from repro.compression import create
 from repro.compression._seed_reference import SeedLzss
 from repro.compression.base import CorruptDataError
 from repro.compression.compiled import compiled_library
-from repro.compression.lzrw1 import decode_items
+from repro.compression.lzrw1 import Lzrw1, decode_items
 from repro.compression.lzss import Lzss
 from repro.perf import _corpus_kinds
 from tests.compression.test_lzrw1_compiled import inputs
+from tests.compression.test_word_kernels_compiled import boundary_corpus
 
 LIBRARY = compiled_library()
 needs_library = pytest.mark.skipif(
@@ -62,6 +64,18 @@ def test_compiled_lzss_equals_the_seed_on_the_corpus():
             result = compiled.compress(page)
             assert result == seed.compress(page)
             assert compiled.decompress(result) == page
+
+
+@pytest.mark.parametrize("kernel", [Lzrw1, Lzss], ids=["lzrw1", "lzss"])
+def test_scalar_hash_path_matches_default(kernel):
+    """fast=False (the seed's encoder) emits the default kernel's bytes
+    (the compiled encoder where the library loads)."""
+    scalar, default = kernel(fast=False), kernel()
+    for page in boundary_corpus():
+        got = scalar.compress(page)
+        want = default.compress(page)
+        assert got.payload == want.payload
+        assert got.stored_raw == want.stored_raw
 
 
 @needs_library

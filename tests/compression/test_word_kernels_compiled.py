@@ -6,30 +6,43 @@
 workloads store).  Two things must hold:
 
 * *identity* — each kernel's default path (the compiled encoder where
-  the library loads, else its numpy twin, else its loop) returns what
-  its ``fast=False`` loop returns from ``_encode``, ``None`` included,
-  for every length from 0 to 4,200 bytes (tails that fill no word or
-  line), every buffer type, ``test_vectorized.py``'s boundary segments,
-  the ``contentgen`` corpus, mixtures of its kinds, tiled random
-  blocks, the ``kv-mixed`` PUT payloads of seeds 1-3 and pages each
-  kernel just compresses;
+  the library loads, else its loop) returns what its ``fast=False``
+  loop returns from ``_encode``, ``None`` included, for every length
+  from 0 to 4,200 bytes (tails that fill no word or line), every buffer
+  type, named boundary segments (:func:`structured_pages`), the
+  ``contentgen`` corpus, mixtures of its kinds, tiled random blocks,
+  the ``kv-mixed`` PUT payloads of seeds 1-3 and pages each kernel just
+  compresses;
+* *one format* — an aggregate SHA-256 of each kernel's payloads over a
+  fixed corpus is pinned (:data:`GOLDEN_DIGESTS`), so a coordinated
+  edit of the compiled encoder and its loop is caught, and C-Pack's
+  payloads also equal the 16-entry scan its loop replaced
+  (:func:`reference_cpack`);
 * *one decoder* — on any bytes and any declared size, each compiled
   decoder returns its Python decoder's bytes or raises its
   :class:`CorruptDataError` message (``test_lz_decoder_robustness.py``
   sends the damaged payloads).
+
+Where the library does not load (``CC=false``) the default path is the
+loop, and the identity tests compare the loop with itself; the digests
+and the C-Pack oracle still hold it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 import struct
+from typing import List
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.compression import create
 from repro.compression.base import CorruptDataError
+from repro.compression.bdi import _DELTA_ENCODINGS
 from repro.compression.compiled import compiled_library
+from repro.compression.wk import _BitWriter, _dict_slot
 from repro.perf import _corpus_kinds
 from repro.workloads.traffic import (
     PUT,
@@ -37,8 +50,8 @@ from repro.workloads.traffic import (
     TrafficSpec,
     generate_ops,
 )
+from tests.compression.test_golden_kernels import golden_corpus
 from tests.compression.test_lzrw1_compiled import compiler_works
-from tests.compression.test_vectorized import structured_pages
 
 PAGE = 4096
 WORD_KERNELS = ("rle", "bdi", "varint-delta", "wk", "fpc", "cpack")
@@ -47,6 +60,38 @@ DECODERS = {"rle": "rle_decode", "cpack": "cpack_decode"}
 LIBRARY = compiled_library()
 needs_library = pytest.mark.skipif(
     LIBRARY is None, reason="the compiled library did not load")
+
+
+#: Aggregate SHA-256 of (payload + raw-flag byte) over
+#: :func:`boundary_corpus`, computed from the loops.  Pinned: a change
+#: here is a breaking format change, not a refactor.
+GOLDEN_DIGESTS = {
+    "rle": "d48a8de6b18b808c94b9ba2b4ccda8833ae539a4c3c5854789c776abd5bddc41",
+    "wk": "86d02efb79ceff07a0830059a05bd1ce6ba70c9f2fc44dd400c8055b6c40fef0",
+    "varint-delta": (
+        "47444306da064992768dab4ef79c84bb68634f54a3c8e32d6e65223d95693d21"
+    ),
+    "fpc": "66c18b3f9ba7a11ad092a790dd00a323359420edd27d2feef685924ac7d82c93",
+    "bdi": "7d6510002a98bbc2fda7dd7fbf72d7a0bba4a14420e8aa87363fdc8960341b8a",
+    "cpack": (
+        "e6207bf6d87c3dadb464d8ec490145ef72154491f364065f98f9a5d8b5179332"
+    ),
+}
+
+
+def boundary_corpus() -> List[bytes]:
+    """The LZ kernels' corpus, then pages on RLE run-chunk boundaries
+    (130/260 straddles) and word-segment boundaries for the delta codec
+    (descending, large-gap ascending)."""
+    return golden_corpus() + [
+        b"a" * 131,
+        b"a" * 132,
+        b"a" * 133,
+        b"a" * 260 + b"xy",
+        b"ab" * 2048,
+        b"".join((4096 - i).to_bytes(4, "little") for i in range(1024)),
+        b"".join((i * 200).to_bytes(4, "little") for i in range(1024)),
+    ]
 
 
 def assert_one_encoding(page: bytes, wrap=bytes) -> None:
@@ -69,6 +114,210 @@ def test_the_library_loads_where_a_compiler_works(tmp_path):
     for name in WORD_KERNELS:
         assert create(name)._library is LIBRARY
         assert create(name, fast=False)._library is None
+
+
+@pytest.mark.parametrize("variant", WORD_KERNELS)
+def test_fast_bit_identical_to_scalar(variant):
+    fast, scalar = create(variant), create(variant, fast=False)
+    digest = hashlib.sha256()
+    for page in boundary_corpus():
+        got = fast.compress(page)
+        want = scalar.compress(page)
+        assert got.payload == want.payload, (
+            f"{variant}: fast payload diverges on a {len(page)}-byte page"
+        )
+        assert got.stored_raw == want.stored_raw
+        assert got.original_size == want.original_size == len(page)
+        assert scalar.decompress(got) == page
+        digest.update(want.payload)
+        digest.update(b"\x00" if want.stored_raw else b"\x01")
+    assert digest.hexdigest() == GOLDEN_DIGESTS[variant], (
+        f"{variant}: corpus digest changed — the stored format moved"
+    )
+
+
+def test_mixed_mode_shared_results_are_safe():
+    """Compiled and loop instances share one result-cache identity."""
+    for name in WORD_KERNELS:
+        key = create(name).result_cache_key()
+        assert key is not None
+        assert key == create(name, fast=False).result_cache_key()
+
+
+# --------------------------------------------------------------------------
+# fpc / bdi / cpack / wk under structured boundary input.
+
+
+def reference_cpack(data: bytes) -> bytes:
+    """C-Pack's stream as the replaced encoder wrote it: a 16-entry scan
+    per word, one ``_BitWriter.write`` per code, index and raw field."""
+    nwords = len(data) // 4
+    stream = _BitWriter()
+    write = stream.write
+    dictionary = [0] * 16
+    fill = 0
+    for (word,) in struct.iter_unpack("<I", data[: nwords * 4]):
+        if word == 0:
+            write(0b00, 2)
+            continue
+        if word & 0xFFFFFF00 == 0:
+            write(0b11, 2)
+            write(0b01, 2)
+            write(word, 8)
+            continue
+        best_pos = best_bytes = 0
+        for pos, entry in enumerate(dictionary):
+            if entry == word:
+                best_pos, best_bytes = pos, 4
+                break
+            if best_bytes < 3 and entry ^ word < 0x100:
+                best_pos, best_bytes = pos, 3
+            elif best_bytes < 2 and entry ^ word < 0x10000:
+                best_pos, best_bytes = pos, 2
+        if best_bytes == 4:
+            write(0b10, 2)
+            write(best_pos, 4)
+            continue
+        if best_bytes == 3:
+            write(0b11, 2)
+            write(0b10, 2)
+            write(best_pos, 4)
+            write(word, 8)
+        elif best_bytes == 2:
+            write(0b11, 2)
+            write(0b00, 2)
+            write(best_pos, 4)
+            write(word, 16)
+        else:
+            write(0b01, 2)
+            write(word, 32)
+        dictionary[fill] = word
+        fill = (fill + 1) % 16
+    return struct.pack("<I", nwords) + stream.flush() + data[nwords * 4 :]
+
+
+def _words(*values: int) -> bytes:
+    return struct.pack(f"<{len(values)}I", *(v & 0xFFFFFFFF for v in values))
+
+
+def _bdi_edge_line(args) -> bytes:
+    """One 64-byte line of ``k``-byte values whose distances from the
+    first sit on the ``d``-byte delta boundary, wrapping modulo the
+    ``k``-byte range (a wrapped distance must not pass for a near one)."""
+    (_enc, k, d), base, picks = args
+    half = 1 << (8 * d - 1)
+    edges = (0, 1, -1, half - 1, half, -half, -half - 1)
+    values = [base] + [base + edges[p] for p in picks[: 64 // k - 1]]
+    return b"".join((v % (1 << 8 * k)).to_bytes(k, "little") for v in values)
+
+
+def _wk_slot_mates(high: int) -> bytes:
+    """Two 22-bit prefixes sharing a WK dictionary slot, alternating:
+    each evicts the other, so a re-seen word is a miss, not an exact
+    match — with a zero word (which must not touch the slot) between."""
+    mate = (high + 1) & 0x3FFFFF
+    while _dict_slot(mate << 10) != _dict_slot(high << 10):
+        mate = (mate + 1) & 0x3FFFFF
+    a, b = high << 10 | 1, mate << 10 | 2
+    return _words(a, b, a, 0, a, b | 5, b, b | 5, a)
+
+
+_word = st.integers(0, 0xFFFFFFFF)
+
+#: Named boundary segments; a page is a concatenation of draws.
+SEGMENTS = {
+    # FPC: a run is cut into tokens of at most 8 zero words.
+    "fpc-zero-run": st.sampled_from([1, 7, 8, 9, 16, 17]).map(
+        lambda n: bytes(4 * n)
+    ),
+    "fpc-sign-edge": st.sampled_from(
+        [7, 8, -8, -9, 127, 128, -128, -129, 32767, 32768, -32768, -32769]
+    ).map(_words),
+    "fpc-two-halves": st.sampled_from(
+        [0xFF80FF85, 0x007F007F, 0x007FFF80, 0x0080007F, 0xFF7FFF80]
+    ).map(_words),
+    "fpc-high-half": st.integers(1, 0xFFFF).map(lambda h: _words(h << 16)),
+    "fpc-repeated-byte": st.integers(0, 255).map(lambda b: bytes([b]) * 4),
+    # BDI: deltas at +-half and one past it for every (k, d).
+    "bdi-delta-edge": st.tuples(
+        st.sampled_from(_DELTA_ENCODINGS),
+        st.integers(0, 2**64 - 1),
+        st.lists(st.integers(0, 6), min_size=31, max_size=31),
+    ).map(_bdi_edge_line),
+    # Base-8 values further apart than 2**63: the wrapped difference is
+    # small, the true one is not.
+    "bdi-far-base8": st.lists(
+        st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1]),
+        min_size=8, max_size=8,
+    ).map(lambda vs: b"".join(v.to_bytes(8, "little") for v in vs)),
+    # A repeat-8 line also fits base-8/delta-1; repeat-8 comes first.
+    "bdi-repeat8": st.integers(0, 2**64 - 1).map(
+        lambda v: v.to_bytes(8, "little") * 8
+    ),
+    # C-Pack: a zero high half partially matches the initial all-zero
+    # dictionary.
+    "cpack-zero-high-half": st.integers(0x100, 0xFFFF).map(_words),
+    # A 2-byte partner pushed before a 3-byte partner: the later,
+    # longer match must win.
+    "cpack-3-after-2": _word.map(
+        lambda w: _words(w ^ 0x1200, w ^ 0x34, w, w ^ 0x56)
+    ),
+    # More than 16 pushes wrap the FIFO; the first word, replaced, is a
+    # miss again when re-seen.
+    "cpack-fifo-wrap": st.tuples(_word, st.integers(16, 20)).map(
+        lambda t: _words(
+            t[0], *(t[0] + (i << 16) for i in range(1, t[1] + 1)), t[0]
+        )
+    ),
+    "cpack-reseen": _word.map(lambda w: _words(w, w ^ 0xABCD0000, w, w ^ 1)),
+    # WK: a non-zero word under 1024 partially matches the empty
+    # dictionary's 0; same-prefix words chain partial matches, each
+    # against the one before, with exact repeats between.
+    "wk-low-word": st.integers(1, 1023).map(_words),
+    "wk-partial-chain": st.tuples(
+        st.integers(0, 0x3FFFFF),
+        st.lists(st.sampled_from([0, 1, 1, 2, 1023]), min_size=2,
+                 max_size=8),
+    ).map(lambda t: _words(*(t[0] << 10 | low for low in t[1]))),
+    "wk-slot-mates": st.integers(0, 0x3FFFFF).map(_wk_slot_mates),
+    "random": st.binary(min_size=1, max_size=64),
+}
+
+
+@st.composite
+def structured_pages(draw) -> bytes:
+    """0-4,099 bytes of boundary segments, any 0-3 byte tail included."""
+    unit = b"".join(
+        draw(st.lists(st.one_of(*SEGMENTS.values()), max_size=24))
+    )
+    repeat = draw(st.integers(1, 64))
+    size = draw(st.integers(0, 4099))
+    return (unit * repeat)[:size]
+
+
+@settings(max_examples=300, deadline=None)
+@given(page=structured_pages())
+# A zero run of 17 ending the page; a base-4 line whose second value is
+# 2**32 - 1 from the base (wraps to -1).
+@example(page=_words(5) + bytes(4 * 17))
+@example(page=_words(0, 0xFFFFFFFF) * 8)
+def test_structured_boundaries_bit_identical(page):
+    oracles = {
+        "wk": create("wk", fast=False).compress(page).payload,
+        "fpc": create("fpc", fast=False).compress(page).payload,
+        "bdi": create("bdi", fast=False).compress(page).payload,
+        "cpack": reference_cpack(page),
+    }
+    for name, want in oracles.items():
+        scalar = create(name, fast=False)
+        for kernel in (create(name), scalar):
+            got = kernel.compress(page)
+            assert got.original_size == len(page)
+            if got.stored_raw:
+                assert got.payload == page and len(want) >= len(page), name
+            else:
+                assert got.payload == want, name
+            assert scalar.decompress(got) == page
 
 
 @st.composite

@@ -85,9 +85,9 @@ def test_exact_mode_matches_preoptimization_digest(name):
     )
 
 
-# The default runs above use fast=None — vectorized kernels whenever
-# numpy is importable — so on a numpy host they already pin the fast
-# variant against digests captured on the scalar tree.  The forced-
+# The default runs above use fast=None — the compiled kernel library
+# wherever it loads — so there they already pin the fast variant
+# against digests captured on the scalar tree.  The forced-
 # scalar runs below close the loop from the other side: the same digests
 # with fast=False, proving MachineConfig.fast moves host wall-clock
 # only.  Memo mode covers every workload (cheap: the shared kernel-
@@ -111,7 +111,7 @@ def test_exact_mode_scalar_kernels_match_same_digest(name):
         name, EXACT_SCALE, exact=True, fast=False
     ) == GOLDEN_EXACT[name], (
         f"{name}: forcing scalar kernels (fast=False) changed simulation "
-        "output in exact mode — scalar and vectorized kernels diverged"
+        "output in exact mode — scalar and compiled kernels diverged"
     )
 
 

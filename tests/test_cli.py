@@ -296,7 +296,7 @@ class TestExecution:
 
         monkeypatch.setattr(
             perf, "bench_compression",
-            lambda *a, **k: {"fast": None},
+            lambda *a, **k: {"fast": {"aggregate": {}}},
         )
         monkeypatch.setattr(perf, "bench_micro", lambda **k: {"reps": 1})
         real_profile_sim = perf.profile_sim

@@ -127,7 +127,17 @@ class TestFootprint:
         assert not [name for name in loaded if name.startswith("numpy")]
         assert not [name for name in loaded if name.startswith("repro.sim")]
         assert not set(loaded) & set(KERNEL_MODULES)
-        assert "repro.compression.vectorized" not in loaded
+
+    def test_building_every_kernel_loads_no_numpy(self):
+        """A kernel's fast path is the compiled library, loaded with
+        ctypes; numpy is for page generation and traces."""
+        loaded = _loaded_after(
+            "from repro.compression import available, create\n"
+            "for name in available():\n"
+            "    create(name)"
+        )
+        assert set(KERNEL_MODULES) <= set(loaded)
+        assert not [name for name in loaded if name.startswith("numpy")]
 
     def test_shard_loads_no_simulator_layer(self):
         loaded = _loaded_after("import repro.service.shard")
