@@ -136,6 +136,23 @@ def test_fast_bit_identical_to_scalar(variant):
     )
 
 
+def test_fast_flag_resolution():
+    """``fast=False`` always forces the loop; otherwise the library
+    decides: each word kernel takes the compiled library where it loads,
+    which holds the kernel's encoder (and decoder, where it has one)."""
+    for name in WORD_KERNELS:
+        assert create(name).uses_library, name
+        for fast in (None, True):
+            assert create(name, fast=fast)._library is LIBRARY, name
+        assert create(name, fast=False)._library is None, name
+        if LIBRARY is not None:
+            encoder = "delta_encode" if name == "varint-delta" else (
+                f"{name}_encode")
+            assert callable(getattr(LIBRARY, encoder)), name
+            if name in DECODERS:
+                assert callable(getattr(LIBRARY, DECODERS[name])), name
+
+
 def test_mixed_mode_shared_results_are_safe():
     """Compiled and loop instances share one result-cache identity."""
     for name in WORD_KERNELS:
