@@ -1,27 +1,30 @@
 """The asyncio front-end: batching, backpressure, and shard routing.
 
-:class:`CacheService` is the in-process server.  One dispatcher
-coroutine per shard drains that shard's FIFO queue, coalescing up to
-``batch_ops`` operations into a single request frame per dispatch.
-Every shard's socket is registered with the same event loop
+:class:`CacheService` is the in-process server.  :meth:`submit` stages
+an operation on its shard's list, and the first one staged in a loop
+tick schedules one ``call_soon`` flush that sends everything staged, up
+to ``batch_ops`` operations per request frame.  Every shard's socket is
+registered with the same event loop
 (:class:`~repro.service.shard.ShardHandle`): request frames are written
 without blocking it, response frames are reassembled on it and complete
 their futures there, and a shard's death is noticed there.  The service
-starts no threads.  Request and response frames match one-to-one in
-FIFO order, so completion is a deque pop — no sequence numbers on the
-wire.
+starts no threads and no tasks.  Request and response frames match
+one-to-one in FIFO order, so completion is a deque pop — no sequence
+numbers on the wire.
 
 Flow control is two-layered:
 
-* **Backpressure** — a per-shard semaphore bounds queued + in-flight
-  operations at ``max_pending``.  ``wait=True`` submissions park on the
-  semaphore; ``wait=False`` submissions get an immediate
+* **Backpressure** — a per-shard count of free slots bounds staged +
+  in-flight operations at ``max_pending``; a slot is held until the
+  shard answers (or fails) its operation, even if the caller was
+  cancelled.  ``wait=True`` submissions park in FIFO order;
+  ``wait=False`` submissions get an immediate
   :class:`BackpressureError` (``retryable=True``) instead.
 * **Admission** — an optional per-tenant in-flight cap
   (``tenant_inflight``) keeps one hot tenant from monopolizing every
-  shard queue; same wait/raise split.
+  shard; same wait/raise split.
 
-Determinism note: the queue is FIFO and each shard applies frames
+Determinism note: staging is FIFO and each shard applies frames
 sequentially, so per-virtual-slot operation order equals submission
 order.  A client that awaits each of its own submissions (the traffic
 generator partitions clients by virtual slot) therefore produces the
@@ -39,7 +42,7 @@ import json
 import logging
 from collections import deque
 from functools import partial
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Awaitable, Deque, Dict, List, Optional, Tuple, Union
 
 from .config import ServiceConfig
 from .errors import BackpressureError, ProtocolError, ShardDeadError
@@ -67,7 +70,7 @@ from .shard import ShardHandle
 
 log = logging.getLogger("repro.service")
 
-#: queue item: (op, tenant, vslot, key, payload, future)
+#: staged item: (op, tenant, vslot, key, payload, future)
 _Item = Tuple[int, int, int, int, Optional[object], "asyncio.Future"]
 
 
@@ -89,11 +92,12 @@ class CacheService:
         self.config = config
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._shards: List[ShardHandle] = []
-        self._queues: List["asyncio.Queue[Optional[_Item]]"] = []
+        self._staged: List[List[_Item]] = []
         self._inflight: List[Deque[List["asyncio.Future"]]] = []
-        self._pending: List[asyncio.Semaphore] = []
+        #: per shard: free ``max_pending`` slots; parked submissions.
+        self._free: List[int] = []
+        self._waiters: List[Deque["asyncio.Future"]] = []
         self._tenant_gates: Dict[int, asyncio.Semaphore] = {}
-        self._dispatchers: List["asyncio.Task"] = []
         self._started = False
         self._stopping = False
         #: batches dispatched per shard (front-end view, for stats()).
@@ -102,7 +106,7 @@ class CacheService:
     # -- lifecycle ----------------------------------------------------
 
     async def start(self) -> None:
-        """Spawn shard workers and their dispatchers."""
+        """Spawn the shard workers."""
         if self._started:
             raise RuntimeError("service already started")
         config = self.config
@@ -113,9 +117,10 @@ class CacheService:
                 for i in range(len(config.tenants))
             }
         for shard_id in range(config.shards):
-            self._queues.append(asyncio.Queue())
+            self._staged.append([])
             self._inflight.append(deque())
-            self._pending.append(asyncio.Semaphore(config.max_pending))
+            self._free.append(config.max_pending)
+            self._waiters.append(deque())
             self.batches_sent.append(0)
             handle = ShardHandle(
                 config, shard_id, loop,
@@ -126,9 +131,6 @@ class CacheService:
             log.info(
                 "shard %d started: pid %d, %d vslots", shard_id,
                 handle.process.pid, len(config.slots_of_shard(shard_id)),
-            )
-            self._dispatchers.append(
-                loop.create_task(self._dispatch(shard_id))
             )
         self._started = True
 
@@ -151,10 +153,6 @@ class CacheService:
                     handle.process.pid,
                     len(self.config.slots_of_shard(shard_id)),
                 )
-        for queue in self._queues:
-            queue.put_nowait(None)
-        for task in self._dispatchers:
-            await task
         for handle in self._shards:
             handle.close()
         self._started = False
@@ -266,7 +264,7 @@ class CacheService:
         """Any vslot owned by the shard (control ops need a valid one)."""
         return self.config.slots_of_shard(shard_id)[0]
 
-    async def _submit_to_shard(
+    def _submit_to_shard(
         self,
         shard_id: int,
         op: int,
@@ -275,71 +273,74 @@ class CacheService:
         key: int,
         payload: Optional[object],
         wait: bool,
-    ) -> Tuple[int, Optional[memoryview]]:
+    ) -> Awaitable[Tuple[int, Optional[memoryview]]]:
+        """Take a slot and stage the operation: its future, or where no
+        slot is free and ``wait`` is set, the coroutine that parks."""
         if not self._started:
             raise RuntimeError("service not started")
-        handle = self._shards[shard_id]
-        if handle.dead:
+        if self._shards[shard_id].dead:
             raise ShardDeadError(f"shard {shard_id} is dead")
-        sem = self._pending[shard_id]
-        if wait:
-            await sem.acquire()
-        elif sem.locked():
+        item = (op, tenant, vslot, key, payload, self._loop.create_future())
+        if self._free[shard_id]:
+            self._free[shard_id] -= 1
+            return self._stage(shard_id, item)
+        if not wait:
             raise BackpressureError(
                 f"shard {shard_id} at max_pending "
                 f"({self.config.max_pending})"
             )
-        else:
-            await sem.acquire()
-        future: "asyncio.Future" = self._loop.create_future()
-        future.add_done_callback(lambda _f: sem.release())
-        # Re-check after any semaphore wait: the shard may have died
-        # while we were parked.
-        if handle.dead:
-            future.set_exception(ShardDeadError(f"shard {shard_id} is dead"))
-            return await future
-        self._queues[shard_id].put_nowait(
-            (op, tenant, vslot, key, payload, future)
-        )
-        status, view = await future
-        return status, view
+        return self._park(shard_id, item)
 
-    async def _dispatch(self, shard_id: int) -> None:
-        """Drain the shard queue, coalescing up to ``batch_ops`` per
-        frame.  Frames leave in the order their batches join the
-        in-flight deque — the FIFO matching invariant.
-        """
-        queue = self._queues[shard_id]
+    async def _park(self, shard_id: int, item: _Item):
+        """Wait for a slot :meth:`_release` hands over, then stage."""
+        waiter: "asyncio.Future" = self._loop.create_future()
+        self._waiters[shard_id].append(waiter)
+        try:
+            await waiter
+        except asyncio.CancelledError:
+            if not waiter.cancelled():  # handed a slot, then cancelled
+                self._release(shard_id, 1)
+            raise
+        # The shard may have died while we were parked.
+        if self._shards[shard_id].dead:
+            raise ShardDeadError(f"shard {shard_id} is dead")
+        return await self._stage(shard_id, item)
+
+    def _stage(self, shard_id: int, item: _Item) -> "asyncio.Future":
+        staged = self._staged[shard_id]
+        if not staged:
+            self._loop.call_soon(self._flush, shard_id)
+        staged.append(item)
+        return item[5]
+
+    def _flush(self, shard_id: int) -> None:
+        """Send what is staged, ``batch_ops`` per frame, in the order the
+        batches join the in-flight deque (the FIFO matching invariant).
+        A failed write calls ``_on_death``, which fails what is left."""
+        staged = self._staged[shard_id]
         handle = self._shards[shard_id]
         batch_ops = self.config.batch_ops
-        while True:
-            item = await queue.get()
-            if item is None:
-                return
-            items = [item]
-            while len(items) < batch_ops:
-                try:
-                    nxt = queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if nxt is None:
-                    queue.put_nowait(None)  # re-arm the stop sentinel
-                    break
-                items.append(nxt)
+        while staged and not handle.dead:
             batch = RequestBatch()
             futures: List["asyncio.Future"] = []
-            for op, tenant, vslot, key, payload, future in items:
+            for op, tenant, vslot, key, payload, future in staged[:batch_ops]:
                 batch.add(op, tenant, vslot, key, payload)
                 futures.append(future)
-            if handle.dead:
-                self._fail_futures(
-                    futures, ShardDeadError(f"shard {shard_id} died")
-                )
-                continue
+            del staged[:batch_ops]
             self._inflight[shard_id].append(futures)
             self.batches_sent[shard_id] += 1
-            # Never blocks; a write error fails the batch via _on_death.
             handle.send(batch.finish())
+
+    def _release(self, shard_id: int, count: int) -> None:
+        """Hand ``count`` answered or failed operations' slots to the
+        oldest parked submissions, the rest to the free count."""
+        waiters = self._waiters[shard_id]
+        while count and waiters:
+            waiter = waiters.popleft()
+            if not waiter.done():  # else cancelled while parked
+                waiter.set_result(None)
+                count -= 1
+        self._free[shard_id] += count
 
     def _on_frame(self, shard_id: int, frame: bytearray) -> None:
         """Completion of one response frame (FIFO match)."""
@@ -363,6 +364,7 @@ class CacheService:
                 future.set_result(
                     (status, payload if payload.nbytes else None)
                 )
+        self._release(shard_id, len(futures))
 
     def _on_death(self, shard_id: int, cause: Exception) -> None:
         """Fail everything touching a lost shard; never deadlock.
@@ -370,6 +372,8 @@ class CacheService:
         ``cause`` is the EOF or I/O error on the shard's socket, or the
         :class:`ProtocolError` of a response frame that cannot be
         matched — which is then what the failed operations raise.
+        Parked submissions wake to the dead shard and raise
+        :class:`ShardDeadError`.
         """
         handle = self._shards[shard_id]
         if handle.dead:
@@ -379,28 +383,16 @@ class CacheService:
         exc = (cause if isinstance(cause, ProtocolError)
                else ShardDeadError(f"shard {shard_id} died"))
         inflight = self._inflight[shard_id]
+        staged = self._staged[shard_id]
         batches = len(inflight)
-        ops = 0
+        ops = len(staged)
         while inflight:
             futures = inflight.popleft()
             ops += len(futures)
-            self._fail_futures(futures, exc)
-        # Queued-but-undispatched items die too (the dispatcher would
-        # only fail them at its next wakeup; do it now).
-        queue = self._queues[shard_id]
-        requeue: List[Optional[_Item]] = []
-        while True:
-            try:
-                item = queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            if item is None:
-                requeue.append(None)
-                continue
-            ops += 1
-            self._fail_futures([item[5]], exc)
-        for sentinel in requeue:
-            queue.put_nowait(sentinel)
+            self._fail_futures(shard_id, futures, exc)
+        self._fail_futures(shard_id, [item[5] for item in staged], exc)
+        staged.clear()
+        self._release(shard_id, len(self._waiters[shard_id]))
         # EOF after ST_BYE, nothing outstanding, is the clean epilogue.
         if ops or not self._stopping:
             # A worker that lost track of its frames may still be up.
@@ -410,11 +402,11 @@ class CacheService:
                 shard_id, cause, batches, ops,
             )
 
-    @staticmethod
-    def _fail_futures(futures, exc: Exception) -> None:
+    def _fail_futures(self, shard_id: int, futures, exc: Exception) -> None:
         for future in futures:
             if not future.done():
                 future.set_exception(exc)
+        self._release(shard_id, len(futures))
 
 
 # -- TCP front-end ---------------------------------------------------
@@ -465,16 +457,11 @@ async def serve_tcp(
         try:
             while True:
                 try:
-                    header_read = reader.readexactly(4)
-                    if idle_timeout is not None:
-                        header = await asyncio.wait_for(
-                            header_read, timeout=idle_timeout
-                        )
-                    else:
-                        header = await header_read
-                except asyncio.TimeoutError:
-                    return
-                except (asyncio.IncompleteReadError, ConnectionError):
+                    header = await asyncio.wait_for(
+                        reader.readexactly(4), timeout=idle_timeout
+                    )
+                except (asyncio.TimeoutError, asyncio.IncompleteReadError,
+                        ConnectionError):
                     return
                 length = int.from_bytes(header, "little")
                 if length > max_frame_bytes:

@@ -2,7 +2,7 @@
 
 A shard is one OS process owning a disjoint set of virtual slots.  The
 worker runs a single-threaded loop: receive one request frame (a whole
-batch — one syscall), apply every record in order to the owning
+batch — one ``recv``), apply every record in order to the owning
 :class:`~repro.service.store.VslotStore`, send one response frame.
 Because slots are disjoint across shards and each frame is applied
 sequentially, the per-slot operation order equals the front-end's
@@ -12,9 +12,9 @@ Parent and worker talk over one ``socketpair``; both ends speak
 :class:`FrameSocket`, a ``u32`` length prefix (little-endian, the one
 ``serve_tcp`` uses) ahead of every frame.  The worker's end blocks.  The
 parent's end (:class:`ShardHandle`) never does: it is registered with
-the service's event loop, which reassembles response frames from
-non-blocking reads and parks whatever part of a request frame the
-socket will not take behind a writer callback.  There are no threads.
+the service's event loop, which completes every response frame one
+non-blocking read brings in and parks whatever part of a request frame
+the socket will not take behind a writer callback.  No threads.
 A worker death surfaces on the loop as EOF or a write error, which the
 server translates into :class:`~repro.service.errors.ShardDeadError`
 for every in-flight and future request — requests fail fast, they never
@@ -63,48 +63,55 @@ class FrameSocket:
 
     Works on a blocking socket (the worker) and a non-blocking one (the
     front end): a call does what the socket allows and keeps what is
-    left — a half-received frame, the unsent tail of a written one —
-    for the next call.
+    left — received bytes past the last whole frame, the unsent tail of
+    a written one — for the next call.
     """
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
-        self._header = bytearray(4)
-        #: body of the frame being received (``None``: in its header).
-        self._body: Optional[bytearray] = None
-        self._got = 0
+        #: received bytes not yet returned as a frame.
+        self._spill = bytearray()
         #: bytes accepted by :meth:`send_frame` the socket has not taken.
         self.unsent = bytearray()
 
     def recv_frame(self) -> Optional[bytearray]:
-        """The next whole frame, read straight into its own buffer.
+        """The next whole frame, a buffer of its own: one already
+        received, else what 64-KB ``recv`` calls bring in.
 
         ``None`` when a non-blocking socket has no more to give yet;
         raises :class:`EOFError` once the peer has closed, and
-        :class:`ProtocolError` — before any buffer is made — on a length
-        prefix above :data:`MAX_FRAME_BYTES`, after which the stream has
-        lost its framing and the caller must give the socket up.
+        :class:`ProtocolError` — before any buffer of that size is made
+        — on a length prefix above :data:`MAX_FRAME_BYTES`, after which
+        the stream has lost its framing and the caller must give the
+        socket up.
         """
-        try:
-            while True:
-                target = self._header if self._body is None else self._body
-                while self._got < len(target):
-                    got = self.sock.recv_into(memoryview(target)[self._got:])
-                    if not got:
-                        raise EOFError("peer closed the shard socket")
-                    self._got += got
-                self._got = 0
-                if self._body is not None:
-                    frame, self._body = self._body, None
-                    return frame
-                size = int.from_bytes(self._header, "little")
-                if size > MAX_FRAME_BYTES:
-                    raise ProtocolError(
-                        f"frame prefix {size} exceeds {MAX_FRAME_BYTES}"
-                    )
-                self._body = bytearray(size)
-        except BlockingIOError:
+        frame = self.buffered_frame()
+        while frame is None:
+            try:
+                chunk = self.sock.recv(64 << 10)
+            except BlockingIOError:
+                return None
+            if not chunk:
+                raise EOFError("peer closed the shard socket")
+            self._spill += chunk
+            frame = self.buffered_frame()
+        return frame
+
+    def buffered_frame(self) -> Optional[bytearray]:
+        """The next frame if all of it is received; never reads."""
+        spill = self._spill
+        if len(spill) < 4:
             return None
+        size = int.from_bytes(spill[:4], "little")
+        if size > MAX_FRAME_BYTES:
+            raise ProtocolError(
+                f"frame prefix {size} exceeds {MAX_FRAME_BYTES}"
+            )
+        if len(spill) < 4 + size:
+            return None
+        frame = spill[4:4 + size]
+        del spill[:4 + size]
+        return frame
 
     def send_frame(self, frame) -> bool:
         """Write ``frame`` behind its prefix; ``True`` if all of it left.
@@ -332,14 +339,15 @@ class ShardHandle:
         loop.add_reader(ours, self._readable)
 
     def _readable(self) -> None:
-        # One frame per wakeup: the loop calls again while more wait.
+        # Every whole frame read, not one: the loop wakes again for
+        # bytes still in the socket, never for those already read.
         try:
             frame = self._conn.recv_frame()
+            while frame is not None and not self.dead:
+                self._on_frame(frame)
+                frame = self._conn.buffered_frame()
         except (EOFError, OSError, ProtocolError) as exc:
             self._on_death(exc)
-            return
-        if frame is not None:
-            self._on_frame(frame)
 
     def send(self, frame) -> None:
         """Write one request frame without ever blocking the loop."""

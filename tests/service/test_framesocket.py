@@ -4,6 +4,7 @@ on blocking and non-blocking ends alike."""
 import socket
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -89,6 +90,18 @@ def test_write_to_a_closed_peer_raises(pair):
         writer.send_frame(b"late")
 
 
+def _traced(call):
+    """``call()``'s result, and the bytes it left allocated and its peak
+    allocation, as ``tracemalloc`` saw them."""
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
 @pytest.mark.parametrize("prefix", [MAX_FRAME_BYTES + 1, 0xFFFFFFFF])
 @pytest.mark.parametrize("blocking", [False, True])
 def test_oversized_prefix_is_refused_before_any_buffer(pair, prefix, blocking):
@@ -100,20 +113,71 @@ def test_oversized_prefix_is_refused_before_any_buffer(pair, prefix, blocking):
         ours.settimeout(5.0)  # a reader that waits for the body fails
     reader = FrameSocket(ours)
     theirs.send(prefix.to_bytes(4, "little"))
+
+    def refused():
+        try:
+            reader.recv_frame()
+        except ProtocolError as exc:
+            return str(exc)
+        return "no error"
+
     started = time.perf_counter()
-    with pytest.raises(ProtocolError) as excinfo:
-        reader.recv_frame()
+    message, held, peak = _traced(refused)
     assert time.perf_counter() - started < 1.0
-    assert str(prefix) in str(excinfo.value)
-    assert reader._body is None
+    assert str(prefix) in message
+    # Four bytes came in: the reader keeps no more than that, and at
+    # its peak held one read's buffer, nothing the size of the prefix.
+    assert held < 1024
+    assert peak < 1 << 20
 
 
 def test_a_prefix_at_the_bound_is_a_frame(pair):
     ours, theirs = pair
     reader = FrameSocket(ours)
     theirs.send(MAX_FRAME_BYTES.to_bytes(4, "little"))
-    assert reader.recv_frame() is None  # header taken, body awaited
-    assert len(reader._body) == MAX_FRAME_BYTES
+    frame, held, peak = _traced(reader.recv_frame)
+    assert frame is None  # header taken, body awaited
+    # The body's buffer grows as it arrives, not ahead of it.
+    assert held < 1024
+    assert peak < 1 << 20
+    body = bytes(range(256)) * (MAX_FRAME_BYTES // 256)
+    sent = 0
+    while frame is None:
+        if sent < len(body):
+            try:
+                sent += theirs.send(body[sent:sent + (1 << 20)])
+            except BlockingIOError:
+                pass
+        frame = reader.recv_frame()
+    assert sent == len(body)
+    assert len(frame) == MAX_FRAME_BYTES and frame == body
+    assert reader.recv_frame() is None
+
+
+def test_two_frames_in_one_send_come_back_in_order(pair):
+    """Bytes read past the end of a frame are the next frame's: each
+    call returns one frame, a buffer of its own."""
+    ours, theirs = pair
+    reader = FrameSocket(ours)
+    theirs.send(b"\x03\x00\x00\x00abc\x02\x00\x00\x00de")
+    first = reader.recv_frame()
+    second = reader.recv_frame()
+    assert (first, second) == (b"abc", b"de")
+    first[:] = b"xyz"
+    assert second == b"de"
+    assert reader.recv_frame() is None
+
+
+def test_a_frame_fed_one_byte_at_a_time_comes_back_whole(pair):
+    ours, theirs = pair
+    reader = FrameSocket(ours)
+    frame = bytes(range(256)) * 3
+    wire = len(frame).to_bytes(4, "little") + frame
+    for i in range(len(wire) - 1):
+        theirs.send(wire[i:i + 1])
+        assert reader.recv_frame() is None
+    theirs.send(wire[-1:])
+    assert reader.recv_frame() == frame
 
 
 def test_worker_leaves_its_loop_on_an_oversized_prefix():

@@ -44,7 +44,7 @@ from repro.service.protocol import (
     pack_requests,
 )
 from repro.service.server import serve_tcp
-from repro.service.shard import FrameSocket
+from repro.service.shard import FrameSocket, shard_main
 
 PAGE = 1024
 
@@ -357,6 +357,117 @@ class TestFlowControl:
 
         asyncio.run(scenario())
 
+    def test_a_cancelled_caller_holds_its_slot_until_the_shard_answers(self):
+        """An operation's ``max_pending`` slot is held until its shard
+        answers it: a caller cancelled meanwhile frees nothing, so the
+        operations staged and in flight never exceed the bound."""
+
+        def outstanding(service):
+            return len(service._staged[0]) + sum(
+                len(batch) for batch in service._inflight[0])
+
+        async def scenario():
+            config = make_config(
+                shards=1, batch_ops=1, max_pending=2,
+                debug_op_delay_s=0.2,
+            )
+            service = CacheService(config)
+            await service.start()
+            try:
+                first = asyncio.ensure_future(
+                    service.put("default", 1, b"a" * PAGE))
+                second = asyncio.ensure_future(
+                    service.put("default", 2, b"b" * PAGE))
+                await asyncio.sleep(0.05)  # the worker is inside the first
+                second.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await second
+                with pytest.raises(BackpressureError):
+                    await service.put("default", 3, b"c" * PAGE,
+                                      wait=False)
+                assert outstanding(service) == 2
+                third = asyncio.ensure_future(
+                    service.put("default", 3, b"c" * PAGE))
+                assert await first
+                # The first's slot went to the parked third.
+                with pytest.raises(BackpressureError):
+                    await service.put("default", 4, b"d" * PAGE,
+                                      wait=False)
+                assert outstanding(service) == 2
+                assert await third
+                assert outstanding(service) == 0
+                # The cancelled caller's PUT was applied all the same.
+                assert bytes(await service.get("default", 2, wait=False)) \
+                    == b"b" * PAGE
+            finally:
+                await asyncio.wait_for(service.stop(), timeout=10)
+
+        asyncio.run(scenario())
+
+    def test_parked_submissions_resume_first_come_first_served(self):
+        """``wait=True`` submissions parked on a full shard are handed
+        slots in the order they parked; one cancelled while parked gives
+        its place up."""
+
+        async def scenario():
+            config = make_config(
+                shards=1, batch_ops=1, max_pending=1,
+                debug_op_delay_s=0.02,
+            )
+            service = CacheService(config)
+            await service.start()
+            answered = []
+
+            async def put(key):
+                assert await service.put("default", key, b"p" * PAGE)
+                answered.append(key)
+
+            try:
+                holder = asyncio.ensure_future(put(0))
+                await asyncio.sleep(0.005)
+                parked = [asyncio.ensure_future(put(key))
+                          for key in range(1, 7)]
+                await asyncio.sleep(0)  # every one is parked now
+                parked[2].cancel()
+                results = await asyncio.wait_for(asyncio.gather(
+                    holder, *parked, return_exceptions=True), timeout=10)
+                assert [type(r) for r in results].count(
+                    asyncio.CancelledError) == 1
+                assert answered == [0, 1, 2, 4, 5, 6]
+            finally:
+                await asyncio.wait_for(service.stop(), timeout=10)
+
+        asyncio.run(scenario())
+
+    def test_a_shard_death_fails_parked_submissions(self):
+        async def scenario():
+            config = make_config(
+                shards=1, batch_ops=1, max_pending=1,
+                debug_op_delay_s=0.5,
+            )
+            service = CacheService(config)
+            await service.start()
+            try:
+                doomed = [asyncio.ensure_future(
+                    service.put("default", 1, b"a" * PAGE))]
+                await asyncio.sleep(0.1)  # op is inside the worker
+                doomed += [
+                    asyncio.ensure_future(
+                        service.put("default", key, b"b" * PAGE))
+                    for key in (2, 3, 4)
+                ]
+                await asyncio.sleep(0.01)  # three parked for its slot
+                service._shards[0].process.kill()
+                results = await asyncio.wait_for(
+                    asyncio.gather(*doomed, return_exceptions=True),
+                    timeout=10,
+                )
+                assert [type(r) for r in results] == [ShardDeadError] * 4
+            finally:
+                await asyncio.wait_for(service.stop(), timeout=10)
+
+        asyncio.run(scenario())
+
 
 def oversized_worker(config, shard_id, sock):
     """A shard that answers its first request with a 4 GB prefix."""
@@ -364,6 +475,21 @@ def oversized_worker(config, shard_id, sock):
     sock.sendall(b"\xff\xff\xff\xff")
     sock.recv(1)  # until the front end gives the socket up
     sock.close()
+
+
+def paired_reply_worker(config, shard_id, sock):
+    """A shard that answers its first two request frames (GETs) with one
+    write of both response frames, then serves as ``shard_main``."""
+    conn = FrameSocket(sock)
+    replies = bytearray()
+    for _ in range(2):
+        reply = ResponseBatch()
+        for _ in iter_requests(memoryview(conn.recv_frame())):
+            reply.add(ST_MISS)
+        out = reply.finish()
+        replies += len(out).to_bytes(4, "little") + out
+    sock.sendall(replies)
+    shard_main(config, shard_id, sock)
 
 
 class TestShardDeath:
@@ -558,6 +684,27 @@ class TestLoopSideIO:
                 )
                 batches = service.batches_sent[0]
                 assert batches == 16 + 16 + 32  # coalescing kept
+            finally:
+                await asyncio.wait_for(service.stop(), timeout=10)
+
+        asyncio.run(scenario())
+
+    def test_response_frames_read_together_all_complete(self, monkeypatch):
+        """Two response frames arriving in one read complete both
+        batches: every whole frame the read brought in is delivered
+        before the callback returns, since the loop does not wake again
+        for bytes already read."""
+        monkeypatch.setattr(shard_module, "shard_main", paired_reply_worker)
+
+        async def scenario():
+            service = CacheService(make_config(shards=1, batch_ops=1))
+            await service.start()
+            try:
+                got = await asyncio.wait_for(asyncio.gather(
+                    service.get("default", 1), service.get("default", 2),
+                ), timeout=10)
+                assert got == [None, None]
+                assert service.batches_sent[0] == 2
             finally:
                 await asyncio.wait_for(service.stop(), timeout=10)
 

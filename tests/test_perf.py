@@ -569,6 +569,37 @@ class TestGateTable:
         assert {"lzrw1", "lzss"} < set(committed)
         assert report.failures == []
 
+    @pytest.mark.parametrize("library, verdict", [
+        ("compiled", "failed"), (None, "failed"), ("python", "skipped")])
+    def test_two_tier_overhead_is_skipped_only_without_the_library(
+            self, library, verdict):
+        """Every two-tier demotion decodes, so where the compiled
+        library did not load the ``overhead`` row's ``two_tier`` key
+        times the Python decoders (+585.7% against its 200% ceiling) and
+        is skipped by name.  A compiled run over the ceiling still fails
+        it, so does a record that does not say, and the row's other keys
+        are judged either way."""
+        payload = {"overhead": {
+            "two_tier": {"lower_bound_percent": 585.7},
+            "selector": {"lower_bound_percent": 1.0}}}
+        if library is not None:
+            payload["lz_library"] = library
+        report = evaluate_gates(
+            {"sim": payload},
+            {"overhead_ceiling_percent": {"two_tier": 200.0,
+                                          "selector": 10.0}},
+        )
+        lines = {"failed": report.failures, "passed": report.passed,
+                 "skipped": report.skipped}
+        row = {kind: [line for line in found if line.startswith("overhead")]
+               for kind, found in lines.items()}
+        assert row["passed"] == ["overhead selector"]
+        assert [line.split(":")[0] for line in row[verdict]] \
+            == ["overhead two_tier"]
+        assert sum(map(len, row.values())) == 2
+        if verdict == "skipped":
+            assert "library did not load" in row["skipped"][0]
+
     @pytest.mark.parametrize("name, loop, compiled", [
         ("rle", 1.0, 55.9), ("wk", 1.0, 84.7), ("varint-delta", 1.0, 39.0),
         ("fpc", 1.0, 111.7), ("bdi", 1.0, 60.0), ("cpack", 1.0, 80.4)])
