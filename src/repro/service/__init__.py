@@ -8,7 +8,7 @@ long-running, hash-sharded server:
   (shards, virtual slots, tier capacities, quotas, batching limits);
 * :class:`~repro.service.server.CacheService` — the asyncio front-end
   exposing ``get``/``put``/``delete`` with per-shard request batching,
-  bounded queues, and admission control;
+  bounded in-flight work, and admission control;
 * :mod:`~repro.service.shard` — the per-process shard worker owning the
   virtual-slot compressed stores;
 * :class:`~repro.service.ledger.TenantLedger` — commutative per-tenant

@@ -135,7 +135,7 @@ async def _client(
     many clients, not from pipelining within one.
 
     Submissions go in with ``wait=False``, so admission control answers
-    a full queue or a tenant at its in-flight cap with a *retryable*
+    a full shard or a tenant at its in-flight cap with a *retryable*
     :class:`BackpressureError` instead of parking the client; the
     client then backs off (exponential, doubling from
     :data:`RETRY_INITIAL_S`, capped at :data:`RETRY_MAX_S`) and resends

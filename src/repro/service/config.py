@@ -65,8 +65,8 @@ class ServiceConfig:
             shared instance would make chosen kernels depend on how
             slots interleave within a shard, breaking invariance.
         page_size: maximum (and expected) payload size in bytes.
-        batch_ops: max operations coalesced into one shard dispatch.
-        max_pending: bound on queued + in-flight operations per shard;
+        batch_ops: max operations coalesced into one request frame.
+        max_pending: bound on staged + in-flight operations per shard;
             beyond it, non-waiting submissions get
             :class:`~repro.service.errors.BackpressureError`.
         tenant_inflight: optional per-tenant in-flight admission cap.

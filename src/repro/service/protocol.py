@@ -1,7 +1,7 @@
 """Binary request/response framing between front-end and shards.
 
 One *frame* carries a whole batch — the front-end coalesces up to
-``batch_ops`` operations per dispatch, so a frame is one
+``batch_ops`` operations per flush, so a frame is one
 :meth:`~repro.service.shard.FrameSocket.send_frame` (a single
 ``sendmsg`` of length prefix and frame over the shard's ``socketpair``,
 unless the socket takes only part of it) regardless of batch size.
