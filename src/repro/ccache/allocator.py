@@ -33,9 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isfinite
-from typing import Dict, Optional, Protocol
+from typing import Dict, List, Optional, Protocol, Tuple
 
 from ..mem.frames import FrameOwner, FramePool, OutOfFramesError
+from ..sim.ledger import Ledger
 
 
 class MemoryPool(Protocol):
@@ -141,19 +142,27 @@ class TieredAllocator:
         self,
         frames: FramePool,
         policy: Optional[TradingPolicy] = None,
-        now_fn=None,
+        ledger: Optional[Ledger] = None,
     ):
         self.frames = frames
         self.policy: Optional[TradingPolicy] = policy
-        self._now_fn = now_fn if now_fn is not None else (lambda: 0.0)
+        #: Ages are read off this ledger's clock (a fresh one stays at 0).
+        self.ledger = ledger if ledger is not None else Ledger()
         self._pools: Dict[object, Optional[MemoryPool]] = {}
         #: Each key's victim-counter label, worked out once at
         #: registration (a frame is reclaimed per fault under pressure).
         self._labels: Dict[object, str] = {}
-        #: Each key's age weight, read by every victim choice.
+        #: Each key's age weight.
         self._weights: Dict[object, float] = {}
+        #: ``(key, pool, weight)`` of every competing pool, in order: what
+        #: each victim choice walks, rebuilt when a pool or weight changes.
+        self._victims: List[Tuple[object, MemoryPool, float]] = []
         self._shrinking: set = set()
         self.counters = AllocatorCounters()
+
+    def _rebuild_victims(self) -> None:
+        self._victims = [(key, pool, self._weights[key]) for key, pool
+                         in self._pools.items() if pool is not None]
 
     def register_pool(
         self,
@@ -182,6 +191,7 @@ class TieredAllocator:
         self._pools[key] = pool
         self._labels[key] = label
         self._weights[key] = weight
+        self._rebuild_victims()
 
     def release_pools(self) -> None:
         """Forget every pool: the machine that wired them is gone.
@@ -192,6 +202,7 @@ class TieredAllocator:
         frames that are already free.
         """
         self._pools.clear()
+        self._victims = []
 
     def obtain_frame(self, for_owner: FrameOwner) -> int:
         """Get a frame for ``for_owner``, reclaiming from the globally
@@ -200,6 +211,7 @@ class TieredAllocator:
         Raises:
             OutOfFramesError: when no pool can give anything up.
         """
+        shrinking = self._shrinking
         while self.frames.free_frames == 0:
             victim = self._choose_victim()
             if victim is None:
@@ -214,36 +226,28 @@ class TieredAllocator:
                     f"(requested by {for_owner.value})"
                 )
             key, pool = victim
-            self._shrinking.add(key)
+            shrinking.add(key)
             try:
-                result = pool.shrink_one()
-            finally:
-                self._shrinking.discard(key)
-            if result is None:
-                # The pool reneged (e.g. only its tail frame left); retry
-                # without it by marking it temporarily unavailable.
-                self._shrinking.add(key)
-                try:
-                    retry = self._choose_victim()
-                    if retry is None:
+                if pool.shrink_one() is None:
+                    # The pool reneged (e.g. only its tail frame left):
+                    # retry once, with it still marked unavailable.
+                    victim = self._choose_victim()
+                    if victim is None or self._shrink(*victim) is None:
                         raise OutOfFramesError(
                             "every pool refused to release a frame"
                         )
-                    retry_key, retry_pool = retry
-                    self._shrinking.add(retry_key)
-                    try:
-                        if retry_pool.shrink_one() is None:
-                            raise OutOfFramesError(
-                                "every pool refused to release a frame"
-                            )
-                    finally:
-                        self._shrinking.discard(retry_key)
-                    self.counters.victims[self._labels[retry_key]] += 1
-                finally:
-                    self._shrinking.discard(key)
-            else:
-                self.counters.victims[self._labels[key]] += 1
+            finally:
+                shrinking.discard(key)
+            self.counters.victims[self._labels[victim[0]]] += 1
         return self.frames.allocate(for_owner)
+
+    def _shrink(self, key: object, pool: MemoryPool) -> Optional[float]:
+        """``pool.shrink_one()`` with ``key`` marked unavailable."""
+        self._shrinking.add(key)
+        try:
+            return pool.shrink_one()
+        finally:
+            self._shrinking.discard(key)
 
     def retune(self, key: object, weight: float) -> float:
         """Re-bias a registered pool's age weight at runtime.
@@ -261,6 +265,7 @@ class TieredAllocator:
             )
         _validate_weight(label, weight)
         self._weights[key] = weight
+        self._rebuild_victims()
         return weight
 
     def resize_pool(self, key: object, max_frames: Optional[int]) -> int:
@@ -310,17 +315,17 @@ class TieredAllocator:
         return released
 
     def _choose_victim(self):
-        weights = self._weights
-        now = self._now_fn()
+        now = self.ledger.now
+        shrinking = self._shrinking
         best = None
         best_age = None
-        for key, pool in self._pools.items():
-            if pool is None or key in self._shrinking:
+        for key, pool, weight in self._victims:
+            if key in shrinking:
                 continue
             age = pool.coldest_age(now)
             if age is None:
                 continue
-            effective = age * weights[key]
+            effective = age * weight
             if best_age is None or effective > best_age:
                 best_age = effective
                 best = (key, pool)
@@ -341,12 +346,12 @@ class ThreeWayAllocator(TieredAllocator):
         self,
         frames: FramePool,
         biases: AllocationBiases | None = None,
-        now_fn=None,
+        ledger: Optional[Ledger] = None,
     ):
         super().__init__(
             frames,
             policy=biases if biases is not None else AllocationBiases(),
-            now_fn=now_fn,
+            ledger=ledger,
         )
         # Pre-seed the three classic slots in FrameOwner declaration
         # order so victim iteration (and tie-breaking) is stable and
@@ -365,3 +370,4 @@ class ThreeWayAllocator(TieredAllocator):
     def register(self, owner: FrameOwner, pool: MemoryPool) -> None:
         """Attach the pool that manages ``owner``'s frames."""
         self._pools[owner] = pool
+        self._rebuild_victims()

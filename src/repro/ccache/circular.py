@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..counters import Counters
 from ..faults.errors import PagingFaultError
@@ -48,21 +48,7 @@ HOT_SKIP_BUDGET = 8
 FrameProvider = Callable[[FrameOwner], int]
 
 
-@dataclass
-class _Entry:
-    header: CompressedPageHeader
-    payload: bytes
-    offset: int
-    #: Content version the payload encodes; lets the VM recognize that an
-    #: unmodified resident page still has a valid compressed copy here.
-    content_version: int = -1
-
-    @property
-    def end(self) -> int:
-        return self.offset + self.header.footprint
-
-
-@dataclass
+@dataclass(slots=True)
 class _FrameSlot:
     physical_frame: int
     #: Live pages overlapping this frame, as an insertion-ordered dict
@@ -129,8 +115,12 @@ class CompressionCache:
         self.max_frames = max_frames
         self.retry = retry or ResilientIO(RetryPolicy(), ledger)
         self.counters = CacheCounters()
-        self._entries: Dict[PageId, _Entry] = {}
+        #: One record per cached page, oldest (least recently inserted
+        #: or touched) first.  Read-only outside this class.
+        self.entries: Dict[PageId, CompressedPageHeader] = {}
         self._frames: Dict[int, _FrameSlot] = {}
+        #: Physical frames currently mapped into the cache.
+        self.nframes = 0
         self._tail = 0
         self._dirty_entries = 0
         self._dirty_frames = 0
@@ -161,50 +151,31 @@ class CompressionCache:
     # ------------------------------------------------------------------
 
     def __contains__(self, page_id: PageId) -> bool:
-        return page_id in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def nframes(self) -> int:
-        """Physical frames currently mapped into the cache."""
-        return len(self._frames)
+        return page_id in self.entries
 
     @property
     def compressed_pages(self) -> int:
         """Virtual pages currently held compressed."""
-        return len(self._entries)
+        return len(self.entries)
 
     @property
     def live_bytes(self) -> int:
         """Bytes of live compressed data, headers included."""
         return self._live_bytes
 
-    def is_dirty(self, page_id: PageId) -> bool:
-        """True when the cached copy holds data not on backing store."""
-        return self._entries[page_id].header.dirty
-
-    def entry_version(self, page_id: PageId) -> int:
-        """Content version encoded by the cached payload."""
-        return self._entries[page_id].content_version
-
-    def oldest_entry_age(self, now: float) -> Optional[float]:
-        """Age of the oldest compressed page (insertion-ordered), or None."""
-        for entry in self._entries.values():
-            return now - entry.header.inserted_at
-        return None
-
     def coldest_age(self, now: float) -> Optional[float]:
-        """MemoryPool protocol: compressed pages age from insertion."""
-        return self.oldest_entry_age(now)
+        """MemoryPool protocol: the age of the oldest compressed page
+        (insertion-ordered, a hit counts as an insertion), or None."""
+        for entry in self.entries.values():
+            return now - entry.inserted_at
+        return None
 
     def slot_state(self, frame_index: int) -> SlotState:
         """Figure 2 state of one slot in the cache's address range."""
         slot = self._frames.get(frame_index)
         if slot is None:
             return SlotState.FREE
-        if frame_index == self._tail_frame_index():
+        if frame_index == self._tail // self.page_size:
             if not slot.pages:
                 return SlotState.NEW
         if not slot.pages:
@@ -223,13 +194,32 @@ class CompressionCache:
         # only grows) and deletions preserve dict order, so the first key
         # is the minimum — no O(n) min() scan.
         lo = next(iter(self._frames))
-        hi = self._tail_frame_index()
+        hi = self._tail // self.page_size
         return {i: self.slot_state(i) for i in range(lo, hi + 1)}
 
-    def iter_entries(self) -> Iterator[CompressedPageHeader]:
-        """Headers of live entries, oldest first."""
-        for entry in self._entries.values():
-            yield entry.header
+    def check_invariants(self) -> None:
+        """Recount from the records every figure kept incrementally
+        (dirty counts, live bytes, frame spans, slot pages in order)."""
+        entries = self.entries
+        size = self.page_size
+        expected: Dict[int, Dict[PageId, bool]] = {}
+        for page_id, entry in entries.items():
+            assert (entry.first, entry.last) == (
+                entry.offset // size,
+                (entry.offset + entry.footprint - 1) // size), page_id
+            for index in range(entry.first, entry.last + 1):
+                expected.setdefault(index, {})[page_id] = entry.dirty
+        assert self._dirty_entries == sum(e.dirty for e in entries.values())
+        assert self._live_bytes == sum(e.footprint for e in entries.values())
+        assert set(expected) <= set(self._frames), "page on unmapped frame"
+        assert self.nframes == len(self._frames)
+        for index, slot in self._frames.items():
+            pages = expected.get(index, {})
+            assert list(slot.pages) == sorted(
+                pages, key=lambda p: entries[p].offset), index
+            assert slot.dirty_pages == sum(pages.values()), index
+        assert self._dirty_frames == sum(
+            1 for slot in self._frames.values() if slot.dirty_pages)
 
     # ------------------------------------------------------------------
     # Insert / fetch
@@ -249,17 +239,14 @@ class CompressionCache:
         The caller has already charged compression time; this method only
         manages space (and any I/O forced by making space).
         """
-        if page_id in self._entries:
+        if page_id in self.entries:
             raise ValueError(f"{page_id} is already in the compression cache")
         if not payload:
             raise ValueError("refusing to cache an empty payload")
-        header = CompressedPageHeader(
-            page_id=page_id,
-            compressed_size=len(payload),
-            dirty=dirty,
-            inserted_at=now,
-            on_backing_store=on_backing_store,
+        entry = CompressedPageHeader(
+            page_id, payload, dirty, now, on_backing_store, content_version
         )
+        footprint = entry.footprint
         # Growing the cache may recurse: _ensure_frame asks the allocator
         # for a frame, the allocator may shrink the VM, and the VM's
         # eviction path compresses its victim into this cache, advancing
@@ -270,16 +257,14 @@ class CompressionCache:
         page_size = self.page_size
         frames = self._frames
         start = self._tail
-        end = start + header.footprint
         first = start // page_size
-        last = (end - 1) // page_size
-        if not (first in frames and (last == first or last in frames)):
+        last = (start + footprint - 1) // page_size
+        if not (first in frames and last in frames):
             for _ in range(1000):
                 start = self._tail
-                end = start + header.footprint
-                for index in range(
-                    start // page_size, (end - 1) // page_size + 1
-                ):
+                first = start // page_size
+                last = (start + footprint - 1) // page_size
+                for index in range(first, last + 1):
                     self._ensure_frame(index)
                 if self._tail == start:
                     break
@@ -287,28 +272,25 @@ class CompressionCache:
                 raise RuntimeError(
                     "compression cache could not find a stable tail position"
                 )
-        entry = _Entry(
-            header=header,
-            payload=payload,
-            offset=start,
-            content_version=content_version,
-        )
-        self._entries[page_id] = entry
-        self._live_bytes += header.footprint
-        frames = self._frames
+        entry.offset = start
+        entry.first = first
+        entry.last = last
+        self.entries[page_id] = entry
+        self._live_bytes += footprint
+        overlapped = range(first, last + 1)
         if dirty:
             self._dirty_entries += 1
             self._dirty_fifo.append(page_id)
-            for index in self._overlapped(entry):
+            for index in overlapped:
                 slot = frames[index]
                 slot.pages[page_id] = None
                 slot.dirty_pages += 1
                 if slot.dirty_pages == 1:
                     self._dirty_frames += 1
         else:
-            for index in self._overlapped(entry):
+            for index in overlapped:
                 frames[index].pages[page_id] = None
-        self._tail = end
+        self._tail = start + footprint
         self.counters.inserts += 1
 
     def fetch(
@@ -325,10 +307,10 @@ class CompressionCache:
         (pass ``now``): the paper writes "the *LRU* compressed pages ...
         to backing store", so a hit must count as a touch.
         """
-        entry = self._entries[page_id]
+        entry = self.entries[page_id]
         self.counters.fetch_hits += 1
         payload = entry.payload
-        dirty = entry.header.dirty
+        dirty = entry.dirty
         if remove:
             self._unlink(page_id)
         elif now is not None:
@@ -337,14 +319,15 @@ class CompressionCache:
 
     def touch_entry(self, page_id: PageId, now: float) -> None:
         """Move a cached page to the hot end of the compressed LRU."""
-        entry = self._entries.pop(page_id)
-        entry.header.inserted_at = now
-        self._entries[page_id] = entry
+        entries = self.entries
+        entry = entries.pop(page_id)
+        entry.inserted_at = now
+        entries[page_id] = entry
 
     def drop(self, page_id: PageId) -> None:
         """Discard a cached page without reading it (e.g. process exit,
         or freeing a clean copy that also lives on backing store)."""
-        if page_id not in self._entries:
+        if page_id not in self.entries:
             raise KeyError(f"{page_id} is not in the compression cache")
         self._unlink(page_id)
         self.counters.drops += 1
@@ -359,8 +342,9 @@ class CompressionCache:
 
     def reclaimable_frames(self) -> int:
         """Frames (excluding the tail) containing no dirty data."""
-        count = len(self._frames) - self._dirty_frames
-        tail_slot = self._frames.get(self._tail_frame_index())
+        frames = self._frames
+        count = len(frames) - self._dirty_frames
+        tail_slot = frames.get(self._tail // self.page_size)
         if tail_slot is not None and tail_slot.dirty_pages == 0:
             count -= 1  # the tail frame is never reclaimable
         return count
@@ -377,8 +361,8 @@ class CompressionCache:
         skips_left = HOT_SKIP_BUDGET if hot_filter is not None else 0
         while written < max_pages and self._dirty_fifo:
             page_id = self._dirty_fifo.popleft()
-            entry = self._entries.get(page_id)
-            if entry is None or not entry.header.dirty:
+            entry = self.entries.get(page_id)
+            if entry is None or not entry.dirty:
                 continue  # stale FIFO entry (page removed or cleaned)
             if skips_left and hot_filter(page_id):
                 # Hotness-aware demotion: a page still in active use is
@@ -401,7 +385,7 @@ class CompressionCache:
                 break
             self.ledger.charge(TimeCategory.CLEANER, seconds)
             self._mark_entry_clean(entry)
-            entry.header.on_backing_store = True
+            entry.on_backing_store = True
             if self.written_callback is not None:
                 self.written_callback(page_id, entry.content_version)
             written += 1
@@ -428,20 +412,20 @@ class CompressionCache:
             # grows), so a snapshot of the ordered dict replaces the
             # per-slot sort.
             for page_id in list(slot.pages):
-                entry = self._entries.get(page_id)
+                entry = self.entries.get(page_id)
                 if entry is None:
                     continue  # unlinked by a nested operation mid-shrink
-                if entry.header.dirty:
+                if entry.dirty:
                     seconds = self._put_resilient(page_id, entry.payload)
                     self.ledger.charge(TimeCategory.IO_WRITE, seconds)
                     self._mark_entry_clean(entry)
-                    entry.header.on_backing_store = True
+                    entry.on_backing_store = True
                     if self.written_callback is not None:
                         self.written_callback(page_id, entry.content_version)
                     self.counters.evicted_dirty_pages += 1
                 else:
                     self.counters.evicted_clean_pages += 1
-                if page_id in self._entries:
+                if page_id in self.entries:
                     self._unlink(page_id)
             if victim in self._frames:
                 # _unlink releases emptied frames automatically; if the
@@ -469,15 +453,6 @@ class CompressionCache:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-
-    def _tail_frame_index(self) -> int:
-        return self._tail // self.page_size
-
-    def _overlapped(self, entry: _Entry) -> range:
-        return range(
-            entry.offset // self.page_size,
-            (entry.end - 1) // self.page_size + 1,
-        )
 
     def _ensure_frame(self, index: int) -> None:
         if index in self._frames:
@@ -512,29 +487,39 @@ class CompressionCache:
             self.frames.release(physical)
             return
         self._frames[index] = _FrameSlot(physical_frame=physical)
+        self.nframes += 1
         self.counters.frames_mapped += 1
 
     def _unlink(self, page_id: PageId) -> None:
-        entry = self._entries.pop(page_id)
-        self._live_bytes -= entry.header.footprint
-        self._mark_entry_clean(entry)
-        tail_index = self._tail_frame_index()
-        for index in self._overlapped(entry):
-            slot = self._frames.get(index)
+        entry = self.entries.pop(page_id)
+        self._live_bytes -= entry.footprint
+        dirty = entry.dirty
+        if dirty:
+            entry.dirty = False
+            self._dirty_entries -= 1
+        tail_index = self._tail // self.page_size
+        frames = self._frames
+        for index in range(entry.first, entry.last + 1):
+            slot = frames.get(index)
             if slot is None:
                 continue
+            if dirty:
+                slot.dirty_pages -= 1
+                if slot.dirty_pages == 0:
+                    self._dirty_frames -= 1
             slot.pages.pop(page_id, None)
             if not slot.pages and index != tail_index:
                 self._release_frame(index)
 
-    def _mark_entry_clean(self, entry: _Entry) -> None:
+    def _mark_entry_clean(self, entry: CompressedPageHeader) -> None:
         """Flip an entry dirty→clean, keeping incremental counters exact."""
-        if not entry.header.dirty:
+        if not entry.dirty:
             return
-        entry.header.dirty = False
+        entry.dirty = False
         self._dirty_entries -= 1
-        for index in self._overlapped(entry):
-            slot = self._frames.get(index)
+        frames = self._frames
+        for index in range(entry.first, entry.last + 1):
+            slot = frames.get(index)
             if slot is None:
                 continue
             slot.dirty_pages -= 1
@@ -543,6 +528,7 @@ class CompressionCache:
 
     def _release_frame(self, index: int) -> None:
         slot = self._frames.pop(index)
+        self.nframes -= 1
         if slot.dirty_pages:
             raise AssertionError(
                 f"releasing frame {index} with {slot.dirty_pages} dirty pages"
@@ -556,7 +542,7 @@ class CompressionCache:
     _VICTIM_SCAN_LIMIT = 64
 
     def _pick_victim_frame(self) -> Optional[int]:
-        tail = self._tail_frame_index()
+        tail = self._tail // self.page_size
         oldest = None
         scanned = 0
         for index in self._frames:  # insertion order == ascending index

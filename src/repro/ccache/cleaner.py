@@ -49,6 +49,14 @@ class CleanerPolicy:
         if self.free_goal_frames < 0 or self.max_batch_pages < 0:
             raise ValueError("cleaner frame/page goals must be non-negative")
 
+    def idle(self, free_frames: int, reclaimable_frames: int,
+             cache_frames: int) -> bool:
+        """Whether :meth:`pages_to_clean` would return 0: its three exits
+        alone, asked after every fault before the policy itself."""
+        return (cache_frames == 0 or free_frames >= self.free_goal_frames
+                or int(self.target_clean_fraction * cache_frames + 0.5)
+                <= reclaimable_frames + free_frames)
+
     def pages_to_clean(
         self,
         free_frames: int,
@@ -62,13 +70,9 @@ class CleanerPolicy:
         """
         if min(free_frames, reclaimable_frames, cache_frames) < 0:
             raise ValueError("frame counts must be non-negative")
-        if cache_frames == 0:
-            return 0
-        if free_frames >= self.free_goal_frames:
+        if self.idle(free_frames, reclaimable_frames, cache_frames):
             return 0
         goal_frames = int(self.target_clean_fraction * cache_frames + 0.5)
         deficit = goal_frames - reclaimable_frames - free_frames
-        if deficit <= 0:
-            return 0
         pages = int(deficit * PAGES_PER_FRAME_ESTIMATE + 0.5)
         return max(1, min(self.max_batch_pages, pages))

@@ -19,7 +19,7 @@ free / new), and the compressed-page header record live here.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..mem.page import PageId
 
@@ -48,9 +48,9 @@ class SlotState(enum.Enum):
     NEW = "new"       # mapped but not yet containing data (tail only)
 
 
-@dataclass
+@dataclass(slots=True)
 class CompressedPageHeader:
-    """The per-compressed-page record (the 36-byte header, modeled).
+    """The one record the cache keeps per page (the 36-byte header).
 
     "Before each page there is a small header that describes the page,
     the size it compressed to, whether it contains dirty data, a link to
@@ -58,16 +58,23 @@ class CompressedPageHeader:
     """
 
     page_id: PageId
-    compressed_size: int
+    payload: bytes
     dirty: bool
     inserted_at: float
     #: True when a current copy also exists on the backing store.
     on_backing_store: bool = False
+    #: Content version the payload encodes; lets the VM recognize that an
+    #: unmodified resident page still has a valid compressed copy here.
+    content_version: int = -1
+    #: Placement: byte offset, and the first and last frame overlapped.
+    offset: int = 0
+    first: int = 0
+    last: int = 0
+    #: Bytes this page consumes in the cache, header included.
+    footprint: int = field(init=False)
 
-    @property
-    def footprint(self) -> int:
-        """Bytes this page consumes in the cache, header included."""
-        return self.compressed_size + COMPRESSED_PAGE_HEADER_BYTES
+    def __post_init__(self) -> None:
+        self.footprint = len(self.payload) + COMPRESSED_PAGE_HEADER_BYTES
 
 
 def cache_metadata_bytes(max_cache_frames: int, mapped_frames: int,

@@ -57,6 +57,8 @@ class FramePool:
             )
         self._free = list(range(self.total_frames - 1, -1, -1))
         self._counts = {owner: 0 for owner in FrameOwner}
+        #: Number of unallocated frames (read on every frame request).
+        self.free_frames = self.total_frames
 
     def allocate(self, owner: FrameOwner) -> int:
         """Take a free frame for ``owner``; raises OutOfFramesError if none."""
@@ -66,6 +68,7 @@ class FramePool:
                 f"split={self.split()})"
             )
         frame = self._free.pop()
+        self.free_frames -= 1
         self._owner[frame] = owner
         self._counts[owner] += 1
         return frame
@@ -77,6 +80,7 @@ class FramePool:
             raise ValueError(f"frame {frame} is not allocated")
         self._counts[owner] -= 1
         self._free.append(frame)
+        self.free_frames += 1
 
     def owner_of(self, frame: int) -> FrameOwner:
         """Current owner of an allocated frame."""
@@ -84,11 +88,6 @@ class FramePool:
             return self._owner[frame]
         except KeyError:
             raise ValueError(f"frame {frame} is not allocated") from None
-
-    @property
-    def free_frames(self) -> int:
-        """Number of unallocated frames."""
-        return len(self._free)
 
     @property
     def allocated_frames(self) -> int:

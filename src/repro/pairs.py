@@ -5,8 +5,8 @@ A performance claim here is judged on pairs of runs of
 changed tree, with the same seed in both halves of a pair and the side
 that runs first alternating (the parent first on even indices).  This
 module runs those pairs and prints, for every end-to-end metric, each
-side's median and quartiles, the change in the medians and how many
-pairs the change won; it changes nothing in either tree.
+side's median and quartiles, the change in the medians, how many pairs
+the change won and its :func:`verdict`; it changes nothing in either tree.
 
 Two checks ride along:
 
@@ -38,7 +38,7 @@ import tempfile
 import time
 from contextlib import ExitStack
 from pathlib import Path
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Two spins further apart than this put a pair's halves in different
 #: CPU speed states (the geometric middle of 1.0 and 1.45).
@@ -95,14 +95,40 @@ def export_tree(revision: str, stack: ExitStack) -> Path:
     return where
 
 
-def _directions(tree: Path) -> Dict[str, str]:
-    """``metric -> "lower" | "higher"`` from ``tree``'s BENCHMARK.json
-    (empty without one)."""
+def _directions(tree: Path) -> Dict[str, Tuple[str, Optional[float]]]:
+    """``metric -> ("lower" | "higher", bound or None)`` from ``tree``'s
+    BENCHMARK.json (empty without one)."""
     declared = tree / "BENCHMARK.json"
     if not declared.is_file():
         return {}
     metrics = json.loads(declared.read_text())["end_to_end"]
-    return {m["name"]: m["better"] for m in metrics}
+    return {m["name"]: (m["better"], m.get("bound")) for m in metrics}
+
+
+def _wins(before, after, better: str) -> int:
+    sign = -1 if better == "lower" else 1
+    return sum(1 for b, a in zip(before, after) if sign * (a - b) > 0)
+
+
+def verdict(before: Sequence[float], after: Sequence[float], better: str,
+            bound: Optional[float]) -> str:
+    """``worse`` when the change's median is past ``bound`` on the wrong
+    side of the parent's; ``unresolved`` when either side's quartile
+    distance is wider than ``bound`` of its median; ``gain`` when, over
+    ten pairs or more, the change wins 9 in 10 and the medians differ,
+    its way, by more than the parent's quartile distance; else
+    ``flat``."""
+    sign = -1 if better == "lower" else 1
+    (p1, pm, p3), (c1, cm, c3) = _quartiles(before), _quartiles(after)
+    if bound is not None and sign * (cm - pm) < -bound * abs(pm):
+        return "worse"
+    if bound is not None and (p3 - p1 > bound * abs(pm)
+                              or c3 - c1 > bound * abs(cm)):
+        return "unresolved"
+    if (len(before) >= 10 and sign * (cm - pm) > p3 - p1
+            and 10 * _wins(before, after, better) >= 9 * len(before)):
+        return "gain"
+    return "flat"
 
 
 def _quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
@@ -143,7 +169,7 @@ def run_pairs(parent: Path, change: Path, workload: str, pairs: int,
     directions = _directions(change)
     print(f"{'metric':<20}{'unit':>6}{'parent q1':>12}{'median':>12}"
           f"{'q3':>12}{'change q1':>12}{'median':>12}{'q3':>12}"
-          f"{'delta':>9}{'wins':>7}", file=out)
+          f"{'delta':>9}{'wins':>7}  verdict", file=out)
     exact_lines = []
     for name, first in sides["parent"][0]["metrics"].items():
         unit = first["unit"]
@@ -152,17 +178,14 @@ def run_pairs(parent: Path, change: Path, workload: str, pairs: int,
         p1, pm, p3 = _quartiles(before)
         c1, cm, c3 = _quartiles(after)
         delta = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
-        better = directions.get(name)
-        if better is None:
-            wins = "n/a"
-        else:
-            sign = -1 if better == "lower" else 1
-            won = sum(1 for b, a in zip(before, after)
-                      if sign * (a - b) > 0)
-            wins = f"{won}/{pairs}"
+        better, bound = directions.get(name, (None, None))
+        wins = judged = "n/a"
+        if better is not None:
+            wins = f"{_wins(before, after, better)}/{pairs}"
+            judged = verdict(before, after, better, bound)
         print(f"{name:<20}{unit:>6}{p1:>12.6g}{pm:>12.6g}{p3:>12.6g}"
-              f"{c1:>12.6g}{cm:>12.6g}{c3:>12.6g}{delta:>9}{wins:>7}",
-              file=out)
+              f"{c1:>12.6g}{cm:>12.6g}{c3:>12.6g}{delta:>9}{wins:>7}"
+              f"  {judged}", file=out)
         if unit in EXACT_UNITS:
             exact_lines.append((name, before, after))
     for key in ("attempted", "failed"):

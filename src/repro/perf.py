@@ -762,9 +762,11 @@ def profile_sim(scale: float = 0.12, top_n: int = 25,
     content generation would otherwise dominate and mislead (it runs once
     per machine, while the run loop runs once per reference).
 
-    The report has two sections: per-subsystem ``tottime`` totals (which
-    package the interpreter actually spent time in) and the classic
-    top-``top_n`` functions by cumulative time.
+    The report opens with cProfile's count of calls into ``repro``'s own
+    modules per reference and per fault, then has two sections:
+    per-subsystem ``tottime`` totals (which package the interpreter
+    actually spent time in) and the top-``top_n`` functions by
+    cumulative time.
     """
     import cProfile
     import io
@@ -775,23 +777,30 @@ def profile_sim(scale: float = 0.12, top_n: int = 25,
 
     profiler = cProfile.Profile()
     profiler.enable()
-    for engine, refs in runs:
-        engine.run(iter(refs))
+    results = [engine.run(iter(refs)) for engine, refs in runs]
     profiler.disable()
 
     stats = pstats.Stats(profiler)
     total = stats.total_tt or 1e-12
     by_subsystem: Dict[str, float] = {}
+    calls = 0
     for (filename, _lineno, _func), row in stats.stats.items():  # type: ignore[attr-defined]
         tottime = row[2]
         bucket = _subsystem_of(filename)
         by_subsystem[bucket] = by_subsystem.get(bucket, 0.0) + tottime
+        if bucket.startswith("repro."):
+            calls += row[1]
+    refs = sum(len(refs) for _, refs in runs)
+    faults = sum(r.metrics_snapshot["faults"]["total"] for r in results)
 
     lines = [
         "simulator hot-path profile",
         f"scale {scale}, workloads: {', '.join(names)}",
         f"profiled time: {stats.total_tt:.3f} s "
         "(engine.run only; machine and reference construction excluded)",
+        f"repro calls: {calls} over {refs} references and {faults} faults:"
+        f" {calls / max(refs, 1):.1f} per reference, "
+        f"{calls / max(faults, 1):.1f} per fault",
         "",
         "per-subsystem tottime:",
     ]

@@ -1,9 +1,8 @@
-"""Simulation engine: clock, ledger, costs, machine wiring, metrics."""
+"""Simulation engine: ledger and clock, costs, machine wiring, metrics."""
 
 from .. import _lazy_exports
 
 __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
-    "clock": ("VirtualClock",),
     "costs": ("CostModel",),
     "engine": ("PageRef", "RunResult", "SimulationEngine", "run_workload"),
     "ledger": ("Ledger", "TimeCategory"),

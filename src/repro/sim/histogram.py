@@ -41,13 +41,12 @@ class LatencyHistogram:
         self.total += seconds
         if seconds > self.max_value:
             self.max_value = seconds
-        self._counts[self._bucket(seconds)] += 1
-
-    def _bucket(self, seconds: float) -> int:
+        # One sample per simulated fault: the bucket is worked out inline.
         if seconds < self.smallest:
-            return 0
-        index = int(math.log(seconds / self.smallest, self.base)) + 1
-        return min(index, self.nbuckets - 1)
+            self._counts[0] += 1
+        else:
+            index = int(math.log(seconds / self.smallest, self.base)) + 1
+            self._counts[min(index, self.nbuckets - 1)] += 1
 
     def _bucket_upper(self, index: int) -> float:
         if index == 0:

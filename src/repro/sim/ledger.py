@@ -1,7 +1,8 @@
-"""Time ledger: where every simulated cost is charged.
+"""Time ledger: where every simulated cost is charged, and the clock.
 
-Components post (category, seconds) pairs; the ledger advances the shared
-virtual clock and keeps per-category totals so reports can break "where
+Components post (category, seconds) pairs; the ledger advances the
+virtual clock (:attr:`Ledger.now`, from which every LRU age and reported
+time is read) and keeps per-category totals so reports can break "where
 did the time go" down into compression, decompression, copies, I/O, fault
 overhead, and so on — the terms of the paper's trade-off discussion.
 """
@@ -10,8 +11,6 @@ from __future__ import annotations
 
 import enum
 from typing import Dict
-
-from .clock import VirtualClock
 
 
 class TimeCategory(enum.Enum):
@@ -37,10 +36,11 @@ class TimeCategory(enum.Enum):
 
 
 class Ledger:
-    """Accumulates charged time by category and drives the clock."""
+    """Accumulates charged time by category and drives the clock:
+    ``now`` (seconds) is a plain attribute only :meth:`charge` moves."""
 
-    def __init__(self, clock: VirtualClock | None = None):
-        self.clock = clock if clock is not None else VirtualClock()
+    def __init__(self, start: float = 0.0):
+        self.now = float(start)
         self._totals: Dict[TimeCategory, float] = {
             category: 0.0 for category in TimeCategory
         }
@@ -50,16 +50,7 @@ class Ledger:
         if seconds < 0:
             raise ValueError(f"negative charge: {seconds}")
         self._totals[category] += seconds
-        # Inlined clock.advance: the negative check above already covers
-        # its contract, and this is the hottest call in the simulator.
-        self.clock._now += seconds
-
-    @property
-    def now(self) -> float:
-        """Current virtual time (reads the clock's store directly — this
-        property is on the per-reference path and the extra hop through
-        ``VirtualClock.now`` is measurable)."""
-        return self.clock._now
+        self.now += seconds
 
     def total(self, category: TimeCategory | None = None) -> float:
         """Total charged time, overall or for one category."""

@@ -376,13 +376,8 @@ class Machine:
         self.swap = StandardSwap(self.fs, page_size=config.page_size)
         #: The one raw page path; every VM and pager below holds it.
         self.raw = DefaultPager(self.swap, self.retry)
-        # The clock closure holds the ledger, not the machine: nothing a
-        # part holds may lead back here, or the finalizer never runs.
-        ledger = self.ledger
         self.allocator = ThreeWayAllocator(
-            self.frames,
-            biases=config.biases,
-            now_fn=lambda: ledger.now,
+            self.frames, biases=config.biases, ledger=self.ledger,
         )
         self.buffer_cache = BufferCache(
             self.fs,

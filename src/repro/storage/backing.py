@@ -52,6 +52,9 @@ class BackingStore(WriteOutTarget, Protocol):
     def free(self, page_id: PageId) -> None:
         """Forget the page's copy (superseded or unrecoverable)."""
 
+    def collect_due(self) -> bool:
+        """O(1): whether an unforced :meth:`maybe_collect` would collect."""
+
     def maybe_collect(self, force: bool = False) -> float:
         """Run the garbage collector if due; returns seconds to charge."""
 

@@ -332,6 +332,11 @@ class FragmentStore:
     # Garbage collection
     # ------------------------------------------------------------------
 
+    def collect_due(self) -> bool:
+        """Whether an unforced :meth:`maybe_collect` would compact."""
+        return (self._append_offset >= self.gc_min_bytes
+                and self.garbage_fraction > GC_THRESHOLD)
+
     def maybe_collect(self, force: bool = False) -> float:
         """Compact the file when garbage dominates; returns seconds charged.
 
@@ -339,11 +344,8 @@ class FragmentStore:
         contiguously from offset zero, and truncates — one large read and
         one large write, the same streaming pattern an LFS cleaner uses.
         """
-        if not force:
-            if self._append_offset < self.gc_min_bytes:
-                return 0.0
-            if self.garbage_fraction <= GC_THRESHOLD:
-                return 0.0
+        if not force and not self.collect_due():
+            return 0.0
         seconds = self.flush()
 
         # The offset index is already sorted, so the collector walks it

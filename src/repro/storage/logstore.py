@@ -1253,6 +1253,10 @@ class LogStructuredStore:
                 owe_clean = crash.owe_clean
                 self._crash_and_recover()
 
+    def collect_due(self) -> bool:
+        """Whether an unforced :meth:`maybe_collect` would clean."""
+        return self._should_clean(False)
+
     def _should_clean(self, force: bool) -> bool:
         if len(self._free) <= RESERVE_SEGMENTS:
             return True

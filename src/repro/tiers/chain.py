@@ -76,10 +76,14 @@ class TierChain:
         self.raw = raw
         self.retry = raw.retry
         self.ledger = raw.ledger
-        self.costs = costs
         self.page_size = page_size
         self.injector = injector
         self.degradation = degradation
+        # Frozen costs times a frozen spec: each charge, worked out once.
+        self._compress_s = (costs.compress_seconds(page_size)
+                            * self.tiers[0].spec.compress_scale)
+        self._decompress_s = {t.spec.name: costs.decompress_seconds(
+            page_size) * t.spec.compress_scale for t in self.tiers}
 
     @property
     def warmest(self) -> CompressedTier:
@@ -118,11 +122,7 @@ class TierChain:
                 degradation.note_bypassed_eviction()
             gate.note_bypass()
             return Rejected.BYPASSED
-        self.ledger.charge(
-            TimeCategory.COMPRESS,
-            self.costs.compress_seconds(self.page_size)
-            * warmest.spec.compress_scale,
-        )
+        self.ledger.charge(TimeCategory.COMPRESS, self._compress_s)
         # Faults are injected here — above the sampler — so a crash or
         # pathological expansion never poisons the sampler's memo or the
         # shared kernel-result cache with bogus entries.
@@ -166,14 +166,14 @@ class TierChain:
     def find(self, page_id: PageId) -> Optional[CompressedTier]:
         """The warmest compressed tier holding the page, or ``None``."""
         for tier in self.tiers:
-            if page_id in tier.cache:
+            if page_id in tier.cache.entries:
                 return tier
         return None
 
     def holds(self, page_id: PageId) -> bool:
         """Whether any compressed tier holds the page in memory."""
         for tier in self.tiers:
-            if page_id in tier.cache:
+            if page_id in tier.cache.entries:
                 return True
         return False
 
@@ -192,7 +192,8 @@ class TierChain:
             return None
         cache = tier.cache
         payload, _ = cache.fetch(
-            page_id, remove=cache.is_dirty(page_id), now=self.ledger.now
+            page_id, remove=cache.entries[page_id].dirty,
+            now=self.ledger.now,
         )
         return tier, payload
 
@@ -221,9 +222,7 @@ class TierChain:
     def charge_decompress(self, tier: CompressedTier) -> None:
         """Charge decompressing one full page with ``tier``'s kernel."""
         self.ledger.charge(
-            TimeCategory.DECOMPRESS,
-            self.costs.decompress_seconds(self.page_size)
-            * tier.spec.compress_scale,
+            TimeCategory.DECOMPRESS, self._decompress_s[tier.spec.name]
         )
 
     # ------------------------------------------------------------------
@@ -235,23 +234,28 @@ class TierChain:
 
         Returns how many tiers cleaned.  Each tier is paced on the free
         count of the pool its cache draws from, read when its turn
-        comes: a warmer tier's clean pass can move it first.
+        comes: a warmer tier's clean pass can move it first.  A policy
+        or collector is asked only past its O(1) idle test.
         """
         invocations = 0
         for tier in self.tiers:
             cache = tier.cache
-            goal = tier.cleaner.pages_to_clean(
-                free_frames=cache.frames.free_frames,
-                reclaimable_frames=cache.reclaimable_frames(),
-                cache_frames=cache.nframes,
-            )
+            cleaner = tier.cleaner
+            free = cache.frames.free_frames
+            reclaimable = cache.reclaimable_frames()
+            mapped = cache.nframes
+            if cleaner.idle(free, reclaimable, mapped):
+                continue
+            goal = cleaner.pages_to_clean(free, reclaimable, mapped)
             if goal > 0:
                 invocations += 1
                 cache.clean_pages(goal)
-        # Asked after every fault, so the first attempt runs bare (as
-        # ``drain``'s flush does); only a failed one pays for the retry
-        # wrapper.  Collection is optional work: one that fails for good
-        # is skipped, and the store is asked again after the next fault.
+        if not self.fragstore.collect_due():
+            return invocations
+        # The first attempt runs bare (as ``drain``'s flush does); only
+        # a failed one pays for the retry wrapper.  Collection is
+        # optional work: one that fails for good is skipped, and the
+        # store is asked again after the next fault.
         try:
             gc_seconds = self.fragstore.maybe_collect()
         except PagingFaultError as exc:

@@ -91,7 +91,7 @@ class DemotionSink:
         source, target = self.source, self.target
         # The source entry is still registered while its cache writes it
         # out, so the content version rides along to the colder copy.
-        version = source.cache.entry_version(page_id)
+        version = source.cache.entries[page_id].content_version
         # Recover the bytes the source payload encodes.  (Not
         # ``pte.content``: under a workload ``stable_key`` the payload is
         # the page's first-measured bytes.)  A demotion is admitted

@@ -92,7 +92,6 @@ class CompressedVM(BaseVM):
         self.tiers = chain.tiers
         self.fragstore = chain.fragstore
         self.prefetch_colocated = prefetch_colocated
-        self._cleaner_check_pending = False
         # Only the terminal tier's write-outs reach the backing store;
         # warmer tiers' "write-outs" are demotions and must not update
         # per-page store versions.
@@ -119,7 +118,7 @@ class CompressedVM(BaseVM):
     def _fill(self, pte: PageTableEntry) -> FaultSource:
         page_id = pte.page_id
         page_size = self.address_space.page_size
-        self._cleaner_check_pending = True
+        self._after_access_due = True
 
         hit = self.chain.fetch(page_id)
         if hit is not None:
@@ -150,7 +149,7 @@ class CompressedVM(BaseVM):
                 # and stored in the compression cache, then it is
                 # decompressed".  Store payloads were compressed by the
                 # coldest tier's kernel, so they readmit there.
-                coldest = self.chain.coldest
+                coldest = self.tiers[-1]
                 self.ledger.charge(
                     TimeCategory.COPY, self.costs.copy_seconds(len(payload))
                 )
@@ -206,7 +205,7 @@ class CompressedVM(BaseVM):
         """
         admitted = 0
         chain = self.chain
-        coldest_cache = chain.coldest.cache
+        coldest_cache = self.tiers[-1].cache
         for page_id in colocated:
             if admitted >= MAX_PREFETCH_PAGES:
                 break
@@ -247,7 +246,7 @@ class CompressedVM(BaseVM):
     def _evict(self, pte: PageTableEntry) -> None:
         self.metrics.evictions.total += 1
         page_id = pte.page_id
-        self._cleaner_check_pending = True
+        self._after_access_due = True
 
         # Fast drop: some tier still holds this exact version compressed.
         # Stale copies are dropped wherever they sit; a colder *current*
@@ -256,13 +255,11 @@ class CompressedVM(BaseVM):
         version = pte.content.version
         fast_tier = None
         for tier in self.tiers:
-            cache = tier.cache
-            if page_id in cache:
-                if cache.entry_version(page_id) == version:
-                    if fast_tier is None:
-                        fast_tier = tier
-                else:
-                    cache.drop(page_id)  # stale compressed copy
+            entry = tier.cache.entries.get(page_id)
+            if entry is not None and entry.content_version != version:
+                tier.cache.drop(page_id)  # stale compressed copy
+            elif entry is not None and fast_tier is None:
+                fast_tier = tier
         if fast_tier is not None:
             self._release_resident_frame(pte, PageState.COMPRESSED)
             # The page was resident (hot) until this instant; it re-enters
@@ -272,7 +269,7 @@ class CompressedVM(BaseVM):
             return
 
         # Clean drop: a valid copy already sits on the backing store.
-        if pte.saved_version == pte.content.version and (
+        if pte.saved_version == version and (
             self._valid_on_fragstore(pte) or self._valid_on_swap(pte)
         ):
             self._release_resident_frame(pte, PageState.BACKING_STORE)
@@ -317,9 +314,6 @@ class CompressedVM(BaseVM):
     # ------------------------------------------------------------------
 
     def _after_access(self) -> None:
-        if not self._cleaner_check_pending:
-            return
-        self._cleaner_check_pending = False
         self.metrics.cleaner_invocations += self.chain.run_cleaners()
 
     # ------------------------------------------------------------------
@@ -345,6 +339,11 @@ class CompressedVM(BaseVM):
             and pte.saved_version == pte.content.version
             and self.raw.holds(pte.page_id)
         )
+
+    def check_invariants(self) -> None:
+        super().check_invariants()
+        for tier in self.tiers:
+            tier.cache.check_invariants()
 
     def drain(self) -> None:
         """Evict all resident pages and flush pending compressed writes."""

@@ -45,7 +45,6 @@ class ExternalPagerVM(BaseVM):
         )
         self.pager = pager
         self.pager_crossings = 0
-        self._fault_pending_tick = False
 
     def _crossing(self) -> None:
         """One kernel<->pager IPC round trip plus a page copy."""
@@ -58,7 +57,7 @@ class ExternalPagerVM(BaseVM):
 
     def _fill(self, pte: PageTableEntry) -> FaultSource:
         page_id = pte.page_id
-        self._fault_pending_tick = True
+        self._after_access_due = True
         if self.pager.holds(page_id):
             self._crossing()
             data = self.pager.pagein(page_id)
@@ -103,9 +102,7 @@ class ExternalPagerVM(BaseVM):
             self._release_resident_frame(pte, PageState.BACKING_STORE)
 
     def _after_access(self) -> None:
-        if self._fault_pending_tick:
-            self._fault_pending_tick = False
-            self.pager.tick()
+        self.pager.tick()
 
     def drain(self) -> None:
         super().drain()

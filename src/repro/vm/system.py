@@ -10,6 +10,7 @@ evicting a victim and satisfying a fault — which subclasses implement.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 from ..ccache.allocator import ThreeWayAllocator
@@ -72,6 +73,9 @@ class BaseVM(ABC):
         #: Control-plane fault telemetry (host-side accounting only —
         #: never charges the clock); ``None`` on every default machine.
         self.telemetry = None
+        #: Set by a fault or an eviction: the access runs the hook once.
+        self._after_access_due = False
+        self._obtain_frame = partial(allocator.obtain_frame, FrameOwner.VM)
         allocator.register(FrameOwner.VM, self)
 
     # ------------------------------------------------------------------
@@ -128,30 +132,29 @@ class BaseVM(ABC):
             if write:
                 pte.dirty = True
             self._resident.touch(page_id, ledger.now)
-        self._after_access()
+        if self._after_access_due:
+            self._after_access_due = False
+            self._after_access()
 
     def _fault(self, pte: PageTableEntry) -> None:
         """Bring ``pte`` resident, charging trap, transfer, and CPU time."""
-        self.metrics.faults.total += 1
-        fault_start = self.ledger.now
-        self.ledger.charge(TimeCategory.FAULT_TRAP, self.costs.fault_trap_s)
+        ledger, faults = self.ledger, self.metrics.faults
+        faults.total += 1
+        fault_start = ledger.now
+        ledger.charge(TimeCategory.FAULT_TRAP, self.costs.fault_trap_s)
         source = self._fill(pte)
-        self.metrics.fault_latency.record(self.ledger.now - fault_start)
-        if source == FaultSource.CCACHE:
-            self.metrics.faults.from_ccache += 1
-        elif source == FaultSource.FRAGSTORE:
-            self.metrics.faults.from_fragstore += 1
-        elif source == FaultSource.SWAP:
-            self.metrics.faults.from_swap += 1
+        self.metrics.fault_latency.record(ledger.now - fault_start)
+        if source is FaultSource.CCACHE:
+            faults.from_ccache += 1
+        elif source is FaultSource.FRAGSTORE:
+            faults.from_fragstore += 1
+        elif source is FaultSource.SWAP:
+            faults.from_swap += 1
         else:
-            self.metrics.faults.zero_fill += 1
+            faults.zero_fill += 1
         telemetry = self.telemetry
         if telemetry is not None:
-            telemetry.note_fault(source.value, self.ledger.now)
-
-    def _obtain_frame(self) -> int:
-        """Get a physical frame for a faulting page."""
-        return self.allocator.obtain_frame(FrameOwner.VM)
+            telemetry.note_fault(source.value, ledger.now)
 
     def _release_resident_frame(
         self, pte: PageTableEntry, new_state: PageState
@@ -201,7 +204,7 @@ class BaseVM(ABC):
         """Push a resident page out, preserving its data as required."""
 
     def _after_access(self) -> None:
-        """Hook run after every access (cleaner scheduling, etc.)."""
+        """Hook run after an access that set ``_after_access_due``."""
 
     # ------------------------------------------------------------------
     # Teardown / invariants

@@ -9,7 +9,15 @@ from repro.ccache.allocator import (
     ThreeWayAllocator,
     TieredAllocator,
 )
+from repro.compression import CompressionSampler, create
 from repro.mem.frames import FrameOwner, FramePool, OutOfFramesError
+from repro.sim.costs import CostModel
+from repro.sim.ledger import Ledger, TimeCategory
+from repro.storage.blockfs import BlockFileSystem
+from repro.storage.buffercache import BufferCache
+from repro.storage.compressed_buffercache import CompressedBufferCache
+from repro.storage.disk import DiskModel
+from repro.workloads.contentgen import dp_band_values
 
 
 class FakePool:
@@ -334,3 +342,78 @@ class TestTerms:
         assert allocator._weights == before
         with pytest.raises(AttributeError):  # the policy is not swapped
             allocator.biases = AllocationBiases()
+
+
+class TestVictimTable:
+    """Every victim choice walks one ``(key, pool, weight)`` table; it
+    must follow each change to the pools and their weights."""
+
+    @staticmethod
+    def assert_table(allocator, keys):
+        assert [key for key, _, _ in allocator._victims] == keys
+        for key, pool, weight in allocator._victims:
+            assert pool is allocator._pools[key]
+            assert weight == allocator._weights[key]
+
+    def test_follows_registration_retune_and_release(self):
+        frames = FramePool(8)
+        allocator = ThreeWayAllocator(
+            frames, biases=AllocationBiases(1.0, 1.0, 1.0))
+        self.assert_table(allocator, [])
+        vm = FakePool(frames, FrameOwner.VM, age=10.0)
+        cc = FakePool(frames, FrameOwner.COMPRESSION, age=4.0)
+        vm.grab(2)
+        cc.grab(2)
+        allocator.register(FrameOwner.VM, vm)
+        allocator.register(FrameOwner.COMPRESSION, cc)
+        self.assert_table(allocator, [FrameOwner.VM, FrameOwner.COMPRESSION])
+        assert allocator._choose_victim() == (FrameOwner.VM, vm)
+        # The control plane re-biases the compression pool this way.
+        allocator.retune(FrameOwner.COMPRESSION, weight=5.0)
+        self.assert_table(allocator, [FrameOwner.VM, FrameOwner.COMPRESSION])
+        assert allocator._choose_victim() == (FrameOwner.COMPRESSION, cc)
+        l2 = FakePool(frames, FrameOwner.COMPRESSION, age=100.0)
+        l2.grab(1)
+        allocator.register_pool("cc:l2", l2, weight=1.0)
+        self.assert_table(
+            allocator, [FrameOwner.VM, FrameOwner.COMPRESSION, "cc:l2"])
+        assert allocator._choose_victim() == ("cc:l2", l2)
+        # A re-registration replaces the pool in its place.
+        vm2 = FakePool(frames, FrameOwner.VM, age=1000.0)
+        vm2.grab(1)
+        allocator.register(FrameOwner.VM, vm2)
+        self.assert_table(
+            allocator, [FrameOwner.VM, FrameOwner.COMPRESSION, "cc:l2"])
+        assert allocator._choose_victim() == (FrameOwner.VM, vm2)
+        allocator.release_pools()
+        self.assert_table(allocator, [])
+        assert allocator._choose_victim() is None
+
+    def test_reaches_a_subclass_coldest_age_override(self):
+        """``CompressedBufferCache.coldest_age`` also counts its
+        compressed tier; the allocator must call it, not the plain
+        cache's front-LRU age."""
+        fs = BlockFileSystem(DiskModel.rz57())
+        handle = fs.open("data")
+        for block in range(6):
+            fs.write(handle, block * 4096, dp_band_values(block))
+        cache = CompressedBufferCache(
+            fs, FramePool(4), CompressionSampler(create("lzrw1")),
+            Ledger(), CostModel(),
+        )
+        for block in range(6):
+            cache.access(handle, block, now=100.0 + block)
+        front = BufferCache.coldest_age(cache, 106.0)
+        assert front < cache.coldest_age(106.0) == pytest.approx(6.0)
+        ledger = Ledger()
+        ledger.charge(TimeCategory.BASE, 106.0)
+        vm_frames = FramePool(1)
+        vm = FakePool(vm_frames, FrameOwner.VM, age=(front + 6.0) / 2)
+        vm.grab(1)
+        allocator = ThreeWayAllocator(
+            FramePool(1), biases=AllocationBiases(1.0, 1.0, 1.0),
+            ledger=ledger,
+        )
+        allocator.register(FrameOwner.VM, vm)
+        allocator.register(FrameOwner.FILE_CACHE, cache)
+        assert allocator._choose_victim() == (FrameOwner.FILE_CACHE, cache)

@@ -9,6 +9,7 @@ from first principles after each step.
 from hypothesis import given, settings, strategies as st
 
 from repro.ccache.circular import CompressionCache
+from repro.ccache.header import COMPRESSED_PAGE_HEADER_BYTES
 from repro.mem.frames import FramePool
 from repro.mem.page import PageId
 from repro.sim.ledger import Ledger
@@ -38,28 +39,32 @@ def _ops():
 
 def _check_ground_truth(cache):
     true_dirty_entries = sum(
-        1 for e in cache._entries.values() if e.header.dirty
+        1 for e in cache.entries.values() if e.dirty
     )
     assert cache._dirty_entries == true_dirty_entries
     for index, slot in cache._frames.items():
         true_pages = {
-            p for p, e in cache._entries.items()
-            if index in cache._overlapped(e)
+            p for p, e in cache.entries.items()
+            if e.offset // cache.page_size <= index
+            <= (e.offset + e.footprint - 1) // cache.page_size
         }
         assert set(slot.pages) == true_pages
         # shrink_one relies on registration order being ascending offset.
-        offsets = [cache._entries[p].offset for p in slot.pages]
+        offsets = [cache.entries[p].offset for p in slot.pages]
         assert offsets == sorted(offsets)
         true_dirty = sum(
-            1 for p in true_pages if cache._entries[p].header.dirty
+            1 for p in true_pages if cache.entries[p].dirty
         )
         assert slot.dirty_pages == true_dirty
     assert cache._dirty_frames == sum(
         1 for s in cache._frames.values() if s.dirty_pages > 0
     )
     # Payload integrity: what's in the cache is what was inserted.
-    for page_id, entry in cache._entries.items():
-        assert entry.header.compressed_size == len(entry.payload)
+    for page_id, entry in cache.entries.items():
+        assert entry.footprint == (
+            len(entry.payload) + COMPRESSED_PAGE_HEADER_BYTES)
+    # The cache's own recount must agree with this one.
+    cache.check_invariants()
 
 
 @settings(max_examples=80, deadline=None)
@@ -116,5 +121,5 @@ def test_insert_fetch_everything_releases_all_frames(sizes):
     for n, size in enumerate(sizes):
         payload, _ = cache.fetch(PageId(0, n))
         assert payload == b"q" * size
-    assert len(cache) == 0
+    assert cache.compressed_pages == 0
     assert cache.nframes <= 1  # at most the tail frame

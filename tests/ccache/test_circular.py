@@ -66,7 +66,7 @@ class TestInsertFetch:
         cache, _, _, _ = make_cache()
         cache.insert(pid(1), b"v" * 16, dirty=True, now=0.0,
                      content_version=42)
-        assert cache.entry_version(pid(1)) == 42
+        assert cache.entries[pid(1)].content_version == 42
 
     def test_entries_pack_densely(self):
         """Compressed pages pack one after another with 36-byte headers."""
@@ -101,10 +101,9 @@ class TestFrameLifecycle:
 
     def test_oldest_age(self):
         cache, _, _, _ = make_cache()
-        assert cache.oldest_entry_age(5.0) is None
+        assert cache.coldest_age(5.0) is None
         cache.insert(pid(1), b"a" * 10, dirty=True, now=2.0)
         cache.insert(pid(2), b"b" * 10, dirty=True, now=4.0)
-        assert cache.oldest_entry_age(5.0) == pytest.approx(3.0)
         assert cache.coldest_age(5.0) == pytest.approx(3.0)
 
 
@@ -135,8 +134,8 @@ class TestCleaning:
         assert written == 1
         assert fragstore.contains(pid(1))       # oldest first
         assert not fragstore.contains(pid(2))
-        assert not cache.is_dirty(pid(1))
-        assert cache.is_dirty(pid(2))
+        assert not cache.entries[pid(1)].dirty
+        assert cache.entries[pid(2)].dirty
 
     def test_clean_pages_respects_limit(self):
         cache, _, _, _ = make_cache()
@@ -246,24 +245,27 @@ class TestReclaimableAccounting:
 def _assert_accounting(cache):
     """Compare incremental counters against recomputed ground truth."""
     true_dirty_entries = sum(
-        1 for e in cache._entries.values() if e.header.dirty
+        1 for e in cache.entries.values() if e.dirty
     )
     assert cache._dirty_entries == true_dirty_entries
     for index, slot in cache._frames.items():
         true_pages = {
-            p for p, e in cache._entries.items()
-            if index in cache._overlapped(e)
+            p for p, e in cache.entries.items()
+            if e.offset // cache.page_size <= index
+            <= (e.offset + e.footprint - 1) // cache.page_size
         }
         assert set(slot.pages) == true_pages, f"frame {index} pages"
         # shrink_one consumes slot.pages in registration order and
         # depends on it being ascending by entry offset.
-        offsets = [cache._entries[p].offset for p in slot.pages]
+        offsets = [cache.entries[p].offset for p in slot.pages]
         assert offsets == sorted(offsets), f"frame {index} page order"
         true_dirty = sum(
-            1 for p in true_pages if cache._entries[p].header.dirty
+            1 for p in true_pages if cache.entries[p].dirty
         )
         assert slot.dirty_pages == true_dirty, f"frame {index} dirty"
     true_dirty_frames = sum(
         1 for s in cache._frames.values() if s.dirty_pages > 0
     )
     assert cache._dirty_frames == true_dirty_frames
+    # The cache's own recount must agree with this one.
+    cache.check_invariants()

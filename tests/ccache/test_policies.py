@@ -1,6 +1,7 @@
 """Cleaner policy, adaptive gate, headers/overheads."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ccache.cleaner import CleanerPolicy
 from repro.ccache.header import (
@@ -56,6 +57,26 @@ class TestCleanerPolicy:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             CleanerPolicy(target_clean_fraction=1.5)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        fraction=st.floats(0.0, 1.0),
+        free_goal=st.integers(0, 40),
+        batch=st.integers(0, 40),
+        free=st.integers(0, 60),
+        reclaimable=st.integers(0, 300),
+        mapped=st.integers(0, 300),
+    )
+    def test_idle_agrees_with_pages_to_clean(
+        self, fraction, free_goal, batch, free, reclaimable, mapped
+    ):
+        """The O(1) idle test run after every fault answers exactly
+        "would the policy clean nothing?", so skipping the policy when it
+        says idle changes no decision."""
+        policy = CleanerPolicy(fraction, free_goal, batch)
+        assert policy.idle(free, reclaimable, mapped) == (
+            policy.pages_to_clean(free, reclaimable, mapped) == 0
+        )
 
 
 class TestAdaptiveGate:
@@ -154,7 +175,7 @@ class TestHeaders:
         assert FRAME_HEADER_BYTES / 4096 == pytest.approx(0.006, abs=0.001)
 
     def test_header_footprint(self):
-        header = CompressedPageHeader(PageId(0, 1), 1000, True, 0.0)
+        header = CompressedPageHeader(PageId(0, 1), bytes(1000), True, 0.0)
         assert header.footprint == 1036
 
     def test_metadata_bytes(self):

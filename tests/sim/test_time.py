@@ -2,24 +2,27 @@
 
 import pytest
 
-from repro.sim.clock import VirtualClock
 from repro.sim.costs import CostModel
 from repro.sim.ledger import Ledger, TimeCategory
 
 
 class TestClock:
+    """The ledger is the clock: ``now`` moves only by a charge."""
+
     def test_advance(self):
-        clock = VirtualClock()
-        assert clock.now == 0.0
-        clock.advance(1.5)
-        assert clock.now == 1.5
+        ledger = Ledger()
+        assert ledger.now == 0.0
+        ledger.charge(TimeCategory.BASE, 1.5)
+        assert ledger.now == 1.5
 
     def test_start_offset(self):
-        assert VirtualClock(10.0).now == 10.0
+        assert Ledger(10.0).now == 10.0
 
     def test_never_rewinds(self):
+        ledger = Ledger()
         with pytest.raises(ValueError):
-            VirtualClock().advance(-0.1)
+            ledger.charge(TimeCategory.BASE, -0.1)
+        assert ledger.now == 0.0
 
 
 class TestLedger:

@@ -48,7 +48,7 @@ def test_store_matches_backing_store_protocol(store):
 def test_protocol_is_exactly_the_surface_in_use():
     assert sorted(_methods(WriteOutTarget)) == ["contains", "flush", "put"]
     assert sorted(_methods(BackingStore)) == [
-        "free", "get", "maybe_collect", "peek",
+        "collect_due", "free", "get", "maybe_collect", "peek",
     ]
     assert BackingStore.__annotations__.keys() == {
         "counters", "gc_generation",

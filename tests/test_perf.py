@@ -9,6 +9,7 @@ silently).
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -178,6 +179,20 @@ class TestProfileSim:
         assert "per-subsystem tottime" in report
         assert "repro.vm" in report
         assert "by cumulative time" in report
+
+    def test_calls_per_reference_and_per_fault(self):
+        report = profile_sim(scale=0.02, top_n=5, workloads=["thrasher"])
+        line = next(line for line in report.splitlines()
+                    if line.startswith("repro calls: "))
+        match = re.fullmatch(
+            r"repro calls: (\d+) over (\d+) references and (\d+) faults: "
+            r"([\d.]+) per reference, ([\d.]+) per fault", line)
+        calls, refs, faults = map(int, match.group(1, 2, 3))
+        # Every reference is at least one call (touch); the thrasher
+        # faults, and a fault costs more calls than a reference does.
+        assert 0 < faults <= refs < calls
+        assert match.group(4) == f"{calls / refs:.1f}"
+        assert match.group(5) == f"{calls / faults:.1f}"
 
 
 def _failures(payloads, baseline):

@@ -271,8 +271,8 @@ class TestChainVerbs:
         chain.admit(page, result, 7)
         cache = chain.warmest.cache
         assert page in cache and page not in chain.coldest.cache
-        assert cache.is_dirty(page)
-        assert cache.entry_version(page) == 7
+        assert cache.entries[page].dirty
+        assert cache.entries[page].content_version == 7
 
     def test_fetch_removes_a_dirty_entry_and_keeps_a_clean_one(self):
         machine, _ = two_tier_machine()

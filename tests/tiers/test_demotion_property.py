@@ -131,8 +131,8 @@ def test_cold_and_warm_two_tier_runs_are_identical(name):
     assert cold == warm
     assert cold_machine.ledger.breakdown() == warm_machine.ledger.breakdown()
     l2_sizes = [
-        {h.page_id: h.compressed_size
-         for h in machine.chain.tiers[1].cache.iter_entries()}
+        {h.page_id: len(h.payload)
+         for h in machine.chain.tiers[1].cache.entries.values()}
         for machine in (cold_machine, warm_machine)
     ]
     assert l2_sizes[0] == l2_sizes[1]
@@ -174,7 +174,7 @@ def test_put_many_equals_sequential_puts():
     def dirty_items(machine, count):
         cache = machine.chain.warmest.cache
         items = []
-        for header in cache.iter_entries():
+        for header in cache.entries.values():
             if header.dirty:
                 payload, _ = cache.fetch(header.page_id, remove=False)
                 items.append((header.page_id, payload))
