@@ -25,7 +25,7 @@ Usage::
     compression-cache trace-record --workload compare --out t.trace
                              [--format binary] [--repeat N]
     compression-cache trace-replay t.btrace --workload compare
-                             [--digest | --json] [--scalar] [--no-mmap]
+                             [--digest | --json] [--no-mmap]
     compression-cache trace-analyze t.trace [--frames 64,256]
 
 ``--scale 1.0`` reproduces the paper's configuration; the defaults trade
@@ -498,9 +498,7 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
     workload = _workload_spec(args)
     _check_sizes(args, workload, memory)
     machine, _ = build_cell(
-        {"config": {"memory_bytes": memory}, "workload": workload},
-        fast=False if args.scalar else None,
-    )
+        {"config": {"memory_bytes": memory}, "workload": workload})
     engine = SimulationEngine(machine)
     max_references = args.max_events or None
     try:
@@ -837,8 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="user memory in MBytes before --scale")
     replay.add_argument("--max-events", type=int, default=0)
     replay.add_argument("--drain", action="store_true")
-    replay.add_argument("--scalar", action="store_true",
-                        help="force scalar compression kernels")
     replay.add_argument("--no-mmap", action="store_true",
                         help="read the whole binary trace into memory "
                              "instead of memory-mapping it")

@@ -24,7 +24,7 @@ page it:
    keeps the kernel that stores the page in the fewest bytes while
    meeting the paper's 4:3 threshold, breaking ties toward the earlier
    candidate.  Every candidate runs in the compiled library
-   (:mod:`.compiled`) where it loads: on the ``kv-mixed`` PUT pages the
+   (:mod:`.compiled`): on the ``kv-mixed`` PUT pages the
    six word kernels together take about 56 us a page, less than half of
    what the raw-proof screen that once skipped the ones that provably
    store a page raw cost (126-131 us; docs/kernels.md has the record).  Only the
@@ -163,9 +163,6 @@ class AdaptiveCompressor(Compressor):
     """Selector-compressor: per page, the best registered kernel.
 
     Args:
-        fast: tri-state flag (:class:`Compressor`), forwarded to every candidate
-            kernel (selection is unaffected; payloads are pinned
-            bit-identical across modes).
         candidates: kernel names to choose among, in tie-break order
             (a size tie elects the earlier one).  Defaults to
             :data:`DEFAULT_CANDIDATES`.  A kernel is *eligible* only if
@@ -186,7 +183,6 @@ class AdaptiveCompressor(Compressor):
 
     def __init__(
         self,
-        fast: Optional[bool] = None,
         candidates: Optional[Sequence[str]] = None,
         resample_every: int = 32,
         memo_max: int = 1024,
@@ -212,14 +208,14 @@ class AdaptiveCompressor(Compressor):
                     f"adaptive: no payload tag for kernel {name!r}; "
                     f"known: {known}"
                 )
-        super().__init__(fast)
+        super().__init__()
         self.candidate_names = names
         self.threshold = CompressionThreshold()
         self.resample_every = resample_every
         self.memo_max = memo_max
         self.result_memo_max = result_memo_max
         self._kernels: Tuple[Compressor, ...] = tuple(
-            create(name, fast=fast) for name in names
+            create(name) for name in names
         )
         #: kind -> [candidate index, memo hits since last trial]
         self._memo: Dict[Tuple, List[int]] = {}
@@ -365,7 +361,7 @@ class AdaptiveCompressor(Compressor):
             name = _TAG_NAMES.get(tag)
             if name is None:
                 raise CorruptDataError(f"adaptive: unknown kernel tag {tag}")
-            kernel = create(name, fast=self.fast)
+            kernel = create(name)
             self._decoders[tag] = kernel
         return kernel._decode(payload[1:], n)
 

@@ -96,26 +96,24 @@ class Compressor:
     deliberate exception — its choices follow page order — and opts out
     of result sharing (:meth:`result_cache_key`).
 
-    Args:
-        fast: tri-state flag, resolved once here: ``False`` forces a
-            kernel's Python loop.  ``None`` and ``True`` are one value:
-            the compiled library's entry points (:mod:`.compiled`) for
-            a kernel that has them and where the library loads, else
-            the loop.  Both paths produce bit-identical payloads.
+    A kernel whose class sets :attr:`uses_library` runs the compiled
+    library (:mod:`.compiled`) and nothing else: making one builds or
+    loads it, or raises
+    :class:`~repro.compression.compiled.CompiledLibraryError`.
     """
 
     #: Registry name; subclasses override.
     name: str = "abstract"
 
-    #: Whether the compiled library holds this kernel's encoder.
+    #: Whether the compiled library holds this kernel's entry points.
     uses_library: bool = False
 
-    def __init__(self, fast: Optional[bool] = None):
-        self.fast = fast
-        #: The compiled library this instance runs, or ``None``:
-        #: resolved here, so a forked worker loads nothing later.
+    def __init__(self) -> None:
+        #: The compiled library this instance runs (``None`` for a
+        #: kernel without entry points there): resolved here, so a
+        #: forked worker loads nothing later.
         self._library = None
-        if self.uses_library and fast is not False:
+        if self.uses_library:
             from .compiled import compiled_library
 
             self._library = compiled_library()
@@ -237,6 +235,8 @@ def create(name: str, **kwargs) -> Compressor:
 
     Raises:
         UnknownCompressorError: if ``name`` was never registered.
+        CompiledLibraryError: if the kernel runs the compiled library
+            and it cannot be built or loaded.
     """
     if name not in _REGISTRY and name in _KERNEL_MODULES:
         importlib.import_module(f".{_KERNEL_MODULES[name]}", __package__)

@@ -64,38 +64,11 @@ _DELTA_PARAMS = {enc: (k, d) for enc, k, d in _DELTA_ENCODINGS}
 _from_bytes = int.from_bytes
 
 
-def _encode_deltas(line: bytes, k: int, d: int) -> Optional[bytes]:
-    """``base + deltas`` payload for one line, or None if a delta overflows."""
-    base = _from_bytes(line[:k], "little")
-    half = 1 << (8 * d - 1)
-    span = half << 1
-    out = bytearray(line[:k])
-    for i in range(0, _LINE, k):
-        delta = _from_bytes(line[i : i + k], "little") - base
-        # Two's-complement fit check: delta in [-half, half).
-        if not -half <= delta < half:
-            return None
-        out += (delta & (span - 1)).to_bytes(d, "little")
-    return bytes(out)
-
-
-def _encode_line(line: bytes) -> Tuple[int, bytes]:
-    """Best ``(encoding, payload)`` for one whole 64-byte line."""
-    if line.count(0) == _LINE:
-        return _ENC_ZERO, b""
-    first8 = line[:8]
-    if first8 * (_LINE // 8) == line:
-        return _ENC_REPEAT8, first8
-    for enc, k, d in _DELTA_ENCODINGS:
-        payload = _encode_deltas(line, k, d)
-        if payload is not None:
-            return enc, payload
-    return _ENC_RAW, line
-
-
 @register("bdi")
 class BdiCompressor(Compressor):
-    """Base-delta-immediate page compressor (Pekhimenko-style)."""
+    """Base-delta-immediate page compressor (Pekhimenko-style):
+    ``bdi_encode`` in the compiled library (:mod:`.compiled`), the
+    decoder below."""
 
     uses_library = True
 
@@ -105,25 +78,7 @@ class BdiCompressor(Compressor):
         return ("bdi",)
 
     def _encode(self, data: bytes, n: int) -> Optional[bytes]:
-        if self._library is not None:
-            return self._library.bdi_encode(data, n)
-        data = bytes(data)  # count() and repetition: not a memoryview's
-        if data.count(0) == n:
-            return bytes([_PAGE_ZERO])
-        # Header + value is 9 bytes, so the page must be at least two
-        # repeats for this path to shrink it.
-        if n >= 16 and n % 8 == 0 and data[:8] * (n // 8) == data:
-            return bytes([_PAGE_SAME8]) + data[:8]
-        nlines = n // _LINE
-        if nlines == 0:
-            return None
-        out = bytearray([_PAGE_LINES])
-        for i in range(0, nlines * _LINE, _LINE):
-            enc, payload = _encode_line(data[i : i + _LINE])
-            out.append(enc)
-            out += payload
-        out += data[nlines * _LINE :]
-        return bytes(out)
+        return self._library.bdi_encode(data, n)
 
     def _decode(self, payload: bytes, n: int) -> bytes:
         if not payload:

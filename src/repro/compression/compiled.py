@@ -4,14 +4,15 @@
 encoders and their shared item decoder, of the six word kernels'
 encoders (``rle``, ``bdi``, ``varint-delta``, ``wk``, ``fpc``,
 ``cpack``) and of the ``rle`` and ``cpack`` decoders.  Each emits, or
-raises, exactly what its kernel's Python loop does (the oracle that
-``fast=False`` runs).  The library is built the first time a kernel
-that has entry points here is made with ``fast`` not ``False``
+raises, exactly what its Python loop in :mod:`._reference` does (the
+oracle the tests and perf's ratio rows run).  The library is built the
+first time a kernel that has entry points here is made
 (:class:`~repro.compression.base.Compressor` resolves it in
 ``__init__``, so a forked worker loads nothing later), cached under
 ``$XDG_CACHE_HOME/repro`` and called through :mod:`ctypes`
-(:func:`compiled_library`).  Where it cannot be built or loaded, every
-kernel silently runs its Python path.
+(:func:`compiled_library`).  It is every such kernel's only path: where
+it cannot be built or loaded, making the kernel raises
+:class:`CompiledLibraryError`, naming why.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from __future__ import annotations
 import os
 import struct
 import sys
-from typing import Callable, List, NamedTuple, Optional
+from typing import Callable, List, NamedTuple, Optional, Union
 
-from .base import CorruptDataError
+from .base import CompressionError, CorruptDataError
 
 #: The library's source, shipped beside this module.
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -36,17 +37,24 @@ Encoder = Callable[[bytes, int], Optional[bytes]]
 Decoder = Callable[[bytes, int], bytes]
 
 
+class CompiledLibraryError(CompressionError):
+    """The compiled library could not be built or loaded; the message
+    names the cause: the compiler command and the tail of its stderr,
+    an untrusted or unwritable cache directory, or a library whose
+    checksum still fails after one rebuild."""
+
+
 class CompiledKernels(NamedTuple):
     """The compiled library's entry points, each emitting (or raising)
-    exactly what its Python twin does.  An encoder returns its kernel's
-    ``_encode(data, n)``: the encoding, or ``None``; a decoder its
-    ``_decode(payload, n)``."""
+    exactly what its Python twin in :mod:`._reference` does.  An
+    encoder returns its kernel's ``_encode(data, n)``: the encoding, or
+    ``None``; a decoder its ``_decode(payload, n)``."""
 
     #: ``lzrw1_encode(data, n, table_bits)``: ``Lzrw1._encode``.
     lzrw1_encode: Callable[[bytes, int, int], Optional[bytes]]
     #: ``lzss_encode(data, n, chain_depth, lazy)``: ``Lzss._encode``.
     lzss_encode: Callable[[bytes, int, int, bool], Optional[bytes]]
-    #: ``lz_decode(payload, n, name)``: :func:`~.lzrw1.decode_items`.
+    #: ``lz_decode(payload, n, name)``: ``_reference.decode_items``.
     lz_decode: Callable[[bytes, int, str], bytes]
     rle_encode: Encoder
     bdi_encode: Encoder
@@ -59,21 +67,30 @@ class CompiledKernels(NamedTuple):
 
 
 #: What :func:`compiled_library` resolved: empty until its first call,
-#: then ``[library]`` — the entry points, or ``None`` after any failure.
-_COMPILED: List[Optional[CompiledKernels]] = []
+#: then ``[library]`` — the entry points, or the error that stopped them.
+_COMPILED: List[Union[CompiledKernels, CompiledLibraryError]] = []
 
 
-def compiled_library() -> Optional[CompiledKernels]:
-    """The compiled kernel library, or ``None`` where it cannot be built
-    or loaded.  Tried once per process (forked workers inherit the
-    outcome); raises nothing."""
+def compiled_library() -> CompiledKernels:
+    """The compiled kernel library.  Tried once per process (forked
+    workers inherit the outcome): a failure is kept and raised again,
+    never retried.
+
+    Raises:
+        CompiledLibraryError: naming why it could not be built or loaded.
+    """
     if not _COMPILED:
         try:
-            library = _load_compiled()
-        except Exception:   # any failure means the Python loops
-            library = None
-        _COMPILED.append(library)
-    return _COMPILED[0]
+            _COMPILED.append(_load_compiled())
+        except CompiledLibraryError as exc:
+            _COMPILED.append(exc)
+        except OSError as exc:     # reading or dlopen-ing the library
+            _COMPILED.append(CompiledLibraryError(
+                f"the compiled kernel library did not load: {exc}"))
+    library = _COMPILED[0]
+    if isinstance(library, CompiledLibraryError):
+        raise library.with_traceback(None)
+    return library
 
 
 def compile_command() -> List[str]:
@@ -120,7 +137,7 @@ _CPACK_ERRORS = {
 }
 
 
-def _load_compiled() -> Optional[CompiledKernels]:
+def _load_compiled() -> CompiledKernels:
     """Build ``_kernels.c`` at :func:`_library_path` if need be and wrap
     the loaded functions.  The library is loaded only from a directory
     owned by this uid that no one else may write to, and only if it ends
@@ -132,10 +149,21 @@ def _load_compiled() -> Optional[CompiledKernels]:
 
     path = _library_path()
     cache = os.path.dirname(path)
-    os.makedirs(cache, mode=0o700, exist_ok=True)
-    owner = os.stat(cache)
-    if owner.st_uid != os.getuid() or owner.st_mode & 0o022:
-        return None
+    try:
+        os.makedirs(cache, mode=0o700, exist_ok=True)
+        owner = os.stat(cache)
+    except OSError as exc:
+        raise CompiledLibraryError(
+            f"cannot create the kernel cache directory {cache}: {exc}"
+        ) from exc
+    if owner.st_uid != os.getuid():
+        raise CompiledLibraryError(
+            f"the kernel cache directory {cache} is owned by uid "
+            f"{owner.st_uid}, not by this process's {os.getuid()}")
+    if owner.st_mode & 0o022:
+        raise CompiledLibraryError(
+            f"the kernel cache directory {cache} is writable by others "
+            f"(mode {owner.st_mode & 0o777:o})")
     for built in (False, True):     # missing or damaged: build it, once
         library = b""
         if os.path.exists(path):
@@ -144,7 +172,8 @@ def _load_compiled() -> Optional[CompiledKernels]:
         if hashlib.sha256(library[:-32]).digest() == library[-32:]:
             break
         if built:
-            return None
+            raise CompiledLibraryError(
+                f"{path} fails its checksum after a rebuild")
         _build(path)
     loaded = ctypes.CDLL(path)
     c_bytes, c_int, c_long = ctypes.c_char_p, ctypes.c_int, ctypes.c_long
@@ -241,7 +270,7 @@ def _load_compiled() -> Optional[CompiledKernels]:
             if length == -1:
                 return None
             # wk's stream lengths are 16-bit fields: what struct.pack
-            # raises in the Python loop.
+            # raises in the reference loop.
             raise struct.error(f"{name}: a stream of more than 65,535 "
                                "bytes")
         return encode
@@ -277,15 +306,33 @@ def _build(path: str) -> None:
     temporary file and :func:`os.replace`: no reader sees half a
     library, and none that a process has mapped is cut."""
     import hashlib
+    import shlex
     import subprocess
     import tempfile
 
-    handle, partial = tempfile.mkstemp(".partial", "kernels-",
-                                       os.path.dirname(path))
-    os.close(handle)
+    cache = os.path.dirname(path)
     try:
-        subprocess.run(compile_command() + ["-o", partial, _SOURCE],
-                       check=True, capture_output=True, timeout=120)
+        handle, partial = tempfile.mkstemp(".partial", "kernels-", cache)
+    except OSError as exc:
+        raise CompiledLibraryError(
+            f"cannot write to the kernel cache directory {cache}: {exc}"
+        ) from exc
+    os.close(handle)
+    command = compile_command() + ["-o", partial, _SOURCE]
+    try:
+        try:
+            subprocess.run(command, check=True, capture_output=True,
+                           timeout=120)
+        except (OSError, subprocess.SubprocessError) as exc:
+            stderr = getattr(exc, "stderr", None) or b""
+            tail = stderr.decode(errors="replace").strip().splitlines()[-5:]
+            why = (f"exit status {exc.returncode}"
+                   if isinstance(exc, subprocess.CalledProcessError)
+                   else str(exc))
+            raise CompiledLibraryError(
+                f"building the kernel library failed: "
+                f"`{shlex.join(command)}`: {why}"
+                + "".join(f"\n  {line}" for line in tail)) from exc
         with open(partial, "rb") as handle:
             built = handle.read()
         with open(partial, "ab") as handle:

@@ -25,29 +25,13 @@ little-endian words).  A trailing partial word (pages not divisible by
 from __future__ import annotations
 
 import struct
-from typing import List, Optional
+from typing import Optional
 
 from .base import Compressor, CorruptDataError, register
 
 _TAG_RAW = 0
 _TAG_ASCENDING = 1
 _TAG_TAIL = 2
-
-#: Minimum ascending-run length worth switching modes for.
-_MIN_RUN = 4
-
-
-def _write_varint(out: bytearray, value: int) -> None:
-    if value < 0:
-        raise ValueError(f"varint cannot encode negatives: {value}")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
 
 
 def _read_varint(data: bytes, pos: int) -> tuple:
@@ -68,62 +52,19 @@ def _read_varint(data: bytes, pos: int) -> tuple:
 
 @register("varint-delta")
 class VarintDeltaCompressor(Compressor):
-    """Posting-list codec: ascending 32-bit runs become varint gaps."""
+    """Posting-list codec: ascending 32-bit runs become varint gaps.
+    ``delta_encode`` in the compiled library (:mod:`.compiled`), the
+    decoder below."""
 
     uses_library = True
 
     def result_cache_key(self):
-        # No output-affecting parameters; the fast path is pinned
-        # bit-identical, so results may be shared process-wide.
+        # No output-affecting parameters: results may be shared
+        # process-wide.
         return ("varint-delta",)
 
     def _encode(self, data: bytes, n: int) -> Optional[bytes]:
-        if self._library is not None:
-            return self._library.delta_encode(data, n)
-        nwords = n // 4
-        if nwords < _MIN_RUN:
-            return None
-        words = struct.unpack(f"<{nwords}I", data[: nwords * 4])
-        tail = data[nwords * 4 :]
-
-        out = bytearray()
-        index = 0
-        raw_buffer: List[int] = []
-
-        def flush_raw() -> None:
-            if not raw_buffer:
-                return
-            out.append(_TAG_RAW)
-            _write_varint(out, len(raw_buffer))
-            out.extend(
-                struct.pack(f"<{len(raw_buffer)}I", *raw_buffer)
-            )
-            raw_buffer.clear()
-
-        while index < nwords:
-            run_end = index + 1
-            while (
-                run_end < nwords and words[run_end] >= words[run_end - 1]
-            ):
-                run_end += 1
-            run_length = run_end - index
-            if run_length >= _MIN_RUN:
-                flush_raw()
-                out.append(_TAG_ASCENDING)
-                _write_varint(out, run_length)
-                _write_varint(out, words[index])
-                for position in range(index + 1, run_end):
-                    _write_varint(out, words[position] - words[position - 1])
-                index = run_end
-            else:
-                raw_buffer.append(words[index])
-                index += 1
-        flush_raw()
-        if tail:
-            out.append(_TAG_TAIL)
-            _write_varint(out, len(tail))
-            out.extend(tail)
-        return bytes(out)
+        return self._library.delta_encode(data, n)
 
     def _decode(self, payload: bytes, n: int) -> bytes:
         out = bytearray()

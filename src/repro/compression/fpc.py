@@ -21,7 +21,7 @@ prefix   pattern                               data bits
 =======  ====================================  ===========
 
 Prefixes and data bits share one LSB-first bit stream (the
-:class:`~repro.compression.wk._BitWriter` layout) behind a small header;
+:class:`~repro.compression.wk._BitReader` layout) behind a small header;
 trailing bytes that do not fill a word are stored verbatim.
 """
 
@@ -31,7 +31,7 @@ import struct
 from typing import Optional
 
 from .base import Compressor, CorruptDataError, register
-from .wk import _BitReader, _BitWriter
+from .wk import _BitReader
 
 _P_ZRUN = 0
 _P_SIGN4 = 1
@@ -42,21 +42,12 @@ _P_TWOHALVES = 5
 _P_REPBYTE = 6
 _P_MISS = 7
 
-_MAX_ZRUN = 8
-
-
-def _signed32(word: int) -> int:
-    return word - 0x100000000 if word >= 0x80000000 else word
-
-
-def _half_fits8(half: int) -> bool:
-    """True when the 16-bit halfword is an 8-bit sign-extended value."""
-    return half < 0x80 or half >= 0xFF80
-
 
 @register("fpc")
 class FpcCompressor(Compressor):
-    """Frequent-pattern prefix/mask coder for 32-bit words."""
+    """Frequent-pattern prefix/mask coder for 32-bit words:
+    ``fpc_encode`` in the compiled library (:mod:`.compiled`), the
+    decoder below."""
 
     uses_library = True
 
@@ -66,57 +57,7 @@ class FpcCompressor(Compressor):
         return ("fpc",)
 
     def _encode(self, data: bytes, n: int) -> Optional[bytes]:
-        if self._library is not None:
-            return self._library.fpc_encode(data, n)
-        nwords, tail_len = divmod(n, 4)
-        if nwords == 0:
-            return None
-        words = struct.unpack(f"<{nwords}I", data[: nwords * 4])
-        tail = data[nwords * 4 :]
-
-        stream = _BitWriter()
-        write = stream.write
-        zrun = 0
-        for word in words:
-            if word == 0:
-                zrun += 1
-                if zrun == _MAX_ZRUN:
-                    write(_P_ZRUN, 3)
-                    write(zrun - 1, 3)
-                    zrun = 0
-                continue
-            if zrun:
-                write(_P_ZRUN, 3)
-                write(zrun - 1, 3)
-                zrun = 0
-            signed = _signed32(word)
-            if -8 <= signed < 8:
-                write(_P_SIGN4, 3)
-                write(signed, 4)
-            elif -128 <= signed < 128:
-                write(_P_SIGN8, 3)
-                write(signed, 8)
-            elif -32768 <= signed < 32768:
-                write(_P_SIGN16, 3)
-                write(signed, 16)
-            elif word & 0xFFFF == 0:
-                write(_P_HIGHHALF, 3)
-                write(word >> 16, 16)
-            elif _half_fits8(word & 0xFFFF) and _half_fits8(word >> 16):
-                write(_P_TWOHALVES, 3)
-                write(word & 0xFF, 8)
-                write((word >> 16) & 0xFF, 8)
-            elif word == (word & 0xFF) * 0x01010101:
-                write(_P_REPBYTE, 3)
-                write(word & 0xFF, 8)
-            else:
-                write(_P_MISS, 3)
-                write(word, 32)
-        if zrun:
-            write(_P_ZRUN, 3)
-            write(zrun - 1, 3)
-
-        return struct.pack("<I", nwords) + stream.flush() + tail
+        return self._library.fpc_encode(data, n)
 
     def _decode(self, payload: bytes, n: int) -> bytes:
         if len(payload) < 4:

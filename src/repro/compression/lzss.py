@@ -13,16 +13,15 @@ smaller-or-equal output on virtually all inputs at several times the CPU
 cost, which is exactly the trade-off the paper's asymmetric/off-line
 discussion (Taunton, Atkinson et al.) is about.
 
-Two encoders emit these bytes, held **bit-identical** by
+The encoder is ``lzss_encode`` in the package's compiled library,
+``_kernels.c`` (loaded by
+:func:`~repro.compression.compiled.compiled_library`), held
+**bit-identical** to the seed's
+(:class:`~repro.compression._reference.SeedLzss`) by
 ``tests/compression/test_golden_kernels.py``,
 ``tests/compression/test_lzss.py`` and
-``tests/compression/test_lz_compiled.py``: the compiled one
-(``lzss_encode`` in the package's compiled library, ``_kernels.c``,
-loaded by :func:`~repro.compression.compiled.compiled_library`) and the seed's
-(:class:`~repro.compression._seed_reference.SeedLzss`): the oracle,
-what ``fast=False`` runs, and the silent fallback wherever the library
-cannot be built or loaded.  The compiled encoder does not keep the
-seed's hash table.  The seed inserts every position that has a trigram
+``tests/compression/test_lz_compiled.py``.  The compiled encoder does
+not keep the seed's hash table.  The seed inserts every position that has a trigram
 into its bucket's chain exactly once, in increasing order, before any
 later position is searched, so the chain seen from ``p`` is ``prev[p],
 prev[prev[p]], ...`` with ``prev[p]`` the previous position with the
@@ -48,32 +47,19 @@ class Lzss(LzKernel):
             hash bucket.  Higher values improve the ratio and slow the
             encoder; 16 is a good balance for 4-KByte pages.
         lazy: enable one-byte lazy match deferral.
-        fast: as for every :class:`Compressor`.  ``False`` runs the
-            seed's encoder; otherwise the compiled encoder runs if it
-            loads, else the seed's.
     """
 
-    def __init__(
-        self,
-        chain_depth: int = 16,
-        lazy: bool = True,
-        fast: Optional[bool] = None,
-    ):
+    def __init__(self, chain_depth: int = 16, lazy: bool = True):
         if chain_depth < 1:
             raise ValueError("chain_depth must be >= 1")
         self.chain_depth = chain_depth
         self.lazy = lazy
-        super().__init__(fast)
+        super().__init__()
 
     def result_cache_key(self):
         # Both knobs steer the match search and change the emitted stream.
         return ("lzss", self.chain_depth, self.lazy)
 
     def _encode(self, data: bytes, n: int) -> Optional[bytes]:
-        library = self._library
-        if library is not None:
-            return library.lzss_encode(data, n, self.chain_depth, self.lazy)
-        from ._seed_reference import SeedLzss
-
-        result = SeedLzss(self.chain_depth, self.lazy).compress(data)
-        return None if result.stored_raw else result.payload
+        return self._library.lzss_encode(data, n, self.chain_depth,
+                                         self.lazy)

@@ -17,87 +17,25 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .base import Compressor, CorruptDataError, register
-
-_MIN_RUN = 3
-_MAX_RUN = 130
-_MAX_LITERAL = 128
-_PAST_SIZE = "rle: output runs past the declared size"
+from .base import Compressor, register
 
 
 @register("rle")
 class Rle(Compressor):
-    """Escape-coded run-length encoder.
-
-    ``rle_encode`` and ``rle_decode`` in the compiled library
-    (:mod:`.compiled`) run unless ``fast`` is ``False`` or it did not
-    load.  The loops below are the oracle ``fast=False`` runs and the
-    fallback.
-    """
+    """Escape-coded run-length encoder: ``rle_encode`` and
+    ``rle_decode`` in the compiled library (:mod:`.compiled`).  A
+    block that would take the output past the declared size is refused
+    before it is written, so no payload decodes to more than it."""
 
     uses_library = True
 
     def result_cache_key(self):
-        # Stateless and parameter-free: one canonical payload per page
-        # (the fast path is pinned bit-identical), so results are safe
-        # to share process-wide.
+        # Stateless and parameter-free: one canonical payload per page,
+        # so results are safe to share process-wide.
         return ("rle",)
 
     def _encode(self, data: bytes, n: int) -> Optional[bytes]:
-        if self._library is not None:
-            return self._library.rle_encode(data, n)
-        out = bytearray()
-        literals = bytearray()
-        i = 0
-        while i < n:
-            run = 1
-            b = data[i]
-            while i + run < n and run < _MAX_RUN and data[i + run] == b:
-                run += 1
-            if run >= _MIN_RUN:
-                while literals:
-                    chunk = literals[:_MAX_LITERAL]
-                    out.append(len(chunk) - 1)
-                    out += chunk
-                    del literals[:_MAX_LITERAL]
-                out.append(0x7D + run)
-                out.append(b)
-                i += run
-            else:
-                literals.append(b)
-                i += 1
-        while literals:
-            chunk = literals[:_MAX_LITERAL]
-            out.append(len(chunk) - 1)
-            out += chunk
-            del literals[:_MAX_LITERAL]
-        return bytes(out)
+        return self._library.rle_encode(data, n)
 
     def _decode(self, payload: bytes, n: int) -> bytes:
-        # A block that would take the output past n is refused before it
-        # is written, so no payload decodes to more than n bytes.
-        if self._library is not None:
-            return self._library.rle_decode(payload, n)
-        out = bytearray()
-        i = 0
-        end = len(payload)
-        while i < end:
-            header = payload[i]
-            i += 1
-            if header < _MAX_LITERAL:
-                count = header + 1
-                if i + count > end:
-                    raise CorruptDataError("rle: truncated literal block")
-                if len(out) + count > n:
-                    raise CorruptDataError(_PAST_SIZE)
-                out += payload[i : i + count]
-                i += count
-            else:
-                if i >= end:
-                    raise CorruptDataError("rle: truncated run")
-                count = header - 0x7D
-                if len(out) + count > n:
-                    raise CorruptDataError(_PAST_SIZE)
-                out += bytes([payload[i]]) * count
-                i += 1
-        return bytes(out)
+        return self._library.rle_decode(payload, n)

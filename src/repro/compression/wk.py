@@ -43,32 +43,9 @@ def _dict_slot(word: int) -> int:
     return ((word >> _LOW_BITS) * 0x9E3779B1 >> 22) & (_DICT_SIZE - 1)
 
 
-class _BitWriter:
-    """Packs fixed-width fields LSB-first into a byte stream."""
-
-    def __init__(self) -> None:
-        self._acc = 0
-        self._nbits = 0
-        self.data = bytearray()
-
-    def write(self, value: int, width: int) -> None:
-        self._acc |= (value & ((1 << width) - 1)) << self._nbits
-        self._nbits += width
-        while self._nbits >= 8:
-            self.data.append(self._acc & 0xFF)
-            self._acc >>= 8
-            self._nbits -= 8
-
-    def flush(self) -> bytes:
-        if self._nbits:
-            self.data.append(self._acc & 0xFF)
-            self._acc = 0
-            self._nbits = 0
-        return bytes(self.data)
-
-
 class _BitReader:
-    """Reads fixed-width LSB-first fields written by :class:`_BitWriter`.
+    """Reads fixed-width LSB-first fields (the stream the encoders in
+    ``_kernels.c`` write; ``_reference._BitWriter`` is its Python twin).
 
     ``owner`` names the kernel whose payload this is, for error text.
     """
@@ -95,56 +72,18 @@ class _BitReader:
 
 @register("wk")
 class WkCompressor(Compressor):
-    """Word-oriented compressor in the WK4x4/WKdm family."""
+    """Word-oriented compressor in the WK4x4/WKdm family: ``wk_encode``
+    in the compiled library (:mod:`.compiled`), the decoder below."""
 
     uses_library = True
 
     def result_cache_key(self):
-        # No output-affecting parameters; the fast path is pinned
-        # bit-identical, so results may be shared process-wide.
+        # No output-affecting parameters: results may be shared
+        # process-wide.
         return ("wk",)
 
     def _encode(self, data: bytes, n: int) -> Optional[bytes]:
-        if self._library is not None:
-            return self._library.wk_encode(data, n)
-        nwords, tail_len = divmod(n, 4)
-        if nwords == 0:
-            return None
-        words = struct.unpack(f"<{nwords}I", data[: nwords * 4])
-        tail = data[nwords * 4 :]
-
-        dictionary = [0] * _DICT_SIZE
-        tags = _BitWriter()
-        indices = _BitWriter()
-        lows = _BitWriter()
-        misses = bytearray()
-
-        for word in words:
-            if word == 0:
-                tags.write(_TAG_ZERO, 2)
-                continue
-            slot = _dict_slot(word)
-            entry = dictionary[slot]
-            if entry == word:
-                tags.write(_TAG_EXACT, 2)
-                indices.write(slot, 4)
-            elif (entry >> _LOW_BITS) == (word >> _LOW_BITS):
-                tags.write(_TAG_PARTIAL, 2)
-                indices.write(slot, 4)
-                lows.write(word & _LOW_MASK, _LOW_BITS)
-                dictionary[slot] = word
-            else:
-                tags.write(_TAG_MISS, 2)
-                misses += struct.pack("<I", word)
-                dictionary[slot] = word
-
-        tag_bytes = tags.flush()
-        index_bytes = indices.flush()
-        low_bytes = lows.flush()
-        header = struct.pack(
-            "<IHHH", nwords, len(tag_bytes), len(index_bytes), len(low_bytes)
-        )
-        return header + tag_bytes + index_bytes + low_bytes + bytes(misses) + tail
+        return self._library.wk_encode(data, n)
 
     def _decode(self, payload: bytes, n: int) -> bytes:
         if len(payload) < 10:

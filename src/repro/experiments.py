@@ -77,8 +77,7 @@ def build_cell(spec: Mapping[str, Any],
     :func:`repro.workloads.catalog.from_spec`), with its workload.
 
     ``changes`` replace config fields a spec does not carry (the
-    compression-cache switch of :func:`run_pair`, a fault plan, the
-    ``fast`` kernels).
+    compression-cache switch of :func:`run_pair`, a fault plan).
     """
     workload = catalog.from_spec(spec["workload"])
     workload.compute_seconds_per_ref = spec.get("compute_seconds_per_ref", 0.0)

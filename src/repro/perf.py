@@ -3,11 +3,12 @@
 The repo's simulated results never depend on host wall-clock, but the
 *cost of running the reproduction* does.  This module measures it:
 
-* **kernel throughput** — MB/s of each kernel's fast path (the
-  compiled kernel library) next to the scalar path ``fast=False``
-  runs.  Both sides of a pair run interleaved in the
-  same process on the same pages, so their ratio ("speedup") is largely
-  machine-independent, which is what CI regression checks compare.
+* **kernel throughput** — MB/s of each kernel (the compiled kernel
+  library) next to its Python reference loop
+  (:mod:`~repro.compression._reference`).  Both sides of a pair run
+  interleaved in the same process on the same pages, so their ratio
+  ("speedup") is largely machine-independent, which is what CI
+  regression checks compare.
 * **end-to-end simulation rate** — pages of reference stream processed
   per second of host time for each named workload, with the full stack
   (VM, pager, compression cache, sampler) engaged.
@@ -40,7 +41,6 @@ from typing import (
 )
 
 from .compression import create
-from .compression.compiled import compiled_library
 from .compression.sampler import clear_shared_results
 from .control.controller import ControlConfig
 from .experiments import build_cell
@@ -159,10 +159,11 @@ def _bench_pairs(pairs: Mapping[str, Tuple[object, object]],
     """Throughput of two implementations of each kernel, side by side.
 
     ``pairs`` maps a kernel name to ``(fast, scalar)`` compressors that
-    produce identical bytes.  Returns per-kind and aggregate MB/s for
-    both plus ``speedup`` (scalar time over fast time).  Each (kind,
-    kernel) cell is one :func:`ab_compare`, so the two sides are timed
-    interleaved on the same pages.
+    produce identical bytes: the compiled kernel and its reference.
+    Returns per-kind and aggregate MB/s for both plus ``speedup``
+    (scalar time over fast time).  Each (kind, kernel) cell is one
+    :func:`ab_compare`, so the two sides are timed interleaved on the
+    same pages.
     """
     new, old = "fast", "scalar"
     result: Dict = {
@@ -205,33 +206,27 @@ def _bench_pairs(pairs: Mapping[str, Tuple[object, object]],
     return result
 
 
-#: Kernels with a ``fast`` variant, each the compiled kernel library's
-#: (where that does not load, both sides run the Python path ``fast=False``
-#: runs), and so is every committed fast ratio.
+#: Kernels with entry points in the compiled kernel library, each with
+#: a committed ``fast_kernel_speedup`` floor.
 FAST_KERNELS = (
     "rle", "wk", "varint-delta", "lzrw1", "lzss", "fpc", "bdi", "cpack",
 )
 
 
-def _lz_library() -> str:
-    """What the compiled kernels run here: ``compiled`` or ``python``."""
-    return "compiled" if compiled_library() is not None else "python"
-
-
 def bench_compression(pages_per_kind: int = 16, reps: int = 5) -> Dict:
     """Kernel throughput: the dict that becomes ``BENCH_compression.json``.
 
-    Under ``fast``, every ``fast=``-capable kernel's fast path next to
-    its scalar one: the compiled library, when it loads (``lz_library``
-    names it), against the Python loop ``fast=False`` runs (the seed's
+    Under ``fast``, every compiled kernel next to its reference loop
+    (:func:`~repro.compression._reference.reference`: the seed's
     encoder for lzrw1 and lzss).  Both sides of each pair are pinned
     bit-identical by the test suite, so a ratio measures the same work
     done two ways and is machine-independent.
     """
+    from .compression._reference import reference
+
     return {
-        "lz_library": _lz_library(),
         "fast": _bench_pairs(
-            {name: (create(name), create(name, fast=False))
+            {name: (create(name), reference(name))
              for name in FAST_KERNELS},
             pages_per_kind, reps,
         ),
@@ -485,8 +480,7 @@ def _sim_arm(names: Sequence[str], scale: float, runs: int = 1,
 
 def bench_sim(scale: float = 0.12,
               workloads: Optional[Sequence[str]] = None,
-              reps: int = 3,
-              fast: Optional[bool] = None) -> Dict:
+              reps: int = 3) -> Dict:
     """End-to-end reference-stream throughput per named workload.
 
     Each workload is one :func:`ab_compare` arm — every round on a
@@ -510,25 +504,22 @@ def bench_sim(scale: float = 0.12,
     """
     from .service.latency import LatencyRecorder
 
-    mode = ("fast" if fast is not False and compiled_library() is not None
-            else "scalar")
     names = list(workloads) if workloads else sorted(catalog.CATALOG)
-    result: Dict = {"scale": scale, "reps": reps, "mode": mode,
-                    "lz_library": _lz_library(), "workloads": {}}
+    result: Dict = {"scale": scale, "reps": reps, "workloads": {}}
     total_refs = 0
     total_wall = 0.0
     total_cold = 0.0
     for name in names:
-        cmp = ab_compare({name: _sim_arm([name], scale, fast=fast)}, reps)
+        cmp = ab_compare({name: _sim_arm([name], scale)}, reps)
         run, references = cmp.values[name]
         best_wall = cmp.best[name]
         cold = ab_compare(
-            {name: _sim_arm([name], scale, cold=True, fast=fast)}, reps)
+            {name: _sim_arm([name], scale, cold=True)}, reps)
         total_cold += cold.best[name]
         # Dedicated timed rep: the wrapper adds a clock read per
         # reference, so it never contributes to the best-of wall times.
         recorder = LatencyRecorder()
-        engine, refs = _build(name, scale, fast=fast)
+        engine, refs = _build(name, scale)
         engine.run(_TimedReferences(refs, recorder))
         total_refs += references
         total_wall += best_wall
@@ -848,15 +839,6 @@ def _lookup(tree, path: str):
     return tree
 
 
-def _compiled_lz(key: str, payload: Dict) -> Optional[str]:
-    # two_tier times demotions that all decode: in Python, the fallback.
-    library = payload.get("lz_library")
-    if (key in FAST_KERNELS and library != "compiled"
-            or key == "two_tier" and library == "python"):
-        return "the compiled kernel library did not load: the Python paths ran"
-    return None
-
-
 def _at_scale(payload: Dict, baseline: Dict) -> Optional[str]:
     # Throughput varies with workload scale; floors only make sense at
     # the scale they were recorded at.
@@ -865,14 +847,6 @@ def _at_scale(payload: Dict, baseline: Dict) -> Optional[str]:
         return None
     return (f"measured at scale {payload.get('scale')}, floors recorded "
             f"at {expected}")
-
-
-def _scalar_at_scale(payload: Dict, baseline: Dict) -> Optional[str]:
-    if "scalar" not in payload:
-        # No compiled library: the primary sweep already ran the scalar
-        # kernels and the sim-floor rows hold it.
-        return "no separate forced-scalar sweep in this run"
-    return _at_scale(payload["scalar"], baseline)
 
 
 def _same_spec(payload: Dict, baseline: Dict) -> Optional[str]:
@@ -935,8 +909,7 @@ class Gate(NamedTuple):
     substituted for ``*`` in ``measured``.  The committed value is
     scaled by ``tolerance`` before ``compare`` (``>=``, ``<=`` or
     ``==``) is applied; ``applies`` returns why the row cannot be judged
-    on this host/run, or ``None`` when it can, and ``applies_to_key``
-    the same for one key of a dict threshold.
+    on this host/run, or ``None`` when it can.
     """
 
     name: str
@@ -946,7 +919,6 @@ class Gate(NamedTuple):
     threshold: str
     tolerance: float = 1.0
     applies: Optional[Callable[[Dict, Dict], Optional[str]]] = None
-    applies_to_key: Optional[Callable[[str, Dict], Optional[str]]] = None
 
     def judge(self, got, committed) -> Optional[str]:
         """Why ``got`` fails against ``committed``; ``None`` if it holds."""
@@ -972,21 +944,15 @@ _FLOOR = 1.0 - SIM_CHECK_TOLERANCE
 #: ``BENCH_compression.json``, ``service`` is ``BENCH_service.json``.
 GATES: Tuple[Gate, ...] = (
     Gate("fast-kernel-speedup", "compression", "fast.aggregate.*.speedup",
-         ">=", "fast_kernel_speedup", CHECK_TOLERANCE,
-         applies_to_key=_compiled_lz),
+         ">=", "fast_kernel_speedup", CHECK_TOLERANCE),
     Gate("sim-floor", "sim", "workloads.*.pages_per_second",
          ">=", "sim_pages_per_second", _FLOOR, _at_scale),
     Gate("sim-aggregate-floor", "sim", "aggregate.pages_per_second",
          ">=", "sim_aggregate_pages_per_second", _FLOOR, _at_scale),
-    Gate("sim-floor-scalar", "sim", "scalar.workloads.*.pages_per_second",
-         ">=", "sim_pages_per_second_scalar", _FLOOR, _scalar_at_scale),
-    Gate("sim-aggregate-floor-scalar", "sim",
-         "scalar.aggregate.pages_per_second", ">=",
-         "sim_aggregate_pages_per_second_scalar", _FLOOR, _scalar_at_scale),
     # Fails only when the overhead is above its ceiling by more than the
     # run's own noise band (lower bound = overhead - band).
     Gate("overhead", "sim", "overhead.*.lower_bound_percent",
-         "<=", "overhead_ceiling_percent", applies_to_key=_compiled_lz),
+         "<=", "overhead_ceiling_percent"),
     Gate("contentgen-floor", "sim", "contentgen.pages_per_second",
          ">=", "contentgen_pages_per_second", _FLOOR),
     Gate("logstore-floor", "compression", "micro.logstore_churn_ops_s",
@@ -1065,10 +1031,6 @@ def evaluate_gates(payloads: Mapping[str, Optional[Dict]],
                 else [("", committed)])
         for key, value in rows:
             label = f"{gate.name} {key}".rstrip()
-            reason = gate.applies_to_key and gate.applies_to_key(key, payload)
-            if reason:
-                report.skipped.append(f"{label}: {reason}")
-                continue
             got = _lookup(payload, gate.measured.replace("*", key))
             failure = gate.judge(got, value)
             if failure is None:
@@ -1118,11 +1080,10 @@ def run_harness(
     if not out_dir.is_dir():
         echo(f"error: output directory not found: {out_dir}")
         return 2
-    echo(f"lz library: {_lz_library()} (every kernel's fast row, "
-         "against its Python loop)")
     pages_per_kind, reps = (6, 3) if quick else (16, 5)
-    echo(f"compression kernels: {pages_per_kind} pages/kind, "
-         f"best of {reps} interleaved rounds ...")
+    echo(f"compression kernels against their reference loops: "
+         f"{pages_per_kind} pages/kind, best of {reps} interleaved "
+         "rounds ...")
     compression = bench_compression(pages_per_kind, reps)
     for name, agg in compression["fast"]["aggregate"].items():
         echo(f"  {name}: fast {agg['fast_mb_s']:.2f} MB/s, "
@@ -1160,17 +1121,11 @@ def run_harness(
                  f"(p50 {lat['p50']} us, p95 {lat['p95']} us, "
                  f"p99 {lat['p99']} us; {row['references']} refs, "
                  f"sampler memo {row['sampler_hit_rate']:.0%})")
-        echo(f"  aggregate ({sim['mode']}): "
+        echo(f"  aggregate: "
              f"{sim['aggregate']['pages_per_second']:,.0f} refs/s over "
              f"{sim['aggregate']['references']} references; kernel caches "
              f"emptied each round: {sim['cold']['pages_per_second']:,.0f} "
              f"refs/s")
-        if sim["mode"] == "fast":
-            echo("simulation throughput, scalar kernels (fast=False) ...")
-            sim["scalar"] = bench_sim(scale=scale, fast=False)
-            echo(f"  aggregate (scalar): "
-                 f"{sim['scalar']['aggregate']['pages_per_second']:,.0f} "
-                 f"refs/s")
         echo("streamed binary-trace replay (mmap reader, child process "
              "RSS) ...")
         replay_refs = 200_000 if quick else 10_000_000

@@ -312,8 +312,9 @@ class ShardHandle:
         on_death: Callable[[Exception], None],
     ):
         # Build one compressor here, in the parent, so the kernel modules
-        # (and numpy) a worker's stores need are imported once, before
-        # the fork, instead of by every worker after it.
+        # and the compiled library a worker's stores need are loaded
+        # once, before the fork, instead of by every worker after it;
+        # a library that cannot be built raises here, not in a worker.
         create(config.compressor)
         ctx = mp.get_context()
         ours, theirs = socket.socketpair()

@@ -150,12 +150,6 @@ class MachineConfig:
     #: False builds the "unmodified system" baseline.
     compression_cache: bool = True
     compressor: str = "lzrw1"
-    #: Tri-state flag forwarded to every compressor the machine builds
-    #: (see :class:`repro.compression.Compressor`).  ``None`` runs the
-    #: compiled kernel library where it loads; ``False`` forces the
-    #: Python kernels.  Simulation output is bit-identical either way —
-    #: the flag only moves wall-clock.
-    fast: Optional[bool] = None
     device: str = "rz57"
     #: "ufs" = update-in-place whole-block FS (Sprite's, with the
     #: Section 4.3 read-modify-write behaviour); "lfs" = the
@@ -463,7 +457,7 @@ class Machine:
             for i in range(len(specs) - 1, -1, -1):
                 spec = specs[i]
                 sampler = CompressionSampler(
-                    create_compressor(spec.compressor, fast=config.fast),
+                    create_compressor(spec.compressor),
                     exact=exact,
                 )
                 if next_tier is None:

@@ -122,35 +122,44 @@ class TestPlantedKernels:
 
 
 class TestFastResolution:
+    """The ``fast`` flag is deleted: every kernel has one path."""
+
     @pytest.mark.parametrize("name", available())
     def test_every_kernel_takes_the_three_values(self, name):
-        """``None`` and ``True`` resolve to one library, the compiled
-        one where the kernel has entry points there (``None`` where it
-        did not load); ``False`` to none, for every kernel."""
-        assert create(name).fast is None
-        library = (compiled.compiled_library()
-                   if create(name).uses_library else None)
+        """``None``, ``True`` and ``False``, the three values the deleted
+        ``fast`` flag took, are each refused; every kernel resolves to
+        one library, the compiled one where it has entry points there."""
         for fast in (None, True, False):
-            compressor = create(name, fast=fast)
-            assert compressor.fast is fast
-            assert compressor._library is (
-                None if fast is False else library)
+            with pytest.raises(TypeError):
+                create(name, fast=fast)
+        compressor = create(name)
+        assert not hasattr(compressor, "fast")
+        assert compressor._library is (
+            compiled.compiled_library() if compressor.uses_library
+            else None)
 
     @pytest.mark.parametrize("name", available())
     def test_false_never_reaches_the_library(self, name, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("fast=False loaded the compiled library")
+        """Nothing runs a kernel without the library: where it cannot be
+        built, every kernel that needs it (the selector through its
+        candidates) fails when it is made, and ``null`` never asks."""
+        def refused():
+            raise compiled.CompiledLibraryError("no compiler here")
 
-        monkeypatch.setattr(compiled, "compiled_library", forbidden)
-        compressor = create(name, fast=False)
-        assert compressor._library is None
+        monkeypatch.setattr(compiled, "compiled_library", refused)
+        if name != "null":
+            with pytest.raises(compiled.CompiledLibraryError,
+                               match="no compiler here"):
+                create(name)
+            return
+        compressor = create(name)
         for data in _contents(4096).values():
             assert compressor.decompress(compressor.compress(data)) == data
 
     def test_lz_parameters_and_cache_keys_are_unchanged(self):
-        lzrw1 = create("lzrw1", table_bits=10, fast=False)
+        lzrw1 = create("lzrw1", table_bits=10)
         assert lzrw1.result_cache_key() == ("lzrw1", 10)
-        lzss = create("lzss", chain_depth=4, lazy=False, fast=True)
+        lzss = create("lzss", chain_depth=4, lazy=False)
         assert lzss.result_cache_key() == ("lzss", 4, False)
         assert create("lzrw1").result_cache_key() == ("lzrw1", 12)
         assert create("lzss").result_cache_key() == ("lzss", 16, True)

@@ -2,7 +2,7 @@
 
 The LZRW1/LZSS rewrites in this repository are *pure* speed work — every
 compressed payload must be byte-identical to what the seed
-implementations (frozen in ``repro.compression._seed_reference``)
+implementations (frozen in ``repro.compression._reference``)
 produce, or the paper's Table 1 / Figure 3 ratios silently drift.  Two
 layers of protection:
 
@@ -11,8 +11,8 @@ layers of protection:
 * an aggregate SHA-256 over all corpus payloads is pinned, so even a
   coordinated edit of kernel *and* reference is caught.
 
-``Lzrw1`` runs its compiled encoder where it loads and the seed's loop
-elsewhere (``CC=false``), so these rows hold whichever ran.
+``Lzrw1`` and ``Lzss`` run their compiled encoders, so these rows hold
+the compiled library to the seed.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import List
 
 import pytest
 
-from repro.compression._seed_reference import SeedLzrw1, SeedLzss
+from repro.compression._reference import SeedLzrw1, SeedLzss
 from repro.compression.lzrw1 import Lzrw1
 from repro.compression.lzss import Lzss
 from repro.workloads import contentgen

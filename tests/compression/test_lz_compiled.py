@@ -6,14 +6,14 @@ encoder (``test_lzrw1_compiled.py`` holds that encoder and the loader).  Three
 things must hold:
 
 * *identity* — compiled ``lzss`` emits the frozen seed's bytes
-  (:class:`~repro.compression._seed_reference.SeedLzss`) for every
+  (:class:`~repro.compression._reference.SeedLzss`) for every
   search depth, with and without lazy matching, on every input length,
-  alphabet and buffer type, and ``fast=False`` (the seed's encoder
-  through :meth:`Compressor.compress`) agrees — for ``lzrw1`` too on
-  the word kernels' boundary corpus;
+  alphabet and buffer type, and the reference kernel (the seed's
+  encoder through :meth:`Compressor.compress`) agrees — for ``lzrw1``
+  too on the word kernels' boundary corpus;
 * *one decoder* — on any bytes and any declared size, the compiled
-  decoder returns :func:`~repro.compression.lzrw1.decode_items`'s bytes
-  or raises its :class:`CorruptDataError` message;
+  decoder returns :func:`~repro.compression._reference.decode_items`'s
+  bytes or raises its :class:`CorruptDataError` message;
 * *threads* — the library's scratch is process-wide, and ctypes drops
   the GIL for a call, so threads calling it at once must still get
   what one thread alone gets.
@@ -28,21 +28,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compression import create
-from repro.compression._seed_reference import SeedLzss
+from repro.compression._reference import SeedLzss, decode_items, reference
 from repro.compression.base import CorruptDataError
 from repro.compression.compiled import compiled_library
-from repro.compression.lzrw1 import Lzrw1, decode_items
 from repro.compression.lzss import Lzss
 from repro.perf import _corpus_kinds
 from tests.compression.test_lzrw1_compiled import inputs
 from tests.compression.test_word_kernels_compiled import boundary_corpus
 
 LIBRARY = compiled_library()
-needs_library = pytest.mark.skipif(
-    LIBRARY is None, reason="the compiled library did not load")
 
 
-@needs_library
 @pytest.mark.parametrize("lazy", (True, False))
 @pytest.mark.parametrize("chain_depth", (1, 4, 16, 64))
 @settings(max_examples=25, deadline=None)
@@ -51,12 +47,12 @@ def test_compiled_lzss_equals_the_seed(chain_depth, lazy, data, wrap):
     want = SeedLzss(chain_depth, lazy).compress(data)
     got = Lzss(chain_depth, lazy).compress(wrap(data))
     assert got == want
-    assert Lzss(chain_depth, lazy, fast=False).compress(data) == want
+    assert reference("lzss", chain_depth=chain_depth,
+                     lazy=lazy).compress(data) == want
     if not got.stored_raw:
         assert LIBRARY.lz_decode(got.payload, len(data), "lzss") == data
 
 
-@needs_library
 def test_compiled_lzss_equals_the_seed_on_the_corpus():
     compiled, seed = Lzss(), SeedLzss()
     for pages in _corpus_kinds(6).values():
@@ -66,11 +62,11 @@ def test_compiled_lzss_equals_the_seed_on_the_corpus():
             assert compiled.decompress(result) == page
 
 
-@pytest.mark.parametrize("kernel", [Lzrw1, Lzss], ids=["lzrw1", "lzss"])
+@pytest.mark.parametrize("kernel", ["lzrw1", "lzss"])
 def test_scalar_hash_path_matches_default(kernel):
-    """fast=False (the seed's encoder) emits the default kernel's bytes
-    (the compiled encoder where the library loads)."""
-    scalar, default = kernel(fast=False), kernel()
+    """The reference kernel (the seed's encoder) emits the default
+    kernel's bytes (the compiled encoder)."""
+    scalar, default = reference(kernel), create(kernel)
     for page in boundary_corpus():
         got = scalar.compress(page)
         want = default.compress(page)
@@ -78,7 +74,6 @@ def test_scalar_hash_path_matches_default(kernel):
         assert got.stored_raw == want.stored_raw
 
 
-@needs_library
 def test_a_search_deeper_than_the_window_is_the_unbounded_search():
     """The depth is clamped to the 4,096 candidates the offset limit
     leaves in reach before it crosses into C, so no depth wraps."""
@@ -101,7 +96,6 @@ def assert_one_decoder(payload: bytes, size: int, name: str = "lzss"):
     return want
 
 
-@needs_library
 @settings(max_examples=300, deadline=None)
 @given(payload=st.binary(max_size=600), size=st.integers(0, 6000),
        name=st.sampled_from(("lzrw1", "lzss")))
@@ -109,7 +103,6 @@ def test_the_decoders_agree_on_any_bytes(payload, size, name):
     assert_one_decoder(payload, size, name)
 
 
-@needs_library
 def test_each_decoder_error_is_the_python_decoders():
     copy = bytes([0xF0, 0x01])      # length 18, offset 1
     cases = {
@@ -139,7 +132,7 @@ def test_threads_get_what_one_thread_gets():
     """Four threads compress and decompress distinct pages through every
     kernel with entry points in the library, with a thread switch every
     microsecond: every payload and every decoded page equals the serial
-    result (whichever encoders and decoders this process runs)."""
+    result."""
     kernels = tuple(create(name) for name in THREAD_KERNELS)
     pages = thread_pages()
     serial = [[kernel.compress(page) for kernel in kernels]

@@ -10,10 +10,10 @@ the way the system sends them: tag byte first, through
 ``AdaptiveCompressor.decompress``.  The contract is *exactly
 ``original_size`` bytes, or ``CorruptDataError``* — never another
 exception.  ``lzrw1`` and ``lzss`` payloads share one item stream and
-one decoder, ``lzrw1.decode_items``, which in addition never decodes
-more than one item (18 bytes) past ``original_size`` before it gives up.
-It has a compiled twin (``lz_decode`` in ``_kernels.c``), which every
-mutation here also goes through: the two return the same bytes or raise
+one decoder, ``lz_decode`` in ``_kernels.c``, which in addition never
+decodes more than one item (18 bytes) past ``original_size`` before it
+gives up.  Every mutation here also goes through its reference twin
+(``_reference.decode_items``): the two return the same bytes or raise
 the same message.  So do ``rle``'s and ``cpack``'s decoders, the word
 kernels' that the benchmark workloads store, and neither writes past
 ``original_size``.
@@ -28,10 +28,10 @@ import tracemalloc
 import pytest
 
 from repro.compression import create
+from repro.compression._reference import decode_items, reference
 from repro.compression.adaptive import KERNEL_TAGS, AdaptiveCompressor
 from repro.compression.base import CompressionResult, CorruptDataError
 from repro.compression.compiled import compiled_library
-from repro.compression.lzrw1 import decode_items
 from repro.workloads import contentgen
 
 LZ_KERNELS = ("lzrw1", "lzss")
@@ -129,8 +129,6 @@ def _decoded(decode, payload: bytes, size: int, name: str):
         return f"CorruptDataError: {error}"
 
 
-@pytest.mark.skipif(compiled_library() is None,
-                    reason="the compiled library did not load")
 @pytest.mark.parametrize("name", LZ_KERNELS)
 def test_both_lz_decoders_agree_on_damaged_payloads(name):
     compiled = compiled_library().lz_decode
@@ -154,12 +152,10 @@ def test_both_lz_decoders_agree_on_damaged_payloads(name):
 COMPILED_DECODERS = {"rle": "rle_decode", "cpack": "cpack_decode"}
 
 
-@pytest.mark.skipif(compiled_library() is None,
-                    reason="the compiled library did not load")
 @pytest.mark.parametrize("name", sorted(COMPILED_DECODERS))
 def test_compiled_word_decoders_agree_on_damaged_payloads(name):
     compiled = getattr(compiled_library(), COMPILED_DECODERS[name])
-    python = create(name, fast=False)._decode
+    python = reference(name)._decode
     rng = random.Random(f"twins-{name}")
     kernel = create(name)
     outcomes = set()
@@ -192,7 +188,7 @@ def test_decoder_never_runs_far_past_the_size():
     LZ copies with ``original_size`` one byte short of the first, and
     ``rle`` runs of 130 bytes for 2 — and 60 random mutations of an
     ``lzss``, an ``rle`` and a ``cpack`` payload, through the compiled
-    decoders and the Python ones: beyond the adaptive layer's one copy
+    decoders and the reference ones: beyond the adaptive layer's one copy
     of the payload (it strips the tag) and the raised exception, peak
     allocation stays within a small multiple of ``original_size + 18``."""
     copy = bytes([0xF0, 0x01])          # length 18, offset 1
@@ -209,8 +205,7 @@ def test_decoder_never_runs_far_past_the_size():
                   for _ in range(60)]
     tracemalloc.start()
     try:
-        for adaptive in (AdaptiveCompressor(),
-                         AdaptiveCompressor(fast=False)):
+        for adaptive in (AdaptiveCompressor(), reference("adaptive")):
             for payload, size in cases:
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from repro.compression._seed_reference import SeedLzrw1
+from repro.compression._reference import SeedLzrw1, reference
 from repro.compression.base import CorruptDataError
 from repro.compression.lzrw1 import Lzrw1
 
@@ -149,16 +149,19 @@ class TestSharedScratch:
         assert built - before < 64 * 1024
         assert used - built < ONE_TABLE
 
-    @pytest.mark.parametrize("fast", [True, False])
+    @pytest.mark.parametrize("compiled_first", [True, False])
     @pytest.mark.parametrize("bits", [10, 12, 14])
-    def test_interleaved_instances_emit_the_seed_payloads(self, bits, fast):
-        """Two instances of one size, and one of another size compressing
-        a different page between every pair of their calls, each emit
-        exactly what a fresh seed instance (its own table) emits."""
+    def test_interleaved_instances_emit_the_seed_payloads(
+            self, bits, compiled_first):
+        """A compiled and a reference instance of one size, and a
+        compiled one of another size compressing a different page
+        between every pair of their calls, each emit exactly what a
+        fresh seed instance (its own table) emits."""
         pages = golden_corpus()
-        pair = (Lzrw1(table_bits=bits, fast=fast),
-                Lzrw1(table_bits=bits, fast=not fast))
-        other = Lzrw1(table_bits=bits - 4, fast=fast)
+        pair = (Lzrw1(table_bits=bits),
+                reference("lzrw1", table_bits=bits))[::1 if compiled_first
+                                                      else -1]
+        other = Lzrw1(table_bits=bits - 4)
         digest = hashlib.sha256()
         for index, page in enumerate(pages):
             got = pair[index % 2].compress(page)

@@ -1,4 +1,4 @@
-"""The compiled kernel library: byte-identical, and never a failure.
+"""The compiled kernel library: byte-identical, and required.
 
 ``_kernels.c`` is built on first use and loaded with ``ctypes``
 (:func:`repro.compression.compiled.compiled_library`).  Its LZRW1
@@ -7,16 +7,17 @@ LZSS encoder, its LZ decoder and calls from many threads, and
 ``test_word_kernels_compiled.py`` the word kernels' entry points.  Two
 things must hold:
 
-* *identity* — the LZRW1 encoder emits the Python loop's bytes (the
-  frozen seed, :class:`~repro.compression._seed_reference.SeedLzrw1`)
+* *identity* — the LZRW1 encoder emits the reference loop's bytes (the
+  frozen seed, :class:`~repro.compression._reference.SeedLzrw1`)
   for every input length, alphabet, table size and buffer type, and the
-  Python decoder reads them back; on a host with a working C compiler
-  the library must actually load, so a silent fallback fails here;
-* *fallback* — no compiler, a compile error and an unwritable or
-  untrusted cache directory each leave the Python loops running — both
-  encoders and the decoder — with the same payloads, and raise nothing;
-  a damaged cached library is rebuilt; builders racing on an empty
-  cache leave one whole library.
+  reference decoder reads them back;
+* *a named failure* — no compiler, a compile error, an unwritable or
+  untrusted cache directory and a library that fails its checksum after
+  a rebuild each make every kernel with entry points in the library
+  raise :class:`CompiledLibraryError` naming that cause, tried once per
+  process and leaving no ``.partial`` file; ``null`` still works; a
+  damaged cached library is rebuilt; builders racing on an empty cache
+  leave one whole library.
 """
 
 from __future__ import annotations
@@ -31,40 +32,21 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compression import compiled
-from repro.compression._seed_reference import SeedLzrw1, SeedLzss
-from repro.compression.compiled import compile_command, compiled_library
-from repro.compression.lzrw1 import Lzrw1, decode_items
+from repro.compression import compiled, create
+from repro.compression._reference import SeedLzrw1, SeedLzss, decode_items
+from repro.compression.compiled import CompiledLibraryError, compiled_library
+from repro.compression.lzrw1 import Lzrw1
 from repro.compression.lzss import Lzss
 from repro.perf import _corpus_kinds
 
 #: The ``src`` directory this package was imported from.
 SRC = Path(compiled.__file__).resolve().parents[2]
 
-needs_library = pytest.mark.skipif(
-    compiled_library() is None, reason="the compiled library did not load")
 
-
-def compiler_works(tmp: Path) -> bool:
-    """Whether :func:`compile_command` builds a trivial library here."""
-    source = tmp / "probe.c"
-    source.write_text("int probe(void) { return 1; }\n")
-    try:
-        subprocess.run(compile_command() + ["-o", str(tmp / "probe.so"),
-                                            str(source)],
-                       check=True, capture_output=True, timeout=120)
-    except (OSError, subprocess.SubprocessError):
-        return False
-    return True
-
-
-def test_the_library_loads_where_a_compiler_works(tmp_path):
-    if not compiler_works(tmp_path):
-        pytest.skip("no working C compiler (CC, else sysconfig's)")
-    assert compiled_library() is not None
+def test_the_library_loads_where_a_compiler_works():
+    library = compiled_library()
     for kernel in (Lzrw1, Lzss):
-        assert kernel()._library is compiled_library()
-        assert kernel(fast=False)._library is None
+        assert kernel()._library is library
 
 
 @st.composite
@@ -83,7 +65,6 @@ def inputs(draw) -> bytes:
     return bytes(out)
 
 
-@needs_library
 @pytest.mark.parametrize("table_bits", range(4, 21))
 @settings(max_examples=25, deadline=None)
 @given(data=inputs(), wrap=st.sampled_from((bytes, bytearray, memoryview)))
@@ -96,7 +77,6 @@ def test_compiled_equals_the_python_loop(table_bits, data, wrap):
         assert decode_items(got.payload, n, "lzrw1") == data
 
 
-@needs_library
 @pytest.mark.parametrize("table_bits", (4, 10, 12, 16))
 def test_compiled_equals_the_python_loop_on_the_corpus(table_bits):
     compiled, python = Lzrw1(table_bits), SeedLzrw1(table_bits)
@@ -122,20 +102,40 @@ def assert_seed_payloads(lzrw1_kernel, lzss_kernel) -> None:
             assert kernel.decompress(result) == page
 
 
+#: Every kernel with entry points in the library, and how to make one.
+LIBRARY_KERNELS = (Lzrw1, Lzss) + tuple(
+    lambda name=name: create(name)
+    for name in ("rle", "bdi", "varint-delta", "wk", "fpc", "cpack"))
+
+
 @pytest.fixture
 def fresh(monkeypatch, tmp_path):
     """A process whose compiled library is untried, caching under
-    ``tmp_path/cache``; yields a check that it fell back and still
-    emits and reads the seed's payloads."""
+    ``tmp_path/cache``; yields a check that every library kernel
+    refuses to be made with the one error naming ``cause``."""
     monkeypatch.setattr(compiled, "_COMPILED", [])
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    loads = []
+    load = compiled._load_compiled
+    monkeypatch.setattr(compiled, "_load_compiled",
+                        lambda: loads.append(1) or load())
 
-    def fell_back() -> None:
-        assert_seed_payloads(Lzrw1(), Lzss())
-        assert compiled_library() is None
-        assert compiled._COMPILED == [None]  # tried once, not per call
+    def refused(cause: str) -> str:
+        messages = set()
+        for make in LIBRARY_KERNELS:
+            with pytest.raises(CompiledLibraryError, match=cause) as caught:
+                make()
+            messages.add(str(caught.value))
+        assert len(messages) == 1
+        assert loads == [1]     # tried once, not per kernel
+        assert create("null").compress(b"page").payload == b"page"
+        cache = tmp_path / "cache" / "repro"
+        if cache.is_dir():
+            assert not [name for name in os.listdir(cache)
+                        if name.endswith(".partial")]
+        return messages.pop()
 
-    return fell_back
+    return refused
 
 
 def library_files(tmp_path: Path) -> list:
@@ -145,14 +145,18 @@ def library_files(tmp_path: Path) -> list:
 class TestFallback:
     def test_no_compiler(self, fresh, monkeypatch, tmp_path):
         monkeypatch.setenv("CC", "false")
-        fresh()
+        fresh(r"building the kernel library failed: `false -O2 .*`: "
+              r"exit status 1$")
         assert library_files(tmp_path) == []
 
     def test_a_compile_error(self, fresh, monkeypatch, tmp_path):
         broken = tmp_path / "broken.c"
         broken.write_text("long lzrw1_encode(void) { return }\n")
         monkeypatch.setattr(compiled, "_SOURCE", str(broken))
-        fresh()
+        message = fresh(r"building the kernel library failed: `.*broken\.c`"
+                        r": exit status [1-9]")
+        # The tail of the compiler's stderr names the line.
+        assert "broken.c:1" in message
         assert library_files(tmp_path) == []
 
     def test_an_unwritable_cache_directory(self, fresh, monkeypatch,
@@ -160,49 +164,52 @@ class TestFallback:
         blocker = tmp_path / "not-a-directory"
         blocker.write_bytes(b"")
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker / "cache"))
-        fresh()
+        fresh(r"cannot create the kernel cache directory .*not-a-directory")
 
     def test_a_group_writable_cache_directory(self, fresh, tmp_path):
         cache = tmp_path / "cache" / "repro"
         cache.mkdir(parents=True)
         cache.chmod(0o775)
-        fresh()
+        fresh(r"the kernel cache directory .* is writable by others "
+              r"\(mode 775\)")
         assert library_files(tmp_path) == []
 
     def test_a_cache_directory_owned_by_another_uid(self, fresh,
                                                     monkeypatch, tmp_path):
         other = os.getuid() + 1
         monkeypatch.setattr(compiled.os, "getuid", lambda: other)
-        fresh()
+        fresh(r"the kernel cache directory .* is owned by uid \d+, not by "
+              rf"this process's {other}")
         assert library_files(tmp_path) == []
 
-    def test_a_truncated_library(self, fresh, tmp_path):
+    def test_a_library_failing_its_checksum_after_a_rebuild(
+            self, fresh, monkeypatch, tmp_path):
+        def damaged(path: str) -> None:
+            Path(path).write_bytes(b"\x7fELF" + bytes(4092))
+
+        monkeypatch.setattr(compiled, "_build", damaged)
+        fresh(r"kernels-\w+\.so fails its checksum after a rebuild")
+
+    def test_a_truncated_library(self, tmp_path, monkeypatch):
         """Cut in half: loading it could raise SIGBUS, so the checksum
-        refuses it, and it is rebuilt in place where a compiler works
-        (built by another process first: a library this one has mapped
-        must not be cut); elsewhere the Python loop runs."""
-        works = compiler_works(tmp_path)
+        refuses it, and it is rebuilt in place (built by another process
+        first: a library this one has mapped must not be cut)."""
+        monkeypatch.setattr(compiled, "_COMPILED", [])
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         library = Path(compiled._library_path())
-        if works:
-            assert build_in_child(tmp_path / "cache").stdout.strip() == "True"
-        else:
-            library.parent.mkdir(mode=0o700, parents=True)
-            library.write_bytes(b"\x7fELF" + bytes(4092))
+        assert build_in_child(tmp_path / "cache").stdout.strip() == "True"
         body = library.read_bytes()
         library.write_bytes(body[:len(body) // 2])
-        if not works:
-            fresh()
-            return
         kernel = Lzrw1()
         assert_seed_payloads(kernel, Lzss())
-        assert kernel._library is not None
+        assert kernel._library is compiled_library()
         assert library_files(tmp_path) == [library.name]
         body = library.read_bytes()
         assert hashlib.sha256(body[:-32]).digest() == body[-32:]
 
 
 _BUILD = ("from repro.compression.compiled import compiled_library; "
-          "print(compiled_library() is not None)")
+          "print(bool(compiled_library()))")
 
 
 def child(cache: Path) -> dict:
@@ -219,8 +226,6 @@ def build_in_child(cache: Path) -> subprocess.CompletedProcess:
 
 
 def test_builders_racing_leave_one_whole_library(tmp_path):
-    if not compiler_works(tmp_path):
-        pytest.skip("no working C compiler (CC, else sysconfig's)")
     children = [subprocess.Popen(**child(tmp_path / "cache"),
                                  stdout=subprocess.PIPE)
                 for _ in range(2)]

@@ -1,16 +1,14 @@
 """LZSS: the compiled encoder against the seed, on arbitrary input.
 
-``Lzss`` runs the compiled library's ``lzss_encode`` where it loads and
-``SeedLzss`` itself otherwise (and under ``fast=False``).  The compiled
+``Lzss`` runs the compiled library's ``lzss_encode``.  The compiled
 encoder never builds the seed's hash table: it derives the chains from
 the bytes alone and walks those.  The golden corpus in
 ``test_golden_kernels.py`` pins the common pages; here Hypothesis hunts
 the seams — the 4,095-byte offset cap (inputs up to 12 KB), tiny
 alphabets whose chains overflow every depth budget, and planted repeats
-that put equal trigrams far apart.  The default instance, ``fast=False``
-and ``SeedLzss`` must agree byte for byte.  Where the library does not
-load, all three are the seed's encoder and the test holds the envelope
-(``Compressor.compress``'s store-raw rule) to the seed's result.
+that put equal trigrams far apart.  The default instance, the reference
+kernel (``SeedLzss`` through the envelope, ``Compressor.compress``'s
+store-raw rule) and ``SeedLzss`` must agree byte for byte.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compression._seed_reference import SeedLzss
+from repro.compression._reference import SeedLzss, reference
 from repro.compression.lzss import Lzss
 
 
@@ -53,10 +51,10 @@ def inputs(draw) -> bytes:
        lazy=st.booleans())
 def test_default_scalar_and_seed_agree(data, chain_depth, lazy):
     want = SeedLzss(chain_depth, lazy).compress(data)
-    for fast in (None, False):
-        kernel = Lzss(chain_depth, lazy, fast=fast)
+    for kernel in (Lzss(chain_depth, lazy),
+                   reference("lzss", chain_depth=chain_depth, lazy=lazy)):
         got = kernel.compress(data)
-        assert got.payload == want.payload, (fast, len(data))
+        assert got.payload == want.payload, (kernel._library, len(data))
         assert got.stored_raw == want.stored_raw
         assert got.original_size == len(data)
         assert kernel.decompress(got) == data
@@ -71,8 +69,8 @@ def test_offset_cap_boundary(distance):
     data = b"ab" + block + bytes(distance - len(block)) + block + b"yz"
     want = SeedLzss().compress(data)
     assert not want.stored_raw
-    for fast in (None, False):
-        got = Lzss(fast=fast).compress(data)
+    for kernel in (Lzss(), reference("lzss")):
+        got = kernel.compress(data)
         assert (got.payload, got.stored_raw) == (want.payload,
                                                  want.stored_raw)
 

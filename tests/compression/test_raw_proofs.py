@@ -9,12 +9,13 @@ the screen (docs/kernels.md, "Every candidate is tried").  Held here:
   candidate: its encoder gives up (``_encode`` returns ``None``) as soon
   as it knows it cannot beat the page.  Every candidate that gives up,
   or whose encoding is no smaller, stores the page raw, byte for byte,
-  and its Python path (``fast=False``) reaches the same verdict; every
+  and its reference loop (:mod:`~repro.compression._reference`)
+  reaches the same verdict; every
   other result is smaller and decodes to the page.  Checked on the page
   sources the screen's proofs were checked on;
 * *exact elections* — a selector whose word kernels run the compiled
   library returns the payloads and counters of one whose word kernels
-  run their Python paths, over a page stream with repeats;
+  run their reference loops, over a page stream with repeats;
 * the dominance that took ``lzrw1`` out of the default candidates
   (lzss never stores a page in more bytes), on the corpus and a seeded
   fuzz set.
@@ -30,6 +31,7 @@ import random
 import pytest
 
 from repro.compression import create
+from repro.compression._reference import KERNELS, reference
 from repro.compression.adaptive import DEFAULT_CANDIDATES, AdaptiveCompressor
 from repro.compression.sampler import clear_shared_results
 from tests.compression.test_word_kernels_compiled import (
@@ -43,7 +45,7 @@ PAGE = 4096
 
 @pytest.mark.parametrize("source", sorted(SOURCES))
 def test_every_proven_kernel_stores_the_page_raw(source):
-    kernels = [(create(name), create(name, fast=False))
+    kernels = [(create(name), reference(name))
                for name in DEFAULT_CANDIDATES]
     for page in SOURCES[source]():
         n = len(page)
@@ -63,7 +65,8 @@ def test_every_proven_kernel_stores_the_page_raw(source):
 
 @pytest.mark.parametrize("seed", (1, 2))
 def test_elections_equal_the_full_trial(seed):
-    """Same payloads and counters whichever path the word kernels take,
+    """Same payloads and counters whether the word kernels run the
+    compiled library or their reference loops,
     over a page stream with repeats (memo hits, re-trials) — the
     property that keeps every golden digest and the ledger digest
     unmoved."""
@@ -76,8 +79,8 @@ def test_elections_equal_the_full_trial(seed):
     python = AdaptiveCompressor()
     for kernel in python._kernels:
         if kernel.name != "lzss":   # the seed's is test_lz_compiled's
-            kernel._library = None
-    # Or the Python selector would replay the compiled one's outcomes.
+            kernel._library = KERNELS
+    # Or the reference selector would replay the compiled one's outcomes.
     clear_shared_results()
     want = [python.compress(page).payload for page in stream]
     assert got == want

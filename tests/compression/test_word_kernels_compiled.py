@@ -5,9 +5,9 @@
 ``rle`` and ``cpack`` (the word kernels whose payloads the benchmark
 workloads store).  Two things must hold:
 
-* *identity* — each kernel's default path (the compiled encoder where
-  the library loads, else its loop) returns what its ``fast=False``
-  loop returns from ``_encode``, ``None`` included, for every length
+* *identity* — each kernel's compiled encoder returns what its
+  reference loop (:mod:`repro.compression._reference`) returns from
+  ``_encode``, ``None`` included, for every length
   from 0 to 4,200 bytes (tails that fill no word or line), every buffer
   type, named boundary segments (:func:`structured_pages`), the
   ``contentgen`` corpus, mixtures of its kinds, tiled random blocks,
@@ -19,13 +19,9 @@ workloads store).  Two things must hold:
   payloads also equal the 16-entry scan its loop replaced
   (:func:`reference_cpack`);
 * *one decoder* — on any bytes and any declared size, each compiled
-  decoder returns its Python decoder's bytes or raises its
+  decoder returns its reference decoder's bytes or raises its
   :class:`CorruptDataError` message (``test_lz_decoder_robustness.py``
   sends the damaged payloads).
-
-Where the library does not load (``CC=false``) the default path is the
-loop, and the identity tests compare the loop with itself; the digests
-and the C-Pack oracle still hold it.
 """
 
 from __future__ import annotations
@@ -39,10 +35,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.compression import create
+from repro.compression._reference import _BitWriter, reference
 from repro.compression.base import CorruptDataError
 from repro.compression.bdi import _DELTA_ENCODINGS
 from repro.compression.compiled import compiled_library
-from repro.compression.wk import _BitWriter, _dict_slot
+from repro.compression.wk import _dict_slot
 from repro.perf import _corpus_kinds
 from repro.workloads.traffic import (
     PUT,
@@ -51,19 +48,16 @@ from repro.workloads.traffic import (
     generate_ops,
 )
 from tests.compression.test_golden_kernels import golden_corpus
-from tests.compression.test_lzrw1_compiled import compiler_works
 
 PAGE = 4096
 WORD_KERNELS = ("rle", "bdi", "varint-delta", "wk", "fpc", "cpack")
 #: The compiled decoders, by kernel.
 DECODERS = {"rle": "rle_decode", "cpack": "cpack_decode"}
 LIBRARY = compiled_library()
-needs_library = pytest.mark.skipif(
-    LIBRARY is None, reason="the compiled library did not load")
 
 
 #: Aggregate SHA-256 of (payload + raw-flag byte) over
-#: :func:`boundary_corpus`, computed from the loops.  Pinned: a change
+#: :func:`boundary_corpus`, computed from the reference loops.  Pinned: a change
 #: here is a breaking format change, not a refactor.
 GOLDEN_DIGESTS = {
     "rle": "d48a8de6b18b808c94b9ba2b4ccda8833ae539a4c3c5854789c776abd5bddc41",
@@ -95,30 +89,27 @@ def boundary_corpus() -> List[bytes]:
 
 
 def assert_one_encoding(page: bytes, wrap=bytes) -> None:
-    """Every word kernel's default path encodes ``page`` (passed as
-    ``wrap(page)``) as its loop does, and the loop's decoder reads what
-    would be stored."""
+    """Every word kernel's compiled encoder encodes ``page`` (passed as
+    ``wrap(page)``) as its reference loop does, and the reference
+    decoder reads what would be stored."""
     n = len(page)
     for name in WORD_KERNELS:
-        loop = create(name, fast=False)
+        loop = reference(name)
         want = loop._encode(page, n)
         assert create(name)._encode(wrap(page), n) == want, (name, n)
         if want is not None and len(want) < n:
             assert loop._decode(want, n) == page, (name, n)
 
 
-def test_the_library_loads_where_a_compiler_works(tmp_path):
-    if not compiler_works(tmp_path):
-        pytest.skip("no working C compiler (CC, else sysconfig's)")
-    assert LIBRARY is not None
+def test_the_library_loads_where_a_compiler_works():
     for name in WORD_KERNELS:
         assert create(name)._library is LIBRARY
-        assert create(name, fast=False)._library is None
+        assert reference(name)._library is not LIBRARY
 
 
 @pytest.mark.parametrize("variant", WORD_KERNELS)
 def test_fast_bit_identical_to_scalar(variant):
-    fast, scalar = create(variant), create(variant, fast=False)
+    fast, scalar = create(variant), reference(variant)
     digest = hashlib.sha256()
     for page in boundary_corpus():
         got = fast.compress(page)
@@ -137,28 +128,27 @@ def test_fast_bit_identical_to_scalar(variant):
 
 
 def test_fast_flag_resolution():
-    """``fast=False`` always forces the loop; otherwise the library
-    decides: each word kernel takes the compiled library where it loads,
-    which holds the kernel's encoder (and decoder, where it has one)."""
+    """There is no flag to resolve: a kernel takes no ``fast`` argument,
+    and each word kernel runs the compiled library, which holds the
+    kernel's encoder (and decoder, where it has one)."""
     for name in WORD_KERNELS:
         assert create(name).uses_library, name
-        for fast in (None, True):
-            assert create(name, fast=fast)._library is LIBRARY, name
-        assert create(name, fast=False)._library is None, name
-        if LIBRARY is not None:
-            encoder = "delta_encode" if name == "varint-delta" else (
-                f"{name}_encode")
-            assert callable(getattr(LIBRARY, encoder)), name
-            if name in DECODERS:
-                assert callable(getattr(LIBRARY, DECODERS[name])), name
+        with pytest.raises(TypeError):
+            create(name, fast=False)
+        assert create(name)._library is LIBRARY, name
+        encoder = "delta_encode" if name == "varint-delta" else (
+            f"{name}_encode")
+        assert callable(getattr(LIBRARY, encoder)), name
+        if name in DECODERS:
+            assert callable(getattr(LIBRARY, DECODERS[name])), name
 
 
 def test_mixed_mode_shared_results_are_safe():
-    """Compiled and loop instances share one result-cache identity."""
+    """Compiled and reference instances share one result-cache identity."""
     for name in WORD_KERNELS:
         key = create(name).result_cache_key()
         assert key is not None
-        assert key == create(name, fast=False).result_cache_key()
+        assert key == reference(name).result_cache_key()
 
 
 # --------------------------------------------------------------------------
@@ -320,13 +310,13 @@ def structured_pages(draw) -> bytes:
 @example(page=_words(0, 0xFFFFFFFF) * 8)
 def test_structured_boundaries_bit_identical(page):
     oracles = {
-        "wk": create("wk", fast=False).compress(page).payload,
-        "fpc": create("fpc", fast=False).compress(page).payload,
-        "bdi": create("bdi", fast=False).compress(page).payload,
+        "wk": reference("wk").compress(page).payload,
+        "fpc": reference("fpc").compress(page).payload,
+        "bdi": reference("bdi").compress(page).payload,
         "cpack": reference_cpack(page),
     }
     for name, want in oracles.items():
-        scalar = create(name, fast=False)
+        scalar = reference(name)
         for kernel in (create(name), scalar):
             got = kernel.compress(page)
             assert got.original_size == len(page)
@@ -519,14 +509,13 @@ def decoded(decode, payload: bytes, size: int):
 
 
 def assert_one_decoder(name: str, payload: bytes, size: int):
-    want = decoded(create(name, fast=False)._decode, payload, size)
+    want = decoded(reference(name)._decode, payload, size)
     compiled = getattr(LIBRARY, DECODERS[name])
     assert decoded(compiled, payload, size) == want
     assert decoded(compiled, bytearray(payload), size) == want
     return want
 
 
-@needs_library
 @settings(max_examples=300, deadline=None)
 @given(payload=st.binary(max_size=600), size=st.integers(0, 6000),
        name=st.sampled_from(sorted(DECODERS)))
@@ -534,7 +523,6 @@ def test_the_decoders_agree_on_any_bytes(name, payload, size):
     assert_one_decoder(name, payload, size)
 
 
-@needs_library
 def test_each_decoder_error_is_the_python_decoders():
     cases = {
         ("rle", b"\x05ab", 4096): "truncated literal block",

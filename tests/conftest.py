@@ -19,6 +19,23 @@ def rng():
     return random.Random(0xC0FFEE)
 
 
+@pytest.fixture
+def reference_kernels(monkeypatch):
+    """Every kernel made during the test runs the reference loops
+    (:data:`repro.compression._reference.KERNELS`) where it would run
+    the compiled library; the process-wide result caches are emptied
+    before and after, so those loops really run and none of their
+    results outlives the test."""
+    from repro.compression import compiled
+    from repro.compression._reference import KERNELS
+    from repro.compression.sampler import clear_shared_results
+
+    monkeypatch.setattr(compiled, "_COMPILED", [KERNELS])
+    clear_shared_results()
+    yield
+    clear_shared_results()
+
+
 def sample_pages(rng: random.Random) -> dict:
     """A spread of page contents across the compressibility spectrum."""
     return {

@@ -15,8 +15,9 @@ Three properties are checked:
 * the run is deterministic: two runs in the same process — the second
   with a warm process-wide result cache — produce identical output,
   selection counters included;
-* ``fast=False`` (forced scalar kernels) produces the same digest, so
-  vectorization stays wall-clock-only under the selector too.
+* a machine whose candidates run the reference loops
+  (``repro.compression._reference``) produces the same digest, so the
+  compiled library stays wall-clock-only under the selector too.
 
 A digest mismatch from an optimization means the optimization changed
 behaviour; fix it rather than refreshing the digest.  Refreshing is
@@ -45,12 +46,12 @@ GOLDEN_ADAPTIVE = {
 }
 
 
-def run_adaptive(name: str, fast=None):
+def run_adaptive(name: str):
     """One adaptive run at the bench_sim configuration; returns the
     RunResult."""
     workload = catalog.build(name, SCALE)
     config = MachineConfig(
-        memory_bytes=mbytes(6 * SCALE), compressor="adaptive", fast=fast,
+        memory_bytes=mbytes(6 * SCALE), compressor="adaptive",
     )
     machine = Machine(config, workload.build())
     refs = list(workload.references())
@@ -71,12 +72,10 @@ def test_adaptive_matches_frozen_digest(name):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_ADAPTIVE))
-def test_adaptive_scalar_kernels_match_same_digest(name):
-    assert digest_of(
-        run_adaptive(name, fast=False)
-    ) == GOLDEN_ADAPTIVE[name], (
-        f"{name}: forcing scalar kernels (fast=False) changed adaptive "
-        "output — candidate payloads must be bit-identical across modes"
+def test_adaptive_scalar_kernels_match_same_digest(name, reference_kernels):
+    assert digest_of(run_adaptive(name)) == GOLDEN_ADAPTIVE[name], (
+        f"{name}: the reference loops changed adaptive output — candidate "
+        "payloads must be bit-identical to the compiled library's"
     )
 
 

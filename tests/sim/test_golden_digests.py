@@ -57,12 +57,12 @@ GOLDEN_EXACT = {
 
 
 def run_digest(name: str, scale: float, exact: bool,
-               fast=None, paranoid: bool = False) -> str:
+               paranoid: bool = False) -> str:
     """Build the bench_sim machine for ``name`` and digest its RunResult."""
     workload = catalog.build(name, scale)
     config = MachineConfig(
         memory_bytes=mbytes(6 * scale), exact_compression=exact,
-        fast=fast, paranoid=paranoid,
+        paranoid=paranoid,
     )
     machine = Machine(config, workload.build())
     refs = list(workload.references())
@@ -85,33 +85,27 @@ def test_exact_mode_matches_preoptimization_digest(name):
     )
 
 
-# The default runs above use fast=None — the compiled kernel library
-# wherever it loads — so there they already pin the fast variant
-# against digests captured on the scalar tree.  The forced-
-# scalar runs below close the loop from the other side: the same digests
-# with fast=False, proving MachineConfig.fast moves host wall-clock
-# only.  Memo mode covers every workload (cheap: the shared kernel-
-# result cache is warm); exact mode — where every reference invokes the
-# real scalar kernel, no sharing — covers a subset to keep tier-1
-# wall-clock in budget.
+# The runs above use the compiled kernel library, so they pin it against
+# digests captured on the pure-Python tree.  The runs below close the
+# loop from the other side: machines whose kernels run the reference
+# loops (``repro.compression._reference``), with the process-wide
+# result caches emptied so that every kernel result is the loops' own,
+# reproduce the same digests.  Exact mode — where every reference
+# invokes a kernel — covers a subset to keep tier-1 wall-clock in budget.
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_MEMO))
-def test_memo_mode_scalar_kernels_match_same_digest(name):
-    assert run_digest(
-        name, MEMO_SCALE, exact=False, fast=False
-    ) == GOLDEN_MEMO[name], (
-        f"{name}: forcing scalar kernels (fast=False) changed simulation "
-        "output — the fast flag must be wall-clock only"
+def test_memo_mode_scalar_kernels_match_same_digest(name, reference_kernels):
+    assert run_digest(name, MEMO_SCALE, exact=False) == GOLDEN_MEMO[name], (
+        f"{name}: the reference loops changed simulation output — a "
+        "compiled kernel diverged from its loop"
     )
 
 
 @pytest.mark.parametrize("name", ["thrasher", "compare"])
-def test_exact_mode_scalar_kernels_match_same_digest(name):
-    assert run_digest(
-        name, EXACT_SCALE, exact=True, fast=False
-    ) == GOLDEN_EXACT[name], (
-        f"{name}: forcing scalar kernels (fast=False) changed simulation "
-        "output in exact mode — scalar and compiled kernels diverged"
+def test_exact_mode_scalar_kernels_match_same_digest(name, reference_kernels):
+    assert run_digest(name, EXACT_SCALE, exact=True) == GOLDEN_EXACT[name], (
+        f"{name}: the reference loops changed exact-mode output — a "
+        "compiled kernel diverged from its loop"
     )
 
 

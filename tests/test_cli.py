@@ -50,7 +50,7 @@ HELP_PINS = {
     "serve": "82fe270977bd679273364c2dad35c23c080baec0a3c1a1df5a3f517d31c50eee",
     "serve-bench": "cddf31d986291f6e445bc33132d3e9e3f995fd999f159e8f3cb5d646f031697c",
     "trace-record": "3fc68215696f2f1cef99048f499b5bffea3efd020b79090e748b6611a01fbb95",
-    "trace-replay": "2ca5bbb299f216bffe45040cfd227ff6c13477a6b9d0ef16daadefbd07632aa3",
+    "trace-replay": "65bf134e7065ec2edda6f7f67ed2f7ea77273ba61ea1d99de7f00b57fe7cb2c2",
     "trace-analyze": "ccb1b1b73b5cd2a0f69e6858726be8aff82a2d3990b99882602ba71d3ba413f9",
 }
 

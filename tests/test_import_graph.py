@@ -8,7 +8,10 @@ Three rules (docs/internals.md, "Import graph"), each held here:
   lists every kernel without importing one, and the table names exactly
   the ``@register`` calls in ``src/repro/compression``;
 * a forked shard worker inherits its modules from the front end and
-  imports none after it starts.
+  imports none after it starts;
+* the kernels' reference loops (``repro.compression._reference``) are
+  an oracle, not a path: no simulation, selector or shard loads them,
+  and in ``src/`` only ``repro.perf``'s ratio rows import them.
 
 Every check that is about what a process imports runs in a fresh
 interpreter.  The whole file takes about 12 s on a 2-CPU host, most of
@@ -129,8 +132,8 @@ class TestFootprint:
         assert not set(loaded) & set(KERNEL_MODULES)
 
     def test_building_every_kernel_loads_no_numpy(self):
-        """A kernel's fast path is the compiled library, loaded with
-        ctypes; numpy is for page generation and traces."""
+        """A kernel runs the compiled library, loaded with ctypes; numpy
+        is for page generation and traces."""
         loaded = _loaded_after(
             "from repro.compression import available, create\n"
             "for name in available():\n"
@@ -240,3 +243,68 @@ asyncio.run(main())
                     reason="only a forked worker inherits its modules")
 def test_a_forked_shard_imports_nothing_after_it_starts():
     assert json.loads(_fresh(_SHARD)) == []
+
+
+REFERENCE = "repro.compression._reference"
+
+#: A default and an ``adaptive`` simulation, then an ``adaptive``
+#: service with one forked shard: the modules each side holds.
+_RUNS = r"""
+import asyncio, json, sys
+from repro.mem.page import mbytes
+from repro.service.config import ServiceConfig
+from repro.service.server import CacheService
+from repro.sim.engine import SimulationEngine
+from repro.sim.machine import Machine, MachineConfig
+from repro.workloads import catalog
+
+for compressor in ("lzrw1", "adaptive"):
+    workload = catalog.build("compare", 0.02)
+    machine = Machine(MachineConfig(memory_bytes=mbytes(0.12),
+                                    compressor=compressor),
+                      workload.build())
+    SimulationEngine(machine).run(workload.references())
+
+async def main():
+    service = CacheService(ServiceConfig(shards=1, compressor="adaptive"))
+    await service.start()
+    for key in range(8):
+        await service.put(0, key, bytes([key]) * 2048 + bytes(range(256)) * 8)
+        await service.get(0, key)
+    stats = await service.stats()
+    await service.stop()
+    return stats["shards"][0]["late_imports"]
+
+late = asyncio.run(main())
+print(json.dumps({"front end": sorted(name for name in sys.modules
+                                      if name.startswith("repro")),
+                  "shard": late}))
+"""
+
+
+class TestReferenceLoops:
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only a forked worker inherits its modules")
+    def test_no_run_loads_the_reference_loops(self):
+        loaded = json.loads(_fresh(_RUNS))
+        for ran in ("repro.sim.engine", "repro.compression.adaptive",
+                    "repro.service.shard"):
+            assert ran in loaded["front end"], ran
+        assert REFERENCE not in loaded["front end"]
+        # The shard holds what it inherited and what it imported since.
+        assert loaded["shard"] == []
+
+    def test_only_perf_imports_the_reference_loops(self):
+        importers = set()
+        for path in PACKAGE.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    names = [f"{node.module}.{alias.name}"
+                             for alias in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                if any("_reference" in name.split(".") for name in names):
+                    importers.add(path.relative_to(SRC).as_posix())
+        assert importers == {"repro/perf.py"}

@@ -33,7 +33,6 @@ from repro.perf import (
     evaluate_gates,
     profile_sim,
 )
-from repro.compression.compiled import compiled_library
 from repro.sweep import spec_digest
 
 REPO_ROOT = Path(__file__).parent.parent
@@ -206,8 +205,7 @@ def _baseline(**extra):
 
 
 def _compression(speedup=2.0):
-    return {"lz_library": "compiled",
-            "fast": {"aggregate": {"lzrw1": {"speedup": speedup}}}}
+    return {"fast": {"aggregate": {"lzrw1": {"speedup": speedup}}}}
 
 
 def _sim(scale=0.05, pps=1000.0):
@@ -287,10 +285,8 @@ class TestBaselineCheck:
 
     def test_a_compiled_run_without_numpy_is_judged(self, tmp_path):
         """The ``fast`` rows follow the compiled library, not numpy: a
-        kernel run in an interpreter where numpy cannot be imported,
-        and the library loaded, is judged on every row, not skipped."""
-        if compiled_library() is None:
-            pytest.skip("the compiled library did not load")
+        kernel run in an interpreter where numpy cannot be imported is
+        judged on every row, not skipped."""
         hide = tmp_path / "numpy"
         hide.mkdir()
         (hide / "__init__.py").write_text(
@@ -310,7 +306,6 @@ class TestBaselineCheck:
         )
         assert proc.returncode == 0, proc.stderr
         measured = json.loads(proc.stdout)
-        assert measured["lz_library"] == "compiled"
         report = evaluate_gates(
             {"compression": measured},
             _baseline(fast_kernel_speedup={name: 1.0
@@ -522,16 +517,16 @@ class TestGateTable:
         (1.0, True), (1.51, True), (2.57, True), (56.0, False)])
     def test_committed_lzss_fast_floor_can_fail(self, speedup, fails):
         """The committed ``fast_kernel_speedup.lzss`` floor is the
-        compiled encoder's against the seed's encoder, which
-        ``fast=False`` runs (56 passes): a silent fallback's ratio fails
-        it — the seed against itself, about 1.0, and the Python
-        encoders deleted before it, 2.57 at best with numpy chain tables
-        and 1.51 with a hash table."""
+        compiled encoder's against the seed's encoder, its reference
+        loop (56 passes): a Python encoder's ratio fails it — the seed
+        against itself, about 1.0, and the Python encoders deleted
+        before it, 2.57 at best with numpy chain tables and 1.51 with a
+        hash table."""
         committed = json.loads(
             (REPO_ROOT / "benchmarks" / "perf_baseline.json").read_text()
         )["fast_kernel_speedup"]["lzss"]
         failures = _failures(
-            {"compression": {"lz_library": "compiled", "fast": {
+            {"compression": {"fast": {
                 "aggregate": {"lzss": {"speedup": speedup}}}}},
             {"fast_kernel_speedup": {"lzss": committed}},
         )
@@ -541,13 +536,14 @@ class TestGateTable:
 
     @pytest.mark.parametrize("encoder, speedup, verdict", [
         ("compiled", 1.3, "failed"), ("compiled", 80.0, "passed"),
-        ("python", 1.3, "skipped")])
+        ("python", 1.3, "failed")])
     def test_committed_lzrw1_fast_floor_is_the_compiled_encoders(
             self, encoder, speedup, verdict):
         """``fast_kernel_speedup.lzrw1`` is the compiled encoder against
         the seed's loop: a Python encoder's ratio (the deleted numpy-hash
-        loop read about 1.3) fails it by name, and a run where the
-        library did not load skips it by name."""
+        loop read about 1.3) fails it by name, and so does a record
+        from before the library was required that says its Python paths
+        ran (``lz_library``): no row is skipped for it any more."""
         committed = json.loads(
             (REPO_ROOT / "benchmarks" / "perf_baseline.json").read_text()
         )["fast_kernel_speedup"]["lzrw1"]
@@ -564,36 +560,16 @@ class TestGateTable:
                 for kind, found in lines.items()} == {
             kind: row.get(kind, []) for kind in lines}
 
-    def test_a_run_without_the_compiled_library_skips_both_lz_rows(self):
-        """Where the library did not load, lzrw1's and lzss's fast rows
-        are skipped by name (their Python ratios would fail them), and
-        so is every word kernel's: each holds the compiled encoder's
-        ratio, which the loops that then run cannot reach."""
-        committed = json.loads(
-            (REPO_ROOT / "benchmarks" / "perf_baseline.json").read_text()
-        )["fast_kernel_speedup"]
-        report = evaluate_gates(
-            {"compression": {"lz_library": "python", "fast": {
-                "aggregate": {name: {"speedup": 2.5}
-                              for name in committed}}}},
-            {"fast_kernel_speedup": committed},
-        )
-        assert sorted(line.split(":")[0] for line in report.skipped
-                      if line.startswith("fast-kernel-speedup")) == sorted(
-            f"fast-kernel-speedup {name}" for name in committed)
-        assert {"lzrw1", "lzss"} < set(committed)
-        assert report.failures == []
-
     @pytest.mark.parametrize("library, verdict", [
-        ("compiled", "failed"), (None, "failed"), ("python", "skipped")])
+        ("compiled", "failed"), (None, "failed"), ("python", "failed")])
     def test_two_tier_overhead_is_skipped_only_without_the_library(
             self, library, verdict):
-        """Every two-tier demotion decodes, so where the compiled
-        library did not load the ``overhead`` row's ``two_tier`` key
-        times the Python decoders (+585.7% against its 200% ceiling) and
-        is skipped by name.  A compiled run over the ceiling still fails
-        it, so does a record that does not say, and the row's other keys
-        are judged either way."""
+        """Every two-tier demotion decodes; the library is required, so
+        the ``overhead`` row's ``two_tier`` key is never skipped: a run
+        over its 200% ceiling fails it (+585.7% is what the Python
+        decoders read), whatever library a record names — a record from
+        before the library was required may say ``python`` — and the
+        row's other keys are judged either way."""
         payload = {"overhead": {
             "two_tier": {"lower_bound_percent": 585.7},
             "selector": {"lower_bound_percent": 1.0}}}
@@ -612,8 +588,6 @@ class TestGateTable:
         assert [line.split(":")[0] for line in row[verdict]] \
             == ["overhead two_tier"]
         assert sum(map(len, row.values())) == 2
-        if verdict == "skipped":
-            assert "library did not load" in row["skipped"][0]
 
     @pytest.mark.parametrize("name, loop, compiled", [
         ("rle", 1.0, 55.9), ("wk", 1.0, 84.7), ("varint-delta", 1.0, 39.0),
@@ -621,17 +595,16 @@ class TestGateTable:
     def test_a_fallback_to_the_loop_fails_its_row(
             self, name, loop, compiled):
         """Each word kernel's committed floor is its compiled encoder's
-        ratio against its loop: a silent fallback to the loop, the loop
-        against itself (about 1.0), fails the row by name where the
-        library loaded, and the lowest compiled ratio recorded passes
-        it."""
+        ratio against its loop: the loop against itself (about 1.0)
+        fails the row by name, and the lowest compiled ratio recorded
+        passes it."""
         committed = json.loads(
             (REPO_ROOT / "benchmarks" / "perf_baseline.json").read_text()
         )["fast_kernel_speedup"][name]
         for speedup, want in ((loop, [f"fast-kernel-speedup {name}"]),
                               (compiled, [])):
             failures = _failures(
-                {"compression": {"lz_library": "compiled", "fast": {
+                {"compression": {"fast": {
                     "aggregate": {name: {"speedup": speedup}}}}},
                 {"fast_kernel_speedup": {name: committed}},
             )
