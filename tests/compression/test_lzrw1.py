@@ -158,9 +158,9 @@ class TestSharedScratch:
         between every pair of their calls, each emit exactly what a
         fresh seed instance (its own table) emits."""
         pages = golden_corpus()
-        pair = (Lzrw1(table_bits=bits),
-                reference("lzrw1", table_bits=bits))[::1 if compiled_first
-                                                      else -1]
+        compiled = Lzrw1(table_bits=bits)
+        loop = reference("lzrw1", table_bits=bits)
+        pair = (compiled, loop) if compiled_first else (loop, compiled)
         other = Lzrw1(table_bits=bits - 4)
         digest = hashlib.sha256()
         for index, page in enumerate(pages):
